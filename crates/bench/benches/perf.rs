@@ -9,7 +9,6 @@ use dynaminer::detector::{DetectorConfig, OnTheWireDetector};
 use dynaminer::features;
 use dynaminer::wcg::Wcg;
 use mlearn::forest::{ForestConfig, RandomForest};
-use nettrace::TransactionExtractor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synthtraffic::benign::generate_benign;
@@ -48,13 +47,7 @@ fn bench_pcap(c: &mut Criterion) {
     let mut group = c.benchmark_group("pcap");
     group.throughput(Throughput::Bytes(pcap.len() as u64));
     group.bench_function("parse_and_extract_transactions", |b| {
-        b.iter(|| {
-            let packets = nettrace::pcap::PcapReader::new(pcap.as_slice())
-                .unwrap()
-                .collect_packets()
-                .unwrap();
-            TransactionExtractor::extract(&packets).unwrap().len()
-        })
+        b.iter(|| nettrace::SpanPipeline::extract_capture_strict(&pcap).unwrap().len())
     });
     group.finish();
 }

@@ -7,8 +7,7 @@
 //! * pcap ingest (parse + transaction extraction), MB/s,
 //! * WCG construction from conversations, conversations/s,
 //! * 37-feature extraction, WCGs/s,
-//! * end-to-end live-detector replay, incremental vs from-scratch WCGs,
-//!   transactions/s,
+//! * end-to-end live-detector replay, transactions/s,
 //! * sharded replay through the `streamd` engine at 1 and 4 shards,
 //!   transactions/s — with the speedups over the single-threaded replay
 //!   recorded explicitly (the 1-shard ratio isolates the queue-handoff
@@ -50,7 +49,6 @@ use dynaminer::detector::{DetectorConfig, OnTheWireDetector};
 use dynaminer::features;
 use dynaminer::wcg::Wcg;
 use mlearn::forest::{ForestConfig, RandomForest};
-use nettrace::TransactionExtractor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -137,10 +135,6 @@ struct BenchReport {
     /// recording is folded in (0.01 = 1% slower; negative = noise).
     /// Target: under 0.03.
     telemetry_overhead_ingest: f64,
-    /// Incremental live-replay throughput over the from-scratch rebuild
-    /// path (the tentpole win of per-conversation `WcgBuilder`s plus
-    /// memoized topology features).
-    live_replay_speedup: f64,
     /// 4-shard `streamd` engine replay throughput over the
     /// single-threaded live replay. Scales with cores; on a single-core
     /// host the shard workers time-slice one core, so the ratio only
@@ -291,21 +285,18 @@ fn main() {
 
     let mut entries = Vec::new();
 
-    // 1. pcap ingest: parse + transaction extraction, MB/s.
+    // 1. pcap ingest under the strict policy: parse + transaction
+    // extraction with a fresh pipeline per capture, MB/s.
     let mut group = c.benchmark_group("ingest");
     group.throughput(Throughput::Bytes(pcap.len() as u64));
     let t = group.bench_function("pcap_parse_and_extract", |b| {
-        b.iter(|| {
-            let packets = nettrace::capture::read_packets(&pcap).unwrap();
-            TransactionExtractor::extract(&packets).unwrap().len()
-        })
+        b.iter(|| nettrace::SpanPipeline::extract_capture_strict(&pcap).unwrap().len())
     });
     entries.push(entry("ingest/pcap_parse_and_extract", t, pcap.len() as f64 / 1e6, "MB/s"));
 
     // 1b. Lenient ingest with and without telemetry recording: the
-    // delta bounds what per-capture metrics cost on the hot path. Runs
-    // the zero-copy span pipeline (the production lenient path), with
-    // the pipeline's buffers reused across iterations as a long-lived
+    // delta bounds what per-capture metrics cost on the hot path. The
+    // pipeline's buffers are reused across iterations as a long-lived
     // service would.
     let mut pipeline = nettrace::SpanPipeline::new();
     let t_lenient = group.bench_function("pcap_lenient", |b| {
@@ -396,11 +387,8 @@ fn main() {
     // 3b. End-to-end live detection: replay a merged multi-episode
     // stream through the detector with alerting disabled (threshold
     // above 1), so watched conversations keep growing and every
-    // transaction exercises the classify path. `replay_live` uses the
-    // incremental per-conversation WCG builders with memoized topology
-    // features; `replay_live_scratch` rebuilds each WCG from scratch per
-    // classification (the pre-incremental behaviour). Both produce
-    // bit-identical verdicts (asserted in the detector's tests).
+    // transaction exercises the classify path (per-conversation WCG
+    // builders with memoized topology features).
     let live_clf = {
         let live_data = build_dataset(labelled.iter().copied());
         Classifier::fit_default(&live_data, 7)
@@ -413,28 +401,16 @@ fn main() {
     };
     let mut group = c.benchmark_group("detector");
     group.throughput(Throughput::Elements(stream.len() as u64));
-    let replay = |incremental: bool| {
-        let config = DetectorConfig {
-            alert_threshold: 1.1,
-            incremental,
-            ..DetectorConfig::default()
-        };
+    let replay = || {
+        let config = DetectorConfig { alert_threshold: 1.1, ..DetectorConfig::default() };
         let mut det = OnTheWireDetector::new(live_clf.clone(), config);
         for tx in &stream {
             det.observe(tx);
         }
         det.classification_count()
     };
-    let t_live = group.bench_function("replay_live", |b| b.iter(|| replay(true)));
+    let t_live = group.bench_function("replay_live", |b| b.iter(replay));
     entries.push(entry("detector/replay_live", t_live, stream.len() as f64, "transactions/s"));
-    let t_live_scratch =
-        group.bench_function("replay_live_scratch", |b| b.iter(|| replay(false)));
-    entries.push(entry(
-        "detector/replay_live_scratch",
-        t_live_scratch,
-        stream.len() as f64,
-        "transactions/s",
-    ));
 
     // 3c. Sharded replay: the same stream through a 4-shard
     // `streamd::StreamEngine` (one detector per shard, hash-partitioned
@@ -523,7 +499,7 @@ fn main() {
     // wall-clock shrinks with the cores actually granted.
     let single_thread_replay_cpu_ns = {
         let cpu0 = telemetry::thread_cpu_ns();
-        std::hint::black_box(replay(true));
+        std::hint::black_box(replay());
         telemetry::thread_cpu_ns().saturating_sub(cpu0)
     };
     let scaling: Vec<ScalingPoint> = [1usize, 2, 4]
@@ -789,7 +765,6 @@ fn main() {
         } else {
             0.0
         },
-        live_replay_speedup: speedup(t_live, t_live_scratch),
         sharded_replay_speedup,
         sharded_replay_speedup_1shard,
         single_thread_replay_cpu_ns,
@@ -812,10 +787,6 @@ fn main() {
     println!(
         "telemetry overhead on lenient ingest: {:+.2}%",
         report.telemetry_overhead_ingest * 100.0
-    );
-    println!(
-        "live replay speedup (incremental over from-scratch): {:.2}x",
-        report.live_replay_speedup
     );
     println!(
         "sharded replay speedup: {:.2}x at 4 shards, {:.2}x at 1 shard (handoff cost only; \

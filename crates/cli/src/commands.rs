@@ -7,7 +7,7 @@ use dynaminer::classifier::{build_dataset_parallel, Classifier, FeatureSelection
 use dynaminer::detector::{ClueConfig, DetectorConfig};
 use dynaminer::wcg::Wcg;
 use dynaminer::{features, forensic};
-use nettrace::{HttpTransaction, TransactionExtractor};
+use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synthtraffic::benign::generate_benign;
@@ -173,9 +173,7 @@ pub(crate) fn write_metrics(registry: &telemetry::Registry, path: &str) -> Resul
 fn load_transactions(path: &str) -> Result<Vec<HttpTransaction>, String> {
     let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // Accepts classic pcap or pcapng, detected by magic.
-    let packets =
-        nettrace::capture::read_packets(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    TransactionExtractor::extract(&packets).map_err(|e| format!("{path}: {e}"))
+    nettrace::SpanPipeline::extract_capture_strict(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Lenient counterpart of [`load_transactions`]: salvages whatever the

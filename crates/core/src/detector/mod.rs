@@ -29,7 +29,6 @@ use telemetry::Registry;
 use crate::classifier::Classifier;
 use crate::metrics::DetectorMetrics;
 use crate::trusted::TrustedHosts;
-use crate::wcg::Wcg;
 pub use clue::ClueConfig;
 pub use session::{Conversation, SessionTracker, SpillConfig, TrackerState};
 
@@ -78,13 +77,6 @@ pub struct DetectorConfig {
     /// verdict pass). `0` means "use the machine's available parallelism".
     /// Scores are bit-identical at any setting.
     pub scoring_threads: usize,
-    /// Score watched conversations from the incrementally maintained WCG
-    /// (each conversation folds transactions into a
-    /// [`WcgBuilder`](crate::wcg::WcgBuilder) as they arrive) instead of
-    /// rebuilding the graph from scratch per classification. Feature
-    /// vectors are bit-identical either way; `false` exists for A/B
-    /// benchmarking and as an escape hatch.
-    pub incremental: bool,
     /// LRU spill tier budgets: when set, idle conversations over the
     /// live-memory budget are demoted to a compact frozen form (and
     /// rehydrated on their next transaction) instead of staying
@@ -105,7 +97,6 @@ impl Default for DetectorConfig {
             max_conversations_per_client: 512,
             max_transactions_per_conversation: 8192,
             scoring_threads: 0,
-            incremental: true,
             spill: None,
         }
     }
@@ -427,20 +418,15 @@ impl OnTheWireDetector {
         if !first_look {
             self.metrics.reclassifications.inc();
         }
-        // Query the classifier over the conversation's WCG. The
-        // incremental path reads the graph each conversation has been
-        // folding transactions into (and reuses memoized topology
-        // features while the node/edge structure is unchanged); the
-        // scratch path goes back in time and rebuilds it wholesale, as
-        // the paper describes.
+        // Query the classifier over the conversation's WCG: the graph
+        // the conversation has been folding transactions into as they
+        // arrived (a `WcgBuilder`), with memoized topology features
+        // reused while the node/edge structure is unchanged. The result
+        // is bit-identical to rebuilding the graph wholesale per
+        // classification, as the paper describes it.
         let started = Instant::now();
-        let fv = if self.config.incremental {
-            let (wcg, topo_version, cache) = conv.wcg_state();
-            self.extractor.extract_memoized(wcg, topo_version, cache)
-        } else {
-            let wcg = Wcg::from_transactions(&conv.transactions);
-            crate::features::extract(&wcg)
-        };
+        let (wcg, topo_version, cache) = conv.wcg_state();
+        let fv = self.extractor.extract_memoized(wcg, topo_version, cache);
         self.metrics.feature_extraction_ns.observe_since(started);
         // Snapshot the deployed model for this classification: a
         // concurrent hot-reload lands between transactions, never
@@ -695,86 +681,6 @@ mod tests {
             alerts_sig + 1 >= alerts_every,
             "alerts {alerts_sig} vs {alerts_every}"
         );
-    }
-
-    #[test]
-    fn incremental_and_scratch_paths_agree_bit_for_bit() {
-        let clf = trained_classifier(9);
-        let mut rng = StdRng::seed_from_u64(70);
-        // A merged multi-episode stream (interleaved conversations, some
-        // out-of-order arrivals within the merge) with alerting disabled,
-        // so every watched conversation keeps being re-classified.
-        let mut stream: Vec<nettrace::HttpTransaction> = Vec::new();
-        for i in 0..6 {
-            stream.extend(
-                generate_infection(&mut rng, EkFamily::ALL[i % 10], 1.4e9 + i as f64 * 90.0)
-                    .transactions,
-            );
-            stream.extend(
-                generate_benign(&mut rng, BenignScenario::WEIGHTED[i % 8].0, 1.4e9 + i as f64 * 90.0)
-                    .transactions,
-            );
-        }
-        stream.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-        let run = |incremental: bool| {
-            let config = DetectorConfig {
-                alert_threshold: 1.1,
-                incremental,
-                ..DetectorConfig::default()
-            };
-            let mut det = OnTheWireDetector::new(clf.clone(), config);
-            let mut scores = Vec::new();
-            for tx in &stream {
-                det.observe(tx);
-            }
-            // Final per-conversation feature vectors must agree too.
-            for conv in det.tracker().conversations() {
-                let wcg = Wcg::from_transactions(&conv.transactions);
-                scores.push(crate::features::extract(&wcg));
-            }
-            (det.classification_count(), scores)
-        };
-        let (calls_inc, fvs_inc) = run(true);
-        let (calls_scratch, fvs_scratch) = run(false);
-        assert_eq!(calls_inc, calls_scratch);
-        assert!(calls_inc > 0);
-        assert_eq!(fvs_inc.len(), fvs_scratch.len());
-        for (a, b) in fvs_inc.iter().zip(&fvs_scratch) {
-            for (x, y) in a.values().iter().zip(b.values()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_alerts_match_scratch_alerts() {
-        let clf = trained_classifier(10);
-        let mut rng = StdRng::seed_from_u64(71);
-        let mut stream: Vec<nettrace::HttpTransaction> = Vec::new();
-        for i in 0..6 {
-            stream.extend(
-                generate_infection(&mut rng, EkFamily::ALL[(i * 3) % 10], 1.4e9 + i as f64 * 400.0)
-                    .transactions,
-            );
-        }
-        stream.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-        let run = |incremental: bool| {
-            let config = DetectorConfig { incremental, ..DetectorConfig::default() };
-            let mut det = OnTheWireDetector::new(clf.clone(), config);
-            for tx in &stream {
-                det.observe(tx);
-            }
-            det.alerts().to_vec()
-        };
-        let inc = run(true);
-        let scratch = run(false);
-        assert_eq!(inc.len(), scratch.len());
-        for (a, b) in inc.iter().zip(&scratch) {
-            assert_eq!(a.conversation_id, b.conversation_id);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-            assert_eq!(a.ts, b.ts);
-            assert_eq!(a.conversation_size, b.conversation_size);
-        }
     }
 
     #[test]

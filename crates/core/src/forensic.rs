@@ -7,7 +7,7 @@
 //! against an external scanner, as the paper does with VirusTotal).
 
 use nettrace::payload::PayloadClass;
-use nettrace::{HttpTransaction, TransactionExtractor};
+use nettrace::HttpTransaction;
 use serde::{Deserialize, Serialize};
 
 use crate::classifier::Classifier;
@@ -207,18 +207,18 @@ fn analyze_with(
 }
 
 /// Replays a capture byte stream (classic pcap or pcapng, detected by
-/// magic).
+/// magic) under the strict ingest policy.
 ///
 /// # Errors
 ///
-/// Returns a [`nettrace::Error`] when the capture cannot be parsed.
+/// Returns the capture's first framing or HTTP-syntax stop as a
+/// [`nettrace::Error`].
 pub fn analyze_pcap(
     pcap_bytes: &[u8],
     classifier: Classifier,
     config: DetectorConfig,
 ) -> nettrace::Result<ForensicReport> {
-    let packets = nettrace::capture::read_packets(pcap_bytes)?;
-    let transactions = TransactionExtractor::extract(&packets)?;
+    let transactions = nettrace::SpanPipeline::extract_capture_strict(pcap_bytes)?;
     Ok(analyze_transactions(&transactions, classifier, config))
 }
 

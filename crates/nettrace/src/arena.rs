@@ -1,70 +1,16 @@
-//! Shared capture arena for the zero-copy ingest pipeline.
+//! Span types for the zero-copy ingest pipeline.
 //!
-//! A capture file is loaded (or mapped) into memory exactly once; every
-//! later stage — packet framing, TCP reassembly, HTTP parsing — refers
-//! to it by [`PacketSpan`] byte ranges instead of copying payload bytes
-//! forward. The arena is refcounted (`Arc`) so a consumer that outlives
-//! the ingest call (streamd handoff, deferred forensics) can keep the
-//! backing buffer alive without copying it.
+//! A capture file is loaded (or mapped) into memory exactly once — that
+//! buffer is the *arena* — and every later stage — packet framing, TCP
+//! reassembly, HTTP parsing — refers to it by [`PacketSpan`] byte ranges
+//! instead of copying payload bytes forward.
 
 use std::ops::Range;
-use std::sync::Arc;
 
-/// One capture file's bytes, shared by reference between pipeline stages.
-#[derive(Debug, Clone)]
-pub struct CaptureArena {
-    bytes: Arc<[u8]>,
-}
-
-impl CaptureArena {
-    /// Wraps an owned capture buffer without copying it.
-    pub fn new(bytes: Vec<u8>) -> Self {
-        CaptureArena { bytes: bytes.into() }
-    }
-
-    /// Copies a borrowed capture into a fresh arena (the one deliberate
-    /// copy for callers that only hold a slice).
-    pub fn from_slice(bytes: &[u8]) -> Self {
-        CaptureArena { bytes: Arc::from(bytes) }
-    }
-
-    /// The full capture bytes.
-    #[inline]
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Capture length in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the capture is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-}
-
-impl std::ops::Deref for CaptureArena {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl From<Vec<u8>> for CaptureArena {
-    fn from(bytes: Vec<u8>) -> Self {
-        CaptureArena::new(bytes)
-    }
-}
-
-/// One captured packet as a timestamped range into a [`CaptureArena`].
+/// One captured packet as a timestamped range into the capture arena.
 ///
-/// The range covers the captured link-layer frame bytes (what
-/// [`crate::pcap::Packet::data`] would own on the copying path).
+/// The range covers the captured link-layer frame bytes (what an owned
+/// [`crate::pcap::Packet::data`] holds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PacketSpan {
     /// Capture timestamp (seconds since epoch).
@@ -109,16 +55,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arena_shares_without_copy() {
-        let arena = CaptureArena::new(vec![1, 2, 3, 4]);
-        let clone = arena.clone();
-        assert_eq!(arena.as_slice(), clone.as_slice());
-        assert_eq!(arena.as_slice().as_ptr(), clone.as_slice().as_ptr(), "refcounted, not copied");
-    }
-
-    #[test]
     fn span_resolves_bytes() {
-        let arena = CaptureArena::new(vec![0, 1, 2, 3, 4, 5]);
+        let arena = [0u8, 1, 2, 3, 4, 5];
         let span = PacketSpan { ts: 1.5, range: 2..5 };
         assert_eq!(span.bytes(&arena), &[2, 3, 4]);
     }

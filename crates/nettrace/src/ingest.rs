@@ -1,17 +1,20 @@
-//! Ingest-health accounting for lenient (graceful-degradation) decoding.
+//! Ingest-health accounting: the lenient policy's side of offline ingest.
 //!
 //! Real-world captures are hostile inputs: live rotation truncates files
 //! mid-record, faulty taps flip bytes, middleboxes mangle TCP, and
-//! servers emit broken chunked framing or corrupt gzip. The strict
-//! pipeline fails the whole capture on the first malformed byte, which
-//! is the right default for unit tests but wrong for forensic replay —
-//! an analyst wants every conversation that *can* be recovered, plus an
-//! honest account of what was lost.
+//! servers emit broken chunked framing or corrupt gzip. There is one
+//! capture → transaction path ([`crate::SpanPipeline`]); it never stops
+//! at damage, it salvages what it can and records *why and where* each
+//! layer lost something. The two offline policies read that one run
+//! differently. **Strict** ([`crate::SpanPipeline::extract_strict`])
+//! returns the first framing or HTTP-syntax stop as an error — the right
+//! default for tests and for inputs that are supposed to be clean.
+//! **Lenient** ([`crate::SpanPipeline::extract_lenient`]) is for forensic
+//! replay: an analyst wants every conversation that *can* be recovered,
+//! plus an honest account of what was lost.
 //!
-//! [`IngestReport`] is that account. Every lenient entry point
-//! ([`crate::capture::read_packets_lenient`],
-//! [`crate::TransactionExtractor::extract_lenient`]) threads one through
-//! and increments per-layer counters instead of aborting:
+//! [`IngestReport`] is that account, one counter per way a layer can lose
+//! data:
 //!
 //! * **capture layer** — records read vs. dropped, bytes abandoned,
 //!   whether the file ended mid-record,

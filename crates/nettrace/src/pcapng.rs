@@ -7,10 +7,11 @@
 //! writer sufficient for round-trip tests. Unknown block types are
 //! skipped, as the specification requires.
 //!
-//! Use [`crate::capture::read_packets`] to accept either classic pcap or
+//! [`walk_blocks`] is the one block walker; like
+//! [`crate::pcap::walk_records`] it serves both ingest policies from a
+//! single pass. Use [`crate::capture`] to accept either classic pcap or
 //! pcapng transparently.
 
-use crate::arena::PacketSpan;
 use crate::ingest::IngestReport;
 use crate::pcap::Packet;
 use crate::{Error, Result};
@@ -135,77 +136,43 @@ fn parse_block(
     Ok(Some(pos + total_len))
 }
 
-/// Reads every packet from a pcapng byte stream.
+/// Walks the blocks of a pcapng byte stream, calling `emit` with each
+/// packet's timestamp and the byte range of its frame.
 ///
 /// Timestamps honour each interface's `if_tsresol` option (default
 /// microseconds). Unknown blocks are skipped; Simple Packet Blocks carry
-/// no timestamp and are emitted with `ts = 0.0`. A capture whose final
-/// block is cut short (live rotation, interrupted copy) yields every
-/// packet read before the truncation point.
+/// no timestamp and are emitted with `ts = 0.0`.
+///
+/// One pass serves both ingest policies. The **lenient** reading is
+/// folded into `report`: pcapng blocks carry their own type and length
+/// framing, so after a corrupt block the walk resynchronises on the next
+/// offset that looks like a valid block (known type, sane length,
+/// matching trailer) and carries on, counting dropped blocks and skipped
+/// bytes; a final block cut short (live rotation, interrupted copy) is
+/// counted as truncation. The **strict** reading is the return value.
 ///
 /// # Errors
 ///
-/// Returns an error on a malformed section header, inconsistent block
-/// lengths, or a corrupt length trailer mid-file.
-pub fn read_packets(bytes: &[u8]) -> Result<Vec<Packet>> {
-    let big_endian = byte_order(bytes)?;
-    let cur = Cursor { data: bytes, big_endian };
-    let mut pos = 0usize;
-    let mut packets = Vec::new();
-    // Per-interface timestamp resolution (ticks per second).
-    let mut tsresol: Vec<f64> = Vec::new();
-    while pos + 12 <= bytes.len() {
-        let emit = &mut |ts, range: Range<usize>| {
-            packets.push(Packet::new(ts, bytes[range].to_vec()));
-        };
-        match parse_block(&cur, bytes, pos, &mut tsresol, emit)? {
-            Some(next) => pos = next,
-            None => break, // truncated final block: keep what we have
-        }
-    }
-    Ok(packets)
-}
-
-/// Reads every salvageable packet from pcapng bytes, never failing.
-///
-/// Unlike classic pcap, pcapng blocks carry their own type and length
-/// framing, so decoding can resynchronise after a corrupt block: the
-/// scanner searches forward for the next offset that looks like a valid
-/// block (known type, sane length, matching trailer) and continues
-/// there. Dropped blocks and skipped bytes are counted in `report`.
-pub fn read_packets_lenient(bytes: &[u8], report: &mut IngestReport) -> Vec<Packet> {
-    let mut packets = Vec::new();
-    walk_blocks_lenient(bytes, report, |ts, range| {
-        packets.push(Packet::new(ts, bytes[range].to_vec()));
-    });
-    packets
-}
-
-/// Span-based sibling of [`read_packets_lenient`]: identical walk and
-/// accounting, but each salvaged packet is appended to `out` as a
-/// `(ts, range)` span into `bytes` instead of a copied buffer.
-pub fn read_packet_spans_lenient(
-    bytes: &[u8],
-    report: &mut IngestReport,
-    out: &mut Vec<PacketSpan>,
-) {
-    walk_blocks_lenient(bytes, report, |ts, range| out.push(PacketSpan { ts, range }));
-}
-
-/// The lenient block walk shared by the copying and span readers: one
-/// implementation of salvage, resync, and accounting, parameterised only
-/// by what to do with each recovered packet's `(ts, range)`.
-fn walk_blocks_lenient(
+/// The first structural error met — a malformed section header,
+/// inconsistent block lengths, a length-trailer mismatch. A truncated
+/// final block is not an error. Packets emitted after the first error
+/// are the lenient salvage; a strict caller discards them.
+pub fn walk_blocks(
     bytes: &[u8],
     report: &mut IngestReport,
     mut emit: impl FnMut(f64, Range<usize>),
-) {
-    let Ok(big_endian) = byte_order(bytes) else {
-        report.bytes_skipped += bytes.len() as u64;
-        return;
+) -> Result<()> {
+    let big_endian = match byte_order(bytes) {
+        Ok(big_endian) => big_endian,
+        Err(e) => {
+            report.bytes_skipped += bytes.len() as u64;
+            return Err(e);
+        }
     };
     let cur = Cursor { data: bytes, big_endian };
+    let mut first_error = Ok(());
     let mut pos = 0usize;
+    // Per-interface timestamp resolution (ticks per second).
     let mut tsresol: Vec<f64> = Vec::new();
     while pos + 12 <= bytes.len() {
         let mut emitted = 0u64;
@@ -224,9 +191,10 @@ fn walk_blocks_lenient(
                 report.records_dropped += 1;
                 report.bytes_skipped += (bytes.len() - pos) as u64;
                 report.capture_truncated = true;
-                return;
+                return first_error;
             }
-            Err(_) => {
+            Err(e) => {
+                first_error = first_error.and(Err(e));
                 report.records_dropped += 1;
                 match resync(&cur, bytes, pos + 1) {
                     Some(next) => {
@@ -235,7 +203,7 @@ fn walk_blocks_lenient(
                     }
                     None => {
                         report.bytes_skipped += (bytes.len() - pos) as u64;
-                        return;
+                        return first_error;
                     }
                 }
             }
@@ -245,6 +213,7 @@ fn walk_blocks_lenient(
         report.bytes_skipped += (bytes.len() - pos) as u64;
         report.capture_truncated = true;
     }
+    first_error
 }
 
 /// Finds the next plausible block start at or after `from`: a known
@@ -343,6 +312,17 @@ pub fn write_packets(packets: &[Packet]) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// One walk, both readings: the salvaged packets, the strict verdict,
+    /// and the lenient report.
+    fn walk(bytes: &[u8]) -> (Vec<Packet>, Result<()>, IngestReport) {
+        let mut packets = Vec::new();
+        let mut report = IngestReport::new();
+        let strict = walk_blocks(bytes, &mut report, |ts, range| {
+            packets.push(Packet::new(ts, bytes[range].to_vec()));
+        });
+        (packets, strict, report)
+    }
+
     #[test]
     fn roundtrip_preserves_data_and_timestamps() {
         let packets = vec![
@@ -352,7 +332,10 @@ mod tests {
         ];
         let bytes = write_packets(&packets);
         assert!(is_pcapng(&bytes));
-        let got = read_packets(&bytes).unwrap();
+        let (got, strict, report) = walk(&bytes);
+        assert!(strict.is_ok());
+        assert_eq!(report.packets_read, 3);
+        assert!(!report.has_loss());
         assert_eq!(got.len(), 3);
         for (a, b) in packets.iter().zip(&got) {
             assert_eq!(a.data, b.data);
@@ -370,130 +353,60 @@ mod tests {
         // And another packet after it.
         let tail = write_packets(&[Packet::new(2.0, vec![7])]);
         bytes.extend_from_slice(&tail[28 + 20..]); // skip SHB+IDB of tail
-        let got = read_packets(&bytes).unwrap();
+        let (got, strict, _) = walk(&bytes);
+        assert!(strict.is_ok());
         assert_eq!(got.len(), 2);
         assert_eq!(got[1].data, vec![7]);
     }
 
     #[test]
     fn rejects_classic_pcap_and_garbage() {
-        assert!(read_packets(&nettrace_pcap_magic()).is_err());
-        assert!(read_packets(b"garbage").is_err());
-        assert!(!is_pcapng(&nettrace_pcap_magic()));
-    }
-
-    fn nettrace_pcap_magic() -> Vec<u8> {
-        let mut v = crate::pcap::MAGIC_USEC.to_le_bytes().to_vec();
-        v.extend_from_slice(&[0u8; 20]);
-        v
-    }
-
-    #[test]
-    fn length_trailer_mismatch_detected() {
-        let mut bytes = write_packets(&[Packet::new(1.0, vec![1])]);
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff; // corrupt the trailer
-        assert!(read_packets(&bytes).is_err());
+        let mut classic = crate::pcap::MAGIC_USEC.to_le_bytes().to_vec();
+        classic.extend_from_slice(&[0u8; 20]);
+        assert!(walk(&classic).1.is_err());
+        assert!(!is_pcapng(&classic));
+        let (got, strict, report) = walk(b"garbage");
+        assert!(got.is_empty());
+        assert!(strict.is_err());
+        assert_eq!(report.bytes_skipped, 7);
     }
 
     #[test]
-    fn truncated_final_block_yields_prefix() {
+    fn truncated_final_block_is_tolerated_by_strict_and_counted_by_lenient() {
         let bytes = write_packets(&[
             Packet::new(1.0, vec![1, 2, 3, 4, 5]),
             Packet::new(2.0, vec![6, 7, 8]),
         ]);
         // Chop into the final EPB: the first packet must survive.
-        let got = read_packets(&bytes[..bytes.len() - 6]).unwrap();
+        let (got, strict, report) = walk(&bytes[..bytes.len() - 6]);
+        assert!(strict.is_ok());
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].data, vec![1, 2, 3, 4, 5]);
+        assert_eq!(report.packets_read, 1);
+        assert_eq!(report.records_dropped, 1);
+        assert!(report.capture_truncated);
     }
 
     #[test]
-    fn lenient_matches_strict_on_clean_capture() {
-        let packets =
-            vec![Packet::new(1.5, vec![1, 2, 3]), Packet::new(2.0, vec![9; 100])];
-        let bytes = write_packets(&packets);
-        let strict = read_packets(&bytes).unwrap();
-        let mut report = IngestReport::new();
-        let lenient = read_packets_lenient(&bytes, &mut report);
-        assert_eq!(strict, lenient);
-        assert_eq!(report.packets_read, 2);
-        assert!(!report.has_loss());
-    }
-
-    #[test]
-    fn lenient_resyncs_past_corrupt_block() {
+    fn corrupt_block_fails_strict_and_is_resynced_past_by_lenient() {
         let packets = vec![
             Packet::new(1.0, vec![0xaa; 16]),
             Packet::new(2.0, vec![0xbb; 16]),
             Packet::new(3.0, vec![0xcc; 16]),
         ];
         let mut bytes = write_packets(&packets);
-        // Corrupt the second EPB's trailer so strict parsing fails there.
+        // Corrupt the second EPB's length trailer.
         let epb_len = 32 + 16;
         let second_epb_start = 28 + 20 + epb_len;
         let trailer_at = second_epb_start + epb_len - 4;
         bytes[trailer_at] ^= 0xff;
-        assert!(read_packets(&bytes).is_err(), "strict must still fail");
-        let mut report = IngestReport::new();
-        let got = read_packets_lenient(&bytes, &mut report);
+        let (got, strict, report) = walk(&bytes);
+        assert!(strict.is_err(), "strict must fail at the mismatch");
         // First and third packets recovered; the corrupt middle dropped.
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].data, vec![0xaa; 16]);
         assert_eq!(got[1].data, vec![0xcc; 16]);
         assert_eq!(report.records_dropped, 1);
         assert!(report.bytes_skipped > 0);
-    }
-
-    #[test]
-    fn lenient_counts_truncated_tail() {
-        let bytes = write_packets(&[
-            Packet::new(1.0, vec![1, 2, 3, 4]),
-            Packet::new(2.0, vec![5, 6, 7, 8]),
-        ]);
-        let cut = &bytes[..bytes.len() - 6];
-        let mut report = IngestReport::new();
-        let got = read_packets_lenient(cut, &mut report);
-        assert_eq!(got.len(), 1);
-        assert_eq!(report.packets_read, 1);
-        assert!(report.capture_truncated);
-        assert_eq!(report.records_dropped, 1);
-    }
-
-    #[test]
-    fn lenient_never_returns_more_than_available() {
-        let mut report = IngestReport::new();
-        assert!(read_packets_lenient(b"garbage", &mut report).is_empty());
-        assert_eq!(report.bytes_skipped, 7);
-    }
-
-    #[test]
-    fn span_read_matches_copying_read_including_faults() {
-        let packets = vec![
-            Packet::new(1.0, vec![0xaa; 16]),
-            Packet::new(2.0, vec![0xbb; 16]),
-            Packet::new(3.0, vec![0xcc; 16]),
-        ];
-        let mut corrupt = write_packets(&packets);
-        // Corrupt the second EPB's trailer (forces a resync) and leave a
-        // clean copy too.
-        let epb_len = 32 + 16;
-        let trailer_at = 28 + 20 + epb_len + epb_len - 4;
-        corrupt[trailer_at] ^= 0xff;
-        let clean = write_packets(&packets);
-        let truncated = clean[..clean.len() - 6].to_vec();
-        for bytes in [clean, corrupt, truncated, b"garbage".to_vec()] {
-            let mut copy_report = IngestReport::new();
-            let copied = read_packets_lenient(&bytes, &mut copy_report);
-            let mut span_report = IngestReport::new();
-            let mut spans = Vec::new();
-            read_packet_spans_lenient(&bytes, &mut span_report, &mut spans);
-            assert_eq!(copy_report, span_report);
-            assert_eq!(copied.len(), spans.len());
-            for (p, s) in copied.iter().zip(&spans) {
-                assert_eq!(p.ts, s.ts);
-                assert_eq!(p.data.as_slice(), s.bytes(&bytes));
-            }
-        }
     }
 }

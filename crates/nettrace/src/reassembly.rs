@@ -6,15 +6,23 @@
 //! contiguous byte stream. Each stream remembers the arrival timestamp of
 //! every byte range so downstream consumers (the HTTP transaction extractor)
 //! can attach timestamps to parsed messages.
+//!
+//! [`SpanReassembler`] is the offline (sort-at-end) reassembler: it
+//! buffers `(ts, span)` chunks that point into the capture and
+//! materializes bytes only for flows with more than one chunk.
+//! [`decode_frame`] is the one Ethernet → IPv4 → TCP decode ladder, shared
+//! with the online capture source in `wirefront`.
 
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use crate::ether::{EtherFrame, ETHERTYPE_IPV4};
+use crate::ipv4::{Ipv4Packet, PROTO_TCP};
 use crate::tcp::TcpSegment;
+use crate::Result;
 
 /// One endpoint of a TCP flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -69,47 +77,33 @@ impl FlowKey {
     }
 }
 
-/// A fully reassembled unidirectional byte stream.
-#[derive(Debug, Clone)]
-pub struct Stream {
-    /// The flow this stream belongs to.
-    pub key: FlowKey,
-    /// Reassembled application bytes in sequence order.
-    pub data: Vec<u8>,
-    /// `(byte_offset, timestamp)` markers: bytes at `offset..next_offset`
-    /// arrived at `timestamp`. Sorted by offset.
-    pub timeline: Vec<(usize, f64)>,
-    /// Whether a FIN or RST was observed on this direction.
-    pub closed: bool,
-}
-
-impl Stream {
-    /// Arrival timestamp of the byte at `offset` (timestamp of the segment
-    /// that carried it). Falls back to the last known timestamp for offsets
-    /// past the end.
-    pub fn timestamp_at(&self, offset: usize) -> f64 {
-        self.as_view().timestamp_at(offset)
-    }
-
-    /// This stream as a borrowed [`StreamView`], the common currency the
-    /// transaction extractor parses (shared with the zero-copy path).
-    pub fn as_view(&self) -> StreamView<'_> {
-        StreamView {
-            key: self.key,
-            data: &self.data,
-            timeline: &self.timeline,
-            closed: self.closed,
-        }
-    }
-}
-
-/// A borrowed view of one reassembled unidirectional stream.
+/// Decodes one captured link-layer frame down to its TCP segment and
+/// the unidirectional flow it belongs to.
 ///
-/// Both reassembly paths produce this shape: [`Stream::as_view`] borrows
-/// from the owned copying-path stream, and [`StreamBuf::view`] borrows
-/// from the capture arena or the shared gather buffer on the zero-copy
-/// path. The HTTP transaction extractor parses views, so the two paths
-/// share one parser by construction.
+/// `Ok(None)` is a well-formed frame that simply is not IPv4/TCP (ARP,
+/// UDP, IPv6, …); the segment borrows from `frame`.
+///
+/// # Errors
+///
+/// The layer error when the Ethernet, IPv4 or TCP header fails to parse.
+pub fn decode_frame(frame: &[u8]) -> Result<Option<(FlowKey, TcpSegment<'_>)>> {
+    let eth = EtherFrame::parse(frame)?;
+    if eth.ethertype != ETHERTYPE_IPV4 {
+        return Ok(None);
+    }
+    let ip = Ipv4Packet::parse(eth.payload)?;
+    if ip.protocol != PROTO_TCP {
+        return Ok(None);
+    }
+    let tcp = TcpSegment::parse(ip.payload)?;
+    let key =
+        FlowKey::new(Endpoint::new(ip.src, tcp.src_port), Endpoint::new(ip.dst, tcp.dst_port));
+    Ok(Some((key, tcp)))
+}
+
+/// A borrowed view of one reassembled unidirectional stream:
+/// [`StreamBuf::view`] borrows from the capture arena or the shared
+/// gather buffer. The HTTP transaction extractor parses views.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamView<'a> {
     /// The flow this stream belongs to.
@@ -123,8 +117,9 @@ pub struct StreamView<'a> {
 }
 
 impl StreamView<'_> {
-    /// Arrival timestamp of the byte at `offset`; see
-    /// [`Stream::timestamp_at`].
+    /// Arrival timestamp of the byte at `offset` (timestamp of the segment
+    /// that carried it). Falls back to the last known timestamp for offsets
+    /// past the end.
     pub fn timestamp_at(&self, offset: usize) -> f64 {
         match self.timeline.binary_search_by(|(o, _)| o.cmp(&offset)) {
             Ok(i) => self.timeline[i].1,
@@ -134,166 +129,15 @@ impl StreamView<'_> {
     }
 }
 
-#[derive(Debug, Default)]
-struct FlowState {
-    /// Relative sequence offset → (timestamp, bytes). Keyed by offset from
-    /// the initial sequence number.
-    chunks: BTreeMap<u64, (f64, Vec<u8>)>,
-    /// Initial sequence number (sequence of SYN, or first data byte when no
-    /// SYN was captured).
-    isn: Option<u32>,
-    /// Whether the ISN came from a SYN (data then starts at `isn + 1`).
-    isn_from_syn: bool,
-    closed: bool,
-}
-
-impl FlowState {
-    fn relative(&self, seq: u32) -> u64 {
-        let isn = self.isn.expect("isn set before relative()");
-        let base = if self.isn_from_syn { isn.wrapping_add(1) } else { isn };
-        seq.wrapping_sub(base) as u64
-    }
-}
-
-/// Reassembles TCP segments into per-flow byte streams.
-///
-/// Feed every segment of a capture with [`StreamReassembler::push`], then
-/// call [`StreamReassembler::into_streams`].
-#[derive(Debug, Default)]
-pub struct StreamReassembler {
-    flows: HashMap<FlowKey, FlowState>,
-    order: Vec<FlowKey>,
-}
-
-impl StreamReassembler {
-    /// Creates an empty reassembler.
-    pub fn new() -> Self {
-        StreamReassembler::default()
-    }
-
-    /// Adds one segment observed at time `ts` on flow `key`.
-    ///
-    /// Retransmitted bytes (same relative offset) keep their first copy.
-    /// Segments arriving before any SYN establish the base offset from their
-    /// own sequence number.
-    pub fn push(&mut self, ts: f64, key: FlowKey, seg: &TcpSegment<'_>) {
-        let state = match self.flows.get_mut(&key) {
-            Some(s) => s,
-            None => {
-                self.order.push(key);
-                self.flows.entry(key).or_default()
-            }
-        };
-        if seg.flags.syn {
-            if let (Some(old_isn), false) = (state.isn, state.isn_from_syn) {
-                // Data outran the SYN (reordered capture): the buffered
-                // chunks are keyed to a provisional base taken from the
-                // first data segment. Re-key them to the SYN's base so
-                // they line up with segments still to come.
-                let new_base = seg.seq.wrapping_add(1);
-                let diff = old_isn.wrapping_sub(new_base) as i32;
-                let old = std::mem::take(&mut state.chunks);
-                if diff >= 0 {
-                    let shift = diff as u64;
-                    state.chunks = old.into_iter().map(|(k, v)| (k + shift, v)).collect();
-                }
-                // diff < 0: the buffered data claimed to precede the
-                // SYN — stale retransmission, dropped (same rule as
-                // post-SYN segments below).
-            }
-            state.isn = Some(seg.seq);
-            state.isn_from_syn = true;
-        }
-        if seg.flags.fin || seg.flags.rst {
-            state.closed = true;
-        }
-        if seg.payload.is_empty() {
-            return;
-        }
-        if state.isn.is_none() {
-            state.isn = Some(seg.seq);
-            state.isn_from_syn = false;
-        }
-        let rel_signed = {
-            let isn = state.isn.expect("isn just ensured");
-            let base = if state.isn_from_syn { isn.wrapping_add(1) } else { isn };
-            seg.seq.wrapping_sub(base) as i32
-        };
-        if rel_signed < 0 {
-            if state.isn_from_syn {
-                // Data claiming to precede the SYN: stale retransmission.
-                return;
-            }
-            // An out-of-order segment arrived below the provisional base
-            // (the base was set from a later segment). Rebase the flow.
-            let shift = (-(rel_signed as i64)) as u64;
-            let old = std::mem::take(&mut state.chunks);
-            state.chunks = old.into_iter().map(|(k, v)| (k + shift, v)).collect();
-            state.isn = Some(seg.seq);
-        }
-        let rel = state.relative(seg.seq);
-        state.chunks.entry(rel).or_insert_with(|| (ts, seg.payload.to_vec()));
-    }
-
-    /// Finishes reassembly, returning one [`Stream`] per flow in first-seen
-    /// order. Gaps (lost segments) are skipped: later bytes are appended
-    /// directly after earlier ones, which matches libpcap-based HTTP tooling
-    /// behaviour on lossy captures. Overlapping retransmissions keep the
-    /// earliest copy of each byte.
-    pub fn into_streams(self) -> Vec<Stream> {
-        let mut gaps = 0;
-        self.into_streams_counting(&mut gaps)
-    }
-
-    /// Like [`StreamReassembler::into_streams`], but counts every
-    /// skipped sequence discontinuity into `gaps` so lenient ingest can
-    /// report reassembly stalls instead of papering over them.
-    pub fn into_streams_counting(self, gaps: &mut u64) -> Vec<Stream> {
-        let mut flows = self.flows;
-        self.order
-            .into_iter()
-            .map(|key| {
-                let state = flows.remove(&key).expect("flow recorded in order");
-                let mut data = Vec::new();
-                let mut timeline = Vec::new();
-                let mut next_rel = 0u64;
-                for (rel, (ts, bytes)) in state.chunks {
-                    // A chunk starting past the write cursor means the
-                    // bytes in between were never captured (the first
-                    // chunk sits at rel 0 by construction unless a SYN
-                    // pinned the base and the opening data was lost).
-                    if rel > next_rel {
-                        *gaps += 1;
-                    }
-                    let bytes: &[u8] = if rel < next_rel {
-                        let overlap = (next_rel - rel) as usize;
-                        if overlap >= bytes.len() {
-                            continue; // fully retransmitted
-                        }
-                        &bytes[overlap..]
-                    } else {
-                        &bytes[..]
-                    };
-                    timeline.push((data.len(), ts));
-                    data.extend_from_slice(bytes);
-                    next_rel = rel.max(next_rel) + bytes.len() as u64;
-                }
-                Stream { key, data, timeline, closed: state.closed }
-            })
-            .collect()
-    }
-}
-
-/// One buffered TCP chunk on the zero-copy path: payload bytes as a
-/// range into the capture arena rather than an owned copy.
+/// One buffered TCP chunk: payload bytes as a range into the capture
+/// arena rather than an owned copy.
 #[derive(Debug, Clone)]
 struct SpanChunk {
     /// Offset from the flow base (mutable: rebases shift it).
     rel: u64,
     /// Arrival order within the flow. The gather sort's tie-break: a
     /// retransmission landing on an already-buffered offset loses to the
-    /// first arrival, exactly as the copying path's
-    /// `chunks.entry(rel).or_insert_with(..)` drops it at push time.
+    /// first arrival.
     order: u32,
     ts: f64,
     range: Range<usize>,
@@ -303,9 +147,24 @@ struct SpanChunk {
 struct SpanFlowState {
     chunks: Vec<SpanChunk>,
     next_order: u32,
+    /// Initial sequence number (sequence of SYN, or first data byte when no
+    /// SYN was captured).
     isn: Option<u32>,
+    /// Whether the ISN came from a SYN (data then starts at `isn + 1`).
     isn_from_syn: bool,
     closed: bool,
+}
+
+impl SpanFlowState {
+    /// Sequence number of the flow's first data byte.
+    fn base(&self) -> u32 {
+        let isn = self.isn.expect("isn set before base()");
+        if self.isn_from_syn {
+            isn.wrapping_add(1)
+        } else {
+            isn
+        }
+    }
 }
 
 /// Where one gathered stream's bytes live.
@@ -378,16 +237,19 @@ impl StreamBuf {
     }
 }
 
-/// Zero-copy sibling of [`StreamReassembler`]: buffers `(ts, span)`
-/// chunks instead of copied payloads, and materializes bytes only when a
-/// flow has more than one chunk (gather copy) — a single-segment stream
-/// stays a borrowed arena span end to end.
+/// Reassembles TCP segments into per-flow byte streams without copying
+/// them on the way in: buffers `(ts, span)` chunks, and materializes
+/// bytes only when a flow has more than one chunk (gather copy) — a
+/// single-segment stream stays a borrowed arena span end to end.
 ///
-/// Ordering, rebase, retransmission, overlap, and gap semantics are
-/// byte-identical to the copying path (asserted by the equivalence tests
-/// below and the fault-injection proptest): the copying path's `BTreeMap`
-/// insert-time dedup becomes a `(rel, arrival order)` sort plus a
-/// same-`rel` skip at gather time.
+/// Feed every segment of a capture with [`SpanReassembler::push_span`],
+/// then call [`SpanReassembler::gather_streams`]. Chunks are ordered by
+/// `(offset from the flow base, arrival order)` at gather time;
+/// retransmitted bytes (same relative offset) keep their first copy, and
+/// overlapping retransmissions keep the earliest copy of each byte. Gaps
+/// (lost segments) are skipped and counted: later bytes are appended
+/// directly after earlier ones, which matches libpcap-based HTTP tooling
+/// behaviour on lossy captures.
 ///
 /// The reassembler and its [`StreamBuf`] are designed for reuse:
 /// [`SpanReassembler::gather_streams`] drains every flow, reclaims chunk
@@ -409,8 +271,8 @@ impl SpanReassembler {
     /// Adds one segment observed at time `ts` on flow `key`, with
     /// `payload` locating `seg.payload` inside the capture arena
     /// (callers recover it with [`crate::arena::subslice_range`]).
-    ///
-    /// Semantics match [`StreamReassembler::push`] exactly.
+    /// Segments arriving before any SYN establish the base offset from
+    /// their own sequence number.
     pub fn push_span(
         &mut self,
         ts: f64,
@@ -432,8 +294,10 @@ impl SpanReassembler {
         };
         if seg.flags.syn {
             if let (Some(old_isn), false) = (state.isn, state.isn_from_syn) {
-                // Data outran the SYN: re-key buffered chunks to the
-                // SYN's base (see the copying path for the full story).
+                // Data outran the SYN (reordered capture): the buffered
+                // chunks are keyed to a provisional base taken from the
+                // first data segment. Re-key them to the SYN's base so
+                // they line up with segments still to come.
                 let new_base = seg.seq.wrapping_add(1);
                 let diff = old_isn.wrapping_sub(new_base) as i32;
                 if diff >= 0 {
@@ -460,11 +324,7 @@ impl SpanReassembler {
             state.isn = Some(seg.seq);
             state.isn_from_syn = false;
         }
-        let rel_signed = {
-            let isn = state.isn.expect("isn just ensured");
-            let base = if state.isn_from_syn { isn.wrapping_add(1) } else { isn };
-            seg.seq.wrapping_sub(base) as i32
-        };
+        let rel_signed = seg.seq.wrapping_sub(state.base()) as i32;
         if rel_signed < 0 {
             if state.isn_from_syn {
                 // Data claiming to precede the SYN: stale retransmission.
@@ -477,20 +337,16 @@ impl SpanReassembler {
             }
             state.isn = Some(seg.seq);
         }
-        let rel = {
-            let isn = state.isn.expect("isn set above");
-            let base = if state.isn_from_syn { isn.wrapping_add(1) } else { isn };
-            seg.seq.wrapping_sub(base) as u64
-        };
+        let rel = u64::from(seg.seq.wrapping_sub(state.base()));
         let order = state.next_order;
         state.next_order += 1;
         state.chunks.push(SpanChunk { rel, order, ts, range: payload });
     }
 
     /// Finishes reassembly into `buf` (cleared first), one stream per
-    /// flow in first-seen order, counting skipped discontinuities into
-    /// `gaps` — the zero-copy analogue of
-    /// [`StreamReassembler::into_streams_counting`].
+    /// flow in first-seen order, counting every skipped sequence
+    /// discontinuity into `gaps` so ingest can report reassembly stalls
+    /// instead of papering over them.
     ///
     /// Drains all flow state and reclaims its buffers, leaving the
     /// reassembler warm for the next capture.
@@ -566,28 +422,89 @@ mod tests {
         )
     }
 
-    fn push_data(r: &mut StreamReassembler, ts: f64, k: FlowKey, seq: u32, data: &[u8]) {
-        let raw = tcp::build(k.src.port, k.dst.port, seq, 0, TcpFlags::data(), data);
-        let seg = TcpSegment::parse(&raw).unwrap();
-        r.push(ts, k, &seg);
+    /// One gathered stream, copied out of the arena for assertions.
+    struct Gathered {
+        key: FlowKey,
+        data: Vec<u8>,
+        timeline: Vec<(usize, f64)>,
+        closed: bool,
+    }
+
+    impl Gathered {
+        fn timestamp_at(&self, offset: usize) -> f64 {
+            StreamView { key: self.key, data: &self.data, timeline: &self.timeline, closed: self.closed }
+                .timestamp_at(offset)
+        }
+    }
+
+    /// A scripted capture: segments are laid end to end in one arena and
+    /// pushed by span with payload offsets recovered via `subslice_range`,
+    /// exactly like the production pipeline.
+    #[derive(Default)]
+    struct Script {
+        arena: Vec<u8>,
+        segments: Vec<(f64, FlowKey, Range<usize>)>,
+    }
+
+    impl Script {
+        fn segment(&mut self, ts: f64, k: FlowKey, seq: u32, flags: TcpFlags, data: &[u8]) {
+            let raw = tcp::build(k.src.port, k.dst.port, seq, 0, flags, data);
+            self.segments.push((ts, k, self.arena.len()..self.arena.len() + raw.len()));
+            self.arena.extend_from_slice(&raw);
+        }
+
+        fn data(&mut self, ts: f64, k: FlowKey, seq: u32, data: &[u8]) {
+            self.segment(ts, k, seq, TcpFlags::data(), data);
+        }
+
+        fn push_all(&self, r: &mut SpanReassembler) {
+            for (ts, k, raw) in &self.segments {
+                let seg = TcpSegment::parse(&self.arena[raw.clone()]).unwrap();
+                let payload = crate::arena::subslice_range(&self.arena, seg.payload);
+                r.push_span(*ts, *k, &seg, payload);
+            }
+        }
+
+        /// Reassembles the script: the gathered streams and the gap count.
+        fn run(&self) -> (Vec<Gathered>, u64) {
+            let mut r = SpanReassembler::new();
+            self.push_all(&mut r);
+            let mut gaps = 0;
+            let mut buf = StreamBuf::new();
+            r.gather_streams(&self.arena, &mut gaps, &mut buf);
+            let streams = buf
+                .views(&self.arena)
+                .map(|v| Gathered {
+                    key: v.key,
+                    data: v.data.to_vec(),
+                    timeline: v.timeline.to_vec(),
+                    closed: v.closed,
+                })
+                .collect();
+            (streams, gaps)
+        }
+
+        fn streams(&self) -> Vec<Gathered> {
+            self.run().0
+        }
     }
 
     #[test]
     fn in_order_segments_concatenate() {
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 1.0, key(), 100, b"hello ");
-        push_data(&mut r, 2.0, key(), 106, b"world");
-        let streams = r.into_streams();
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"hello ");
+        s.data(2.0, key(), 106, b"world");
+        let streams = s.streams();
         assert_eq!(streams.len(), 1);
         assert_eq!(streams[0].data, b"hello world");
     }
 
     #[test]
     fn out_of_order_segments_are_sorted() {
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 2.0, key(), 106, b"world");
-        push_data(&mut r, 1.0, key(), 100, b"hello ");
-        assert_eq!(r.into_streams()[0].data, b"hello world");
+        let mut s = Script::default();
+        s.data(2.0, key(), 106, b"world");
+        s.data(1.0, key(), 100, b"hello ");
+        assert_eq!(s.streams()[0].data, b"hello world");
     }
 
     #[test]
@@ -595,13 +512,11 @@ mod tests {
         // Multi-queue reordering can deliver data segments before the
         // SYN. The buffered bytes must be re-keyed to the SYN's base:
         // no false gap, no dropped bytes.
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 2.0, key(), 6400, b"world"); // second chunk, first to arrive
-        let syn = tcp::build(key().src.port, key().dst.port, 4999, 0, TcpFlags::syn(), b"");
-        r.push(1.0, key(), &TcpSegment::parse(&syn).unwrap());
-        push_data(&mut r, 1.5, key(), 5000, &[b'x'; 1400]);
-        let mut gaps = 0;
-        let streams = r.into_streams_counting(&mut gaps);
+        let mut s = Script::default();
+        s.data(2.0, key(), 6400, b"world"); // second chunk, first to arrive
+        s.segment(1.0, key(), 4999, TcpFlags::syn(), b"");
+        s.data(1.5, key(), 5000, &[b'x'; 1400]);
+        let (streams, gaps) = s.run();
         assert_eq!(gaps, 0, "reordering is not loss");
         assert_eq!(streams[0].data.len(), 1405);
         assert!(streams[0].data.ends_with(b"world"));
@@ -612,62 +527,101 @@ mod tests {
         // A segment below the SYN's base is a stale retransmission from
         // an earlier connection on the same 4-tuple; a late SYN must
         // discard it rather than splice it in.
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 1.0, key(), 100, b"stale");
-        let syn = tcp::build(key().src.port, key().dst.port, 499, 0, TcpFlags::syn(), b"");
-        r.push(2.0, key(), &TcpSegment::parse(&syn).unwrap());
-        push_data(&mut r, 3.0, key(), 500, b"fresh");
-        let mut gaps = 0;
-        let streams = r.into_streams_counting(&mut gaps);
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"stale");
+        s.segment(2.0, key(), 499, TcpFlags::syn(), b"");
+        s.data(3.0, key(), 500, b"fresh");
+        let (streams, gaps) = s.run();
         assert_eq!(gaps, 0);
         assert_eq!(streams[0].data, b"fresh");
     }
 
     #[test]
+    fn stale_data_below_an_established_syn_is_dropped() {
+        let mut s = Script::default();
+        s.segment(1.0, key(), 4999, TcpFlags::syn(), b"");
+        s.data(1.5, key(), 5000, b"front");
+        s.data(2.5, key(), 4000, b"stale");
+        assert_eq!(s.streams()[0].data, b"front");
+    }
+
+    #[test]
+    fn data_below_a_provisional_base_rebases_the_flow() {
+        // No SYN captured: the base comes from the first segment seen,
+        // and an earlier segment arriving later moves it down.
+        let mut s = Script::default();
+        s.data(1.0, key(), 500, b"tail");
+        s.data(2.0, key(), 100, b"head");
+        let (streams, gaps) = s.run();
+        assert_eq!(streams[0].data, b"headtail");
+        assert_eq!(gaps, 1, "the bytes between were never captured");
+    }
+
+    #[test]
     fn retransmissions_are_deduplicated() {
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 1.0, key(), 100, b"abc");
-        push_data(&mut r, 2.0, key(), 100, b"abc");
-        push_data(&mut r, 3.0, key(), 103, b"def");
-        assert_eq!(r.into_streams()[0].data, b"abcdef");
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"abc");
+        s.data(2.0, key(), 100, b"abc");
+        s.data(3.0, key(), 103, b"def");
+        assert_eq!(s.streams()[0].data, b"abcdef");
+    }
+
+    #[test]
+    fn longer_retransmission_at_a_taken_offset_is_dropped_whole() {
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"abc");
+        s.data(2.0, key(), 100, b"abcdef");
+        s.data(3.0, key(), 103, b"XYZ");
+        assert_eq!(s.streams()[0].data, b"abcXYZ");
     }
 
     #[test]
     fn partial_overlap_keeps_first_copy() {
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 1.0, key(), 100, b"abcd");
-        push_data(&mut r, 2.0, key(), 102, b"CDEF");
-        assert_eq!(r.into_streams()[0].data, b"abcdEF");
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"abcd");
+        s.data(2.0, key(), 102, b"CDEF");
+        assert_eq!(s.streams()[0].data, b"abcdEF");
+    }
+
+    #[test]
+    fn reordering_retransmission_and_overlap_compose() {
+        let mut s = Script::default();
+        s.data(2.0, key(), 106, b"world");
+        s.data(1.0, key(), 100, b"hello ");
+        s.data(3.0, key(), 100, b"HELLO ");
+        s.data(4.0, key(), 104, b"o WOR");
+        let (streams, gaps) = s.run();
+        assert_eq!(streams[0].data, b"hello WORld");
+        assert_eq!(gaps, 0);
     }
 
     #[test]
     fn syn_consumes_one_sequence_number() {
-        let mut r = StreamReassembler::new();
-        let k = key();
-        let syn = tcp::build(k.src.port, k.dst.port, 999, 0, TcpFlags::syn(), b"");
-        r.push(0.5, k, &TcpSegment::parse(&syn).unwrap());
-        push_data(&mut r, 1.0, k, 1000, b"data");
-        let s = r.into_streams();
-        assert_eq!(s[0].data, b"data");
-        assert!(!s[0].closed);
+        let mut s = Script::default();
+        s.segment(0.5, key(), 999, TcpFlags::syn(), b"");
+        s.data(1.0, key(), 1000, b"data");
+        let streams = s.streams();
+        assert_eq!(streams[0].data, b"data");
+        assert!(!streams[0].closed);
     }
 
     #[test]
-    fn fin_marks_stream_closed() {
-        let mut r = StreamReassembler::new();
-        let k = key();
-        push_data(&mut r, 1.0, k, 1, b"x");
-        let fin = tcp::build(k.src.port, k.dst.port, 2, 0, TcpFlags::fin(), b"");
-        r.push(2.0, k, &TcpSegment::parse(&fin).unwrap());
-        assert!(r.into_streams()[0].closed);
+    fn fin_and_rst_mark_stream_closed() {
+        let rst = TcpFlags { rst: true, ack: true, ..TcpFlags::default() };
+        for flags in [TcpFlags::fin(), rst] {
+            let mut s = Script::default();
+            s.data(1.0, key(), 1, b"x");
+            s.segment(2.0, key(), 2, flags, b"");
+            assert!(s.streams()[0].closed);
+        }
     }
 
     #[test]
     fn directions_are_separate_flows() {
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 1.0, key(), 1, b"request");
-        push_data(&mut r, 2.0, key().reversed(), 1, b"response");
-        let streams = r.into_streams();
+        let mut s = Script::default();
+        s.data(1.0, key(), 1, b"request");
+        s.data(2.0, key().reversed(), 1, b"response");
+        let streams = s.streams();
         assert_eq!(streams.len(), 2);
         assert_eq!(streams[0].data, b"request");
         assert_eq!(streams[1].data, b"response");
@@ -676,169 +630,89 @@ mod tests {
 
     #[test]
     fn timeline_maps_offsets_to_timestamps() {
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 1.0, key(), 100, b"aaaa");
-        push_data(&mut r, 5.0, key(), 104, b"bbbb");
-        let s = &r.into_streams()[0];
-        assert_eq!(s.timestamp_at(0), 1.0);
-        assert_eq!(s.timestamp_at(3), 1.0);
-        assert_eq!(s.timestamp_at(4), 5.0);
-        assert_eq!(s.timestamp_at(100), 5.0); // past-the-end falls back
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"aaaa");
+        s.data(5.0, key(), 104, b"bbbb");
+        let st = &s.streams()[0];
+        assert_eq!(st.timestamp_at(0), 1.0);
+        assert_eq!(st.timestamp_at(3), 1.0);
+        assert_eq!(st.timestamp_at(4), 5.0);
+        assert_eq!(st.timestamp_at(100), 5.0); // past-the-end falls back
     }
 
     #[test]
     fn gap_is_skipped_rather_than_stalling() {
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 1.0, key(), 100, b"abc");
-        push_data(&mut r, 2.0, key(), 200, b"xyz");
-        assert_eq!(r.into_streams()[0].data, b"abcxyz");
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"abc");
+        s.data(2.0, key(), 200, b"xyz");
+        assert_eq!(s.streams()[0].data, b"abcxyz");
     }
 
     #[test]
     fn gaps_are_counted_per_discontinuity() {
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 1.0, key(), 100, b"abc"); // rel 0
-        push_data(&mut r, 2.0, key(), 200, b"xyz"); // gap 1
-        push_data(&mut r, 3.0, key(), 300, b"pqr"); // gap 2
-        push_data(&mut r, 4.0, key().reversed(), 1, b"clean");
-        let mut gaps = 0;
-        let streams = r.into_streams_counting(&mut gaps);
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"abc"); // rel 0
+        s.data(2.0, key(), 200, b"xyz"); // gap 1
+        s.data(3.0, key(), 300, b"pqr"); // gap 2
+        s.data(4.0, key().reversed(), 1, b"clean");
+        let (streams, gaps) = s.run();
         assert_eq!(streams.len(), 2);
         assert_eq!(gaps, 2);
     }
 
     #[test]
     fn contiguous_and_retransmitted_streams_count_no_gaps() {
-        let mut r = StreamReassembler::new();
-        push_data(&mut r, 1.0, key(), 100, b"abc");
-        push_data(&mut r, 2.0, key(), 100, b"abc"); // retransmit
-        push_data(&mut r, 3.0, key(), 103, b"def");
-        let mut gaps = 0;
-        r.into_streams_counting(&mut gaps);
-        assert_eq!(gaps, 0);
-    }
-
-    /// One scripted segment: `(ts, key, seq, flags, payload)`.
-    type Scripted = (f64, FlowKey, u32, TcpFlags, &'static [u8]);
-
-    /// Runs the same script through both reassemblers and asserts the
-    /// resulting streams, timelines, closed flags, and gap counts are
-    /// identical. The span path parses segments borrowed from a single
-    /// arena and recovers payload offsets via `subslice_range`, exactly
-    /// like the production pipeline.
-    fn assert_paths_equivalent(script: &[Scripted]) {
-        // Copying path.
-        let mut legacy = StreamReassembler::new();
-        for &(ts, k, seq, flags, data) in script {
-            let raw = tcp::build(k.src.port, k.dst.port, seq, 0, flags, data);
-            legacy.push(ts, k, &TcpSegment::parse(&raw).unwrap());
-        }
-        let mut legacy_gaps = 0;
-        let streams = legacy.into_streams_counting(&mut legacy_gaps);
-
-        // Span path: all segments concatenated into one arena.
-        let mut arena = Vec::new();
-        let mut seg_at = Vec::new();
-        for &(_, k, seq, flags, data) in script {
-            let raw = tcp::build(k.src.port, k.dst.port, seq, 0, flags, data);
-            seg_at.push(arena.len()..arena.len() + raw.len());
-            arena.extend_from_slice(&raw);
-        }
-        let mut spans = SpanReassembler::new();
-        for (&(ts, k, _, _, _), raw_range) in script.iter().zip(&seg_at) {
-            let seg = TcpSegment::parse(&arena[raw_range.clone()]).unwrap();
-            let payload = crate::arena::subslice_range(&arena, seg.payload);
-            spans.push_span(ts, k, &seg, payload);
-        }
-        let mut span_gaps = 0;
-        let mut buf = StreamBuf::new();
-        spans.gather_streams(&arena, &mut span_gaps, &mut buf);
-
-        assert_eq!(legacy_gaps, span_gaps, "gap counts diverge");
-        assert_eq!(streams.len(), buf.len(), "stream counts diverge");
-        for (s, v) in streams.iter().zip(buf.views(&arena)) {
-            assert_eq!(s.key, v.key);
-            assert_eq!(s.data.as_slice(), v.data, "bytes diverge on {}", s.key.src);
-            assert_eq!(s.timeline.as_slice(), v.timeline);
-            assert_eq!(s.closed, v.closed);
-        }
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"abc");
+        s.data(2.0, key(), 100, b"abc"); // retransmit
+        s.data(3.0, key(), 103, b"def");
+        assert_eq!(s.run().1, 0);
     }
 
     #[test]
-    fn span_path_matches_copying_path_on_clean_and_hostile_scripts() {
-        let k = key();
-        let r = key().reversed();
-        let scripts: &[&[Scripted]] = &[
-            // Clean two-direction exchange with SYNs and FIN.
-            &[
-                (0.5, k, 999, TcpFlags::syn(), b""),
-                (1.0, k, 1000, TcpFlags::data(), b"GET / HTTP/1.1\r\n\r\n"),
-                (1.5, r, 499, TcpFlags::syn(), b""),
-                (2.0, r, 500, TcpFlags::data(), b"HTTP/1.1 200 OK\r\n"),
-                (2.5, r, 517, TcpFlags::data(), b"\r\nbody"),
-                (3.0, k, 1018, TcpFlags::fin(), b""),
-            ],
-            // Reordering, retransmission, and partial overlap.
-            &[
-                (2.0, k, 106, TcpFlags::data(), b"world"),
-                (1.0, k, 100, TcpFlags::data(), b"hello "),
-                (3.0, k, 100, TcpFlags::data(), b"HELLO "),
-                (4.0, k, 104, TcpFlags::data(), b"o WOR"),
-            ],
-            // Same-offset retransmit that is LONGER than the first copy:
-            // the copying path drops it wholly; the span path must too.
-            &[
-                (1.0, k, 100, TcpFlags::data(), b"abc"),
-                (2.0, k, 100, TcpFlags::data(), b"abcdef"),
-                (3.0, k, 103, TcpFlags::data(), b"XYZ"),
-            ],
-            // Late SYN rebase plus stale below-SYN data.
-            &[
-                (2.0, k, 6400, TcpFlags::data(), b"world"),
-                (1.0, k, 4999, TcpFlags::syn(), b""),
-                (1.5, k, 5000, TcpFlags::data(), b"front"),
-                (2.5, k, 4000, TcpFlags::data(), b"stale"),
-            ],
-            // Provisional-base rebase: below-base data arrives late.
-            &[
-                (1.0, k, 500, TcpFlags::data(), b"tail"),
-                (2.0, k, 100, TcpFlags::data(), b"head"),
-            ],
-            // Gaps in both directions, RST close.
-            &[
-                (1.0, k, 100, TcpFlags::data(), b"abc"),
-                (2.0, k, 200, TcpFlags::data(), b"xyz"),
-                (3.0, r, 1, TcpFlags::data(), b"pqr"),
-                (4.0, r, 900, TcpFlags::data(), b"end"),
-                (5.0, r, 903, TcpFlags { rst: true, ack: true, ..TcpFlags::default() }, b""),
-            ],
-        ];
-        for script in scripts {
-            assert_paths_equivalent(script);
-        }
+    fn single_segment_stream_borrows_the_arena() {
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"only");
+        let mut r = SpanReassembler::new();
+        s.push_all(&mut r);
+        let mut buf = StreamBuf::new();
+        r.gather_streams(&s.arena, &mut 0, &mut buf);
+        let view = buf.view(&s.arena, 0);
+        assert_eq!(view.data, b"only");
+        assert!(s.arena.as_ptr_range().contains(&view.data.as_ptr()), "no gather copy");
     }
 
     #[test]
     fn span_reassembler_reuse_is_clean_across_captures() {
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"abc");
+        s.data(2.0, key(), 103, b"def");
         let mut spans = SpanReassembler::new();
         let mut buf = StreamBuf::new();
-        let k = key();
         for round in 0..3 {
-            let raw = tcp::build(k.src.port, k.dst.port, 100, 0, TcpFlags::data(), b"abc");
-            let raw2 = tcp::build(k.src.port, k.dst.port, 103, 0, TcpFlags::data(), b"def");
-            let mut arena = raw.clone();
-            arena.extend_from_slice(&raw2);
-            let seg1 = TcpSegment::parse(&arena[..raw.len()]).unwrap();
-            let p1 = crate::arena::subslice_range(&arena, seg1.payload);
-            spans.push_span(1.0, k, &seg1, p1);
-            let seg2 = TcpSegment::parse(&arena[raw.len()..]).unwrap();
-            let p2 = crate::arena::subslice_range(&arena, seg2.payload);
-            spans.push_span(2.0, k, &seg2, p2);
+            s.push_all(&mut spans);
             let mut gaps = 0;
-            spans.gather_streams(&arena, &mut gaps, &mut buf);
+            spans.gather_streams(&s.arena, &mut gaps, &mut buf);
             assert_eq!(gaps, 0, "round {round}");
             assert_eq!(buf.len(), 1);
-            assert_eq!(buf.view(&arena, 0).data, b"abcdef");
+            assert_eq!(buf.view(&s.arena, 0).data, b"abcdef");
         }
+    }
+
+    #[test]
+    fn decode_frame_sorts_frames_three_ways() {
+        use crate::ether::MacAddr;
+        let seg = tcp::build(40000, 80, 7, 0, TcpFlags::data(), b"hi");
+        let ip = crate::ipv4::build(key().src.addr, key().dst.addr, PROTO_TCP, 1, &seg);
+        let frame = crate::ether::build(MacAddr::default(), MacAddr::default(), ETHERTYPE_IPV4, &ip);
+        let (k, tcp) = decode_frame(&frame).unwrap().expect("tcp");
+        assert_eq!(k, key());
+        assert_eq!((tcp.seq, tcp.payload), (7, &b"hi"[..]));
+        let udp = crate::ipv4::build(key().src.addr, key().dst.addr, 17, 1, &seg);
+        let udp_frame = crate::ether::build(MacAddr::default(), MacAddr::default(), ETHERTYPE_IPV4, &udp);
+        assert!(decode_frame(&udp_frame).unwrap().is_none());
+        assert!(decode_frame(&[0xff; 60]).unwrap().is_none(), "not IPv4");
+        assert!(decode_frame(&[0u8; 4]).is_err(), "too short for Ethernet");
+        assert!(decode_frame(&frame[..20]).is_err(), "truncated IPv4 header");
     }
 }

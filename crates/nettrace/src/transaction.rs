@@ -4,28 +4,24 @@
 //! consumes: one request/response exchange between a client and a server,
 //! carrying timestamps, headers, and a classified payload summary.
 //!
-//! [`TransactionExtractor`] reconstructs transactions from raw captured
-//! packets: Ethernet → IPv4 → TCP → stream reassembly → HTTP parsing →
-//! FIFO request/response pairing per connection.
+//! [`SpanPipeline`] reconstructs transactions from raw capture bytes:
+//! record walk → Ethernet → IPv4 → TCP → stream reassembly → HTTP
+//! parsing → FIFO request/response pairing per connection. It is the only
+//! capture → transaction path; strict and lenient ingest are two policies
+//! over the same run.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use crate::arena::{subslice_range, PacketSpan};
-use crate::ether::{EtherFrame, ETHERTYPE_IPV4};
 use crate::http::{
     parse_request_head, parse_response_head, request_body_framing, response_body_framing,
     BodyFraming, HeaderMap, Method,
 };
 use crate::ingest::IngestReport;
-use crate::ipv4::{Ipv4Packet, PROTO_TCP};
 use crate::payload::{classify, PayloadClass};
-use crate::pcap::Packet;
-use crate::reassembly::{
-    Endpoint, FlowKey, SpanReassembler, Stream, StreamBuf, StreamReassembler, StreamView,
-};
-use crate::tcp::TcpSegment;
+use crate::reassembly::{decode_frame, Endpoint, SpanReassembler, StreamBuf, StreamView};
 use crate::{Error, Result};
 
 /// Number of leading body bytes retained for inspection (redirect
@@ -50,9 +46,9 @@ pub struct HttpTransaction {
     /// capture clocks, batched exports), so every replay path orders by
     /// `(ts, seq)` — a total order — instead of `ts` alone, and the
     /// sharded stream engine uses `seq` as the merge tie-break when
-    /// recombining per-shard alert streams. [`TransactionExtractor`]
-    /// numbers transactions in emission order; [`assign_seq`] renumbers
-    /// a merged or re-sorted stream.
+    /// recombining per-shard alert streams. [`SpanPipeline`] numbers
+    /// transactions in emission order; [`assign_seq`] renumbers a merged
+    /// or re-sorted stream.
     pub seq: u64,
     /// Time the request head was observed (seconds since epoch).
     pub ts: f64,
@@ -262,173 +258,25 @@ impl<'a> Body<'a> {
     }
 }
 
-/// Reconstructs [`HttpTransaction`]s from captured packets.
-#[derive(Debug, Default)]
-pub struct TransactionExtractor {
-    reassembler: StreamReassembler,
-    /// Packets that failed Ethernet/IPv4/TCP decoding.
-    dropped_decode: u64,
-    /// Well-formed packets that are not IPv4/TCP.
-    non_tcp: u64,
-}
-
-impl TransactionExtractor {
-    /// Creates an empty extractor.
-    pub fn new() -> Self {
-        TransactionExtractor::default()
-    }
-
-    /// Feeds one captured packet (Ethernet frame). Non-IPv4 and non-TCP
-    /// packets and undecodable packets are ignored (but counted for
-    /// [`TransactionExtractor::finish_lenient`]), matching capture-tool
-    /// behaviour on mixed traffic.
-    pub fn push_packet(&mut self, packet: &Packet) {
-        let Ok(eth) = EtherFrame::parse(&packet.data) else {
-            self.dropped_decode += 1;
-            return;
-        };
-        if eth.ethertype != ETHERTYPE_IPV4 {
-            self.non_tcp += 1;
-            return;
-        }
-        let Ok(ip) = Ipv4Packet::parse(eth.payload) else {
-            self.dropped_decode += 1;
-            return;
-        };
-        if ip.protocol != PROTO_TCP {
-            self.non_tcp += 1;
-            return;
-        }
-        let Ok(tcp) = TcpSegment::parse(ip.payload) else {
-            self.dropped_decode += 1;
-            return;
-        };
-        let key = FlowKey::new(
-            Endpoint::new(ip.src, tcp.src_port),
-            Endpoint::new(ip.dst, tcp.dst_port),
-        );
-        self.reassembler.push(packet.ts, key, &tcp);
-    }
-
-    /// Finishes extraction: reassembles all flows, pairs requests with
-    /// responses per connection, and returns transactions sorted by request
-    /// timestamp.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::HttpSyntax`] when a stream that begins like
-    /// an HTTP message is malformed. Streams that do not look like HTTP at
-    /// all are skipped silently.
-    pub fn finish(self) -> Result<Vec<HttpTransaction>> {
-        let streams = self.reassembler.into_streams();
-        let mut connections: BTreeMap<(Endpoint, Endpoint), (Option<Stream>, Option<Stream>)> =
-            BTreeMap::new();
-        for stream in streams {
-            let id = stream.key.connection_id();
-            let entry = connections.entry(id).or_default();
-            if looks_like_request(&stream.data) {
-                entry.0 = Some(stream);
-            } else {
-                entry.1 = Some(stream);
-            }
-        }
-        let mut out = Vec::new();
-        for (_, (req, resp)) in connections {
-            let Some(req_stream) = req else { continue };
-            out.extend(pair_connection(req_stream.as_view(), resp.as_ref().map(Stream::as_view))?);
-        }
-        out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-        assign_seq(&mut out);
-        Ok(out)
-    }
-
-    /// Convenience: extracts transactions from a full packet list.
-    ///
-    /// # Errors
-    ///
-    /// See [`TransactionExtractor::finish`].
-    pub fn extract(packets: &[Packet]) -> Result<Vec<HttpTransaction>> {
-        let mut ex = TransactionExtractor::new();
-        for p in packets {
-            ex.push_packet(p);
-        }
-        ex.finish()
-    }
-
-    /// Finishes extraction in graceful-degradation mode: every parseable
-    /// prefix of every stream is salvaged, malformed remainders are
-    /// quarantined, and nothing fails.
-    ///
-    /// Where [`TransactionExtractor::finish`] aborts on the first
-    /// malformed HTTP stream, this variant keeps the messages parsed
-    /// before the error (counting the stream as salvaged, or discarded
-    /// when nothing was recoverable), counts non-HTTP streams instead of
-    /// silently dropping them, and records gzip/chunked decode failures
-    /// — all in `report`.
-    pub fn finish_lenient(self, report: &mut IngestReport) -> Vec<HttpTransaction> {
-        report.packets_dropped_decode += self.dropped_decode;
-        report.packets_non_tcp += self.non_tcp;
-        let streams = self.reassembler.into_streams_counting(&mut report.reassembly_gaps);
-        report.streams_total += streams.len() as u64;
-        let mut connections: BTreeMap<(Endpoint, Endpoint), (Option<Stream>, Option<Stream>)> =
-            BTreeMap::new();
-        for stream in streams {
-            let id = stream.key.connection_id();
-            let entry = connections.entry(id).or_default();
-            let slot = if looks_like_request(&stream.data) { &mut entry.0 } else { &mut entry.1 };
-            if let Some(displaced) = slot.replace(stream) {
-                count_unpaired(report, &displaced.data);
-            }
-        }
-        let mut out = Vec::new();
-        for (_, (req, resp)) in connections {
-            let Some(req_stream) = req else {
-                if let Some(r) = resp {
-                    count_unpaired(report, &r.data);
-                }
-                continue;
-            };
-            pair_connection_lenient(
-                req_stream.as_view(),
-                resp.as_ref().map(Stream::as_view),
-                report,
-                &mut out,
-                None,
-            );
-        }
-        out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-        assign_seq(&mut out);
-        report.transactions_recovered += out.len() as u64;
-        out
-    }
-
-    /// Convenience: lenient extraction from a full packet list. Never
-    /// fails; losses are accounted in `report`.
-    pub fn extract_lenient(packets: &[Packet], report: &mut IngestReport) -> Vec<HttpTransaction> {
-        let mut ex = TransactionExtractor::new();
-        for p in packets {
-            ex.push_packet(p);
-        }
-        ex.finish_lenient(report)
-    }
-}
-
-/// Zero-copy capture → transaction pipeline: the lenient sibling of
-/// [`TransactionExtractor::extract_lenient`] that never copies packet
-/// bytes on the way in.
+/// The capture → transaction pipeline, zero-copy on the way in.
 ///
 /// Packets are read as `(ts, range)` spans into the capture buffer
-/// ([`crate::capture::read_packet_spans_lenient`]), reassembled by span
+/// ([`crate::capture::read_packet_spans`]), reassembled by span
 /// ([`SpanReassembler`]) with bytes materialized only for multi-segment
 /// flows, parsed from [`StreamView`]s that borrow stream storage, and
 /// digested in one batch ([`fnv1a_many`]) after all connections are
 /// paired. Every buffer lives in the pipeline and is reused across
 /// captures, so steady-state packet processing allocates nothing.
 ///
-/// The produced transactions, their ordering, and the `report`
-/// accounting are byte-identical to the copying path — asserted by the
-/// equivalence tests here and the fault-injection proptests in
-/// `tests/fault_injection.rs`.
+/// One run serves both ingest policies. Everything that can be salvaged
+/// is, and every loss is counted in an [`IngestReport`] — that is
+/// [`SpanPipeline::extract_lenient`]. The same run also remembers the
+/// first stop a fail-stop reader would have made: a capture framing error,
+/// else the first HTTP syntax error in connection order.
+/// [`SpanPipeline::extract_strict`] returns that stop as an error and the
+/// transactions only when there was none. Truncated final records,
+/// reassembly gaps, undecodable packets, non-HTTP streams, orphan
+/// responses and broken content codings are losses, not stops.
 #[derive(Debug, Default)]
 pub struct SpanPipeline {
     spans: Vec<PacketSpan>,
@@ -443,50 +291,51 @@ impl SpanPipeline {
         SpanPipeline::default()
     }
 
-    /// Extracts transactions from one capture, leniently: the zero-copy
-    /// equivalent of [`TransactionExtractor::extract_lenient`] fed from
-    /// [`crate::capture::read_packets_lenient`]. Never fails; losses are
-    /// accounted in `report`.
+    /// Extracts transactions from one capture, leniently. Never fails;
+    /// losses are accounted in `report`.
     pub fn extract_lenient(
         &mut self,
         capture: &[u8],
         report: &mut IngestReport,
     ) -> Vec<HttpTransaction> {
+        self.extract(capture, report).0
+    }
+
+    /// Extracts transactions from one capture, fail-stop: transactions
+    /// sorted by request timestamp, or the first framing or HTTP-syntax
+    /// stop.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::BadPcapMagic`], [`Error::BadCaptureLength`] or a pcapng
+    /// structural error when the capture cannot be framed;
+    /// [`Error::HttpSyntax`] when a stream that begins like an HTTP
+    /// message is malformed. Streams that do not look like HTTP at all
+    /// are skipped silently.
+    pub fn extract_strict(&mut self, capture: &[u8]) -> Result<Vec<HttpTransaction>> {
+        let (transactions, first_stop) = self.extract(capture, &mut IngestReport::new());
+        first_stop.map(|()| transactions)
+    }
+
+    /// The one run behind both policies: the salvaged transactions
+    /// (accounted in `report`) and the first strict stop, if any.
+    fn extract(
+        &mut self,
+        capture: &[u8],
+        report: &mut IngestReport,
+    ) -> (Vec<HttpTransaction>, Result<()>) {
         self.spans.clear();
-        crate::capture::read_packet_spans_lenient(capture, report, &mut self.spans);
-        let mut dropped_decode = 0u64;
-        let mut non_tcp = 0u64;
+        let mut first_stop = crate::capture::read_packet_spans(capture, report, &mut self.spans);
         for span in &self.spans {
-            let data = &capture[span.range.clone()];
-            let Ok(eth) = EtherFrame::parse(data) else {
-                dropped_decode += 1;
-                continue;
-            };
-            if eth.ethertype != ETHERTYPE_IPV4 {
-                non_tcp += 1;
-                continue;
+            match decode_frame(&capture[span.range.clone()]) {
+                Ok(Some((key, tcp))) => {
+                    let payload = subslice_range(capture, tcp.payload);
+                    self.reassembler.push_span(span.ts, key, &tcp, payload);
+                }
+                Ok(None) => report.packets_non_tcp += 1,
+                Err(_) => report.packets_dropped_decode += 1,
             }
-            let Ok(ip) = Ipv4Packet::parse(eth.payload) else {
-                dropped_decode += 1;
-                continue;
-            };
-            if ip.protocol != PROTO_TCP {
-                non_tcp += 1;
-                continue;
-            }
-            let Ok(tcp) = TcpSegment::parse(ip.payload) else {
-                dropped_decode += 1;
-                continue;
-            };
-            let key = FlowKey::new(
-                Endpoint::new(ip.src, tcp.src_port),
-                Endpoint::new(ip.dst, tcp.dst_port),
-            );
-            let payload = subslice_range(capture, tcp.payload);
-            self.reassembler.push_span(span.ts, key, &tcp, payload);
         }
-        report.packets_dropped_decode += dropped_decode;
-        report.packets_non_tcp += non_tcp;
         self.reassembler.gather_streams(capture, &mut report.reassembly_gaps, &mut self.streams);
         report.streams_total += self.streams.len() as u64;
         let mut connections: BTreeMap<(Endpoint, Endpoint), (Option<usize>, Option<usize>)> =
@@ -508,29 +357,24 @@ impl SpanPipeline {
                 }
                 continue;
             };
-            pair_connection_lenient(
+            let stop = pair_connection(
                 self.streams.view(capture, ri),
                 resp.map(|i| self.streams.view(capture, i)),
                 report,
                 &mut out,
-                Some(&mut deferred),
+                &mut deferred,
             );
+            first_stop = first_stop.and(stop);
         }
         // All bodies observed: digest the batch in interleaved lanes and
         // write results back by index. Must happen before the sort below
         // invalidates the queued indices.
-        {
-            let slices: Vec<&[u8]> = deferred.iter().map(|(_, b)| b.as_slice()).collect();
-            fnv1a_many(&slices, &mut self.digests);
-        }
-        for (j, (idx, _)) in deferred.iter().enumerate() {
-            out[*idx].payload_digest = self.digests[j];
-        }
+        digest_deferred(&mut out, &deferred, &mut self.digests);
         drop(deferred);
         out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
         assign_seq(&mut out);
         report.transactions_recovered += out.len() as u64;
-        out
+        (out, first_stop)
     }
 
     /// Convenience: one-shot lenient extraction from raw capture bytes.
@@ -539,6 +383,29 @@ impl SpanPipeline {
         report: &mut IngestReport,
     ) -> Vec<HttpTransaction> {
         SpanPipeline::new().extract_lenient(capture, report)
+    }
+
+    /// Convenience: one-shot strict extraction from raw capture bytes.
+    ///
+    /// # Errors
+    ///
+    /// See [`SpanPipeline::extract_strict`].
+    pub fn extract_capture_strict(capture: &[u8]) -> Result<Vec<HttpTransaction>> {
+        SpanPipeline::new().extract_strict(capture)
+    }
+}
+
+/// Digests every queued body in one interleaved batch ([`fnv1a_many`])
+/// and writes each digest to the transaction it was queued for.
+pub(crate) fn digest_deferred(
+    out: &mut [HttpTransaction],
+    deferred: &[(usize, Body<'_>)],
+    digests: &mut Vec<u64>,
+) {
+    let slices: Vec<&[u8]> = deferred.iter().map(|(_, b)| b.as_slice()).collect();
+    fnv1a_many(&slices, digests);
+    for ((idx, _), digest) in deferred.iter().zip(digests.iter()) {
+        out[*idx].payload_digest = *digest;
     }
 }
 
@@ -592,22 +459,12 @@ struct Salvage<T> {
 }
 
 impl<T> Salvage<T> {
-    /// Converts to strict semantics: the first parse error fails the
-    /// whole stream, discarding the salvaged prefix.
-    fn strict(self) -> Result<Vec<T>> {
-        match self.error {
-            Some(e) => Err(e),
-            None => Ok(self.items),
-        }
-    }
-
-    /// Folds this stream's outcome into a lenient ingest report:
-    /// errored streams count as salvaged (some messages recovered) or
-    /// discarded (none), and chunked failures are tallied.
-    fn account(&self, report: &mut IngestReport) {
-        if self.error.is_none() {
-            return;
-        }
+    /// Folds this stream's outcome into the ingest report — errored
+    /// streams count as salvaged (some messages recovered) or discarded
+    /// (none), and chunked failures are tallied — and hands back the
+    /// messages plus the stop a strict reader would have made here.
+    fn account(self, report: &mut IngestReport) -> (Vec<T>, Result<()>) {
+        let Some(error) = self.error else { return (self.items, Ok(())) };
         if self.chunked_failure {
             report.chunked_failures += 1;
         }
@@ -616,6 +473,7 @@ impl<T> Salvage<T> {
         } else {
             report.streams_salvaged += 1;
         }
+        (self.items, Err(error))
     }
 }
 
@@ -697,46 +555,37 @@ fn parse_responses<'a>(stream: StreamView<'a>, methods: &[Method]) -> Salvage<Pa
     out
 }
 
-fn pair_connection(
-    req_stream: StreamView<'_>,
-    resp_stream: Option<StreamView<'_>>,
-) -> Result<Vec<HttpTransaction>> {
-    let requests = parse_requests(req_stream).strict()?;
-    let methods: Vec<Method> = requests.iter().map(|r| r.head.method.clone()).collect();
-    let responses = match resp_stream {
-        Some(s) => parse_responses(s, &methods).strict()?,
-        None => Vec::new(),
-    };
-    let mut out = Vec::new();
-    build_transactions(req_stream.key, requests, responses, None, &mut out, None);
-    Ok(out)
-}
-
-/// Lenient counterpart of [`pair_connection`]: pairs whatever both
-/// directions could salvage and never fails. Stream-level outcomes and
-/// body-decode failures are recorded in `report`. Transactions are
-/// appended to `out`; with a `deferred` queue, body digests are left at
-/// 0 and queued as `(out_index, body)` for batch digesting (see
-/// [`fnv1a_many`]).
-pub(crate) fn pair_connection_lenient<'a>(
+/// Pairs whatever both directions of one connection could salvage,
+/// appending transactions to `out` with `payload_digest` left at 0 and
+/// each body queued in `deferred` as `(out_index, body)` for batch
+/// digesting (see [`digest_deferred`]). Stream-level outcomes and
+/// body-decode failures are recorded in `report`.
+///
+/// # Errors
+///
+/// Never fails to pair; the `Err` is the first HTTP syntax error met
+/// (requests before responses), for the strict policy to return.
+pub(crate) fn pair_connection<'a>(
     req_stream: StreamView<'a>,
     resp_stream: Option<StreamView<'a>>,
     report: &mut IngestReport,
     out: &mut Vec<HttpTransaction>,
-    deferred: Option<&mut Vec<(usize, Body<'a>)>>,
-) {
-    let requests = parse_requests(req_stream);
-    requests.account(report);
-    let methods: Vec<Method> = requests.items.iter().map(|r| r.head.method.clone()).collect();
-    let responses = match resp_stream {
-        Some(s) => {
-            let r = parse_responses(s, &methods);
-            r.account(report);
-            r.items
-        }
-        None => Vec::new(),
+    deferred: &mut Vec<(usize, Body<'a>)>,
+) -> Result<()> {
+    let (requests, req_stop) = parse_requests(req_stream).account(report);
+    let methods: Vec<Method> = requests.iter().map(|r| r.head.method.clone()).collect();
+    let (responses, resp_stop) = match resp_stream {
+        Some(s) => parse_responses(s, &methods).account(report),
+        None => (Vec::new(), Ok(())),
     };
-    build_transactions(req_stream.key, requests.items, responses, Some(report), out, deferred);
+    let mut responses = responses.into_iter();
+    for req in requests {
+        let (tx, body) =
+            synthesize_transaction(req_stream.key.src, req_stream.key.dst, req, responses.next(), report);
+        deferred.push((out.len(), body));
+        out.push(tx);
+    }
+    req_stop.and(resp_stop)
 }
 
 /// Removes the response's `Content-Encoding` layers from `body`.
@@ -756,7 +605,7 @@ pub(crate) fn pair_connection_lenient<'a>(
 fn decode_content_codings<'a>(
     body: Body<'a>,
     resp_headers: &HeaderMap,
-    mut report: Option<&mut IngestReport>,
+    report: &mut IngestReport,
 ) -> Body<'a> {
     let Some(encodings) = resp_headers.get("Content-Encoding") else {
         // The common case: no coding, nothing to materialize — the body
@@ -780,12 +629,10 @@ fn decode_content_codings<'a>(
         match decoded {
             Ok(decoded) => body = decoded,
             Err(e) => {
-                if let Some(r) = report.as_deref_mut() {
-                    match e {
-                        Error::DecodedTooLarge { .. } => r.decode_cap_exceeded += 1,
-                        _ if token.eq_ignore_ascii_case("deflate") => r.deflate_failures += 1,
-                        _ => r.gzip_failures += 1,
-                    }
+                match e {
+                    Error::DecodedTooLarge { .. } => report.decode_cap_exceeded += 1,
+                    _ if token.eq_ignore_ascii_case("deflate") => report.deflate_failures += 1,
+                    _ => report.gzip_failures += 1,
                 }
                 break;
             }
@@ -794,53 +641,24 @@ fn decode_content_codings<'a>(
     Body::Owned(body)
 }
 
-/// FIFO-pairs parsed requests with parsed responses on one connection,
-/// appending to `out`. With a `report`, body decode failures are counted
-/// per coding (the raw body is kept either way). With a `deferred`
-/// queue, `payload_digest` is left at 0 and the body queued as
-/// `(out_index, body)` so the caller can batch-digest every body at once
-/// ([`fnv1a_many`]) — FNV's serial dependency chain makes per-body
-/// digesting the single hottest step of ingest.
-fn build_transactions<'a>(
-    key: FlowKey,
-    requests: Vec<ParsedRequest>,
-    responses: Vec<ParsedResponse<'a>>,
-    mut report: Option<&mut IngestReport>,
-    out: &mut Vec<HttpTransaction>,
-    mut deferred: Option<&mut Vec<(usize, Body<'a>)>>,
-) {
-    let client = key.src;
-    let server = key.dst;
-    let mut responses = responses.into_iter();
-    for req in requests {
-        let resp = responses.next();
-        let (mut tx, body) =
-            synthesize_transaction(client, server, req, resp, report.as_deref_mut());
-        if deferred.is_none() {
-            tx.payload_digest = fnv1a(body.as_slice());
-        }
-        out.push(tx);
-        if let Some(q) = deferred.as_deref_mut() {
-            q.push((out.len() - 1, body));
-        }
-    }
-}
-
 /// Synthesizes one [`HttpTransaction`] from a parsed request and its
 /// (optional) parsed response: Host resolution, the decode gate,
 /// payload classification, and the body preview — shared verbatim by
-/// the offline pairing paths above and the live wire tap
-/// ([`crate::wiretap`]), so a transaction observed on the wire is
-/// byte-identical to the same exchange extracted from a capture.
+/// the offline pairing above and the live wire tap ([`crate::wiretap`]),
+/// so a transaction observed on the wire is byte-identical to the same
+/// exchange extracted from a capture. Body decode failures are counted
+/// per coding in `report` (the raw body is kept either way).
 ///
 /// `payload_digest` is left at 0; the caller digests `body` directly
-/// ([`fnv1a`]) or queues it for batch digesting ([`fnv1a_many`]).
+/// ([`fnv1a`]) or queues it for batch digesting ([`fnv1a_many`]) — FNV's
+/// serial dependency chain makes per-body digesting the single hottest
+/// step of ingest.
 pub(crate) fn synthesize_transaction<'a>(
     client: Endpoint,
     server: Endpoint,
     req: ParsedRequest,
     resp: Option<ParsedResponse<'a>>,
-    report: Option<&mut IngestReport>,
+    report: &mut IngestReport,
 ) -> (HttpTransaction, Body<'a>) {
     let host = req
         .head
@@ -885,25 +703,39 @@ pub(crate) fn synthesize_transaction<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reassembly::{Endpoint, FlowKey};
+    use crate::ether::ETHERTYPE_IPV4;
+    use crate::ipv4::PROTO_TCP;
+    use crate::pcap::Packet;
+    use crate::reassembly::FlowKey;
     use std::net::Ipv4Addr;
 
-    fn mk_stream(key: FlowKey, data: &[u8], ts: f64) -> Stream {
-        Stream { key, data: data.to_vec(), timeline: vec![(0, ts)], closed: true }
-    }
-
-    fn pair(req: &Stream, resp: Option<&Stream>) -> crate::Result<Vec<HttpTransaction>> {
-        pair_connection(req.as_view(), resp.map(Stream::as_view))
-    }
-
-    fn pair_lenient(
-        req: &Stream,
-        resp: Option<&Stream>,
-        report: &mut IngestReport,
-    ) -> Vec<HttpTransaction> {
+    /// Pairs one connection's two reassembled directions, each a single
+    /// burst of bytes stamped `ts`: the transactions (digested), the
+    /// lenient report, and the strict stop.
+    fn pair_full(
+        req: (&[u8], f64),
+        resp: Option<(&[u8], f64)>,
+    ) -> (Vec<HttpTransaction>, IngestReport, crate::Result<()>) {
+        let req_timeline = [(0, req.1)];
+        let resp_timeline = [(0, resp.map_or(0.0, |r| r.1))];
+        let req_view =
+            StreamView { key: conn(), data: req.0, timeline: &req_timeline, closed: true };
+        let resp_view = resp.map(|(data, _)| StreamView {
+            key: conn().reversed(),
+            data,
+            timeline: &resp_timeline,
+            closed: true,
+        });
+        let mut report = IngestReport::new();
         let mut out = Vec::new();
-        pair_connection_lenient(req.as_view(), resp.map(Stream::as_view), report, &mut out, None);
-        out
+        let mut deferred = Vec::new();
+        let stop = pair_connection(req_view, resp_view, &mut report, &mut out, &mut deferred);
+        digest_deferred(&mut out, &deferred, &mut Vec::new());
+        (out, report, stop)
+    }
+
+    fn pair(req: (&[u8], f64), resp: Option<(&[u8], f64)>) -> Vec<HttpTransaction> {
+        pair_full(req, resp).0
     }
 
     fn conn() -> FlowKey {
@@ -917,11 +749,7 @@ mod tests {
     fn pairs_single_transaction() {
         let req = b"GET /page.html HTTP/1.1\r\nHost: example.com\r\nReferer: http://google.com/\r\n\r\n";
         let resp = b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello";
-        let txs = pair(
-            &mk_stream(conn(), req, 1.0),
-            Some(&mk_stream(conn().reversed(), resp, 1.2)),
-        )
-        .unwrap();
+        let txs = pair((req, 1.0), Some((resp, 1.2)));
         assert_eq!(txs.len(), 1);
         let t = &txs[0];
         assert_eq!(t.host, "example.com");
@@ -937,11 +765,7 @@ mod tests {
     fn pairs_pipelined_transactions_in_order() {
         let req = b"GET /a HTTP/1.1\r\nHost: h\r\n\r\nGET /b.js HTTP/1.1\r\nHost: h\r\n\r\n";
         let resp = b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\nAHTTP/1.1 404 Not Found\r\nContent-Length: 2\r\n\r\nBB";
-        let txs = pair(
-            &mk_stream(conn(), req, 1.0),
-            Some(&mk_stream(conn().reversed(), resp, 1.1)),
-        )
-        .unwrap();
+        let txs = pair((req, 1.0), Some((resp, 1.1)));
         assert_eq!(txs.len(), 2);
         assert_eq!(txs[0].uri, "/a");
         assert_eq!(txs[0].status, 200);
@@ -953,7 +777,7 @@ mod tests {
     #[test]
     fn missing_response_yields_status_zero() {
         let req = b"POST /exfil HTTP/1.1\r\nHost: cc.evil\r\nContent-Length: 4\r\n\r\ndata";
-        let txs = pair(&mk_stream(conn(), req, 2.0), None).unwrap();
+        let txs = pair((req, 2.0), None);
         assert_eq!(txs.len(), 1);
         assert_eq!(txs[0].status, 0);
         assert_eq!(txs[0].method, Method::Post);
@@ -965,11 +789,7 @@ mod tests {
         let req = b"GET /d.bin HTTP/1.1\r\nHost: h\r\n\r\n";
         let resp =
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nMZxx\r\n3\r\nyyy\r\n0\r\n\r\n";
-        let txs = pair(
-            &mk_stream(conn(), req, 0.0),
-            Some(&mk_stream(conn().reversed(), resp, 0.0)),
-        )
-        .unwrap();
+        let txs = pair((req, 0.0), Some((resp, 0.0)));
         assert_eq!(txs[0].payload_size, 7);
         assert_eq!(txs[0].payload_class, PayloadClass::Exe); // MZ magic
     }
@@ -978,11 +798,7 @@ mod tests {
     fn until_close_body_consumes_rest() {
         let req = b"GET /v HTTP/1.1\r\nHost: h\r\n\r\n";
         let resp = b"HTTP/1.1 200 OK\r\n\r\nstream-until-close";
-        let txs = pair(
-            &mk_stream(conn(), req, 0.0),
-            Some(&mk_stream(conn().reversed(), resp, 0.0)),
-        )
-        .unwrap();
+        let txs = pair((req, 0.0), Some((resp, 0.0)));
         assert_eq!(txs[0].payload_size, 18);
     }
 
@@ -1021,11 +837,7 @@ mod tests {
         );
         let mut resp_bytes = resp.into_bytes();
         resp_bytes.extend_from_slice(&gz);
-        let txs = pair(
-            &mk_stream(conn(), req, 0.0),
-            Some(&mk_stream(conn().reversed(), &resp_bytes, 0.1)),
-        )
-        .unwrap();
+        let txs = pair((req, 0.0), Some((&resp_bytes, 0.1)));
         assert_eq!(txs.len(), 1);
         assert_eq!(txs[0].payload_class, PayloadClass::Html);
         assert_eq!(txs[0].payload_size, html.len(), "decoded size");
@@ -1046,11 +858,7 @@ mod tests {
     fn single_tx(encoding: &str, wire_body: &[u8]) -> HttpTransaction {
         let req = b"GET /page HTTP/1.1\r\nHost: h\r\n\r\n";
         let resp = resp_with_encoding(encoding, wire_body);
-        let mut txs = pair(
-            &mk_stream(conn(), req, 0.0),
-            Some(&mk_stream(conn().reversed(), &resp, 0.1)),
-        )
-        .unwrap();
+        let mut txs = pair((req, 0.0), Some((&resp, 0.1)));
         assert_eq!(txs.len(), 1);
         txs.remove(0)
     }
@@ -1118,12 +926,7 @@ mod tests {
         let garbage = [0x07, 0xff, 0x12, 0x34, 0x56];
         let req = b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n";
         let resp = resp_with_encoding("deflate", &garbage);
-        let mut report = IngestReport::new();
-        let txs = pair_lenient(
-            &mk_stream(conn(), req, 0.0),
-            Some(&mk_stream(conn().reversed(), &resp, 0.1)),
-            &mut report,
-        );
+        let (txs, report, _) = pair_full((req, 0.0), Some((&resp, 0.1)));
         assert_eq!(txs[0].payload_size, garbage.len(), "raw bytes kept");
         assert_eq!(report.deflate_failures, 1);
         assert_eq!(report.gzip_failures, 0);
@@ -1141,11 +944,7 @@ mod tests {
         );
         let mut resp_bytes = resp.into_bytes();
         resp_bytes.extend_from_slice(&gz);
-        let txs = pair(
-            &mk_stream(conn(), req, 0.0),
-            Some(&mk_stream(conn().reversed(), &resp_bytes, 0.1)),
-        )
-        .unwrap();
+        let txs = pair((req, 0.0), Some((&resp_bytes, 0.1)));
         assert_eq!(txs[0].payload_size, gz.len(), "raw bytes kept");
     }
 
@@ -1161,12 +960,7 @@ mod tests {
         assert!(bomb.len() < 64 * 1024, "bomb is small on the wire: {}", bomb.len());
         let req = b"GET /big HTTP/1.1\r\nHost: h\r\n\r\n";
         let resp = resp_with_encoding("gzip", &bomb);
-        let mut report = IngestReport::new();
-        let txs = pair_lenient(
-            &mk_stream(conn(), req, 0.0),
-            Some(&mk_stream(conn().reversed(), &resp, 0.1)),
-            &mut report,
-        );
+        let (txs, report, _) = pair_full((req, 0.0), Some((&resp, 0.1)));
         assert_eq!(txs.len(), 1);
         assert_eq!(txs[0].payload_size, bomb.len(), "encoded wire bytes kept");
         assert_eq!(txs[0].payload_digest, fnv1a(&bomb));
@@ -1178,11 +972,8 @@ mod tests {
     fn lenient_salvages_prefix_of_malformed_request_stream() {
         let req = b"GET /good HTTP/1.1\r\nHost: h\r\n\r\nGET /bad HTTP/1.1\r\nBROKENHEADER\r\n\r\n";
         let resp = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok";
-        let req_stream = mk_stream(conn(), req, 1.0);
-        let resp_stream = mk_stream(conn().reversed(), resp, 1.2);
-        assert!(pair(&req_stream, Some(&resp_stream)).is_err(), "strict fails");
-        let mut report = IngestReport::new();
-        let txs = pair_lenient(&req_stream, Some(&resp_stream), &mut report);
+        let (txs, report, stop) = pair_full((req, 1.0), Some((resp, 1.2)));
+        assert!(matches!(stop, Err(Error::HttpSyntax(_))), "strict stops here");
         assert_eq!(txs.len(), 1);
         assert_eq!(txs[0].uri, "/good");
         assert_eq!(txs[0].status, 200);
@@ -1195,9 +986,8 @@ mod tests {
         // Begins like a request (passes the triage) but the head is
         // malformed from the first message.
         let req = b"GET /x HTTP/1.1\r\nNOCOLON\r\n\r\n";
-        let req_stream = mk_stream(conn(), req, 1.0);
-        let mut report = IngestReport::new();
-        let txs = pair_lenient(&req_stream, None, &mut report);
+        let (txs, report, stop) = pair_full((req, 1.0), None);
+        assert!(stop.is_err());
         assert!(txs.is_empty());
         assert_eq!(report.streams_discarded, 1);
         assert_eq!(report.streams_salvaged, 0);
@@ -1207,10 +997,8 @@ mod tests {
     fn lenient_counts_chunked_framing_failure() {
         let req = b"GET /d HTTP/1.1\r\nHost: h\r\n\r\n";
         let resp = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nZZ\r\njunk";
-        let req_stream = mk_stream(conn(), req, 0.0);
-        let resp_stream = mk_stream(conn().reversed(), resp, 0.1);
-        let mut report = IngestReport::new();
-        let txs = pair_lenient(&req_stream, Some(&resp_stream), &mut report);
+        let (txs, report, stop) = pair_full((req, 0.0), Some((resp, 0.1)));
+        assert!(stop.is_err(), "broken chunk framing is a strict stop");
         // The request survives with no paired response (status 0).
         assert_eq!(txs.len(), 1);
         assert_eq!(txs[0].status, 0);
@@ -1230,70 +1018,42 @@ mod tests {
         );
         let mut resp_bytes = resp.into_bytes();
         resp_bytes.extend_from_slice(&gz);
-        let mut report = IngestReport::new();
-        let txs = pair_lenient(
-            &mk_stream(conn(), req, 0.0),
-            Some(&mk_stream(conn().reversed(), &resp_bytes, 0.1)),
-            &mut report,
-        );
+        let (txs, report, _) = pair_full((req, 0.0), Some((&resp_bytes, 0.1)));
         assert_eq!(txs[0].payload_size, gz.len());
         assert_eq!(report.gzip_failures, 1);
     }
 
     #[test]
-    fn lenient_finish_counts_non_http_streams() {
-        let mut ex = TransactionExtractor::new();
+    fn pipeline_counts_non_http_and_orphan_streams() {
         // A TLS-looking stream on one connection, plus an orphan HTTP
         // response on another.
-        let tls_key = conn();
-        let orphan_key = FlowKey::new(
-            Endpoint::new(Ipv4Addr::new(203, 0, 113, 9), 80),
-            Endpoint::new(Ipv4Addr::new(10, 0, 0, 3), 50001),
-        );
-        ex.reassembler.push(
-            0.1,
-            tls_key,
-            &crate::tcp::TcpSegment::parse(&crate::tcp::build(
-                tls_key.src.port,
-                tls_key.dst.port,
-                1,
-                0,
-                crate::tcp::TcpFlags::data(),
-                b"\x16\x03\x01\x02\x00",
-            ))
-            .unwrap(),
-        );
-        ex.reassembler.push(
-            0.2,
-            orphan_key,
-            &crate::tcp::TcpSegment::parse(&crate::tcp::build(
-                orphan_key.src.port,
-                orphan_key.dst.port,
-                1,
-                0,
-                crate::tcp::TcpFlags::data(),
-                b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
-            ))
-            .unwrap(),
-        );
+        let c = Ipv4Addr::new(10, 0, 0, 2);
+        let s = Ipv4Addr::new(203, 0, 113, 9);
+        let capture = crate::pcap::write_packets(&[
+            Packet::new(0.1, frame(c, s, 50000, 80, 1, b"\x16\x03\x01\x02\x00")),
+            Packet::new(0.2, frame(s, c, 80, 50001, 1, b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")),
+        ]);
         let mut report = IngestReport::new();
-        let txs = ex.finish_lenient(&mut report);
+        let txs = SpanPipeline::extract_capture_lenient(&capture, &mut report);
         assert!(txs.is_empty());
         assert_eq!(report.streams_total, 2);
         assert_eq!(report.streams_skipped_non_http, 1);
         assert_eq!(report.streams_discarded, 1, "orphan response quarantined");
+        // Neither is a strict stop.
+        assert!(SpanPipeline::extract_capture_strict(&capture).unwrap().is_empty());
     }
 
     #[test]
-    fn lenient_extract_counts_decode_drops() {
-        let mut report = IngestReport::new();
-        let packets = vec![
+    fn pipeline_counts_decode_drops() {
+        let capture = crate::pcap::write_packets(&[
             Packet::new(0.0, vec![0u8; 4]),     // too short for Ethernet
             Packet::new(0.1, vec![0xffu8; 60]), // not IPv4
-        ];
-        let txs = TransactionExtractor::extract_lenient(&packets, &mut report);
+        ]);
+        let mut report = IngestReport::new();
+        let txs = SpanPipeline::extract_capture_lenient(&capture, &mut report);
         assert!(txs.is_empty());
-        assert_eq!(report.packets_dropped_decode + report.packets_non_tcp, 2);
+        assert_eq!((report.packets_dropped_decode, report.packets_non_tcp), (1, 1));
+        assert!(SpanPipeline::extract_capture_strict(&capture).unwrap().is_empty());
     }
 
     #[test]
@@ -1344,8 +1104,7 @@ mod tests {
     }
 
     /// Two conversations plus out-of-order, retransmitted, and
-    /// undecodable packets — every branch both pipelines must account
-    /// identically.
+    /// undecodable packets.
     fn sample_capture() -> Vec<u8> {
         let c = Ipv4Addr::new(10, 0, 0, 2);
         let s = Ipv4Addr::new(203, 0, 113, 9);
@@ -1354,7 +1113,7 @@ mod tests {
         let req2 = b"GET /b.js HTTP/1.1\r\nHost: ex.com\r\n\r\n";
         let resp2a: &[u8] = b"HTTP/1.1 302 Found\r\nLocation: http://n/\r\nContent-Le";
         let resp2b: &[u8] = b"ngth: 2\r\n\r\nok";
-        let packets = vec![
+        crate::pcap::write_packets(&[
             Packet::new(1.0, frame(c, s, 50000, 80, 1, req1)),
             Packet::new(1.1, frame(s, c, 80, 50000, 1, resp1)),
             Packet::new(1.2, frame(c, s, 50001, 80, 1, req2)),
@@ -1363,34 +1122,61 @@ mod tests {
             Packet::new(1.3, frame(s, c, 80, 50001, 1, resp2a)),
             Packet::new(1.5, frame(s, c, 80, 50001, 1, resp2a)),
             Packet::new(1.6, vec![0u8; 6]), // undecodable
-        ];
-        let mut buf = Vec::new();
-        let mut w = crate::pcap::PcapWriter::new(&mut buf).unwrap();
-        for p in &packets {
-            w.write_packet(p).unwrap();
-        }
-        w.finish().unwrap();
-        buf
+        ])
     }
 
     #[test]
-    fn span_pipeline_matches_packet_pipeline() {
+    fn pipeline_extracts_reordered_capture_and_reuses_cleanly() {
         let capture = sample_capture();
-        let mut report_a = IngestReport::new();
-        let packets = crate::capture::read_packets_lenient(&capture, &mut report_a);
-        let txs_a = TransactionExtractor::extract_lenient(&packets, &mut report_a);
-        let mut report_b = IngestReport::new();
+        let mut report = IngestReport::new();
         let mut pipeline = SpanPipeline::new();
-        let txs_b = pipeline.extract_lenient(&capture, &mut report_b);
-        assert_eq!(report_a, report_b);
-        assert_eq!(txs_a, txs_b);
-        assert_eq!(txs_a.len(), 2);
-        assert!(txs_a.iter().all(|t| t.status != 0 && t.payload_digest != 0));
+        let txs = pipeline.extract_lenient(&capture, &mut report);
+        assert_eq!(txs.len(), 2);
+        assert_eq!((txs[0].uri.as_str(), txs[0].status, txs[0].payload_size), ("/a.html", 200, 5));
+        assert_eq!((txs[1].uri.as_str(), txs[1].status, txs[1].payload_size), ("/b.js", 302, 2));
+        assert_eq!(txs[0].payload_digest, fnv1a(b"hello"));
+        assert_eq!(txs[1].location(), Some("http://n/"));
+        assert_eq!((txs[0].seq, txs[1].seq), (0, 1));
+        assert_eq!(
+            report,
+            IngestReport {
+                packets_read: 7,
+                packets_dropped_decode: 1,
+                streams_total: 4,
+                transactions_recovered: 2,
+                ..IngestReport::new()
+            }
+        );
+        // Nothing here is a strict stop, and both policies are one run.
+        assert_eq!(pipeline.extract_strict(&capture).unwrap(), txs);
         // Reusing the pipeline across captures leaks no state.
-        let mut report_c = IngestReport::new();
-        let txs_c = pipeline.extract_lenient(&capture, &mut report_c);
-        assert_eq!(txs_c, txs_b);
-        assert_eq!(report_c, report_b);
+        let mut again = IngestReport::new();
+        assert_eq!(pipeline.extract_lenient(&capture, &mut again), txs);
+        assert_eq!(again, report);
+    }
+
+    #[test]
+    fn strict_returns_the_first_stop_framing_before_syntax() {
+        let c = Ipv4Addr::new(10, 0, 0, 2);
+        let s = Ipv4Addr::new(203, 0, 113, 9);
+        let bad = b"GET /x HTTP/1.1\r\nbroken header without colon\r\n\r\n";
+        let mut capture = crate::pcap::write_packets(&[Packet::new(1.0, frame(c, s, 50000, 80, 1, bad))]);
+        assert!(matches!(
+            SpanPipeline::extract_capture_strict(&capture),
+            Err(Error::HttpSyntax(_))
+        ));
+        // An oversized record length behind it: framing is reported first.
+        let mut rec = [0u8; 16];
+        rec[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        capture.extend_from_slice(&rec);
+        assert!(matches!(
+            SpanPipeline::extract_capture_strict(&capture),
+            Err(Error::BadCaptureLength(u32::MAX))
+        ));
+        // Lenient salvages nothing here but says why.
+        let mut report = IngestReport::new();
+        assert!(SpanPipeline::extract_capture_lenient(&capture, &mut report).is_empty());
+        assert_eq!((report.records_dropped, report.streams_discarded), (1, 1));
     }
 
     #[test]

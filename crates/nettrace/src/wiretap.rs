@@ -486,7 +486,7 @@ impl ConnectionTap {
         out: &mut Vec<HttpTransaction>,
     ) {
         let (mut tx, body) =
-            synthesize_transaction(self.client, self.server, req, resp, Some(report));
+            synthesize_transaction(self.client, self.server, req, resp, report);
         tx.payload_digest = fnv1a(body.as_slice());
         report.transactions_recovered += 1;
         self.emitted += 1;
@@ -521,8 +521,8 @@ mod tests {
     use super::*;
     use crate::http::HeaderMap;
     use crate::payload::PayloadClass;
-    use crate::reassembly::{FlowKey, Stream};
-    use crate::transaction::assign_seq;
+    use crate::reassembly::{FlowKey, StreamView};
+    use crate::transaction::{assign_seq, digest_deferred, pair_connection};
     use std::net::Ipv4Addr;
 
     fn client() -> Endpoint {
@@ -535,23 +535,23 @@ mod tests {
 
     fn offline_pair(req: &[u8], resp: Option<&[u8]>) -> Vec<HttpTransaction> {
         let key = FlowKey::new(client(), server());
-        let req_stream =
-            Stream { key, data: req.to_vec(), timeline: vec![(0, 1.0)], closed: true };
-        let resp_stream = resp.map(|r| Stream {
+        let req_stream = StreamView { key, data: req, timeline: &[(0, 1.0)], closed: true };
+        let resp_stream = resp.map(|data| StreamView {
             key: key.reversed(),
-            data: r.to_vec(),
-            timeline: vec![(0, 2.0)],
+            data,
+            timeline: &[(0, 2.0)],
             closed: true,
         });
-        let mut report = IngestReport::new();
         let mut out = Vec::new();
-        crate::transaction::pair_connection_lenient(
-            req_stream.as_view(),
-            resp_stream.as_ref().map(Stream::as_view),
-            &mut report,
+        let mut deferred = Vec::new();
+        let _ = pair_connection(
+            req_stream,
+            resp_stream,
+            &mut IngestReport::new(),
             &mut out,
-            None,
+            &mut deferred,
         );
+        digest_deferred(&mut out, &deferred, &mut Vec::new());
         assign_seq(&mut out);
         out
     }

@@ -7,9 +7,14 @@ use nettrace::ether::{self, MacAddr, ETHERTYPE_IPV4};
 use nettrace::http::Method;
 use nettrace::ipv4::{self, PROTO_TCP};
 use nettrace::payload::PayloadClass;
-use nettrace::pcap::{Packet, PcapReader, PcapWriter};
+use nettrace::pcap::{self, Packet};
 use nettrace::tcp::{self, TcpFlags};
-use nettrace::TransactionExtractor;
+use nettrace::{HttpTransaction, SpanPipeline};
+
+/// Renders hand-built packets as a pcap file and extracts it strictly.
+fn extract(packets: &[Packet]) -> nettrace::Result<Vec<HttpTransaction>> {
+    SpanPipeline::extract_capture_strict(&pcap::write_packets(packets))
+}
 
 struct PacketFactory {
     ident: u16,
@@ -67,16 +72,11 @@ fn full_pipeline_pcap_roundtrip() {
     packets.push(fac.tcp_packet(1.30, client, server, 1001 + request.len() as u32, TcpFlags::fin(), b""));
 
     // Serialize to pcap and read back.
-    let mut buf = Vec::new();
-    let mut writer = PcapWriter::new(&mut buf).unwrap();
-    for p in &packets {
-        writer.write_packet(p).unwrap();
-    }
-    writer.finish().unwrap();
-    let replayed = PcapReader::new(buf.as_slice()).unwrap().collect_packets().unwrap();
+    let buf = pcap::write_packets(&packets);
+    let replayed = nettrace::capture::read_packets(&buf).unwrap();
     assert_eq!(replayed.len(), packets.len());
 
-    let txs = TransactionExtractor::extract(&replayed).unwrap();
+    let txs = SpanPipeline::extract_capture_strict(&buf).unwrap();
     assert_eq!(txs.len(), 1);
     let t = &txs[0];
     assert_eq!(t.host, "evil.example");
@@ -100,7 +100,7 @@ fn non_http_traffic_is_ignored() {
         fac.tcp_packet(1.0, a, b, 1, TcpFlags::data(), b"\x16\x03\x01\x02\x00binary-tls"),
         fac.tcp_packet(1.1, b, a, 1, TcpFlags::data(), b"\x16\x03\x03junk"),
     ];
-    let txs = TransactionExtractor::extract(&packets).unwrap();
+    let txs = extract(&packets).unwrap();
     assert!(txs.is_empty());
 }
 
@@ -116,7 +116,7 @@ fn multiple_connections_sorted_by_time() {
         fac.tcp_packet(5.0, client, s1, 1, TcpFlags::data(), req1),
         fac.tcp_packet(2.0, (client.0, 49322), s2, 1, TcpFlags::data(), req2),
     ];
-    let txs = TransactionExtractor::extract(&packets).unwrap();
+    let txs = extract(&packets).unwrap();
     assert_eq!(txs.len(), 2);
     assert_eq!(txs[0].uri, "/early");
     assert_eq!(txs[1].uri, "/late");

@@ -6,9 +6,14 @@ use std::net::Ipv4Addr;
 
 use nettrace::ether::{self, MacAddr, ETHERTYPE_IPV4};
 use nettrace::ipv4::{self, PROTO_TCP};
-use nettrace::pcap::{Packet, PcapReader, PcapWriter};
+use nettrace::pcap::{self, Packet};
 use nettrace::tcp::{self, TcpFlags};
-use nettrace::{Error, TransactionExtractor};
+use nettrace::{Error, HttpTransaction, SpanPipeline};
+
+/// Renders hand-built packets as a pcap file and extracts it strictly.
+fn extract(packets: &[Packet]) -> nettrace::Result<Vec<HttpTransaction>> {
+    SpanPipeline::extract_capture_strict(&pcap::write_packets(packets))
+}
 
 const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const SERVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
@@ -25,23 +30,19 @@ fn http_packet(ts: f64, src_port: u16, dst_port: u16, seq: u32, payload: &[u8]) 
 fn truncated_pcap_header_is_an_error() {
     for len in 0..24 {
         let buf = vec![0xa1u8; len];
-        assert!(PcapReader::new(buf.as_slice()).is_err(), "len {len}");
+        assert!(nettrace::capture::read_packets(&buf).is_err(), "len {len}");
     }
 }
 
 #[test]
 fn corrupted_record_length_detected() {
-    let mut buf = Vec::new();
-    let mut w = PcapWriter::new(&mut buf).unwrap();
-    w.write_packet(&Packet::new(1.0, vec![1, 2, 3])).unwrap();
-    w.finish().unwrap();
+    let mut buf = pcap::write_packets(&[Packet::new(1.0, vec![1, 2, 3])]);
     // Corrupt the caplen field of the first record (offset 24 + 8).
     buf[32] = 0xff;
     buf[33] = 0xff;
     buf[34] = 0xff;
     buf[35] = 0x7f;
-    let mut r = PcapReader::new(buf.as_slice()).unwrap();
-    assert!(matches!(r.next_packet(), Err(Error::BadCaptureLength(_))));
+    assert!(matches!(nettrace::capture::read_packets(&buf), Err(Error::BadCaptureLength(_))));
 }
 
 #[test]
@@ -51,7 +52,7 @@ fn garbage_packets_are_skipped_not_fatal() {
         Packet::new(1.1, vec![0xffu8; 64]),                // not ipv4
         http_packet(1.2, 40000, 80, 1, b"GET / HTTP/1.1\r\nHost: ok.example\r\n\r\n"),
     ];
-    let txs = TransactionExtractor::extract(&packets).unwrap();
+    let txs = extract(&packets).unwrap();
     assert_eq!(txs.len(), 1);
     assert_eq!(txs[0].host, "ok.example");
 }
@@ -68,10 +69,10 @@ fn malformed_request_stream_is_reported() {
         1,
         b"GET /x HTTP/1.1\r\nbroken header without colon\r\n\r\n",
     )];
-    assert!(TransactionExtractor::extract(&packets).is_err());
+    assert!(extract(&packets).is_err());
     let lenient =
         vec![http_packet(1.0, 40005, 80, 1, b"GET /no-version\r\nHost: x\r\n\r\n")];
-    let txs = TransactionExtractor::extract(&lenient).unwrap();
+    let txs = extract(&lenient).unwrap();
     assert_eq!(txs.len(), 1);
     assert_eq!(txs[0].uri, "/no-version");
 }
@@ -79,7 +80,7 @@ fn malformed_request_stream_is_reported() {
 #[test]
 fn binary_stream_on_port_80_is_ignored() {
     let packets = vec![http_packet(1.0, 40002, 80, 1, &[0x16, 0x03, 0x01, 0x00, 0x50])];
-    let txs = TransactionExtractor::extract(&packets).unwrap();
+    let txs = extract(&packets).unwrap();
     assert!(txs.is_empty());
 }
 
@@ -88,7 +89,7 @@ fn response_without_request_is_ignored() {
     // Server-to-client data with no request direction captured.
     let packets =
         vec![http_packet(1.0, 80, 40003, 1, b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")];
-    let txs = TransactionExtractor::extract(&packets).unwrap();
+    let txs = extract(&packets).unwrap();
     assert!(txs.is_empty());
 }
 
@@ -104,7 +105,7 @@ fn oversized_declared_body_is_clamped_to_stream() {
         1,
         b"HTTP/1.1 200 OK\r\nContent-Length: 999999\r\n\r\nonly-this",
     );
-    let txs = TransactionExtractor::extract(&[req, resp]).unwrap();
+    let txs = extract(&[req, resp]).unwrap();
     assert_eq!(txs.len(), 1);
     assert_eq!(txs[0].payload_size, 9);
 }
@@ -129,7 +130,7 @@ fn interleaved_connections_do_not_cross_pair() {
         1,
         b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\nA",
     );
-    let txs = TransactionExtractor::extract(&[a_req, b_req, b_resp, a_resp]).unwrap();
+    let txs = extract(&[a_req, b_req, b_resp, a_resp]).unwrap();
     assert_eq!(txs.len(), 2);
     let a = txs.iter().find(|t| t.uri == "/a").unwrap();
     let b = txs.iter().find(|t| t.uri == "/b").unwrap();
@@ -155,7 +156,7 @@ fn head_responses_do_not_consume_bodyless_frames() {
         1,
         b"HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nGG",
     );
-    let txs = TransactionExtractor::extract(&[reqs, resps]).unwrap();
+    let txs = extract(&[reqs, resps]).unwrap();
     assert_eq!(txs.len(), 2);
     assert_eq!(txs[0].uri, "/h");
     assert_eq!(txs[0].payload_size, 0, "HEAD has no body");
@@ -169,7 +170,7 @@ fn rst_terminated_stream_still_yields_transactions() {
     let rst_seg = tcp::build(50004, 80, 30, 0, TcpFlags { rst: true, ..TcpFlags::default() }, &[]);
     let ip = ipv4::build(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(198, 51, 100, 1), PROTO_TCP, 2, &rst_seg);
     let rst = Packet::new(1.2, ether::build(MacAddr([1; 6]), MacAddr([2; 6]), ETHERTYPE_IPV4, &ip));
-    let txs = TransactionExtractor::extract(&[req, rst]).unwrap();
+    let txs = extract(&[req, rst]).unwrap();
     assert_eq!(txs.len(), 1);
     assert_eq!(txs[0].status, 0, "no response observed");
 }

@@ -14,7 +14,7 @@ use rand::Rng;
 use rand::RngCore;
 
 use nettrace::ingest::IngestReport;
-use nettrace::pcap::{Packet, PcapWriter};
+use nettrace::pcap::Packet;
 
 /// One class of capture damage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,28 +96,20 @@ pub fn apply_all<R: RngCore>(pcap: &[u8], rng: &mut R) -> Vec<u8> {
 }
 
 /// Decodes, transforms, and re-serializes the packet list. Unparseable
-/// input is passed through untouched.
+/// input is passed through untouched. The read is the lenient walk —
+/// compound damage re-reads captures an earlier fault already hurt — and
+/// the owned packets the transforms edit are materialised here.
 fn on_packets(pcap: &[u8], transform: impl FnOnce(&mut Vec<Packet>)) -> Vec<u8> {
-    let mut report = IngestReport::new();
-    let mut packets = nettrace::capture::read_packets_lenient(pcap, &mut report);
+    let mut spans = Vec::new();
+    nettrace::capture::read_packet_spans_lenient(pcap, &mut IngestReport::new(), &mut spans);
+    let mut packets: Vec<Packet> =
+        spans.iter().map(|s| Packet::new(s.ts, s.bytes(pcap).to_vec())).collect();
     if packets.is_empty() {
         return pcap.to_vec();
     }
+    // No transform grows a packet, so every one still fits a record.
     transform(&mut packets);
-    let mut buf = Vec::new();
-    let mut writer = match PcapWriter::new(&mut buf) {
-        Ok(w) => w,
-        Err(_) => return pcap.to_vec(),
-    };
-    for p in &packets {
-        if writer.write_packet(p).is_err() {
-            return pcap.to_vec();
-        }
-    }
-    if writer.finish().is_err() {
-        return pcap.to_vec();
-    }
-    buf
+    nettrace::pcap::write_packets(&packets)
 }
 
 fn truncate_tail<R: RngCore>(pcap: &[u8], rng: &mut R) -> Vec<u8> {

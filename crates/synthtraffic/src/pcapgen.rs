@@ -154,15 +154,12 @@ mod tests {
     use crate::benign::{generate_benign, BenignScenario};
     use crate::episode::generate_infection;
     use crate::families::EkFamily;
-    use nettrace::pcap::PcapReader;
-    use nettrace::TransactionExtractor;
+    use nettrace::SpanPipeline;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn roundtrip(ep: &Episode) -> Vec<HttpTransaction> {
-        let bytes = episode_pcap(ep).unwrap();
-        let packets = PcapReader::new(bytes.as_slice()).unwrap().collect_packets().unwrap();
-        TransactionExtractor::extract(&packets).unwrap()
+        SpanPipeline::extract_capture_strict(&episode_pcap(ep).unwrap()).unwrap()
     }
 
     #[test]

@@ -14,19 +14,29 @@
 //! per direction (a bounded out-of-order buffer absorbs reordering;
 //! overflow and unfillable gaps count as `source_drops`) into a
 //! [`ConnectionTap`] per flow, which synthesizes transactions through
-//! the same lenient span pipeline as offline ingest. A BPF-style port
-//! filter keeps non-web flows out of the taps entirely.
+//! the same routine as offline ingest. A BPF-style port filter keeps
+//! non-web flows out of the taps entirely.
+//!
+//! Record framing and frame decoding are `nettrace`'s
+//! ([`pcap::walk_records`], [`decode_frame`]) — the same functions the
+//! offline pipeline runs. The tail is the walker's third policy: where
+//! strict ingest fails on a stop and lenient ingest counts it, the tail
+//! keeps the unconsumed bytes pending until the writer appends more.
+//! Only the reassembly differs from offline ingest, because delivering
+//! bytes as they become contiguous and sorting a finished capture are
+//! different algorithms.
 
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Read;
-use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
-use nettrace::reassembly::Endpoint;
+use nettrace::arena::PacketSpan;
+use nettrace::pcap;
+use nettrace::reassembly::{decode_frame, Endpoint};
 use nettrace::source::{PumpOutcome, SourceStats, TrafficSource};
 use nettrace::wiretap::{ConnectionTap, TapConfig, TapDir};
-use nettrace::{ether, ipv4, pcap, tcp, Error, HttpTransaction, IngestReport};
+use nettrace::{Error, HttpTransaction, IngestReport};
 
 use crate::sys;
 
@@ -35,12 +45,6 @@ const FRAMES_PER_SLICE: usize = 256;
 /// Out-of-order segments buffered per flow direction before the oldest
 /// is dropped.
 const MAX_OOO_SEGMENTS: usize = 64;
-/// pcap global header length.
-const PCAP_HEADER_LEN: usize = 24;
-/// pcap per-record header length.
-const PCAP_RECORD_LEN: usize = 16;
-/// Nanosecond-resolution pcap magic (little-endian writers).
-const MAGIC_NSEC: u32 = 0xa1b2_3c4d;
 
 /// Capture tuning knobs.
 #[derive(Debug, Clone)]
@@ -64,8 +68,14 @@ struct DirState {
     /// Next expected TCP sequence number; `None` until the first
     /// segment (or SYN) fixes the origin.
     next_seq: Option<u32>,
-    /// Out-of-order segments keyed by sequence number, bounded.
-    ooo: BTreeMap<u32, Vec<u8>>,
+    /// The first value `next_seq` ever took: where this direction's
+    /// sequence space starts.
+    origin: Option<u32>,
+    /// Out-of-order segments, bounded, keyed by distance from `origin`
+    /// rather than by raw sequence number: raw numbers wrap at 2³², so
+    /// with an origin near the top a post-wrap segment would sort ahead
+    /// of the pre-wrap one the stream is actually waiting for.
+    ooo: BTreeMap<u64, Vec<u8>>,
     fin: bool,
 }
 
@@ -77,32 +87,16 @@ struct Flow {
     s2c: DirState,
 }
 
-/// Canonical (order-independent) flow key.
-type FlowKey = ((Ipv4Addr, u16), (Ipv4Addr, u16));
-
-fn flow_key(a: Endpoint, b: Endpoint) -> FlowKey {
-    let ka = (a.addr, a.port);
-    let kb = (b.addr, b.port);
-    if ka <= kb {
-        (ka, kb)
-    } else {
-        (kb, ka)
-    }
-}
-
 /// Incremental pcap-file reader state.
 struct PcapTail {
     file: File,
     path: PathBuf,
-    /// Unconsumed bytes (tail may end mid-record).
+    /// The file's global header followed by its unconsumed bytes (which
+    /// may end mid-record): always a well-formed pcap prefix, so each
+    /// pump hands it to [`pcap::walk_records`] as it stands.
     pending: Vec<u8>,
-    /// Parsed the 24-byte global header yet?
-    header_done: bool,
-    /// Sub-second field scale (1e-6 for usec captures, 1e-9 for nsec),
-    /// applied by *multiplication* — the identical arithmetic to
-    /// [`nettrace::pcap`]'s reader, so a tailed capture yields
-    /// bit-identical timestamps to offline extraction.
-    ts_scale: f64,
+    /// Reused per-pump list of the complete records found in `pending`.
+    spans: Vec<PacketSpan>,
     /// Keep polling for growth after EOF (`tail -f`), or report
     /// [`PumpOutcome::Exhausted`] once the file is drained.
     follow: bool,
@@ -118,7 +112,8 @@ enum Backend {
 pub struct CaptureSource {
     backend: Backend,
     config: CaptureConfig,
-    flows: BTreeMap<FlowKey, Flow>,
+    /// Keyed by [`nettrace::reassembly::FlowKey::connection_id`].
+    flows: BTreeMap<(Endpoint, Endpoint), Flow>,
     stats: SourceStats,
     report: IngestReport,
     shut: bool,
@@ -140,8 +135,7 @@ impl CaptureSource {
                 file,
                 path: path.to_path_buf(),
                 pending: Vec::new(),
-                header_done: false,
-                ts_scale: 1e-6,
+                spans: Vec::new(),
                 follow,
             }),
             config,
@@ -176,40 +170,30 @@ impl CaptureSource {
         self.flows.len()
     }
 
-    /// Parses one captured frame down to TCP and routes it to its
-    /// flow. Non-IPv4/non-TCP frames are skipped silently (they are
-    /// not losses); filtered-out ports never create flows.
+    /// Decodes one captured frame down to TCP and routes it to its
+    /// flow. Non-IPv4/non-TCP frames are counted, not lost; filtered-out
+    /// ports never create flows.
     fn handle_frame(&mut self, ts: f64, frame: &[u8], out: &mut Vec<HttpTransaction>) {
         self.report.packets_read += 1;
-        let Ok(eth) = ether::EtherFrame::parse(frame) else {
-            self.report.packets_dropped_decode += 1;
-            return;
+        let (flow_key, seg) = match decode_frame(frame) {
+            Ok(Some(decoded)) => decoded,
+            Ok(None) => {
+                self.report.packets_non_tcp += 1;
+                return;
+            }
+            Err(_) => {
+                self.report.packets_dropped_decode += 1;
+                return;
+            }
         };
-        if eth.ethertype != ether::ETHERTYPE_IPV4 {
-            self.report.packets_non_tcp += 1;
-            return;
-        }
-        let Ok(ip) = ipv4::Ipv4Packet::parse(eth.payload) else {
-            self.report.packets_dropped_decode += 1;
-            return;
-        };
-        if ip.protocol != ipv4::PROTO_TCP {
-            self.report.packets_non_tcp += 1;
-            return;
-        }
-        let Ok(seg) = tcp::TcpSegment::parse(ip.payload) else {
-            self.report.packets_dropped_decode += 1;
-            return;
-        };
-        let src = Endpoint::new(ip.src, seg.src_port);
-        let dst = Endpoint::new(ip.dst, seg.dst_port);
+        let (src, dst) = (flow_key.src, flow_key.dst);
         if !self.config.ports.is_empty()
             && !self.config.ports.contains(&src.port)
             && !self.config.ports.contains(&dst.port)
         {
             return;
         }
-        let key = flow_key(src, dst);
+        let key = flow_key.connection_id();
         let flow = match self.flows.get_mut(&key) {
             Some(f) => f,
             None => {
@@ -237,7 +221,9 @@ impl CaptureSource {
         let dir = if from_client { TapDir::Request } else { TapDir::Response };
         let state = if from_client { &mut flow.c2s } else { &mut flow.s2c };
         if seg.flags.syn {
-            state.next_seq = Some(seg.seq.wrapping_add(1));
+            let first = seg.seq.wrapping_add(1);
+            state.next_seq = Some(first);
+            state.origin.get_or_insert(first);
         }
         if !seg.payload.is_empty() {
             deliver_in_order(
@@ -266,14 +252,18 @@ impl CaptureSource {
         }
     }
 
-    /// Pumps the pcap-tail backend: read new bytes, parse complete
-    /// records, leave the partial tail pending.
-    fn pump_pcap(&mut self, out: &mut Vec<HttpTransaction>) -> nettrace::Result<PumpOutcome> {
-        let tail = match &mut self.backend {
+    fn tail(&mut self) -> &mut PcapTail {
+        match &mut self.backend {
             Backend::PcapTail(t) => t,
             #[cfg(target_os = "linux")]
-            Backend::Live { .. } => unreachable!("pump_pcap on live backend"),
-        };
+            Backend::Live { .. } => unreachable!("pcap tail on live backend"),
+        }
+    }
+
+    /// Pumps the pcap-tail backend: read new bytes, handle the complete
+    /// records, leave the partial tail pending.
+    fn pump_pcap(&mut self, out: &mut Vec<HttpTransaction>) -> nettrace::Result<PumpOutcome> {
+        let tail = self.tail();
         let mut chunk = [0u8; 64 * 1024];
         let mut read_any = false;
         loop {
@@ -290,61 +280,35 @@ impl CaptureSource {
                 Err(e) => return Err(Error::Io(e)),
             }
         }
-        if !tail.header_done {
-            if tail.pending.len() < PCAP_HEADER_LEN {
-                return Ok(if tail.follow { PumpOutcome::Idle } else { PumpOutcome::Exhausted });
-            }
-            let magic = u32::from_le_bytes(tail.pending[..4].try_into().expect("4 bytes"));
-            tail.ts_scale = match magic {
-                pcap::MAGIC_USEC => 1e-6,
-                MAGIC_NSEC => 1e-9,
-                other => return Err(Error::BadPcapMagic(other)),
-            };
-            tail.pending.drain(..PCAP_HEADER_LEN);
-            tail.header_done = true;
+        let starved = if tail.follow { PumpOutcome::Idle } else { PumpOutcome::Exhausted };
+        if tail.pending.len() < pcap::HEADER_LEN {
+            return Ok(starved);
         }
-        // Parse complete records; a record split at the end of file
-        // stays pending for the next pump (the writer is mid-append).
-        let mut consumed = 0;
-        let mut frames = 0;
-        let mut parsed: Vec<(f64, usize, usize)> = Vec::new();
-        while frames < FRAMES_PER_SLICE {
-            let rest = &tail.pending[consumed..];
-            if rest.len() < PCAP_RECORD_LEN {
-                break;
+        // Frames are handled with `self` borrowed whole, so the buffers
+        // step outside it for the duration.
+        let mut pending = std::mem::take(&mut tail.pending);
+        let mut spans = std::mem::take(&mut tail.spans);
+        spans.clear();
+        let end = pcap::walk_records(&pending, FRAMES_PER_SLICE, |ts, range| {
+            spans.push(PacketSpan { ts, range });
+        });
+        // The tail's policy over the walker's stop: corruption is as
+        // fatal as under strict ingest (classic pcap cannot be re-framed
+        // past it), while a record split at the end of file stays
+        // pending for the next pump — the writer is mid-append.
+        let verdict = end.strict();
+        if verdict.is_ok() {
+            for span in &spans {
+                self.handle_frame(span.ts, span.bytes(&pending), out);
             }
-            let sec = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-            let frac = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-            let incl = u32::from_le_bytes(rest[8..12].try_into().expect("4 bytes")) as usize;
-            if incl as u32 > pcap::MAX_CAPTURE_LEN {
-                return Err(Error::BadCaptureLength(incl as u32));
-            }
-            if rest.len() < PCAP_RECORD_LEN + incl {
-                break;
-            }
-            let ts = f64::from(sec) + f64::from(frac) * tail.ts_scale;
-            parsed.push((ts, consumed + PCAP_RECORD_LEN, incl));
-            consumed += PCAP_RECORD_LEN + incl;
-            frames += 1;
+            pending.drain(pcap::HEADER_LEN..end.at);
         }
-        // Frames are handled after the borrow of `tail` ends.
-        let records: Vec<(f64, Vec<u8>)> = parsed
-            .into_iter()
-            .map(|(ts, off, len)| (ts, tail.pending[off..off + len].to_vec()))
-            .collect();
-        tail.pending.drain(..consumed);
-        let follow = tail.follow;
-        let more_buffered = tail.pending.len() >= PCAP_RECORD_LEN;
-        for (ts, frame) in &records {
-            self.handle_frame(*ts, frame, out);
-        }
-        if !records.is_empty() || read_any {
-            Ok(PumpOutcome::Progress)
-        } else if follow || more_buffered {
-            Ok(PumpOutcome::Idle)
-        } else {
-            Ok(PumpOutcome::Exhausted)
-        }
+        let progressed = !spans.is_empty() || read_any;
+        let tail = self.tail();
+        tail.pending = pending;
+        tail.spans = spans;
+        verdict?;
+        Ok(if progressed { PumpOutcome::Progress } else { starved })
     }
 
     #[cfg(target_os = "linux")]
@@ -387,6 +351,7 @@ fn deliver_in_order(
     out: &mut Vec<HttpTransaction>,
 ) {
     let next = *state.next_seq.get_or_insert(seq);
+    let origin = *state.origin.get_or_insert(next);
     let ahead = seq.wrapping_sub(next);
     if ahead == 0 {
         stats.bytes_in += payload.len() as u64;
@@ -398,7 +363,8 @@ fn deliver_in_order(
             stats.source_drops += 1;
             return;
         }
-        state.ooo.entry(seq).or_insert_with(|| payload.to_vec());
+        let distance = u64::from(seq.wrapping_sub(origin));
+        state.ooo.entry(distance).or_insert_with(|| payload.to_vec());
         return;
     } else {
         // Overlap/retransmission: deliver only the unseen suffix.
@@ -412,11 +378,12 @@ fn deliver_in_order(
     }
     // Drain buffered segments that became contiguous.
     while let Some(next_seq) = state.next_seq {
-        let Some((&s, _)) = state.ooo.iter().next() else { break };
+        let Some((&distance, _)) = state.ooo.iter().next() else { break };
+        let s = origin.wrapping_add(distance as u32);
         let ahead = s.wrapping_sub(next_seq);
         if ahead >= 0x8000_0000 {
             // Entirely stale now.
-            let data = state.ooo.remove(&s).expect("present");
+            let data = state.ooo.remove(&distance).expect("present");
             let trim = next_seq.wrapping_sub(s) as usize;
             if trim < data.len() {
                 stats.bytes_in += (data.len() - trim) as u64;
@@ -428,7 +395,7 @@ fn deliver_in_order(
         if ahead != 0 {
             break;
         }
-        let data = state.ooo.remove(&s).expect("present");
+        let data = state.ooo.remove(&distance).expect("present");
         stats.bytes_in += data.len() as u64;
         tap.offer(dir, &data, ts, report, out);
         state.next_seq = Some(s.wrapping_add(data.len() as u32));
@@ -473,9 +440,7 @@ impl TrafficSource for CaptureSource {
     }
 
     fn ingest_report(&self) -> IngestReport {
-        let mut report = IngestReport::new();
-        report.merge(&self.report);
-        report
+        self.report
     }
 }
 
@@ -496,10 +461,12 @@ impl std::fmt::Debug for CaptureSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nettrace::ether::MacAddr;
-    use nettrace::tcp::TcpFlags;
+    use nettrace::ether::{self, MacAddr};
+    use nettrace::tcp::{self, TcpFlags};
     use nettrace::transaction::assign_seq;
+    use nettrace::{ipv4, SpanPipeline};
     use std::io::Write;
+    use std::net::Ipv4Addr;
     use synthtraffic::wire::{episodes_pcap, wire_episode_set};
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -535,7 +502,7 @@ mod tests {
         assign_seq(&mut out);
 
         let mut report = IngestReport::new();
-        let offline = nettrace::SpanPipeline::new().extract_lenient(&bytes, &mut report);
+        let offline = SpanPipeline::extract_capture_lenient(&bytes, &mut report);
         assert_eq!(out.len(), offline.len(), "transaction count");
         assert!(!out.is_empty());
         for (wire, off) in out.iter().zip(&offline) {
@@ -550,7 +517,7 @@ mod tests {
     fn tail_retries_partial_records_across_appends() {
         let episodes = wire_episode_set(22, 1, 0);
         let bytes = episodes_pcap(&episodes).expect("render pcap");
-        let split = PCAP_HEADER_LEN + PCAP_RECORD_LEN / 2; // mid first record header
+        let split = pcap::HEADER_LEN + 8; // mid first record header
         let path = tmp_path("tail.pcap");
         std::fs::write(&path, &bytes[..split]).unwrap();
 
@@ -575,7 +542,7 @@ mod tests {
         src.shutdown(&mut out);
 
         let mut report = IngestReport::new();
-        let offline = nettrace::SpanPipeline::new().extract_lenient(&bytes, &mut report);
+        let offline = SpanPipeline::extract_capture_lenient(&bytes, &mut report);
         assert_eq!(out.len(), offline.len());
         std::fs::remove_file(&path).ok();
     }
@@ -648,6 +615,121 @@ mod tests {
         assert_eq!(out.len(), 1, "one unanswered request");
         assert_eq!(out[0].status, 0);
         assert_eq!(out[0].host, "dup.test");
+    }
+
+    /// A stream whose sequence numbers wrap past 2³² mid-message still
+    /// reassembles, whatever order its segments arrive in: the OOO
+    /// buffer orders by distance from the direction's origin, so the
+    /// post-wrap segment (raw seq `0x…`) cannot jump ahead of the
+    /// pre-wrap one the stream is waiting for.
+    #[test]
+    fn sequence_wrap_does_not_stall_the_ooo_buffer() {
+        let client = (Ipv4Addr::new(10, 0, 0, 8), 30004u16);
+        let server = (Ipv4Addr::new(93, 0, 0, 4), 80u16);
+        let isn = 0xFFFF_FF00u32;
+        let mut req = b"GET /wrap HTTP/1.1\r\nHost: wrap.test\r\nX-Pad: ".to_vec();
+        req.resize(0x1f0, b'p');
+        req.extend_from_slice(b"\r\n\r\n");
+        // Three segments: the second ends exactly at the wrap, the third
+        // starts at sequence number 0.
+        let first = isn.wrapping_add(1);
+        let cuts = [0usize, 0x80, 0xff, req.len()];
+        assert_eq!(first.wrapping_add(cuts[2] as u32), 0, "third segment sits past the wrap");
+        let segment = |i: usize| {
+            let seq = first.wrapping_add(cuts[i] as u32);
+            frame(client, server, seq, TcpFlags::data(), &req[cuts[i]..cuts[i + 1]])
+        };
+        // 3-1-2 holds one segment across the wrap; 3-2-1 holds two, which
+        // is the order raw-sequence keys get wrong.
+        for order in [[2, 0, 1], [2, 1, 0]] {
+            let mut src = empty_source(CaptureConfig::default());
+            let mut out = Vec::new();
+            src.handle_frame(1.0, &frame(client, server, isn, TcpFlags::syn(), &[]), &mut out);
+            for (n, i) in order.into_iter().enumerate() {
+                src.handle_frame(1.1 + n as f64 * 0.1, &segment(i), &mut out);
+            }
+            src.shutdown(&mut out);
+            assert_eq!(out.len(), 1, "order {order:?}: one request, one transaction");
+            assert_eq!(out[0].uri, "/wrap");
+            assert_eq!(out[0].host, "wrap.test");
+            assert_eq!(src.stats().source_drops, 0, "order {order:?}");
+            assert_eq!(src.stats().bytes_in, req.len() as u64, "order {order:?}");
+        }
+    }
+
+    /// One magic table: the same capture stored with microsecond or
+    /// nanosecond timestamps, in either byte order, yields bit-identical
+    /// transactions through the offline pipeline and through the tail.
+    #[test]
+    fn all_four_pcap_magic_variants_read_identically_offline_and_tailed() {
+        let episodes = wire_episode_set(23, 1, 1);
+        let native = episodes_pcap(&episodes).expect("render pcap");
+        let mut report = IngestReport::new();
+        let reference = SpanPipeline::extract_capture_lenient(&native, &mut report);
+        assert!(!reference.is_empty());
+
+        // The same packets under each header layout: every integer field
+        // in the variant's byte order, sub-second ticks at its resolution.
+        let packets = nettrace::capture::read_packets(&native).unwrap();
+        let variant = |magic: u32, big_endian: bool, ticks_per_usec: u32| {
+            let put = |out: &mut Vec<u8>, fields: &[u32]| {
+                for v in fields {
+                    out.extend_from_slice(&if big_endian { v.to_be_bytes() } else { v.to_le_bytes() });
+                }
+            };
+            let mut out = Vec::with_capacity(native.len());
+            // magic, version, thiszone, sigfigs, snaplen, linktype
+            put(&mut out, &[magic, 0, 0, 0, 65535, pcap::LINKTYPE_ETHERNET]);
+            for p in &packets {
+                let sec = p.ts.floor();
+                let ticks = ((p.ts - sec) * 1e6).round() as u32 * ticks_per_usec;
+                let len = p.data.len() as u32;
+                put(&mut out, &[sec as u32, ticks, len, len]);
+                out.extend_from_slice(&p.data);
+            }
+            out
+        };
+        for (name, magic, big_endian, ticks) in [
+            ("usec-le", pcap::MAGIC_USEC, false, 1),
+            ("usec-be", pcap::MAGIC_USEC, true, 1),
+            ("nsec-le", pcap::MAGIC_NSEC, false, 1000),
+            ("nsec-be", pcap::MAGIC_NSEC, true, 1000),
+        ] {
+            let bytes = variant(magic, big_endian, ticks);
+            let mut report = IngestReport::new();
+            let offline = SpanPipeline::extract_capture_lenient(&bytes, &mut report);
+            assert_eq!(offline, reference, "{name}: offline pipeline");
+            assert!(SpanPipeline::extract_capture_strict(&bytes).is_ok(), "{name}: strict");
+
+            let path = tmp_path(&format!("{name}.pcap"));
+            std::fs::write(&path, &bytes).unwrap();
+            let mut src =
+                CaptureSource::pcap_file(&path, false, CaptureConfig::default()).unwrap();
+            let mut tailed = Vec::new();
+            pump_to_exhaustion(&mut src, &mut tailed);
+            src.shutdown(&mut tailed);
+            tailed.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+            assign_seq(&mut tailed);
+            assert_eq!(tailed, reference, "{name}: capture source");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A non-follow capture that ends mid-record is exhausted, not idle
+    /// forever: the tail keeps the partial record pending, and with no
+    /// writer to wait for that is the end.
+    #[test]
+    fn truncated_capture_without_follow_exhausts() {
+        let episodes = wire_episode_set(24, 1, 0);
+        let bytes = episodes_pcap(&episodes).expect("render pcap");
+        let path = tmp_path("cut.pcap");
+        std::fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
+        let mut src = CaptureSource::pcap_file(&path, false, CaptureConfig::default()).unwrap();
+        let mut out = Vec::new();
+        pump_to_exhaustion(&mut src, &mut out);
+        src.shutdown(&mut out);
+        assert!(!out.is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     /// The BPF-style port filter keeps non-web flows out of the flow

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use dynaminer::detector::{DetectorConfig, OnTheWireDetector};
 use nettrace::http::HeaderMap;
-use nettrace::{HttpTransaction, TransactionExtractor};
+use nettrace::{HttpTransaction, SpanPipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synthtraffic::episode::generate_infection;
@@ -49,8 +49,7 @@ fn pcap_with_coding(ep: &Episode, coding: Option<&str>) -> Vec<u8> {
 }
 
 fn extract(pcap: &[u8]) -> Vec<HttpTransaction> {
-    let packets = nettrace::capture::read_packets(pcap).unwrap();
-    TransactionExtractor::extract(&packets).unwrap()
+    SpanPipeline::extract_capture_strict(pcap).unwrap()
 }
 
 /// Serialized transactions with the two headers that legitimately

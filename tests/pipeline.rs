@@ -5,8 +5,7 @@
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::features;
 use dynaminer::wcg::Wcg;
-use nettrace::pcap::PcapReader;
-use nettrace::TransactionExtractor;
+use nettrace::SpanPipeline;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synthtraffic::benign::generate_benign;
@@ -15,9 +14,7 @@ use synthtraffic::pcapgen::episode_pcap;
 use synthtraffic::{BenignScenario, EkFamily};
 
 fn reparse(ep: &synthtraffic::Episode) -> Vec<nettrace::HttpTransaction> {
-    let bytes = episode_pcap(ep).expect("serialize");
-    let packets = PcapReader::new(bytes.as_slice()).unwrap().collect_packets().unwrap();
-    TransactionExtractor::extract(&packets).unwrap()
+    SpanPipeline::extract_capture_strict(&episode_pcap(ep).expect("serialize")).unwrap()
 }
 
 #[test]

@@ -147,16 +147,9 @@ proptest! {
 
     #[test]
     fn pcap_roundtrips(packets in vec((0.0f64..2e9, vec(any::<u8>(), 0..100)), 0..20)) {
-        let mut buf = Vec::new();
-        let mut w = nettrace::pcap::PcapWriter::new(&mut buf).unwrap();
-        for (ts, data) in &packets {
-            w.write_packet(&nettrace::pcap::Packet::new(*ts, data.clone())).unwrap();
-        }
-        w.finish().unwrap();
-        let got = nettrace::pcap::PcapReader::new(buf.as_slice())
-            .unwrap()
-            .collect_packets()
-            .unwrap();
+        let owned: Vec<nettrace::pcap::Packet> =
+            packets.iter().map(|(ts, data)| nettrace::pcap::Packet::new(*ts, data.clone())).collect();
+        let got = nettrace::capture::read_packets(&nettrace::pcap::write_packets(&owned)).unwrap();
         prop_assert_eq!(got.len(), packets.len());
         for ((ts, data), p) in packets.iter().zip(&got) {
             prop_assert_eq!(&p.data, data);
@@ -173,10 +166,8 @@ proptest! {
     #[test]
     fn capture_readers_never_panic_on_garbage(bytes in vec(any::<u8>(), 0..400)) {
         let _ = nettrace::capture::read_packets(&bytes);
-        let _ = nettrace::pcapng::read_packets(&bytes);
-        if let Ok(reader) = nettrace::pcap::PcapReader::new(bytes.as_slice()) {
-            let _ = reader.collect_packets();
-        }
+        let _ = nettrace::pcapng::walk_blocks(&bytes, &mut nettrace::IngestReport::new(), |_, _| {});
+        let _ = nettrace::pcap::walk_records(&bytes, usize::MAX, |_, _| {});
     }
 
     #[test]
@@ -189,7 +180,7 @@ proptest! {
         );
         let idx = flip % bytes.len();
         bytes[idx] ^= 0x55;
-        let _ = nettrace::pcapng::read_packets(&bytes); // Ok or Err, no panic
+        let _ = nettrace::capture::read_packets(&bytes); // Ok or Err, no panic
     }
 
     #[test]
@@ -216,7 +207,7 @@ proptest! {
     ) {
         let packets: Vec<nettrace::pcap::Packet> =
             raw.into_iter().enumerate().map(|(i, d)| nettrace::pcap::Packet::new(i as f64, d)).collect();
-        let _ = nettrace::TransactionExtractor::extract(&packets);
+        let _ = nettrace::SpanPipeline::extract_capture_strict(&nettrace::pcap::write_packets(&packets));
     }
 
     #[test]
@@ -233,9 +224,7 @@ proptest! {
             bytes[at] ^= x;
         }
         let mut report = nettrace::IngestReport::new();
-        let packets = nettrace::capture::read_packets_lenient(&bytes, &mut report);
-        prop_assert_eq!(packets.len() as u64, report.packets_read);
-        let txs = nettrace::TransactionExtractor::extract_lenient(&packets, &mut report);
+        let txs = nettrace::SpanPipeline::extract_capture_lenient(&bytes, &mut report);
         prop_assert_eq!(txs.len() as u64, report.transactions_recovered);
         prop_assert!(
             report.packets_dropped_decode + report.packets_non_tcp <= report.packets_read
