@@ -125,22 +125,36 @@ fn bench_forest(c: &mut Criterion) {
 }
 
 fn bench_flate(c: &mut Criterion) {
-    // A typical gzipped HTML landing page body.
-    let mut rng = StdRng::seed_from_u64(21);
-    let body: Vec<u8> = {
-        use rand::Rng;
-        let mut v = b"<!DOCTYPE html><html>".to_vec();
-        while v.len() < 64 * 1024 {
-            v.push(rng.gen_range(b' '..b'~'));
-        }
-        v
+    // One entry per decode kernel, each over 64 KiB of output: a stored
+    // block (copy + CRC, no Huffman decode), fixed-code literals (the
+    // table lookup alone), what zlib -6 makes of an HTML page (dynamic
+    // tables, matches), and the checksum by itself.
+    let page = nettrace::flate::deflate_decompress(include_bytes!(
+        "../../../tests/golden/flate/html_l6.zlib"
+    ))
+    .unwrap();
+    assert_eq!(page.len(), 64 * 1024);
+    let gzip_around = |deflate: Vec<u8>| {
+        let mut gz = vec![0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0, 0, 0xff];
+        gz.extend(deflate);
+        gz.extend(nettrace::flate::crc32(&page).to_le_bytes());
+        gz.extend((page.len() as u32).to_le_bytes());
+        gz
     };
-    let gz = nettrace::flate::gzip_compress(&body);
+    let stored = nettrace::flate::gzip_compress(&page);
+    let fixed = gzip_around(nettrace::flate::deflate_fixed_literals(&page));
+    let dynamic: &[u8] = include_bytes!("../../../tests/golden/flate/html_l9_hdr.gz");
     let mut group = c.benchmark_group("flate");
-    group.throughput(Throughput::Bytes(body.len() as u64));
-    group.bench_function("gzip_decompress_64k", |b| {
-        b.iter(|| nettrace::flate::gzip_decompress(&gz).unwrap().len())
-    });
+    group.throughput(Throughput::Bytes(page.len() as u64));
+    for (name, gz) in
+        [("stored_64k", &stored[..]), ("fixed_literals_64k", &fixed[..]), ("dynamic_matches_64k", dynamic)]
+    {
+        assert_eq!(nettrace::flate::gzip_decompress(gz).unwrap(), page);
+        group.bench_function(name, |b| {
+            b.iter(|| nettrace::flate::gzip_decompress(gz).unwrap().len())
+        });
+    }
+    group.bench_function("crc32_64k", |b| b.iter(|| nettrace::flate::crc32(&page)));
     group.finish();
 }
 

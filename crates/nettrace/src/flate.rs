@@ -1,142 +1,143 @@
-//! DEFLATE (RFC 1951) decompression and gzip (RFC 1952) framing, from
-//! scratch.
+//! DEFLATE (RFC 1951) decompression with gzip (RFC 1952) and zlib
+//! (RFC 1950) framing, from scratch.
 //!
 //! Real-world HTTP responses routinely arrive `Content-Encoding: gzip`,
 //! and the redirect evidence DynaMiner mines (meta-refresh tags,
-//! obfuscated JavaScript) hides inside those compressed bodies. The
-//! transaction extractor uses [`gzip_decompress`] to recover the decoded
-//! entity body.
+//! obfuscated JavaScript) hides inside those compressed bodies, so this
+//! decoder sits on the wire-to-verdict path: the decode gate in
+//! [`crate::transaction`] calls [`gzip_decompress_capped`] and
+//! [`deflate_decompress_capped`] for every coded body.
 //!
-//! The decompressor handles all three block types (stored, fixed Huffman,
-//! dynamic Huffman). The compressor side is intentionally minimal — a
-//! stored-block encoder and a fixed-Huffman literal encoder — enough for
+//! # Decode kernels
+//!
+//! * **Bits** come from a 64-bit buffer refilled by one unaligned 8-byte
+//!   little-endian load (`Bits::refill`); a refill leaves at least 56
+//!   valid bits, enough for a whole length/distance pair (at most 48).
+//! * **Symbols** come from two-level tables of packed `u32` entries
+//!   (`build_table`): a 10-bit primary table for literals/lengths and
+//!   an 8-bit one for distances, each followed by the subtables of codes
+//!   longer than that. An entry carries the bits to consume, the literal
+//!   byte or the length/distance base, and the count of extra bits, so
+//!   decoding a symbol is one load, a shift and a mask. The fixed code's
+//!   tables are built once per process; a dynamic block rebuilds into
+//!   fixed-size arrays on the stack, without allocating.
+//! * **Two loops** share those tables. The fast loop runs while
+//!   `IN_MARGIN` (16) input bytes and `OUT_MARGIN` (314) output bytes
+//!   remain, so it never asks whether a load, a literal or a whole
+//!   258-byte match (copied in 8-byte words that may overshoot by 7)
+//!   fits. Within the margins the careful loop decodes one symbol at a
+//!   time and checks every bit against the end of input and every byte
+//!   against the cap; truncation, bad distances and the cap are reported
+//!   from there exactly as the bit-at-a-time decoder reported them.
+//! * **Output** is a window that is never longer than the caller's cap,
+//!   sized up front from the gzip ISIZE field when there is one — clamped
+//!   to the cap and to what the input could possibly expand to — and
+//!   doubled when a stream outgrows it. A stream is refused with
+//!   [`crate::Error::DecodedTooLarge`] at the byte that would pass the
+//!   cap, on every output path.
+//! * **Checksums**: [`crc32`] is slicing-by-16 over tables built at
+//!   compile time. [`adler32`] stays the plain two-sum loop: the compiler
+//!   vectorizes it, and hand-unrolled forms measured slower.
+//!
+//! The bit-at-a-time decoder these replaced lives on in `reference.rs`
+//! for tests only: every stream either decodes to the same bytes under
+//! both or fails under both with the same class of error.
+//!
+//! The compressor side is intentionally minimal — a stored-block encoder,
+//! a fixed-Huffman literal encoder and a run encoder — enough for
 //! round-trip tests and for re-encoding synthetic bodies on the wire.
 
+#![forbid(unsafe_code)]
+
 use crate::{Error, Result};
+use std::sync::OnceLock;
+
+#[cfg(test)]
+mod reference;
+#[cfg(test)]
+mod tests;
 
 fn corrupt(msg: &str) -> Error {
     Error::HttpSyntax(format!("deflate: {msg}"))
 }
 
 // ---------------------------------------------------------------------
-// Bit reader (LSB-first, as DEFLATE requires).
+// Bit input (LSB-first, as DEFLATE requires).
 // ---------------------------------------------------------------------
 
-struct BitReader<'a> {
+/// The input as a bit stream: `buf` holds the `cnt` bits that precede
+/// byte `pos`, lowest bit first. Bits of `buf` above `cnt` are either
+/// zero or a copy of the stream bits that the next refill will put there.
+struct Bits<'a> {
     data: &'a [u8],
-    byte: usize,
-    bit: u32,
+    pos: usize,
+    buf: u64,
+    cnt: u32,
 }
 
-impl<'a> BitReader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        BitReader { data, byte: 0, bit: 0 }
+impl<'a> Bits<'a> {
+    /// Tops the buffer up to at least 56 bits, or to the end of input.
+    #[inline(always)]
+    fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+            self.buf |= word << self.cnt;
+            self.pos += ((63 - self.cnt) >> 3) as usize;
+            self.cnt |= 56;
+        } else {
+            while self.cnt < 56 && self.pos < self.data.len() {
+                self.buf |= u64::from(self.data[self.pos]) << self.cnt;
+                self.pos += 1;
+                self.cnt += 8;
+            }
+        }
     }
 
-    fn read_bit(&mut self) -> Result<u32> {
-        let b = *self.data.get(self.byte).ok_or_else(|| corrupt("unexpected end of input"))?;
-        let v = (b >> self.bit) & 1;
-        self.bit += 1;
-        if self.bit == 8 {
-            self.bit = 0;
-            self.byte += 1;
-        }
-        Ok(v as u32)
+    /// Drops `n` bits that a table entry or a field read from `buf`, where
+    /// the caller knows the buffer holds them.
+    #[inline(always)]
+    fn skip(&mut self, n: u32) {
+        self.buf >>= n;
+        self.cnt -= n;
     }
 
-    /// Reads `n` bits, LSB first (for extra-bit fields).
-    fn read_bits(&mut self, n: u32) -> Result<u32> {
-        let mut v = 0u32;
-        for i in 0..n {
-            v |= self.read_bit()? << i;
+    /// [`Bits::skip`] where the input may have ended short of them.
+    #[inline(always)]
+    fn consume(&mut self, n: u32) -> Result<()> {
+        if n > self.cnt {
+            return Err(corrupt("unexpected end of input"));
         }
+        self.skip(n);
+        Ok(())
+    }
+
+    /// The lowest `n` bits of the buffer (`n` ≤ 15), not yet consumed.
+    #[inline(always)]
+    fn peek(&self, n: u32) -> usize {
+        (self.buf & ((1 << n) - 1)) as usize
+    }
+
+    /// Reads an `n`-bit field (`n` ≤ 15), LSB first.
+    fn take(&mut self, n: u32) -> Result<usize> {
+        if self.cnt < n {
+            self.refill();
+        }
+        let v = self.peek(n);
+        self.consume(n)?;
         Ok(v)
     }
 
-    /// Skips to the next byte boundary (stored blocks).
-    fn align(&mut self) {
-        if self.bit != 0 {
-            self.bit = 0;
-            self.byte += 1;
-        }
-    }
-
-    fn take_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let start = self.byte;
-        let end = start.checked_add(n).ok_or_else(|| corrupt("length overflow"))?;
-        if end > self.data.len() {
-            return Err(corrupt("stored block truncated"));
-        }
-        self.byte = end;
-        Ok(&self.data[start..end])
+    /// Skips to the next byte boundary and hands the whole bytes still in
+    /// the buffer back to `pos` (stored blocks).
+    fn align_to_byte(&mut self) {
+        self.pos -= (self.cnt / 8) as usize;
+        self.buf = 0;
+        self.cnt = 0;
     }
 }
 
 // ---------------------------------------------------------------------
-// Canonical Huffman decoding.
-// ---------------------------------------------------------------------
-
-/// A canonical Huffman table built from per-symbol code lengths.
-struct Huffman {
-    /// counts[len] = number of codes of that length.
-    counts: [u16; 16],
-    /// Symbols ordered by (length, symbol) — canonical order.
-    symbols: Vec<u16>,
-}
-
-impl Huffman {
-    fn from_lengths(lengths: &[u8]) -> Result<Huffman> {
-        let mut counts = [0u16; 16];
-        for &l in lengths {
-            if l as usize >= 16 {
-                return Err(corrupt("code length out of range"));
-            }
-            counts[l as usize] += 1;
-        }
-        counts[0] = 0;
-        // Over-subscription check.
-        let mut left = 1i32;
-        for &count in &counts[1..16] {
-            left <<= 1;
-            left -= count as i32;
-            if left < 0 {
-                return Err(corrupt("over-subscribed code"));
-            }
-        }
-        let mut offsets = [0u16; 16];
-        for len in 1..15 {
-            offsets[len + 1] = offsets[len] + counts[len];
-        }
-        let mut symbols = vec![0u16; lengths.iter().filter(|&&l| l > 0).count()];
-        for (sym, &l) in lengths.iter().enumerate() {
-            if l > 0 {
-                symbols[offsets[l as usize] as usize] = sym as u16;
-                offsets[l as usize] += 1;
-            }
-        }
-        Ok(Huffman { counts, symbols })
-    }
-
-    fn decode(&self, r: &mut BitReader<'_>) -> Result<u16> {
-        let mut code = 0i32;
-        let mut first = 0i32;
-        let mut index = 0i32;
-        for len in 1..16 {
-            code |= r.read_bit()? as i32;
-            let count = self.counts[len] as i32;
-            if code - first < count {
-                return Ok(self.symbols[(index + (code - first)) as usize]);
-            }
-            index += count;
-            first = (first + count) << 1;
-            code <<= 1;
-        }
-        Err(corrupt("invalid huffman code"))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Inflate.
+// Decode tables.
 // ---------------------------------------------------------------------
 
 /// Length-code base values and extra bits (codes 257–285).
@@ -159,15 +160,341 @@ const DIST_EXTRA: [u8; 30] = [
 const CLC_ORDER: [usize; 19] =
     [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15];
 
+// A table entry, low bits to high:
+//
+//   0..=3    bits to consume: the codeword's length, or what is left of it
+//            after a subtable pointer took the primary table's share
+//   8..=11   extra bits that follow a length or distance codeword; for a
+//            subtable pointer, the width of the subtable's index
+//   12..=15  PENDING (while building), END_OF_BLOCK, SUBTABLE, EXCEPTIONAL
+//   16..=30  the length or distance base, the literal byte, the
+//            code-length symbol, or a subtable's offset in the table
+//   31       LITERAL
+//
+// EXCEPTIONAL marks everything that is not a literal, length or distance:
+// with SUBTABLE a pointer, with END_OF_BLOCK symbol 256, alone a bit
+// pattern no codeword starts with (an incomplete code, or one of the
+// symbols 286, 287, 30 and 31 that have a codeword but no meaning).
+const LITERAL: u32 = 1 << 31;
+const EXCEPTIONAL: u32 = 1 << 15;
+const SUBTABLE: u32 = 1 << 14;
+const END_OF_BLOCK: u32 = 1 << 13;
+const PENDING: u32 = 1 << 12;
+
+#[inline(always)]
+fn code_bits(entry: u32) -> u32 {
+    entry & 0xf
+}
+
+#[inline(always)]
+fn extra_bits(entry: u32) -> u32 {
+    (entry >> 8) & 0xf
+}
+
+#[inline(always)]
+fn payload(entry: u32) -> usize {
+    ((entry >> 16) & 0x7fff) as usize
+}
+
+const LITLEN_BITS: u32 = 10;
+const DIST_BITS: u32 = 8;
+const CLC_BITS: u32 = 7;
+
+// Room for the subtables. Canonical codes fill code space from zero in
+// order of length, so the codes under one primary index are consecutive
+// and never get shorter from one index to the next. A subtable whose codes
+// all have one length has as many entries as symbols; one that spans a
+// change of length has at most 2^(its longest length - primary bits)
+// entries, and no two of those share a longest length; the last may be
+// partly filled. That bounds the entries by
+// symbols + (2^(16 - bits) - 4) + 2^(15 - bits): 288 + 60 + 32 and
+// 30 + 252 + 128.
+const LITLEN_LEN: usize = (1 << LITLEN_BITS) + 384;
+const DIST_LEN: usize = (1 << DIST_BITS) + 416;
+
+fn litlen_entry(sym: usize) -> u32 {
+    match sym {
+        0..=255 => LITERAL | (sym as u32) << 16,
+        256 => EXCEPTIONAL | END_OF_BLOCK,
+        257..=285 => {
+            u32::from(LENGTH_BASE[sym - 257]) << 16 | u32::from(LENGTH_EXTRA[sym - 257]) << 8
+        }
+        _ => EXCEPTIONAL,
+    }
+}
+
+fn dist_entry(sym: usize) -> u32 {
+    match sym {
+        0..=29 => u32::from(DIST_BASE[sym]) << 16 | u32::from(DIST_EXTRA[sym]) << 8,
+        _ => EXCEPTIONAL,
+    }
+}
+
+fn clc_entry(sym: usize) -> u32 {
+    (sym as u32) << 16
+}
+
+/// Builds the decode table of the canonical code with these per-symbol
+/// codeword `lengths` (0 = unused, at most 15): `table[..1 << root]` is
+/// indexed by the next `root` input bits; codewords longer than `root`
+/// go through a subtable pointer. `entry_of` gives a symbol's entry less
+/// its bit count. Incomplete codes are accepted, as the bit-at-a-time
+/// decoder accepted them: the unassigned patterns decode as errors.
+fn build_table(
+    lengths: &[u8],
+    root: u32,
+    table: &mut [u32],
+    entry_of: fn(usize) -> u32,
+) -> Result<()> {
+    let mut count = [0u16; 16];
+    for &len in lengths {
+        count[len as usize] += 1;
+    }
+    count[0] = 0;
+    let mut left = 1i32;
+    for &n in &count[1..] {
+        left = (left << 1) - i32::from(n);
+        if left < 0 {
+            return Err(corrupt("over-subscribed code"));
+        }
+    }
+    // The first codeword of each length; the rest follow in symbol order.
+    let mut first = [0u16; 16];
+    for len in 1..15 {
+        first[len + 1] = (first[len] + count[len]) << 1;
+    }
+
+    let primary = 1usize << root;
+    table[..primary].fill(EXCEPTIONAL);
+    let mut next = first;
+    let mut long_codes = false;
+    for (sym, &len) in lengths.iter().enumerate() {
+        if len == 0 {
+            continue;
+        }
+        let code = next[len as usize];
+        next[len as usize] += 1;
+        let len = u32::from(len);
+        // Codewords arrive first bit first, so they index bit-reversed.
+        let index = usize::from(code.reverse_bits() >> (16 - len));
+        if len <= root {
+            let entry = entry_of(sym) | len;
+            for slot in table[index..primary].iter_mut().step_by(1 << len) {
+                *slot = entry;
+            }
+        } else {
+            // Until the second pass, the primary slot remembers the
+            // longest codeword under it, which sizes its subtable.
+            let slot = &mut table[index & (primary - 1)];
+            *slot = PENDING | code_bits(*slot).max(len);
+            long_codes = true;
+        }
+    }
+    if !long_codes {
+        return Ok(());
+    }
+
+    let mut next = first;
+    let mut free = primary;
+    for (sym, &len) in lengths.iter().enumerate() {
+        if u32::from(len) <= root {
+            continue;
+        }
+        let code = next[len as usize];
+        next[len as usize] += 1;
+        let len = u32::from(len);
+        let index = usize::from(code.reverse_bits() >> (16 - len));
+        let slot = index & (primary - 1);
+        if table[slot] & PENDING != 0 {
+            let width = code_bits(table[slot]) - root;
+            table[slot] = EXCEPTIONAL | SUBTABLE | (free as u32) << 16 | width << 8 | root;
+            table[free..free + (1 << width)].fill(EXCEPTIONAL);
+            free += 1 << width;
+        }
+        let (start, size) = (payload(table[slot]), 1 << extra_bits(table[slot]));
+        let subtable = &mut table[start..start + size];
+        let entry = entry_of(sym) | (len - root);
+        for slot in subtable[index >> root..].iter_mut().step_by(1 << (len - root)) {
+            *slot = entry;
+        }
+    }
+    Ok(())
+}
+
+/// The two tables a Huffman block decodes with.
+struct Tables {
+    litlen: [u32; LITLEN_LEN],
+    dist: [u32; DIST_LEN],
+}
+
+impl Tables {
+    fn zeroed() -> Tables {
+        Tables { litlen: [0; LITLEN_LEN], dist: [0; DIST_LEN] }
+    }
+
+    /// Tables of the fixed code (RFC 1951 §3.2.6), built on first use.
+    fn fixed() -> &'static Tables {
+        static FIXED: OnceLock<Tables> = OnceLock::new();
+        FIXED.get_or_init(|| {
+            let mut lengths = [8u8; 288];
+            lengths[144..256].fill(9);
+            lengths[256..280].fill(7);
+            let mut t = Tables::zeroed();
+            build_table(&lengths, LITLEN_BITS, &mut t.litlen, litlen_entry)
+                .and_then(|()| build_table(&[5u8; 30], DIST_BITS, &mut t.dist, dist_entry))
+                .expect("the fixed code is not over-subscribed");
+            t
+        })
+    }
+
+    /// Reads a dynamic block's code description into `self`.
+    fn read_dynamic(&mut self, bits: &mut Bits<'_>) -> Result<()> {
+        let hlit = bits.take(5)? + 257;
+        let hdist = bits.take(5)? + 1;
+        let hclen = bits.take(4)? + 4;
+        if hlit > 286 || hdist > 30 {
+            return Err(corrupt("dynamic header out of range"));
+        }
+        let mut clc_lengths = [0u8; 19];
+        for &pos in CLC_ORDER.iter().take(hclen) {
+            clc_lengths[pos] = bits.take(3)? as u8;
+        }
+        let mut clc = [0u32; 1 << CLC_BITS];
+        build_table(&clc_lengths, CLC_BITS, &mut clc, clc_entry)?;
+
+        let mut lengths = [0u8; 286 + 30];
+        let lengths = &mut lengths[..hlit + hdist];
+        let mut i = 0usize;
+        while i < lengths.len() {
+            bits.refill();
+            let entry = clc[bits.peek(CLC_BITS)];
+            if entry & EXCEPTIONAL != 0 {
+                return Err(corrupt("invalid huffman code"));
+            }
+            bits.consume(code_bits(entry))?;
+            let (value, times) = match payload(entry) {
+                sym @ 0..=15 => (sym as u8, 1),
+                16 => {
+                    if i == 0 {
+                        return Err(corrupt("repeat with no previous length"));
+                    }
+                    (lengths[i - 1], 3 + bits.take(2)?)
+                }
+                17 => (0, 3 + bits.take(3)?),
+                _ => (0, 11 + bits.take(7)?),
+            };
+            let run = lengths.get_mut(i..i + times).ok_or_else(|| corrupt("run past table end"))?;
+            run.fill(value);
+            i += times;
+        }
+        if lengths[256] == 0 {
+            return Err(corrupt("missing end-of-block code"));
+        }
+        build_table(&lengths[..hlit], LITLEN_BITS, &mut self.litlen, litlen_entry)?;
+        build_table(&lengths[hlit..], DIST_BITS, &mut self.dist, dist_entry)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Output.
+// ---------------------------------------------------------------------
+
+/// The decoded bytes so far, `buf[..pos]`, inside a zeroed window that is
+/// never longer than `cap`.
+struct Sink {
+    buf: Vec<u8>,
+    pos: usize,
+    cap: usize,
+}
+
+impl Sink {
+    fn new(cap: usize, window: usize) -> Sink {
+        Sink { buf: vec![0; window.min(cap)], pos: 0, cap }
+    }
+
+    /// Makes `buf[pos..pos + n]` writable, or reports that it lies past
+    /// the cap.
+    #[inline(always)]
+    fn reserve(&mut self, n: usize) -> Result<()> {
+        let end = self.pos + n;
+        if end > self.buf.len() {
+            if end > self.cap {
+                return Err(Error::DecodedTooLarge { cap: self.cap });
+            }
+            self.grow(end);
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn grow(&mut self, at_least: usize) {
+        let len = at_least.max(self.buf.len().saturating_mul(2)).min(self.cap);
+        self.buf.resize(len, 0);
+    }
+
+    /// Whether the fast loop's output margin holds, widening the window
+    /// if the cap allows.
+    #[inline(always)]
+    fn fast_room(&mut self) -> bool {
+        let end = self.pos + OUT_MARGIN;
+        if end > self.buf.len() && self.buf.len() < self.cap {
+            self.grow(end);
+        }
+        end <= self.buf.len()
+    }
+
+    fn push(&mut self, byte: u8) -> Result<()> {
+        self.reserve(1)?;
+        self.buf[self.pos] = byte;
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn extend(&mut self, bytes: &[u8]) -> Result<()> {
+        self.reserve(bytes.len())?;
+        self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+        self.pos += bytes.len();
+        Ok(())
+    }
+
+    /// Appends `len` bytes starting `distance` back, byte by byte so that
+    /// a match may run into itself.
+    fn copy_match(&mut self, distance: usize, len: usize) -> Result<()> {
+        self.reserve(len)?;
+        for at in self.pos..self.pos + len {
+            self.buf[at] = self.buf[at - distance];
+        }
+        self.pos += len;
+        Ok(())
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        self.buf.truncate(self.pos);
+        self.buf
+    }
+}
+
+// ---------------------------------------------------------------------
+// Inflate.
+// ---------------------------------------------------------------------
+
 /// Upper bound on decompressed output we accept (zip-bomb guard).
 pub const MAX_INFLATED: usize = 64 << 20;
 
-fn fixed_literal_lengths() -> Vec<u8> {
-    let mut l = vec![8u8; 288];
-    l[144..256].iter_mut().for_each(|x| *x = 9);
-    l[256..280].iter_mut().for_each(|x| *x = 7);
-    l
-}
+/// The most a declared size is believed of the input ahead of decoding:
+/// past what text compresses to, far short of the 1032 a DEFLATE stream
+/// can reach. A stream that does expand further grows the window as it
+/// goes; a lying ISIZE on a small member reserves little.
+const MAX_EXPANSION: usize = 16;
+
+/// Input the fast loop keeps ahead of itself: two 8-byte refills, the
+/// second up to 7 bytes on from the first.
+const IN_MARGIN: usize = 16;
+
+/// Output the fast loop keeps ahead of itself: the literals one refill
+/// can hold (each takes a bit or more of the 63 and the run stops under
+/// 15), one 258-byte match, and the 7 bytes its last word may overshoot.
+const OUT_MARGIN: usize = 49 + 258 + 7;
 
 /// Decompresses a raw DEFLATE stream.
 ///
@@ -182,139 +509,223 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>> {
 /// Decompresses a raw DEFLATE stream, refusing to produce more than
 /// `cap` output bytes.
 ///
-/// The cap is enforced *during* decompression — a zip bomb is rejected
-/// after materializing at most `cap` bytes, not after expanding fully.
+/// The cap is enforced *during* decompression, on every output path — a
+/// zip bomb is rejected at the byte that would pass `cap`, with at most
+/// `cap` bytes materialized, not after expanding fully.
 ///
 /// # Errors
 ///
 /// Returns [`crate::Error::DecodedTooLarge`] when the output exceeds
 /// `cap`, or another error on malformed or truncated streams.
 pub fn inflate_capped(data: &[u8], cap: usize) -> Result<Vec<u8>> {
-    let mut r = BitReader::new(data);
-    let mut out: Vec<u8> = Vec::new();
+    // Without a declared size, guess a typical text ratio; the window
+    // doubles from there.
+    inflate_hinted(data, cap, data.len().saturating_mul(4))
+}
+
+/// [`inflate_capped`] with the output window sized from `hint`, a decoded
+/// size the container declared: one output margin past it, so that a
+/// stream of exactly that size never leaves the fast loop on account of
+/// output. The hint is untrusted: the window is clamped to the cap and to
+/// what `data` could expand to, and a stream that outgrows it still
+/// decodes.
+fn inflate_hinted(data: &[u8], cap: usize, hint: usize) -> Result<Vec<u8>> {
+    let mut sink = Sink::new(cap, initial_window(data.len(), hint));
+    inflate_into(data, &mut sink)?;
+    Ok(sink.finish())
+}
+
+fn initial_window(input_len: usize, hint: usize) -> usize {
+    hint.saturating_add(OUT_MARGIN).min(input_len.saturating_mul(MAX_EXPANSION))
+}
+
+fn inflate_into(data: &[u8], sink: &mut Sink) -> Result<()> {
+    let mut bits = Bits { data, pos: 0, buf: 0, cnt: 0 };
+    let mut dynamic: Option<Tables> = None;
     loop {
-        let bfinal = r.read_bit()?;
-        let btype = r.read_bits(2)?;
-        match btype {
-            0 => {
-                r.align();
-                let header = r.take_bytes(4)?;
-                let len = u16::from_le_bytes([header[0], header[1]]) as usize;
-                let nlen = u16::from_le_bytes([header[2], header[3]]);
-                if nlen != !(len as u16) {
-                    return Err(corrupt("stored block LEN/NLEN mismatch"));
-                }
-                out.extend_from_slice(r.take_bytes(len)?);
-            }
-            1 => {
-                let lit = Huffman::from_lengths(&fixed_literal_lengths())?;
-                let dist = Huffman::from_lengths(&[5u8; 30])?;
-                inflate_block(&mut r, &lit, &dist, &mut out, cap)?;
-            }
+        let header = bits.take(3)?;
+        match header >> 1 {
+            0 => stored_block(&mut bits, sink)?,
+            1 => huffman_block(&mut bits, Tables::fixed(), sink)?,
             2 => {
-                let hlit = r.read_bits(5)? as usize + 257;
-                let hdist = r.read_bits(5)? as usize + 1;
-                let hclen = r.read_bits(4)? as usize + 4;
-                if hlit > 286 || hdist > 30 {
-                    return Err(corrupt("dynamic header out of range"));
-                }
-                let mut clc_lengths = [0u8; 19];
-                for &pos in CLC_ORDER.iter().take(hclen) {
-                    clc_lengths[pos] = r.read_bits(3)? as u8;
-                }
-                let clc = Huffman::from_lengths(&clc_lengths)?;
-                let mut lengths = vec![0u8; hlit + hdist];
-                let mut i = 0usize;
-                while i < lengths.len() {
-                    let sym = clc.decode(&mut r)?;
-                    match sym {
-                        0..=15 => {
-                            lengths[i] = sym as u8;
-                            i += 1;
-                        }
-                        16 => {
-                            if i == 0 {
-                                return Err(corrupt("repeat with no previous length"));
-                            }
-                            let prev = lengths[i - 1];
-                            let times = 3 + r.read_bits(2)? as usize;
-                            for _ in 0..times {
-                                if i >= lengths.len() {
-                                    return Err(corrupt("repeat past table end"));
-                                }
-                                lengths[i] = prev;
-                                i += 1;
-                            }
-                        }
-                        17 | 18 => {
-                            let times = if sym == 17 {
-                                3 + r.read_bits(3)? as usize
-                            } else {
-                                11 + r.read_bits(7)? as usize
-                            };
-                            if i + times > lengths.len() {
-                                return Err(corrupt("zero-run past table end"));
-                            }
-                            i += times; // already zero
-                        }
-                        _ => return Err(corrupt("bad code-length symbol")),
-                    }
-                }
-                if lengths[256] == 0 {
-                    return Err(corrupt("missing end-of-block code"));
-                }
-                let lit = Huffman::from_lengths(&lengths[..hlit])?;
-                let dist = Huffman::from_lengths(&lengths[hlit..])?;
-                inflate_block(&mut r, &lit, &dist, &mut out, cap)?;
+                let tables = dynamic.get_or_insert_with(Tables::zeroed);
+                tables.read_dynamic(&mut bits)?;
+                huffman_block(&mut bits, tables, sink)?;
             }
             _ => return Err(corrupt("reserved block type")),
         }
-        if out.len() > cap {
-            return Err(crate::Error::DecodedTooLarge { cap });
-        }
-        if bfinal == 1 {
-            return Ok(out);
+        if header & 1 == 1 {
+            return Ok(());
         }
     }
 }
 
-fn inflate_block(
-    r: &mut BitReader<'_>,
-    lit: &Huffman,
-    dist: &Huffman,
-    out: &mut Vec<u8>,
-    cap: usize,
-) -> Result<()> {
+fn stored_block(bits: &mut Bits<'_>, sink: &mut Sink) -> Result<()> {
+    bits.align_to_byte();
+    let truncated = || corrupt("stored block truncated");
+    let header = bits.data.get(bits.pos..bits.pos + 4).ok_or_else(truncated)?;
+    let len = u16::from_le_bytes([header[0], header[1]]);
+    if u16::from_le_bytes([header[2], header[3]]) != !len {
+        return Err(corrupt("stored block LEN/NLEN mismatch"));
+    }
+    let start = bits.pos + 4;
+    let body = bits.data.get(start..start + usize::from(len)).ok_or_else(truncated)?;
+    bits.pos = start + body.len();
+    sink.extend(body)
+}
+
+/// Decodes one Huffman block's symbols, through its end-of-block.
+fn huffman_block(bits: &mut Bits<'_>, tables: &Tables, sink: &mut Sink) -> Result<()> {
     loop {
-        let sym = lit.decode(r)?;
-        match sym {
-            0..=255 => out.push(sym as u8),
-            256 => return Ok(()),
-            257..=285 => {
-                let idx = (sym - 257) as usize;
-                let len =
-                    LENGTH_BASE[idx] as usize + r.read_bits(LENGTH_EXTRA[idx] as u32)? as usize;
-                let dsym = dist.decode(r)? as usize;
-                if dsym >= 30 {
-                    return Err(corrupt("bad distance code"));
-                }
-                let distance =
-                    DIST_BASE[dsym] as usize + r.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
-                if distance > out.len() {
-                    return Err(corrupt("distance beyond output"));
-                }
-                let start = out.len() - distance;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-                if out.len() > cap {
-                    return Err(crate::Error::DecodedTooLarge { cap });
-                }
-            }
-            _ => return Err(corrupt("bad literal/length symbol")),
+        if bits.pos + IN_MARGIN <= bits.data.len()
+            && sink.fast_room()
+            && fast_loop(bits, tables, sink)?
+        {
+            return Ok(());
+        }
+        if careful_symbol(bits, tables, sink)? {
+            return Ok(());
         }
     }
+}
+
+/// Looks the next symbol up, following a subtable pointer. The pointer's
+/// bits are consumed, the returned entry's are not. For a buffer that
+/// holds a whole codeword, 15 bits or more.
+#[inline(always)]
+fn lookup<const N: usize>(table: &[u32; N], root: u32, bits: &mut Bits<'_>) -> u32 {
+    let mut entry = table[bits.peek(root)];
+    if entry & SUBTABLE != 0 {
+        bits.buf >>= root;
+        bits.cnt -= root;
+        entry = table[payload(entry) + bits.peek(extra_bits(entry))];
+    }
+    entry
+}
+
+/// Decodes symbols without asking whether input or output suffice, until
+/// end-of-block (`Ok(true)`) or until one of the margins the caller
+/// checked runs out (`Ok(false)`).
+fn fast_loop(bits: &mut Bits<'_>, tables: &Tables, sink: &mut Sink) -> Result<bool> {
+    let in_last = bits.data.len() - IN_MARGIN;
+    let out = sink.buf.as_mut_slice();
+    let out_last = out.len() - OUT_MARGIN;
+    // Locals, so that the loop's state stays in registers.
+    let mut b = Bits { data: bits.data, pos: bits.pos, buf: bits.buf, cnt: bits.cnt };
+    let mut at = sink.pos;
+    let result = 'symbols: loop {
+        if b.pos > in_last || at > out_last {
+            break Ok(false);
+        }
+        b.refill();
+        let mut entry = lookup(&tables.litlen, LITLEN_BITS, &mut b);
+        // A run of literals, for as long as a whole codeword is buffered.
+        while entry & LITERAL != 0 {
+            out[at] = (entry >> 16) as u8;
+            at += 1;
+            b.skip(code_bits(entry));
+            if b.cnt < 15 {
+                continue 'symbols;
+            }
+            entry = lookup(&tables.litlen, LITLEN_BITS, &mut b);
+        }
+        if entry & EXCEPTIONAL != 0 {
+            if entry & END_OF_BLOCK == 0 {
+                break Err(corrupt("invalid huffman code"));
+            }
+            b.skip(code_bits(entry));
+            break Ok(true);
+        }
+        // A match: at most 15 + 5 + 15 + 13 bits from here.
+        if b.cnt < 48 {
+            b.refill();
+        }
+        b.skip(code_bits(entry));
+        let len = payload(entry) + b.peek(extra_bits(entry));
+        b.skip(extra_bits(entry));
+        let entry = lookup(&tables.dist, DIST_BITS, &mut b);
+        if entry & EXCEPTIONAL != 0 {
+            break Err(corrupt("invalid huffman code"));
+        }
+        b.skip(code_bits(entry));
+        let distance = payload(entry) + b.peek(extra_bits(entry));
+        b.skip(extra_bits(entry));
+        if distance > at {
+            break Err(corrupt("distance beyond output"));
+        }
+        copy_match_fast(out, at, distance, len);
+        at += len;
+    };
+    *bits = b;
+    sink.pos = at;
+    result
+}
+
+/// Copies a match whose destination has [`OUT_MARGIN`] writable bytes
+/// behind it: whole 8-byte words when source and destination words cannot
+/// overlap, a fill for the run-length case, bytes otherwise.
+#[inline(always)]
+fn copy_match_fast(out: &mut [u8], at: usize, distance: usize, len: usize) {
+    let mut from = at - distance;
+    if distance >= 8 {
+        let mut to = at;
+        while to < at + len {
+            let word: [u8; 8] = out[from..from + 8].try_into().expect("an 8-byte slice");
+            out[to..to + 8].copy_from_slice(&word);
+            from += 8;
+            to += 8;
+        }
+    } else if distance == 1 {
+        let byte = out[from];
+        out[at..at + len].fill(byte);
+    } else {
+        for to in at..at + len {
+            out[to] = out[from];
+            from += 1;
+        }
+    }
+}
+
+/// Decodes one symbol with every bit checked against the end of input and
+/// every byte against the cap. `Ok(true)` at end-of-block.
+fn careful_symbol(bits: &mut Bits<'_>, tables: &Tables, sink: &mut Sink) -> Result<bool> {
+    bits.refill();
+    let entry = careful_lookup(bits, &tables.litlen, LITLEN_BITS)?;
+    bits.consume(code_bits(entry))?;
+    if entry & LITERAL != 0 {
+        sink.push((entry >> 16) as u8)?;
+        return Ok(false);
+    }
+    if entry & EXCEPTIONAL != 0 {
+        return Ok(true);
+    }
+    let len = payload(entry) + bits.peek(extra_bits(entry));
+    bits.consume(extra_bits(entry))?;
+    let entry = careful_lookup(bits, &tables.dist, DIST_BITS)?;
+    bits.consume(code_bits(entry))?;
+    let distance = payload(entry) + bits.peek(extra_bits(entry));
+    bits.consume(extra_bits(entry))?;
+    if distance > sink.pos {
+        return Err(corrupt("distance beyond output"));
+    }
+    sink.copy_match(distance, len)?;
+    Ok(false)
+}
+
+/// [`lookup`] on a buffer that may hold fewer bits than a codeword: the
+/// missing bits read as zero, and the caller's `consume` of the entry's
+/// bits is what notices. Returns only literal, length, distance and
+/// end-of-block entries.
+fn careful_lookup(bits: &mut Bits<'_>, table: &[u32], root: u32) -> Result<u32> {
+    let mut entry = table[bits.peek(root)];
+    if entry & SUBTABLE != 0 {
+        bits.consume(root)?;
+        entry = table[payload(entry) + bits.peek(extra_bits(entry))];
+    }
+    if entry & EXCEPTIONAL != 0 && entry & END_OF_BLOCK == 0 {
+        return Err(corrupt("invalid huffman code"));
+    }
+    Ok(entry)
 }
 
 // ---------------------------------------------------------------------
@@ -441,15 +852,62 @@ pub fn deflate_run(byte: u8, count: usize) -> Vec<u8> {
 // CRC32 and gzip framing.
 // ---------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, as used by gzip).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// which lets sixteen input bytes be folded in with sixteen independent
+/// loads: the chain from one CRC value to the next is one lookup deep
+/// however many bytes a step takes.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, as used by gzip), slicing-by-16.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = data.chunks_exact(16);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[15][(lo & 0xff) as usize]
+            ^ t[14][((lo >> 8) & 0xff) as usize]
+            ^ t[13][((lo >> 16) & 0xff) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][w[4] as usize]
+            ^ t[10][w[5] as usize]
+            ^ t[9][w[6] as usize]
+            ^ t[8][w[7] as usize]
+            ^ t[7][w[8] as usize]
+            ^ t[6][w[9] as usize]
+            ^ t[5][w[10] as usize]
+            ^ t[4][w[11] as usize]
+            ^ t[3][w[12] as usize]
+            ^ t[2][w[13] as usize]
+            ^ t[1][w[14] as usize]
+            ^ t[0][w[15] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -485,13 +943,9 @@ pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>> {
     gzip_decompress_capped(data, MAX_INFLATED)
 }
 
-/// [`gzip_decompress`] with an explicit output cap.
-///
-/// # Errors
-///
-/// Returns [`crate::Error::DecodedTooLarge`] when the decompressed body
-/// would exceed `cap` bytes, or another error on bad framing.
-pub fn gzip_decompress_capped(data: &[u8], cap: usize) -> Result<Vec<u8>> {
+/// The DEFLATE stream inside a gzip member, and the CRC-32 and ISIZE its
+/// trailer declares.
+fn gzip_member(data: &[u8]) -> Result<(&[u8], u32, u32)> {
     if !is_gzip(data) {
         return Err(corrupt("missing gzip magic"));
     }
@@ -523,11 +977,25 @@ pub fn gzip_decompress_capped(data: &[u8], cap: usize) -> Result<Vec<u8>> {
     if pos + 8 > data.len() {
         return Err(corrupt("gzip header truncated"));
     }
-    let body = &data[pos..data.len() - 8];
-    let out = inflate_capped(body, cap)?;
-    let tail = &data[data.len() - 8..];
-    let expect_crc = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
-    let expect_size = u32::from_le_bytes([tail[4], tail[5], tail[6], tail[7]]);
+    let (body, tail) = data[pos..].split_at(data.len() - 8 - pos);
+    let crc = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+    let isize = u32::from_le_bytes([tail[4], tail[5], tail[6], tail[7]]);
+    Ok((body, crc, isize))
+}
+
+/// [`gzip_decompress`] with an explicit output cap.
+///
+/// The trailer's ISIZE sizes the output up front, so an honest member
+/// decodes into one allocation; it is only a hint, bounded by `cap` and
+/// by what the member's bytes could expand to, and checked afterwards.
+///
+/// # Errors
+///
+/// Returns [`crate::Error::DecodedTooLarge`] when the decompressed body
+/// would exceed `cap` bytes, or another error on bad framing.
+pub fn gzip_decompress_capped(data: &[u8], cap: usize) -> Result<Vec<u8>> {
+    let (body, expect_crc, expect_size) = gzip_member(data)?;
+    let out = inflate_hinted(body, cap, expect_size as usize)?;
     if crc32(&out) != expect_crc {
         return Err(corrupt("gzip crc mismatch"));
     }
@@ -623,286 +1091,4 @@ pub fn deflate_decompress_capped(data: &[u8], cap: usize) -> Result<Vec<u8>> {
         }
     }
     inflate_capped(data, cap)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stored_roundtrip() {
-        for data in [&b""[..], b"a", b"hello stored world", &[0u8; 70_000]] {
-            let deflated = deflate_stored(data);
-            assert_eq!(inflate(&deflated).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn zlib_roundtrip() {
-        for data in [&b""[..], b"a", b"deflate body", &[7u8; 70_000]] {
-            let z = zlib_compress(data);
-            assert_eq!(deflate_decompress(&z).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn raw_deflate_body_decodes_without_zlib_wrapper() {
-        let data = b"raw deflate stream, no RFC 1950 framing";
-        assert_eq!(deflate_decompress(&deflate_stored(data)).unwrap(), data);
-        assert_eq!(
-            deflate_decompress(&deflate_fixed_literals(data)).unwrap(),
-            data
-        );
-    }
-
-    #[test]
-    fn zlib_adler_mismatch_is_rejected() {
-        let mut z = zlib_compress(b"checked content");
-        let last = z.len() - 1;
-        z[last] ^= 0xff;
-        assert!(deflate_decompress(&z).is_err());
-    }
-
-    #[test]
-    fn deflate_garbage_is_rejected() {
-        assert!(deflate_decompress(&[0x07, 0xff, 0x12, 0x34]).is_err());
-    }
-
-    #[test]
-    fn adler32_known_vector() {
-        // RFC 1950 example: "Wikipedia" → 0x11E60398.
-        assert_eq!(adler32(b"Wikipedia"), 0x11E6_0398);
-        assert_eq!(adler32(b""), 1);
-    }
-
-    #[test]
-    fn fixed_huffman_roundtrip_all_byte_values() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(1024).collect();
-        let deflated = deflate_fixed_literals(&data);
-        assert_eq!(inflate(&deflated).unwrap(), data);
-    }
-
-    #[test]
-    fn fixed_huffman_empty_input() {
-        assert_eq!(inflate(&deflate_fixed_literals(b"")).unwrap(), b"");
-    }
-
-    #[test]
-    fn known_fixed_huffman_vector() {
-        // `echo -n hello | gzip -1 | xxd`-derived deflate body for "hello"
-        // with a back-reference-free fixed block produced by this crate's
-        // encoder — cross-checked against the RFC by hand:
-        // literals h,e,l,l,o then EOB.
-        let deflated = deflate_fixed_literals(b"hello");
-        assert_eq!(inflate(&deflated).unwrap(), b"hello");
-        // First byte: BFINAL=1, BTYPE=01 → bits 1,1,0 then MSB-first code
-        // for 'h' (0x30+0x68 = 0x98).
-        assert_eq!(deflated[0] & 0b111, 0b011);
-    }
-
-    #[test]
-    fn deflate_run_round_trips() {
-        for count in [0usize, 1, 2, 257, 258, 259, 258 * 3 + 41, 10_000] {
-            let wire = deflate_run(b'x', count);
-            let out = inflate(&wire).unwrap();
-            assert_eq!(out.len(), count, "count {count}");
-            assert!(out.iter().all(|&b| b == b'x'));
-        }
-        // 9-bit literal path (byte ≥ 144).
-        assert_eq!(inflate(&deflate_run(0xee, 300)).unwrap(), vec![0xee; 300]);
-    }
-
-    #[test]
-    fn inflate_cap_rejects_high_ratio_stream() {
-        // ~1 MiB of output from ~650 bytes of input (ratio ≈ 1600×).
-        let reps = 4096;
-        let wire = deflate_run(b'Z', reps * 258 + 1);
-        assert!(wire.len() < 8 * 1024, "bomb must be small on the wire: {}", wire.len());
-        let full = inflate(&wire).unwrap();
-        assert_eq!(full.len(), reps * 258 + 1);
-        match inflate_capped(&wire, 64 * 1024) {
-            Err(crate::Error::DecodedTooLarge { cap }) => assert_eq!(cap, 64 * 1024),
-            other => panic!("expected DecodedTooLarge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn gzip_and_deflate_caps_propagate() {
-        let body = vec![7u8; 100_000];
-        let gz = gzip_compress(&body);
-        assert!(matches!(
-            gzip_decompress_capped(&gz, 1024),
-            Err(crate::Error::DecodedTooLarge { .. })
-        ));
-        assert_eq!(gzip_decompress_capped(&gz, body.len()).unwrap(), body);
-        let z = zlib_compress(&body);
-        assert!(matches!(
-            deflate_decompress_capped(&z, 1024),
-            Err(crate::Error::DecodedTooLarge { .. })
-        ));
-        assert_eq!(deflate_decompress_capped(&z, body.len()).unwrap(), body);
-    }
-
-    #[test]
-    fn back_references_expand() {
-        // Hand-built fixed block: literal 'a' (code 0x31),
-        // length symbol 259 (len 5, code 0b0000011), distance 0 (dist 1,
-        // code 00000), EOB. Produces "aaaaaa".
-        let mut out = Vec::new();
-        let mut pos = 0u32;
-        let push = |out: &mut Vec<u8>, bit: u32, pos: &mut u32| {
-            if pos.is_multiple_of(8) {
-                out.push(0);
-            }
-            *out.last_mut().unwrap() |= (bit as u8) << (*pos % 8);
-            *pos += 1;
-        };
-        // header: BFINAL=1, BTYPE=01 (LSB first)
-        push(&mut out, 1, &mut pos);
-        push(&mut out, 1, &mut pos);
-        push(&mut out, 0, &mut pos);
-        let code = |out: &mut Vec<u8>, c: u32, len: u32, pos: &mut u32| {
-            for i in (0..len).rev() {
-                push(out, (c >> i) & 1, pos);
-            }
-        };
-        code(&mut out, 0x30 + 'a' as u32, 8, &mut pos); // literal 'a'
-        code(&mut out, 0b0000011, 7, &mut pos); // length symbol 259 → 5
-        code(&mut out, 0, 5, &mut pos); // distance symbol 0 → 1
-        code(&mut out, 0, 7, &mut pos); // end of block
-        assert_eq!(inflate(&out).unwrap(), b"aaaaaa");
-    }
-
-    #[test]
-    fn dynamic_huffman_block_decodes() {
-        // Hand-built dynamic block producing "zzz".
-        // Literal/length alphabet: 'z' (122) and EOB (256), both length 1.
-        // Distance alphabet: one unused zero-length entry.
-        // Code-length code: sym18 → len 1 (code 0), sym0 → len 2 (code
-        // 10), sym1 → len 2 (code 11).
-        let mut out = Vec::new();
-        let mut pos = 0u32;
-        let push = |out: &mut Vec<u8>, bit: u32, pos: &mut u32| {
-            if pos.is_multiple_of(8) {
-                out.push(0);
-            }
-            *out.last_mut().unwrap() |= (bit as u8) << (*pos % 8);
-            *pos += 1;
-        };
-        let bits_lsb = |out: &mut Vec<u8>, v: u32, n: u32, pos: &mut u32| {
-            for i in 0..n {
-                push(out, (v >> i) & 1, pos);
-            }
-        };
-        let code_msb = |out: &mut Vec<u8>, c: u32, len: u32, pos: &mut u32| {
-            for i in (0..len).rev() {
-                push(out, (c >> i) & 1, pos);
-            }
-        };
-        bits_lsb(&mut out, 1, 1, &mut pos); // BFINAL
-        bits_lsb(&mut out, 2, 2, &mut pos); // BTYPE = 10 (dynamic)
-        bits_lsb(&mut out, 0, 5, &mut pos); // HLIT = 257
-        bits_lsb(&mut out, 0, 5, &mut pos); // HDIST = 1
-        bits_lsb(&mut out, 14, 4, &mut pos); // HCLEN = 18
-        // 18 code-length-code lengths in CLC_ORDER
-        // [16,17,18,0,8,7,9,6,10,5,11,4,12,3,13,2,14,1]:
-        let clc = [0u32, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2];
-        for l in clc {
-            bits_lsb(&mut out, l, 3, &mut pos);
-        }
-        // Lengths stream for 258 entries:
-        code_msb(&mut out, 0, 1, &mut pos); // sym18: run of zeros…
-        bits_lsb(&mut out, 111, 7, &mut pos); // …11 + 111 = 122 zeros (0..=121)
-        code_msb(&mut out, 3, 2, &mut pos); // sym1: lengths[122] = 1 ('z')
-        code_msb(&mut out, 0, 1, &mut pos); // sym18 again…
-        bits_lsb(&mut out, 122, 7, &mut pos); // …133 zeros (123..=255)
-        code_msb(&mut out, 3, 2, &mut pos); // sym1: lengths[256] = 1 (EOB)
-        code_msb(&mut out, 2, 2, &mut pos); // sym0: distance entry 0
-        // Payload: 'z' (code 0) three times, then EOB (code 1).
-        for _ in 0..3 {
-            code_msb(&mut out, 0, 1, &mut pos);
-        }
-        code_msb(&mut out, 1, 1, &mut pos);
-        assert_eq!(inflate(&out).unwrap(), b"zzz");
-    }
-
-    #[test]
-    fn gzip_roundtrip_with_crc() {
-        for data in [&b""[..], b"x", b"the quick brown fox", &[7u8; 100_000]] {
-            let gz = gzip_compress(data);
-            assert!(is_gzip(&gz));
-            assert_eq!(gzip_decompress(&gz).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn gzip_detects_corruption() {
-        let mut gz = gzip_compress(b"payload body");
-        // Flip a body byte: CRC must catch it.
-        let mid = gz.len() / 2;
-        gz[mid] ^= 0x01;
-        assert!(gzip_decompress(&gz).is_err());
-    }
-
-    #[test]
-    fn gzip_rejects_wrong_framing() {
-        assert!(gzip_decompress(b"").is_err());
-        assert!(gzip_decompress(b"\x1f\x8b").is_err());
-        let mut gz = gzip_compress(b"abc");
-        gz[2] = 0x07; // not deflate
-        assert!(gzip_decompress(&gz).is_err());
-    }
-
-    #[test]
-    fn gzip_skips_fname_header() {
-        let mut gz = gzip_compress(b"named content");
-        gz[3] |= 0x08; // FNAME
-        // Insert a zero-terminated name after the 10-byte header.
-        let mut with_name = gz[..10].to_vec();
-        with_name.extend_from_slice(b"file.txt\0");
-        with_name.extend_from_slice(&gz[10..]);
-        assert_eq!(gzip_decompress(&with_name).unwrap(), b"named content");
-    }
-
-    #[test]
-    fn crc32_known_values() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926); // classic check value
-        assert_eq!(crc32(b"hello"), 0x3610_a686);
-    }
-
-    #[test]
-    fn inflate_rejects_garbage() {
-        assert!(inflate(&[]).is_err());
-        assert!(inflate(&[0xff, 0xff, 0xff]).is_err());
-        // Reserved block type 11.
-        assert!(inflate(&[0b0000_0111]).is_err());
-        // Stored block with wrong NLEN.
-        assert!(inflate(&[0x01, 0x02, 0x00, 0x00, 0x00]).is_err());
-    }
-
-    #[test]
-    fn distance_beyond_output_rejected() {
-        // Fixed block: length symbol before any literal.
-        let mut out = Vec::new();
-        let mut pos = 0u32;
-        let push = |out: &mut Vec<u8>, bit: u32, pos: &mut u32| {
-            if pos.is_multiple_of(8) {
-                out.push(0);
-            }
-            *out.last_mut().unwrap() |= (bit as u8) << (*pos % 8);
-            *pos += 1;
-        };
-        push(&mut out, 1, &mut pos);
-        push(&mut out, 1, &mut pos);
-        push(&mut out, 0, &mut pos);
-        let code = |out: &mut Vec<u8>, c: u32, len: u32, pos: &mut u32| {
-            for i in (0..len).rev() {
-                push(out, (c >> i) & 1, pos);
-            }
-        };
-        code(&mut out, 0b0000011, 7, &mut pos); // length with empty window
-        code(&mut out, 0, 5, &mut pos);
-        assert!(inflate(&out).is_err());
-    }
 }

@@ -249,13 +249,6 @@ impl<'a> Body<'a> {
             Body::Owned(v) => v,
         }
     }
-
-    fn into_owned(self) -> Vec<u8> {
-        match self {
-            Body::Borrowed(b) => b.to_vec(),
-            Body::Owned(v) => v,
-        }
-    }
 }
 
 /// The capture → transaction pipeline, zero-copy on the way in.
@@ -612,22 +605,25 @@ fn decode_content_codings<'a>(
         // stays a borrow of reassembled stream storage.
         return body;
     };
-    let mut body = body.into_owned();
+    // Each layer decodes straight from the bytes under it — the first
+    // from the borrowed wire body — so the only copy is a decoder's output.
+    let mut decoded: Option<Vec<u8>> = None;
     for token in encodings.rsplit(',') {
         let token = token.trim();
         if token.is_empty() || token.eq_ignore_ascii_case("identity") {
             continue;
         }
-        let decoded = if token.eq_ignore_ascii_case("gzip") || token.eq_ignore_ascii_case("x-gzip")
+        let coded = decoded.as_deref().unwrap_or(body.as_slice());
+        let layer = if token.eq_ignore_ascii_case("gzip") || token.eq_ignore_ascii_case("x-gzip")
         {
-            crate::flate::gzip_decompress_capped(&body, MAX_DECODED_BODY_BYTES)
+            crate::flate::gzip_decompress_capped(coded, MAX_DECODED_BODY_BYTES)
         } else if token.eq_ignore_ascii_case("deflate") {
-            crate::flate::deflate_decompress_capped(&body, MAX_DECODED_BODY_BYTES)
+            crate::flate::deflate_decompress_capped(coded, MAX_DECODED_BODY_BYTES)
         } else {
             break;
         };
-        match decoded {
-            Ok(decoded) => body = decoded,
+        match layer {
+            Ok(layer) => decoded = Some(layer),
             Err(e) => {
                 match e {
                     Error::DecodedTooLarge { .. } => report.decode_cap_exceeded += 1,
@@ -638,7 +634,7 @@ fn decode_content_codings<'a>(
             }
         }
     }
-    Body::Owned(body)
+    decoded.map_or(body, Body::Owned)
 }
 
 /// Synthesizes one [`HttpTransaction`] from a parsed request and its
@@ -919,6 +915,32 @@ mod tests {
         let tx = single_tx("deflate, gzip", &wire);
         assert_eq!(tx.payload_size, body.len());
         assert_eq!(tx.payload_digest, fnv1a(body));
+    }
+
+    #[test]
+    fn only_a_decoder_s_output_is_materialized() {
+        let wire = crate::flate::gzip_compress(b"<html>coded</html>");
+        let gate = |encoding: &str, wire: &[u8]| {
+            let mut headers = HeaderMap::new();
+            headers.append("Content-Encoding", encoding);
+            let mut report = IngestReport::new();
+            match decode_content_codings(Body::Borrowed(wire), &headers, &mut report) {
+                Body::Borrowed(kept) => {
+                    assert_eq!(kept.as_ptr(), wire.as_ptr(), "the wire bytes themselves");
+                    None
+                }
+                Body::Owned(decoded) => Some(decoded),
+            }
+        };
+        // Never decoded (unknown outermost coding), nothing to decode, or
+        // undecodable: the body stays a borrow of the wire bytes.
+        for encoding in ["gzip, br", "zstd", "identity", "deflate, gzip, br"] {
+            assert_eq!(gate(encoding, &wire), None, "{encoding}");
+        }
+        assert_eq!(gate("gzip", &wire[..wire.len() - 3]), None);
+        assert_eq!(gate("gzip", &wire).as_deref(), Some(&b"<html>coded</html>"[..]));
+        // A layer that decodes is kept when the layer under it does not.
+        assert_eq!(gate("br, gzip", &wire).as_deref(), Some(&b"<html>coded</html>"[..]));
     }
 
     #[test]
