@@ -401,16 +401,32 @@ fn main() {
     };
     let mut group = c.benchmark_group("detector");
     group.throughput(Throughput::Elements(stream.len() as u64));
-    let replay = || {
+    let replayed = || {
         let config = DetectorConfig { alert_threshold: 1.1, ..DetectorConfig::default() };
         let mut det = OnTheWireDetector::new(live_clf.clone(), config);
         for tx in &stream {
             det.observe(tx);
         }
-        det.classification_count()
+        det
     };
+    let replay = || replayed().classification_count();
     let t_live = group.bench_function("replay_live", |b| b.iter(replay));
     entries.push(entry("detector/replay_live", t_live, stream.len() as f64, "transactions/s"));
+
+    // 3b2. The final verdict pass over the detector that replay leaves
+    // behind: every conversation scored from the WCG it holds, on one
+    // thread. A sweep changes nothing in the detector, so iterations
+    // repeat it over the same state.
+    let mut swept = replayed();
+    let swept_conversations = swept.tracker().conversation_count();
+    let t_sweep =
+        group.bench_function("final_verdicts", |b| b.iter(|| swept.final_verdicts(1).len()));
+    entries.push(entry(
+        "detector/final_verdicts",
+        t_sweep,
+        swept_conversations as f64,
+        "conversations/s",
+    ));
 
     // 3c. Sharded replay: the same stream through a 4-shard
     // `streamd::StreamEngine` (one detector per shard, hash-partitioned

@@ -27,6 +27,7 @@ use serde::{Deserialize, Serialize};
 use telemetry::Registry;
 
 use crate::classifier::Classifier;
+use crate::forensic::ConversationVerdict;
 use crate::metrics::DetectorMetrics;
 use crate::trusted::TrustedHosts;
 pub use clue::ClueConfig;
@@ -511,11 +512,51 @@ impl OnTheWireDetector {
     }
 
     /// Thaws every spilled conversation back to the live tier (and
-    /// syncs the rehydration telemetry). Forensic verdict passes call
-    /// this so the final per-conversation sweep sees everything.
+    /// syncs the rehydration telemetry), so a per-conversation sweep
+    /// sees everything.
     pub fn rehydrate_all(&mut self) {
         self.tracker.rehydrate_all();
         self.sync_tracker_metrics();
+    }
+
+    /// The final verdict pass: every conversation (spilled ones thawed
+    /// first), in tracker order, scored by the deployed model — one
+    /// `classifier_scoring_ns` observation for the whole sweep.
+    ///
+    /// Each conversation is scored from the WCG it already holds, which
+    /// equals `Wcg::from_transactions` over its stored transactions, so
+    /// the scores have the bits of [`Classifier::score_transactions`]
+    /// without building any graph again. Each worker holds one
+    /// [`FeatureExtractor`](crate::features::FeatureExtractor) and reads
+    /// a conversation's memoized topology features when they are
+    /// current; nothing is written, so the result is the same at any
+    /// `threads`.
+    pub fn final_verdicts(&mut self, threads: usize) -> Vec<ConversationVerdict> {
+        self.rehydrate_all();
+        let started = Instant::now();
+        let convs: Vec<&Conversation> = self.tracker.conversations().collect();
+        let fvs = mlearn::parallel::run_indexed_with(
+            convs.len(),
+            threads,
+            crate::features::FeatureExtractor::new,
+            |extractor, i| {
+                let (wcg, topo_version, cache) = convs[i].wcg_cached();
+                extractor.extract_cached(wcg, topo_version, cache)
+            },
+        );
+        let scores = self.classifier().score_features_batch(&fvs, threads);
+        self.metrics.scoring_ns.observe_since(started);
+        convs
+            .iter()
+            .zip(scores)
+            .map(|(c, score)| ConversationVerdict {
+                id: c.id,
+                transactions: c.transactions.len(),
+                score,
+                alerted: c.alerted,
+                hosts: c.hosts().count(),
+            })
+            .collect()
     }
 
     /// Serializable image of this detector's mutable state (the model

@@ -323,6 +323,12 @@ impl Conversation {
         (builder.wcg(), builder.topo_version(), feature_cache)
     }
 
+    /// [`Conversation::wcg_state`] for readers holding only `&self` (the
+    /// final verdict sweep): the cache can be consulted, not refilled.
+    pub fn wcg_cached(&self) -> (&Wcg, u64, &TopoCache) {
+        (self.builder.wcg(), self.builder.topo_version(), &self.feature_cache)
+    }
+
     /// Records a transaction that was dropped by the per-conversation
     /// cap: activity is acknowledged (so idle/retention timers behave)
     /// but nothing is stored, bounding memory against a hostile endpoint

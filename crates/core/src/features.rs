@@ -192,15 +192,8 @@ impl FeatureExtractor {
 
     /// Extracts all 37 features, reusing this extractor's scratch space.
     pub fn extract(&mut self, wcg: &Wcg) -> FeatureVector {
-        let mut f = [0.0f64; FEATURE_COUNT];
-        base_features(wcg, &mut f);
-        self.view.load(&wcg.graph);
-        let mut topo = [0.0f64; TOPO_COLUMNS.len()];
-        topo_features(&self.view, &mut self.scratch, &mut topo);
-        for (&col, &v) in TOPO_COLUMNS.iter().zip(topo.iter()) {
-            f[col] = v;
-        }
-        FeatureVector(f)
+        // An empty cache is current at no version.
+        self.extract_cached(wcg, 0, &TopoCache::new())
     }
 
     /// Extracts all 37 features, reusing the [`TOPO_COLUMNS`] values from
@@ -218,14 +211,35 @@ impl FeatureExtractor {
         topo_version: u64,
         cache: &mut TopoCache,
     ) -> FeatureVector {
-        let mut f = [0.0f64; FEATURE_COUNT];
-        base_features(wcg, &mut f);
         if cache.version != Some(topo_version) {
             self.view.load(&wcg.graph);
             topo_features(&self.view, &mut self.scratch, &mut cache.values);
             cache.version = Some(topo_version);
         }
-        for (&col, &v) in TOPO_COLUMNS.iter().zip(cache.values.iter()) {
+        self.extract_cached(wcg, topo_version, cache)
+    }
+
+    /// [`FeatureExtractor::extract_memoized`] over a cache it may read
+    /// but not refill: a stale or empty cache costs one topology pass
+    /// whose values are dropped. For sweeps that visit conversations
+    /// through `&self` on several threads.
+    pub fn extract_cached(
+        &mut self,
+        wcg: &Wcg,
+        topo_version: u64,
+        cache: &TopoCache,
+    ) -> FeatureVector {
+        let mut f = [0.0f64; FEATURE_COUNT];
+        base_features(wcg, &mut f);
+        let mut fresh = [0.0f64; TOPO_COLUMNS.len()];
+        let topo = if cache.version == Some(topo_version) {
+            &cache.values
+        } else {
+            self.view.load(&wcg.graph);
+            topo_features(&self.view, &mut self.scratch, &mut fresh);
+            &fresh
+        };
+        for (&col, &v) in TOPO_COLUMNS.iter().zip(topo) {
             f[col] = v;
         }
         FeatureVector(f)

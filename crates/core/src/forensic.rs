@@ -123,13 +123,29 @@ impl<'de> Deserialize<'de> for ForensicReport {
     }
 }
 
+impl DownloadRecord {
+    /// The download-ledger entry of `tx`, if it is one: a 2xx answer
+    /// carrying an exploit-type payload.
+    pub fn of(tx: &HttpTransaction) -> Option<DownloadRecord> {
+        (tx.status / 100 == 2 && tx.payload_size > 0 && tx.payload_class.is_exploit_type()).then(
+            || DownloadRecord {
+                host: tx.host.clone(),
+                class: tx.payload_class,
+                size: tx.payload_size,
+                digest: tx.payload_digest,
+                ts: tx.ts,
+            },
+        )
+    }
+}
+
 /// Replays a transaction stream through the detector and summarizes it.
 pub fn analyze_transactions(
     transactions: &[HttpTransaction],
     classifier: Classifier,
     config: DetectorConfig,
 ) -> ForensicReport {
-    analyze_with(transactions, classifier, config, None)
+    analyze_owned(transactions.to_vec(), classifier, config, None)
 }
 
 /// Like [`analyze_transactions`], but with detector metrics registered
@@ -141,11 +157,13 @@ pub fn analyze_transactions_telemetry(
     config: DetectorConfig,
     registry: &telemetry::Registry,
 ) -> ForensicReport {
-    analyze_with(transactions, classifier, config, Some(registry))
+    analyze_owned(transactions.to_vec(), classifier, config, Some(registry))
 }
 
-fn analyze_with(
-    transactions: &[HttpTransaction],
+/// The replay behind every entry point: the stream is sorted in place
+/// and moved into the detector, never cloned again.
+fn analyze_owned(
+    mut transactions: Vec<HttpTransaction>,
     classifier: Classifier,
     config: DetectorConfig,
     registry: Option<&telemetry::Registry>,
@@ -154,48 +172,15 @@ fn analyze_with(
         Some(registry) => OnTheWireDetector::with_telemetry(classifier, config, registry),
         None => OnTheWireDetector::new(classifier, config),
     };
-    let mut downloads = Vec::new();
-    let mut order: Vec<&HttpTransaction> = transactions.iter().collect();
     // (ts, seq) is a total order over a numbered stream; ts alone leaves
     // tied-timestamp order incidental.
-    order.sort_by(|a, b| a.ts.total_cmp(&b.ts).then(a.seq.cmp(&b.seq)));
-    for tx in order {
-        if tx.status / 100 == 2 && tx.payload_size > 0 && tx.payload_class.is_exploit_type() {
-            downloads.push(DownloadRecord {
-                host: tx.host.clone(),
-                class: tx.payload_class,
-                size: tx.payload_size,
-                digest: tx.payload_digest,
-                ts: tx.ts,
-            });
-        }
-        detector.observe(tx);
+    transactions.sort_by(|a, b| a.ts.total_cmp(&b.ts).then(a.seq.cmp(&b.seq)));
+    let downloads = transactions.iter().filter_map(DownloadRecord::of).collect();
+    for tx in transactions {
+        detector.observe_owned(tx);
     }
-    // Final verdict pass: conversations are independent, so WCG
-    // featurization and forest traversal run batched across the scoring
-    // thread pool instead of one full pipeline per conversation. Spilled
-    // conversations are thawed first so the sweep sees every one.
-    detector.rehydrate_all();
     let threads = mlearn::parallel::resolve_threads(detector.config().scoring_threads);
-    let classifier = detector.classifier();
-    let convs: Vec<&crate::detector::Conversation> =
-        detector.tracker().conversations().collect();
-    let tx_slices: Vec<&[HttpTransaction]> =
-        convs.iter().map(|c| c.transactions.as_slice()).collect();
-    let batch_started = std::time::Instant::now();
-    let scores = classifier.score_conversations_batch(&tx_slices, threads);
-    detector.metrics().scoring_ns.observe_since(batch_started);
-    let conversations = convs
-        .iter()
-        .zip(scores)
-        .map(|(c, score)| ConversationVerdict {
-            id: c.id,
-            transactions: c.transactions.len(),
-            score,
-            alerted: c.alerted,
-            hosts: c.hosts().count(),
-        })
-        .collect();
+    let conversations = detector.final_verdicts(threads);
     ForensicReport {
         transactions: detector.transactions_seen(),
         conversations,
@@ -219,7 +204,7 @@ pub fn analyze_pcap(
     config: DetectorConfig,
 ) -> nettrace::Result<ForensicReport> {
     let transactions = nettrace::SpanPipeline::extract_capture_strict(pcap_bytes)?;
-    Ok(analyze_transactions(&transactions, classifier, config))
+    Ok(analyze_owned(transactions, classifier, config, None))
 }
 
 /// Replays a capture byte stream in graceful-degradation mode: damaged
@@ -233,7 +218,7 @@ pub fn analyze_pcap_lenient(
 ) -> ForensicReport {
     let mut ingest = nettrace::IngestReport::new();
     let transactions = nettrace::SpanPipeline::extract_capture_lenient(pcap_bytes, &mut ingest);
-    let mut report = analyze_transactions(&transactions, classifier, config);
+    let mut report = analyze_owned(transactions, classifier, config, None);
     report.ingest = Some(ingest);
     report
 }
@@ -251,7 +236,7 @@ pub fn analyze_pcap_lenient_telemetry(
     let mut ingest = nettrace::IngestReport::new();
     let transactions = nettrace::SpanPipeline::extract_capture_lenient(pcap_bytes, &mut ingest);
     nettrace::metrics::IngestMetrics::new(registry).record(&ingest);
-    let mut report = analyze_transactions_telemetry(&transactions, classifier, config, registry);
+    let mut report = analyze_owned(transactions, classifier, config, Some(registry));
     report.ingest = Some(ingest);
     // Re-snapshot so the ingest counters recorded above are included.
     report.stats = Some(registry.snapshot());

@@ -48,37 +48,53 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
 }
 
 /// Runs `task(0..n_tasks)` across up to `threads` scoped worker threads
-/// and returns the results **in index order**.
+/// and returns the results **in index order** — the stateless case of
+/// [`run_indexed_with`].
+pub fn run_indexed<T, F>(n_tasks: usize, threads: usize, task: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    run_indexed_with(n_tasks, threads, || (), |(), i| task(i))
+}
+
+/// Runs `task(&mut state, 0..n_tasks)` across up to `threads` scoped
+/// worker threads, each holding one `init()` state for all the tasks it
+/// runs (a scratch workspace, say), and returns the results **in index
+/// order**.
 ///
 /// Work is distributed dynamically, but in *chunks* of consecutive
 /// indices rather than one index per atomic claim: each worker grabs
 /// `max(1, n_tasks / (threads * 4))` tasks at a time, so fine-grained
 /// workloads don't serialize on the cursor's cache line while uneven
 /// task costs still balance (4 chunks per worker on average leaves room
-/// for stealing). The output is independent of the schedule: slot `i`
-/// always holds `task(i)`. With `threads <= 1` (or a single task) the
+/// for stealing). The output is independent of the schedule as long as
+/// `task(_, i)` does not depend on what its state saw before: slot `i`
+/// always holds `task(_, i)`. With `threads <= 1` (or a single task) the
 /// tasks run inline on the caller's thread — no spawn overhead.
 ///
 /// # Panics
 ///
 /// Propagates the first worker panic after all workers have stopped.
-pub fn run_indexed<T, F>(n_tasks: usize, threads: usize, task: F) -> Vec<T>
+pub fn run_indexed_with<S, T, I, F>(n_tasks: usize, threads: usize, init: I, task: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
 {
     let threads = threads.max(1).min(n_tasks);
     if threads <= 1 {
-        return (0..n_tasks).map(task).collect();
+        let mut state = init();
+        return (0..n_tasks).map(|i| task(&mut state, i)).collect();
     }
     let chunk = (n_tasks / (threads * 4)).max(1);
     let cursor = AtomicUsize::new(0);
-    let task = &task;
-    let cursor = &cursor;
+    let (init, task, cursor) = (&init, &task, &cursor);
     let buckets: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(move || {
+                    let mut state = init();
                     let mut local = Vec::new();
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -86,7 +102,7 @@ where
                             break;
                         }
                         for i in start..(start + chunk).min(n_tasks) {
-                            local.push((i, task(i)));
+                            local.push((i, task(&mut state, i)));
                         }
                     }
                     local
@@ -119,6 +135,27 @@ mod tests {
         for threads in [1, 2, 3, 8, 64] {
             let out = run_indexed(100, threads, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn worker_state_is_built_once_per_worker_and_reused() {
+        for threads in [1, 2, 8] {
+            let built = AtomicUsize::new(0);
+            let out = run_indexed_with(
+                100,
+                threads,
+                || {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |seen, i| {
+                    seen.push(i);
+                    i * 2
+                },
+            );
+            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>(), "{threads} threads");
+            assert!(built.load(Ordering::Relaxed) <= threads, "{threads} threads");
         }
     }
 

@@ -5,6 +5,7 @@ use std::time::Instant;
 
 use dynaminer::classifier::Classifier;
 use dynaminer::detector::{Alert, DetectorConfig, DetectorState, OnTheWireDetector};
+use dynaminer::forensic::ConversationVerdict;
 use mlearn::slot::ModelSlot;
 use nettrace::HttpTransaction;
 use telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
@@ -473,12 +474,14 @@ impl StreamEngine {
         &self.model
     }
 
-    /// Thaws every spilled conversation on every shard, so a final
-    /// verdict sweep over [`StreamEngine::detectors`] sees all state.
-    pub fn rehydrate_all(&mut self) {
-        for det in &mut self.detectors {
-            det.rehydrate_all();
-        }
+    /// Every shard's
+    /// [`final_verdicts`](OnTheWireDetector::final_verdicts), in
+    /// conversation-id order.
+    pub fn final_verdicts(&mut self, threads: usize) -> Vec<ConversationVerdict> {
+        let mut verdicts: Vec<ConversationVerdict> =
+            self.detectors.iter_mut().flat_map(|det| det.final_verdicts(threads)).collect();
+        verdicts.sort_by_key(|v| v.id);
+        verdicts
     }
 
     /// Alerts raised across all shards over the engine's lifetime

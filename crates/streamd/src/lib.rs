@@ -41,8 +41,8 @@ pub use snapshot::{
 };
 
 use dynaminer::classifier::Classifier;
-use dynaminer::detector::{Conversation, DetectorConfig};
-use dynaminer::forensic::{ConversationVerdict, DownloadRecord, ForensicReport};
+use dynaminer::detector::DetectorConfig;
+use dynaminer::forensic::{DownloadRecord, ForensicReport};
 use nettrace::HttpTransaction;
 use telemetry::Registry;
 
@@ -114,28 +114,15 @@ pub fn order_and_downloads(
 ) -> (Vec<&HttpTransaction>, Vec<DownloadRecord>) {
     let mut order: Vec<&HttpTransaction> = transactions.iter().collect();
     order.sort_by(|a, b| a.ts.total_cmp(&b.ts).then(a.seq.cmp(&b.seq)));
-    let mut downloads = Vec::new();
-    for tx in &order {
-        if tx.status / 100 == 2 && tx.payload_size > 0 && tx.payload_class.is_exploit_type() {
-            downloads.push(DownloadRecord {
-                host: tx.host.clone(),
-                class: tx.payload_class,
-                size: tx.payload_size,
-                digest: tx.payload_digest,
-                ts: tx.ts,
-            });
-        }
-    }
+    let downloads = order.iter().filter_map(|tx| DownloadRecord::of(tx)).collect();
     (order, downloads)
 }
 
-/// Final verdict pass and report assembly, shard by shard. Batched
-/// conversation scoring is bit-identical at any thread count and
-/// conversations are independent, so scoring them per shard and
-/// reassembling by id reproduces the single tracker's scores in its
-/// iteration order (client-scoped ids sort client-major, like its
-/// BTreeMap). Spilled conversations are rehydrated first so the sweep
-/// sees every conversation, frozen or not.
+/// Final verdict pass and report assembly: each shard's detector runs
+/// its own [`final_verdicts`](dynaminer::detector::OnTheWireDetector::final_verdicts)
+/// sweep (spilled conversations thawed first) and the verdicts are
+/// reassembled by id, which reproduces the single tracker's iteration
+/// order — client-scoped ids sort client-major, like its BTreeMap.
 ///
 /// Public so harnesses that drive a long-lived engine across several
 /// `process` calls (epoch-by-epoch drift replay) can close it out with
@@ -146,25 +133,7 @@ pub fn finish_report(
     threads: usize,
     registry: Option<&Registry>,
 ) -> ForensicReport {
-    engine.rehydrate_all();
-    let mut conversations: Vec<ConversationVerdict> = Vec::new();
-    for detector in engine.detectors() {
-        let convs: Vec<&Conversation> = detector.tracker().conversations().collect();
-        let slices: Vec<&[HttpTransaction]> =
-            convs.iter().map(|c| c.transactions.as_slice()).collect();
-        let started = std::time::Instant::now();
-        let scores = detector.classifier().score_conversations_batch(&slices, threads);
-        detector.metrics().scoring_ns.observe_since(started);
-        conversations.extend(convs.iter().zip(scores).map(|(c, score)| ConversationVerdict {
-            id: c.id,
-            transactions: c.transactions.len(),
-            score,
-            alerted: c.alerted,
-            hosts: c.hosts().count(),
-        }));
-    }
-    conversations.sort_by_key(|v| v.id);
-
+    let conversations = engine.final_verdicts(threads);
     let stats = registry.map(|r| {
         r.absorb(&engine.detector_stats());
         r.snapshot()

@@ -189,18 +189,7 @@ pub fn run(
                     // download scan; feed order is the wire's `(ts,
                     // seq)` order, so the ledger matches a replay of
                     // the equivalent capture.
-                    if tx.status / 100 == 2
-                        && tx.payload_size > 0
-                        && tx.payload_class.is_exploit_type()
-                    {
-                        downloads.push(DownloadRecord {
-                            host: tx.host.clone(),
-                            class: tx.payload_class,
-                            size: tx.payload_size,
-                            digest: tx.payload_digest,
-                            ts: tx.ts,
-                        });
-                    }
+                    downloads.extend(DownloadRecord::of(&tx));
                     handle.push(tx);
                 }
                 if flushed {
