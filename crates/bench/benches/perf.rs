@@ -187,6 +187,18 @@ fn bench_detector(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // The final verdict pass over the detector a replay leaves behind:
+    // every conversation scored from the WCG it holds, on one thread,
+    // with alerting off so watched conversations keep their full length.
+    // A sweep changes nothing in the detector, so iterations repeat it
+    // over the same state.
+    let config = DetectorConfig { alert_threshold: 1.1, ..DetectorConfig::default() };
+    let mut swept = OnTheWireDetector::new(classifier.clone(), config);
+    for tx in &stream {
+        swept.observe(tx);
+    }
+    group.throughput(Throughput::Elements(swept.tracker().conversation_count() as u64));
+    group.bench_function("final_verdicts", |b| b.iter(|| swept.final_verdicts(1).len()));
     group.finish();
 }
 

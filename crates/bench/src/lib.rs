@@ -1,16 +1,31 @@
-//! Shared support for the experiment binaries.
+//! The paper's evaluation as one checked table.
 //!
-//! Every paper table and figure has a binary under `src/bin/` that
-//! regenerates it (see DESIGN.md's per-experiment index). All binaries
-//! honor the `DYNAMINER_SCALE` environment variable (default `1.0` =
-//! paper-sized corpora; use e.g. `0.2` for a quick pass) and print the
-//! paper's reported values next to the measured ones.
+//! [`experiments::EXPERIMENTS`] holds one row per paper table, figure,
+//! ablation and extension (DESIGN.md's per-experiment index): an id, a
+//! title, the body that renders `results/<id>.txt`, and the claims that
+//! output supports. The `experiments` binary runs the rows over one
+//! [`Fixtures`] — every shared input is built once per process — and
+//! exits non-zero when a claim's measured value leaves its tolerance
+//! ([`claims`]). All corpora are paper-sized and seeded with
+//! [`EXPERIMENT_SEED`], so every file regenerates byte for byte.
+//!
+//! Beside it live the counting allocator behind the three
+//! `*_alloc_regression.rs` fences and `benches/perf.rs`, the kernel
+//! bench.
+
+use std::cell::OnceCell;
+use std::time::Instant;
 
 use dynaminer::classifier::Classifier;
+use mlearn::crossval::{cross_validate, CvResult};
 use mlearn::dataset::Dataset;
+use mlearn::forest::ForestConfig;
 use synthtraffic::Episode;
 
-/// Seed used by every experiment binary so tables regenerate identically.
+pub mod claims;
+pub mod experiments;
+
+/// Seed of every corpus, fold split and forest, so tables regenerate identically.
 pub const EXPERIMENT_SEED: u64 = 42;
 
 /// Heap-allocation counting for bench builds.
@@ -68,23 +83,63 @@ pub mod alloc_count {
     }
 }
 
-/// Corpus scale factor from `DYNAMINER_SCALE` (default 1.0).
-pub fn scale() -> f64 {
-    std::env::var("DYNAMINER_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.0)
-        .clamp(0.001, 10.0)
+/// The inputs experiments share, each built on first use and at most
+/// once per process (a line on stderr says when, and how long it took).
+#[derive(Default)]
+pub struct Fixtures {
+    ground_truth: OnceCell<Vec<Episode>>,
+    validation: OnceCell<Vec<Episode>>,
+    dataset: OnceCell<Dataset>,
+    classifier: OnceCell<Classifier>,
+    cv_default: OnceCell<CvResult>,
 }
 
-/// The ground-truth corpus at the configured scale.
-pub fn ground_truth_corpus() -> Vec<Episode> {
-    synthtraffic::ground_truth(EXPERIMENT_SEED, scale())
+fn built<'a, T>(cell: &'a OnceCell<T>, name: &str, build: impl FnOnce() -> T) -> &'a T {
+    cell.get_or_init(|| {
+        let start = Instant::now();
+        let value = build();
+        eprintln!("fixture {name}: built in {:.1} s", start.elapsed().as_secs_f64());
+        value
+    })
 }
 
-/// The held-out validation corpus at the configured scale.
-pub fn validation_corpus() -> Vec<Episode> {
-    synthtraffic::validation_set(EXPERIMENT_SEED, scale())
+impl Fixtures {
+    /// No fixture is built until an experiment asks for it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The paper-sized ground-truth corpus (Table I: 980 benign + 770 infections).
+    pub fn ground_truth(&self) -> &[Episode] {
+        built(&self.ground_truth, "ground_truth", || {
+            synthtraffic::ground_truth(EXPERIMENT_SEED, 1.0)
+        })
+        .as_slice()
+    }
+
+    /// The held-out validation corpus (Table V: 1500 benign + 7489 infections).
+    pub fn validation(&self) -> &[Episode] {
+        built(&self.validation, "validation", || synthtraffic::validation_set(EXPERIMENT_SEED, 1.0))
+            .as_slice()
+    }
+
+    /// The ground truth as a 37-column dataset, one row per episode in
+    /// corpus order (benign = 0, infection = 1).
+    pub fn dataset(&self) -> &Dataset {
+        built(&self.dataset, "dataset", || corpus_dataset(self.ground_truth()))
+    }
+
+    /// The paper's default classifier, trained on [`Fixtures::dataset`].
+    pub fn classifier(&self) -> &Classifier {
+        built(&self.classifier, "classifier", || {
+            Classifier::fit_default(self.dataset(), EXPERIMENT_SEED)
+        })
+    }
+
+    /// 10-fold cross-validation of the default forest on all 37 features.
+    pub fn cv_default(&self) -> &CvResult {
+        built(&self.cv_default, "cv_default", || cv10(self.dataset(), &ForestConfig::default()))
+    }
 }
 
 /// Featurizes a corpus into a 37-column dataset (benign = 0, infection = 1),
@@ -96,32 +151,8 @@ pub fn corpus_dataset(corpus: &[Episode]) -> Dataset {
     dynaminer::classifier::build_dataset_parallel(&items, threads)
 }
 
-/// Trains the paper's default classifier on a corpus.
-pub fn train_default(corpus: &[Episode]) -> Classifier {
-    Classifier::fit_default(&corpus_dataset(corpus), EXPERIMENT_SEED)
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(what: &str) {
-    println!("=== {what} ===");
-    println!("(corpus scale {}; set DYNAMINER_SCALE to change)\n", scale());
-}
-
-/// Formats a measured-vs-paper comparison cell.
-pub fn vs(measured: f64, paper: f64) -> String {
-    format!("{measured:>7.3} (paper {paper:.3})")
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn scale_is_positive_by_default() {
-        assert!(super::scale() > 0.0);
-    }
-
-    #[test]
-    fn vs_formats_both_numbers() {
-        let s = super::vs(0.5, 0.973);
-        assert!(s.contains("0.500") && s.contains("0.973"));
-    }
+/// The evaluation protocol of every classifier table: stratified
+/// 10-fold cross-validation at the experiment seed.
+pub fn cv10(data: &Dataset, config: &ForestConfig) -> CvResult {
+    cross_validate(data, 10, config, 1, EXPERIMENT_SEED)
 }

@@ -244,27 +244,6 @@ impl RandomForest {
         }
     }
 
-    /// Batched scoring fanned out over up to `threads` worker threads:
-    /// rows are split into contiguous chunks, each chunk scored with
-    /// [`RandomForest::predict_proba_batch`]. Row results are independent,
-    /// so the output is identical at any thread count.
-    pub fn predict_proba_batch_threaded<R: AsRef<[f64]> + Sync>(
-        &self,
-        rows: &[R],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        let threads = threads.max(1).min(rows.len().max(1));
-        if threads <= 1 {
-            return self.predict_proba_batch(rows);
-        }
-        let chunk = rows.len().div_ceil(threads);
-        let chunks: Vec<&[R]> = rows.chunks(chunk).collect();
-        parallel::run_indexed(chunks.len(), threads, |c| self.predict_proba_batch(chunks[c]))
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
     /// `class` scores for a block of rows (the batched analogue of
     /// [`RandomForest::score`]) across up to `threads` workers.
     ///
@@ -684,10 +663,6 @@ mod tests {
             for (i, row) in rows.iter().enumerate() {
                 assert_eq!(batched[i], forest.predict_proba(row), "row {i}");
             }
-            for threads in [1, 2, 5] {
-                let threaded = forest.predict_proba_batch_threaded(&rows, threads);
-                assert_eq!(threaded, batched, "threads {threads}");
-            }
             for threads in [1, 3] {
                 let scores = forest.score_batch(&rows, 1, threads);
                 for (i, p) in batched.iter().enumerate() {
@@ -703,7 +678,6 @@ mod tests {
         let forest = RandomForest::fit(&data, &ForestConfig::default(), 2);
         let rows: Vec<Vec<f64>> = Vec::new();
         assert!(forest.predict_proba_batch(&rows).is_empty());
-        assert!(forest.predict_proba_batch_threaded(&rows, 4).is_empty());
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
-    warm_up_iterations: usize,
 }
 
 impl Default for Criterion {
@@ -42,7 +41,6 @@ impl Default for Criterion {
             sample_size: 10,
             measurement_time: Duration::from_secs(3),
             warm_up_time: Duration::from_secs(1),
-            warm_up_iterations: 1,
         }
     }
 }
@@ -69,18 +67,6 @@ impl Criterion {
         self
     }
 
-    /// Sets the minimum number of warm-up iterations per benchmark
-    /// (workspace extension, not in real criterion). Warm-up runs until
-    /// *both* the warm-up time has elapsed and this many iterations have
-    /// completed, so long-iteration benches are measured against warmed
-    /// caches and lazily-initialized state even when one iteration
-    /// exceeds the warm-up budget.
-    #[must_use]
-    pub fn warm_up_iterations(mut self, n: usize) -> Self {
-        self.warm_up_iterations = n.max(1);
-        self
-    }
-
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -104,22 +90,17 @@ impl BenchmarkGroup<'_> {
         self.throughput = Some(throughput);
     }
 
-    /// Runs one benchmark, prints its timing line, and returns the
-    /// measured median per-iteration time so harnesses (the `bench`
-    /// crate's throughput bin) can persist results programmatically.
-    /// (Real criterion returns `&mut Self`; no bench in this workspace
-    /// chains calls, and the measured value is strictly more useful.)
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> Duration {
+    /// Runs one benchmark and prints its timing line.
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
         let mut bencher = Bencher {
             warm_up: self.criterion.warm_up_time,
-            warm_up_iters: self.criterion.warm_up_iterations,
             measurement: self.criterion.measurement_time,
             samples: self.criterion.sample_size,
             per_iter: Duration::ZERO,
         };
         f(&mut bencher);
         report(&self.name, id, bencher.per_iter, self.throughput);
-        bencher.per_iter
+        self
     }
 
     /// Ends the group (purely cosmetic here).
@@ -129,7 +110,6 @@ impl BenchmarkGroup<'_> {
 /// Timer handle passed to each benchmark closure.
 pub struct Bencher {
     warm_up: Duration,
-    warm_up_iters: usize,
     measurement: Duration,
     samples: usize,
     per_iter: Duration,
@@ -148,15 +128,12 @@ impl Bencher {
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        // Warm-up: run until the warm-up budget elapses AND the minimum
-        // iteration count is met (at least once either way).
+        // Warm-up: run until the warm-up budget elapses (at least once).
         let warm_start = Instant::now();
-        let mut warm_iters = 0usize;
         loop {
             let input = setup();
             let _ = std::hint::black_box(routine(std::hint::black_box(input)));
-            warm_iters += 1;
-            if warm_start.elapsed() >= self.warm_up && warm_iters >= self.warm_up_iters {
+            if warm_start.elapsed() >= self.warm_up {
                 break;
             }
         }
@@ -241,7 +218,7 @@ mod tests {
         let mut group = c.benchmark_group("shim");
         group.throughput(Throughput::Bytes(1024));
         let mut ran = 0u64;
-        let per_iter = group.bench_function("spin", |b| {
+        group.bench_function("spin", |b| {
             b.iter(|| {
                 ran += 1;
                 std::hint::black_box(ran)
@@ -249,27 +226,5 @@ mod tests {
         });
         group.finish();
         assert!(ran > 0);
-        assert!(per_iter > Duration::ZERO, "measured time is returned");
-    }
-
-    #[test]
-    fn warm_up_iteration_floor_is_respected() {
-        // Zero warm-up time but a 5-iteration floor: the routine must run
-        // at least 5 warm-up iterations plus one measured iteration.
-        let mut c = Criterion::default()
-            .sample_size(1)
-            .measurement_time(Duration::from_nanos(1))
-            .warm_up_time(Duration::ZERO)
-            .warm_up_iterations(5);
-        let mut group = c.benchmark_group("shim");
-        let mut ran = 0u64;
-        group.bench_function("floor", |b| {
-            b.iter(|| {
-                ran += 1;
-                std::hint::black_box(ran)
-            })
-        });
-        group.finish();
-        assert!(ran >= 6, "ran {ran} iterations");
     }
 }
