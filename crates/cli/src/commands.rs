@@ -6,7 +6,8 @@ use std::fs;
 use dynaminer::classifier::{build_dataset_parallel, Classifier, FeatureSelection};
 use dynaminer::detector::{ClueConfig, DetectorConfig};
 use dynaminer::wcg::Wcg;
-use dynaminer::{features, forensic};
+use dynaminer::features;
+use nettrace::source::ReplaySource;
 use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,6 +15,7 @@ use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
 use synthtraffic::pcapgen;
 use synthtraffic::{BenignScenario, EkFamily};
+use wirefront::{RunOptions, RunSummary};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -53,25 +55,24 @@ are bit-identical at any value).
 snapshot at FILE and Prometheus text exposition at FILE with the
 extension swapped to .prom.
 
---shards N (replay) runs the capture through the sharded stream engine:
-N per-shard detectors partitioned by client address. With default state
-caps the report is bit-identical to the single-threaded replay at any
-shard count.
-
---snapshot-out FILE (replay) checkpoints the engine's durable state to
-FILE (atomic tmp+rename) every --checkpoint-every transactions (default
-2048) and at end of stream. --resume FILE restores a checkpoint first —
-transactions the checkpoint already covers are skipped, and the restore
-may use a different --shards count than the run that wrote it; the
-resumed report is byte-identical to an uninterrupted run. --pace-ms
-sleeps between checkpoints (crash-drill pacing). --reload-model FILE
-[--reload-at N] atomically hot-swaps in a second model once N
-transactions have been fed (default 0: before the first).
+replay and wire run one loop over one engine — replay's source is the
+capture's transactions in timestamp order, wire's a live proxy or packet
+source — so the engine flags mean the same on both. --shards N partitions
+the stream by client address across N detectors (default 1; with default
+state caps the report is bit-identical at any count). --snapshot-out FILE
+checkpoints the engine's durable state to FILE (atomic tmp+rename) every
+--checkpoint-every transactions, exactly (default 2048 for replay; 0 for
+wire: at the end only), and at end of stream. --resume FILE restores a
+checkpoint first, at any --shards count; a resumed replay skips what the
+checkpoint covers and reports byte-identically to an uninterrupted run,
+and refuses a checkpoint of another capture. --pace-ms (replay) sleeps
+between checkpoints (crash drills). --reload-model FILE [--reload-at N]
+hot-swaps in a second model at the first checkpoint boundary once N
+transactions have been fed, or before the final verdicts if none comes.
 
 wire runs the on-the-wire ingress: `wire proxy` is an inline HTTP
 forward proxy (optionally PROXY-protocol v1/v2 aware) and `wire
-capture` a packet source (pcap tail or AF_PACKET interface), both
-feeding the live stream engine with the durable flag set of replay.
+capture` a packet source (pcap tail or AF_PACKET interface).
 SIGTERM/SIGINT triggers a graceful zero-loss drain. `wire origin`,
 `wire drive`, and `wire pcap` are the loopback parity harness: a
 deterministic replay origin, an episode driver, and the equivalent
@@ -170,22 +171,24 @@ pub(crate) fn write_metrics(registry: &telemetry::Registry, path: &str) -> Resul
     Ok(())
 }
 
-fn load_transactions(path: &str) -> Result<Vec<HttpTransaction>, String> {
-    let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // Accepts classic pcap or pcapng, detected by magic.
-    nettrace::SpanPipeline::extract_capture_strict(&bytes).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Lenient counterpart of [`load_transactions`]: salvages whatever the
-/// capture still holds, accounting losses in the returned report. Only
-/// an unreadable file is an error.
-fn load_transactions_lenient(
+/// Reads a capture (classic pcap or pcapng, detected by magic) under
+/// the strict policy — the first unparseable byte is the error — or the
+/// lenient one, which salvages whatever the capture still holds and
+/// accounts the losses in the returned report; then only an unreadable
+/// file is an error.
+fn load_capture(
     path: &str,
-) -> Result<(Vec<HttpTransaction>, nettrace::IngestReport), String> {
+    strict: bool,
+) -> Result<(Vec<HttpTransaction>, Option<nettrace::IngestReport>), String> {
     let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    if strict {
+        let txs = nettrace::SpanPipeline::extract_capture_strict(&bytes)
+            .map_err(|e| format!("{path}: {e}"))?;
+        return Ok((txs, None));
+    }
     let mut report = nettrace::IngestReport::new();
     let txs = nettrace::SpanPipeline::extract_capture_lenient(&bytes, &mut report);
-    Ok((txs, report))
+    Ok((txs, Some(report)))
 }
 
 /// On-disk model format: the classifier plus provenance metadata.
@@ -307,13 +310,10 @@ pub fn classify(args: &[String]) -> Result<(), String> {
     }
     let mut loaded = Vec::new();
     for path in &opts.positional {
-        let (txs, ingest) = if opts.bool_flag("strict") {
-            (load_transactions(path)?, None)
-        } else {
-            let (txs, report) = load_transactions_lenient(path)?;
-            ingest_metrics.record(&report);
-            (txs, Some(report))
-        };
+        let (txs, ingest) = load_capture(path, opts.bool_flag("strict"))?;
+        if let Some(report) = &ingest {
+            ingest_metrics.record(report);
+        }
         // A lenient read that salvaged nothing has no conversation to
         // judge; a verdict over zero evidence would be noise.
         if txs.is_empty() && ingest.is_some() {
@@ -362,128 +362,106 @@ pub fn classify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `dynaminer replay` — forensic replay of a capture through the full
-/// detector (session clustering, clue gate, WCG classification).
-pub fn replay(args: &[String]) -> Result<(), String> {
-    let opts = parse(args)?;
+/// What `replay` and `wire` do the same way from the same flags: model
+/// (`--model`, or a default trained on the spot), `--threshold`,
+/// `--threads`, `--shards`, a fresh engine or a `--resume`d one,
+/// `--reload-model`/`--reload-at`, the `--snapshot-out` sink and
+/// `--checkpoint-every` (`default_cadence` when absent). `drive` gets
+/// the engine and the [`RunOptions`] that amounts to; `stats` is the
+/// registry whose snapshot should ride on the report, if any.
+pub(crate) fn run_engine(
+    opts: &Options,
+    registry: &telemetry::Registry,
+    default_cadence: u64,
+    stats: Option<&telemetry::Registry>,
+    drive: impl FnOnce(&mut streamd::StreamEngine, RunOptions<'_>) -> Result<RunSummary, String>,
+) -> Result<RunSummary, String> {
     let threads = opts.threads_flag()?;
-    let registry = telemetry::Registry::new();
-    let metrics_out = opts.flags.get("metrics-out");
     let classifier = match opts.flags.get("model") {
         Some(path) => load_model(path)?,
         None => {
             eprintln!("no --model given; training a default model first…");
-            train_classifier(0.25, 42, threads, metrics_out.map(|_| &registry))
+            let metrics_out = opts.flags.get("metrics-out");
+            train_classifier(0.25, 42, threads, metrics_out.map(|_| registry))
         }
     };
-    let threshold = opts.u64_flag("threshold", 2)? as usize;
-    let [path] = opts.positional.as_slice() else {
-        return Err("replay expects exactly one capture file".into());
-    };
-    let config = DetectorConfig {
-        clue: ClueConfig { redirect_threshold: threshold, ..ClueConfig::default() },
+    let detector_config = DetectorConfig {
+        clue: ClueConfig {
+            redirect_threshold: opts.u64_flag("threshold", 2)? as usize,
+            ..ClueConfig::default()
+        },
         scoring_threads: threads,
         ..DetectorConfig::default()
     };
-    let telemetry_on = metrics_out.is_some();
-    let shards = opts.u64_flag("shards", 1)? as usize;
-    let snapshot_out = opts.flags.get("snapshot-out");
-    let durable = snapshot_out.is_some() || opts.flags.contains_key("resume");
-    let report = if durable {
-        // Durable replay through the streamd engine (any shard count):
-        // periodic snapshots, optional resume, optional model
-        // hot-reload. Interrupted-and-resumed output is byte-identical
-        // to an uninterrupted run.
-        let (txs, ingest) = if opts.bool_flag("strict") {
-            (load_transactions(path)?, None)
-        } else {
-            let (txs, report) = load_transactions_lenient(path)?;
-            (txs, Some(report))
-        };
-        let resume = match opts.flags.get("resume") {
-            Some(p) => Some(streamd::read_snapshot(std::path::Path::new(p))?),
-            None => None,
-        };
-        let reload = match opts.flags.get("reload-model") {
-            // Reload models go through load_model, so they pass the
-            // same format-version gate as the initial --model.
-            Some(p) => Some((load_model(p)?, opts.u64_flag("reload-at", 0)?)),
-            None => None,
-        };
-        let pace_ms = opts.u64_flag("pace-ms", 0)?;
-        let mut sink = snapshot_out.map(|p| {
-            let path = std::path::PathBuf::from(p);
-            move |snap: &streamd::EngineSnapshot| streamd::write_snapshot_atomic(&path, snap)
-        });
-        if telemetry_on {
-            if let Some(ingest) = &ingest {
-                nettrace::metrics::IngestMetrics::new(&registry).record(ingest);
-            }
-        }
-        let durable_opts = streamd::DurableReplayOptions {
-            resume,
-            checkpoint_every: opts.u64_flag("checkpoint-every", 2048)?,
-            snapshot_sink: sink.as_mut().map(|f| {
-                f as &mut dyn FnMut(&streamd::EngineSnapshot) -> Result<(), String>
-            }),
-            pace: (pace_ms > 0).then(|| std::time::Duration::from_millis(pace_ms)),
-            reload,
-        };
-        let stream_config =
-            streamd::StreamConfig { shards: shards.max(1), ..streamd::StreamConfig::default() };
-        let mut report = streamd::analyze_transactions_durable(
-            &txs,
+    let stream_config = streamd::StreamConfig {
+        shards: (opts.u64_flag("shards", 1)? as usize).max(1),
+        ..streamd::StreamConfig::default()
+    };
+    let mut engine = match opts.flags.get("resume") {
+        Some(p) => streamd::StreamEngine::restore(
             classifier,
-            config,
+            detector_config,
             stream_config,
-            telemetry_on.then_some(&registry),
-            durable_opts,
-        )?;
-        report.ingest = ingest;
-        report
-    } else if shards > 1 {
-        // Sharded replay through the streamd engine: same ingest
-        // behaviour as the single-threaded path, then the stream is
-        // hash-partitioned by client across `shards` workers.
-        let (txs, ingest) = if opts.bool_flag("strict") {
-            (load_transactions(path)?, None)
-        } else {
-            let (txs, report) = load_transactions_lenient(path)?;
-            (txs, Some(report))
-        };
-        let stream_config = streamd::StreamConfig { shards, ..streamd::StreamConfig::default() };
-        let mut report = if telemetry_on {
-            if let Some(ingest) = &ingest {
-                nettrace::metrics::IngestMetrics::new(&registry).record(ingest);
-            }
-            streamd::analyze_transactions_sharded_telemetry(
-                &txs, classifier, config, stream_config, &registry,
-            )
-        } else {
-            streamd::analyze_transactions_sharded(&txs, classifier, config, stream_config)
-        };
-        report.ingest = ingest;
-        report
-    } else {
-        match (opts.bool_flag("strict"), telemetry_on) {
-            (true, false) => {
-                let txs = load_transactions(path)?;
-                forensic::analyze_transactions(&txs, classifier, config)
-            }
-            (true, true) => {
-                let txs = load_transactions(path)?;
-                forensic::analyze_transactions_telemetry(&txs, classifier, config, &registry)
-            }
-            (false, false) => {
-                let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-                forensic::analyze_pcap_lenient(&bytes, classifier, config)
-            }
-            (false, true) => {
-                let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-                forensic::analyze_pcap_lenient_telemetry(&bytes, classifier, config, &registry)
-            }
+            registry,
+            streamd::read_snapshot(std::path::Path::new(p))?,
+        ),
+        None => {
+            streamd::StreamEngine::with_telemetry(classifier, detector_config, stream_config, registry)
         }
     };
+    let reload = match opts.flags.get("reload-model") {
+        // Reload models go through load_model, so they pass the same
+        // format-version gate as the initial --model.
+        Some(p) => Some((load_model(p)?, opts.u64_flag("reload-at", 0)?)),
+        None => None,
+    };
+    let mut sink = opts.flags.get("snapshot-out").map(|p| {
+        let path = std::path::PathBuf::from(p);
+        move |snap: &streamd::EngineSnapshot| streamd::write_snapshot_atomic(&path, snap)
+    });
+    let run_opts = RunOptions {
+        checkpoint_every: opts.u64_flag("checkpoint-every", default_cadence)?,
+        snapshot_sink: sink.as_mut().map(|f| f as wirefront::SnapshotSink<'_>),
+        reload,
+        idle_timeout: None,
+        poll_wait_ms: 50,
+        scoring_threads: threads,
+        registry: stats,
+    };
+    drive(&mut engine, run_opts)
+}
+
+/// `dynaminer replay` — forensic replay of a capture through the full
+/// detector (session clustering, clue gate, WCG classification): the
+/// capture's transactions as a [`ReplaySource`] into the engine and run
+/// loop `wire` attaches to live traffic.
+pub fn replay(args: &[String]) -> Result<(), String> {
+    let opts = parse(args)?;
+    let registry = telemetry::Registry::new();
+    let metrics_out = opts.flags.get("metrics-out");
+    let stats = metrics_out.map(|_| &registry);
+    let [path] = opts.positional.as_slice() else {
+        return Err("replay expects exactly one capture file".into());
+    };
+    let mut ingest = None;
+    let summary = run_engine(&opts, &registry, 2048, stats, |engine, run_opts| {
+        let txs;
+        (txs, ingest) = load_capture(path, opts.bool_flag("strict"))?;
+        if let (Some(registry), Some(ingest)) = (stats, &ingest) {
+            nettrace::metrics::IngestMetrics::new(registry).record(ingest);
+        }
+        let mut source = ReplaySource::new(txs);
+        let pace_ms = opts.u64_flag("pace-ms", 0)?;
+        if pace_ms > 0 {
+            // One checkpoint's worth per pump, so the sleep falls
+            // between consecutive checkpoints.
+            let per_pump = usize::try_from(run_opts.checkpoint_every).unwrap_or(usize::MAX);
+            source = source.paced(per_pump, std::time::Duration::from_millis(pace_ms));
+        }
+        wirefront::replay(source, engine, run_opts)
+    })?;
+    let mut report = summary.report;
+    report.ingest = ingest;
     if let Some(path) = metrics_out {
         write_metrics(&registry, path)?;
     }
@@ -654,7 +632,7 @@ pub fn dot(args: &[String]) -> Result<(), String> {
     let [path] = opts.positional.as_slice() else {
         return Err("dot expects exactly one capture file".into());
     };
-    let txs = load_transactions(path)?;
+    let (txs, _) = load_capture(path, true)?;
     println!("{}", Wcg::from_transactions(&txs).to_dot("wcg"));
     Ok(())
 }
@@ -665,7 +643,7 @@ pub fn features(args: &[String]) -> Result<(), String> {
     let [path] = opts.positional.as_slice() else {
         return Err("features expects exactly one capture file".into());
     };
-    let txs = load_transactions(path)?;
+    let (txs, _) = load_capture(path, true)?;
     let fv = features::extract(&Wcg::from_transactions(&txs));
     for (name, value) in features::NAMES.iter().zip(fv.values()) {
         println!("{name:<30} {value:.6}");

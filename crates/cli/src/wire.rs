@@ -2,8 +2,8 @@
 //!
 //! `wire proxy` and `wire capture` join a live
 //! [`TrafficSource`] to the stream
-//! engine with the same durable flag set as `replay`
-//! (`--snapshot-out`, `--resume`, `--checkpoint-every`,
+//! engine through the set-up and run loop `replay` uses
+//! (`commands::run_engine`: `--snapshot-out`, `--resume`, `--checkpoint-every`,
 //! `--reload-model`); `SIGTERM`/`SIGINT` triggers the zero-loss
 //! graceful drain. `wire origin`, `wire drive`, and `wire pcap` are
 //! the deterministic loopback parity harness: for the same
@@ -11,13 +11,13 @@
 //! the *same* episode set, so a proxy run and an offline `replay` of
 //! the generated capture can be compared field for field.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use dynaminer::detector::{ClueConfig, DetectorConfig};
 use dynaminer::forensic::ForensicReport;
 use nettrace::source::TrafficSource;
 use nettrace::wiretap::TapConfig;
@@ -26,7 +26,7 @@ use synthtraffic::wire::{
     drive_episodes, episodes_pcap, merged_wire_transactions, wire_episode_set, OriginServer,
 };
 use synthtraffic::Episode;
-use wirefront::{run, CaptureConfig, CaptureSource, ProxyConfig, ProxySource, RunOptions};
+use wirefront::{metrics, run, CaptureConfig, CaptureSource, ProxyConfig, ProxySource, RunOptions};
 
 use crate::commands::{self, Options};
 
@@ -101,7 +101,7 @@ fn proxy(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
     announce_ready(&opts, source.local_addr())?;
     eprintln!("wire proxy: {} -> {origin_addr}", source.local_addr());
-    run_source(&opts, &mut source)
+    run_source(&opts, &mut source, |proxy| proxy.proxyproto_rejects().clone())
 }
 
 #[cfg(target_os = "linux")]
@@ -138,7 +138,7 @@ fn capture(args: &[String]) -> Result<(), String> {
         (None, Some(iface)) => live_source(iface, config)?,
         _ => return Err("wire capture needs exactly one of --pcap or --iface".into()),
     };
-    run_source(&opts, &mut source)
+    run_source(&opts, &mut source, |_| BTreeMap::new())
 }
 
 /// `wire origin` — the loopback replay origin, serving the episode
@@ -200,69 +200,28 @@ struct WireReport {
     report: ForensicReport,
 }
 
-/// Shared engine loop for `wire proxy` and `wire capture`: model,
-/// durable state, signal handling, run, and reporting.
-fn run_source(opts: &Options, source: &mut dyn TrafficSource) -> Result<(), String> {
-    let threads = opts.threads_flag()?;
+/// Shared engine loop for `wire proxy` and `wire capture`: the engine
+/// set-up `replay` uses, signal handling, run, source metrics, and
+/// reporting. `rejects` reads a concrete source's PROXY handshake
+/// rejects, which [`TrafficSource`] does not carry.
+fn run_source<S: TrafficSource>(
+    opts: &Options,
+    source: &mut S,
+    rejects: fn(&S) -> BTreeMap<&'static str, u64>,
+) -> Result<(), String> {
     let registry = telemetry::Registry::new();
     let metrics_out = opts.flags.get("metrics-out");
-    let classifier = match opts.flags.get("model") {
-        Some(path) => commands::load_model(path)?,
-        None => {
-            eprintln!("no --model given; training a default model first…");
-            commands::train_classifier(0.25, 42, threads, metrics_out.map(|_| &registry))
-        }
-    };
-    let threshold = opts.u64_flag("threshold", 2)? as usize;
-    let detector_config = DetectorConfig {
-        clue: ClueConfig { redirect_threshold: threshold, ..ClueConfig::default() },
-        scoring_threads: threads,
-        ..DetectorConfig::default()
-    };
-    let shards = opts.u64_flag("shards", 1)? as usize;
-    let stream_config =
-        streamd::StreamConfig { shards: shards.max(1), ..streamd::StreamConfig::default() };
-    let mut engine = match opts.flags.get("resume") {
-        Some(p) => {
-            let snapshot = streamd::read_snapshot(Path::new(p))?;
-            streamd::StreamEngine::restore(
-                classifier,
-                detector_config,
-                stream_config,
-                &registry,
-                snapshot,
-            )
-        }
-        None => streamd::StreamEngine::with_telemetry(
-            classifier,
-            detector_config,
-            stream_config,
-            &registry,
-        ),
-    };
-    let reload = match opts.flags.get("reload-model") {
-        Some(p) => Some((commands::load_model(p)?, opts.u64_flag("reload-at", 0)?)),
-        None => None,
-    };
-    let snapshot_out = opts.flags.get("snapshot-out");
-    let mut sink = snapshot_out.map(|p| {
-        let path = std::path::PathBuf::from(p);
-        move |snap: &streamd::EngineSnapshot| streamd::write_snapshot_atomic(&path, snap)
-    });
     let idle_exit_ms = opts.u64_flag("idle-exit-ms", 0)?;
-    let stop = wirefront::sys::install_termination_handler();
-    let run_opts = RunOptions {
-        checkpoint_every: opts.u64_flag("checkpoint-every", 0)?,
-        snapshot_sink: sink.as_mut().map(|f| {
-            f as &mut dyn FnMut(&streamd::EngineSnapshot) -> Result<(), String>
-        }),
-        reload,
-        idle_timeout: (idle_exit_ms > 0).then(|| Duration::from_millis(idle_exit_ms)),
-        poll_wait_ms: 50,
-        scoring_threads: threads,
-        registry: Some(&registry),
-    };
-    let summary = run(source, &mut engine, stop, run_opts)?;
+    let mut summary = commands::run_engine(opts, &registry, 0, Some(&registry), |engine, o| {
+        let stop = wirefront::sys::install_termination_handler();
+        let idle_timeout = (idle_exit_ms > 0).then(|| Duration::from_millis(idle_exit_ms));
+        run(source, engine, stop, RunOptions { idle_timeout, ..o })
+    })?;
+    // The source is final once `run` has shut it down; re-snapshot so
+    // the report's stats carry its series too.
+    metrics::publish_source(&registry, &summary.stats);
+    metrics::publish_proxyproto_rejects(&registry, &rejects(source));
+    summary.report.stats = Some(registry.snapshot());
 
     if let Some(path) = metrics_out {
         commands::write_metrics(&registry, path)?;

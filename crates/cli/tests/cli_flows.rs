@@ -264,3 +264,52 @@ fn strict_and_lenient_agree_on_clean_captures() {
     std::fs::write(&hurt, &bytes[..bytes.len() - 3]).unwrap();
     commands::replay(&args(&["--model", &model, &hurt])).unwrap();
 }
+
+/// `wire proxy --metrics-out` publishes the proxy's per-reason PROXY
+/// handshake rejects: one connection that opens with plain HTTP where a
+/// preamble is required moves exactly one `wire_proxyproto_reject_*`
+/// counter to 1.
+#[test]
+fn wire_proxy_metrics_count_a_malformed_proxy_preamble() {
+    use std::io::{Read, Write};
+
+    let model = trained_model_path();
+    let metrics = tmp("proxy-metrics.json");
+    let ready = tmp("proxy.ready");
+    let proxy = {
+        let (model, metrics, ready) = (model.clone(), metrics.clone(), ready.clone());
+        std::thread::spawn(move || {
+            dynaminer_cli::wire::wire(&args(&[
+                "proxy", "--listen", "127.0.0.1:0", "--origin", "127.0.0.1:9", "--proxy-protocol",
+                "--model", &model, "--metrics-out", &metrics, "--ready-file", &ready,
+                "--idle-exit-ms", "300",
+            ]))
+        })
+    };
+    let addr = loop {
+        match std::fs::read_to_string(&ready) {
+            Ok(text) if text.ends_with('\n') => break text.trim().to_string(),
+            _ => std::thread::sleep(std::time::Duration::from_millis(10)),
+        }
+    };
+    let mut client = std::net::TcpStream::connect(&addr).unwrap();
+    client.write_all(b"GET / HTTP/1.1\r\nHost: example.test\r\n\r\n").unwrap();
+    // Rejected connections are closed, not forwarded.
+    let mut buf = [0u8; 16];
+    assert!(matches!(client.read(&mut buf), Ok(0) | Err(_)));
+    drop(client);
+    proxy.join().unwrap().unwrap();
+
+    let snap: telemetry::Snapshot =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let rejects: Vec<(&String, &u64)> = snap
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("wire_proxyproto_reject_"))
+        .collect();
+    assert!(rejects.len() > 1, "one family per reason");
+    assert_eq!(rejects.iter().map(|(_, n)| **n).sum::<u64>(), 1, "{rejects:?}");
+    assert_eq!(snap.counter("wire_proxyproto_reject_bad_signature_total"), 1);
+    assert_eq!(snap.counter("wire_source_drops_total"), 1);
+    assert_eq!(snap.counter("wire_connections_total"), 1);
+}

@@ -366,7 +366,7 @@ pub const EXTENDED_COUNT: usize = FEATURE_COUNT + EXTENDED_EXTRA;
 /// Names of the extension features f38–f45 — graph-level WCG annotations
 /// the paper computes (Sec. III-C, graph level) but does not include in
 /// its 37-feature classifier. We expose them as an extension and measure
-/// their contribution in `bench --bin extension_features`.
+/// their contribution in `experiments extension_features`.
 pub const EXTENDED_NAMES: [&str; EXTENDED_EXTRA] = [
     "pre-stage-fraction",      // f38: share of transactions in pre-download
     "post-stage-fraction",     // f39: share of transactions in post-download

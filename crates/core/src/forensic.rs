@@ -58,8 +58,8 @@ pub struct ForensicReport {
     /// the report came from pre-extracted transactions or a strict parse.
     pub ingest: Option<nettrace::IngestReport>,
     /// Pipeline telemetry captured during the replay; `None` unless the
-    /// replay ran through a telemetry-enabled entry point
-    /// ([`analyze_transactions_telemetry`], [`analyze_pcap_lenient_telemetry`]).
+    /// report was closed out against a registry (`streamd::finish_report`,
+    /// which every engine-driven run ends in).
     pub stats: Option<telemetry::Snapshot>,
 }
 
@@ -145,19 +145,7 @@ pub fn analyze_transactions(
     classifier: Classifier,
     config: DetectorConfig,
 ) -> ForensicReport {
-    analyze_owned(transactions.to_vec(), classifier, config, None)
-}
-
-/// Like [`analyze_transactions`], but with detector metrics registered
-/// in `registry` and the resulting snapshot attached as
-/// [`ForensicReport::stats`].
-pub fn analyze_transactions_telemetry(
-    transactions: &[HttpTransaction],
-    classifier: Classifier,
-    config: DetectorConfig,
-    registry: &telemetry::Registry,
-) -> ForensicReport {
-    analyze_owned(transactions.to_vec(), classifier, config, Some(registry))
+    analyze_owned(transactions.to_vec(), classifier, config)
 }
 
 /// The replay behind every entry point: the stream is sorted in place
@@ -166,15 +154,9 @@ fn analyze_owned(
     mut transactions: Vec<HttpTransaction>,
     classifier: Classifier,
     config: DetectorConfig,
-    registry: Option<&telemetry::Registry>,
 ) -> ForensicReport {
-    let mut detector = match registry {
-        Some(registry) => OnTheWireDetector::with_telemetry(classifier, config, registry),
-        None => OnTheWireDetector::new(classifier, config),
-    };
-    // (ts, seq) is a total order over a numbered stream; ts alone leaves
-    // tied-timestamp order incidental.
-    transactions.sort_by(|a, b| a.ts.total_cmp(&b.ts).then(a.seq.cmp(&b.seq)));
+    let mut detector = OnTheWireDetector::new(classifier, config);
+    transactions.sort_by(nettrace::feed_order);
     let downloads = transactions.iter().filter_map(DownloadRecord::of).collect();
     for tx in transactions {
         detector.observe_owned(tx);
@@ -187,7 +169,7 @@ fn analyze_owned(
         downloads,
         alerts: detector.alerts().len(),
         ingest: None,
-        stats: registry.map(telemetry::Registry::snapshot),
+        stats: None,
     }
 }
 
@@ -204,7 +186,7 @@ pub fn analyze_pcap(
     config: DetectorConfig,
 ) -> nettrace::Result<ForensicReport> {
     let transactions = nettrace::SpanPipeline::extract_capture_strict(pcap_bytes)?;
-    Ok(analyze_owned(transactions, classifier, config, None))
+    Ok(analyze_owned(transactions, classifier, config))
 }
 
 /// Replays a capture byte stream in graceful-degradation mode: damaged
@@ -218,28 +200,8 @@ pub fn analyze_pcap_lenient(
 ) -> ForensicReport {
     let mut ingest = nettrace::IngestReport::new();
     let transactions = nettrace::SpanPipeline::extract_capture_lenient(pcap_bytes, &mut ingest);
-    let mut report = analyze_owned(transactions, classifier, config, None);
+    let mut report = analyze_owned(transactions, classifier, config);
     report.ingest = Some(ingest);
-    report
-}
-
-/// Lenient replay with full pipeline telemetry: ingest counters are
-/// folded into `registry` alongside the detector metrics, and the final
-/// snapshot rides on [`ForensicReport::stats`] next to the per-capture
-/// [`ForensicReport::ingest`] report.
-pub fn analyze_pcap_lenient_telemetry(
-    pcap_bytes: &[u8],
-    classifier: Classifier,
-    config: DetectorConfig,
-    registry: &telemetry::Registry,
-) -> ForensicReport {
-    let mut ingest = nettrace::IngestReport::new();
-    let transactions = nettrace::SpanPipeline::extract_capture_lenient(pcap_bytes, &mut ingest);
-    nettrace::metrics::IngestMetrics::new(registry).record(&ingest);
-    let mut report = analyze_owned(transactions, classifier, config, Some(registry));
-    report.ingest = Some(ingest);
-    // Re-snapshot so the ingest counters recorded above are included.
-    report.stats = Some(registry.snapshot());
     report
 }
 
@@ -367,40 +329,6 @@ mod tests {
         let v = serde::to_value(&lenient).unwrap();
         let back: ForensicReport = serde::from_value(v).unwrap();
         assert!(back.ingest.is_some());
-    }
-
-    #[test]
-    fn telemetry_replay_attaches_consistent_stats() {
-        let clf = classifier(8);
-        let mut rng = StdRng::seed_from_u64(38);
-        let ep = generate_infection(&mut rng, EkFamily::Neutrino, 1.4e9);
-        let pcap = episode_pcap(&ep).unwrap();
-        let registry = telemetry::Registry::new();
-        let report =
-            analyze_pcap_lenient_telemetry(&pcap, clf, DetectorConfig::default(), &registry);
-        let stats = report.stats.as_ref().expect("telemetry replay attaches stats");
-        let ingest = report.ingest.as_ref().unwrap();
-        // The snapshot mirrors both the ingest report and the detector.
-        assert_eq!(stats.counter("ingest_captures_total"), 1);
-        assert_eq!(
-            stats.counter("ingest_transactions_recovered_total"),
-            ingest.transactions_recovered
-        );
-        assert_eq!(
-            stats.counter("detector_transactions_total") as usize,
-            report.transactions
-        );
-        assert_eq!(stats.counter("detector_alerts_total") as usize, report.alerts);
-        // Each WCG rebuild produced one timed feature extraction + scoring.
-        let rebuilds = stats.counter("detector_wcg_rebuilds_total");
-        assert!(rebuilds > 0, "an infection episode must classify at least once");
-        assert_eq!(stats.histogram_count("classifier_feature_extraction_ns"), rebuilds);
-        // +1: the final batched verdict pass is one scoring observation.
-        assert_eq!(stats.histogram_count("classifier_scoring_ns"), rebuilds + 1);
-        // And the stats field serializes with the report.
-        let v = serde::to_value(&report).unwrap();
-        let back: ForensicReport = serde::from_value(v).unwrap();
-        assert_eq!(back.stats.as_ref(), Some(stats));
     }
 
     #[test]

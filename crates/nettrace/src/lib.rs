@@ -65,7 +65,7 @@ mod error;
 
 pub use error::Error;
 pub use ingest::IngestReport;
-pub use transaction::{assign_seq, HttpTransaction, SpanPipeline};
+pub use transaction::{assign_seq, feed_order, HttpTransaction, SpanPipeline};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -402,6 +402,12 @@ pub(crate) fn digest_deferred(
     }
 }
 
+/// The feed order of every replay path: `(ts, seq)`, a total order over
+/// a numbered stream (`ts` alone leaves tied timestamps incidental).
+pub fn feed_order(a: &HttpTransaction, b: &HttpTransaction) -> std::cmp::Ordering {
+    a.ts.total_cmp(&b.ts).then(a.seq.cmp(&b.seq))
+}
+
 /// Renumbers a transaction stream's [`HttpTransaction::seq`] ingest
 /// sequence numbers to match the stream's current order. Call after
 /// merging or re-sorting streams from several sources so `(ts, seq)`

@@ -1,85 +1,52 @@
-//! Wire-ingress telemetry: one metric family per
-//! [`SourceStats`] counter, plus a
-//! per-reason family for PROXY-protocol handshake rejects.
+//! Wire-ingress telemetry: one `wire_*` counter per [`SourceStats`]
+//! field, plus a per-reason family for PROXY-protocol handshake
+//! rejects.
 //!
-//! Counters are monotone and the source stats are cumulative, so the
-//! recorder publishes *deltas* — it remembers the last stats it saw
-//! and adds only the difference. The run loop can therefore call
-//! [`WireMetrics::record`] every checkpoint without double-counting.
+//! Both functions *add* a source's cumulative totals, so they are
+//! called once, by whoever owns the concrete source and the registry,
+//! after the run loop has shut the source down and its counters are
+//! final.
 
 use std::collections::BTreeMap;
 
 use nettrace::source::SourceStats;
-use telemetry::{Counter, Registry};
+use telemetry::Registry;
 
-/// Handles for the wire-ingress metric families.
-pub struct WireMetrics {
-    connections: Counter,
-    bytes_in: Counter,
-    transactions: Counter,
-    tap_overflows: Counter,
-    source_drops: Counter,
-    /// `(reason slug, handle)` for each PROXY-protocol reject reason,
-    /// in [`nettrace::proxyproto::ProxyProtoError::reasons`] order.
-    proxyproto_rejects: Vec<(&'static str, Counter)>,
-    last: SourceStats,
-    last_rejects: BTreeMap<&'static str, u64>,
+/// Publishes a finished source's counters.
+pub fn publish_source(registry: &Registry, stats: &SourceStats) {
+    let families = [
+        ("wire_connections_total", "Connections (or capture flows) observed", stats.connections),
+        ("wire_bytes_in_total", "Application-layer bytes taken off the wire", stats.bytes_in),
+        ("wire_transactions_total", "Transactions emitted by the wire source", stats.transactions),
+        (
+            "wire_tap_overflows_total",
+            "Connections whose observation was abandoned on a full tap buffer",
+            stats.tap_overflows,
+        ),
+        (
+            "wire_source_drops_total",
+            "Input units lost before HTTP parsing (kernel drops, rejected connections)",
+            stats.source_drops,
+        ),
+    ];
+    for (name, help, total) in families {
+        registry.counter(name, help).add(total);
+    }
 }
 
-impl WireMetrics {
-    /// Registers the wire metric families in `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        let proxyproto_rejects = nettrace::proxyproto::ProxyProtoError::reasons()
-            .into_iter()
-            .map(|reason| {
-                let counter = registry.counter(
-                    &format!("wire_proxyproto_reject_{reason}_total"),
-                    "Connections rejected at the PROXY-protocol handshake, by reason",
-                );
-                (reason, counter)
-            })
-            .collect();
-        WireMetrics {
-            connections: registry
-                .counter("wire_connections_total", "Connections (or capture flows) observed"),
-            bytes_in: registry
-                .counter("wire_bytes_in_total", "Application-layer bytes taken off the wire"),
-            transactions: registry
-                .counter("wire_transactions_total", "Transactions emitted by the wire source"),
-            tap_overflows: registry.counter(
-                "wire_tap_overflows_total",
-                "Connections whose observation was abandoned on a full tap buffer",
-            ),
-            source_drops: registry.counter(
-                "wire_source_drops_total",
-                "Input units lost before HTTP parsing (kernel drops, rejected connections)",
-            ),
-            proxyproto_rejects,
-            last: SourceStats::default(),
-            last_rejects: BTreeMap::new(),
-        }
-    }
-
-    /// Publishes the delta between `stats` and the last recorded stats.
-    pub fn record(&mut self, stats: &SourceStats) {
-        self.connections.add(stats.connections.saturating_sub(self.last.connections));
-        self.bytes_in.add(stats.bytes_in.saturating_sub(self.last.bytes_in));
-        self.transactions.add(stats.transactions.saturating_sub(self.last.transactions));
-        self.tap_overflows.add(stats.tap_overflows.saturating_sub(self.last.tap_overflows));
-        self.source_drops.add(stats.source_drops.saturating_sub(self.last.source_drops));
-        self.last = *stats;
-    }
-
-    /// Publishes the delta of the per-reason PROXY reject counters
-    /// (keys are the slugs from
-    /// [`ProxyProtoError::reasons`](nettrace::proxyproto::ProxyProtoError::reasons)).
-    pub fn record_rejects(&mut self, rejects: &BTreeMap<&'static str, u64>) {
-        for (reason, counter) in &self.proxyproto_rejects {
-            let now = rejects.get(reason).copied().unwrap_or(0);
-            let then = self.last_rejects.get(reason).copied().unwrap_or(0);
-            counter.add(now.saturating_sub(then));
-        }
-        self.last_rejects = rejects.clone();
+/// Publishes a finished proxy's PROXY-protocol handshake rejects
+/// ([`ProxySource::proxyproto_rejects`](crate::ProxySource::proxyproto_rejects)):
+/// one `wire_proxyproto_reject_{reason}_total` family per slug of
+/// [`ProxyProtoError::reasons`](nettrace::proxyproto::ProxyProtoError::reasons),
+/// zero or not, so dashboards need not guess which exist.
+pub fn publish_proxyproto_rejects(registry: &Registry, rejects: &BTreeMap<&'static str, u64>) {
+    for reason in nettrace::proxyproto::ProxyProtoError::reasons() {
+        registry
+            .counter(
+                &format!("wire_proxyproto_reject_{reason}_total"),
+                "Connections rejected at the PROXY-protocol handshake, by reason",
+            )
+            .add(rejects.get(reason).copied().unwrap_or(0));
     }
 }
 
@@ -92,38 +59,29 @@ mod tests {
     }
 
     #[test]
-    fn record_publishes_deltas_not_totals() {
+    fn source_counters_land_in_their_families() {
         let registry = Registry::new();
-        let mut metrics = WireMetrics::new(&registry);
-        let first = SourceStats {
+        let stats = SourceStats {
             bytes_in: 100,
             transactions: 3,
             connections: 2,
             tap_overflows: 1,
             source_drops: 0,
         };
-        metrics.record(&first);
-        // Recording the same cumulative stats again must not double.
-        metrics.record(&first);
+        publish_source(&registry, &stats);
         assert_eq!(counter_value(&registry, "wire_bytes_in_total"), 100);
         assert_eq!(counter_value(&registry, "wire_transactions_total"), 3);
         assert_eq!(counter_value(&registry, "wire_connections_total"), 2);
         assert_eq!(counter_value(&registry, "wire_tap_overflows_total"), 1);
-
-        let second = SourceStats { bytes_in: 150, transactions: 5, ..first };
-        metrics.record(&second);
-        assert_eq!(counter_value(&registry, "wire_bytes_in_total"), 150);
-        assert_eq!(counter_value(&registry, "wire_transactions_total"), 5);
+        assert_eq!(counter_value(&registry, "wire_source_drops_total"), 0);
     }
 
     #[test]
-    fn reject_counters_exist_per_reason_and_take_deltas() {
+    fn reject_counters_exist_per_reason() {
         let registry = Registry::new();
-        let mut metrics = WireMetrics::new(&registry);
         let mut rejects: BTreeMap<&'static str, u64> = BTreeMap::new();
         rejects.insert("malformed", 2);
-        metrics.record_rejects(&rejects);
-        metrics.record_rejects(&rejects);
+        publish_proxyproto_rejects(&registry, &rejects);
         assert_eq!(counter_value(&registry, "wire_proxyproto_reject_malformed_total"), 2);
         // Every reason slug has a family, even at zero.
         for reason in nettrace::proxyproto::ProxyProtoError::reasons() {

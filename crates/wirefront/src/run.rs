@@ -1,7 +1,9 @@
-//! The ingress run loop: pumps a [`TrafficSource`] into a
+//! The run loop — the only one: pumps a [`TrafficSource`] into a
 //! [`StreamEngine`], numbering transactions in feed order, maintaining
-//! the download ledger, checkpointing between feed segments, and
-//! draining with zero loss on a termination signal.
+//! the download ledger, checkpointing between feed segments,
+//! hot-reloading the model, and draining with zero loss on a
+//! termination signal. A live proxy, a capture tail and a recorded
+//! stream ([`replay`]) differ only in the source they hand it.
 //!
 //! The loop owns the ordering contract the engine's determinism rests
 //! on: every emitted transaction gets the next ingest `seq` in feed
@@ -27,18 +29,20 @@ use dynaminer::classifier::Classifier;
 use dynaminer::detector::Alert;
 use dynaminer::forensic::{DownloadRecord, ForensicReport};
 use nettrace::ingest::IngestReport;
-use nettrace::source::{PumpOutcome, SourceStats, TrafficSource};
+use nettrace::source::{PumpOutcome, ReplaySource, SourceStats, TrafficSource};
 use nettrace::transaction::HttpTransaction;
-use streamd::{finish_report, SnapshotSink, StreamEngine};
+use streamd::{finish_report, EngineSnapshot, StreamEngine};
 use telemetry::Registry;
 
-use crate::metrics::WireMetrics;
+/// A checkpoint consumer: receives each snapshot, errs to abort.
+pub type SnapshotSink<'a> = &'a mut dyn FnMut(&EngineSnapshot) -> Result<(), String>;
 
 /// Knobs for one [`run`] call.
 #[derive(Default)]
 pub struct RunOptions<'a> {
-    /// Snapshot cadence, in transactions fed between checkpoints.
-    /// `0` checkpoints only once, after the source is exhausted.
+    /// Snapshot cadence, in transactions fed between checkpoints —
+    /// exact, whatever the size of the source's pumps. `0` checkpoints
+    /// only once, after the source is exhausted.
     pub checkpoint_every: u64,
     /// Receives every checkpoint (and the final snapshot). An `Err`
     /// aborts the run — a sink that cannot persist must not let the
@@ -46,7 +50,8 @@ pub struct RunOptions<'a> {
     pub snapshot_sink: Option<SnapshotSink<'a>>,
     /// Hot-reload `(model, at)`: atomically swap in `model` once the
     /// engine's lifetime fed count reaches `at` transactions. Applied
-    /// at a segment boundary, like the durable replay path.
+    /// at a segment boundary — or, if `at` is never reached, before
+    /// the final verdict pass.
     pub reload: Option<(Classifier, u64)>,
     /// Stop after this long without the source making progress
     /// (test harnesses and drain-on-quiet deployments). `None` runs
@@ -56,8 +61,9 @@ pub struct RunOptions<'a> {
     pub poll_wait_ms: u32,
     /// Threads for the final batched verdict scoring.
     pub scoring_threads: usize,
-    /// Registry for wire-ingress metrics and the report's detector
-    /// stats; `None` skips both.
+    /// Registry the detector stats are folded into at the end, its
+    /// snapshot riding on the report; `None` skips both. (Source-side
+    /// series, [`crate::metrics`], are the source owner's to publish.)
     pub registry: Option<&'a Registry>,
 }
 
@@ -87,22 +93,16 @@ pub struct RunSummary {
     pub checkpoints: u64,
 }
 
-/// Why a feed segment ended.
-#[derive(PartialEq)]
-enum Segment {
-    /// Checkpoint cadence reached; snapshot, then keep feeding.
-    Checkpoint,
-    /// Source exhausted, stop flag drained, or idle timeout: the run
-    /// is over.
-    Done,
-}
-
 /// Pumps `source` into `engine` until exhaustion, idle timeout, or
 /// `stop`, then closes out the report.
 ///
 /// `stop` is read with relaxed ordering each iteration, so a signal
 /// handler latch or another thread's store ends the run at the next
 /// work-slice boundary, followed by the full graceful drain.
+///
+/// A restored engine continues its numbering and state, but the
+/// download ledger is not in [`EngineSnapshot`]: the report lists the
+/// downloads this call saw ([`replay`] rebuilds the rest).
 ///
 /// # Errors
 ///
@@ -116,7 +116,6 @@ pub fn run(
     stop: &AtomicBool,
     mut opts: RunOptions<'_>,
 ) -> Result<RunSummary, String> {
-    let mut wire_metrics = opts.registry.map(WireMetrics::new);
     // Continue the ingest numbering of whatever the engine already fed
     // (0 for a fresh engine), so a resumed run keeps the same total
     // order the interrupted run was building.
@@ -127,76 +126,91 @@ pub fn run(
     let mut checkpoints = 0u64;
     let mut reload = opts.reload.take();
     let mut flushed = false;
+    // Outlives the segments: what a pump delivered past a checkpoint
+    // cut waits here for the next one.
     let mut out: Vec<HttpTransaction> = Vec::new();
     let mut last_progress = Instant::now();
+    let quiet_too_long =
+        |since: Instant| opts.idle_timeout.is_some_and(|limit| since.elapsed() >= limit);
 
+    let mut done = false;
     loop {
-        if let Some((_, at)) = &reload {
-            if engine.fed() >= *at {
-                let (model, _) = reload.take().expect("reload present");
-                engine.reload_model(model);
-            }
+        // Due at a segment boundary — or, with a threshold the source
+        // never reached, once it is done: before the verdict pass, so
+        // the requested model still lands.
+        if reload.as_ref().is_some_and(|(_, at)| done || engine.fed() >= *at) {
+            let (model, _) = reload.take().expect("reload present");
+            engine.reload_model(model);
+        }
+        if done {
+            break;
         }
 
         let mut pump_err: Option<String> = None;
-        let (end, engine_report) = engine.feed(|handle| {
+        // A segment ends `done` (source exhausted, stop flag drained,
+        // idle timeout) or at the checkpoint cadence.
+        let engine_report;
+        (done, engine_report) = engine.feed(|handle| {
             let mut fed_this_segment = 0u64;
             loop {
-                if !flushed && stop.load(Ordering::Relaxed) {
-                    // Two-phase drain: flush half-open connections to
-                    // end-of-stream transactions, push them, and only
-                    // then let the engine drain.
-                    source.shutdown(&mut out);
-                    flushed = true;
-                } else if !flushed {
-                    match source.pump(&mut out) {
-                        Ok(PumpOutcome::Progress) => last_progress = Instant::now(),
-                        Ok(PumpOutcome::Idle) => {
-                            if out.is_empty() {
-                                if let Some(limit) = opts.idle_timeout {
-                                    if last_progress.elapsed() >= limit {
-                                        source.shutdown(&mut out);
-                                        flushed = true;
-                                    }
-                                }
-                                if !flushed {
-                                    // Push what the batcher holds before
-                                    // blocking, so quiet periods don't
-                                    // sit on buffered transactions.
-                                    handle.flush();
-                                    source.wait(opts.poll_wait_ms);
-                                }
+                // A non-empty `out` was carried over a cut: feed it
+                // before asking the source for more.
+                if out.is_empty() && !flushed {
+                    let finished = stop.load(Ordering::Relaxed)
+                        || match source.pump(&mut out) {
+                            Ok(PumpOutcome::Progress) => {
+                                last_progress = Instant::now();
+                                false
                             }
-                        }
-                        Ok(PumpOutcome::Exhausted) => {
-                            source.shutdown(&mut out);
-                            flushed = true;
-                        }
-                        Err(e) => {
-                            // Cannot `?` out of the feed closure; drain
-                            // what was already accepted, then surface.
-                            source.shutdown(&mut out);
-                            flushed = true;
-                            pump_err = Some(e.to_string());
-                        }
+                            Ok(PumpOutcome::Idle) if !out.is_empty() => false,
+                            Ok(PumpOutcome::Idle) if quiet_too_long(last_progress) => true,
+                            Ok(PumpOutcome::Idle) => {
+                                // Push what the batcher holds before
+                                // blocking, so quiet periods don't sit
+                                // on buffered transactions.
+                                handle.flush();
+                                source.wait(opts.poll_wait_ms);
+                                false
+                            }
+                            Ok(PumpOutcome::Exhausted) => true,
+                            Err(e) => {
+                                // Cannot `?` out of the feed closure;
+                                // drain what was already accepted, then
+                                // surface.
+                                pump_err = Some(e.to_string());
+                                true
+                            }
+                        };
+                    if finished {
+                        // Two-phase drain: flush half-open connections
+                        // to end-of-stream transactions, push them, and
+                        // only then let the engine drain.
+                        source.shutdown(&mut out);
+                        flushed = true;
                     }
                 }
-                for mut tx in out.drain(..) {
+                let room = match opts.checkpoint_every {
+                    0 => out.len(),
+                    every => usize::try_from(every - fed_this_segment).unwrap_or(usize::MAX),
+                };
+                for mut tx in out.drain(..room.min(out.len())) {
                     tx.seq = next_seq;
                     next_seq += 1;
                     fed_this_segment += 1;
-                    // Same ledger predicate as the offline replay's
-                    // download scan; feed order is the wire's `(ts,
-                    // seq)` order, so the ledger matches a replay of
-                    // the equivalent capture.
+                    // The ledger predicate of every replay path; feed
+                    // order is the `(ts, seq)` order, so a wire run's
+                    // ledger matches a replay of the equivalent capture.
                     downloads.extend(DownloadRecord::of(&tx));
                     handle.push(tx);
                 }
-                if flushed {
-                    return Segment::Done;
+                // Done before the cadence: a source that ends exactly
+                // on it closes with this segment's snapshot, not with
+                // an empty segment after it.
+                if flushed && out.is_empty() {
+                    break true;
                 }
                 if opts.checkpoint_every > 0 && fed_this_segment >= opts.checkpoint_every {
-                    return Segment::Checkpoint;
+                    break false;
                 }
             }
         });
@@ -206,9 +220,6 @@ pub fn run(
         processed += engine_report.processed;
         dropped += engine_report.dropped;
         waits += engine_report.backpressure_waits;
-        if let Some(metrics) = &mut wire_metrics {
-            metrics.record(&source.stats());
-        }
 
         if let Some(sink) = &mut opts.snapshot_sink {
             // Between feed calls the engine is quiescent — the only
@@ -219,16 +230,10 @@ pub fn run(
         if let Some(e) = pump_err {
             return Err(e);
         }
-        if end == Segment::Done {
-            break;
-        }
     }
 
     let stats = source.stats();
     let ingest = source.ingest_report();
-    if let Some(metrics) = &mut wire_metrics {
-        metrics.record(&stats);
-    }
     let mut report = finish_report(engine, downloads, opts.scoring_threads.max(1), opts.registry);
     report.ingest = Some(ingest);
     Ok(RunSummary {
@@ -243,3 +248,47 @@ pub fn run(
         checkpoints,
     })
 }
+
+/// [`run`] over a recorded stream. Given an engine restored from a
+/// checkpoint of an earlier replay of the *same* stream, it skips the
+/// prefix the watermark covers — `run` numbers in feed order, so the
+/// watermark's `seq` is a position in the sorted stream — and puts its
+/// downloads back at the head of the ledger: the report is the
+/// uninterrupted run's. `ingest` is `None`, as for any replay of
+/// extracted transactions.
+///
+/// # Errors
+///
+/// Everything [`run`] returns, and "snapshot does not match this
+/// capture" unless the watermark is the position the engine's fed
+/// count implies and this stream holds its timestamp there.
+pub fn replay(
+    mut source: ReplaySource,
+    engine: &mut StreamEngine,
+    opts: RunOptions<'_>,
+) -> Result<RunSummary, String> {
+    let mut covered = Vec::new();
+    if let Some(mark) = engine.watermark() {
+        let stream = source.remaining();
+        let fed = engine.fed();
+        let at = usize::try_from(mark.seq)
+            .ok()
+            .filter(|_| mark.seq + 1 == fed)
+            .filter(|&at| stream.get(at).is_some_and(|tx| tx.ts.to_bits() == mark.ts_bits))
+            .ok_or_else(|| {
+                format!(
+                    "snapshot does not match this capture: {fed} fed up to number {}, which \
+                     is not at that position among this stream's {}",
+                    mark.seq,
+                    stream.len()
+                )
+            })?;
+        covered.extend(stream[..=at].iter().filter_map(DownloadRecord::of));
+        source.skip(at + 1);
+    }
+    let mut summary = run(&mut source, engine, &AtomicBool::new(false), opts)?;
+    summary.report.downloads.splice(0..0, covered);
+    summary.report.ingest = None;
+    Ok(summary)
+}
+

@@ -1,19 +1,26 @@
 //! Durable state tier acceptance tests (DESIGN.md §13).
 //!
-//! Three invariants:
+//! Everything here drives the engine through the one run loop
+//! (`wirefront::run`, or `wirefront::replay` over a `ReplaySource`).
+//! The invariants:
 //!
 //! 1. **Snapshot/kill/restore is lossless.** A replay interrupted at a
 //!    random checkpoint and resumed from the snapshot produces the
 //!    byte-identical `ForensicReport` of an uninterrupted run — at
 //!    shards {1, 2, 8}, and even when the snapshot was written at one
-//!    shard count and restored into another.
+//!    shard count and restored into another. A snapshot of another
+//!    stream is refused, not resumed.
 //! 2. **The spill tier is behavior-neutral.** Under an aggressive
 //!    live-memory budget, as long as the spill budget never forces a
 //!    hard eviction, the alert stream is bit-identical to an unbounded
 //!    run, and the spill/rehydrate counters balance.
 //! 3. **Model hot-reload is atomic and lossless.** A mid-stream swap
 //!    drops zero transactions and every alert is attributable to
-//!    exactly one model generation.
+//!    exactly one model generation; a reload threshold the stream never
+//!    reaches still deploys the model before the verdict pass.
+//! 4. **Checkpoint cadence is exact** for any source, whatever the size
+//!    of its pumps, and a stream that ends on the cadence closes without
+//!    an empty segment.
 
 use std::sync::OnceLock;
 
@@ -22,13 +29,13 @@ use proptest::prelude::*;
 
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::{DetectorConfig, OnTheWireDetector, SpillConfig};
+use dynaminer::forensic::ForensicReport;
+use nettrace::source::{PumpOutcome, ReplaySource, SourceStats, TrafficSource};
 use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use streamd::{
-    analyze_transactions_durable, analyze_transactions_sharded, DurableReplayOptions,
-    EngineSnapshot, StreamConfig, StreamEngine,
-};
+use streamd::{analyze_transactions_sharded, EngineSnapshot, StreamConfig, StreamEngine};
+use wirefront::{replay, run, RunOptions};
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
 use synthtraffic::{BenignScenario, EkFamily};
@@ -98,7 +105,21 @@ fn shard_config(shards: usize) -> StreamConfig {
     StreamConfig { shards, queue_capacity: 16, batch_size: 3, ..StreamConfig::default() }
 }
 
-/// Runs a durable replay that "crashes" right after its first
+fn fresh_engine(shards: usize) -> StreamEngine {
+    StreamEngine::new(classifier().clone(), DetectorConfig::default(), shard_config(shards))
+}
+
+fn restored_engine(shards: usize, snapshot: EngineSnapshot) -> StreamEngine {
+    StreamEngine::restore(
+        classifier().clone(),
+        DetectorConfig::default(),
+        shard_config(shards),
+        &telemetry::Registry::new(),
+        snapshot,
+    )
+}
+
+/// Runs a checkpointing replay that "crashes" right after its first
 /// checkpoint (the sink captures the snapshot, then fails), returning
 /// the snapshot after a full byte round-trip — exactly what a restarted
 /// process would read back from disk.
@@ -112,17 +133,10 @@ fn crash_after_first_checkpoint(
         captured = Some(snap.clone());
         Err("simulated crash".to_string())
     };
-    let err = analyze_transactions_durable(
-        stream,
-        classifier().clone(),
-        DetectorConfig::default(),
-        shard_config(shards),
-        None,
-        DurableReplayOptions {
-            checkpoint_every,
-            snapshot_sink: Some(&mut sink),
-            ..DurableReplayOptions::default()
-        },
+    let err = replay(
+        ReplaySource::new(stream.to_vec()),
+        &mut fresh_engine(shards),
+        RunOptions { checkpoint_every, snapshot_sink: Some(&mut sink), ..RunOptions::default() },
     )
     .expect_err("the failing sink aborts the replay");
     assert!(err.contains("simulated crash"), "{err}");
@@ -135,16 +149,51 @@ fn resume_report(
     stream: &[HttpTransaction],
     shards: usize,
     snapshot: EngineSnapshot,
-) -> dynaminer::forensic::ForensicReport {
-    analyze_transactions_durable(
-        stream,
-        classifier().clone(),
-        DetectorConfig::default(),
-        shard_config(shards),
-        None,
-        DurableReplayOptions { resume: Some(snapshot), ..DurableReplayOptions::default() },
+) -> ForensicReport {
+    replay(
+        ReplaySource::new(stream.to_vec()),
+        &mut restored_engine(shards, snapshot),
+        RunOptions::default(),
     )
     .expect("resumed replay completes")
+    .report
+}
+
+/// A source handing out a stream in pumps of a fixed size, reporting
+/// exhaustion only on the pump after the last one (as a capture tail
+/// or a closed listener does).
+struct Canned {
+    rest: std::vec::IntoIter<HttpTransaction>,
+    per_pump: usize,
+    emitted: u64,
+}
+
+impl Canned {
+    fn new(stream: Vec<HttpTransaction>, per_pump: usize) -> Self {
+        Canned { rest: stream.into_iter(), per_pump, emitted: 0 }
+    }
+}
+
+impl TrafficSource for Canned {
+    fn pump(&mut self, out: &mut Vec<HttpTransaction>) -> nettrace::Result<PumpOutcome> {
+        if self.rest.len() == 0 {
+            return Ok(PumpOutcome::Exhausted);
+        }
+        let before = out.len();
+        out.extend(self.rest.by_ref().take(self.per_pump));
+        self.emitted += (out.len() - before) as u64;
+        Ok(PumpOutcome::Progress)
+    }
+
+    fn shutdown(&mut self, _out: &mut Vec<HttpTransaction>) {}
+
+    fn stats(&self) -> SourceStats {
+        SourceStats { transactions: self.emitted, ..SourceStats::default() }
+    }
+
+    fn ingest_report(&self) -> nettrace::IngestReport {
+        nettrace::IngestReport::new()
+    }
 }
 
 proptest! {
@@ -169,7 +218,7 @@ proptest! {
 
         for shards in [1usize, 2, 8] {
             let snap = crash_after_first_checkpoint(&stream, shards, cut);
-            prop_assert!(snap.fed >= cut.min(stream.len() as u64), "snapshot covers the first chunk");
+            prop_assert_eq!(snap.fed, cut, "the first checkpoint is cut at the cadence, exactly");
             let resumed = resume_report(&stream, shards, snap);
             let json = serde_json::to_string(&resumed).unwrap();
             prop_assert_eq!(
@@ -274,7 +323,7 @@ fn model_hot_reload_is_atomic_and_lossless() {
     assert_eq!(registry.snapshot().counter("streamd_model_reloads_total"), 1);
 }
 
-/// The durable driver's `reload` option with the *same* model must not
+/// The run loop's `reload` option with the *same* model must not
 /// disturb the stream: the report stays byte-identical to a plain
 /// sharded replay, proving the swap machinery neither drops nor
 /// reorders transactions.
@@ -287,22 +336,180 @@ fn durable_reload_with_identical_model_is_invisible() {
         DetectorConfig::default(),
         shard_config(2),
     );
-    let report = analyze_transactions_durable(
-        &stream,
-        classifier().clone(),
-        DetectorConfig::default(),
-        shard_config(2),
-        None,
-        DurableReplayOptions {
+    let mut engine = fresh_engine(2);
+    let report = replay(
+        ReplaySource::new(stream.clone()),
+        &mut engine,
+        RunOptions {
             checkpoint_every: 64,
             reload: Some((classifier().clone(), (stream.len() / 2) as u64)),
-            ..DurableReplayOptions::default()
+            ..RunOptions::default()
         },
     )
-    .unwrap();
+    .unwrap()
+    .report;
+    assert_eq!(engine.model_version(), 2, "the swap happened");
     assert_eq!(
         serde_json::to_string(&report).unwrap(),
         serde_json::to_string(&reference).unwrap(),
         "reloading the same model is a no-op for the report"
     );
+}
+
+/// A `reload` whose threshold the stream never reaches is deployed
+/// before the final verdict pass — for any source, through `run`
+/// itself: every conversation is scored by the requested model.
+#[test]
+fn reload_past_the_end_is_deployed_before_the_verdict_pass() {
+    let stream = build_stream(35, &[(true, 1), (false, 4), (true, 6)]);
+    let under_other = analyze_transactions_sharded(
+        &stream,
+        other_classifier().clone(),
+        DetectorConfig::default(),
+        shard_config(2),
+    );
+    let mut engine = fresh_engine(2);
+    let report = run(
+        &mut Canned::new(stream.clone(), 7),
+        &mut engine,
+        &std::sync::atomic::AtomicBool::new(false),
+        RunOptions {
+            reload: Some((other_classifier().clone(), u64::MAX)),
+            ..RunOptions::default()
+        },
+    )
+    .unwrap()
+    .report;
+    assert_eq!(engine.model_version(), 2, "the requested model landed");
+    assert_eq!(report.conversations.len(), under_other.conversations.len());
+    let scores = |r: &ForensicReport| -> Vec<(u64, u64)> {
+        r.conversations.iter().map(|c| (c.id, c.score.to_bits())).collect()
+    };
+    assert_eq!(scores(&report), scores(&under_other), "verdicts are the new model's");
+    let under_first = analyze_transactions_sharded(
+        &stream,
+        classifier().clone(),
+        DetectorConfig::default(),
+        shard_config(2),
+    );
+    assert_ne!(scores(&report), scores(&under_first), "the two models do score differently");
+}
+
+/// `checkpoint_every` is exact whatever the pump size: a source whose
+/// pumps yield 7 is cut at 3, 6, 9, … with the rest of each pump
+/// carried into the next segment, and numbering stays in feed order
+/// across the cuts (the report is the uncut replay's).
+#[test]
+fn checkpoint_cadence_is_exact_for_any_pump_size() {
+    let stream = build_stream(37, &[(true, 2), (false, 5), (true, 7)]);
+    let len = stream.len() as u64;
+    let reference = analyze_transactions_sharded(
+        &stream,
+        classifier().clone(),
+        DetectorConfig::default(),
+        shard_config(2),
+    );
+    let mut fed_at: Vec<u64> = Vec::new();
+    let mut sink = |snap: &EngineSnapshot| {
+        fed_at.push(snap.fed);
+        Ok(())
+    };
+    let mut summary = run(
+        &mut Canned::new(stream.clone(), 7),
+        &mut fresh_engine(2),
+        &std::sync::atomic::AtomicBool::new(false),
+        RunOptions { checkpoint_every: 3, snapshot_sink: Some(&mut sink), ..RunOptions::default() },
+    )
+    .unwrap();
+    // `Canned` reports exhaustion on a pump of its own, so the run
+    // always closes with one more snapshot, at the stream's length.
+    let expected: Vec<u64> = (1..=len / 3).map(|k| 3 * k).chain([len]).collect();
+    assert_eq!(fed_at, expected);
+    assert_eq!(summary.checkpoints, expected.len() as u64);
+    assert_eq!(summary.enqueued, len);
+    summary.report.ingest = None;
+    assert_eq!(
+        serde_json::to_string(&summary.report).unwrap(),
+        serde_json::to_string(&reference).unwrap(),
+    );
+
+    // A `ReplaySource` exhausts with its last slice: a stream that ends
+    // exactly on the cadence closes with that checkpoint, not with an
+    // empty segment and a second snapshot after it.
+    let even = &stream[..stream.len() - stream.len() % 4];
+    let mut fed_at: Vec<u64> = Vec::new();
+    let mut sink = |snap: &EngineSnapshot| {
+        fed_at.push(snap.fed);
+        Ok(())
+    };
+    replay(
+        ReplaySource::new(even.to_vec()),
+        &mut fresh_engine(1),
+        RunOptions { checkpoint_every: 4, snapshot_sink: Some(&mut sink), ..RunOptions::default() },
+    )
+    .unwrap();
+    let expected: Vec<u64> = (1..=even.len() as u64 / 4).map(|k| 4 * k).collect();
+    assert_eq!(fed_at, expected);
+}
+
+/// `replay` checks the engine it is given against the stream: the
+/// final snapshot of a finished replay resumes on the same stream as a
+/// fully covered run (nothing fed, the whole ledger carried, one
+/// snapshot still emitted); on a different stream it is an error, not
+/// a report.
+#[test]
+fn resume_is_checked_against_the_stream() {
+    let stream = build_stream(41, &[(true, 3), (false, 1), (true, 8)]);
+    let mut last: Option<EngineSnapshot> = None;
+    let mut sink = |snap: &EngineSnapshot| {
+        last = Some(snap.clone());
+        Ok(())
+    };
+    let uninterrupted = replay(
+        ReplaySource::new(stream.clone()),
+        &mut fresh_engine(2),
+        RunOptions { snapshot_sink: Some(&mut sink), ..RunOptions::default() },
+    )
+    .unwrap()
+    .report;
+    let snapshot = last.expect("a finished run leaves its final snapshot");
+    assert_eq!(snapshot.fed, stream.len() as u64);
+    assert!(!uninterrupted.downloads.is_empty(), "the ledger has something to carry");
+
+    let mut snapshots = 0u64;
+    let mut count = |_: &EngineSnapshot| {
+        snapshots += 1;
+        Ok(())
+    };
+    let resumed = replay(
+        ReplaySource::new(stream.clone()),
+        &mut restored_engine(4, snapshot.clone()),
+        RunOptions { snapshot_sink: Some(&mut count), ..RunOptions::default() },
+    )
+    .unwrap();
+    assert_eq!(resumed.enqueued, 0, "the watermark covers the whole stream");
+    assert_eq!(snapshots, 1, "a fully covered resume still emits one snapshot");
+    assert_eq!(
+        serde_json::to_string(&resumed.report).unwrap(),
+        serde_json::to_string(&uninterrupted).unwrap(),
+    );
+
+    // Another seed's stream: same shape, other timestamps.
+    let other = build_stream(42, &[(true, 3), (false, 1), (true, 8), (false, 2), (true, 0)]);
+    assert!(other.len() >= stream.len(), "long enough that only the timestamp check can refuse");
+    let err = replay(
+        ReplaySource::new(other),
+        &mut restored_engine(2, snapshot.clone()),
+        RunOptions::default(),
+    )
+    .expect_err("a snapshot of another stream is refused");
+    assert!(err.contains("snapshot does not match this capture"), "{err}");
+    // And a stream shorter than what the snapshot had fed.
+    let err = replay(
+        ReplaySource::new(stream[..stream.len() / 2].to_vec()),
+        &mut restored_engine(2, snapshot),
+        RunOptions::default(),
+    )
+    .expect_err("a snapshot past the end of the stream is refused");
+    assert!(err.contains("snapshot does not match this capture"), "{err}");
 }

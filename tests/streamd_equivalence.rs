@@ -230,7 +230,9 @@ fn mid_stream_drain_keeps_sessions_across_process_calls() {
 }
 
 /// `replay --shards N` bit-identity: the sharded forensic report equals
-/// the single-threaded one field for field, including serialized form.
+/// the single-threaded one field for field, including serialized form —
+/// and so does the report of the run loop `dynaminer replay` actually
+/// goes through, whose `stats` agree with what it reports.
 #[test]
 fn sharded_forensic_report_is_bit_identical() {
     let stream =
@@ -265,6 +267,41 @@ fn sharded_forensic_report_is_bit_identical() {
         }
         let json = serde_json::to_string(&sharded).unwrap();
         assert_eq!(json, single_json, "byte-identical report at {shards} shards");
+
+        let registry = telemetry::Registry::new();
+        let mut engine = StreamEngine::with_telemetry(
+            classifier().clone(),
+            DetectorConfig::default(),
+            StreamConfig { shards, ..StreamConfig::default() },
+            &registry,
+        );
+        let mut replayed = wirefront::replay(
+            nettrace::source::ReplaySource::new(stream.clone()),
+            &mut engine,
+            wirefront::RunOptions { registry: Some(&registry), ..Default::default() },
+        )
+        .unwrap()
+        .report;
+        // The stats ride on the serialized report and come back intact.
+        let back: dynaminer::forensic::ForensicReport =
+            serde_json::from_str(&serde_json::to_string(&replayed).unwrap()).unwrap();
+        assert_eq!(back.stats, replayed.stats);
+        let stats = replayed.stats.take().expect("a run with a registry attaches stats");
+        assert_eq!(
+            serde_json::to_string(&replayed).unwrap(),
+            single_json,
+            "run-loop replay at {shards} shards"
+        );
+        assert_eq!(stats.counter("detector_transactions_total") as usize, single.transactions);
+        assert_eq!(stats.counter("detector_alerts_total") as usize, single.alerts);
+        assert_eq!(stats.counter("streamd_processed_total"), stream.len() as u64);
+        // Each WCG rebuild timed one feature extraction and one scoring
+        // call; the final verdict pass adds one scoring observation per
+        // shard detector.
+        let rebuilds = stats.counter("detector_wcg_rebuilds_total");
+        assert!(rebuilds > 0, "infection episodes classify at least once");
+        assert_eq!(stats.histogram_count("classifier_feature_extraction_ns"), rebuilds);
+        assert_eq!(stats.histogram_count("classifier_scoring_ns"), rebuilds + shards as u64);
     }
 }
 

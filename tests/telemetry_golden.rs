@@ -24,10 +24,10 @@ use std::collections::BTreeMap;
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::{DetectorConfig, OnTheWireDetector, SpillConfig};
 use serde::{Deserialize, Serialize};
-use streamd::{
-    analyze_transactions_durable, DurableReplayOptions, EngineSnapshot, StreamConfig,
-};
+use nettrace::source::ReplaySource;
+use streamd::{EngineSnapshot, StreamConfig, StreamEngine};
 use telemetry::Registry;
+use wirefront::{replay, RunOptions};
 
 const GOLDEN_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/telemetry_scale0.1_seed42.json");
@@ -193,16 +193,13 @@ fn run_durable_pipeline() -> telemetry::Snapshot {
         first = Some(snap.clone());
         Err("simulated crash".to_string())
     };
-    analyze_transactions_durable(
-        &stream,
-        classifier.clone(),
-        config.clone(),
-        stream_config(2),
-        None,
-        DurableReplayOptions {
+    replay(
+        ReplaySource::new(stream.clone()),
+        &mut StreamEngine::new(classifier.clone(), config.clone(), stream_config(2)),
+        RunOptions {
             checkpoint_every: cut,
             snapshot_sink: Some(&mut crash_sink),
-            ..DurableReplayOptions::default()
+            ..RunOptions::default()
         },
     )
     .expect_err("the crash sink aborts the first leg");
@@ -215,18 +212,23 @@ fn run_durable_pipeline() -> telemetry::Snapshot {
         checkpoints += 1;
         Ok(())
     };
-    analyze_transactions_durable(
-        &stream,
+    let reload_at = stream.len() as u64 * 2 / 3;
+    let mut engine = StreamEngine::restore(
         classifier.clone(),
         config,
         stream_config(3),
-        Some(&registry),
-        DurableReplayOptions {
-            resume: first,
+        &registry,
+        first.expect("the first leg left its checkpoint"),
+    );
+    replay(
+        ReplaySource::new(stream),
+        &mut engine,
+        RunOptions {
             checkpoint_every: cut,
             snapshot_sink: Some(&mut count_sink),
-            reload: Some((classifier, stream.len() as u64 * 2 / 3)),
-            ..DurableReplayOptions::default()
+            reload: Some((classifier, reload_at)),
+            registry: Some(&registry),
+            ..RunOptions::default()
         },
     )
     .expect("the resumed leg completes");
