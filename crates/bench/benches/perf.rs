@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::{DetectorConfig, OnTheWireDetector};
-use dynaminer::features;
-use dynaminer::wcg::Wcg;
+use dynaminer::features::{self, FeatureExtractor};
+use dynaminer::wcg::{EdgeAttr, EdgeKind, NodeAttr, NodeKind, Stage, Wcg};
 use mlearn::forest::{ForestConfig, RandomForest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,6 +38,35 @@ fn random_graph(n: usize, e: usize) -> DiGraph<(), ()> {
         g.add_edge(ids[a], ids[b], ());
     }
     g
+}
+
+/// A WCG whose graph has `g`'s nodes and edges and nothing else, so the
+/// graph kernels can be timed through `FeatureExtractor::extract`.
+fn wcg_over(g: &DiGraph<(), ()>) -> Wcg {
+    let mut wcg = Wcg::from_transactions(&[]);
+    for v in g.node_ids() {
+        wcg.graph.add_node(NodeAttr {
+            name: format!("h{}", v.0),
+            kind: NodeKind::Remote,
+            ip: None,
+            uris: Default::default(),
+            payload_summary: Default::default(),
+        });
+    }
+    for (_, src, dst, _) in g.edges() {
+        let attr = EdgeAttr {
+            kind: EdgeKind::Redirect,
+            stage: Stage::PreDownload,
+            ts: 0.0,
+            method: None,
+            uri_len: 0,
+            status: 0,
+            payload_class: None,
+            payload_size: 0,
+        };
+        wcg.graph.add_edge(src, dst, attr);
+    }
+    wcg
 }
 
 fn bench_pcap(c: &mut Criterion) {
@@ -90,6 +119,16 @@ fn bench_graph_algorithms(c: &mut Criterion) {
     });
     group.bench_function("node_connectivity_120n_sampled", |b| {
         b.iter(|| algo::connectivity::average_node_connectivity(&large))
+    });
+    // The pass as the detector pays for it: view load plus all ten
+    // topology features over a reused extractor.
+    let mut extractor = FeatureExtractor::new();
+    let (small_wcg, large_wcg) = (wcg_over(&small), wcg_over(&large));
+    group.bench_function("topo_features_avg_wcg", |b| {
+        b.iter(|| extractor.extract(&small_wcg).values()[19])
+    });
+    group.bench_function("topo_features_120n", |b| {
+        b.iter(|| extractor.extract(&large_wcg).values()[19])
     });
     group.bench_function("pagerank_120n", |b| {
         b.iter(|| algo::pagerank::pagerank_default(&large))

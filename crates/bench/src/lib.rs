@@ -39,15 +39,18 @@ pub const EXPERIMENT_SEED: u64 = 42;
 /// ```
 ///
 /// and read [`alloc_count::allocations`] deltas around the region of
-/// interest. Counting is a single relaxed atomic increment per
-/// `alloc`/`realloc`, cheap enough to leave on for whole bench runs; it
-/// exists so "allocation-free in steady state" claims are pinned by a
-/// measured zero rather than prose.
+/// interest. Counting is a relaxed atomic increment per `alloc`/`realloc`
+/// plus two for the byte gauge, cheap enough to leave on for whole bench
+/// runs; it exists so "allocation-free in steady state" and "memory
+/// linear in the input" claims are pinned by a measured number rather
+/// than prose.
 pub mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+    static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+    static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
     /// Total heap acquisitions (`alloc` + `realloc` calls, process-wide)
     /// since start. Frees are not counted: the steady-state claims are
@@ -56,28 +59,60 @@ pub mod alloc_count {
         ALLOCATIONS.load(Ordering::Relaxed)
     }
 
-    /// `std::alloc::System` wrapper that counts heap acquisitions.
+    /// Bytes requested from the allocator and not yet freed, process-wide.
+    pub fn live_bytes() -> u64 {
+        LIVE_BYTES.load(Ordering::Relaxed)
+    }
+
+    /// Restarts the high-water mark at the current live size and returns
+    /// that size: `peak_bytes() - restart_peak()` around a region is how
+    /// far the region grew the heap at its worst moment.
+    pub fn restart_peak() -> u64 {
+        let live = live_bytes();
+        PEAK_BYTES.store(live, Ordering::Relaxed);
+        live
+    }
+
+    /// Largest [`live_bytes`] since the last [`restart_peak`].
+    pub fn peak_bytes() -> u64 {
+        PEAK_BYTES.load(Ordering::Relaxed)
+    }
+
+    fn acquired(bytes: usize) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn released(bytes: usize) {
+        LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// `std::alloc::System` wrapper that counts heap acquisitions and
+    /// keeps the live and peak byte gauges.
     pub struct CountingAllocator;
 
     // SAFETY: delegates every operation unchanged to `System`; the only
-    // addition is a relaxed counter bump, which allocates nothing.
+    // additions are relaxed counter updates, which allocate nothing.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            acquired(layout.size());
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            acquired(layout.size());
             unsafe { System.alloc_zeroed(layout) }
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            released(layout.size());
+            acquired(new_size);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            released(layout.size());
             unsafe { System.dealloc(ptr, layout) }
         }
     }

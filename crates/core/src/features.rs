@@ -311,24 +311,25 @@ fn base_features(wcg: &Wcg, f: &mut [f64; FEATURE_COUNT]) {
 }
 
 /// Computes the [`TOPO_COLUMNS`] features from a loaded view, in column
-/// order. Betweenness (f18) and load (f19) come out of one fused Brandes
-/// pass. Every traversal runs over `scratch`'s buffers, so this function
-/// allocates nothing once those have grown to the graph's order.
+/// order. The five that need every node's distance row (f12, f17, f18,
+/// f19, f24) come out of one all-sources sweep. Every traversal runs over
+/// `scratch`'s buffers, so this function allocates nothing once those
+/// have grown to the graph's order.
 fn topo_features(
     view: &GraphView,
     scratch: &mut algo::AlgoScratch,
     out: &mut [f64; TOPO_COLUMNS.len()],
 ) {
-    out[0] = algo::paths::diameter_view_scratch(view, scratch) as f64; // f12
+    let sweep = algo::centrality::sweep_means_scratch(view, 2, scratch);
+    out[0] = sweep.diameter as f64; // f12
     out[1] = algo::reciprocity::reciprocity_view(view); // f15
-    out[2] = algo::centrality::closeness_centrality_mean_scratch(view, scratch); // f17
-    let (between, load) = algo::centrality::betweenness_and_load_means_scratch(view, scratch);
-    out[3] = between; // f18
-    out[4] = load; // f19
+    out[2] = sweep.closeness; // f17
+    out[3] = sweep.betweenness; // f18
+    out[4] = sweep.load; // f19
     out[5] = algo::connectivity::average_node_connectivity_view_scratch(view, scratch); // f20
     out[6] = algo::clustering::clustering_coefficient_mean_view(view); // f21
     out[7] = algo::clustering::neighbor_degree_mean_view(view); // f22
-    out[8] = algo::paths::avg_nodes_within_distance_view_scratch(view, 2, scratch); // f24
+    out[8] = sweep.within_k; // f24 (k = 2)
     out[9] = algo::pagerank::pagerank_mean_scratch(
         view,
         algo::pagerank::DEFAULT_DAMPING,

@@ -8,12 +8,14 @@
 //! full feature extraction materializes adjacency once instead of per
 //! metric; the graph-taking entry points are thin wrappers. Betweenness and
 //! load share their BFS phase — [`betweenness_and_load_view`] runs one
-//! Brandes pass per source and back-propagates both measures, which is how
-//! the feature extractor obtains f18 and f19 for the price of one
-//! traversal.
+//! Brandes pass per source and back-propagates both measures — and that
+//! pass holds each source's distance row, so [`sweep_means_scratch`] reads
+//! diameter, closeness and the within-`k` count off it too: the feature
+//! extractor obtains f12, f17, f18, f19 and f24 for the price of one
+//! all-sources traversal.
 
 use crate::algo::mean;
-use crate::algo::paths::{bfs_distances, bfs_distances_into};
+use crate::algo::paths::bfs_distances;
 use crate::algo::AlgoScratch;
 use crate::view::{Adjacency, GraphView};
 use crate::DiGraph;
@@ -84,29 +86,17 @@ fn closeness_of(dist: &[usize], u: usize, n: usize) -> f64 {
             total += d;
         }
     }
+    wasserman_faust(reachable, total, n)
+}
+
+/// Closeness of a node that reaches `reachable` others at summed distance
+/// `total` in a graph of order `n`.
+fn wasserman_faust(reachable: usize, total: usize, n: usize) -> f64 {
     if total == 0 || n <= 1 {
         0.0
     } else {
         (reachable as f64 / total as f64) * (reachable as f64 / (n - 1) as f64)
     }
-}
-
-/// Mean closeness centrality over a prebuilt view, reusing `scratch`'s
-/// BFS buffers. Bit-identical to
-/// `mean(&closeness_centrality_view(view))`: same per-node values summed
-/// in the same order.
-pub fn closeness_centrality_mean_scratch(view: &GraphView, scratch: &mut AlgoScratch) -> f64 {
-    let adj = view.undirected();
-    let n = adj.order();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut sum = 0.0f64;
-    for u in 0..n {
-        bfs_distances_into(adj, u, &mut scratch.dist, &mut scratch.queue);
-        sum += closeness_of(&scratch.dist, u, n);
-    }
-    sum / n as f64
 }
 
 /// Average closeness centrality (feature f17).
@@ -142,25 +132,76 @@ pub fn betweenness_and_load_view(view: &GraphView) -> (Vec<f64>, Vec<f64>) {
 
 fn betweenness_and_load_in<A: Adjacency + ?Sized>(adj: &A) -> (Vec<f64>, Vec<f64>) {
     let mut scratch = AlgoScratch::new();
-    betweenness_and_load_into(adj, &mut scratch);
+    all_sources_sweep(adj, 0, &mut scratch);
     (std::mem::take(&mut scratch.values_a), std::mem::take(&mut scratch.values_b))
 }
 
-/// Mean betweenness and load over a prebuilt view, reusing `scratch`.
-/// Returns `(mean betweenness, mean load)` — the f18/f19 pair — without
-/// allocating once the scratch buffers have grown to the graph's order.
+/// The five graph-wide measures one all-sources sweep yields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepMeans {
+    /// Largest eccentricity (f12), as
+    /// [`diameter_view`](crate::algo::paths::diameter_view) computes it.
+    pub diameter: usize,
+    /// Mean closeness centrality (f17).
+    pub closeness: f64,
+    /// Mean betweenness centrality (f18).
+    pub betweenness: f64,
+    /// Mean load centrality (f19).
+    pub load: f64,
+    /// Mean number of other nodes within the sweep's distance `k` (f24).
+    pub within_k: f64,
+}
+
+/// Every feature that needs each node's distance row, from one BFS per
+/// source: the Brandes loop already holds source `s`'s distances when it
+/// back-propagates, so eccentricity, closeness and the within-`k` count
+/// are read off that row instead of from three more sweeps. Each field is
+/// bit-identical to its one-shot function (`diameter_view`,
+/// `mean(&closeness_centrality_view(..))`, `betweenness_and_load_view`,
+/// `avg_nodes_within_distance_view(.., k)`), and nothing is allocated once
+/// `scratch` has grown to the graph's order.
+pub fn sweep_means_scratch(view: &GraphView, k: usize, scratch: &mut AlgoScratch) -> SweepMeans {
+    let n = view.order();
+    let rows = all_sources_sweep(view.undirected(), k, scratch);
+    let per_node = |sum: f64| if n == 0 { 0.0 } else { sum / n as f64 };
+    SweepMeans {
+        diameter: rows.diameter,
+        closeness: per_node(rows.closeness_sum),
+        betweenness: mean(&scratch.values_a),
+        load: mean(&scratch.values_b),
+        within_k: per_node(rows.within_k as f64),
+    }
+}
+
+/// Mean betweenness and load over a prebuilt view, reusing `scratch`:
+/// the f18/f19 pair of [`sweep_means_scratch`], whose other three
+/// measures cost a few integer additions per visited node and are
+/// dropped here.
 pub fn betweenness_and_load_means_scratch(
     view: &GraphView,
     scratch: &mut AlgoScratch,
 ) -> (f64, f64) {
-    betweenness_and_load_into(view.undirected(), scratch);
-    (mean(&scratch.values_a), mean(&scratch.values_b))
+    let means = sweep_means_scratch(view, 0, scratch);
+    (means.betweenness, means.load)
 }
 
-/// The fused Brandes pass over caller-owned buffers: betweenness lands in
+/// What [`all_sources_sweep`] reads off the distance rows, accumulated in
+/// source order.
+struct DistanceRows {
+    diameter: usize,
+    closeness_sum: f64,
+    within_k: usize,
+}
+
+/// The fused pass over caller-owned buffers: betweenness lands in
 /// `scratch.values_a`, load in `scratch.values_b` (both sized to the
-/// graph's order). Predecessor rows keep their capacity across calls.
-fn betweenness_and_load_into<A: Adjacency + ?Sized>(adj: &A, scratch: &mut AlgoScratch) {
+/// graph's order), the distance-row measures in the return value.
+/// Predecessor rows keep their capacity across calls.
+fn all_sources_sweep<A: Adjacency + ?Sized>(
+    adj: &A,
+    k: usize,
+    scratch: &mut AlgoScratch,
+) -> DistanceRows {
     let n = adj.order();
     let AlgoScratch {
         dist, queue, order, preds, sigma, delta, between, values_a, values_b, ..
@@ -186,6 +227,7 @@ fn betweenness_and_load_into<A: Adjacency + ?Sized>(adj: &A, scratch: &mut AlgoS
     between.clear();
     between.resize(n, 0.0);
     queue.clear();
+    let mut rows = DistanceRows { diameter: 0, closeness_sum: 0.0, within_k: 0 };
     for s in 0..n {
         // Brandes: single-source shortest paths with path counts.
         order.clear();
@@ -210,6 +252,14 @@ fn betweenness_and_load_into<A: Adjacency + ?Sized>(adj: &A, scratch: &mut AlgoS
                 }
             }
         }
+        // `order` is s followed by every node s reaches, nearest first,
+        // so the row's maximum is its last entry and the closeness sums
+        // are integers over `order[1..]`.
+        let reached = &order[1..];
+        rows.diameter = rows.diameter.max(reached.last().map_or(0, |&v| dist[v]));
+        let total: usize = reached.iter().map(|&v| dist[v]).sum();
+        rows.closeness_sum += wasserman_faust(reached.len(), total, n);
+        rows.within_k += reached.iter().filter(|&&v| dist[v] <= k).count();
         // Betweenness back-propagation: dependency accumulation in reverse
         // visitation order, split proportionally to path counts.
         delta.fill(0.0);
@@ -249,6 +299,7 @@ fn betweenness_and_load_into<A: Adjacency + ?Sized>(adj: &A, scratch: &mut AlgoS
             *l *= scale;
         }
     }
+    rows
 }
 
 /// Average betweenness centrality (feature f18).

@@ -1,4 +1,13 @@
 //! Node connectivity (vertex-disjoint paths) and degree connectivity.
+//!
+//! Average node connectivity (f20) is a unit-capacity max-flow per node
+//! pair on the vertex-split digraph: every node `v` becomes
+//! `v_in → v_out` with capacity 1, every undirected edge `{u,v}` becomes
+//! `u_out → v_in` and `v_out → u_in`, and κ(s,t) is the flow from `s_out`
+//! to `t_in`. `Residual` builds that network once per graph and decides
+//! most pairs without a search; [`local_node_connectivity`] rebuilds it
+//! per pair and runs Edmonds–Karp to exhaustion — the reference the
+//! differential tests compare against.
 
 use crate::algo::AlgoScratch;
 use crate::view::{Adjacency, GraphView};
@@ -8,37 +17,18 @@ use crate::DiGraph;
 /// adjacency: the maximum number of internally vertex-disjoint `s`–`t`
 /// paths (equivalently, by Menger's theorem, the minimum vertex cut).
 ///
-/// Computed as unit-capacity max-flow on the vertex-split digraph: every
-/// node `v` becomes `v_in → v_out` with capacity 1 (except `s` and `t`),
-/// every undirected edge `{u,v}` becomes `u_out → v_in` and `v_out → u_in`.
-///
 /// Adjacent `s`, `t` still yield finite values (the direct edge counts as
 /// one disjoint path).
+///
+/// One-shot: builds the whole vertex-split residual graph for this pair
+/// and augments until a search fails. [`average_node_connectivity`] does
+/// not call it; it is kept as the oracle for the pruned computation.
 pub fn local_node_connectivity<A: Adjacency + ?Sized>(adj: &A, s: usize, t: usize) -> usize {
-    local_node_connectivity_scratch(adj, s, t, &mut AlgoScratch::new())
-}
-
-/// [`local_node_connectivity`] reusing `scratch`'s residual-graph rows,
-/// parent table, and BFS queue — no per-pair allocation once the rows
-/// have grown to their working size.
-pub fn local_node_connectivity_scratch<A: Adjacency + ?Sized>(
-    adj: &A,
-    s: usize,
-    t: usize,
-    scratch: &mut AlgoScratch,
-) -> usize {
     assert_ne!(s, t, "local connectivity requires distinct endpoints");
     let n = adj.order();
     // Node v_in = 2v, v_out = 2v+1. Residual capacities in a hash-free
-    // edge-list representation: (to, cap, reverse-index). Rows are
-    // pooled in the scratch and rebuilt (capacity retained) per pair.
-    if scratch.flow.len() < 2 * n {
-        scratch.flow.resize_with(2 * n, Vec::new);
-    }
-    let graph = &mut scratch.flow[..2 * n];
-    for row in graph.iter_mut() {
-        row.clear();
-    }
+    // edge-list representation: (to, cap, reverse-index).
+    let mut graph: Vec<Vec<(usize, i32, usize)>> = vec![Vec::new(); 2 * n];
     let add = |g: &mut [Vec<(usize, i32, usize)>], u: usize, v: usize, cap: i32| {
         let ru = g[u].len();
         let rv = g[v].len();
@@ -47,21 +37,21 @@ pub fn local_node_connectivity_scratch<A: Adjacency + ?Sized>(
     };
     for v in 0..n {
         let cap = if v == s || v == t { i32::MAX / 2 } else { 1 };
-        add(graph, 2 * v, 2 * v + 1, cap);
+        add(&mut graph, 2 * v, 2 * v + 1, cap);
     }
     for u in 0..n {
         for &v in adj.neighbors(u) {
             if u < v {
-                add(graph, 2 * u + 1, 2 * v, 1);
-                add(graph, 2 * v + 1, 2 * u, 1);
+                add(&mut graph, 2 * u + 1, 2 * v, 1);
+                add(&mut graph, 2 * v + 1, 2 * u, 1);
             }
         }
     }
     // Edmonds–Karp from s_out to t_in.
     let source = 2 * s + 1;
     let sink = 2 * t;
-    let parent = &mut scratch.parent;
-    let queue = &mut scratch.queue;
+    let mut parent: Vec<Option<(usize, usize)>> = Vec::new();
+    let mut queue = std::collections::VecDeque::new();
     let mut flow = 0usize;
     loop {
         parent.clear();
@@ -100,6 +90,183 @@ pub fn local_node_connectivity_scratch<A: Adjacency + ?Sized>(
     flow
 }
 
+/// Marks a residual node no search has reached yet.
+const UNREACHED: usize = usize::MAX;
+/// Marks the node a search started from.
+const ROOT: usize = usize::MAX - 1;
+
+/// The vertex-split residual network of one undirected simple graph, in
+/// flat arc arrays that live in [`AlgoScratch`] and are refilled per
+/// graph.
+///
+/// Residual node `2v` is `v_in`, `2v + 1` is `v_out`; both rows hold
+/// `1 + deg(v)` arcs. Arc 0 of `v_in`'s row is the unit arc
+/// `v_in → v_out` and arc 0 of `v_out`'s row its reverse; arc `1 + j` of
+/// `v_out`'s row is the unit arc `v_out → u_in` for the `j`-th neighbour
+/// `u`, and its reverse takes the next free slot of `u_in`'s row. No arc
+/// is special for the pair in hand: a simple path from `s_out` to `t_in`
+/// can use neither `s_in → s_out` (it would re-enter its first node) nor
+/// `t_in → t_out` (it ends at `t_in`), so their capacities do not bound
+/// the flow and one network serves every pair.
+#[derive(Debug, Default)]
+pub(crate) struct Residual {
+    /// First arc of each residual node's row, then the arc count.
+    start: Vec<usize>,
+    /// Head of each arc.
+    to: Vec<usize>,
+    /// Index of each arc's reverse arc.
+    rev: Vec<usize>,
+    /// Capacity before any flow: 1 on forward arcs, 0 on reverse arcs.
+    initial: Vec<u8>,
+    /// Residual capacity for the pair in hand; reset from `initial`.
+    cap: Vec<u8>,
+    /// The arc each residual node was reached by in the current search.
+    via: Vec<usize>,
+    /// The current search's queue; doubles as the component-labelling
+    /// stack.
+    queue: Vec<usize>,
+    /// Weak-component label per graph node.
+    component: Vec<usize>,
+    /// Per graph node: how many reverse arcs its `v_in` row holds so far.
+    filled: Vec<usize>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Residual networks built and augmenting searches run on this
+    /// thread: the work fence the unit tests below count.
+    static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static SEARCHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Residual {
+    /// Refills the network and the component labels from `adj`, which
+    /// must be symmetric (every `v_in` row is sized by `v`'s own degree
+    /// and filled by its neighbours).
+    fn build<A: Adjacency + ?Sized>(&mut self, adj: &A) {
+        #[cfg(test)]
+        BUILDS.with(|c| c.set(c.get() + 1));
+        let n = adj.order();
+        self.start.clear();
+        let mut arcs = 0;
+        for v in 0..n {
+            let row = 1 + adj.neighbors(v).len();
+            self.start.extend([arcs, arcs + row]);
+            arcs += 2 * row;
+        }
+        self.start.push(arcs);
+        for ids in [&mut self.to, &mut self.rev] {
+            ids.clear();
+            ids.resize(arcs, 0);
+        }
+        self.initial.clear();
+        self.initial.resize(arcs, 0);
+        self.filled.clear();
+        self.filled.resize(n, 0);
+        for v in 0..n {
+            let (v_in, v_out) = (self.start[2 * v], self.start[2 * v + 1]);
+            self.link(v_in, 2 * v + 1, v_out, 2 * v);
+            for (j, &u) in adj.neighbors(v).iter().enumerate() {
+                let back = self.start[2 * u] + 1 + self.filled[u];
+                self.filled[u] += 1;
+                self.link(v_out + 1 + j, 2 * u, back, 2 * v + 1);
+            }
+        }
+
+        self.component.clear();
+        self.component.resize(n, UNREACHED);
+        for root in 0..n {
+            if self.component[root] != UNREACHED {
+                continue;
+            }
+            self.component[root] = root;
+            self.queue.clear();
+            self.queue.push(root);
+            while let Some(u) = self.queue.pop() {
+                for &v in adj.neighbors(u) {
+                    if self.component[v] == UNREACHED {
+                        self.component[v] = root;
+                        self.queue.push(v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Writes unit arc `arc` with head `head` and its empty reverse arc
+    /// `back` with head `tail`.
+    fn link(&mut self, arc: usize, head: usize, back: usize, tail: usize) {
+        self.to[arc] = head;
+        self.rev[arc] = back;
+        self.initial[arc] = 1;
+        self.to[back] = tail;
+        self.rev[back] = arc;
+    }
+
+    /// κ(s, t) on the graph last built. Three rules keep most pairs away
+    /// from the flow computation: nodes in different components have no
+    /// path at all; every path leaves `s` and enters `t` through a
+    /// distinct neighbour (the direct edge, when there is one, uses up
+    /// `t` as a neighbour of `s` and `s` as one of `t`), so
+    /// `min(deg s, deg t)` bounds the flow and, when it is 0 or 1 in one
+    /// component, is the answer; and a flow that has reached the bound is
+    /// maximal, so no search has to fail to prove it.
+    fn connectivity<A: Adjacency + ?Sized>(&mut self, adj: &A, s: usize, t: usize) -> usize {
+        if self.component[s] != self.component[t] {
+            return 0;
+        }
+        let bound = adj.neighbors(s).len().min(adj.neighbors(t).len());
+        if bound <= 1 {
+            return bound;
+        }
+        self.cap.clone_from(&self.initial);
+        let mut flow = 0;
+        while flow < bound && self.augment(2 * s + 1, 2 * t) {
+            flow += 1;
+        }
+        flow
+    }
+
+    /// One breadth-first search for an augmenting path; pushes one unit
+    /// along it when there is one.
+    fn augment(&mut self, source: usize, sink: usize) -> bool {
+        #[cfg(test)]
+        SEARCHES.with(|c| c.set(c.get() + 1));
+        self.via.clear();
+        self.via.resize(self.start.len() - 1, UNREACHED);
+        self.via[source] = ROOT;
+        self.queue.clear();
+        self.queue.push(source);
+        let mut head = 0;
+        'search: while head < self.queue.len() {
+            let u = self.queue[head];
+            head += 1;
+            for arc in self.start[u]..self.start[u + 1] {
+                let v = self.to[arc];
+                if self.cap[arc] > 0 && self.via[v] == UNREACHED {
+                    self.via[v] = arc;
+                    if v == sink {
+                        break 'search;
+                    }
+                    self.queue.push(v);
+                }
+            }
+        }
+        if self.via[sink] == UNREACHED {
+            return false;
+        }
+        let mut v = sink;
+        while v != source {
+            let arc = self.via[v];
+            let back = self.rev[arc];
+            self.cap[arc] -= 1;
+            self.cap[back] += 1;
+            v = self.to[back];
+        }
+        true
+    }
+}
+
 /// Average node connectivity: the mean of local node connectivity over
 /// node pairs (feature f20, Fig. 7's "average node connectivity").
 ///
@@ -114,62 +281,58 @@ pub fn average_node_connectivity<N, E>(g: &DiGraph<N, E>) -> f64 {
 /// See [`average_node_connectivity`]; `sample_limit` bounds the node count
 /// above which pair sampling kicks in.
 pub fn average_node_connectivity_with_limit<N, E>(g: &DiGraph<N, E>, sample_limit: usize) -> f64 {
-    average_node_connectivity_in(&g.undirected_adjacency(), sample_limit)
+    average_node_connectivity_in(&g.undirected_adjacency(), sample_limit, &mut Residual::default())
 }
 
 /// [`average_node_connectivity`] over a prebuilt view.
 pub fn average_node_connectivity_view(view: &GraphView) -> f64 {
-    average_node_connectivity_in(view.undirected(), 64)
+    average_node_connectivity_view_scratch(view, &mut AlgoScratch::new())
 }
 
-fn average_node_connectivity_in<A: Adjacency + ?Sized>(adj: &A, sample_limit: usize) -> f64 {
-    average_node_connectivity_scratch_in(adj, sample_limit, &mut AlgoScratch::new())
-}
-
-/// [`average_node_connectivity_view`] reusing `scratch`'s pair list and
-/// max-flow buffers.
+/// [`average_node_connectivity_view`] reusing `scratch`'s residual
+/// network: no allocation once its arrays have grown to the graph's size.
 pub fn average_node_connectivity_view_scratch(
     view: &GraphView,
     scratch: &mut AlgoScratch,
 ) -> f64 {
-    average_node_connectivity_scratch_in(view.undirected(), 64, scratch)
+    average_node_connectivity_in(view.undirected(), 64, &mut scratch.residual)
 }
 
-fn average_node_connectivity_scratch_in<A: Adjacency + ?Sized>(
+/// Mean κ over the pairs `s < t` in row-major order — all of them up to
+/// `sample_limit` nodes, every `stride`-th (indices 0, stride, 2·stride,
+/// …) above it. The pair at each index is found by walking rows, so
+/// memory stays linear in the graph however many pairs there are, and
+/// since every κ is an integer fixed by the graph the sum and the
+/// quotient do not depend on how each was obtained.
+fn average_node_connectivity_in<A: Adjacency + ?Sized>(
     adj: &A,
     sample_limit: usize,
-    scratch: &mut AlgoScratch,
+    net: &mut Residual,
 ) -> f64 {
     let n = adj.order();
     if n < 2 {
         return 0.0;
     }
-    scratch.pairs.clear();
-    for s in 0..n {
-        for t in (s + 1)..n {
-            scratch.pairs.push((s, t));
-        }
-    }
-    if n > sample_limit {
+    let stride = if n > sample_limit {
         let target = sample_limit * (sample_limit - 1) / 2;
-        let stride = (scratch.pairs.len() / target).max(1);
-        // In-place stride sample: keep indices 0, stride, 2·stride, …
-        // exactly as `step_by(stride)` would.
-        let mut w = 0usize;
-        let mut r = 0usize;
-        while r < scratch.pairs.len() {
-            scratch.pairs[w] = scratch.pairs[r];
-            w += 1;
-            r += stride;
+        (n * (n - 1) / 2 / target).max(1)
+    } else {
+        1
+    };
+    net.build(adj);
+    let (mut total, mut pairs) = (0usize, 0usize);
+    // The pair in hand is (s, s + 1 + column); row s holds n - 1 - s pairs.
+    let (mut s, mut column) = (0, 0);
+    while s + 1 < n {
+        total += net.connectivity(adj, s, s + 1 + column);
+        pairs += 1;
+        column += stride;
+        while s + 1 < n && column >= n - 1 - s {
+            column -= n - 1 - s;
+            s += 1;
         }
-        scratch.pairs.truncate(w);
     }
-    let mut total = 0usize;
-    for i in 0..scratch.pairs.len() {
-        let (s, t) = scratch.pairs[i];
-        total += local_node_connectivity_scratch(adj, s, t, scratch);
-    }
-    total as f64 / scratch.pairs.len() as f64
+    total as f64 / pairs as f64
 }
 
 /// Average degree over non-isolated nodes (feature f23, "average degree
@@ -207,6 +370,55 @@ mod tests {
             }
         }
         g
+    }
+
+    fn cycle(n: usize) -> DiGraph<(), ()> {
+        let mut g = DiGraph::new();
+        let nodes: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
+        for i in 0..n {
+            g.add_edge(nodes[i], nodes[(i + 1) % n], ());
+        }
+        g
+    }
+
+    fn star(leaves: usize) -> DiGraph<(), ()> {
+        let mut g = DiGraph::new();
+        let centre = g.add_node(());
+        for _ in 0..leaves {
+            let leaf = g.add_node(());
+            g.add_edge(leaf, centre, ());
+        }
+        g
+    }
+
+    /// `(f20, networks built, augmenting searches, pairs averaged)` of one call.
+    fn counted(g: &DiGraph<(), ()>) -> (f64, usize, usize, usize) {
+        BUILDS.with(|c| c.set(0));
+        SEARCHES.with(|c| c.set(0));
+        let value = average_node_connectivity(g);
+        let n = g.node_count();
+        let all = n * (n - 1) / 2;
+        let pairs = if n > 64 { all.div_ceil(all / 2016) } else { all };
+        (value, BUILDS.with(|c| c.get()), SEARCHES.with(|c| c.get()), pairs)
+    }
+
+    /// The work fence, counted not timed: one network per call whatever
+    /// the pair count, no search for a pair a degree decides, and no
+    /// search that fails once the flow has reached the degree bound.
+    #[test]
+    fn searches_stop_at_the_degree_bound() {
+        for leaves in [1, 4, 63, 64, 200] {
+            let (value, builds, searches, _) = counted(&star(leaves));
+            assert_eq!((value, builds, searches), (1.0, 1, 0), "star of {leaves} leaves");
+        }
+        for n in [3, 5, 12, 64, 65, 100] {
+            let (value, builds, searches, pairs) = counted(&cycle(n));
+            assert_eq!((value, builds, searches), (2.0, 1, 2 * pairs), "C{n}");
+        }
+        for n in [3, 5, 9] {
+            let (value, builds, searches, pairs) = counted(&complete(n));
+            assert_eq!((value, builds, searches), ((n - 1) as f64, 1, (n - 1) * pairs), "K{n}");
+        }
     }
 
     #[test]

@@ -4,23 +4,15 @@
 //! undirected view is the natural distance metric, and it keeps the
 //! diameter finite on weakly connected graphs).
 
-use crate::algo::AlgoScratch;
 use crate::view::{Adjacency, GraphView};
 use crate::DiGraph;
 
-/// BFS from `source` into caller-provided buffers: the scratch core every
-/// distance-based metric shares. `dist` is resized and reset in place.
-pub(crate) fn bfs_distances_into<A: Adjacency + ?Sized>(
-    adj: &A,
-    source: usize,
-    dist: &mut Vec<usize>,
-    queue: &mut std::collections::VecDeque<usize>,
-) {
-    dist.clear();
-    dist.resize(adj.order(), usize::MAX);
-    queue.clear();
+/// BFS distances from `source` over an undirected adjacency.
+/// Unreachable nodes get `usize::MAX`.
+pub fn bfs_distances<A: Adjacency + ?Sized>(adj: &A, source: usize) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; adj.order()];
+    let mut queue = std::collections::VecDeque::from([source]);
     dist[source] = 0;
-    queue.push_back(source);
     while let Some(u) = queue.pop_front() {
         for &v in adj.neighbors(u) {
             if dist[v] == usize::MAX {
@@ -29,14 +21,6 @@ pub(crate) fn bfs_distances_into<A: Adjacency + ?Sized>(
             }
         }
     }
-}
-
-/// BFS distances from `source` over an undirected adjacency.
-/// Unreachable nodes get `usize::MAX`.
-pub fn bfs_distances<A: Adjacency + ?Sized>(adj: &A, source: usize) -> Vec<usize> {
-    let mut dist = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    bfs_distances_into(adj, source, &mut dist, &mut queue);
     dist
 }
 
@@ -70,20 +54,6 @@ pub fn diameter_view(view: &GraphView) -> usize {
     eccentricities_view(view).into_iter().max().unwrap_or(0)
 }
 
-/// [`diameter_view`] reusing `scratch`'s BFS buffers — no per-call
-/// allocation once the buffers have grown to the graph's order.
-pub fn diameter_view_scratch(view: &GraphView, scratch: &mut AlgoScratch) -> usize {
-    let adj = view.undirected();
-    let mut best = 0;
-    for s in 0..adj.order() {
-        bfs_distances_into(adj, s, &mut scratch.dist, &mut scratch.queue);
-        let ecc =
-            scratch.dist.iter().copied().filter(|&d| d != usize::MAX).max().unwrap_or(0);
-        best = best.max(ecc);
-    }
-    best
-}
-
 /// Average number of nodes within distance `k` of each node (excluding the
 /// node itself). This implements the paper's f24 "average number of nodes
 /// at k-nodes distance from each node".
@@ -110,30 +80,6 @@ fn avg_nodes_within_distance_in<A: Adjacency + ?Sized>(adj: &A, k: usize) -> f64
                 .count()
         })
         .sum();
-    total as f64 / n as f64
-}
-
-/// [`avg_nodes_within_distance_view`] reusing `scratch`'s BFS buffers.
-pub fn avg_nodes_within_distance_view_scratch(
-    view: &GraphView,
-    k: usize,
-    scratch: &mut AlgoScratch,
-) -> f64 {
-    let adj = view.undirected();
-    let n = adj.order();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut total = 0usize;
-    for s in 0..n {
-        bfs_distances_into(adj, s, &mut scratch.dist, &mut scratch.queue);
-        total += scratch
-            .dist
-            .iter()
-            .enumerate()
-            .filter(|&(v, &d)| v != s && d != usize::MAX && d <= k)
-            .count();
-    }
     total as f64 / n as f64
 }
 

@@ -5,23 +5,25 @@
 //! feature extractor classifying thousands of conversations) performs no
 //! steady-state heap allocation: buffers grow to the largest graph seen
 //! and are reused from then on. Results are bit-identical to the
-//! allocating one-shot entry points — the scratch variants run the same
-//! loops over the same buffers in the same order; only the buffers'
-//! provenance differs.
+//! allocating one-shot entry points: every float is accumulated from the
+//! same terms in the same order, and what the scratch variants skip or
+//! fuse (a BFS whose distance row another pass already holds, a max-flow a
+//! degree already decides) only ever produced integers.
 
 use std::collections::VecDeque;
+
+use crate::algo::connectivity::Residual;
 
 /// Scratch space shared by the scratch-taking algorithm variants.
 ///
 /// One instance serves every algorithm; the fields are partitioned by
-/// phase (BFS, Brandes, PageRank, max-flow) and a traversal never runs
-/// concurrently with another on the same scratch, so sharing the BFS
-/// queue between plain BFS and Edmonds–Karp is safe.
+/// phase (the all-sources sweep, PageRank, max-flow) and a traversal
+/// never runs concurrently with another on the same scratch.
 #[derive(Debug, Default)]
 pub struct AlgoScratch {
     /// BFS distances (`usize::MAX` = unreached).
     pub(crate) dist: Vec<usize>,
-    /// BFS / Edmonds–Karp work queue.
+    /// BFS work queue.
     pub(crate) queue: VecDeque<usize>,
     /// Brandes visitation order.
     pub(crate) order: Vec<usize>,
@@ -42,13 +44,9 @@ pub struct AlgoScratch {
     /// PageRank double buffers, swapped each power iteration.
     pub(crate) rank: Vec<f64>,
     pub(crate) rank_next: Vec<f64>,
-    /// Vertex-split residual-graph rows for unit-capacity max-flow.
-    /// Rows keep their capacity across pairs and calls.
-    pub(crate) flow: Vec<Vec<(usize, i32, usize)>>,
-    /// Max-flow BFS parents: `(predecessor, edge index)`.
-    pub(crate) parent: Vec<Option<(usize, usize)>>,
-    /// Sampled node pairs for average connectivity.
-    pub(crate) pairs: Vec<(usize, usize)>,
+    /// The vertex-split residual network, component labels and search
+    /// buffers of average node connectivity.
+    pub(crate) residual: Residual,
 }
 
 impl AlgoScratch {
@@ -86,32 +84,62 @@ mod tests {
         g
     }
 
+    fn cycle(n: usize) -> DiGraph<(), ()> {
+        let mut g = DiGraph::new();
+        let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
+        for i in 0..n {
+            g.add_edge(ids[i], ids[(i + 1) % n], ());
+        }
+        g
+    }
+
     /// Every scratch variant must agree bit-for-bit with its allocating
-    /// counterpart, including when one scratch is reused across graphs
-    /// of different sizes (stale buffer contents must not leak).
+    /// counterpart when one scratch and one view are reused across graphs
+    /// that shrink and grow, cross the pair-sampling limit and fall apart
+    /// into components (stale buffer contents must not leak).
     #[test]
     fn scratch_variants_bit_identical_across_reuse() {
-        let graphs = [star(6), bowtie(), star(1), DiGraph::<(), ()>::new()];
+        let mut two_parts = cycle(7);
+        let a = two_parts.add_node(());
+        let b = two_parts.add_node(());
+        two_parts.add_edge(b, a, ());
+        let graphs = [
+            star(6),
+            bowtie(),
+            star(1),
+            DiGraph::<(), ()>::new(),
+            cycle(9),
+            star(70),
+            two_parts,
+            cycle(66),
+            bowtie(),
+        ];
         let mut scratch = AlgoScratch::new();
+        let mut view = GraphView::new();
         for g in &graphs {
-            let view = GraphView::of(g);
+            view.load(g);
+            let fresh = GraphView::of(g);
+            for u in 0..g.node_count() {
+                assert_eq!(view.undirected().neighbors(u), fresh.undirected().neighbors(u));
+                assert_eq!(view.successors().neighbors(u), fresh.successors().neighbors(u));
+                assert_eq!(view.predecessors().neighbors(u), fresh.predecessors().neighbors(u));
+            }
+            let sweep = centrality::sweep_means_scratch(&view, 2, &mut scratch);
+            assert_eq!(sweep.diameter, paths::diameter_view(&view));
             assert_eq!(
-                paths::diameter_view_scratch(&view, &mut scratch),
-                paths::diameter_view(&view),
-            );
-            assert_eq!(
-                paths::avg_nodes_within_distance_view_scratch(&view, 2, &mut scratch)
-                    .to_bits(),
+                sweep.within_k.to_bits(),
                 paths::avg_nodes_within_distance_view(&view, 2).to_bits(),
             );
             assert_eq!(
-                centrality::closeness_centrality_mean_scratch(&view, &mut scratch).to_bits(),
+                sweep.closeness.to_bits(),
                 mean(&centrality::closeness_centrality_view(&view)).to_bits(),
             );
-            let (b, l) = centrality::betweenness_and_load_means_scratch(&view, &mut scratch);
             let (bv, lv) = centrality::betweenness_and_load_view(&view);
-            assert_eq!(b.to_bits(), mean(&bv).to_bits());
-            assert_eq!(l.to_bits(), mean(&lv).to_bits());
+            assert_eq!(sweep.betweenness.to_bits(), mean(&bv).to_bits());
+            assert_eq!(sweep.load.to_bits(), mean(&lv).to_bits());
+            let (b, l) = centrality::betweenness_and_load_means_scratch(&view, &mut scratch);
+            assert_eq!(b.to_bits(), sweep.betweenness.to_bits());
+            assert_eq!(l.to_bits(), sweep.load.to_bits());
             assert_eq!(
                 connectivity::average_node_connectivity_view_scratch(&view, &mut scratch)
                     .to_bits(),
@@ -134,27 +162,6 @@ mod tests {
                 pagerank::pagerank_mean_scratch(&view, d, t, i, &mut scratch).to_bits(),
                 mean(&pagerank::pagerank_view(&view, d, t, i)).to_bits(),
             );
-        }
-    }
-
-    /// The pair-sampling path (n > limit) must match the allocating
-    /// `step_by` sampler.
-    #[test]
-    fn sampled_connectivity_matches_allocating_sampler() {
-        let mut g = DiGraph::new();
-        let n: Vec<_> = (0..12).map(|_| g.add_node(())).collect();
-        for i in 0..12 {
-            g.add_edge(n[i], n[(i + 1) % 12], ());
-        }
-        let adj = g.undirected_adjacency();
-        let mut scratch = AlgoScratch::new();
-        for s in 0..12 {
-            for t in (s + 1)..12 {
-                assert_eq!(
-                    connectivity::local_node_connectivity_scratch(&adj, s, t, &mut scratch),
-                    connectivity::local_node_connectivity(&adj, s, t),
-                );
-            }
         }
     }
 }

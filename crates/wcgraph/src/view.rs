@@ -14,7 +14,9 @@
 //! Neighbor ordering is identical to the legacy per-call materialization
 //! (sorted ascending, deduplicated, self-loops excluded from the undirected
 //! form), which keeps every floating-point reduction in `algo` bit-identical
-//! whether it runs over a view or over ad-hoc lists.
+//! whether it runs over a view or over ad-hoc lists. Only the successor
+//! rows are sorted; the predecessor rows are their counting transpose and
+//! the undirected rows the merge of the two (see [`GraphView::load`]).
 
 use crate::digraph::DiGraph;
 
@@ -70,23 +72,72 @@ impl Csr {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// Rebuild rows from an unsorted `(src, dst)` pair list, reusing
-    /// capacity. `pairs` is sorted and deduplicated in place; because the
-    /// sort is row-major, the flat target array comes out per-row sorted —
-    /// the same ordering the legacy `Vec<Vec<usize>>` builders produced.
-    fn rebuild(&mut self, n: usize, pairs: &mut Vec<(u32, u32)>) {
-        pairs.sort_unstable();
-        pairs.dedup();
+    /// Sets the offsets of `n` rows that hold one entry per item of `rows`.
+    fn size_rows(&mut self, n: usize, rows: impl Iterator<Item = u32>) {
         self.offsets.clear();
         self.offsets.resize(n + 1, 0);
-        for &(u, _) in pairs.iter() {
+        for u in rows {
             self.offsets[u as usize + 1] += 1;
         }
         for i in 0..n {
             self.offsets[i + 1] += self.offsets[i];
         }
+    }
+
+    /// Rows from `(src, dst)` pairs sorted ascending and deduplicated:
+    /// the sort is row-major, so the flat target array is the pairs'
+    /// second halves and comes out per-row sorted — the same ordering the
+    /// legacy `Vec<Vec<usize>>` builders produced.
+    fn load_sorted_pairs(&mut self, n: usize, pairs: &[(u32, u32)]) {
+        self.size_rows(n, pairs.iter().map(|&(u, _)| u));
         self.targets.clear();
         self.targets.extend(pairs.iter().map(|&(_, v)| v as usize));
+    }
+
+    /// The transpose of the rows `pairs` describe, by counting: each
+    /// destination's row is sized first, then filled through `cursor`.
+    /// Pairs are visited in ascending source order, so every row comes
+    /// out ascending without a sort.
+    fn load_transpose_of(
+        &mut self,
+        n: usize,
+        pairs: &[(u32, u32)],
+        cursor: &mut Vec<usize>,
+    ) {
+        self.size_rows(n, pairs.iter().map(|&(_, v)| v));
+        cursor.clear();
+        cursor.extend_from_slice(&self.offsets[..n]);
+        self.targets.clear();
+        self.targets.resize(pairs.len(), 0);
+        for &(u, v) in pairs {
+            let slot = &mut cursor[v as usize];
+            self.targets[*slot] = u as usize;
+            *slot += 1;
+        }
+    }
+
+    /// Row-by-row union of two adjacencies over the same nodes: a merge of
+    /// two ascending rows, a neighbour present in both kept once.
+    fn load_union_of(&mut self, a: &Csr, b: &Csr) {
+        let n = a.order();
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.targets.clear();
+        for u in 0..n {
+            let (mut x, mut y) = (a.neighbors(u), b.neighbors(u));
+            while let (Some(&p), Some(&q)) = (x.first(), y.first()) {
+                self.targets.push(p.min(q));
+                if p <= q {
+                    x = &x[1..];
+                }
+                if q <= p {
+                    y = &y[1..];
+                }
+            }
+            self.targets.extend_from_slice(x);
+            self.targets.extend_from_slice(y);
+            self.offsets.push(self.targets.len());
+        }
     }
 }
 
@@ -116,8 +167,10 @@ pub struct GraphView {
     succ: Csr,
     /// Directed simple predecessors, self-loops excluded.
     pred: Csr,
-    /// Scratch pair list recycled across rebuilds.
+    /// The load in progress's `(src, dst)` pairs, recycled.
     pairs: Vec<(u32, u32)>,
+    /// Per-row write positions of the transpose, recycled.
+    cursor: Vec<usize>,
 }
 
 impl GraphView {
@@ -144,30 +197,20 @@ impl GraphView {
         self.degree.clear();
         self.degree.extend(g.node_ids().map(|v| g.degree(v)));
 
+        // One pass and one sort give the successor rows; the predecessor
+        // rows are their transpose and the undirected rows the union of
+        // the two — the rows three sorted pair lists would give.
         self.pairs.clear();
         for (_, src, dst, _) in g.edges() {
             if src != dst {
                 self.pairs.push((src.0 as u32, dst.0 as u32));
             }
         }
-        self.succ.rebuild(n, &mut self.pairs);
-
-        self.pairs.clear();
-        for (_, src, dst, _) in g.edges() {
-            if src != dst {
-                self.pairs.push((dst.0 as u32, src.0 as u32));
-            }
-        }
-        self.pred.rebuild(n, &mut self.pairs);
-
-        self.pairs.clear();
-        for (_, src, dst, _) in g.edges() {
-            if src != dst {
-                self.pairs.push((src.0 as u32, dst.0 as u32));
-                self.pairs.push((dst.0 as u32, src.0 as u32));
-            }
-        }
-        self.und.rebuild(n, &mut self.pairs);
+        self.pairs.sort_unstable();
+        self.pairs.dedup();
+        self.succ.load_sorted_pairs(n, &self.pairs);
+        self.pred.load_transpose_of(n, &self.pairs, &mut self.cursor);
+        self.und.load_union_of(&self.succ, &self.pred);
     }
 
     /// Number of nodes.
@@ -203,6 +246,9 @@ impl GraphView {
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     fn sample() -> DiGraph<(), ()> {
@@ -214,17 +260,46 @@ mod tests {
         g
     }
 
-    #[test]
-    fn view_matches_legacy_adjacency() {
-        let g = sample();
-        let view = GraphView::of(&g);
+    /// The rows the three per-row-sorted legacy builders give.
+    fn assert_matches_legacy(g: &DiGraph<(), ()>, view: &GraphView) {
         let und = g.undirected_adjacency();
         let (succ, pred) = g.directed_adjacency();
+        assert_eq!(view.order(), g.node_count());
         for u in 0..g.node_count() {
             assert_eq!(view.undirected().neighbors(u), und[u].as_slice(), "und {u}");
             assert_eq!(view.successors().neighbors(u), succ[u].as_slice(), "succ {u}");
             assert_eq!(view.predecessors().neighbors(u), pred[u].as_slice(), "pred {u}");
             assert_eq!(view.degree(u), g.degree(crate::NodeId(u)), "deg {u}");
+        }
+    }
+
+    #[test]
+    fn view_matches_legacy_adjacency() {
+        let g = sample();
+        assert_matches_legacy(&g, &GraphView::of(&g));
+    }
+
+    proptest! {
+        /// Random multigraphs with self-loops, parallel and antiparallel
+        /// edges and isolated nodes, loaded into one recycled view: the
+        /// transposed and merged rows equal the sorted ones.
+        #[test]
+        fn view_matches_legacy_adjacency_on_any_multigraph(
+            graphs in vec(
+                (1usize..20).prop_flat_map(|n| (Just(n), vec((0..n, 0..n), 0..60))),
+                1..4,
+            ),
+        ) {
+            let mut view = GraphView::new();
+            for (n, edges) in graphs {
+                let mut g = DiGraph::new();
+                let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
+                for (a, b) in edges {
+                    g.add_edge(ids[a], ids[b], ());
+                }
+                view.load(&g);
+                assert_matches_legacy(&g, &view);
+            }
         }
     }
 

@@ -6,8 +6,10 @@ use proptest::prelude::*;
 use dynaminer::features::{self, FeatureExtractor, TopoCache};
 use dynaminer::wcg::{PushOutcome, Wcg, WcgBuilder};
 use nettrace::HttpTransaction;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use wcgraph::algo;
-use wcgraph::DiGraph;
+use wcgraph::{DiGraph, GraphView};
 
 mod common;
 use common::arb_transaction;
@@ -112,16 +114,128 @@ proptest! {
         for s in 0..n {
             for t in (s + 1)..n {
                 let c = algo::connectivity::local_node_connectivity(&adj, s, t);
+                // Every path leaves s and enters t through a distinct
+                // neighbour; the direct edge, if any, uses up t as a
+                // neighbour of s and s as one of t. The pair pruning of
+                // average node connectivity rests on this tight form.
                 let bound = adj[s].len().min(adj[t].len());
-                // Adjacent nodes can exceed the internal-path bound by the
-                // direct edge; Menger applies to non-adjacent pairs.
-                let adjacent = adj[s].binary_search(&t).is_ok();
-                prop_assert!(
-                    c <= bound + usize::from(adjacent),
-                    "connectivity {c} > min degree {bound} for ({s},{t})"
-                );
+                prop_assert!(c <= bound, "connectivity {c} > min degree {bound} for ({s},{t})");
             }
         }
+    }
+
+    #[test]
+    fn topology_pass_matches_its_references(g in arb_graph()) {
+        check_topology_pass(&g, &mut GraphView::new(), &mut algo::AlgoScratch::new())?;
+    }
+}
+
+/// f20 as the allocating sampler and the per-pair reference compute it:
+/// every pair `s < t` in row-major order, each `stride`-th kept above 64
+/// nodes, and [`algo::connectivity::local_node_connectivity`] — a residual
+/// graph per pair, augmented until a search fails — on each.
+fn reference_f20(g: &DiGraph<(), ()>) -> f64 {
+    let adj = g.undirected_adjacency();
+    let n = adj.len();
+    let pairs: Vec<(usize, usize)> =
+        (0..n).flat_map(|s| ((s + 1)..n).map(move |t| (s, t))).collect();
+    if pairs.is_empty() {
+        return 0.0;
+    }
+    let stride = if n > 64 { (pairs.len() / (64 * 63 / 2)).max(1) } else { 1 };
+    let kept: Vec<(usize, usize)> = pairs.into_iter().step_by(stride).collect();
+    let total: usize = kept
+        .iter()
+        .map(|&(s, t)| algo::connectivity::local_node_connectivity(&adj, s, t))
+        .sum();
+    total as f64 / kept.len() as f64
+}
+
+/// The topology pass over a recycled view and scratch against the
+/// one-shot functions, bit for bit: the view's rows, the five measures of
+/// the all-sources sweep, and f20.
+fn check_topology_pass(
+    g: &DiGraph<(), ()>,
+    view: &mut GraphView,
+    scratch: &mut algo::AlgoScratch,
+) -> Result<(), String> {
+    view.load(g);
+    let und = g.undirected_adjacency();
+    let (succ, pred) = g.directed_adjacency();
+    for u in 0..g.node_count() {
+        prop_assert_eq!(view.undirected().neighbors(u), und[u].as_slice());
+        prop_assert_eq!(view.successors().neighbors(u), succ[u].as_slice());
+        prop_assert_eq!(view.predecessors().neighbors(u), pred[u].as_slice());
+    }
+    let sweep = algo::centrality::sweep_means_scratch(view, 2, scratch);
+    prop_assert_eq!(sweep.diameter, algo::paths::diameter(g));
+    let f20 = reference_f20(g);
+    for (name, fused, one_shot) in [
+        ("f17", sweep.closeness, algo::centrality::avg_closeness_centrality(g)),
+        ("f18", sweep.betweenness, algo::centrality::avg_betweenness_centrality(g)),
+        ("f19", sweep.load, algo::centrality::avg_load_centrality(g)),
+        ("f24", sweep.within_k, algo::paths::avg_nodes_within_distance(g, 2)),
+        (
+            "f20",
+            algo::connectivity::average_node_connectivity_view_scratch(view, scratch),
+            f20,
+        ),
+        ("f20 one-shot", algo::connectivity::average_node_connectivity(g), f20),
+    ] {
+        prop_assert_eq!(fused.to_bits(), one_shot.to_bits(), "{}: {} vs {}", name, fused, one_shot);
+    }
+    Ok(())
+}
+
+/// [`check_topology_pass`] on the shapes the pruning rules and the pair
+/// sampler turn on, through one view and one scratch so each graph runs
+/// over the last one's buffers.
+#[test]
+fn topology_pass_matches_its_references_on_fixed_graphs() {
+    fn graph(n: usize, edges: &[(usize, usize)]) -> DiGraph<(), ()> {
+        let mut g = DiGraph::new();
+        let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
+        for &(a, b) in edges {
+            g.add_edge(ids[a], ids[b], ());
+        }
+        g
+    }
+    let k5: Vec<(usize, usize)> =
+        (0..5).flat_map(|a| ((a + 1)..5).map(move |b| (a, b))).collect();
+    let mut graphs = vec![
+        ("empty", graph(0, &[])),
+        ("single node", graph(1, &[])),
+        ("isolated nodes", graph(4, &[])),
+        (
+            "parallel edges and self-loops",
+            graph(4, &[(0, 1), (0, 1), (1, 0), (2, 2), (1, 2), (2, 1), (3, 3)]),
+        ),
+        ("bowtie", graph(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])),
+        ("C5", graph(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])),
+        ("K5", graph(5, &k5)),
+        (
+            "two components",
+            graph(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (3, 5)]),
+        ),
+    ];
+    // Orders on both sides of the 64-node sampling limit: a hub with
+    // chains (degree-1 and degree-2 nodes the bound decides), random
+    // chords (pairs that need the flow) and a few nodes left isolated.
+    let mut rng = StdRng::seed_from_u64(20);
+    for n in [63usize, 64, 65, 86, 130] {
+        let mut edges = Vec::new();
+        for v in 1..n - 3 {
+            edges.push((if v % 3 == 0 { 0 } else { v - 1 }, v));
+        }
+        for _ in 0..n {
+            edges.push((rng.gen_range(0..n - 3), rng.gen_range(0..n - 3)));
+        }
+        graphs.push(("order across the sampling limit", graph(n, &edges)));
+    }
+    let (mut view, mut scratch) = (GraphView::new(), algo::AlgoScratch::new());
+    for (name, g) in &graphs {
+        check_topology_pass(g, &mut view, &mut scratch)
+            .unwrap_or_else(|e| panic!("{name} ({} nodes): {e}", g.node_count()));
     }
 }
 
