@@ -153,14 +153,7 @@ impl DetectorState {
         for state in states {
             clients.extend(state.tracker.clients);
             alerts.extend(state.alerts);
-            let c = state.tracker.counters;
-            counters.created += c.created;
-            counters.evicted += c.evicted;
-            counters.cap_evicted += c.cap_evicted;
-            counters.spill_evicted += c.spill_evicted;
-            counters.spilled += c.spilled;
-            counters.rehydrated += c.rehydrated;
-            counters.dropped_transactions += c.dropped_transactions;
+            counters += state.tracker.counters;
             seen += state.transactions_seen;
             classifications += state.classifications;
         }
@@ -251,14 +244,9 @@ pub struct OnTheWireDetector {
     extractor: crate::features::FeatureExtractor,
     telemetry: Registry,
     metrics: DetectorMetrics,
-    /// Tracker eviction totals already folded into the telemetry
-    /// counters (the tracker keeps running sums; counters take deltas).
-    synced_retention_evictions: usize,
-    synced_cap_evictions: usize,
-    synced_dropped_transactions: u64,
-    synced_spilled: u64,
-    synced_rehydrated: u64,
-    synced_spill_evictions: usize,
+    /// Tracker totals already folded into the telemetry counters (the
+    /// tracker keeps running sums; counters take deltas).
+    synced: session::TrackerCounters,
     /// Model version last seen on the classification path, to count
     /// observed hot-reloads.
     last_model_version: u64,
@@ -310,12 +298,7 @@ impl OnTheWireDetector {
             extractor: crate::features::FeatureExtractor::new(),
             telemetry: registry.clone(),
             metrics: DetectorMetrics::new(registry),
-            synced_retention_evictions: 0,
-            synced_cap_evictions: 0,
-            synced_dropped_transactions: 0,
-            synced_spilled: 0,
-            synced_rehydrated: 0,
-            synced_spill_evictions: 0,
+            synced: session::TrackerCounters::default(),
             last_model_version,
         }
     }
@@ -343,24 +326,19 @@ impl OnTheWireDetector {
     /// conversation-tier gauges.
     fn sync_tracker_metrics(&mut self) {
         let m = &self.metrics;
-        let evicted = self.tracker.evicted_count();
-        m.retention_evictions.add((evicted - self.synced_retention_evictions) as u64);
-        self.synced_retention_evictions = evicted;
-        let cap_evicted = self.tracker.cap_evicted_count();
-        m.cap_evictions.add((cap_evicted - self.synced_cap_evictions) as u64);
-        self.synced_cap_evictions = cap_evicted;
-        let dropped = self.tracker.dropped_transaction_count();
-        m.dropped_transactions.add(dropped - self.synced_dropped_transactions);
-        self.synced_dropped_transactions = dropped;
-        let spilled = self.tracker.spilled_count();
-        m.spilled_conversations.add(spilled - self.synced_spilled);
-        self.synced_spilled = spilled;
-        let rehydrated = self.tracker.rehydrated_count();
-        m.rehydrations.add(rehydrated - self.synced_rehydrated);
-        self.synced_rehydrated = rehydrated;
-        let spill_evicted = self.tracker.spill_evicted_count();
-        m.spill_evictions.add((spill_evicted - self.synced_spill_evictions) as u64);
-        self.synced_spill_evictions = spill_evicted;
+        let (now, synced) = (self.tracker.counters(), self.synced);
+        m.retention_evictions.add(now.evicted - synced.evicted);
+        m.cap_evictions.add(now.cap_evicted - synced.cap_evicted);
+        m.dropped_transactions.add(now.dropped_transactions - synced.dropped_transactions);
+        m.spilled_conversations.add(now.spilled - synced.spilled);
+        m.rehydrations.add(now.rehydrated - synced.rehydrated);
+        m.spill_evictions.add(now.spill_evicted - synced.spill_evicted);
+        self.synced = now;
+        self.set_tier_gauges();
+    }
+
+    fn set_tier_gauges(&self) {
+        let m = &self.metrics;
         m.conversations_live.set(self.tracker.conversation_count() as i64);
         m.conversations_frozen.set(self.tracker.frozen_count() as i64);
         m.spill_bytes.set(self.tracker.spill_bytes() as i64);
@@ -581,16 +559,9 @@ impl OnTheWireDetector {
         self.alerts = state.alerts;
         self.transactions_seen = state.transactions_seen as usize;
         self.classifications = state.classifications as usize;
-        self.synced_retention_evictions = self.tracker.evicted_count();
-        self.synced_cap_evictions = self.tracker.cap_evicted_count();
-        self.synced_dropped_transactions = self.tracker.dropped_transaction_count();
-        self.synced_spilled = self.tracker.spilled_count();
-        self.synced_rehydrated = self.tracker.rehydrated_count();
-        self.synced_spill_evictions = self.tracker.spill_evicted_count();
+        self.synced = self.tracker.counters();
         self.last_model_version = self.model.version();
-        self.metrics.conversations_live.set(self.tracker.conversation_count() as i64);
-        self.metrics.conversations_frozen.set(self.tracker.frozen_count() as i64);
-        self.metrics.spill_bytes.set(self.tracker.spill_bytes() as i64);
+        self.set_tier_gauges();
     }
 }
 

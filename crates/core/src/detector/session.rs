@@ -16,21 +16,26 @@
 //! Conversations idle longer than the timeout no longer accept new
 //! transactions (the paper watches a WCG "until it stops growing").
 //!
-//! # Durable state
+//! # Stored and derived state
 //!
-//! Two robustness tiers sit on top of the clustering (DESIGN.md §13):
+//! There is one conversation type, [`Conversation`]. What it *stores* is
+//! the transactions, the detector's scalars and the match keys (hosts,
+//! session ids, URLs); what it *derives* from the transactions is the
+//! WCG builder and its topology-feature cache, held together in one
+//! optional `graph` field. Two robustness tiers rest on that cut
+//! (DESIGN.md §13):
 //!
 //! * **Spill tier** — with a [`SpillConfig`], idle conversations are
-//!   demoted to a compact frozen form (the
-//!   transactions plus the match keys; the WCG builder and feature
-//!   caches are dropped) under a byte-accounted budget, and rehydrated
-//!   through the existing absorb fold when their next transaction
-//!   arrives. Hard eviction becomes the last resort and is counted
-//!   separately from spill.
-//! * **Snapshot** — [`SessionTracker::state`] serializes everything a
-//!   restarted tracker needs ([`TrackerState`]); restoring replays each
-//!   conversation's stored transactions through the same fold, so the
-//!   rebuilt WCGs are identical to the originals.
+//!   frozen under a byte-accounted budget: the graph is dropped, the
+//!   stored state (match keys included) stays where it is, so a frozen
+//!   conversation answers the match predicate exactly as it did live.
+//!   Its next transaction thaws it with one [`WcgBuilder::rebuild`] over
+//!   the stored transactions. Hard eviction becomes the last resort and
+//!   is counted separately from spill.
+//! * **Snapshot** — [`SessionTracker::state`] serializes the stored
+//!   state less the match keys ([`TrackerState`]); restoring replays
+//!   each conversation's transactions through the absorb fold, which
+//!   re-derives keys and graph alike.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -98,7 +103,8 @@ pub struct ConversationState {
 /// tracker keeps reporting totals for the whole logical run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrackerCounters {
-    /// Conversations ever created.
+    /// Conversations ever created (the accounting anchor: `created ==
+    /// live + frozen + evicted + cap_evicted + spill_evicted`).
     pub created: u64,
     /// Conversations evicted by the retention window.
     pub evicted: u64,
@@ -106,7 +112,7 @@ pub struct TrackerCounters {
     pub cap_evicted: u64,
     /// Frozen conversations hard-evicted by the spill budget.
     pub spill_evicted: u64,
-    /// Live→frozen demotions.
+    /// Live→frozen demotions (a conversation can spill repeatedly).
     pub spilled: u64,
     /// Frozen→live rehydrations.
     pub rehydrated: u64,
@@ -114,11 +120,24 @@ pub struct TrackerCounters {
     pub dropped_transactions: u64,
 }
 
+impl std::ops::AddAssign for TrackerCounters {
+    /// Field-wise sum: how per-shard totals merge into whole-run ones.
+    fn add_assign(&mut self, other: Self) {
+        self.created += other.created;
+        self.evicted += other.evicted;
+        self.cap_evicted += other.cap_evicted;
+        self.spill_evicted += other.spill_evicted;
+        self.spilled += other.spilled;
+        self.rehydrated += other.rehydrated;
+        self.dropped_transactions += other.dropped_transactions;
+    }
+}
+
 /// One client's serialized conversations plus its private id counter
 /// (without the counter a restored tracker would reuse conversation
-/// ids). Frozen conversations are decoded into plain states at snapshot
-/// time; a restored tracker starts with everything live and re-demotes
-/// on the next budget check.
+/// ids). The image does not say which conversations were frozen; a
+/// restored tracker starts with everything live and re-demotes on the
+/// next budget check.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientRecord {
     /// The client address (also the shard-routing key on restore).
@@ -140,46 +159,8 @@ pub struct TrackerState {
     pub counters: TrackerCounters,
 }
 
-/// Per-conversation host symbol table: lowercased host names are
-/// interned to dense `u32` symbols once, so the per-transaction
-/// match/absorb path stores and compares symbols instead of allocating a
-/// fresh lowercase copy per candidate conversation.
-#[derive(Debug, Clone, Default)]
-struct HostInterner {
-    /// Lowercased name → symbol; symbols are dense insertion indices.
-    index: BTreeMap<String, u32>,
-}
-
-impl HostInterner {
-    /// Symbol for an already-lowercased host, interning it when new —
-    /// the only path that copies the host string.
-    fn intern(&mut self, lower: &str) -> u32 {
-        if let Some(&sym) = self.index.get(lower) {
-            return sym;
-        }
-        let sym = self.index.len() as u32;
-        self.index.insert(lower.to_string(), sym);
-        sym
-    }
-
-    /// Symbol of an already-interned lowercased host, if any.
-    fn lookup(&self, lower: &str) -> Option<u32> {
-        self.index.get(lower).copied()
-    }
-
-    /// Interned names in lexicographic order (the iteration order the
-    /// pre-interner `BTreeSet<String>` host set had).
-    fn names(&self) -> impl Iterator<Item = &str> {
-        self.index.keys().map(String::as_str)
-    }
-
-    /// Consumes the interner into its name set (freeze path).
-    fn into_names(self) -> BTreeSet<String> {
-        self.index.into_keys().collect()
-    }
-}
-
-/// One conversation under observation.
+/// One conversation under observation, live or frozen (see the module
+/// docs). The tracker only ever hands out live ones.
 #[derive(Debug, Clone)]
 pub struct Conversation {
     /// Stable conversation id, unique per tracker and *client-scoped*:
@@ -207,16 +188,13 @@ pub struct Conversation {
     /// detectable redirect target). Computed once here so the detector
     /// does not re-derive redirect targets per transaction.
     pub last_tx_redirectish: bool,
-    /// Incrementally maintained WCG over the stored transactions,
-    /// equivalent to `Wcg::from_transactions(&self.transactions)` at
-    /// every point.
-    builder: WcgBuilder,
-    /// Memoized topology-dependent feature values for the detector.
-    feature_cache: TopoCache,
-    /// Symbols (from `interner`) of the hosts contacted so far.
-    hosts: BTreeSet<u32>,
-    /// Host symbol table; its name set is exactly the hosts contacted.
-    interner: HostInterner,
+    /// Derived state, `None` while frozen: the incrementally maintained
+    /// WCG over the stored transactions — equivalent to
+    /// `Wcg::from_transactions(&self.transactions)` at every point — and
+    /// the detector's memoized topology-dependent feature values.
+    graph: Option<(WcgBuilder, TopoCache)>,
+    /// Lowercased hosts contacted so far or named by a redirect target.
+    hosts: BTreeSet<String>,
     session_ids: BTreeSet<String>,
     urls: BTreeSet<String>,
     /// Reusable buffer for building match keys (URL, lowercased target
@@ -226,8 +204,11 @@ pub struct Conversation {
     /// Host of the most recent transaction *if* it was dropped by the
     /// per-conversation cap (cleared on every stored transaction).
     capped_host: Option<String>,
-    /// Monotone heap-usage estimate (see [`tx_cost`]) maintained
-    /// incrementally so the spill tier's budget check is O(1).
+    /// Heap-usage estimate charged to the tier the conversation is in:
+    /// [`Conversation::live_bytes`] (maintained incrementally, so the
+    /// spill tier's budget check is O(1)) or
+    /// [`Conversation::frozen_bytes`]. Either way a pure function of
+    /// the stored state, which is what lets thaw recompute it.
     approx_bytes: usize,
 }
 
@@ -242,10 +223,8 @@ impl Conversation {
             max_payload_likelihood: 0.0,
             last_tx_added_host: false,
             last_tx_redirectish: false,
-            builder: WcgBuilder::new(),
-            feature_cache: TopoCache::new(),
+            graph: Some((WcgBuilder::new(), TopoCache::new())),
             hosts: BTreeSet::new(),
-            interner: HostInterner::default(),
             session_ids: BTreeSet::new(),
             urls: BTreeSet::new(),
             scratch: String::new(),
@@ -274,10 +253,10 @@ impl Conversation {
     /// Rebuilds a conversation from its serialized image by replaying
     /// the stored transactions through the same absorb fold that built
     /// the original. The fold is deterministic in the transaction
-    /// sequence, so the reconstructed WCG builder — including its
-    /// topology version — is identical to the one that was dropped.
-    /// Scalars the fold cannot see (detector flags and the effects of
-    /// cap-dropped transactions) are then overwritten from the state.
+    /// sequence, so the reconstructed match keys and WCG are identical
+    /// to the ones that were dropped. Scalars the fold cannot see
+    /// (detector flags and the effects of cap-dropped transactions) are
+    /// then overwritten from the state.
     pub fn from_state(state: ConversationState) -> Self {
         let ConversationState {
             id,
@@ -293,7 +272,9 @@ impl Conversation {
         } = state;
         let mut conv = Conversation::new(id, last_ts);
         for tx in transactions {
-            conv.absorb(tx);
+            let sid = tx.session_id();
+            let host_lower = tx.host.to_ascii_lowercase();
+            conv.absorb_prepared(tx, sid, &host_lower);
         }
         conv.alerted = alerted;
         conv.watched = watched;
@@ -302,10 +283,8 @@ impl Conversation {
         conv.last_tx_added_host = last_tx_added_host;
         conv.last_tx_redirectish = last_tx_redirectish;
         conv.last_ts = last_ts;
-        if let Some(host) = capped_host {
-            conv.approx_bytes += host.len();
-            conv.capped_host = Some(host);
-        }
+        conv.approx_bytes += capped_host.as_ref().map_or(0, String::len);
+        conv.capped_host = capped_host;
         conv
     }
 
@@ -314,26 +293,69 @@ impl Conversation {
         self.last_ts
     }
 
+    fn is_live(&self) -> bool {
+        self.graph.is_some()
+    }
+
     /// The incrementally maintained WCG over the stored transactions,
     /// its topology version, and the conversation's feature cache —
     /// split-borrowed so the caller can extract features while the cache
     /// is held mutably.
     pub fn wcg_state(&mut self) -> (&Wcg, u64, &mut TopoCache) {
-        let Conversation { builder, feature_cache, .. } = self;
-        (builder.wcg(), builder.topo_version(), feature_cache)
+        let (builder, cache) = self.graph.as_mut().expect(HANDED_OUT_LIVE);
+        (builder.wcg(), builder.topo_version(), cache)
     }
 
     /// [`Conversation::wcg_state`] for readers holding only `&self` (the
     /// final verdict sweep): the cache can be consulted, not refilled.
     pub fn wcg_cached(&self) -> (&Wcg, u64, &TopoCache) {
-        (self.builder.wcg(), self.builder.topo_version(), &self.feature_cache)
+        let (builder, cache) = self.graph.as_ref().expect(HANDED_OUT_LIVE);
+        (builder.wcg(), builder.topo_version(), cache)
+    }
+
+    /// The live tier's byte estimate for the stored state.
+    fn live_bytes(&self) -> usize {
+        CONV_BASE_BYTES
+            + self.transactions.iter().map(|t| tx_cost(t) + LIVE_TX_OVERHEAD).sum::<usize>()
+            + self.capped_host.as_ref().map_or(0, String::len)
+    }
+
+    /// The frozen tier's byte estimate: the transactions and the match
+    /// keys, without the per-transaction graph bookkeeping.
+    fn frozen_bytes(&self) -> usize {
+        let keys = self.hosts.iter().chain(&self.session_ids).chain(&self.urls);
+        FROZEN_BASE_BYTES
+            + self.transactions.iter().map(tx_cost).sum::<usize>()
+            + keys.map(|s| s.len() + 32).sum::<usize>()
+    }
+
+    /// Demotes a live conversation: the graph goes, everything stored
+    /// stays. It still takes part in assignment exactly as before (same
+    /// match predicate over the same keys, same activity timestamp), so
+    /// demotion is behavior-neutral.
+    fn freeze(&mut self) {
+        debug_assert_eq!(self.approx_bytes, self.live_bytes(), "thaw recomputes this");
+        self.graph = None;
+        self.scratch = String::new();
+        self.approx_bytes = self.frozen_bytes();
+    }
+
+    /// Rehydrates a frozen conversation: one rebuild over the stored
+    /// transactions, which is `Wcg::from_transactions` — what the live
+    /// builder equalled when it was dropped.
+    fn thaw(&mut self) {
+        let mut builder = WcgBuilder::new();
+        builder.rebuild(&self.transactions);
+        self.graph = Some((builder, TopoCache::new()));
+        self.approx_bytes = self.live_bytes();
     }
 
     /// Records a transaction that was dropped by the per-conversation
     /// cap: activity is acknowledged (so idle/retention timers behave)
     /// but nothing is stored, bounding memory against a hostile endpoint
     /// streaming unbounded transactions into one conversation. Only the
-    /// host survives (moved, not cloned) so an alert fired by a capped
+    /// host survives (moved, not cloned, and replacing the previous
+    /// capped host in the byte estimate) so an alert fired by a capped
     /// transaction can still name its trigger.
     fn note_capped(&mut self, tx: HttpTransaction) {
         self.last_tx_added_host = false;
@@ -341,7 +363,15 @@ impl Conversation {
             tx.is_redirect() || !crate::wcg::redirect::targets(&tx).is_empty();
         self.last_ts = self.last_ts.max(tx.ts);
         self.approx_bytes += tx.host.len();
+        self.release_capped_host();
         self.capped_host = Some(tx.host);
+    }
+
+    /// Clears the capped host and its share of the byte estimate.
+    fn release_capped_host(&mut self) {
+        if let Some(previous) = self.capped_host.take() {
+            self.approx_bytes -= previous.len();
+        }
     }
 
     /// Host of the most recently arrived transaction, whether it was
@@ -355,19 +385,13 @@ impl Conversation {
 
     /// Hosts contacted in this conversation, in lexicographic order.
     pub fn hosts(&self) -> impl Iterator<Item = &str> {
-        self.interner.names()
+        self.hosts.iter().map(String::as_str)
     }
 
-    /// Cold-path absorb (snapshot replay): derives the per-transaction
-    /// match keys itself. The live path computes them once per
-    /// transaction in [`SessionTracker::assign_owned`] and calls
-    /// [`Conversation::absorb_prepared`] directly.
-    fn absorb(&mut self, tx: HttpTransaction) {
-        let sid = tx.session_id();
-        let host_lower = tx.host.to_ascii_lowercase();
-        self.absorb_prepared(tx, sid, &host_lower);
-    }
-
+    /// Folds one transaction into the stored and the derived state.
+    /// `sid` and `host_lower` are the transaction's match keys, which
+    /// the live path computes once per transaction in
+    /// [`SessionTracker::assign_owned`].
     fn absorb_prepared(
         &mut self,
         tx: HttpTransaction,
@@ -375,9 +399,12 @@ impl Conversation {
         host_lower: &str,
     ) {
         self.approx_bytes += tx_cost(&tx) + LIVE_TX_OVERHEAD;
-        self.capped_host = None;
-        let sym = self.interner.intern(host_lower);
-        self.last_tx_added_host = self.hosts.insert(sym);
+        self.release_capped_host();
+        // Contains-before-insert: only a new host is copied to the heap.
+        self.last_tx_added_host = !self.hosts.contains(host_lower);
+        if self.last_tx_added_host {
+            self.hosts.insert(host_lower.to_string());
+        }
         if let Some(sid) = sid {
             self.session_ids.insert(sid);
         }
@@ -403,8 +430,9 @@ impl Conversation {
                     self.scratch.clear();
                     self.scratch.push_str(h.split(':').next().unwrap_or(h));
                     self.scratch.make_ascii_lowercase();
-                    let sym = self.interner.intern(&self.scratch);
-                    self.hosts.insert(sym);
+                    if !self.hosts.contains(self.scratch.as_str()) {
+                        self.hosts.insert(self.scratch.clone());
+                    }
                 }
             }
         }
@@ -414,11 +442,15 @@ impl Conversation {
         // never clones one.
         self.transactions.push(tx);
         let stored = self.transactions.last().expect("just pushed");
-        if self.builder.push_with_targets(stored, &targets) == PushOutcome::NeedsRebuild {
-            self.builder.rebuild(&self.transactions);
+        let (builder, _) = self.graph.as_mut().expect(HANDED_OUT_LIVE);
+        if builder.push_with_targets(stored, &targets) == PushOutcome::NeedsRebuild {
+            builder.rebuild(&self.transactions);
         }
     }
 
+    /// The structural match of assignment pass 1, over the stored match
+    /// keys only — so it reads the same on a live and a frozen
+    /// conversation.
     fn matches(
         &self,
         tx: &HttpTransaction,
@@ -426,149 +458,24 @@ impl Conversation {
         referer_host: Option<&str>,
         host_lower: &str,
     ) -> bool {
-        if let Some(sid) = sid {
-            if self.session_ids.contains(sid) {
-                return true;
-            }
-        }
-        if let Some(r) = tx.referer() {
-            if self.urls.contains(r) {
-                return true;
-            }
-        }
-        if let Some(h) = referer_host {
-            if self.interner.lookup(h).is_some() {
-                return true;
-            }
-        }
-        self.interner.lookup(host_lower).is_some()
+        sid.is_some_and(|sid| self.session_ids.contains(sid))
+            || tx.referer().is_some_and(|r| self.urls.contains(r))
+            || referer_host.is_some_and(|h| self.hosts.contains(h))
+            || self.hosts.contains(host_lower)
     }
 }
 
-/// A demoted idle conversation: the serializable state plus the match
-/// keys, with the WCG builder, feature cache, and per-transaction graph
-/// bookkeeping dropped. It still participates in assignment exactly
-/// like a live conversation (same match predicate, same activity
-/// timestamp), so demotion is behavior-neutral; the first transaction
-/// that matches thaws it back through [`Conversation::from_state`].
-#[derive(Debug, Clone)]
-struct FrozenConversation {
-    state: ConversationState,
-    hosts: BTreeSet<String>,
-    session_ids: BTreeSet<String>,
-    urls: BTreeSet<String>,
-    /// Byte estimate charged against the spill budget.
-    accounted_bytes: usize,
+/// Lowercased host part of the transaction's referrer, if it has one.
+fn referer_host(tx: &HttpTransaction) -> Option<String> {
+    let r = tx.referer()?;
+    let rest = r.split_once("://").map_or(r, |(_, x)| x);
+    rest.split(['/', '?', '#']).next().map(|h| h.to_ascii_lowercase())
 }
 
-impl FrozenConversation {
-    fn freeze(conv: Conversation) -> Self {
-        let state = ConversationState {
-            id: conv.id,
-            alerted: conv.alerted,
-            watched: conv.watched,
-            redirects_seen: conv.redirects_seen,
-            max_payload_likelihood: conv.max_payload_likelihood,
-            last_tx_added_host: conv.last_tx_added_host,
-            last_tx_redirectish: conv.last_tx_redirectish,
-            last_ts: conv.last_ts,
-            capped_host: conv.capped_host,
-            transactions: conv.transactions,
-        };
-        // Host symbols are resolved back to their names at the freeze
-        // boundary: the frozen tier keeps plain strings so its byte
-        // accounting and match predicate are interner-independent.
-        let hosts = conv.interner.into_names();
-        let key_bytes: usize = hosts
-            .iter()
-            .chain(&conv.session_ids)
-            .chain(&conv.urls)
-            .map(|s| s.len() + 32)
-            .sum();
-        let accounted_bytes = FROZEN_BASE_BYTES
-            + state.transactions.iter().map(tx_cost).sum::<usize>()
-            + key_bytes;
-        FrozenConversation {
-            state,
-            hosts,
-            session_ids: conv.session_ids,
-            urls: conv.urls,
-            accounted_bytes,
-        }
-    }
-
-    fn thaw(self) -> Conversation {
-        Conversation::from_state(self.state)
-    }
-
-    fn last_ts(&self) -> f64 {
-        self.state.last_ts
-    }
-
-    /// Same predicate as [`Conversation::matches`], over the retained
-    /// match keys.
-    fn matches(
-        &self,
-        tx: &HttpTransaction,
-        sid: Option<&str>,
-        referer_host: Option<&str>,
-        host_lower: &str,
-    ) -> bool {
-        if let Some(sid) = sid {
-            if self.session_ids.contains(sid) {
-                return true;
-            }
-        }
-        if let Some(r) = tx.referer() {
-            if self.urls.contains(r) {
-                return true;
-            }
-        }
-        if let Some(h) = referer_host {
-            if self.hosts.contains(h) {
-                return true;
-            }
-        }
-        self.hosts.contains(host_lower)
-    }
-}
-
-/// A tracked conversation in either lifecycle tier.
-// Not boxed: `Live` is the hot variant touched on every transaction,
-// and the frozen tier's footprint is governed by `accounted_bytes`
-// budgets, not the enum's in-place size.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Slot {
-    Live(Conversation),
-    Frozen(FrozenConversation),
-}
-
-impl Slot {
-    fn last_ts(&self) -> f64 {
-        match self {
-            Slot::Live(c) => c.last_ts(),
-            Slot::Frozen(f) => f.last_ts(),
-        }
-    }
-
-    fn matches(
-        &self,
-        tx: &HttpTransaction,
-        sid: Option<&str>,
-        referer_host: Option<&str>,
-        host_lower: &str,
-    ) -> bool {
-        match self {
-            Slot::Live(c) => c.matches(tx, sid, referer_host, host_lower),
-            Slot::Frozen(f) => f.matches(tx, sid, referer_host, host_lower),
-        }
-    }
-
-    fn is_live(&self) -> bool {
-        matches!(self, Slot::Live(_))
-    }
-}
+/// Why reading a conversation's graph cannot fail: the tracker thaws a
+/// frozen conversation before [`SessionTracker::assign_owned`] returns
+/// it, and [`SessionTracker::conversations`] skips frozen ones.
+const HANDED_OUT_LIVE: &str = "only live conversations are absorbed into or handed out";
 
 /// Budgets for the LRU spill tier. Both budgets are estimates over
 /// `tx_cost`-style accounting, not allocator measurements.
@@ -597,20 +504,54 @@ impl Default for SpillConfig {
     }
 }
 
-/// Swaps the slot at `convs[idx]` from live to frozen in place,
-/// returning `(live bytes freed, spill bytes charged)`. Free function
-/// so callers holding a client-entry borrow can still update tracker
-/// counters (disjoint field borrows).
-fn freeze_slot(convs: &mut [Slot], idx: usize) -> (usize, usize) {
-    let placeholder = Slot::Live(Conversation::new(0, 0.0));
-    let Slot::Live(conv) = std::mem::replace(&mut convs[idx], placeholder) else {
-        unreachable!("freeze_slot caller checked the slot is live");
-    };
-    let freed = conv.approx_bytes;
-    let frozen = FrozenConversation::freeze(conv);
-    let charged = frozen.accounted_bytes;
-    convs[idx] = Slot::Frozen(frozen);
-    (freed, charged)
+/// Conversation counts and byte estimates per tier, maintained
+/// incrementally so the per-transaction gauge updates and budget checks
+/// are O(1). Every tier change goes through here, which keeps the
+/// counts and bytes in step with the conversations' own state. A
+/// separate struct so callers holding a client-entry borrow can still
+/// update it (disjoint field borrows).
+#[derive(Debug, Default)]
+struct TierTally {
+    live: usize,
+    frozen: usize,
+    live_bytes: usize,
+    spill_bytes: usize,
+}
+
+impl TierTally {
+    fn freeze(&mut self, conv: &mut Conversation) {
+        self.forget(conv);
+        conv.freeze();
+        self.admit(conv);
+    }
+
+    fn thaw(&mut self, conv: &mut Conversation) {
+        self.forget(conv);
+        conv.thaw();
+        self.admit(conv);
+    }
+
+    /// Counts a conversation into the tier it is in.
+    fn admit(&mut self, conv: &Conversation) {
+        if conv.is_live() {
+            self.live += 1;
+            self.live_bytes += conv.approx_bytes;
+        } else {
+            self.frozen += 1;
+            self.spill_bytes += conv.approx_bytes;
+        }
+    }
+
+    /// Takes a conversation out of the tier it is in.
+    fn forget(&mut self, conv: &Conversation) {
+        if conv.is_live() {
+            self.live -= 1;
+            self.live_bytes = self.live_bytes.saturating_sub(conv.approx_bytes);
+        } else {
+            self.frozen -= 1;
+            self.spill_bytes = self.spill_bytes.saturating_sub(conv.approx_bytes);
+        }
+    }
 }
 
 /// One client's conversations plus its private id counter. Conversation
@@ -620,7 +561,7 @@ fn freeze_slot(convs: &mut [Slot], idx: usize) -> (usize, usize) {
 /// sharded stream engine reproduce single-threaded output bit for bit.
 #[derive(Debug, Default)]
 struct ClientSessions {
-    convs: Vec<Slot>,
+    convs: Vec<Conversation>,
     next_local: u32,
 }
 
@@ -630,33 +571,13 @@ pub struct SessionTracker {
     clients: BTreeMap<Ipv4Addr, ClientSessions>,
     idle_timeout: f64,
     retention: Option<f64>,
-    /// Live conversation count, maintained incrementally so the
-    /// per-transaction telemetry gauge update is O(1) instead of a sum
-    /// over all clients.
-    live: usize,
-    evicted: usize,
     max_conversations: usize,
     max_transactions: usize,
-    cap_evicted: usize,
-    dropped_transactions: u64,
     /// LRU spill tier budgets; `None` disables demotion entirely (the
     /// pre-spill behavior, and the default).
     spill: Option<SpillConfig>,
-    /// Conversations ever created (the accounting anchor:
-    /// `created == live + frozen + evicted + cap_evicted + spill_evicted`).
-    created: u64,
-    /// Live→frozen demotions (a conversation can spill repeatedly).
-    spilled: u64,
-    /// Frozen→live rehydrations.
-    rehydrated: u64,
-    /// Frozen conversations hard-evicted by the spill budget.
-    spill_evicted: usize,
-    /// Current frozen conversation count.
-    frozen: usize,
-    /// Estimated bytes held by live conversations.
-    live_bytes: usize,
-    /// Estimated bytes held by frozen conversations.
-    spill_bytes: usize,
+    counters: TrackerCounters,
+    tally: TierTally,
     /// Reusable buffer for the lowercased host of the transaction being
     /// assigned — computed once per transaction, not per candidate
     /// conversation.
@@ -673,20 +594,11 @@ impl SessionTracker {
             clients: BTreeMap::new(),
             idle_timeout,
             retention: None,
-            live: 0,
-            evicted: 0,
             max_conversations: usize::MAX,
             max_transactions: usize::MAX,
-            cap_evicted: 0,
-            dropped_transactions: 0,
             spill: None,
-            created: 0,
-            spilled: 0,
-            rehydrated: 0,
-            spill_evicted: 0,
-            frozen: 0,
-            live_bytes: 0,
-            spill_bytes: 0,
+            counters: TrackerCounters::default(),
+            tally: TierTally::default(),
             host_lower: String::new(),
         }
     }
@@ -725,55 +637,60 @@ impl SessionTracker {
         self
     }
 
+    /// The monotone counter totals so far.
+    pub fn counters(&self) -> TrackerCounters {
+        self.counters
+    }
+
     /// Number of conversations evicted so far.
     pub fn evicted_count(&self) -> usize {
-        self.evicted
+        self.counters.evicted as usize
     }
 
     /// Conversations ever created.
     pub fn created_count(&self) -> u64 {
-        self.created
+        self.counters.created
     }
 
     /// Live→frozen demotions so far.
     pub fn spilled_count(&self) -> u64 {
-        self.spilled
+        self.counters.spilled
     }
 
     /// Frozen→live rehydrations so far.
     pub fn rehydrated_count(&self) -> u64 {
-        self.rehydrated
+        self.counters.rehydrated
     }
 
     /// Frozen conversations hard-evicted by the spill budget.
     pub fn spill_evicted_count(&self) -> usize {
-        self.spill_evicted
+        self.counters.spill_evicted as usize
     }
 
     /// Current frozen conversation count.
     pub fn frozen_count(&self) -> usize {
-        self.frozen
+        self.tally.frozen
     }
 
     /// Estimated bytes currently held by the frozen tier.
     pub fn spill_bytes(&self) -> usize {
-        self.spill_bytes
+        self.tally.spill_bytes
     }
 
     /// Estimated bytes currently held by live conversations.
     pub fn live_bytes(&self) -> usize {
-        self.live_bytes
+        self.tally.live_bytes
     }
 
     /// Conversations evicted by the per-client conversation cap (as
     /// opposed to the retention window).
     pub fn cap_evicted_count(&self) -> usize {
-        self.cap_evicted
+        self.counters.cap_evicted as usize
     }
 
     /// Transactions dropped by the per-conversation transaction cap.
     pub fn dropped_transaction_count(&self) -> u64 {
-        self.dropped_transactions
+        self.counters.dropped_transactions
     }
 
     /// Drops every conversation of every client whose last activity
@@ -786,85 +703,65 @@ impl SessionTracker {
     /// engine's bit-identity contract is stated for `retention: None`.
     fn evict_stale(&mut self, now: f64) {
         let Some(retention) = self.retention else { return };
-        let (mut gone_live, mut gone_frozen) = (0usize, 0usize);
-        let (mut freed_live, mut freed_spill) = (0usize, 0usize);
+        let (tally, counters) = (&mut self.tally, &mut self.counters);
         for entry in self.clients.values_mut() {
-            entry.convs.retain(|slot| {
-                if now - slot.last_ts() <= retention {
-                    return true;
+            entry.convs.retain(|conv| {
+                let keep = now - conv.last_ts() <= retention;
+                if !keep {
+                    tally.forget(conv);
+                    counters.evicted += 1;
                 }
-                match slot {
-                    Slot::Live(c) => {
-                        gone_live += 1;
-                        freed_live += c.approx_bytes;
-                    }
-                    Slot::Frozen(f) => {
-                        gone_frozen += 1;
-                        freed_spill += f.accounted_bytes;
-                    }
-                }
-                false
+                keep
             });
         }
         self.clients.retain(|_, entry| !entry.convs.is_empty());
-        self.evicted += gone_live + gone_frozen;
-        self.live -= gone_live;
-        self.frozen -= gone_frozen;
-        self.live_bytes = self.live_bytes.saturating_sub(freed_live);
-        self.spill_bytes = self.spill_bytes.saturating_sub(freed_spill);
+    }
+
+    /// `(last_ts, client, index)` of every conversation `pick` accepts,
+    /// oldest first — the fully deterministic order both budget sweeps
+    /// work through.
+    fn oldest_first(
+        &self,
+        pick: impl Fn(&Conversation) -> bool,
+    ) -> Vec<(f64, Ipv4Addr, usize)> {
+        let mut out: Vec<(f64, Ipv4Addr, usize)> = Vec::new();
+        for (addr, entry) in &self.clients {
+            for (i, conv) in entry.convs.iter().enumerate() {
+                if pick(conv) {
+                    out.push((conv.last_ts(), *addr, i));
+                }
+            }
+        }
+        out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        out
     }
 
     /// Enforces the spill budgets. First demotes the globally
     /// least-recently-active idle conversations until the live tier is
     /// back under budget, then hard-evicts the oldest frozen
-    /// conversations if the frozen tier itself overflows. Candidate
-    /// order is `(last_ts, client, slot index)` — fully deterministic.
+    /// conversations if the frozen tier itself overflows.
     fn spill_enforce(&mut self, now: f64) {
         let Some(cfg) = self.spill else { return };
-        if self.live_bytes > cfg.max_live_bytes {
-            let mut candidates: Vec<(f64, Ipv4Addr, usize)> = Vec::new();
-            for (addr, entry) in &self.clients {
-                for (i, slot) in entry.convs.iter().enumerate() {
-                    if let Slot::Live(c) = slot {
-                        if now - c.last_ts() >= cfg.min_idle_secs {
-                            candidates.push((c.last_ts(), *addr, i));
-                        }
-                    }
-                }
-            }
-            candidates
-                .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-            for (_, addr, i) in candidates {
-                if self.live_bytes <= cfg.max_live_bytes {
+        if self.tally.live_bytes > cfg.max_live_bytes {
+            let idle =
+                self.oldest_first(|c| c.is_live() && now - c.last_ts() >= cfg.min_idle_secs);
+            for (_, addr, i) in idle {
+                if self.tally.live_bytes <= cfg.max_live_bytes {
                     break;
                 }
                 let entry = self.clients.get_mut(&addr).expect("candidate client exists");
-                let (freed, charged) = freeze_slot(&mut entry.convs, i);
-                self.live_bytes = self.live_bytes.saturating_sub(freed);
-                self.spill_bytes += charged;
-                self.live -= 1;
-                self.frozen += 1;
-                self.spilled += 1;
+                self.tally.freeze(&mut entry.convs[i]);
+                self.counters.spilled += 1;
             }
         }
-        if self.spill_bytes > cfg.max_spill_bytes {
-            let mut frozen_slots: Vec<(f64, Ipv4Addr, usize, usize)> = Vec::new();
-            for (addr, entry) in &self.clients {
-                for (i, slot) in entry.convs.iter().enumerate() {
-                    if let Slot::Frozen(f) = slot {
-                        frozen_slots.push((f.last_ts(), *addr, i, f.accounted_bytes));
-                    }
-                }
-            }
-            frozen_slots
-                .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-            let mut projected = self.spill_bytes;
+        if self.tally.spill_bytes > cfg.max_spill_bytes {
+            let mut projected = self.tally.spill_bytes;
             let mut doomed: BTreeMap<Ipv4Addr, Vec<usize>> = BTreeMap::new();
-            for (_, addr, i, bytes) in frozen_slots {
+            for (_, addr, i) in self.oldest_first(|c| !c.is_live()) {
                 if projected <= cfg.max_spill_bytes {
                     break;
                 }
-                projected = projected.saturating_sub(bytes);
+                projected = projected.saturating_sub(self.clients[&addr].convs[i].approx_bytes);
                 doomed.entry(addr).or_default().push(i);
             }
             for (addr, mut idxs) in doomed {
@@ -872,12 +769,8 @@ impl SessionTracker {
                 idxs.sort_unstable_by(|a, b| b.cmp(a));
                 let entry = self.clients.get_mut(&addr).expect("doomed client exists");
                 for i in idxs {
-                    let Slot::Frozen(f) = entry.convs.remove(i) else {
-                        unreachable!("doomed slot was frozen when collected");
-                    };
-                    self.spill_bytes = self.spill_bytes.saturating_sub(f.accounted_bytes);
-                    self.frozen -= 1;
-                    self.spill_evicted += 1;
+                    self.tally.forget(&entry.convs.remove(i));
+                    self.counters.spill_evicted += 1;
                 }
                 // The (possibly now-empty) client entry is kept: its id
                 // counter must survive so conversation ids are not
@@ -902,7 +795,6 @@ impl SessionTracker {
         self.spill_enforce(tx.ts);
         let client = tx.client.addr;
         let idle_timeout = self.idle_timeout;
-        let spill_enabled = self.spill.is_some();
         // Per-transaction match keys, derived once here rather than once
         // per candidate conversation: the session id, the lowercased host
         // (built in a scratch buffer reused across transactions), and the
@@ -914,38 +806,30 @@ impl SessionTracker {
         host_lower.make_ascii_lowercase();
         let entry = self.clients.entry(client).or_default();
         let convs = &mut entry.convs;
-        let referer_host = tx.referer().and_then(|r| {
-            let rest = r.split_once("://").map_or(r, |(_, x)| x);
-            rest.split(['/', '?', '#']).next().map(|h| h.to_ascii_lowercase())
-        });
+        let referer_host = referer_host(&tx);
 
         // Frozen conversations participate in both passes exactly like
         // live ones (same predicate, same timestamps) — demotion never
         // changes which conversation a transaction joins.
-        let active = |s: &Slot| tx.ts - s.last_ts() <= idle_timeout;
+        let active = |c: &Conversation| tx.ts - c.last_ts() <= idle_timeout;
         // Pass 1: structural match among active conversations.
-        let mut chosen: Option<usize> = None;
-        for (i, s) in convs.iter().enumerate() {
-            if active(s) && s.matches(&tx, sid.as_deref(), referer_host.as_deref(), &host_lower)
-            {
-                chosen = Some(i);
-                break;
-            }
-        }
+        let mut chosen: Option<usize> = convs.iter().position(|c| {
+            active(c) && c.matches(&tx, sid.as_deref(), referer_host.as_deref(), &host_lower)
+        });
         // Pass 2: referrer-less transactions join the most recently
         // active conversation (timestamp heuristic).
         if chosen.is_none() && tx.referer().is_none() && sid.is_none() {
             chosen = convs
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| active(s))
+                .filter(|(_, c)| active(c))
                 .max_by(|a, b| a.1.last_ts().total_cmp(&b.1.last_ts()))
                 .map(|(i, _)| i);
         }
         let idx = match chosen {
             Some(i) => i,
             None => {
-                if convs.iter().filter(|s| s.is_live()).count() >= self.max_conversations {
+                if convs.iter().filter(|c| c.is_live()).count() >= self.max_conversations {
                     // At the cap: the least-recently-active live
                     // conversation makes room — demoted to the frozen
                     // tier when spill is enabled (eviction is the last
@@ -954,61 +838,42 @@ impl SessionTracker {
                     let lru = convs
                         .iter()
                         .enumerate()
-                        .filter(|(_, s)| s.is_live())
+                        .filter(|(_, c)| c.is_live())
                         .min_by(|a, b| a.1.last_ts().total_cmp(&b.1.last_ts()))
                         .map(|(i, _)| i)
                         .expect("cap is >= 1, so a full client has live conversations");
-                    if spill_enabled {
-                        let (freed, charged) = freeze_slot(convs, lru);
-                        self.live_bytes = self.live_bytes.saturating_sub(freed);
-                        self.spill_bytes += charged;
-                        self.frozen += 1;
-                        self.spilled += 1;
+                    if self.spill.is_some() {
+                        self.tally.freeze(&mut convs[lru]);
+                        self.counters.spilled += 1;
                     } else {
-                        let Slot::Live(gone) = convs.remove(lru) else {
-                            unreachable!("lru slot was live when selected");
-                        };
-                        self.live_bytes = self.live_bytes.saturating_sub(gone.approx_bytes);
-                        self.cap_evicted += 1;
+                        self.tally.forget(&convs.remove(lru));
+                        self.counters.cap_evicted += 1;
                     }
-                    self.live -= 1;
                 }
                 // Client-scoped id: high 32 bits the client address, low
                 // 32 bits the per-client creation counter.
                 let id = (u64::from(u32::from(client)) << 32) | u64::from(entry.next_local);
                 entry.next_local = entry.next_local.wrapping_add(1);
-                convs.push(Slot::Live(Conversation::new(id, tx.ts)));
-                self.created += 1;
-                self.live += 1;
-                self.live_bytes += CONV_BASE_BYTES;
+                let conv = Conversation::new(id, tx.ts);
+                self.tally.admit(&conv);
+                self.counters.created += 1;
+                convs.push(conv);
                 convs.len() - 1
             }
         };
-        // Rehydrate if the transaction matched a frozen conversation.
-        if !convs[idx].is_live() {
-            let placeholder = Slot::Live(Conversation::new(0, 0.0));
-            let Slot::Frozen(frozen) = std::mem::replace(&mut convs[idx], placeholder) else {
-                unreachable!("just checked the slot is frozen");
-            };
-            self.spill_bytes = self.spill_bytes.saturating_sub(frozen.accounted_bytes);
-            let conv = frozen.thaw();
-            self.live_bytes += conv.approx_bytes;
-            convs[idx] = Slot::Live(conv);
-            self.rehydrated += 1;
-            self.frozen -= 1;
-            self.live += 1;
+        let conv = &mut convs[idx];
+        if !conv.is_live() {
+            self.tally.thaw(conv);
+            self.counters.rehydrated += 1;
         }
-        let Slot::Live(conv) = &mut convs[idx] else {
-            unreachable!("chosen slot is live after rehydration");
-        };
         let bytes_before = conv.approx_bytes;
         if conv.transactions.len() >= self.max_transactions {
-            self.dropped_transactions += 1;
+            self.counters.dropped_transactions += 1;
             conv.note_capped(tx);
         } else {
             conv.absorb_prepared(tx, sid, &host_lower);
         }
-        self.live_bytes += conv.approx_bytes - bytes_before;
+        self.tally.live_bytes = self.tally.live_bytes - bytes_before + conv.approx_bytes;
         self.host_lower = host_lower;
         conv
     }
@@ -1018,58 +883,28 @@ impl SessionTracker {
     /// [`SessionTracker::rehydrate_all`] first when a complete view is
     /// needed.
     pub fn conversations(&self) -> impl Iterator<Item = &Conversation> {
-        self.clients.values().flat_map(|entry| {
-            entry.convs.iter().filter_map(|slot| match slot {
-                Slot::Live(c) => Some(c),
-                Slot::Frozen(_) => None,
-            })
-        })
+        self.clients.values().flat_map(|entry| entry.convs.iter().filter(|c| c.is_live()))
     }
 
     /// Number of live conversations (O(1); maintained incrementally).
     pub fn conversation_count(&self) -> usize {
-        debug_assert_eq!(
-            self.live,
-            self.clients
-                .values()
-                .map(|entry| entry.convs.iter().filter(|s| s.is_live()).count())
-                .sum::<usize>()
-        );
-        self.live
+        debug_assert_eq!(self.tally.live, self.conversations().count());
+        self.tally.live
     }
 
     /// Thaws every frozen conversation back to the live tier (counted
     /// as rehydrations). Used before forensic verdict passes, which
     /// need every conversation resident.
     pub fn rehydrate_all(&mut self) {
-        let mut thawed = 0usize;
-        let (mut freed, mut added) = (0usize, 0usize);
-        for entry in self.clients.values_mut() {
-            for slot in &mut entry.convs {
-                if slot.is_live() {
-                    continue;
-                }
-                let placeholder = Slot::Live(Conversation::new(0, 0.0));
-                let Slot::Frozen(frozen) = std::mem::replace(slot, placeholder) else {
-                    unreachable!("just checked the slot is frozen");
-                };
-                freed += frozen.accounted_bytes;
-                let conv = frozen.thaw();
-                added += conv.approx_bytes;
-                *slot = Slot::Live(conv);
-                thawed += 1;
-            }
+        let frozen = self.clients.values_mut().flat_map(|e| &mut e.convs).filter(|c| !c.is_live());
+        for conv in frozen {
+            self.tally.thaw(conv);
+            self.counters.rehydrated += 1;
         }
-        self.rehydrated += thawed as u64;
-        self.frozen -= thawed;
-        self.live += thawed;
-        self.spill_bytes = self.spill_bytes.saturating_sub(freed);
-        self.live_bytes += added;
     }
 
-    /// Serializable image of the whole tracker. Frozen conversations
-    /// are decoded into plain states; a restored tracker starts with
-    /// everything live and re-demotes on its next budget check.
+    /// Serializable image of the whole tracker, frozen conversations
+    /// included.
     pub fn state(&self) -> TrackerState {
         let clients = self
             .clients
@@ -1077,28 +912,10 @@ impl SessionTracker {
             .map(|(addr, entry)| ClientRecord {
                 addr: *addr,
                 next_local: entry.next_local,
-                convs: entry
-                    .convs
-                    .iter()
-                    .map(|slot| match slot {
-                        Slot::Live(c) => c.to_state(),
-                        Slot::Frozen(f) => f.state.clone(),
-                    })
-                    .collect(),
+                convs: entry.convs.iter().map(Conversation::to_state).collect(),
             })
             .collect();
-        TrackerState {
-            clients,
-            counters: TrackerCounters {
-                created: self.created,
-                evicted: self.evicted as u64,
-                cap_evicted: self.cap_evicted as u64,
-                spill_evicted: self.spill_evicted as u64,
-                spilled: self.spilled,
-                rehydrated: self.rehydrated,
-                dropped_transactions: self.dropped_transactions,
-            },
-        }
+        TrackerState { clients, counters: self.counters }
     }
 
     /// Replaces this tracker's conversations and counters with a
@@ -1109,29 +926,15 @@ impl SessionTracker {
     /// operational settings.
     pub fn restore(&mut self, state: TrackerState) {
         self.clients.clear();
-        self.live = 0;
-        self.frozen = 0;
-        self.live_bytes = 0;
-        self.spill_bytes = 0;
+        self.tally = TierTally::default();
         for record in state.clients {
-            let mut convs = Vec::with_capacity(record.convs.len());
-            for cs in record.convs {
-                let conv = Conversation::from_state(cs);
-                self.live += 1;
-                self.live_bytes += conv.approx_bytes;
-                convs.push(Slot::Live(conv));
-            }
+            let convs: Vec<Conversation> =
+                record.convs.into_iter().map(Conversation::from_state).collect();
+            convs.iter().for_each(|conv| self.tally.admit(conv));
             self.clients
                 .insert(record.addr, ClientSessions { convs, next_local: record.next_local });
         }
-        let c = state.counters;
-        self.created = c.created;
-        self.evicted = c.evicted as usize;
-        self.cap_evicted = c.cap_evicted as usize;
-        self.spill_evicted = c.spill_evicted as usize;
-        self.spilled = c.spilled;
-        self.rehydrated = c.rehydrated;
-        self.dropped_transactions = c.dropped_transactions;
+        self.counters = state.counters;
     }
 }
 
@@ -1438,5 +1241,154 @@ mod tests {
         spilled.rehydrate_all();
         assert_eq!(spilled.frozen_count(), 0);
         assert_eq!(spilled.conversation_count(), plain.conversation_count());
+    }
+
+    /// The cap's whole point is one endless conversation: what it
+    /// drops must not grow the byte estimate the spill budget reads.
+    #[test]
+    fn capped_transactions_leave_live_bytes_where_they_were() {
+        fn feed(tracker: &mut SessionTracker, i: usize, host: &str) -> usize {
+            tracker.assign(&get(i as f64 * 0.01, host, "/x", None));
+            tracker.live_bytes()
+        }
+        let mut tracker = SessionTracker::new(300.0).with_caps(64, 8);
+        let after_ninth = (0..9).map(|i| feed(&mut tracker, i, "a.com")).last().unwrap();
+        for i in 9..10_000 {
+            feed(&mut tracker, i, ["a.com", "b.com"][i % 2]);
+        }
+        assert_eq!(tracker.dropped_transaction_count(), 10_000 - 8);
+        assert_eq!(tracker.live_bytes(), after_ninth);
+        // Only the last capped host is held, so only it is charged —
+        // also when the new one is shorter than the one it replaces.
+        assert_eq!(feed(&mut tracker, 10_000, "a-longer-host.example"), after_ninth + 16);
+        assert_eq!(feed(&mut tracker, 10_001, "c.io"), after_ninth - 1);
+        // The estimate is a function of what is stored: thaw finds it again.
+        let conv = &mut tracker.clients.values_mut().next().unwrap().convs[0];
+        tracker.tally.freeze(conv);
+        assert_eq!((tracker.tally.live_bytes, tracker.tally.live), (0, 0));
+        tracker.tally.thaw(conv);
+        assert_eq!(tracker.live_bytes(), after_ninth - 1);
+        assert_eq!(tracker.spill_bytes(), 0);
+    }
+
+    /// Probe transactions for every way pass 1 can bind to a
+    /// conversation holding `stored` — its session id, its URL as a
+    /// referrer, only its host as a referrer, its host — and one miss.
+    fn probes(stored: &[HttpTransaction]) -> Vec<HttpTransaction> {
+        let mut out = vec![get(0.0, "miss.example", "/", Some("http://nowhere.example/"))];
+        for t in stored {
+            let url = format!("http://{}{}", t.host, t.uri);
+            let other_page = format!("http://{}/not-stored", t.host.to_ascii_uppercase());
+            out.push(get(0.0, "probe.example", "/", Some(&url)));
+            out.push(get(0.0, "probe.example", "/", Some(&other_page)));
+            out.push(get(0.0, &t.host, "/not-stored", Some("http://nowhere.example/")));
+            if let Some(cookie) = t.req_headers.get("Cookie") {
+                let mut by_sid = get(0.0, "probe.example", "/", Some("http://nowhere.example/"));
+                by_sid.req_headers.append("Cookie", cookie);
+                out.push(by_sid);
+            }
+        }
+        out
+    }
+
+    /// What [`SessionTracker::assign_owned`] would ask of `conv`.
+    fn answers(conv: &Conversation, probes: &[HttpTransaction]) -> Vec<bool> {
+        let ask = |p: &HttpTransaction| {
+            let (sid, referer_host) = (p.session_id(), referer_host(p));
+            conv.matches(p, sid.as_deref(), referer_host.as_deref(), &p.host.to_ascii_lowercase())
+        };
+        probes.iter().map(ask).collect()
+    }
+
+    fn wcg_json(wcg: &Wcg) -> String {
+        serde_json::to_string(wcg).unwrap()
+    }
+
+    /// Freezes every conversation after `stream[..freeze_at]` and checks
+    /// that nothing observable can tell: not the match predicate while
+    /// frozen, not the state, graph or byte estimate after a thaw, and
+    /// not the rest of the stream, compared with a tracker that never
+    /// froze anything.
+    fn check_freeze_thaw_is_identity(stream: &[HttpTransaction], freeze_at: usize) {
+        let mut tracker = SessionTracker::new(300.0).with_caps(64, 6);
+        let mut plain = SessionTracker::new(300.0).with_caps(64, 6);
+        for t in &stream[..freeze_at] {
+            tracker.assign(t);
+            plain.assign(t);
+        }
+        let probes = probes(&stream[..freeze_at]);
+        for conv in tracker.conversations() {
+            let mut twin = conv.clone();
+            twin.freeze();
+            assert_eq!(answers(&twin, &probes), answers(conv, &probes), "frozen match keys");
+            assert_eq!(twin.to_state(), conv.to_state(), "state while frozen");
+            twin.thaw();
+            assert_eq!(twin.to_state(), conv.to_state(), "state after thaw");
+            assert_eq!(twin.approx_bytes, conv.approx_bytes);
+            assert_eq!(
+                wcg_json(twin.wcg_cached().0),
+                wcg_json(&Wcg::from_transactions(&conv.transactions))
+            );
+        }
+        for conv in tracker.clients.values_mut().flat_map(|e| &mut e.convs) {
+            tracker.tally.freeze(conv);
+        }
+        assert_eq!(tracker.conversations().count(), 0, "frozen conversations stay hidden");
+        assert_eq!((tracker.conversation_count(), tracker.live_bytes()), (0, 0));
+        assert_eq!(tracker.frozen_count(), plain.conversation_count());
+        // The rest of the stream thaws what it touches and nothing else.
+        for t in &stream[freeze_at..] {
+            let conv = tracker.assign(t);
+            assert!(conv.is_live(), "assign hands out live conversations only");
+            let (id, wcg) = (conv.id, wcg_json(conv.wcg_state().0));
+            let twin = plain.assign(t);
+            assert_eq!((id, wcg), (twin.id, wcg_json(twin.wcg_state().0)));
+            assert!(tracker.conversations().all(Conversation::is_live));
+            assert_eq!(tracker.conversations().count(), tracker.conversation_count());
+        }
+        tracker.rehydrate_all();
+        assert_eq!((tracker.frozen_count(), tracker.spill_bytes()), (0, 0));
+        assert_eq!(tracker.state().clients, plain.state().clients);
+        assert_eq!(tracker.live_bytes(), plain.live_bytes());
+    }
+
+    #[test]
+    fn freeze_thaw_is_the_identity_on_a_generated_client_stream() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use synthtraffic::benign::generate_benign;
+        use synthtraffic::episode::generate_infection;
+        use synthtraffic::{BenignScenario, EkFamily};
+        // One client's afternoon: infections and browsing interleaved,
+        // some of it carrying a session cookie.
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut stream = Vec::new();
+        for (i, family) in [EkFamily::Angler, EkFamily::Rig, EkFamily::Magnitude].iter().enumerate() {
+            let t0 = 1.45e9 + i as f64 * 120.0;
+            stream.extend(generate_infection(&mut rng, *family, t0).transactions);
+            let scenario = BenignScenario::WEIGHTED[i].0;
+            stream.extend(generate_benign(&mut rng, scenario, t0 + 40.0).transactions);
+        }
+        stream.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+        for (i, t) in stream.iter_mut().enumerate() {
+            t.client = nettrace::reassembly::Endpoint::new(Ipv4Addr::new(10, 0, 0, 5), 50000);
+            if i % 5 == 0 {
+                t.req_headers.append("Cookie", "sid=afternoon");
+            }
+        }
+        for freeze_at in (0..=stream.len()).step_by(5) {
+            check_freeze_thaw_is_identity(&stream, freeze_at);
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary short streams (out-of-order arrivals, idle gaps that
+        /// split conversations, capped conversations) and any freeze point.
+        #[test]
+        fn freeze_thaw_is_the_identity_at_any_point_of_any_stream(
+            stream in proptest::collection::vec(crate::wcg::tests::arb_tx(), 0..40),
+            cut in 0usize..41
+        ) {
+            check_freeze_thaw_is_identity(&stream, cut.min(stream.len()));
+        }
     }
 }

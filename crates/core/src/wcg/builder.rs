@@ -628,6 +628,78 @@ mod tests {
         assert!(builder.topo_version() > before);
     }
 
+    /// The builder's stage machine against its definition:
+    /// [`stages::annotate`](crate::wcg::stages::annotate) over the
+    /// time-sorted transactions, which assigns every stage from global
+    /// knowledge and shares no code with the incremental patches.
+    fn assert_stages_match_annotate(builder: &WcgBuilder, txs: &[HttpTransaction]) {
+        let mut order: Vec<&HttpTransaction> = txs.iter().collect();
+        order.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+        let expected = crate::wcg::stages::annotate(&order);
+        let staged: Vec<Stage> = builder.txs.iter().map(|meta| meta.stage).collect();
+        assert_eq!(staged, expected, "stages diverged after {} transactions", txs.len());
+        let mut counts = [0usize; 3];
+        for stage in &expected {
+            counts[stage.index()] += 1;
+        }
+        assert_eq!(builder.wcg().stage_counts, counts);
+    }
+
+    /// Pushes `txs` one at a time (rebuilding when asked to) and checks
+    /// the stages at every prefix; returns how many pushes rebuilt.
+    fn check_stages_at_every_prefix(txs: &[HttpTransaction]) -> usize {
+        let mut builder = WcgBuilder::new();
+        let mut rebuilds = 0;
+        for i in 0..txs.len() {
+            if builder.push(&txs[i]) == PushOutcome::NeedsRebuild {
+                builder.rebuild(&txs[..=i]);
+                rebuilds += 1;
+            }
+            assert_stages_match_annotate(&builder, &txs[..=i]);
+        }
+        rebuilds
+    }
+
+    #[test]
+    fn stages_match_annotate_at_every_prefix_of_generated_episodes() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use synthtraffic::benign::generate_benign;
+        use synthtraffic::episode::generate_infection;
+        use synthtraffic::{BenignScenario, EkFamily};
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut staged = [0usize; 3];
+        for round in 0..8 {
+            let t0 = 1.4e9 + f64::from(round) * 1e4;
+            let infections =
+                EkFamily::ALL.iter().map(|&f| generate_infection(&mut rng, f, t0).transactions);
+            let mut episodes: Vec<Vec<HttpTransaction>> = infections.collect();
+            for (scenario, _) in BenignScenario::WEIGHTED {
+                episodes.push(generate_benign(&mut rng, scenario, t0).transactions);
+            }
+            for txs in &episodes {
+                check_stages_at_every_prefix(txs);
+                let wcg = Wcg::from_transactions(txs);
+                for (total, n) in staged.iter_mut().zip(wcg.stage_counts) {
+                    *total += n;
+                }
+            }
+        }
+        assert!(staged.iter().all(|&n| n > 0), "every stage was exercised: {staged:?}");
+    }
+
+    proptest::proptest! {
+        /// Short arbitrary sequences: out-of-order timestamps and contacts
+        /// to the origin host make the rebuild path common, late exploit
+        /// downloads and redirects move both horizons backwards.
+        #[test]
+        fn stages_match_annotate_on_arbitrary_sequences(
+            txs in proptest::collection::vec(crate::wcg::tests::arb_tx(), 0..25)
+        ) {
+            let rebuilds = check_stages_at_every_prefix(&txs);
+            proptest::prop_assert!(txs.len() < 12 || rebuilds > 0, "no rebuild in {} pushes", txs.len());
+        }
+    }
+
     #[test]
     fn empty_builder_matches_empty_from_scratch() {
         let builder = WcgBuilder::new();

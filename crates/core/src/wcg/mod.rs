@@ -313,6 +313,55 @@ pub(crate) mod tests {
         }
     }
 
+    /// One transaction of one client over a five-host pool, for the
+    /// builder and session-tracker proptests: any timestamp (streams
+    /// arrive out of order), a referrer that names a URL the pool may
+    /// hold, only a pool host, or neither, two session cookies, exploit
+    /// and plain payloads, and `Location` redirects into the pool.
+    /// "origin.example" doubles as a referrer host, so a stream can
+    /// contact its inferred origin — the builder's other rebuild trigger.
+    pub(crate) fn arb_tx() -> impl proptest::prelude::Strategy<Value = HttpTransaction> {
+        use proptest::prelude::*;
+        let host = || {
+            prop_oneof![
+                Just("a.example.com"),
+                Just("B.Example.net"),
+                Just("c.example.org"),
+                Just("198.51.100.7"),
+                Just("origin.example"),
+            ]
+        };
+        let method = prop_oneof![Just(Method::Get), Just(Method::Post), Just(Method::Head)];
+        let status =
+            prop_oneof![Just(0u16), Just(200u16), Just(302u16), Just(404u16), Just(500u16)];
+        let class = prop_oneof![
+            Just(PayloadClass::Html),
+            Just(PayloadClass::Js),
+            Just(PayloadClass::Exe),
+            Just(PayloadClass::Jar),
+            Just(PayloadClass::Empty),
+        ];
+        let shape = (0u8..4, 0u8..3, any::<bool>(), 0u8..3);
+        ((host(), host(), 0.0f64..600.0), (method, status, class), shape).prop_map(
+            |((host, other, ts), (method, status, class), (referer, cookie, redirects, page))| {
+                let referer = match referer {
+                    0 => None,
+                    1 => Some(format!("http://{other}/p{page}")),
+                    2 => Some(format!("http://{other}/elsewhere")),
+                    _ => Some("http://unrelated.example/".to_string()),
+                };
+                let location = redirects.then(|| format!("http://{other}/p0"));
+                let uri = format!("/p{page}");
+                let (referer, location) = (referer.as_deref(), location.as_deref());
+                let mut t = tx(ts, host, &uri, method, status, class, 700, referer, location);
+                if cookie > 0 {
+                    t.req_headers.append("Cookie", ["sid=a", "sid=b"][usize::from(cookie) - 1]);
+                }
+                t
+            },
+        )
+    }
+
     fn angler_like() -> Vec<HttpTransaction> {
         vec![
             tx(1.0, "www.bing.com", "/search?q=x", Method::Get, 200, PayloadClass::Html, 2000, None, None),

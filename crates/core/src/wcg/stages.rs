@@ -49,6 +49,12 @@ fn is_redirectish(tx: &HttpTransaction) -> bool {
 }
 
 /// Assigns a stage to each transaction of a time-ordered conversation.
+///
+/// This is the definition, written from global knowledge of the whole
+/// conversation. Production graphs get their stages from
+/// [`WcgBuilder`](super::WcgBuilder)'s incremental state machine, which
+/// shares no code with this function; it is kept as the oracle the
+/// builder's tests compare every prefix against.
 pub fn annotate(order: &[&HttpTransaction]) -> Vec<Stage> {
     let n = order.len();
     // Successful exploit-payload downloads and the hosts serving them.
