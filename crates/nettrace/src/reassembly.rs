@@ -10,8 +10,10 @@
 //! [`SpanReassembler`] is the offline (sort-at-end) reassembler: it
 //! buffers `(ts, span)` chunks that point into the capture and
 //! materializes bytes only for flows with more than one chunk.
-//! [`decode_frame`] is the one Ethernet → IPv4 → TCP decode ladder, shared
-//! with the online capture source in `wirefront`.
+//! [`decode_frame`] is the one Ethernet → IPv4 → TCP decode ladder and
+//! [`lay_segment`] the one overlap-trim / gap-skip step, both shared with
+//! the online capture source in `wirefront`; [`timestamp_at`] is the one
+//! timeline lookup, shared with the wire tap's live buffers.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -117,16 +119,42 @@ pub struct StreamView<'a> {
 }
 
 impl StreamView<'_> {
-    /// Arrival timestamp of the byte at `offset` (timestamp of the segment
-    /// that carried it). Falls back to the last known timestamp for offsets
-    /// past the end.
+    /// Arrival timestamp of the byte at `offset` (see [`timestamp_at`]).
     pub fn timestamp_at(&self, offset: usize) -> f64 {
-        match self.timeline.binary_search_by(|(o, _)| o.cmp(&offset)) {
-            Ok(i) => self.timeline[i].1,
-            Err(0) => self.timeline.first().map(|&(_, t)| t).unwrap_or(0.0),
-            Err(i) => self.timeline[i - 1].1,
-        }
+        timestamp_at(self.timeline, offset)
     }
+}
+
+/// Arrival timestamp of the byte at `offset` under a `(byte_offset,
+/// timestamp)` timeline sorted by offset: that of the last marker at or
+/// before it (the segment that carried the byte), so offsets past the end
+/// read the last known timestamp; the first marker's when `offset`
+/// precedes them all, 0 for an empty timeline. The one lookup behind
+/// reassembled streams and the wire tap's live buffers.
+#[inline]
+pub fn timestamp_at(timeline: &[(usize, f64)], offset: usize) -> f64 {
+    let after = timeline.partition_point(|&(o, _)| o <= offset);
+    timeline.get(after.saturating_sub(1)).map_or(0.0, |&(_, ts)| ts)
+}
+
+/// The reassemblers' shared arbitration step: lays one segment of `len`
+/// bytes at stream offset `rel` against `next`, the offset of the first
+/// byte not laid yet. A segment starting past `next` leaves a hole that is
+/// skipped and counted in `gaps`; bytes below `next` were laid before and
+/// the first copy wins. Returns how many leading bytes to trim (`next`
+/// then moves past the segment), or `None` when nothing in it is new.
+#[inline]
+pub fn lay_segment(next: &mut u64, rel: u64, len: usize, gaps: &mut u64) -> Option<usize> {
+    if rel > *next {
+        *gaps += 1;
+        *next = rel;
+    }
+    let overlap = (*next - rel) as usize;
+    if overlap >= len {
+        return None;
+    }
+    *next = rel + len as u64;
+    Some(overlap)
 }
 
 /// One buffered TCP chunk: payload bytes as a range into the capture
@@ -378,22 +406,11 @@ impl SpanReassembler {
                         continue; // later arrival at a taken offset: dropped wholly
                     }
                     prev_rel = c.rel;
-                    if c.rel > next_rel {
-                        *gaps += 1;
-                    }
-                    let bytes = &arena[c.range.clone()];
-                    let bytes = if c.rel < next_rel {
-                        let overlap = (next_rel - c.rel) as usize;
-                        if overlap >= bytes.len() {
-                            continue; // fully retransmitted
-                        }
-                        &bytes[overlap..]
-                    } else {
-                        bytes
+                    let Some(trim) = lay_segment(&mut next_rel, c.rel, c.range.len(), gaps) else {
+                        continue; // fully retransmitted
                     };
                     buf.timeline.push((buf.data.len() - data_start, c.ts));
-                    buf.data.extend_from_slice(bytes);
-                    next_rel = c.rel.max(next_rel) + bytes.len() as u64;
+                    buf.data.extend_from_slice(&arena[c.range.start + trim..c.range.end]);
                 }
                 buf.streams.push(StreamDesc {
                     key,

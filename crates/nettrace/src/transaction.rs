@@ -11,13 +11,14 @@
 //! over the same run.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use crate::arena::{subslice_range, PacketSpan};
 use crate::http::{
-    parse_request_head, parse_response_head, request_body_framing, response_body_framing,
-    BodyFraming, HeaderMap, Method,
+    decode_chunked, parse_request_head, parse_response_head, request_body_framing,
+    response_body_framing, BodyFraming, HeaderMap, Method, RequestHead, ResponseHead,
 };
 use crate::ingest::IngestReport;
 use crate::payload::{classify, PayloadClass};
@@ -438,120 +439,123 @@ pub(crate) fn looks_like_request(data: &[u8]) -> bool {
 
 #[derive(Debug)]
 pub(crate) struct ParsedRequest {
-    pub(crate) head: crate::http::RequestHead,
+    pub(crate) head: RequestHead,
     pub(crate) ts: f64,
 }
 
 pub(crate) struct ParsedResponse<'a> {
-    pub(crate) head: crate::http::ResponseHead,
+    pub(crate) head: ResponseHead,
     pub(crate) body: Body<'a>,
     pub(crate) end_ts: f64,
 }
 
-/// The parseable prefix of one HTTP stream: the messages recovered
-/// before the first error (if any), and whether the stop was a
-/// chunked-framing failure.
-struct Salvage<T> {
-    items: Vec<T>,
-    error: Option<Error>,
-    chunked_failure: bool,
+/// Why the front of a byte stream is not a whole message.
+#[derive(Debug)]
+pub(crate) enum Unframed {
+    /// The stream ends inside a message. Before end of stream that is any
+    /// unfinished head or body; at it only an unfinished head, because a
+    /// body then truncates to what arrived.
+    Incomplete,
+    /// No message starts here, and HTTP has no point to resynchronize on
+    /// further in: the stream stops. `chunked` tells a chunk-framing
+    /// failure from a bad head.
+    Malformed { error: Error, chunked: bool },
 }
 
-impl<T> Salvage<T> {
-    /// Folds this stream's outcome into the ingest report — errored
-    /// streams count as salvaged (some messages recovered) or discarded
-    /// (none), and chunked failures are tallied — and hands back the
-    /// messages plus the stop a strict reader would have made here.
-    fn account(self, report: &mut IngestReport) -> (Vec<T>, Result<()>) {
-        let Some(error) = self.error else { return (self.items, Ok(())) };
-        if self.chunked_failure {
-            report.chunked_failures += 1;
-        }
-        if self.items.is_empty() {
-            report.streams_discarded += 1;
+/// The framer's answer: the message at the front of the stream and the
+/// number of bytes it occupies, or why there is none.
+pub(crate) type Framed<T> = std::result::Result<(T, usize), Unframed>;
+
+/// Frames the request at the front of `data`. The one request framer:
+/// [`pair_connection`] runs it over a finished stream (`eof` set), the
+/// wire tap over what has arrived so far (`eof` = direction closed).
+pub(crate) fn frame_request(data: &[u8], eof: bool) -> Framed<RequestHead> {
+    let (head, head_len) = whole_head(parse_request_head(data))?;
+    let (_, len) = frame_body(request_body_framing(&head), &data[head_len..], eof)?;
+    Ok((head, head_len + len))
+}
+
+/// Frames the response at the front of `data`, answering a `method`
+/// request; the body borrows `data` unless chunk decoding had to
+/// materialize it. The one response framer (see [`frame_request`]).
+pub(crate) fn frame_response<'a>(
+    data: &'a [u8],
+    method: &Method,
+    eof: bool,
+) -> Framed<(ResponseHead, Body<'a>)> {
+    let (head, head_len) = whole_head(parse_response_head(data))?;
+    let (body, len) = frame_body(response_body_framing(&head, method), &data[head_len..], eof)?;
+    Ok(((head, body), head_len + len))
+}
+
+fn whole_head<H>(parsed: Result<Option<(H, usize)>>) -> Framed<H> {
+    match parsed {
+        Ok(Some(head)) => Ok(head),
+        Ok(None) => Err(Unframed::Incomplete),
+        Err(error) => Err(Unframed::Malformed { error, chunked: false }),
+    }
+}
+
+fn frame_body(framing: BodyFraming, avail: &[u8], eof: bool) -> Framed<Body<'_>> {
+    // A body the stream ends inside: all that arrived at end of stream,
+    // not yet a message before it.
+    let rest = || {
+        if eof {
+            Ok((Body::Borrowed(avail), avail.len()))
         } else {
-            report.streams_salvaged += 1;
+            Err(Unframed::Incomplete)
         }
-        (self.items, Err(error))
+    };
+    match framing {
+        BodyFraming::None => Ok((Body::Borrowed(&avail[..0]), 0)),
+        BodyFraming::Length(n) if n <= avail.len() => Ok((Body::Borrowed(&avail[..n]), n)),
+        BodyFraming::Length(_) | BodyFraming::UntilClose => rest(),
+        BodyFraming::Chunked => match decode_chunked(avail) {
+            Ok(Some((body, len))) => Ok((Body::Owned(body), len)),
+            Ok(None) => rest(),
+            Err(error) => Err(Unframed::Malformed { error, chunked: true }),
+        },
     }
 }
 
-fn parse_requests(stream: StreamView<'_>) -> Salvage<ParsedRequest> {
-    let mut out = Salvage { items: Vec::new(), error: None, chunked_failure: false };
-    let mut pos = 0usize;
-    while pos < stream.data.len() {
-        let head = match parse_request_head(&stream.data[pos..]) {
-            Ok(Some(parsed)) => parsed,
-            Ok(None) => break,
-            Err(e) => {
-                out.error = Some(e);
-                break;
-            }
-        };
-        let (head, consumed) = head;
-        let ts = stream.timestamp_at(pos);
-        let body_len = match request_body_framing(&head) {
-            BodyFraming::None => 0,
-            BodyFraming::Length(n) => n.min(stream.data.len() - pos - consumed),
-            BodyFraming::Chunked => {
-                match crate::http::decode_chunked(&stream.data[pos + consumed..]) {
-                    Ok(Some((_, c))) => c,
-                    Ok(None) => stream.data.len() - pos - consumed,
-                    Err(e) => {
-                        out.error = Some(e);
-                        out.chunked_failure = true;
-                        break;
-                    }
-                }
-            }
-            BodyFraming::UntilClose => stream.data.len() - pos - consumed,
-        };
-        pos += consumed + body_len;
-        out.items.push(ParsedRequest { head, ts });
+/// Folds a stream that stopped at an [`Unframed::Malformed`] into the ingest
+/// report: salvaged if it had yielded messages, discarded if none, and
+/// chunked-framing failures tallied.
+pub(crate) fn account(report: &mut IngestReport, yielded: bool, chunked: bool) {
+    if chunked {
+        report.chunked_failures += 1;
     }
-    out
+    if yielded {
+        report.streams_salvaged += 1;
+    } else {
+        report.streams_discarded += 1;
+    }
 }
 
-fn parse_responses<'a>(stream: StreamView<'a>, methods: &[Method]) -> Salvage<ParsedResponse<'a>> {
-    let mut out = Salvage { items: Vec::new(), error: None, chunked_failure: false };
+/// Frames every message of one finished stream, each with the byte range
+/// it occupies; `frame` gets the unframed rest and the message's index.
+/// The `Err` is where a strict reader stops, already [`account`]ed.
+fn frame_stream<'a, T>(
+    data: &'a [u8],
+    report: &mut IngestReport,
+    mut frame: impl FnMut(&'a [u8], usize) -> Framed<T>,
+) -> (Vec<(T, Range<usize>)>, Result<()>) {
+    let mut messages = Vec::new();
     let mut pos = 0usize;
-    let mut idx = 0usize;
-    while pos < stream.data.len() {
-        let head = match parse_response_head(&stream.data[pos..]) {
-            Ok(Some(parsed)) => parsed,
-            Ok(None) => break,
-            Err(e) => {
-                out.error = Some(e);
-                break;
+    while pos < data.len() {
+        match frame(&data[pos..], messages.len()) {
+            Ok((message, len)) => {
+                messages.push((message, pos..pos + len));
+                pos += len;
             }
-        };
-        let (head, consumed) = head;
-        let method = methods.get(idx).cloned().unwrap_or(Method::Get);
-        let avail = &stream.data[pos + consumed..];
-        let (body, body_consumed) = match response_body_framing(&head, &method) {
-            BodyFraming::None => (Body::Borrowed(&[]), 0),
-            BodyFraming::Length(n) => {
-                let take = n.min(avail.len());
-                (Body::Borrowed(&avail[..take]), take)
+            Err(Unframed::Incomplete) => break,
+            Err(Unframed::Malformed { error, chunked }) => {
+                account(report, !messages.is_empty(), chunked);
+                return (messages, Err(error));
             }
-            BodyFraming::Chunked => match crate::http::decode_chunked(avail) {
-                Ok(Some((body, c))) => (Body::Owned(body), c),
-                Ok(None) => (Body::Borrowed(avail), avail.len()),
-                Err(e) => {
-                    out.error = Some(e);
-                    out.chunked_failure = true;
-                    break;
-                }
-            },
-            BodyFraming::UntilClose => (Body::Borrowed(avail), avail.len()),
-        };
-        let end = pos + consumed + body_consumed;
-        let end_ts = stream.timestamp_at(end.saturating_sub(1));
-        pos = end;
-        idx += 1;
-        out.items.push(ParsedResponse { head, body, end_ts });
+        }
     }
-    out
+    (messages, Ok(()))
 }
 
 /// Pairs whatever both directions of one connection could salvage,
@@ -571,16 +575,29 @@ pub(crate) fn pair_connection<'a>(
     out: &mut Vec<HttpTransaction>,
     deferred: &mut Vec<(usize, Body<'a>)>,
 ) -> Result<()> {
-    let (requests, req_stop) = parse_requests(req_stream).account(report);
-    let methods: Vec<Method> = requests.iter().map(|r| r.head.method.clone()).collect();
-    let (responses, resp_stop) = match resp_stream {
-        Some(s) => parse_responses(s, &methods).account(report),
-        None => (Vec::new(), Ok(())),
-    };
+    let (requests, req_stop) =
+        frame_stream(req_stream.data, report, |data, _| frame_request(data, true));
+    // Response `i` is framed as the answer to request `i`; a surplus one
+    // as if to a `GET`, and then dropped.
+    let resp_stream = resp_stream.unwrap_or(StreamView {
+        key: req_stream.key.reversed(),
+        data: &[],
+        timeline: &[],
+        closed: true,
+    });
+    let (responses, resp_stop) = frame_stream(resp_stream.data, report, |data, i| {
+        let method = requests.get(i).map_or(&Method::Get, |(head, _)| &head.method);
+        frame_response(data, method, true)
+    });
     let mut responses = responses.into_iter();
-    for req in requests {
+    for (head, at) in requests {
+        let req = ParsedRequest { head, ts: req_stream.timestamp_at(at.start) };
+        let resp = responses.next().map(|((head, body), at)| {
+            let end_ts = resp_stream.timestamp_at(at.end.saturating_sub(1));
+            ParsedResponse { head, body, end_ts }
+        });
         let (tx, body) =
-            synthesize_transaction(req_stream.key.src, req_stream.key.dst, req, responses.next(), report);
+            synthesize_transaction(req_stream.key.src, req_stream.key.dst, req, resp, report);
         deferred.push((out.len(), body));
         out.push(tx);
     }

@@ -10,21 +10,31 @@
 //!   a non-blocking raw socket bound to one interface, with kernel
 //!   ring-drop accounting folded into `source_drops`.
 //!
-//! Both feed the same flow table: TCP segments are delivered in-order
-//! per direction (a bounded out-of-order buffer absorbs reordering;
-//! overflow and unfillable gaps count as `source_drops`) into a
-//! [`ConnectionTap`] per flow, which synthesizes transactions through
-//! the same routine as offline ingest. A BPF-style port filter keeps
-//! non-web flows out of the taps entirely.
+//! Both feed the same flow table: TCP segments reach a [`ConnectionTap`]
+//! per flow in sequence order per direction, and the tap frames them
+//! with the offline pairer's framer. A segment ahead of its stream
+//! waits, with its own capture timestamp, in a bounded buffer; when the
+//! flow ends (both directions closed, observation dropped, shutdown) or
+//! the buffer is full, what is held is laid in sequence order across
+//! the hole and each hole counted in `reassembly_gaps` — what offline
+//! reassembly makes of the same segments. A segment that turns up after
+//! its hole was given up on is trimmed as a retransmission (offline
+//! would have sorted it into place; the hole stays counted).
+//! `source_drops` counts what the kernel ring dropped on the live
+//! backend, `tap_overflows` the flows whose observation was abandoned;
+//! flows the BPF-style port filter keeps out of the taps are not
+//! counted at all.
 //!
 //! Record framing and frame decoding are `nettrace`'s
 //! ([`pcap::walk_records`], [`decode_frame`]) — the same functions the
 //! offline pipeline runs. The tail is the walker's third policy: where
 //! strict ingest fails on a stop and lenient ingest counts it, the tail
 //! keeps the unconsumed bytes pending until the writer appends more.
-//! Only the reassembly differs from offline ingest, because delivering
-//! bytes as they become contiguous and sorting a finished capture are
-//! different algorithms.
+//! Reassembly shares its arbitration step with offline ingest — overlap
+//! trimmed first-copy-wins, holes skipped and counted, both through
+//! [`lay_segment`] — but not its storage: delivering bytes as they
+//! become contiguous and sorting a finished capture are different
+//! algorithms.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -33,7 +43,7 @@ use std::path::{Path, PathBuf};
 
 use nettrace::arena::PacketSpan;
 use nettrace::pcap;
-use nettrace::reassembly::{decode_frame, Endpoint};
+use nettrace::reassembly::{decode_frame, lay_segment, Endpoint};
 use nettrace::source::{PumpOutcome, SourceStats, TrafficSource};
 use nettrace::wiretap::{ConnectionTap, TapConfig, TapDir};
 use nettrace::{Error, HttpTransaction, IngestReport};
@@ -42,8 +52,8 @@ use crate::sys;
 
 /// Frames handled per pump slice, bounding one slice's work.
 const FRAMES_PER_SLICE: usize = 256;
-/// Out-of-order segments buffered per flow direction before the oldest
-/// is dropped.
+/// Out-of-order segments held per flow direction before the hole they
+/// wait behind is given up on.
 const MAX_OOO_SEGMENTS: usize = 64;
 
 /// Capture tuning knobs.
@@ -65,17 +75,16 @@ impl Default for CaptureConfig {
 /// One direction's in-order delivery state.
 #[derive(Default)]
 struct DirState {
-    /// Next expected TCP sequence number; `None` until the first
-    /// segment (or SYN) fixes the origin.
-    next_seq: Option<u32>,
-    /// The first value `next_seq` ever took: where this direction's
-    /// sequence space starts.
+    /// Sequence number of the direction's first byte (a SYN's plus one,
+    /// else the first data segment's); `None` until either is seen.
     origin: Option<u32>,
-    /// Out-of-order segments, bounded, keyed by distance from `origin`
-    /// rather than by raw sequence number: raw numbers wrap at 2³², so
-    /// with an origin near the top a post-wrap segment would sort ahead
-    /// of the pre-wrap one the stream is actually waiting for.
-    ooo: BTreeMap<u64, Vec<u8>>,
+    /// Stream offset of the first byte not handed to the tap yet.
+    next: u64,
+    /// Segments that arrived ahead of `next`, each with its own capture
+    /// timestamp, keyed by stream offset: offsets are measured from the
+    /// moving watermark, so they keep growing where raw sequence
+    /// numbers wrap at 2³².
+    held: BTreeMap<u64, (f64, Vec<u8>)>,
     fin: bool,
 }
 
@@ -85,6 +94,76 @@ struct Flow {
     client: Endpoint,
     c2s: DirState,
     s2c: DirState,
+}
+
+/// Where a flow's bytes and tallies go: the tap, the source's counters
+/// and the pump's output.
+struct Sink<'a> {
+    tap: &'a mut ConnectionTap,
+    stats: &'a mut SourceStats,
+    report: &'a mut IngestReport,
+    out: &'a mut Vec<HttpTransaction>,
+}
+
+impl DirState {
+    /// Takes one TCP segment in sequence order: bytes at the watermark
+    /// go straight to the tap and release whatever they made contiguous,
+    /// a segment ahead of it waits (bounded), bytes behind it are
+    /// retransmission and trimmed.
+    fn deliver(&mut self, seq: u32, payload: &[u8], ts: f64, dir: TapDir, sink: &mut Sink<'_>) {
+        let origin = *self.origin.get_or_insert(seq);
+        let ahead = seq.wrapping_sub(origin.wrapping_add(self.next as u32)) as i32;
+        let Some(rel) = self.next.checked_add_signed(i64::from(ahead)) else {
+            return; // claims to precede the stream's first byte: stale
+        };
+        if rel > self.next && self.held.len() >= MAX_OOO_SEGMENTS {
+            // The hole has outlasted the buffer: give up on it.
+            self.flush(dir, sink);
+        }
+        if rel > self.next {
+            self.held.entry(rel).or_insert_with(|| (ts, payload.to_vec()));
+            return;
+        }
+        self.lay(rel, ts, payload, dir, sink);
+        while self.held.first_key_value().is_some_and(|(&rel, _)| rel <= self.next) {
+            let (rel, (ts, data)) = self.held.pop_first().expect("peeked");
+            self.lay(rel, ts, &data, dir, sink);
+        }
+    }
+
+    /// Lays every held segment in sequence order, each hole between them
+    /// skipped and counted — what offline reassembly does with the same
+    /// segments once the capture has ended.
+    fn flush(&mut self, dir: TapDir, sink: &mut Sink<'_>) {
+        while let Some((rel, (ts, data))) = self.held.pop_first() {
+            self.lay(rel, ts, &data, dir, sink);
+        }
+    }
+
+    fn lay(&mut self, rel: u64, ts: f64, bytes: &[u8], dir: TapDir, sink: &mut Sink<'_>) {
+        let gaps = &mut sink.report.reassembly_gaps;
+        if let Some(trim) = lay_segment(&mut self.next, rel, bytes.len(), gaps) {
+            sink.stats.bytes_in += (bytes.len() - trim) as u64;
+            sink.tap.offer(dir, &bytes[trim..], ts, sink.report, sink.out);
+        }
+    }
+}
+
+impl Flow {
+    /// The flow is over (both directions closed, observation dropped, or
+    /// the source shutting down): what was still held is laid across
+    /// its holes, requests first, and the tap flushes its tail.
+    fn finish(
+        mut self,
+        stats: &mut SourceStats,
+        report: &mut IngestReport,
+        out: &mut Vec<HttpTransaction>,
+    ) {
+        let mut sink = Sink { tap: &mut self.tap, stats, report, out };
+        self.c2s.flush(TapDir::Request, &mut sink);
+        self.s2c.flush(TapDir::Response, &mut sink);
+        self.tap.close(report, out);
+    }
 }
 
 /// Incremental pcap-file reader state.
@@ -221,22 +300,16 @@ impl CaptureSource {
         let dir = if from_client { TapDir::Request } else { TapDir::Response };
         let state = if from_client { &mut flow.c2s } else { &mut flow.s2c };
         if seg.flags.syn {
-            let first = seg.seq.wrapping_add(1);
-            state.next_seq = Some(first);
-            state.origin.get_or_insert(first);
+            state.origin.get_or_insert(seg.seq.wrapping_add(1));
         }
         if !seg.payload.is_empty() {
-            deliver_in_order(
-                state,
-                seg.seq,
-                seg.payload,
-                &mut flow.tap,
-                dir,
-                ts,
-                &mut self.stats,
-                &mut self.report,
+            let mut sink = Sink {
+                tap: &mut flow.tap,
+                stats: &mut self.stats,
+                report: &mut self.report,
                 out,
-            );
+            };
+            state.deliver(seg.seq, seg.payload, ts, dir, &mut sink);
         }
         if seg.flags.fin || seg.flags.rst {
             state.fin = true;
@@ -247,8 +320,8 @@ impl CaptureSource {
             self.stats.tap_overflows += 1;
         }
         if overflowed || finished {
-            let mut flow = self.flows.remove(&key).expect("flow present");
-            flow.tap.close(&mut self.report, out);
+            let flow = self.flows.remove(&key).expect("flow present");
+            flow.finish(&mut self.stats, &mut self.report, out);
         }
     }
 
@@ -334,74 +407,6 @@ impl CaptureSource {
     }
 }
 
-/// Delivers one TCP segment respecting sequence order: exact matches
-/// flow straight into the tap (then drain any now-contiguous buffered
-/// segments), future segments wait in the bounded out-of-order buffer,
-/// stale overlap is trimmed.
-#[allow(clippy::too_many_arguments)]
-fn deliver_in_order(
-    state: &mut DirState,
-    seq: u32,
-    payload: &[u8],
-    tap: &mut ConnectionTap,
-    dir: TapDir,
-    ts: f64,
-    stats: &mut SourceStats,
-    report: &mut IngestReport,
-    out: &mut Vec<HttpTransaction>,
-) {
-    let next = *state.next_seq.get_or_insert(seq);
-    let origin = *state.origin.get_or_insert(next);
-    let ahead = seq.wrapping_sub(next);
-    if ahead == 0 {
-        stats.bytes_in += payload.len() as u64;
-        tap.offer(dir, payload, ts, report, out);
-        state.next_seq = Some(seq.wrapping_add(payload.len() as u32));
-    } else if ahead < 0x8000_0000 {
-        // Future segment: hold it (bounded).
-        if state.ooo.len() >= MAX_OOO_SEGMENTS {
-            stats.source_drops += 1;
-            return;
-        }
-        let distance = u64::from(seq.wrapping_sub(origin));
-        state.ooo.entry(distance).or_insert_with(|| payload.to_vec());
-        return;
-    } else {
-        // Overlap/retransmission: deliver only the unseen suffix.
-        let trim = next.wrapping_sub(seq) as usize;
-        if trim >= payload.len() {
-            return;
-        }
-        stats.bytes_in += (payload.len() - trim) as u64;
-        tap.offer(dir, &payload[trim..], ts, report, out);
-        state.next_seq = Some(seq.wrapping_add(payload.len() as u32));
-    }
-    // Drain buffered segments that became contiguous.
-    while let Some(next_seq) = state.next_seq {
-        let Some((&distance, _)) = state.ooo.iter().next() else { break };
-        let s = origin.wrapping_add(distance as u32);
-        let ahead = s.wrapping_sub(next_seq);
-        if ahead >= 0x8000_0000 {
-            // Entirely stale now.
-            let data = state.ooo.remove(&distance).expect("present");
-            let trim = next_seq.wrapping_sub(s) as usize;
-            if trim < data.len() {
-                stats.bytes_in += (data.len() - trim) as u64;
-                tap.offer(dir, &data[trim..], ts, report, out);
-                state.next_seq = Some(s.wrapping_add(data.len() as u32));
-            }
-            continue;
-        }
-        if ahead != 0 {
-            break;
-        }
-        let data = state.ooo.remove(&distance).expect("present");
-        stats.bytes_in += data.len() as u64;
-        tap.offer(dir, &data, ts, report, out);
-        state.next_seq = Some(s.wrapping_add(data.len() as u32));
-    }
-}
-
 impl TrafficSource for CaptureSource {
     fn pump(&mut self, out: &mut Vec<HttpTransaction>) -> nettrace::Result<PumpOutcome> {
         if self.shut {
@@ -428,9 +433,8 @@ impl TrafficSource for CaptureSource {
         }
         self.shut = true;
         let before = out.len();
-        let flows = std::mem::take(&mut self.flows);
-        for (_, mut flow) in flows {
-            flow.tap.close(&mut self.report, out);
+        for (_, flow) in std::mem::take(&mut self.flows) {
+            flow.finish(&mut self.stats, &mut self.report, out);
         }
         self.stats.transactions += (out.len() - before) as u64;
     }
@@ -509,6 +513,82 @@ mod tests {
             assert_eq!(format!("{wire:?}"), format!("{off:?}"));
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `wire_episode_set(21, 1, 1)` as packets, with the positions of the
+    /// data segments of its longest response, in capture order.
+    fn packets_and_a_long_response() -> (Vec<pcap::Packet>, Vec<usize>) {
+        let bytes = episodes_pcap(&wire_episode_set(21, 1, 1)).expect("render pcap");
+        let packets = nettrace::capture::read_packets(&bytes).unwrap();
+        let mut responses: BTreeMap<_, Vec<usize>> = BTreeMap::new();
+        for (i, p) in packets.iter().enumerate() {
+            let (key, seg) = decode_frame(&p.data).unwrap().expect("tcp");
+            if key.src.port == 80 && !seg.payload.is_empty() {
+                responses.entry(key).or_default().push(i);
+            }
+        }
+        let segments = responses.into_values().max_by_key(Vec::len).expect("a response");
+        assert!(segments.len() >= 3, "a response with a middle segment");
+        (packets, segments)
+    }
+
+    /// Tails `packets` and extracts them offline: the transactions must
+    /// agree to the last field and the gap counts be equal. Returns the
+    /// tail's report and stats.
+    fn tail_matches_offline(name: &str, packets: &[pcap::Packet]) -> (IngestReport, SourceStats) {
+        let bytes = pcap::write_packets(packets);
+        let path = tmp_path(name);
+        std::fs::write(&path, &bytes).unwrap();
+        let mut src = CaptureSource::pcap_file(&path, false, CaptureConfig::default()).unwrap();
+        let mut tailed = Vec::new();
+        pump_to_exhaustion(&mut src, &mut tailed);
+        src.shutdown(&mut tailed);
+        std::fs::remove_file(&path).ok();
+        tailed.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+        assign_seq(&mut tailed);
+
+        let mut report = IngestReport::new();
+        let offline = SpanPipeline::extract_capture_lenient(&bytes, &mut report);
+        assert!(!offline.is_empty());
+        assert_eq!(tailed, offline, "{name}: transactions");
+        assert_eq!(src.ingest_report().reassembly_gaps, report.reassembly_gaps, "{name}: gaps");
+        (src.ingest_report(), src.stats())
+    }
+
+    /// A data segment the capture never saw: the segments behind it are
+    /// laid across the hole when the flow ends, as offline lays them, and
+    /// the hole is counted — not dropped unseen.
+    #[test]
+    fn lost_segment_is_skipped_and_counted_like_offline() {
+        let (mut packets, response) = packets_and_a_long_response();
+        packets.remove(response[response.len() / 2]);
+        let (report, stats) = tail_matches_offline("lost.pcap", &packets);
+        assert_eq!(report.reassembly_gaps, 1);
+        assert_eq!(stats.source_drops, 0);
+    }
+
+    /// Two segments that swapped places on the way to the capture point:
+    /// the held one is released with its own capture timestamp, not the
+    /// timestamp of the segment that released it.
+    #[test]
+    fn reordered_segments_keep_their_own_timestamps() {
+        let (mut packets, response) = packets_and_a_long_response();
+        let [.., a, b] = response[..] else { unreachable!() };
+        let (head, tail) = packets.split_at_mut(b);
+        std::mem::swap(&mut head[a].data, &mut tail[0].data);
+        let (report, _) = tail_matches_offline("swapped.pcap", &packets);
+        assert_eq!(report.reassembly_gaps, 0, "reordering is not loss");
+    }
+
+    /// A retransmitted segment adds nothing on either side: both
+    /// reassemblers trim it by the one `lay_segment` rule.
+    #[test]
+    fn duplicated_segment_is_trimmed_like_offline() {
+        let (mut packets, response) = packets_and_a_long_response();
+        let at = response[response.len() / 2];
+        packets.insert(at + 1, packets[at].clone());
+        let (report, _) = tail_matches_offline("duplicated.pcap", &packets);
+        assert_eq!(report.reassembly_gaps, 0);
     }
 
     /// `tail -f` semantics: a record split at the end of file is
