@@ -325,7 +325,7 @@ fn topo_features(
     out[1] = algo::reciprocity::reciprocity_view(view); // f15
     out[2] = sweep.closeness; // f17
     out[3] = sweep.betweenness; // f18
-    out[4] = sweep.load; // f19
+    out[4] = sweep.betweenness; // f19: mean load is mean betweenness (flow conservation)
     out[5] = algo::connectivity::average_node_connectivity_view_scratch(view, scratch); // f20
     out[6] = algo::clustering::clustering_coefficient_mean_view(view); // f21
     out[7] = algo::clustering::neighbor_degree_mean_view(view); // f22

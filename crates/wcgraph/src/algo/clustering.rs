@@ -1,26 +1,11 @@
-//! Clustering coefficient and neighbor-degree measures.
+//! Clustering coefficient and neighbor-degree measures, both on the
+//! undirected simple view.
 
-use crate::algo::mean;
 use crate::view::{Adjacency, GraphView};
-use crate::DiGraph;
 
-/// Per-node clustering coefficient on the undirected simple view:
-/// `2·T(v) / (k(v)·(k(v)−1))` where `T(v)` is the number of triangles
-/// through `v` and `k(v)` its simple degree. Nodes with degree < 2 get 0.
-pub fn clustering_coefficients<N, E>(g: &DiGraph<N, E>) -> Vec<f64> {
-    clustering_coefficients_in(&g.undirected_adjacency())
-}
-
-/// [`clustering_coefficients`] over a prebuilt view.
-pub fn clustering_coefficients_view(view: &GraphView) -> Vec<f64> {
-    clustering_coefficients_in(view.undirected())
-}
-
-fn clustering_coefficients_in<A: Adjacency + ?Sized>(adj: &A) -> Vec<f64> {
-    (0..adj.order()).map(|w| node_clustering(adj, w)).collect()
-}
-
-/// Clustering coefficient of a single node.
+/// Clustering coefficient of node `w`: `2·T(w) / (k(w)·(k(w)−1))` where
+/// `T(w)` is the number of triangles through `w` and `k(w)` its simple
+/// degree. Nodes with degree < 2 get 0.
 fn node_clustering<A: Adjacency + ?Sized>(adj: &A, w: usize) -> f64 {
     let nbrs = adj.neighbors(w);
     let k = nbrs.len();
@@ -38,9 +23,8 @@ fn node_clustering<A: Adjacency + ?Sized>(adj: &A, w: usize) -> f64 {
     2.0 * triangles as f64 / (k * (k - 1)) as f64
 }
 
-/// Mean clustering coefficient over a prebuilt view, computed as a
-/// running sum in node order — bit-identical to
-/// `mean(&clustering_coefficients_view(view))`, no per-node vector.
+/// Average clustering coefficient (feature f21), as a running sum in
+/// node order.
 pub fn clustering_coefficient_mean_view(view: &GraphView) -> f64 {
     let adj = view.undirected();
     let n = adj.order();
@@ -50,27 +34,8 @@ pub fn clustering_coefficient_mean_view(view: &GraphView) -> f64 {
     (0..n).map(|w| node_clustering(adj, w)).sum::<f64>() / n as f64
 }
 
-/// Average clustering coefficient (feature f21).
-pub fn avg_clustering_coefficient<N, E>(g: &DiGraph<N, E>) -> f64 {
-    mean(&clustering_coefficients(g))
-}
-
-/// Per-node average neighbor degree on the undirected simple view: the
-/// mean simple degree of each node's neighbors. Isolated nodes get 0.
-pub fn neighbor_degrees<N, E>(g: &DiGraph<N, E>) -> Vec<f64> {
-    neighbor_degrees_in(&g.undirected_adjacency())
-}
-
-/// [`neighbor_degrees`] over a prebuilt view.
-pub fn neighbor_degrees_view(view: &GraphView) -> Vec<f64> {
-    neighbor_degrees_in(view.undirected())
-}
-
-fn neighbor_degrees_in<A: Adjacency + ?Sized>(adj: &A) -> Vec<f64> {
-    (0..adj.order()).map(|w| node_neighbor_degree(adj, w)).collect()
-}
-
-/// Average neighbor degree of a single node.
+/// Average neighbor degree of node `w`: the mean simple degree of its
+/// neighbors. Isolated nodes get 0.
 fn node_neighbor_degree<A: Adjacency + ?Sized>(adj: &A, w: usize) -> f64 {
     let nbrs = adj.neighbors(w);
     if nbrs.is_empty() {
@@ -80,8 +45,8 @@ fn node_neighbor_degree<A: Adjacency + ?Sized>(adj: &A, w: usize) -> f64 {
     }
 }
 
-/// Mean neighbor degree over a prebuilt view, as a running sum in node
-/// order — bit-identical to `mean(&neighbor_degrees_view(view))`.
+/// Average neighbor degree over all nodes (feature f22), as a running
+/// sum in node order.
 pub fn neighbor_degree_mean_view(view: &GraphView) -> f64 {
     let adj = view.undirected();
     let n = adj.order();
@@ -91,15 +56,10 @@ pub fn neighbor_degree_mean_view(view: &GraphView) -> f64 {
     (0..n).map(|w| node_neighbor_degree(adj, w)).sum::<f64>() / n as f64
 }
 
-/// Average neighbor degree over all nodes (feature f22).
-pub fn avg_neighbor_degree<N, E>(g: &DiGraph<N, E>) -> f64 {
-    mean(&neighbor_degrees(g))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeId;
+    use crate::{DiGraph, NodeId};
 
     fn triangle_plus_tail() -> DiGraph<(), ()> {
         // Triangle 0-1-2 with a tail 2-3.
@@ -112,9 +72,14 @@ mod tests {
         g
     }
 
+    fn per_node(g: &DiGraph<(), ()>, f: fn(&crate::Csr, usize) -> f64) -> Vec<f64> {
+        let view = GraphView::of(g);
+        (0..g.node_count()).map(|w| f(view.undirected(), w)).collect()
+    }
+
     #[test]
     fn triangle_nodes_fully_clustered() {
-        let cc = clustering_coefficients(&triangle_plus_tail());
+        let cc = per_node(&triangle_plus_tail(), node_clustering);
         assert!((cc[0] - 1.0).abs() < 1e-12);
         assert!((cc[1] - 1.0).abs() < 1e-12);
         // Node 2 has degree 3, one triangle: 2*1/(3*2) = 1/3.
@@ -130,7 +95,7 @@ mod tests {
             let l = g.add_node(());
             g.add_edge(c, l, ());
         }
-        assert_eq!(avg_clustering_coefficient(&g), 0.0);
+        assert_eq!(clustering_coefficient_mean_view(&GraphView::of(&g)), 0.0);
     }
 
     #[test]
@@ -138,7 +103,7 @@ mod tests {
         let mut g = triangle_plus_tail();
         g.add_edge(NodeId(0), NodeId(1), ());
         g.add_edge(NodeId(1), NodeId(0), ());
-        let cc = clustering_coefficients(&g);
+        let cc = per_node(&g, node_clustering);
         assert!((cc[0] - 1.0).abs() < 1e-12);
     }
 
@@ -149,22 +114,21 @@ mod tests {
         let n: Vec<_> = (0..3).map(|_| g.add_node(())).collect();
         g.add_edge(n[0], n[1], ());
         g.add_edge(n[1], n[2], ());
-        let nd = neighbor_degrees(&g);
-        assert_eq!(nd, vec![2.0, 1.0, 2.0]);
-        assert!((avg_neighbor_degree(&g) - 5.0 / 3.0).abs() < 1e-12);
+        assert_eq!(per_node(&g, node_neighbor_degree), vec![2.0, 1.0, 2.0]);
+        assert!((neighbor_degree_mean_view(&GraphView::of(&g)) - 5.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn isolated_node_neighbor_degree_zero() {
         let mut g: DiGraph<(), ()> = DiGraph::new();
         g.add_node(());
-        assert_eq!(neighbor_degrees(&g), vec![0.0]);
+        assert_eq!(per_node(&g, node_neighbor_degree), vec![0.0]);
     }
 
     #[test]
     fn empty_graph_means_are_zero() {
-        let g: DiGraph<(), ()> = DiGraph::new();
-        assert_eq!(avg_clustering_coefficient(&g), 0.0);
-        assert_eq!(avg_neighbor_degree(&g), 0.0);
+        let view = GraphView::of(&DiGraph::<(), ()>::new());
+        assert_eq!(clustering_coefficient_mean_view(&view), 0.0);
+        assert_eq!(neighbor_degree_mean_view(&view), 0.0);
     }
 }

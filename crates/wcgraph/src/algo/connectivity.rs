@@ -21,8 +21,9 @@ use crate::DiGraph;
 /// one disjoint path).
 ///
 /// One-shot: builds the whole vertex-split residual graph for this pair
-/// and augments until a search fails. [`average_node_connectivity`] does
-/// not call it; it is kept as the oracle for the pruned computation.
+/// and augments until a search fails.
+/// [`average_node_connectivity_view_scratch`] does not call it; it is kept
+/// as the oracle for the pruned computation.
 pub fn local_node_connectivity<A: Adjacency + ?Sized>(adj: &A, s: usize, t: usize) -> usize {
     assert_ne!(s, t, "local connectivity requires distinct endpoints");
     let n = adj.order();
@@ -268,29 +269,14 @@ impl Residual {
 }
 
 /// Average node connectivity: the mean of local node connectivity over
-/// node pairs (feature f20, Fig. 7's "average node connectivity").
+/// node pairs (feature f20, Fig. 7's "average node connectivity"),
+/// reusing `scratch`'s residual network: no allocation once its arrays
+/// have grown to the graph's size.
 ///
-/// For graphs with more than `sample_limit` nodes an exact all-pairs
-/// computation is quadratic in pairs times a max-flow each; we then fall
-/// back to a deterministic stride-sample of pairs, which preserves the
-/// estimator's mean on these small-world conversation graphs.
-pub fn average_node_connectivity<N, E>(g: &DiGraph<N, E>) -> f64 {
-    average_node_connectivity_with_limit(g, 64)
-}
-
-/// See [`average_node_connectivity`]; `sample_limit` bounds the node count
-/// above which pair sampling kicks in.
-pub fn average_node_connectivity_with_limit<N, E>(g: &DiGraph<N, E>, sample_limit: usize) -> f64 {
-    average_node_connectivity_in(&g.undirected_adjacency(), sample_limit, &mut Residual::default())
-}
-
-/// [`average_node_connectivity`] over a prebuilt view.
-pub fn average_node_connectivity_view(view: &GraphView) -> f64 {
-    average_node_connectivity_view_scratch(view, &mut AlgoScratch::new())
-}
-
-/// [`average_node_connectivity_view`] reusing `scratch`'s residual
-/// network: no allocation once its arrays have grown to the graph's size.
+/// For graphs with more than 64 nodes an exact all-pairs computation is
+/// quadratic in pairs times a max-flow each; we then fall back to a
+/// deterministic stride-sample of pairs, which preserves the estimator's
+/// mean on these small-world conversation graphs.
 pub fn average_node_connectivity_view_scratch(
     view: &GraphView,
     scratch: &mut AlgoScratch,
@@ -391,6 +377,10 @@ mod tests {
         g
     }
 
+    fn average_node_connectivity(g: &DiGraph<(), ()>) -> f64 {
+        average_node_connectivity_view_scratch(&GraphView::of(g), &mut AlgoScratch::new())
+    }
+
     /// `(f20, networks built, augmenting searches, pairs averaged)` of one call.
     fn counted(g: &DiGraph<(), ()>) -> (f64, usize, usize, usize) {
         BUILDS.with(|c| c.set(0));
@@ -477,9 +467,9 @@ mod tests {
 
     #[test]
     fn sampling_matches_exact_on_regular_graph() {
-        let g = complete(10);
-        let exact = average_node_connectivity_with_limit(&g, 1000);
-        let sampled = average_node_connectivity_with_limit(&g, 4);
+        let adj = complete(10).undirected_adjacency();
+        let exact = average_node_connectivity_in(&adj, 1000, &mut Residual::default());
+        let sampled = average_node_connectivity_in(&adj, 4, &mut Residual::default());
         assert!((exact - sampled).abs() < 1e-12); // all pairs identical in K10
     }
 

@@ -3,7 +3,6 @@
 use crate::algo::mean;
 use crate::algo::AlgoScratch;
 use crate::view::{Adjacency, GraphView};
-use crate::DiGraph;
 
 /// Default damping factor.
 pub const DEFAULT_DAMPING: f64 = 0.85;
@@ -12,31 +11,11 @@ pub const DEFAULT_TOL: f64 = 1e-10;
 /// Default iteration cap.
 pub const DEFAULT_MAX_ITER: usize = 200;
 
-/// Per-node PageRank with damping `d`. Dangling nodes (no out-edges)
-/// redistribute their rank uniformly. The result sums to 1 over all nodes.
-pub fn pagerank<N, E>(g: &DiGraph<N, E>, damping: f64, tol: f64, max_iter: usize) -> Vec<f64> {
-    let (succ, _) = g.directed_adjacency();
-    pagerank_in(&succ, damping, tol, max_iter)
-}
-
-/// [`pagerank`] over a prebuilt view.
-pub fn pagerank_view(view: &GraphView, damping: f64, tol: f64, max_iter: usize) -> Vec<f64> {
-    pagerank_in(view.successors(), damping, tol, max_iter)
-}
-
-fn pagerank_in<A: Adjacency + ?Sized>(
-    succ: &A,
-    damping: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Vec<f64> {
-    let mut scratch = AlgoScratch::new();
-    pagerank_into(succ, damping, tol, max_iter, &mut scratch);
-    std::mem::take(&mut scratch.rank)
-}
-
-/// Mean PageRank over a prebuilt view, reusing `scratch`'s double
-/// buffers. Bit-identical to `mean(&pagerank_view(...))`.
+/// Mean PageRank over a prebuilt view (feature f25), reusing
+/// `scratch`'s double buffers. By conservation this equals `1/order` for
+/// any non-empty graph up to the iteration's rounding, so the feature is
+/// an inverse-order signal — we keep it for fidelity with the paper's
+/// feature list.
 pub fn pagerank_mean_scratch(
     view: &GraphView,
     damping: f64,
@@ -48,10 +27,10 @@ pub fn pagerank_mean_scratch(
     mean(&scratch.rank)
 }
 
-/// Power iteration into `scratch.rank`, swapping the two rank buffers
-/// each iteration instead of allocating a fresh `next` vector. The
-/// per-iteration arithmetic (and therefore every bit of the result) is
-/// unchanged from the allocating version.
+/// Per-node PageRank with damping `d` on the directed simple graph,
+/// by power iteration into `scratch.rank`, swapping the two rank buffers
+/// each iteration. Dangling nodes (no out-edges) redistribute their rank
+/// uniformly; the result sums to 1 over all nodes.
 fn pagerank_into<A: Adjacency + ?Sized>(
     succ: &A,
     damping: f64,
@@ -93,21 +72,24 @@ fn pagerank_into<A: Adjacency + ?Sized>(
     }
 }
 
-/// PageRank with the default parameters.
-pub fn pagerank_default<N, E>(g: &DiGraph<N, E>) -> Vec<f64> {
-    pagerank(g, DEFAULT_DAMPING, DEFAULT_TOL, DEFAULT_MAX_ITER)
-}
-
-/// Average PageRank value (feature f25). Equal to `1/order` for any
-/// non-empty graph by conservation, so this feature is an inverse-order
-/// signal — we keep it for fidelity with the paper's feature list.
-pub fn avg_pagerank<N, E>(g: &DiGraph<N, E>) -> f64 {
-    mean(&pagerank_default(g))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiGraph;
+
+    /// The per-node ranks with the default parameters.
+    fn pagerank_default(g: &DiGraph<(), ()>) -> Vec<f64> {
+        let mut scratch = AlgoScratch::new();
+        let view = GraphView::of(g);
+        pagerank_into(view.successors(), DEFAULT_DAMPING, DEFAULT_TOL, DEFAULT_MAX_ITER, &mut scratch);
+        scratch.rank
+    }
+
+    fn avg_pagerank(g: &DiGraph<(), ()>) -> f64 {
+        let view = GraphView::of(g);
+        let (d, t, i) = (DEFAULT_DAMPING, DEFAULT_TOL, DEFAULT_MAX_ITER);
+        pagerank_mean_scratch(&view, d, t, i, &mut AlgoScratch::new())
+    }
 
     #[test]
     fn sums_to_one() {

@@ -1,23 +1,13 @@
 //! Edge reciprocity: the likelihood of nodes to be mutually linked.
 
-use crate::view::{Adjacency, GraphView};
-use crate::DiGraph;
+use crate::view::GraphView;
 
-/// Reciprocity of the directed simple graph: the fraction of directed
-/// (simple) edges `u → v` for which the reverse edge `v → u` also exists.
-/// Self-loops and parallel edges are ignored. Returns 0 for graphs without
-/// edges.
-pub fn reciprocity<N, E>(g: &DiGraph<N, E>) -> f64 {
-    let (succ, _) = g.directed_adjacency();
-    reciprocity_in(&succ)
-}
-
-/// [`reciprocity`] over a prebuilt view.
+/// Reciprocity of the directed simple graph (feature f15): the fraction
+/// of directed (simple) edges `u → v` for which the reverse edge `v → u`
+/// also exists. Self-loops and parallel edges are ignored. Returns 0 for
+/// graphs without edges.
 pub fn reciprocity_view(view: &GraphView) -> f64 {
-    reciprocity_in(view.successors())
-}
-
-fn reciprocity_in<A: Adjacency + ?Sized>(succ: &A) -> f64 {
+    let succ = view.successors();
     let mut total = 0usize;
     let mut reciprocated = 0usize;
     for u in 0..succ.order() {
@@ -38,6 +28,11 @@ fn reciprocity_in<A: Adjacency + ?Sized>(succ: &A) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiGraph;
+
+    fn reciprocity(g: &DiGraph<(), ()>) -> f64 {
+        reciprocity_view(&GraphView::of(g))
+    }
 
     #[test]
     fn fully_reciprocated() {

@@ -4,11 +4,9 @@
 //! [`AlgoScratch`] through every traversal, so a long-lived caller (the
 //! feature extractor classifying thousands of conversations) performs no
 //! steady-state heap allocation: buffers grow to the largest graph seen
-//! and are reused from then on. Results are bit-identical to the
-//! allocating one-shot entry points: every float is accumulated from the
-//! same terms in the same order, and what the scratch variants skip or
-//! fuse (a BFS whose distance row another pass already holds, a max-flow a
-//! degree already decides) only ever produced integers.
+//! and are reused from then on. What a result may depend on is the graph
+//! alone: every kernel sizes and resets the buffers it reads, so a reused
+//! scratch gives the bits a fresh one does.
 
 use std::collections::VecDeque;
 
@@ -28,19 +26,15 @@ pub struct AlgoScratch {
     /// Brandes visitation order.
     pub(crate) order: Vec<usize>,
     /// Brandes shortest-path predecessor lists. Rows keep their capacity
-    /// across sources and calls — the Vec-pool that makes the fused
-    /// betweenness/load pass allocation-free in steady state.
+    /// across sources and calls — the Vec-pool that makes the
+    /// all-sources sweep allocation-free in steady state.
     pub(crate) preds: Vec<Vec<usize>>,
     /// Brandes path counts.
     pub(crate) sigma: Vec<f64>,
     /// Brandes dependency accumulator.
     pub(crate) delta: Vec<f64>,
-    /// Load back-propagation units.
-    pub(crate) between: Vec<f64>,
-    /// Primary per-node output buffer (betweenness).
-    pub(crate) values_a: Vec<f64>,
-    /// Secondary per-node output buffer (load).
-    pub(crate) values_b: Vec<f64>,
+    /// Per-node betweenness, the sweep's output row.
+    pub(crate) betweenness: Vec<f64>,
     /// PageRank double buffers, swapped each power iteration.
     pub(crate) rank: Vec<f64>,
     pub(crate) rank_next: Vec<f64>,
@@ -59,9 +53,7 @@ impl AlgoScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{
-        centrality, clustering, connectivity, mean, pagerank, paths,
-    };
+    use crate::algo::{centrality, clustering, connectivity, pagerank, reciprocity};
     use crate::view::GraphView;
     use crate::DiGraph;
 
@@ -93,10 +85,35 @@ mod tests {
         g
     }
 
-    /// Every scratch variant must agree bit-for-bit with its allocating
-    /// counterpart when one scratch and one view are reused across graphs
-    /// that shrink and grow, cross the pair-sampling limit and fall apart
-    /// into components (stale buffer contents must not leak).
+    /// Every view- and scratch-taking kernel's result, as bits, in the
+    /// order the feature extractor runs them.
+    fn kernels(view: &GraphView, scratch: &mut AlgoScratch) -> Vec<u64> {
+        let sweep = centrality::sweep_means_scratch(view, 2, scratch);
+        let (b, l) = centrality::betweenness_and_load_means_scratch(view, scratch);
+        let (d, t, i) =
+            (pagerank::DEFAULT_DAMPING, pagerank::DEFAULT_TOL, pagerank::DEFAULT_MAX_ITER);
+        [
+            sweep.closeness,
+            sweep.betweenness,
+            sweep.within_k,
+            b,
+            l,
+            reciprocity::reciprocity_view(view),
+            connectivity::average_node_connectivity_view_scratch(view, scratch),
+            clustering::clustering_coefficient_mean_view(view),
+            clustering::neighbor_degree_mean_view(view),
+            pagerank::pagerank_mean_scratch(view, d, t, i, scratch),
+        ]
+        .iter()
+        .map(|x| x.to_bits())
+        .chain([sweep.diameter as u64])
+        .collect()
+    }
+
+    /// One scratch and one view reused across graphs that shrink and
+    /// grow, cross the pair-sampling limit and fall apart into
+    /// components give the bits fresh ones give: stale buffer contents
+    /// must not leak.
     #[test]
     fn scratch_variants_bit_identical_across_reuse() {
         let mut two_parts = cycle(7);
@@ -124,43 +141,11 @@ mod tests {
                 assert_eq!(view.successors().neighbors(u), fresh.successors().neighbors(u));
                 assert_eq!(view.predecessors().neighbors(u), fresh.predecessors().neighbors(u));
             }
-            let sweep = centrality::sweep_means_scratch(&view, 2, &mut scratch);
-            assert_eq!(sweep.diameter, paths::diameter_view(&view));
             assert_eq!(
-                sweep.within_k.to_bits(),
-                paths::avg_nodes_within_distance_view(&view, 2).to_bits(),
-            );
-            assert_eq!(
-                sweep.closeness.to_bits(),
-                mean(&centrality::closeness_centrality_view(&view)).to_bits(),
-            );
-            let (bv, lv) = centrality::betweenness_and_load_view(&view);
-            assert_eq!(sweep.betweenness.to_bits(), mean(&bv).to_bits());
-            assert_eq!(sweep.load.to_bits(), mean(&lv).to_bits());
-            let (b, l) = centrality::betweenness_and_load_means_scratch(&view, &mut scratch);
-            assert_eq!(b.to_bits(), sweep.betweenness.to_bits());
-            assert_eq!(l.to_bits(), sweep.load.to_bits());
-            assert_eq!(
-                connectivity::average_node_connectivity_view_scratch(&view, &mut scratch)
-                    .to_bits(),
-                connectivity::average_node_connectivity_view(&view).to_bits(),
-            );
-            assert_eq!(
-                clustering::clustering_coefficient_mean_view(&view).to_bits(),
-                mean(&clustering::clustering_coefficients_view(&view)).to_bits(),
-            );
-            assert_eq!(
-                clustering::neighbor_degree_mean_view(&view).to_bits(),
-                mean(&clustering::neighbor_degrees_view(&view)).to_bits(),
-            );
-            let (d, t, i) = (
-                pagerank::DEFAULT_DAMPING,
-                pagerank::DEFAULT_TOL,
-                pagerank::DEFAULT_MAX_ITER,
-            );
-            assert_eq!(
-                pagerank::pagerank_mean_scratch(&view, d, t, i, &mut scratch).to_bits(),
-                mean(&pagerank::pagerank_view(&view, d, t, i)).to_bits(),
+                kernels(&view, &mut scratch),
+                kernels(&fresh, &mut AlgoScratch::new()),
+                "{} nodes",
+                g.node_count()
             );
         }
     }

@@ -26,13 +26,13 @@ struct Edge<E> {
 pub struct DiGraph<N, E> {
     nodes: Vec<N>,
     edges: Vec<Edge<E>>,
-    out_adj: Vec<Vec<EdgeId>>,
-    in_adj: Vec<Vec<EdgeId>>,
+    /// Per-node total degree, bumped at both endpoints by `add_edge`.
+    degree: Vec<usize>,
 }
 
 impl<N, E> Default for DiGraph<N, E> {
     fn default() -> Self {
-        DiGraph { nodes: Vec::new(), edges: Vec::new(), out_adj: Vec::new(), in_adj: Vec::new() }
+        DiGraph { nodes: Vec::new(), edges: Vec::new(), degree: Vec::new() }
     }
 }
 
@@ -46,8 +46,7 @@ impl<N, E> DiGraph<N, E> {
     pub fn add_node(&mut self, payload: N) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(payload);
-        self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
+        self.degree.push(0);
         id
     }
 
@@ -61,8 +60,8 @@ impl<N, E> DiGraph<N, E> {
         assert!(dst.0 < self.nodes.len(), "dst node {} out of bounds", dst.0);
         let id = EdgeId(self.edges.len());
         self.edges.push(Edge { src, dst, payload });
-        self.out_adj[src.0].push(id);
-        self.in_adj[dst.0].push(id);
+        self.degree[src.0] += 1;
+        self.degree[dst.0] += 1;
         id
     }
 
@@ -112,24 +111,9 @@ impl<N, E> DiGraph<N, E> {
         &mut self.edges[e.0].payload
     }
 
-    /// `(src, dst)` endpoints of edge `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of bounds.
-    pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
-        let edge = &self.edges[e.0];
-        (edge.src, edge.dst)
-    }
-
     /// Iterates over all node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len()).map(NodeId)
-    }
-
-    /// Iterates over all edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.edges.len()).map(EdgeId)
     }
 
     /// Iterates over `(EdgeId, src, dst, &payload)` for every edge.
@@ -137,63 +121,10 @@ impl<N, E> DiGraph<N, E> {
         self.edges.iter().enumerate().map(|(i, e)| (EdgeId(i), e.src, e.dst, &e.payload))
     }
 
-    /// Outgoing edge ids of `n`.
-    pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.out_adj[n.0]
-    }
-
-    /// Incoming edge ids of `n`.
-    pub fn in_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.in_adj[n.0]
-    }
-
-    /// Out-degree of `n` counting parallel edges.
-    pub fn out_degree(&self, n: NodeId) -> usize {
-        self.out_adj[n.0].len()
-    }
-
-    /// In-degree of `n` counting parallel edges.
-    pub fn in_degree(&self, n: NodeId) -> usize {
-        self.in_adj[n.0].len()
-    }
-
-    /// Total degree (in + out) of `n` counting parallel edges.
+    /// Total degree (in + out) of `n` counting parallel edges; a
+    /// self-loop counts twice.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.out_degree(n) + self.in_degree(n)
-    }
-
-    /// Distinct successor nodes of `n` (parallel edges collapsed, sorted).
-    ///
-    /// Allocates a fresh `Vec` per call; prefer [`DiGraph::successor_ids`]
-    /// or a [`crate::GraphView`] on hot paths.
-    pub fn successors(&self, n: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.successor_ids(n).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Distinct predecessor nodes of `n` (parallel edges collapsed, sorted).
-    ///
-    /// Allocates a fresh `Vec` per call; prefer [`DiGraph::predecessor_ids`]
-    /// or a [`crate::GraphView`] on hot paths.
-    pub fn predecessors(&self, n: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.predecessor_ids(n).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Successor nodes of `n` in edge-insertion order, without allocating.
-    /// Parallel edges yield their target once per edge.
-    pub fn successor_ids(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_adj[n.0].iter().map(|e| self.edges[e.0].dst)
-    }
-
-    /// Predecessor nodes of `n` in edge-insertion order, without allocating.
-    /// Parallel edges yield their source once per edge.
-    pub fn predecessor_ids(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_adj[n.0].iter().map(|e| self.edges[e.0].src)
+        self.degree[n.0]
     }
 
     /// Simple undirected adjacency: for each node, the sorted distinct
@@ -255,18 +186,19 @@ mod tests {
         assert_eq!(g.edge_count(), 3);
         assert_eq!(*g.node(NodeId(1)), "b");
         assert_eq!(*g.edge(EdgeId(2)), 3);
-        assert_eq!(g.endpoints(EdgeId(0)), (NodeId(0), NodeId(1)));
+        assert_eq!(g.edges().next(), Some((EdgeId(0), NodeId(0), NodeId(1), &1)));
     }
 
     #[test]
     fn degrees_count_parallel_edges() {
         let mut g = triangle();
         g.add_edge(NodeId(0), NodeId(1), 9);
-        assert_eq!(g.out_degree(NodeId(0)), 2);
-        assert_eq!(g.in_degree(NodeId(1)), 2);
+        g.add_edge(NodeId(2), NodeId(2), 9);
         assert_eq!(g.degree(NodeId(0)), 3); // 2 out + 1 in
-        // …but successor sets collapse them.
-        assert_eq!(g.successors(NodeId(0)), vec![NodeId(1)]);
+        assert_eq!(g.degree(NodeId(1)), 3); // 1 out + 2 in
+        assert_eq!(g.degree(NodeId(2)), 4); // the self-loop counts twice
+        // …but the simple adjacency collapses them.
+        assert_eq!(g.directed_adjacency().0[0], vec![1]);
     }
 
     #[test]
@@ -309,7 +241,6 @@ mod tests {
     fn iterators_cover_everything() {
         let g = triangle();
         assert_eq!(g.node_ids().count(), 3);
-        assert_eq!(g.edge_ids().count(), 3);
         let total: u32 = g.edges().map(|(_, _, _, w)| *w).sum();
         assert_eq!(total, 6);
     }

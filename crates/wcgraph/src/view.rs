@@ -1,7 +1,7 @@
 //! Shared analytics workspace.
 //!
 //! Every metric in [`crate::algo`] needs some flavour of adjacency —
-//! undirected neighbor sets, successor lists, predecessor lists, degrees.
+//! undirected neighbor sets, successor lists, predecessor lists.
 //! Historically each function privately re-materialized those (`Vec<Vec<_>>`
 //! with a per-row sort and dedup), so a full 37-feature extraction rebuilt
 //! the same adjacency close to a dozen times. A [`GraphView`] builds each
@@ -11,10 +11,11 @@
 //! detector scoring thousands of conversations performs near-zero steady
 //! state allocation for adjacency.
 //!
-//! Neighbor ordering is identical to the legacy per-call materialization
-//! (sorted ascending, deduplicated, self-loops excluded from the undirected
-//! form), which keeps every floating-point reduction in `algo` bit-identical
-//! whether it runs over a view or over ad-hoc lists. Only the successor
+//! Neighbor ordering is identical to the per-call materialization
+//! [`DiGraph::undirected_adjacency`] and [`DiGraph::directed_adjacency`]
+//! give (sorted ascending, deduplicated, self-loops excluded), which the
+//! tests hold the view to and which fixes the order every floating-point
+//! reduction in `algo` adds its terms in. Only the successor
 //! rows are sorted; the predecessor rows are their counting transpose and
 //! the undirected rows the merge of the two (see [`GraphView::load`]).
 
@@ -31,16 +32,6 @@ pub trait Adjacency {
     fn order(&self) -> usize;
     /// Sorted, deduplicated neighbors of `u`.
     fn neighbors(&self, u: usize) -> &[usize];
-}
-
-impl Adjacency for [Vec<usize>] {
-    fn order(&self) -> usize {
-        self.len()
-    }
-
-    fn neighbors(&self, u: usize) -> &[usize] {
-        &self[u]
-    }
 }
 
 impl Adjacency for Vec<Vec<usize>> {
@@ -156,9 +147,6 @@ impl Adjacency for Csr {
 #[derive(Debug, Clone, Default)]
 pub struct GraphView {
     n: usize,
-    /// Per-node total degree, counting parallel edges and self-loops twice,
-    /// exactly like [`DiGraph::degree`].
-    degree: Vec<usize>,
     /// Undirected simple adjacency, self-loops excluded
     /// (mirrors [`DiGraph::undirected_adjacency`]).
     und: Csr,
@@ -194,8 +182,6 @@ impl GraphView {
             "GraphView supports at most u32::MAX nodes"
         );
         self.n = n;
-        self.degree.clear();
-        self.degree.extend(g.node_ids().map(|v| g.degree(v)));
 
         // One pass and one sort give the successor rows; the predecessor
         // rows are their transpose and the undirected rows the union of
@@ -216,16 +202,6 @@ impl GraphView {
     /// Number of nodes.
     pub fn order(&self) -> usize {
         self.n
-    }
-
-    /// Total degree of `u` (parallel edges counted, self-loops twice).
-    pub fn degree(&self, u: usize) -> usize {
-        self.degree[u]
-    }
-
-    /// Per-node degrees, indexed by node id.
-    pub fn degrees(&self) -> &[usize] {
-        &self.degree
     }
 
     /// Undirected simple adjacency (self-loops excluded).
@@ -269,7 +245,6 @@ mod tests {
             assert_eq!(view.undirected().neighbors(u), und[u].as_slice(), "und {u}");
             assert_eq!(view.successors().neighbors(u), succ[u].as_slice(), "succ {u}");
             assert_eq!(view.predecessors().neighbors(u), pred[u].as_slice(), "pred {u}");
-            assert_eq!(view.degree(u), g.degree(crate::NodeId(u)), "deg {u}");
         }
     }
 
@@ -313,6 +288,5 @@ mod tests {
         assert_eq!(view.order(), 5);
         view.load(&DiGraph::<(), ()>::new());
         assert_eq!(view.order(), 0);
-        assert!(view.degrees().is_empty());
     }
 }

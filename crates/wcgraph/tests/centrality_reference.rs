@@ -1,31 +1,36 @@
-//! The fused Brandes pass against a naive reference.
+//! The all-sources sweep against a naive reference.
 //!
-//! `algo::centrality` obtains betweenness and load from one BFS per
-//! source over reused scratch buffers, with path counts held in `f64`.
+//! `algo::centrality::sweep_means_scratch` obtains f12, f17, f18, f19 and
+//! f24 from one Brandes BFS per source over reused scratch buffers, with
+//! path counts held in `f64`, and reports mean load as mean betweenness.
 //! The reference below shares none of that: it fills an all-pairs
 //! distance matrix first, counts shortest paths in integers, and then
-//! applies each measure's definition pair by pair (the Mal-Netminer
-//! cross-check: graph metrics that decide a verdict are computed twice,
-//! two ways). Both run on every WCG of a seeded ground-truth corpus and
-//! on seeded random multigraphs with self-loops, parallel edges and
-//! disconnected parts.
+//! applies each measure's definition pair by pair — load by its own
+//! equal-split rule (the Mal-Netminer cross-check: graph metrics that
+//! decide a verdict are computed twice, two ways). Both run on every WCG
+//! of a seeded ground-truth corpus and on seeded random multigraphs with
+//! self-loops, parallel edges and disconnected parts.
 
 use std::collections::VecDeque;
 
 use dynaminer::wcg::Wcg;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wcgraph::algo::centrality::{betweenness_and_load_view, closeness_centrality_view};
-use wcgraph::algo::mean;
+use wcgraph::algo::centrality::sweep_means_scratch;
+use wcgraph::algo::{mean, AlgoScratch};
 use wcgraph::{DiGraph, GraphView};
 
 const UNREACHABLE: usize = usize::MAX;
 
-/// Betweenness, load and closeness per node, from definitions.
+/// The sweep's measures from definitions: betweenness, load and
+/// closeness per node, the largest finite distance (f12) and the number
+/// of (source, other node) pairs at most two hops apart (f24's sum).
 struct Reference {
     betweenness: Vec<f64>,
     load: Vec<f64>,
     closeness: Vec<f64>,
+    diameter: usize,
+    within_2: usize,
 }
 
 /// The undirected simple graph under `g`: direction, parallel edges and
@@ -140,7 +145,19 @@ fn reference<N, E>(g: &DiGraph<N, E>) -> Reference {
         })
         .collect();
 
-    Reference { betweenness, load, closeness }
+    // The largest finite distance, and the ordered pairs of distinct
+    // nodes at most two hops apart.
+    let (mut diameter, mut within_2) = (0, 0);
+    for (s, row) in dist.iter().enumerate() {
+        for (t, &d) in row.iter().enumerate() {
+            if t != s && d != UNREACHABLE {
+                diameter = diameter.max(d);
+                within_2 += usize::from(d <= 2);
+            }
+        }
+    }
+
+    Reference { betweenness, load, closeness, diameter, within_2 }
 }
 
 #[track_caller]
@@ -152,24 +169,20 @@ fn assert_close(fused: f64, naive: f64, tolerance: f64, what: &str) {
     );
 }
 
-/// Per node to 1e-9 (sums of up to n² rounded quotients in two
-/// different orders), the averages the features use to 1e-12.
+/// f12 and f24 exactly (integers, and the same quotient), f17 exactly
+/// (the same Wasserman–Faust terms summed in source order), f18 and the
+/// f19 the features take from it to 1e-12 (sums of up to n² rounded
+/// quotients in two different orders).
 fn assert_agrees<N, E>(g: &DiGraph<N, E>, what: &str) {
-    let view = GraphView::of(g);
-    let (betweenness, load) = betweenness_and_load_view(&view);
-    let closeness = closeness_centrality_view(&view);
+    let sweep = sweep_means_scratch(&GraphView::of(g), 2, &mut AlgoScratch::new());
     let naive = reference(g);
-    for (name, fused, naive) in [
-        ("betweenness", &betweenness, &naive.betweenness),
-        ("load", &load, &naive.load),
-        ("closeness", &closeness, &naive.closeness),
-    ] {
-        assert_eq!(fused.len(), naive.len());
-        for (v, (&f, &r)) in fused.iter().zip(naive).enumerate() {
-            assert_close(f, r, 1e-9, &format!("{what}: {name} of node {v}"));
-        }
-        assert_close(mean(fused), mean(naive), 1e-12, &format!("{what}: mean {name}"));
-    }
+    let n = g.node_count();
+    let within_2 = if n == 0 { 0.0 } else { naive.within_2 as f64 / n as f64 };
+    assert_eq!(sweep.diameter, naive.diameter, "{what}: f12");
+    assert_eq!(sweep.closeness.to_bits(), mean(&naive.closeness).to_bits(), "{what}: f17");
+    assert_eq!(sweep.within_k.to_bits(), within_2.to_bits(), "{what}: f24");
+    assert_close(sweep.betweenness, mean(&naive.betweenness), 1e-12, &format!("{what}: f18"));
+    assert_close(sweep.betweenness, mean(&naive.load), 1e-12, &format!("{what}: f19"));
 }
 
 #[test]
