@@ -47,25 +47,18 @@ pub(super) fn table3_ablation(fx: &Fixtures, out: &mut Report) {
         "Features", "TPR", "FPR", "F-score", "ROC Area"
     );
     let group = |selection: FeatureSelection| {
-        cv10(&data.select_features(&selection.columns()), &ForestConfig::default())
+        cv10(&data.select_features(selection.columns()), &ForestConfig::default())
     };
     let (gf, nongraph) = (group(FeatureSelection::GraphOnly), group(FeatureSelection::NonGraph));
     let all = fx.cv_default();
-    for ((selection, r), paper) in [
-        (FeatureSelection::All, all),
-        (FeatureSelection::GraphOnly, &gf),
-        (FeatureSelection::NonGraph, &nongraph),
-    ]
-    .into_iter()
-    .zip(TABLE3_PAPER)
-    {
+    for (r, (label, tpr, fpr, f1, auc)) in [all, &gf, &nongraph].into_iter().zip(TABLE3_PAPER) {
         outln!(
             out, "{:<14} {} {} {} {}",
-            selection.label(),
-            vs(r.confusion.tpr(), paper.1),
-            vs(r.confusion.fpr(), paper.2),
-            vs(r.confusion.f1(), paper.3),
-            vs(r.roc_area, paper.4),
+            label,
+            vs(r.confusion.tpr(), tpr),
+            vs(r.confusion.fpr(), fpr),
+            vs(r.confusion.f1(), f1),
+            vs(r.roc_area, auc),
         );
     }
     let (all_fpr, gf_fpr, nongraph_fpr) =
@@ -472,7 +465,8 @@ pub(super) fn extension_family_attribution(fx: &Fixtures, out: &mut Report) {
     let mut predictions = vec![0usize; data.len()];
     for (i, fold) in folds.iter().enumerate() {
         let train = data.subset(&fold.train);
-        let forest = RandomForest::fit(&train, &ForestConfig::default(), EXPERIMENT_SEED + i as u64);
+        let seed = EXPERIMENT_SEED + i as u64;
+        let forest = RandomForest::fit(&train, &ForestConfig::default(), seed, 0, None);
         for &idx in &fold.test {
             predictions[idx] = forest.predict(data.row(idx));
         }

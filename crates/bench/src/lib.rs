@@ -189,5 +189,5 @@ pub fn corpus_dataset(corpus: &[Episode]) -> Dataset {
 /// The evaluation protocol of every classifier table: stratified
 /// 10-fold cross-validation at the experiment seed.
 pub fn cv10(data: &Dataset, config: &ForestConfig) -> CvResult {
-    cross_validate(data, 10, config, 1, EXPERIMENT_SEED)
+    cross_validate(data, 10, config, 1, EXPERIMENT_SEED, 0)
 }

@@ -213,6 +213,7 @@ pub(crate) fn load_model(path: &str) -> Result<Classifier, String> {
             saved.format_version
         ));
     }
+    saved.classifier.check().map_err(|e| format!("{path} is not a valid model: {e}"))?;
     Ok(saved.classifier)
 }
 
@@ -239,7 +240,7 @@ pub(crate) fn train_classifier(
     }
     let tree_fit_ns = registry
         .map(|r| r.latency_histogram("mlearn_tree_fit_ns", "Per-tree random-forest fit time"));
-    Classifier::fit_threaded_timed(
+    Classifier::fit(
         &data,
         FeatureSelection::All,
         &mlearn::forest::ForestConfig::default(),

@@ -119,6 +119,52 @@ fn model_format_version_round_trip_and_mismatch_rejection() {
     }
 }
 
+/// `text` with what lies between the first `open` and the next `close`
+/// replaced by `with`.
+fn splice(text: &str, open: &str, close: &str, with: &str) -> String {
+    let start = text.find(open).expect(open) + open.len();
+    let end = start + text[start..].find(close).expect(close);
+    format!("{}{with}{}", &text[..start], &text[end..])
+}
+
+/// A model file that parses and carries the right format version but
+/// could not score — a selection wider or narrower than its trees, no
+/// trees, a split on a feature the rows lack, a leaf without both class
+/// probabilities — is refused when it is loaded, naming the file, by
+/// every consumer; it never reaches scoring, where it would panic or
+/// print NaN.
+#[test]
+fn structurally_invalid_models_are_rejected_at_load() {
+    let capture = tmp("nuclear-hostile.pcap");
+    commands::generate(&args(&["--family", "nuclear", "--seed", "23", "--out", &capture]))
+        .unwrap();
+    let model = trained_model_path();
+    commands::classify(&args(&["--model", &model, &capture])).unwrap();
+    let text = std::fs::read_to_string(&model).unwrap();
+    let tamperings = [
+        ("selection", text.replacen("\"selection\":\"All\"", "\"selection\":\"GraphOnly\"", 1)),
+        ("no-trees", splice(&text, "\"trees\":[", "],\"n_classes\"", "")),
+        ("split-feature", splice(&text, "\"feature\":", ",", "99")),
+        ("short-leaf", splice(&text, "\"probs\":[", "]", "1.0")),
+    ];
+    for (what, tampered) in tamperings {
+        assert_ne!(tampered, text, "{what}: the tampering changed nothing");
+        let path = tmp(&format!("model-{what}.json"));
+        std::fs::write(&path, tampered).unwrap();
+        for result in [
+            commands::classify(&args(&["--model", &path, &capture])),
+            commands::replay(&args(&["--model", &path, &capture])),
+            commands::inspect(&args(&["--model", &path])),
+        ] {
+            let err = result.unwrap_err();
+            assert!(
+                err.contains(&path) && err.contains("is not a valid model"),
+                "{what}: unexpected error: {err}"
+            );
+        }
+    }
+}
+
 /// `replay --shards N` drives the streamd engine: the run succeeds, the
 /// engine's telemetry lands in --metrics-out, and the zero-loss drain
 /// invariant (enqueued == processed, nothing dropped) holds.

@@ -29,53 +29,64 @@ pub enum FeatureSelection {
     NonGraph,
 }
 
+/// Column `c` at index `c`: each selection is a slice of it or, for
+/// [`FeatureSelection::NonGraph`], of [`NON_GRAPH_COLUMNS`].
+static ALL_COLUMNS: [usize; FEATURE_COUNT] = {
+    let mut columns = [0; FEATURE_COUNT];
+    let mut c = 0;
+    while c < FEATURE_COUNT {
+        columns[c] = c;
+        c += 1;
+    }
+    columns
+};
+
+const GRAPH: std::ops::Range<usize> = FeatureGroup::Graph.columns();
+
+/// The high-level, header and temporal columns: everything outside
+/// [`FeatureGroup::Graph`].
+static NON_GRAPH_COLUMNS: [usize; FEATURE_COUNT - (GRAPH.end - GRAPH.start)] = {
+    let mut columns = [0; FEATURE_COUNT - (GRAPH.end - GRAPH.start)];
+    let (mut c, mut i) = (0, 0);
+    while c < FEATURE_COUNT {
+        if c < GRAPH.start || c >= GRAPH.end {
+            columns[i] = c;
+            i += 1;
+        }
+        c += 1;
+    }
+    columns
+};
+
 impl FeatureSelection {
     /// The selected column indices, in order.
-    pub fn columns(self) -> Vec<usize> {
+    pub fn columns(self) -> &'static [usize] {
         match self {
-            FeatureSelection::All => (0..FEATURE_COUNT).collect(),
-            FeatureSelection::GraphOnly => FeatureGroup::Graph.columns().collect(),
-            FeatureSelection::NonGraph => (0..FEATURE_COUNT)
-                .filter(|&c| FeatureGroup::of_column(c) != FeatureGroup::Graph)
-                .collect(),
-        }
-    }
-
-    /// Table III row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FeatureSelection::All => "All",
-            FeatureSelection::GraphOnly => "GFs",
-            FeatureSelection::NonGraph => "HLFs+HFs+TFs",
+            FeatureSelection::All => &ALL_COLUMNS,
+            FeatureSelection::GraphOnly => &ALL_COLUMNS[GRAPH],
+            FeatureSelection::NonGraph => &NON_GRAPH_COLUMNS,
         }
     }
 }
 
 /// Builds a 37-column binary dataset from labelled conversations
-/// (`true` = infection). Each conversation is abstracted into a WCG and
-/// featurized.
+/// (`true` = infection) on the calling thread: [`build_dataset_parallel`]
+/// with one worker.
 pub fn build_dataset<'a, I>(conversations: I) -> Dataset
 where
     I: IntoIterator<Item = (&'a [HttpTransaction], bool)>,
 {
-    let mut data = Dataset::new(NAMES.iter().map(|s| s.to_string()).collect(), 2);
-    for (txs, infected) in conversations {
-        let wcg = Wcg::from_transactions(txs);
-        let fv = features::extract(&wcg);
-        data.push(fv.values().to_vec(), usize::from(infected));
-    }
-    data
+    let items: Vec<(&[HttpTransaction], bool)> = conversations.into_iter().collect();
+    build_dataset_parallel(&items, 1)
 }
 
-/// Builds the same dataset as [`build_dataset`] but extracts features in
-/// parallel through the [`mlearn::parallel`] worker pool — WCG
-/// featurization is the dominant cost when featurizing thousands of
-/// conversations (graph analytics per conversation), and conversations
-/// are independent. The dynamic work distribution also balances the very
-/// uneven per-conversation cost (graph analytics scale with WCG size).
-///
-/// The resulting dataset is bit-identical to the sequential one (row
-/// order is preserved).
+/// Builds a 37-column binary dataset from labelled conversations
+/// (`true` = infection): each conversation is abstracted into a WCG and
+/// featurized, on up to `threads` workers of the [`mlearn::parallel`]
+/// pool. Featurization dominates the cost (graph analytics per
+/// conversation, very uneven across WCG sizes, which the pool's dynamic
+/// distribution balances). Rows keep the input order, so the dataset is
+/// the same at any `threads`.
 pub fn build_dataset_parallel(
     conversations: &[(&[HttpTransaction], bool)],
     threads: usize,
@@ -102,7 +113,10 @@ pub struct Classifier {
 
 impl Classifier {
     /// Trains on a 37-column dataset (as produced by [`build_dataset`]),
-    /// projecting to `selection`'s columns first.
+    /// projecting to `selection`'s columns first. Trees grow on up to
+    /// `threads` workers (`0` = all cores) and, with `tree_fit_ns`, record
+    /// their fit times (see [`RandomForest::fit`]); the model is
+    /// bit-identical either way.
     ///
     /// # Panics
     ///
@@ -112,63 +126,42 @@ impl Classifier {
         selection: FeatureSelection,
         config: &ForestConfig,
         seed: u64,
-    ) -> Classifier {
-        assert_eq!(data.n_features(), FEATURE_COUNT, "expected a 37-feature dataset");
-        let projected = data.select_features(&selection.columns());
-        Classifier { forest: RandomForest::fit(&projected, config, seed), selection }
-    }
-
-    /// [`Classifier::fit`] with an explicit thread budget for forest
-    /// training. The trained model is bit-identical at any thread count.
-    pub fn fit_threaded(
-        data: &Dataset,
-        selection: FeatureSelection,
-        config: &ForestConfig,
-        seed: u64,
-        threads: usize,
-    ) -> Classifier {
-        assert_eq!(data.n_features(), FEATURE_COUNT, "expected a 37-feature dataset");
-        let projected = data.select_features(&selection.columns());
-        Classifier {
-            forest: RandomForest::fit_threaded(&projected, config, seed, threads),
-            selection,
-        }
-    }
-
-    /// [`Classifier::fit_threaded`] with per-tree fit times recorded
-    /// into `tree_fit_ns` (see [`RandomForest::fit_threaded_timed`]).
-    /// Timing is observational only: the model stays bit-identical.
-    pub fn fit_threaded_timed(
-        data: &Dataset,
-        selection: FeatureSelection,
-        config: &ForestConfig,
-        seed: u64,
         threads: usize,
         tree_fit_ns: Option<&telemetry::Histogram>,
     ) -> Classifier {
         assert_eq!(data.n_features(), FEATURE_COUNT, "expected a 37-feature dataset");
-        let projected = data.select_features(&selection.columns());
-        Classifier {
-            forest: RandomForest::fit_threaded_timed(&projected, config, seed, threads, tree_fit_ns),
-            selection,
-        }
+        let projected = data.select_features(selection.columns());
+        let forest = RandomForest::fit(&projected, config, seed, threads, tree_fit_ns);
+        Classifier { forest, selection }
     }
 
-    /// Trains with the paper's default configuration on all features.
+    /// Trains with the paper's default configuration on all features and
+    /// all cores.
     pub fn fit_default(data: &Dataset, seed: u64) -> Classifier {
-        Classifier::fit(data, FeatureSelection::All, &ForestConfig::default(), seed)
+        Classifier::fit(data, FeatureSelection::All, &ForestConfig::default(), seed, 0, None)
     }
 
-    /// The feature selection this classifier was trained with.
-    pub fn selection(&self) -> FeatureSelection {
-        self.selection
+    /// Checks a classifier read from outside (a model file) before it
+    /// scores anything: see [`RandomForest::check`], with rows as wide as
+    /// the selection and two classes, benign and infection.
+    ///
+    /// # Errors
+    ///
+    /// Names the first structural fault found.
+    pub fn check(&self) -> Result<(), String> {
+        self.forest.check(self.selection.columns().len(), 2)
     }
 
-    /// Infection probability for an extracted feature vector.
+    /// Infection probability for an extracted feature vector. Allocates
+    /// nothing: the selected columns are projected onto the stack.
     pub fn score_features(&self, fv: &FeatureVector) -> f64 {
-        let row: Vec<f64> =
-            self.selection.columns().iter().map(|&c| fv.values()[c]).collect();
-        self.forest.predict_proba(&row)[LABEL_INFECTION]
+        let values = fv.values();
+        let columns = self.selection.columns();
+        let mut row = [0.0; FEATURE_COUNT];
+        for (slot, &c) in row.iter_mut().zip(columns) {
+            *slot = values[c];
+        }
+        self.forest.score(&row[..columns.len()], LABEL_INFECTION)
     }
 
     /// Infection probability for a WCG.
@@ -186,18 +179,10 @@ impl Classifier {
         self.score_wcg(&Wcg::from_transactions(txs))
     }
 
-    /// Infection probabilities for many feature vectors at once, scored
-    /// through [`RandomForest::score_batch`] — one flat preallocated
-    /// accumulator and zero per-row allocations, with rows split across
-    /// `threads` workers. Matches [`Classifier::score_features`] row for
-    /// row.
+    /// [`Classifier::score_features`] for each vector, in order, on up
+    /// to `threads` workers.
     pub fn score_features_batch(&self, fvs: &[FeatureVector], threads: usize) -> Vec<f64> {
-        let columns = self.selection.columns();
-        let rows: Vec<Vec<f64>> = fvs
-            .iter()
-            .map(|fv| columns.iter().map(|&c| fv.values()[c]).collect())
-            .collect();
-        self.forest.score_batch(&rows, LABEL_INFECTION, threads)
+        mlearn::parallel::run_indexed(fvs.len(), threads, |i| self.score_features(&fvs[i]))
     }
 
     /// Infection probabilities for many raw conversations: WCG
@@ -256,10 +241,15 @@ mod tests {
     }
 
     #[test]
-    fn selections_have_expected_widths() {
-        assert_eq!(FeatureSelection::All.columns().len(), 37);
-        assert_eq!(FeatureSelection::GraphOnly.columns().len(), 19);
-        assert_eq!(FeatureSelection::NonGraph.columns().len(), 18);
+    fn selections_are_the_feature_groups() {
+        let all: Vec<usize> = (0..FEATURE_COUNT).collect();
+        let graph: Vec<usize> = FeatureGroup::Graph.columns().collect();
+        let non_graph: Vec<usize> =
+            all.iter().copied().filter(|&c| FeatureGroup::of_column(c) != FeatureGroup::Graph).collect();
+        assert_eq!(FeatureSelection::All.columns(), all);
+        assert_eq!(FeatureSelection::GraphOnly.columns(), graph);
+        assert_eq!(FeatureSelection::NonGraph.columns(), non_graph);
+        assert_eq!((graph.len(), non_graph.len()), (19, 18));
     }
 
     #[test]
@@ -295,13 +285,17 @@ mod tests {
     fn graph_only_classifier_works() {
         let train = small_corpus(4, 40);
         let data = build_dataset(train.iter().map(|(t, l)| (t.as_slice(), *l)));
-        let clf = Classifier::fit(
-            &data,
-            FeatureSelection::GraphOnly,
-            &ForestConfig::default(),
-            3,
-        );
-        assert_eq!(clf.selection(), FeatureSelection::GraphOnly);
+        let clf =
+            Classifier::fit(&data, FeatureSelection::GraphOnly, &ForestConfig::default(), 3, 0, None);
+        assert_eq!(clf.selection, FeatureSelection::GraphOnly);
+        assert_eq!(clf.check(), Ok(()));
+        // The stack projection scores what a projected row always scored.
+        for (txs, _) in &train {
+            let fv = crate::features::extract(&Wcg::from_transactions(txs));
+            let row: Vec<f64> = clf.selection.columns().iter().map(|&c| fv.values()[c]).collect();
+            let projected = clf.forest.predict_proba(&row)[LABEL_INFECTION];
+            assert_eq!(clf.score_features(&fv).to_bits(), projected.to_bits());
+        }
         let test = small_corpus(5, 15);
         let correct = test
             .iter()
@@ -357,17 +351,12 @@ mod tests {
         let data = build_dataset(train.iter().map(|(t, l)| (t.as_slice(), *l)));
         let reference = Classifier::fit_default(&data, 6);
         for threads in [1, 2, 8] {
-            let clf = Classifier::fit_threaded(
-                &data,
-                FeatureSelection::All,
-                &ForestConfig::default(),
-                6,
-                threads,
-            );
+            let config = ForestConfig::default();
+            let clf = Classifier::fit(&data, FeatureSelection::All, &config, 6, threads, None);
             for (txs, _) in &train {
                 assert_eq!(
-                    clf.score_transactions(txs),
-                    reference.score_transactions(txs),
+                    clf.score_transactions(txs).to_bits(),
+                    reference.score_transactions(txs).to_bits(),
                     "{threads} threads"
                 );
             }
@@ -391,6 +380,6 @@ mod tests {
     #[should_panic(expected = "37-feature")]
     fn fit_validates_width() {
         let d = Dataset::new(vec!["x".into()], 2);
-        Classifier::fit(&d, FeatureSelection::All, &ForestConfig::default(), 1);
+        Classifier::fit(&d, FeatureSelection::All, &ForestConfig::default(), 1, 0, None);
     }
 }

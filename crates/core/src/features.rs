@@ -77,7 +77,7 @@ pub enum FeatureGroup {
 
 impl FeatureGroup {
     /// Column range of this group within a feature vector.
-    pub fn columns(self) -> std::ops::Range<usize> {
+    pub const fn columns(self) -> std::ops::Range<usize> {
         match self {
             FeatureGroup::HighLevel => 0..6,
             FeatureGroup::Graph => 6..25,

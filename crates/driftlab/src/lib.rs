@@ -102,7 +102,7 @@ pub fn train_champion(seed: u64, scale: f64, threads: usize) -> Classifier {
         .map(|ep| (ep.transactions.as_slice(), ep.is_infection()))
         .collect();
     let data = build_dataset_parallel(&conversations, threads);
-    Classifier::fit_threaded(&data, FeatureSelection::All, &ForestConfig::default(), seed, threads)
+    Classifier::fit(&data, FeatureSelection::All, &ForestConfig::default(), seed, threads, None)
 }
 
 /// Flattens an epoch batch into one `(ts, seq)`-ordered stream,

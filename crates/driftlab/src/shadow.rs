@@ -113,7 +113,7 @@ pub fn fit_challenger(history: &[&EpochBatch], seed: u64, threads: usize) -> Cla
         .map(|ep| (ep.transactions.as_slice(), ep.is_infection()))
         .collect();
     let data = build_dataset_parallel(&conversations, threads);
-    Classifier::fit_threaded(&data, FeatureSelection::All, &ForestConfig::default(), seed, threads)
+    Classifier::fit(&data, FeatureSelection::All, &ForestConfig::default(), seed, threads, None)
 }
 
 /// Replays one epoch's stream through a fresh, observation-only

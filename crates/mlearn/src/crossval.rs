@@ -67,11 +67,15 @@ pub struct CvResult {
 
 /// Runs stratified k-fold cross-validation of a [`RandomForest`] on a
 /// binary dataset, pooling test predictions over folds (the paper's 10-fold
-/// evaluation methodology). Folds run on all available cores; see
-/// [`cross_validate_threaded`].
+/// evaluation methodology).
 ///
 /// `positive` designates the class whose detection is being measured
-/// (infection = 1 in the DynaMiner datasets).
+/// (infection = 1 in the DynaMiner datasets). Folds are independent (each
+/// trains on its own subset with its own derived seed), so they run
+/// through the worker pool on up to `threads` workers (`0` = all cores);
+/// the budget is split between fold workers and each fold's forest fit.
+/// Because forest training is itself thread-count invariant, the pooled
+/// result is bit-identical for any `threads`.
 ///
 /// # Panics
 ///
@@ -82,27 +86,10 @@ pub fn cross_validate(
     config: &ForestConfig,
     positive: usize,
     seed: u64,
-) -> CvResult {
-    cross_validate_threaded(data, k, config, positive, seed, parallel::default_threads())
-}
-
-/// [`cross_validate`] with an explicit thread budget.
-///
-/// Folds are independent (each trains on its own subset with its own
-/// derived seed), so they run through the worker pool; the thread budget
-/// is split between fold-level workers and the per-fold forest fit
-/// (`fit_threaded`). Because forest training is itself thread-count
-/// invariant, the pooled result is bit-identical for any `threads`.
-pub fn cross_validate_threaded(
-    data: &Dataset,
-    k: usize,
-    config: &ForestConfig,
-    positive: usize,
-    seed: u64,
     threads: usize,
 ) -> CvResult {
     assert_eq!(data.n_classes(), 2, "cross_validate expects a binary dataset");
-    let threads = threads.max(1);
+    let threads = parallel::resolve_threads(threads);
     let folds = stratified_kfold(data.labels(), k, seed);
     // Split the budget: up to k fold workers, remaining threads go to each
     // fold's forest fit.
@@ -112,12 +99,8 @@ pub fn cross_validate_threaded(
         parallel::run_indexed(folds.len(), fold_workers, |fold_no| {
             let fold = &folds[fold_no];
             let train = data.subset(&fold.train);
-            let forest = RandomForest::fit_threaded(
-                &train,
-                config,
-                seed.wrapping_add(fold_no as u64 + 1),
-                fit_threads,
-            );
+            let fold_seed = seed.wrapping_add(fold_no as u64 + 1);
+            let forest = RandomForest::fit(&train, config, fold_seed, fit_threads, None);
             fold.test
                 .iter()
                 .map(|&i| {
@@ -198,8 +181,10 @@ mod tests {
                 cls,
             );
         }
-        let result = cross_validate(&data, 5, &ForestConfig::default(), 1, 7);
-        assert!(result.confusion.accuracy() > 0.95, "acc {}", result.confusion.accuracy());
+        let result = cross_validate(&data, 5, &ForestConfig::default(), 1, 7, 0);
+        let c = result.confusion;
+        let accuracy = (c.tp + c.tn) as f64 / data.len() as f64;
+        assert!(accuracy > 0.95, "acc {accuracy}");
         assert!(result.roc_area > 0.98, "auc {}", result.roc_area);
         assert_eq!(result.scores.len(), data.len());
         assert_eq!(result.predictions.len(), data.len());
@@ -215,9 +200,9 @@ mod tests {
             data.push(vec![center + rng.gen_range(-1.5..1.5)], cls);
         }
         let config = ForestConfig::default();
-        let reference = cross_validate_threaded(&data, 5, &config, 1, 11, 1);
-        for threads in [2, 3, 8] {
-            let result = cross_validate_threaded(&data, 5, &config, 1, 11, threads);
+        let reference = cross_validate(&data, 5, &config, 1, 11, 1);
+        for threads in [0, 2, 3, 8] {
+            let result = cross_validate(&data, 5, &config, 1, 11, threads);
             assert_eq!(result.scores, reference.scores, "{threads} threads");
             assert_eq!(result.predictions, reference.predictions, "{threads} threads");
             assert_eq!(result.roc_area, reference.roc_area, "{threads} threads");

@@ -60,7 +60,7 @@ impl Dataset {
     }
 
     /// Feature names in column order.
-    pub fn feature_names(&self) -> &[String] {
+    pub(crate) fn feature_names(&self) -> &[String] {
         &self.feature_names
     }
 
@@ -85,15 +85,6 @@ impl Dataset {
     /// All labels.
     pub fn labels(&self) -> &[usize] {
         &self.labels
-    }
-
-    /// Per-class sample counts.
-    pub fn class_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_classes];
-        for &l in &self.labels {
-            counts[l] += 1;
-        }
-        counts
     }
 
     /// A new dataset containing the rows at `indices` (cloned), preserving
@@ -151,7 +142,7 @@ mod tests {
         assert_eq!(d.n_features(), 2);
         assert_eq!(d.row(1), &[2.0, 20.0]);
         assert_eq!(d.label(2), 1);
-        assert_eq!(d.class_counts(), vec![1, 2]);
+        assert_eq!(d.labels(), [0, 1, 1]);
     }
 
     #[test]

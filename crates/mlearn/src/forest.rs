@@ -1,11 +1,13 @@
 //! Ensemble random forest combining CART trees by probability averaging.
 //!
-//! Training parallelizes across trees with deterministic results: every
-//! tree derives its own RNG from `(seed, tree_index)` via
-//! [`parallel::derive_seed`], so bootstrap resamples and split choices
-//! are a pure function of the seed — bit-identical at any worker-thread
-//! count. Scoring offers a batched mode that walks each tree once for a
-//! whole block of rows, accumulating into one preallocated buffer.
+//! [`RandomForest::fit`] is the one way to train. Every tree derives its
+//! own RNG from `(seed, tree_index)` via [`parallel::derive_seed`], so
+//! bootstrap resamples and split choices are a pure function of the seed
+//! and the model is bit-identical at any worker-thread count.
+//! [`RandomForest::score`] is the one scoring kernel: it reads each
+//! tree's leaf in place and allocates nothing. `score_batch` is a loop
+//! over it; `predict_proba` gives every class's `score` in one walk over
+//! the trees, and `predict` is its argmax.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +32,7 @@ pub enum MaxFeatures {
 
 impl MaxFeatures {
     /// Resolves to a concrete count for `n_features` columns.
-    pub fn resolve(self, n_features: usize) -> usize {
+    pub(crate) fn resolve(self, n_features: usize) -> usize {
         let k = match self {
             MaxFeatures::Log2PlusOne => (n_features as f64).log2().floor() as usize + 1,
             MaxFeatures::Sqrt => (n_features as f64).sqrt().floor() as usize,
@@ -92,46 +94,21 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Trains a forest on `data` with deterministic randomness from
-    /// `seed`, parallelizing across trees on all available cores. The
-    /// result depends only on `(data, config, seed)` — see
-    /// [`RandomForest::fit_threaded`].
+    /// `seed`, growing trees on up to `threads` workers (`0` = all
+    /// cores, see [`parallel::resolve_threads`]). Each tree seeds its own
+    /// RNG from `(seed, tree_index)`, so the model is **bit-identical for
+    /// any `threads`**.
+    ///
+    /// With `tree_fit_ns`, each tree's wall-clock fit time is recorded
+    /// into it. The durations are folded in *tree order* after the pool
+    /// joins (via a [`telemetry::LocalHistogram`] shard), so the bucket
+    /// counts are as deterministic as the timings themselves; timing
+    /// never changes the model.
     ///
     /// # Panics
     ///
     /// Panics when `data` is empty or `config.n_trees` is zero.
-    pub fn fit(data: &Dataset, config: &ForestConfig, seed: u64) -> Self {
-        Self::fit_threaded(data, config, seed, parallel::default_threads())
-    }
-
-    /// Trains like [`RandomForest::fit`] on up to `threads` worker
-    /// threads. Each tree seeds its own RNG from `(seed, tree_index)`, so
-    /// the trained model is **bit-identical for any `threads` value** —
-    /// parallelism is a pure throughput knob, never a reproducibility
-    /// hazard.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `data` is empty or `config.n_trees` is zero.
-    pub fn fit_threaded(
-        data: &Dataset,
-        config: &ForestConfig,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
-        Self::fit_threaded_timed(data, config, seed, threads, None)
-    }
-
-    /// Trains like [`RandomForest::fit_threaded`], recording each
-    /// tree's wall-clock fit time into `tree_fit_ns` when given. The
-    /// per-tree durations are folded in *index order* after the pool
-    /// joins (via a [`telemetry::LocalHistogram`] shard), so the
-    /// histogram's bucket counts are as deterministic as the timings
-    /// themselves and the model stays bit-identical for any `threads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `data` is empty or `config.n_trees` is zero.
-    pub fn fit_threaded_timed(
+    pub fn fit(
         data: &Dataset,
         config: &ForestConfig,
         seed: u64,
@@ -149,10 +126,11 @@ impl RandomForest {
         // run inline. The model is bit-identical either way (per-tree
         // seeds depend only on the index).
         const PARALLEL_MIN_TREES: usize = 8;
-        let threads = if config.n_trees < PARALLEL_MIN_TREES { 1 } else { threads };
+        let threads =
+            if config.n_trees < PARALLEL_MIN_TREES { 1 } else { parallel::resolve_threads(threads) };
         let timed = parallel::run_indexed(config.n_trees, threads, |t| {
             let started = std::time::Instant::now();
-            let tree = grow_tree(data, config, &tree_config, seed, t).0;
+            let tree = grow_tree(data, config, &tree_config, seed, t);
             let elapsed = started.elapsed().as_nanos();
             (tree, u64::try_from(elapsed).unwrap_or(u64::MAX))
         });
@@ -175,105 +153,49 @@ impl RandomForest {
         self.trees.len()
     }
 
-    /// Ensemble class-probability estimate: the mean of per-tree
-    /// probabilities (averaging mode) or the vote distribution (voting
-    /// mode).
-    pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.n_classes];
-        self.accumulate_row(row, &mut acc);
-        let total = self.trees.len() as f64;
-        for a in &mut acc {
-            *a /= total;
-        }
-        acc
-    }
-
-    /// Adds each tree's (unnormalized) contribution for `row` into `acc`.
-    fn accumulate_row(&self, row: &[f64], acc: &mut [f64]) {
-        match self.combination {
+    /// The ensemble's probability for `class` — the score used for ROC
+    /// curves and alert thresholds: the mean of the trees' leaf
+    /// probabilities (averaging) or the share of trees whose argmax is
+    /// `class` (voting). Trees are summed in order, so this is bit for bit
+    /// `predict_proba(row)[class]`. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `class` is out of range or the row width differs from
+    /// the training width.
+    pub fn score(&self, row: &[f64], class: usize) -> f64 {
+        assert!(class < self.n_classes, "class out of range");
+        let sum = match self.combination {
             Combination::ProbabilityAveraging => {
-                for tree in &self.trees {
-                    for (a, p) in acc.iter_mut().zip(tree.leaf_probs(row)) {
-                        *a += p;
-                    }
-                }
+                self.trees.iter().fold(0.0, |acc, tree| acc + tree.leaf_probs(row)[class])
             }
             Combination::MajorityVote => {
-                for tree in &self.trees {
-                    acc[argmax(tree.leaf_probs(row))] += 1.0;
+                self.trees.iter().filter(|tree| argmax(tree.leaf_probs(row)) == class).count()
+                    as f64
+            }
+        };
+        sum / self.trees.len() as f64
+    }
+
+    /// [`RandomForest::score`] for every class, in one walk over the
+    /// trees. Each class slot sums in tree order, so every value is bit
+    /// for bit its `score`.
+    pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
+        let mut sums = vec![0.0; self.n_classes];
+        for tree in &self.trees {
+            let probs = tree.leaf_probs(row);
+            match self.combination {
+                Combination::ProbabilityAveraging => {
+                    for (sum, p) in sums.iter_mut().zip(probs) {
+                        *sum += p;
+                    }
                 }
+                Combination::MajorityVote => sums[argmax(probs)] += 1.0,
             }
         }
-    }
-
-    /// Scores a whole block of rows in one pass, accumulating into a
-    /// single preallocated `rows × classes` buffer so the hot loop does
-    /// **zero per-row allocations** — unlike
-    /// [`RandomForest::predict_proba`], which must allocate its result
-    /// `Vec` on every call. That allocation churn is what makes
-    /// on-the-wire re-classification of many conversations cheaper
-    /// through this path than row-by-row calls.
-    ///
-    /// Returns one probability vector per row, in row order.
-    pub fn predict_proba_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Vec<Vec<f64>> {
-        let k = self.n_classes;
-        let mut acc = vec![0.0f64; rows.len() * k];
-        self.accumulate_batch(rows, &mut acc);
-        let total = self.trees.len() as f64;
-        acc.chunks(k).map(|slot| slot.iter().map(|v| v / total).collect()).collect()
-    }
-
-    /// Row-major accumulation into a flat `rows.len() × n_classes`
-    /// buffer (unnormalized): each row's class slot is filled by one
-    /// allocation-free [`RandomForest::accumulate_row`] pass.
-    ///
-    /// Row-major order is deliberate. Tree-major traversal (outer loop
-    /// over trees, inner over rows, with and without cache tiling) was
-    /// benchmarked and *lost* to row-major here: with unbounded-depth
-    /// trees the forest's pointer-chased working set is as large as the
-    /// row block itself, so every tile pass re-streams the forest and
-    /// there is no node reuse to win back. All of the batched speedup
-    /// comes from eliminating the per-row result allocation instead.
-    fn accumulate_batch<R: AsRef<[f64]>>(&self, rows: &[R], acc: &mut [f64]) {
-        // 256 rows × 37 features × 8 bytes ≈ 74 KiB — comfortably L2-resident
-        // alongside the forest itself.
-        let k = self.n_classes;
-        debug_assert_eq!(acc.len(), rows.len() * k);
-        for (slot, row) in acc.chunks_mut(k).zip(rows) {
-            self.accumulate_row(row.as_ref(), slot);
-        }
-    }
-
-    /// `class` scores for a block of rows (the batched analogue of
-    /// [`RandomForest::score`]) across up to `threads` workers.
-    ///
-    /// This is the leanest scoring path: one flat accumulator per chunk
-    /// and one output `Vec` — zero per-row allocations — so it beats
-    /// calling [`RandomForest::score`] row by row even single-threaded.
-    pub fn score_batch<R: AsRef<[f64]> + Sync>(
-        &self,
-        rows: &[R],
-        class: usize,
-        threads: usize,
-    ) -> Vec<f64> {
-        assert!(class < self.n_classes, "class out of range");
-        let k = self.n_classes;
-        let total = self.trees.len() as f64;
-        let score_chunk = |chunk: &[R]| -> Vec<f64> {
-            let mut acc = vec![0.0f64; chunk.len() * k];
-            self.accumulate_batch(chunk, &mut acc);
-            acc.chunks(k).map(|slot| slot[class] / total).collect()
-        };
-        let threads = threads.max(1).min(rows.len().max(1));
-        if threads <= 1 {
-            return score_chunk(rows);
-        }
-        let chunk = rows.len().div_ceil(threads);
-        let chunks: Vec<&[R]> = rows.chunks(chunk).collect();
-        parallel::run_indexed(chunks.len(), threads, |c| score_chunk(chunks[c]))
-            .into_iter()
-            .flatten()
-            .collect()
+        let n = self.trees.len() as f64;
+        sums.iter_mut().for_each(|sum| *sum /= n);
+        sums
     }
 
     /// Predicted class: argmax of [`RandomForest::predict_proba`].
@@ -281,9 +203,23 @@ impl RandomForest {
         argmax(&self.predict_proba(row))
     }
 
-    /// Probability assigned to `class` — the score used for ROC curves.
-    pub fn score(&self, row: &[f64], class: usize) -> f64 {
-        self.predict_proba(row)[class]
+    /// [`RandomForest::score`] of `class` for each row, in row order,
+    /// across up to `threads` workers. On one thread the only allocation
+    /// is the output.
+    ///
+    /// Rows are scored one at a time, each walking every tree. Tree-major
+    /// traversal (outer loop over trees, inner over a block of rows, with
+    /// and without cache tiling) was benchmarked and *lost*: with
+    /// unbounded-depth trees the forest's pointer-chased working set is as
+    /// large as the row block itself, so every tile pass re-streams the
+    /// forest and there is no node reuse to win back.
+    pub fn score_batch<R: AsRef<[f64]> + Sync>(
+        &self,
+        rows: &[R],
+        class: usize,
+        threads: usize,
+    ) -> Vec<f64> {
+        parallel::run_indexed(rows.len(), threads, |i| self.score(rows[i].as_ref(), class))
     }
 
     /// Mean-decrease-in-impurity feature importances, averaged over trees
@@ -308,110 +244,40 @@ impl RandomForest {
         }
         acc
     }
-}
 
-/// A forest plus its out-of-bag (OOB) error estimate.
-#[derive(Debug, Clone)]
-pub struct OobFit {
-    /// The trained forest.
-    pub forest: RandomForest,
-    /// Out-of-bag misclassification rate: each training sample is scored
-    /// only by trees whose bootstrap did not contain it. `None` when no
-    /// sample was out of bag (tiny data or bootstrap disabled).
-    pub oob_error: Option<f64>,
-}
-
-impl RandomForest {
-    /// Trains like [`RandomForest::fit`] but also computes the
-    /// out-of-bag error — a free validation estimate that needs no
-    /// held-out split (Breiman's OOB methodology). Uses all available
-    /// cores; see [`RandomForest::fit_with_oob_threaded`].
+    /// Checks a forest read from outside — a model file — before it
+    /// scores anything: at least one tree, `n_classes` classes, every
+    /// tree reading `n_features`-wide rows, every split on one of those
+    /// features, and every leaf holding `n_classes` probabilities in
+    /// [0, 1]. A forest that passes cannot panic or return NaN in
+    /// [`RandomForest::score`] on a row of that width.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `data` is empty or `config.n_trees` is zero.
-    pub fn fit_with_oob(data: &Dataset, config: &ForestConfig, seed: u64) -> OobFit {
-        Self::fit_with_oob_threaded(data, config, seed, parallel::default_threads())
-    }
-
-    /// Trains like [`RandomForest::fit_threaded`] (same per-tree seed
-    /// derivation, so the forest is identical to a plain fit at the same
-    /// seed) and accumulates the OOB estimate from each tree's bootstrap
-    /// complement. Tree growth runs in parallel; OOB accumulation merges
-    /// per-tree results in tree order, so the error estimate is also
-    /// thread-count invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `data` is empty or `config.n_trees` is zero.
-    pub fn fit_with_oob_threaded(
-        data: &Dataset,
-        config: &ForestConfig,
-        seed: u64,
-        threads: usize,
-    ) -> OobFit {
-        assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
-        assert!(config.n_trees > 0, "need at least one tree");
-        let tree_config = crate::tree::TreeConfig {
-            max_depth: config.max_depth,
-            min_samples_split: config.min_samples_split,
-            max_features: Some(config.max_features.resolve(data.n_features())),
-        };
-        let n = data.len();
-        let grown = parallel::run_indexed(config.n_trees, threads, |t| {
-            grow_tree(data, config, &tree_config, seed, t)
-        });
-        let mut trees = Vec::with_capacity(config.n_trees);
-        let mut oob_probs = vec![vec![0.0f64; data.n_classes()]; n];
-        let mut oob_counts = vec![0usize; n];
-        for (tree, indices) in grown {
-            let mut in_bag = vec![false; n];
-            for &i in &indices {
-                in_bag[i] = true;
-            }
-            for i in (0..n).filter(|&i| !in_bag[i]) {
-                for (acc, &p) in oob_probs[i].iter_mut().zip(tree.leaf_probs(data.row(i))) {
-                    *acc += p;
-                }
-                oob_counts[i] += 1;
-            }
-            trees.push(tree);
+    /// Names the first violation found.
+    pub fn check(&self, n_features: usize, n_classes: usize) -> Result<(), String> {
+        if self.trees.is_empty() {
+            return Err("forest has no trees".into());
         }
-        let mut errors = 0usize;
-        let mut counted = 0usize;
-        for i in 0..n {
-            if oob_counts[i] == 0 {
-                continue;
-            }
-            counted += 1;
-            if argmax(&oob_probs[i]) != data.label(i) {
-                errors += 1;
-            }
+        if self.n_classes != n_classes {
+            return Err(format!("forest has {} classes, expected {n_classes}", self.n_classes));
         }
-        let oob_error =
-            (counted > 0).then(|| errors as f64 / counted as f64);
-        OobFit {
-            forest: RandomForest {
-                trees,
-                n_classes: data.n_classes(),
-                combination: config.combination,
-            },
-            oob_error,
+        for (i, tree) in self.trees.iter().enumerate() {
+            tree.check(n_features, n_classes).map_err(|e| format!("tree {i}: {e}"))?;
         }
+        Ok(())
     }
 }
 
 /// Grows tree `index` of a forest: seeds a fresh RNG from
 /// `(seed, index)`, draws the bootstrap resample, and fits the tree.
-/// Returns the tree together with its training indices (the OOB path
-/// needs them to find each tree's bootstrap complement).
 fn grow_tree(
     data: &Dataset,
     config: &ForestConfig,
     tree_config: &TreeConfig,
     seed: u64,
     index: usize,
-) -> (DecisionTree, Vec<usize>) {
+) -> DecisionTree {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, index as u64));
     let n = data.len();
     let indices: Vec<usize> = if config.bootstrap {
@@ -419,8 +285,7 @@ fn grow_tree(
     } else {
         (0..n).collect()
     };
-    let tree = DecisionTree::fit(data, &indices, tree_config, &mut rng);
-    (tree, indices)
+    DecisionTree::fit(data, &indices, tree_config, &mut rng)
 }
 
 #[cfg(test)]
@@ -441,11 +306,30 @@ mod tests {
         d
     }
 
+    fn three_blobs() -> Dataset {
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut d = Dataset::new(vec!["x".into(), "y".into()], 3);
+        for _ in 0..150 {
+            let cls = rng.gen_range(0..3usize);
+            let cx = [0.0, 5.0, 0.0][cls];
+            let cy = [0.0, 0.0, 5.0][cls];
+            d.push(
+                vec![cx + rng.gen_range(-1.0..1.0), cy + rng.gen_range(-1.0..1.0)],
+                cls,
+            );
+        }
+        d
+    }
+
+    fn fit(data: &Dataset, config: &ForestConfig, seed: u64) -> RandomForest {
+        RandomForest::fit(data, config, seed, 0, None)
+    }
+
     #[test]
     fn forest_beats_chance_on_noisy_blobs() {
         let train = noisy_data(1);
         let test = noisy_data(2);
-        let forest = RandomForest::fit(&train, &ForestConfig::default(), 42);
+        let forest = fit(&train, &ForestConfig::default(), 42);
         let correct =
             (0..test.len()).filter(|&i| forest.predict(test.row(i)) == test.label(i)).count();
         assert!(correct as f64 / test.len() as f64 > 0.85, "accuracy {correct}/100");
@@ -454,8 +338,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let data = noisy_data(1);
-        let f1 = RandomForest::fit(&data, &ForestConfig::default(), 7);
-        let f2 = RandomForest::fit(&data, &ForestConfig::default(), 7);
+        let f1 = fit(&data, &ForestConfig::default(), 7);
+        let f2 = fit(&data, &ForestConfig::default(), 7);
         for i in 0..data.len() {
             assert_eq!(f1.predict_proba(data.row(i)), f2.predict_proba(data.row(i)));
         }
@@ -464,8 +348,8 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let data = noisy_data(1);
-        let f1 = RandomForest::fit(&data, &ForestConfig::default(), 7);
-        let f2 = RandomForest::fit(&data, &ForestConfig::default(), 8);
+        let f1 = fit(&data, &ForestConfig::default(), 7);
+        let f2 = fit(&data, &ForestConfig::default(), 8);
         let any_diff = (0..data.len())
             .any(|i| f1.predict_proba(data.row(i)) != f2.predict_proba(data.row(i)));
         assert!(any_diff);
@@ -476,7 +360,7 @@ mod tests {
         let data = noisy_data(3);
         for combination in [Combination::ProbabilityAveraging, Combination::MajorityVote] {
             let config = ForestConfig { combination, ..ForestConfig::default() };
-            let forest = RandomForest::fit(&data, &config, 5);
+            let forest = fit(&data, &config, 5);
             let p = forest.predict_proba(&[1.0, 1.0, 0.5]);
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -495,16 +379,12 @@ mod tests {
             }
         }
         let base = ForestConfig::default();
-        let avg = RandomForest::fit(
+        let avg = fit(
             &data,
             &ForestConfig { combination: Combination::ProbabilityAveraging, ..base.clone() },
             9,
         );
-        let vote = RandomForest::fit(
-            &data,
-            &ForestConfig { combination: Combination::MajorityVote, ..base },
-            9,
-        );
+        let vote = fit(&data, &ForestConfig { combination: Combination::MajorityVote, ..base }, 9);
         // Averaged probabilities should track the true conditional
         // probability of each x; majority voting polarizes toward 0/1.
         let truth = [(0.0, 0.2), (1.0, 0.4), (2.0, 0.6), (3.0, 0.8)];
@@ -533,13 +413,13 @@ mod tests {
     fn n_trees_respected() {
         let data = noisy_data(1);
         let config = ForestConfig { n_trees: 5, ..ForestConfig::default() };
-        assert_eq!(RandomForest::fit(&data, &config, 1).n_trees(), 5);
+        assert_eq!(fit(&data, &config, 1).n_trees(), 5);
     }
 
     #[test]
     fn feature_importances_find_the_signal() {
         let data = noisy_data(6);
-        let forest = RandomForest::fit(&data, &ForestConfig::default(), 3);
+        let forest = fit(&data, &ForestConfig::default(), 3);
         let imp = forest.feature_importances();
         assert_eq!(imp.len(), 3);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -548,32 +428,9 @@ mod tests {
     }
 
     #[test]
-    fn oob_error_estimates_generalization() {
-        let train = noisy_data(7);
-        let fit = RandomForest::fit_with_oob(&train, &ForestConfig::default(), 5);
-        let oob = fit.oob_error.expect("bootstrap leaves samples out");
-        // Compare against true held-out error: they should be in the same
-        // region (both well under chance, within 15 points of each other).
-        let test = noisy_data(8);
-        let held_out_err = (0..test.len())
-            .filter(|&i| fit.forest.predict(test.row(i)) != test.label(i))
-            .count() as f64
-            / test.len() as f64;
-        assert!(oob < 0.35, "oob {oob}");
-        assert!((oob - held_out_err).abs() < 0.15, "oob {oob} vs held-out {held_out_err}");
-    }
-
-    #[test]
-    fn oob_without_bootstrap_is_none() {
-        let data = noisy_data(9);
-        let config = ForestConfig { bootstrap: false, ..ForestConfig::default() };
-        assert!(RandomForest::fit_with_oob(&data, &config, 1).oob_error.is_none());
-    }
-
-    #[test]
     fn serialized_forest_predicts_identically() {
         let data = noisy_data(10);
-        let forest = RandomForest::fit(&data, &ForestConfig::default(), 4);
+        let forest = fit(&data, &ForestConfig::default(), 4);
         let json = serde_json::to_string(&forest).unwrap();
         let restored: RandomForest = serde_json::from_str(&json).unwrap();
         for i in 0..data.len() {
@@ -583,18 +440,8 @@ mod tests {
 
     #[test]
     fn multiclass_forest_separates_three_blobs() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut d = Dataset::new(vec!["x".into(), "y".into()], 3);
-        for _ in 0..150 {
-            let cls = rng.gen_range(0..3usize);
-            let cx = [0.0, 5.0, 0.0][cls];
-            let cy = [0.0, 0.0, 5.0][cls];
-            d.push(
-                vec![cx + rng.gen_range(-1.0..1.0), cy + rng.gen_range(-1.0..1.0)],
-                cls,
-            );
-        }
-        let forest = RandomForest::fit(&d, &ForestConfig::default(), 8);
+        let d = three_blobs();
+        let forest = fit(&d, &ForestConfig::default(), 8);
         let correct = (0..d.len()).filter(|&i| forest.predict(d.row(i)) == d.label(i)).count();
         assert!(correct as f64 / d.len() as f64 > 0.95, "{correct}/150");
         let p = forest.predict_proba(&[5.0, 0.0]);
@@ -606,7 +453,7 @@ mod tests {
     #[should_panic(expected = "empty dataset")]
     fn empty_dataset_panics() {
         let d = Dataset::new(vec!["x".into()], 2);
-        RandomForest::fit(&d, &ForestConfig::default(), 1);
+        fit(&d, &ForestConfig::default(), 1);
     }
 
     #[test]
@@ -615,83 +462,72 @@ mod tests {
         // trained model must not depend on how many workers grew it.
         let data = noisy_data(11);
         let config = ForestConfig::default();
-        let reference = RandomForest::fit_threaded(&data, &config, 42, 1);
-        for threads in [2, 3, 8, crate::parallel::default_threads().max(2)] {
-            let forest = RandomForest::fit_threaded(&data, &config, 42, threads);
+        let reference = RandomForest::fit(&data, &config, 42, 1, None);
+        for threads in [0, 2, 3, 8] {
+            let forest = RandomForest::fit(&data, &config, 42, threads, None);
             for i in 0..data.len() {
-                assert_eq!(
-                    reference.predict_proba(data.row(i)),
-                    forest.predict_proba(data.row(i)),
-                    "row {i} diverged at {threads} threads"
-                );
-            }
-        }
-        // The default entry point is the same model.
-        let default_fit = RandomForest::fit(&data, &config, 42);
-        assert_eq!(
-            reference.predict_proba(data.row(0)),
-            default_fit.predict_proba(data.row(0))
-        );
-    }
-
-    #[test]
-    fn fit_with_oob_grows_the_same_forest_as_fit() {
-        let data = noisy_data(12);
-        let config = ForestConfig::default();
-        let plain = RandomForest::fit(&data, &config, 9);
-        for threads in [1, 4] {
-            let with_oob = RandomForest::fit_with_oob_threaded(&data, &config, 9, threads);
-            for i in 0..data.len() {
-                assert_eq!(
-                    plain.predict_proba(data.row(i)),
-                    with_oob.forest.predict_proba(data.row(i)),
-                    "row {i} diverged (threads {threads})"
-                );
+                let (a, b) = (reference.score(data.row(i), 1), forest.score(data.row(i), 1));
+                assert_eq!(a.to_bits(), b.to_bits(), "row {i} diverged at {threads} threads");
             }
         }
     }
 
     #[test]
-    fn batched_predict_matches_per_row() {
+    fn score_batch_and_predict_proba_are_the_score_kernel() {
         let data = noisy_data(13);
+        let blobs = three_blobs();
+        let mut cases = Vec::new();
         for combination in [Combination::ProbabilityAveraging, Combination::MajorityVote] {
             let config = ForestConfig { combination, ..ForestConfig::default() };
-            let forest = RandomForest::fit(&data, &config, 21);
+            cases.push((fit(&data, &config, 21), &data));
+            cases.push((fit(&blobs, &config, 22), &blobs));
+        }
+        for (forest, data) in &cases {
             let rows: Vec<Vec<f64>> = (0..data.len()).map(|i| data.row(i).to_vec()).collect();
-            let batched = forest.predict_proba_batch(&rows);
-            assert_eq!(batched.len(), rows.len());
-            for (i, row) in rows.iter().enumerate() {
-                assert_eq!(batched[i], forest.predict_proba(row), "row {i}");
-            }
-            for threads in [1, 3] {
-                let scores = forest.score_batch(&rows, 1, threads);
-                for (i, p) in batched.iter().enumerate() {
-                    assert_eq!(scores[i], p[1], "score row {i} ({threads} threads)");
+            for class in 0..data.n_classes() {
+                for threads in [1, 3] {
+                    let batch = forest.score_batch(&rows, class, threads);
+                    assert_eq!(batch.len(), rows.len());
+                    for (i, row) in rows.iter().enumerate() {
+                        let score = forest.score(row, class).to_bits();
+                        assert_eq!(forest.predict_proba(row)[class].to_bits(), score, "row {i}");
+                        assert_eq!(batch[i].to_bits(), score, "row {i} ({threads} threads)");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn batched_predict_on_empty_input() {
-        let data = noisy_data(14);
-        let forest = RandomForest::fit(&data, &ForestConfig::default(), 2);
+    fn score_batch_on_empty_input() {
+        let forest = fit(&noisy_data(14), &ForestConfig::default(), 2);
         let rows: Vec<Vec<f64>> = Vec::new();
-        assert!(forest.predict_proba_batch(&rows).is_empty());
+        assert!(forest.score_batch(&rows, 1, 3).is_empty());
     }
 
     #[test]
     fn timed_fit_records_one_observation_per_tree_and_same_model() {
         let data = noisy_data(25);
         let config = ForestConfig::default();
-        let plain = RandomForest::fit_threaded(&data, &config, 9, 2);
+        let plain = RandomForest::fit(&data, &config, 9, 2, None);
         let registry = telemetry::Registry::new();
         let hist = registry.latency_histogram("mlearn_tree_fit_ns", "per-tree fit time");
-        let timed = RandomForest::fit_threaded_timed(&data, &config, 9, 2, Some(&hist));
+        let timed = RandomForest::fit(&data, &config, 9, 2, Some(&hist));
         assert_eq!(hist.count(), config.n_trees as u64);
         assert!(hist.sum() > 0, "trees take measurable time");
         // Timing is observational only: the model is bit-identical.
         let rows: Vec<Vec<f64>> = (0..data.len()).map(|i| data.row(i).to_vec()).collect();
-        assert_eq!(timed.predict_proba_batch(&rows), plain.predict_proba_batch(&rows));
+        assert_eq!(timed.score_batch(&rows, 1, 1), plain.score_batch(&rows, 1, 1));
+    }
+
+    #[test]
+    fn check_accepts_a_trained_forest_and_names_what_is_wrong() {
+        let data = noisy_data(15);
+        let forest = fit(&data, &ForestConfig::default(), 3);
+        assert_eq!(forest.check(3, 2), Ok(()));
+        assert!(forest.check(2, 2).unwrap_err().contains("reads 3 features"));
+        assert!(forest.check(3, 3).unwrap_err().contains("2 classes"));
+        let empty = RandomForest { trees: Vec::new(), ..forest };
+        assert_eq!(empty.check(3, 2), Err("forest has no trees".into()));
     }
 }

@@ -8,14 +8,17 @@
 //! * [`tree`] — CART decision trees (Gini impurity, random feature subsets),
 //! * [`forest`] — bootstrap ensembles combining trees by **averaging their
 //!   probabilistic predictions** (the paper stresses this over majority
-//!   voting; both are available so the choice can be ablated),
-//! * [`metrics`] — confusion counts, TPR/FPR/F-score, ROC curves and AUC,
+//!   voting; both are available so the choice can be ablated). One fit,
+//!   [`RandomForest::fit`](forest::RandomForest::fit), and one scoring
+//!   kernel, [`RandomForest::score`](forest::RandomForest::score), which
+//!   allocates nothing,
+//! * [`metrics`] — confusion counts, TPR/FPR/F-score and ROC curves,
 //! * [`crossval`] — stratified k-fold cross-validation,
 //! * [`rank`] — gain-ratio feature ranking with per-fold rank averaging
 //!   (the paper's Table IV methodology),
 //! * [`parallel`] — deterministic scoped-thread worker pool; forest
-//!   training, cross-validation, and batched scoring parallelize through
-//!   it with bit-identical results at any thread count,
+//!   training, cross-validation, and batch scoring run through it with
+//!   bit-identical results at any thread count,
 //! * [`slot`] — atomic model slot for zero-downtime hot-reload, with a
 //!   monotone version so every decision is attributable to one model
 //!   generation.
@@ -31,9 +34,10 @@
 //!     let v = i as f64;
 //!     data.push(vec![v], usize::from(v >= 10.0));
 //! }
-//! let forest = RandomForest::fit(&data, &ForestConfig::default(), 42);
+//! // Seed 42, all cores, no per-tree timing.
+//! let forest = RandomForest::fit(&data, &ForestConfig::default(), 42, 0, None);
 //! assert_eq!(forest.predict(&[2.0]), 0);
-//! assert_eq!(forest.predict(&[15.0]), 1);
+//! assert!(forest.score(&[15.0], 1) > 0.5);
 //! ```
 
 pub mod crossval;

@@ -26,39 +26,9 @@ impl Confusion {
         assert_eq!(labels.len(), predictions.len(), "length mismatch");
         let mut c = Confusion::default();
         for (&l, &p) in labels.iter().zip(predictions) {
-            match (l == positive, p == positive) {
-                (true, true) => c.tp += 1,
-                (true, false) => c.fn_ += 1,
-                (false, true) => c.fp += 1,
-                (false, false) => c.tn += 1,
-            }
+            c.record(l == positive, p == positive);
         }
         c
-    }
-
-    /// Builds confusion counts from `(label, predicted)` outcome pairs —
-    /// the natural shape for episode-level scoring, where each unit of
-    /// account is "was this conversation alerted on" rather than a raw
-    /// score vector.
-    pub fn from_outcomes(outcomes: impl IntoIterator<Item = (bool, bool)>) -> Self {
-        let mut c = Confusion::default();
-        for (label, predicted) in outcomes {
-            c.record(label, predicted);
-        }
-        c
-    }
-
-    /// Builds confusion counts by thresholding scores at `threshold`
-    /// (score ≥ threshold ⇒ predicted positive).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slices differ in length.
-    pub fn from_scores(scores: &[f64], labels: &[bool], threshold: f64) -> Self {
-        assert_eq!(scores.len(), labels.len(), "length mismatch");
-        Confusion::from_outcomes(
-            labels.iter().zip(scores).map(|(&l, &s)| (l, s >= threshold)),
-        )
     }
 
     /// Records a single `(label, predicted)` outcome.
@@ -82,7 +52,7 @@ impl Confusion {
     }
 
     /// Precision: `tp / (tp + fp)`.
-    pub fn precision(&self) -> f64 {
+    pub(crate) fn precision(&self) -> f64 {
         ratio(self.tp, self.tp + self.fp)
     }
 
@@ -95,16 +65,6 @@ impl Confusion {
         } else {
             2.0 * p * r / (p + r)
         }
-    }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f64 {
-        ratio(self.tp + self.tn, self.tp + self.tn + self.fp + self.fn_)
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> usize {
-        self.tp + self.tn + self.fp + self.fn_
     }
 }
 
@@ -165,52 +125,13 @@ pub fn roc_curve(scores: &[f64], labels: &[bool]) -> Vec<RocPoint> {
     points
 }
 
-/// Area under the ROC curve by trapezoidal integration.
-pub fn auc(points: &[RocPoint]) -> f64 {
-    points
+/// Area under the ROC curve of `scores` against `labels`, by
+/// trapezoidal integration over [`roc_curve`].
+pub(crate) fn roc_auc(scores: &[f64], labels: &[bool]) -> f64 {
+    roc_curve(scores, labels)
         .windows(2)
         .map(|w| (w[1].fpr - w[0].fpr) * (w[0].tpr + w[1].tpr) / 2.0)
         .sum()
-}
-
-/// Convenience: AUC directly from scores and labels.
-pub fn roc_auc(scores: &[f64], labels: &[bool]) -> f64 {
-    auc(&roc_curve(scores, labels))
-}
-
-/// Picks the smallest score threshold whose false-positive rate does not
-/// exceed `target_fpr` — the deployment knob for "alert at most X % of
-/// benign conversations". Returns the threshold and the operating point's
-/// `(fpr, tpr)`.
-///
-/// Returns `None` when no achievable operating point fits the budget —
-/// that is, when even the highest observed score belongs to a negative
-/// sample that would blow the FPR target. (Previously this case silently
-/// returned the curve's `(∞, 0, 0)` start point, a "never alert"
-/// calibration indistinguishable from a legitimate one.)
-///
-/// # Panics
-///
-/// Panics when the inputs are empty or mismatched (see [`roc_curve`]).
-pub fn threshold_for_fpr(
-    scores: &[f64],
-    labels: &[bool],
-    target_fpr: f64,
-) -> Option<(f64, f64, f64)> {
-    let curve = roc_curve(scores, labels);
-    // Points are ordered by descending threshold / ascending FPR; take the
-    // last point still within budget (maximizes TPR). The curve's first
-    // point is the synthetic (∞, 0, 0) start: selecting it means no real
-    // threshold fits the budget, which callers must handle explicitly.
-    let point = curve
-        .iter()
-        .rfind(|p| p.fpr <= target_fpr)
-        .copied()
-        .unwrap_or(curve[0]);
-    if point.threshold.is_infinite() && point.tpr == 0.0 {
-        return None;
-    }
-    Some((point.threshold, point.fpr, point.tpr))
 }
 
 #[cfg(test)]
@@ -226,9 +147,7 @@ mod tests {
         assert!((c.tpr() - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.fpr() - 1.0 / 7.0).abs() < 1e-12);
         assert!((c.precision() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c.accuracy() - 0.8).abs() < 1e-12);
         assert!((c.f1() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(c.total(), 10);
     }
 
     #[test]
@@ -237,7 +156,6 @@ mod tests {
         assert_eq!(c.tpr(), 0.0);
         assert_eq!(c.fpr(), 0.0);
         assert_eq!(c.f1(), 0.0);
-        assert_eq!(c.accuracy(), 0.0);
     }
 
     #[test]
@@ -284,55 +202,15 @@ mod tests {
     }
 
     #[test]
-    fn threshold_calibration_respects_fpr_budget() {
-        let scores = [0.95, 0.9, 0.8, 0.7, 0.6, 0.55, 0.4, 0.3, 0.2, 0.1];
-        let labels = [true, true, true, false, true, true, false, false, false, false];
-        let (thr, fpr, tpr) = threshold_for_fpr(&scores, &labels, 0.25).expect("achievable");
-        assert!(fpr <= 0.25, "fpr {fpr}");
-        // Budget of 1 FP out of 4 negatives: threshold 0.55 catches all 5
-        // positives at fpr 0.25.
-        assert!((tpr - 1.0).abs() < 1e-12, "tpr {tpr}");
-        assert!((thr - 0.55).abs() < 1e-12, "thr {thr}");
-        // Zero budget: only thresholds above every negative.
-        let (_, fpr0, tpr0) = threshold_for_fpr(&scores, &labels, 0.0).expect("achievable");
-        assert_eq!(fpr0, 0.0);
-        assert!((tpr0 - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unachievable_fpr_budget_is_signaled_not_silent() {
-        // Every negative outscores every positive: any real threshold that
-        // admits a positive admits all negatives first. With a tight
-        // budget there is no valid operating point — the old code returned
-        // the curve's (∞, 0, 0) start as if it were a calibration.
-        let scores = [0.9, 0.8, 0.7, 0.3, 0.2];
-        let labels = [false, false, false, true, true];
-        assert_eq!(threshold_for_fpr(&scores, &labels, 0.0), None);
-        assert_eq!(threshold_for_fpr(&scores, &labels, 0.2), None);
-        // A generous budget does admit an operating point again.
-        let (thr, fpr, tpr) = threshold_for_fpr(&scores, &labels, 1.0).expect("achievable");
-        assert!(thr.is_finite());
-        assert!(fpr <= 1.0 && tpr > 0.0);
-    }
-
-    #[test]
-    fn outcome_and_score_constructors_agree() {
-        let scores = [0.9, 0.4, 0.6, 0.2];
-        let labels = [true, true, false, false];
-        let from_scores = Confusion::from_scores(&scores, &labels, 0.5);
-        let from_outcomes = Confusion::from_outcomes(
-            labels.iter().zip(&scores).map(|(&l, &s)| (l, s >= 0.5)),
-        );
-        assert_eq!(from_scores, from_outcomes);
-        assert_eq!(from_scores.tp, 1);
-        assert_eq!(from_scores.fn_, 1);
-        assert_eq!(from_scores.fp, 1);
-        assert_eq!(from_scores.tn, 1);
-        let mut incremental = Confusion::default();
-        incremental.record(true, true);
-        incremental.record(false, false);
-        assert_eq!(incremental.tpr(), 1.0);
-        assert_eq!(incremental.fpr(), 0.0);
+    fn record_counts_one_outcome_at_a_time() {
+        let mut c = Confusion::default();
+        for (label, predicted) in [(true, true), (true, false), (false, true), (false, false)] {
+            c.record(label, predicted);
+        }
+        assert_eq!((c.tp, c.fn_, c.fp, c.tn), (1, 1, 1, 1));
+        c.record(false, false);
+        assert_eq!(c.tpr(), 0.5);
+        assert!((c.fpr() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

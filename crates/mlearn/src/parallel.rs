@@ -17,17 +17,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Number of worker threads to use when the caller does not specify:
-/// the machine's available parallelism (1 when it cannot be queried).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Resolves a user-facing thread-count knob: `0` means "auto"
-/// ([`default_threads`]), anything else is used as given.
+/// Resolves a user-facing thread-count knob: `0` means "auto", the
+/// machine's available parallelism (1 when it cannot be queried);
+/// anything else is used as given.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
-        default_threads()
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
         requested
     }
@@ -191,9 +186,9 @@ mod tests {
 
     #[test]
     fn resolve_threads_zero_means_auto() {
-        assert_eq!(resolve_threads(0), default_threads());
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(0), cores);
         assert_eq!(resolve_threads(3), 3);
-        assert!(default_threads() >= 1);
     }
 
     #[test]

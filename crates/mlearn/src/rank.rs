@@ -44,7 +44,7 @@ fn entropy(counts: &[usize]) -> f64 {
 /// information (C4.5's correction for multi-valued attributes; for a binary
 /// split it normalizes by the partition entropy). Returns 0 when the
 /// feature cannot split the data.
-pub fn gain_ratio(data: &Dataset, indices: &[usize], feature: usize) -> f64 {
+pub(crate) fn gain_ratio(data: &Dataset, indices: &[usize], feature: usize) -> f64 {
     let n = indices.len();
     if n < 2 {
         return 0.0;

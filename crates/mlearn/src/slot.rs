@@ -31,14 +31,7 @@ impl<T> Clone for ModelSlot<T> {
 impl<T> ModelSlot<T> {
     /// Wraps the initial model at version 1.
     pub fn new(model: T) -> Self {
-        Self::with_version(model, 1)
-    }
-
-    /// Wraps a model at an explicit version — used when restoring a
-    /// snapshot so post-restore decisions continue the generation
-    /// numbering of the interrupted run.
-    pub fn with_version(model: T, version: u64) -> Self {
-        ModelSlot { current: Arc::new(Mutex::new((Arc::new(model), version.max(1)))) }
+        ModelSlot { current: Arc::new(Mutex::new((Arc::new(model), 1))) }
     }
 
     /// Snapshot of the deployed model and its version. The returned

@@ -71,25 +71,14 @@ impl DecisionTree {
         DecisionTree { root, n_classes: data.n_classes(), n_features: data.n_features() }
     }
 
-    /// Class-probability estimate for one feature row.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the row width differs from the training width.
-    pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        self.leaf_probs(row).to_vec()
-    }
-
     /// The training-sample class proportions of the leaf `row` lands in,
-    /// borrowed from the tree — the allocation-free core of
-    /// [`DecisionTree::predict_proba`], which batched ensemble scoring
-    /// accumulates from directly instead of cloning a `Vec` per tree per
-    /// row.
+    /// borrowed from the tree: the forest's scoring kernel reads it in
+    /// place.
     ///
     /// # Panics
     ///
     /// Panics when the row width differs from the training width.
-    pub fn leaf_probs(&self, row: &[f64]) -> &[f64] {
+    pub(crate) fn leaf_probs(&self, row: &[f64]) -> &[f64] {
         assert_eq!(row.len(), self.n_features, "row width mismatch");
         let mut node = &self.root;
         loop {
@@ -104,23 +93,12 @@ impl DecisionTree {
 
     /// Most probable class for one feature row.
     pub fn predict(&self, row: &[f64]) -> usize {
-        argmax(&self.predict_proba(row))
-    }
-
-    /// Number of leaves (diagnostic; useful in tests and benches).
-    pub fn leaf_count(&self) -> usize {
-        fn count(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => count(left) + count(right),
-            }
-        }
-        count(&self.root)
+        argmax(self.leaf_probs(row))
     }
 
     /// Mean-decrease-in-impurity feature importances (unnormalized): the
     /// weighted Gini decrease accumulated per feature over all splits.
-    pub fn feature_importances(&self) -> Vec<f64> {
+    pub(crate) fn feature_importances(&self) -> Vec<f64> {
         fn walk(node: &Node, acc: &mut [f64]) {
             if let Node::Split { feature, importance, left, right, .. } = node {
                 acc[*feature] += importance;
@@ -133,15 +111,37 @@ impl DecisionTree {
         acc
     }
 
-    /// Maximum depth of the grown tree.
-    pub fn depth(&self) -> usize {
-        fn depth(node: &Node) -> usize {
+    /// The per-tree half of [`RandomForest::check`](crate::forest::RandomForest::check):
+    /// the tree reads `n_features`-wide rows, splits only on those
+    /// features, and every leaf holds `n_classes` probabilities in [0, 1].
+    pub(crate) fn check(&self, n_features: usize, n_classes: usize) -> Result<(), String> {
+        fn walk(node: &Node, n_features: usize, n_classes: usize) -> Result<(), String> {
             match node {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + depth(left).max(depth(right)),
+                Node::Leaf { probs } => {
+                    if probs.len() != n_classes {
+                        return Err(format!(
+                            "leaf has {} class probabilities, expected {n_classes}",
+                            probs.len()
+                        ));
+                    }
+                    match probs.iter().find(|p| !(0.0..=1.0).contains(*p)) {
+                        Some(p) => Err(format!("leaf probability {p} is not in [0, 1]")),
+                        None => Ok(()),
+                    }
+                }
+                Node::Split { feature, left, right, .. } => {
+                    if *feature >= n_features {
+                        return Err(format!("split on feature {feature} of {n_features}"));
+                    }
+                    walk(left, n_features, n_classes)?;
+                    walk(right, n_features, n_classes)
+                }
             }
         }
-        depth(&self.root)
+        if self.n_features != n_features {
+            return Err(format!("reads {} features, expected {n_features}", self.n_features));
+        }
+        walk(&self.root, n_features, n_classes)
     }
 }
 
@@ -290,6 +290,20 @@ mod tests {
         (0..d.len()).collect()
     }
 
+    fn leaf_count(node: &Node) -> usize {
+        match node {
+            Node::Leaf { .. } => 1,
+            Node::Split { left, right, .. } => leaf_count(left) + leaf_count(right),
+        }
+    }
+
+    fn depth(node: &Node) -> usize {
+        match node {
+            Node::Leaf { .. } => 0,
+            Node::Split { left, right, .. } => 1 + depth(left).max(depth(right)),
+        }
+    }
+
     #[test]
     fn learns_a_simple_threshold() {
         let d = threshold_data();
@@ -298,7 +312,7 @@ mod tests {
         assert_eq!(tree.predict(&[5.0, 0.0]), 0);
         assert_eq!(tree.predict(&[35.0, 0.0]), 1);
         // One clean split suffices: exactly two leaves.
-        assert_eq!(tree.leaf_count(), 2);
+        assert_eq!(leaf_count(&tree.root), 2);
     }
 
     #[test]
@@ -309,8 +323,8 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(1);
         let tree = DecisionTree::fit(&d, &all_indices(&d), &TreeConfig::default(), &mut rng);
-        assert_eq!(tree.leaf_count(), 1);
-        assert_eq!(tree.predict_proba(&[3.0]), vec![1.0, 0.0]);
+        assert_eq!(leaf_count(&tree.root), 1);
+        assert_eq!(tree.leaf_probs(&[3.0]), [1.0, 0.0]);
     }
 
     #[test]
@@ -319,8 +333,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let config = TreeConfig { max_depth: 0, ..TreeConfig::default() };
         let tree = DecisionTree::fit(&d, &all_indices(&d), &config, &mut rng);
-        assert_eq!(tree.depth(), 0);
-        let probs = tree.predict_proba(&[0.0, 0.0]);
+        assert_eq!(depth(&tree.root), 0);
+        let probs = tree.leaf_probs(&[0.0, 0.0]);
         assert!((probs[0] - 0.5).abs() < 1e-12);
     }
 
@@ -332,7 +346,7 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(1);
         let tree = DecisionTree::fit(&d, &all_indices(&d), &TreeConfig::default(), &mut rng);
-        assert_eq!(tree.leaf_count(), 1);
+        assert_eq!(leaf_count(&tree.root), 1);
     }
 
     #[test]
@@ -348,7 +362,7 @@ mod tests {
         for (a, b) in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] {
             assert_eq!(tree.predict(&[a, b]), ((a as usize) ^ (b as usize)) & 1);
         }
-        assert!(tree.depth() >= 2);
+        assert!(depth(&tree.root) >= 2);
     }
 
     #[test]
@@ -364,7 +378,7 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(1);
         let tree = DecisionTree::fit(&d, &all_indices(&d), &TreeConfig::default(), &mut rng);
-        let probs = tree.predict_proba(&[5.0]);
+        let probs = tree.leaf_probs(&[5.0]);
         assert!((probs[0] - 0.75).abs() < 1e-12);
         assert!((probs[1] - 0.25).abs() < 1e-12);
     }
@@ -393,6 +407,23 @@ mod tests {
         // A clean binary split on a balanced problem decreases Gini from
         // 0.5 to 0: root importance ≈ 0.5.
         assert!((imp[0] - 0.5).abs() < 0.05, "{}", imp[0]);
+    }
+
+    #[test]
+    fn check_rejects_out_of_range_splits_and_malformed_leaves() {
+        let leaf = |probs: Vec<f64>| Box::new(Node::Leaf { probs });
+        let tree = |feature, left, right| DecisionTree {
+            root: Node::Split { feature, threshold: 0.5, importance: 0.0, left, right },
+            n_classes: 2,
+            n_features: 2,
+        };
+        let good = || leaf(vec![0.25, 0.75]);
+        assert_eq!(tree(1, good(), good()).check(2, 2), Ok(()));
+        let err = |t: DecisionTree| t.check(2, 2).unwrap_err();
+        assert!(err(tree(2, good(), good())).contains("split on feature 2 of 2"));
+        assert!(err(tree(0, good(), leaf(vec![1.0]))).contains("1 class probabilities"));
+        assert!(err(tree(0, leaf(vec![f64::NAN, 0.0]), good())).contains("not in [0, 1]"));
+        assert!(err(tree(0, leaf(vec![1.5, -0.5]), good())).contains("not in [0, 1]"));
     }
 
     #[test]
