@@ -8,8 +8,9 @@
 //! can attach timestamps to parsed messages.
 //!
 //! [`SpanReassembler`] is the offline (sort-at-end) reassembler: it
-//! buffers `(ts, span)` chunks that point into the capture and
-//! materializes bytes only for flows with more than one chunk.
+//! buffers `(ts, span)` chunks that point into the capture, lays each
+//! flow as trimmed arena ranges, and copies bytes only when a flow with
+//! more than one chunk is staged for reading.
 //! [`decode_frame`] is the one Ethernet → IPv4 → TCP decode ladder and
 //! [`lay_segment`] the one overlap-trim / gap-skip step, both shared with
 //! the online capture source in `wirefront`; [`timestamp_at`] is the one
@@ -103,9 +104,9 @@ pub fn decode_frame(frame: &[u8]) -> Result<Option<(FlowKey, TcpSegment<'_>)>> {
     Ok(Some((key, tcp)))
 }
 
-/// A borrowed view of one reassembled unidirectional stream:
-/// [`StreamBuf::view`] borrows from the capture arena or the shared
-/// gather buffer. The HTTP transaction extractor parses views.
+/// A borrowed view of one reassembled unidirectional stream: it borrows
+/// from the capture arena or from the buffer its stream was staged into.
+/// The HTTP transaction extractor parses views.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamView<'a> {
     /// The flow this stream belongs to.
@@ -195,15 +196,16 @@ impl SpanFlowState {
     }
 }
 
-/// Where one gathered stream's bytes live.
+/// Where one laid stream's bytes lie in the capture arena.
 #[derive(Debug)]
 enum StreamSrc {
-    /// A single contiguous span: the stream is read straight out of the
-    /// capture arena, no bytes materialized.
+    /// One chunk: the stream is this span of the arena, viewed in place
+    /// and never copied.
     Arena(Range<usize>),
-    /// Multiple chunks (or an overlap/retransmit conflict) forced a
-    /// gather copy into [`StreamBuf::data`].
-    Gathered(Range<usize>),
+    /// Several chunks, arbitrated: trimmed arena ranges
+    /// (`LaidStreams::pieces[range]`, in stream order) that staging
+    /// copies end to end.
+    Pieces(Range<usize>),
 }
 
 #[derive(Debug)]
@@ -214,15 +216,132 @@ struct StreamDesc {
     closed: bool,
 }
 
-/// Reused output buffer for [`SpanReassembler::gather_streams`]: all
-/// gathered stream bytes, timelines, and descriptors live in three flat
+/// Every stream of one capture as [`SpanReassembler::lay_streams`] laid
+/// it: where its bytes lie in the arena and when they arrived, with no
+/// byte copied. A stream of several pieces has no contiguous bytes yet,
+/// so there is no view of it here, only its first bytes
+/// ([`LaidStreams::head`]) and what staging it would copy
+/// ([`LaidStreams::copy_len`]); [`LaidStreams::stage`] gives the views.
+#[derive(Debug, Default)]
+pub(crate) struct LaidStreams {
+    pieces: Vec<Range<usize>>,
+    timeline: Vec<(usize, f64)>,
+    streams: Vec<StreamDesc>,
+}
+
+impl LaidStreams {
+    /// Number of streams laid.
+    pub(crate) fn len(&self) -> usize {
+        self.streams.len()
+    }
+
+    /// The flow stream `i` belongs to.
+    pub(crate) fn key(&self, i: usize) -> FlowKey {
+        self.streams[i].key
+    }
+
+    /// Stream `i`'s bytes as arena ranges, in stream order.
+    fn ranges(&self, i: usize) -> &[Range<usize>] {
+        match &self.streams[i].src {
+            StreamSrc::Arena(r) => std::slice::from_ref(r),
+            StreamSrc::Pieces(p) => &self.pieces[p.clone()],
+        }
+    }
+
+    /// Bytes that staging stream `i` copies: 0 for a stream viewed in
+    /// place.
+    pub(crate) fn copy_len(&self, i: usize) -> usize {
+        match &self.streams[i].src {
+            StreamSrc::Arena(_) => 0,
+            StreamSrc::Pieces(p) => self.pieces[p.clone()].iter().map(Range::len).sum(),
+        }
+    }
+
+    /// The first `out.len()` bytes of stream `i` (all of it if shorter),
+    /// read across its pieces without staging it.
+    pub(crate) fn head<'o>(&self, arena: &[u8], i: usize, out: &'o mut [u8]) -> &'o [u8] {
+        let mut n = 0;
+        for r in self.ranges(i) {
+            let take = (out.len() - n).min(r.len());
+            out[n..n + take].copy_from_slice(&arena[r.start..r.start + take]);
+            n += take;
+        }
+        &out[..n]
+    }
+
+    /// Stages streams `ids`, in that order, into `stage` (whatever it
+    /// held before is dropped): each stream of several pieces is copied
+    /// end to end into its one reused buffer, the only copy of stream
+    /// bytes in reassembly. The views it returns are the only views of
+    /// those streams.
+    pub(crate) fn stage<'a>(
+        &'a self,
+        arena: &'a [u8],
+        ids: impl Iterator<Item = usize> + Clone,
+        stage: &'a mut Stage,
+    ) -> Staged<'a> {
+        stage.bytes.clear();
+        stage.staged.clear();
+        stage.bytes.reserve(ids.clone().map(|i| self.copy_len(i)).sum());
+        for i in ids {
+            let start = stage.bytes.len();
+            if let StreamSrc::Pieces(p) = &self.streams[i].src {
+                for r in &self.pieces[p.clone()] {
+                    stage.bytes.extend_from_slice(&arena[r.clone()]);
+                }
+            }
+            stage.staged.push((i, start..stage.bytes.len()));
+        }
+        Staged { laid: self, arena, stage }
+    }
+}
+
+/// Reused staging buffer for [`LaidStreams::stage`]: the copied bytes of
+/// the streams staged last, and where each staged stream's bytes are.
+/// Its capacity survives across stagings and captures.
+#[derive(Debug, Default)]
+pub(crate) struct Stage {
+    bytes: Vec<u8>,
+    /// Per staged stream, in staging order: its index and its bytes in
+    /// `bytes` (empty for a stream viewed in place).
+    staged: Vec<(usize, Range<usize>)>,
+}
+
+/// The streams one [`LaidStreams::stage`] call staged, viewable.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Staged<'a> {
+    laid: &'a LaidStreams,
+    arena: &'a [u8],
+    stage: &'a Stage,
+}
+
+impl<'a> Staged<'a> {
+    /// Borrows the `k`-th stream staged.
+    pub(crate) fn view(self, k: usize) -> StreamView<'a> {
+        let (i, copied) = &self.stage.staged[k];
+        let d = &self.laid.streams[*i];
+        let data = match &d.src {
+            StreamSrc::Arena(r) => &self.arena[r.clone()],
+            StreamSrc::Pieces(_) => &self.stage.bytes[copied.clone()],
+        };
+        StreamView {
+            key: d.key,
+            data,
+            timeline: &self.laid.timeline[d.timeline.clone()],
+            closed: d.closed,
+        }
+    }
+}
+
+/// Reused output buffer for [`SpanReassembler::gather_streams`]: every
+/// stream of a capture, laid and staged at once. All of it lives in flat
 /// vectors whose capacity survives across captures, so steady-state
 /// reassembly allocates nothing.
 #[derive(Debug, Default)]
 pub struct StreamBuf {
-    data: Vec<u8>,
-    timeline: Vec<(usize, f64)>,
-    streams: Vec<StreamDesc>,
+    laid: LaidStreams,
+    /// Every laid stream, staged in index order.
+    stage: Stage,
 }
 
 impl StreamBuf {
@@ -231,58 +350,45 @@ impl StreamBuf {
         StreamBuf::default()
     }
 
-    /// Discards all streams, keeping allocated capacity.
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.timeline.clear();
-        self.streams.clear();
-    }
-
     /// Number of streams held.
     pub fn len(&self) -> usize {
-        self.streams.len()
+        self.laid.len()
     }
 
     /// Whether no streams are held.
     pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
+        self.len() == 0
     }
 
-    /// Borrows stream `i`. `arena` must be the capture the spans were
-    /// pushed from (single-span streams read straight out of it).
-    pub fn view<'a>(&'a self, arena: &'a [u8], i: usize) -> StreamView<'a> {
-        let d = &self.streams[i];
-        let data = match &d.src {
-            StreamSrc::Arena(r) => &arena[r.clone()],
-            StreamSrc::Gathered(r) => &self.data[r.clone()],
-        };
-        StreamView { key: d.key, data, timeline: &self.timeline[d.timeline.clone()], closed: d.closed }
-    }
-
-    /// Iterates all stream views in first-seen flow order.
+    /// Iterates all stream views in first-seen flow order. `arena` must
+    /// be the capture the spans were pushed from (single-span streams
+    /// read straight out of it).
     pub fn views<'a>(&'a self, arena: &'a [u8]) -> impl Iterator<Item = StreamView<'a>> {
-        (0..self.streams.len()).map(move |i| self.view(arena, i))
+        let staged = Staged { laid: &self.laid, arena, stage: &self.stage };
+        (0..self.len()).map(move |i| staged.view(i))
     }
 }
 
 /// Reassembles TCP segments into per-flow byte streams without copying
-/// them on the way in: buffers `(ts, span)` chunks, and materializes
-/// bytes only when a flow has more than one chunk (gather copy) — a
-/// single-segment stream stays a borrowed arena span end to end.
+/// them on the way in: buffers `(ts, span)` chunks, lays each flow as
+/// trimmed arena ranges, and copies bytes only when a flow of more than
+/// one chunk is staged — a single-segment stream stays a borrowed arena
+/// span end to end.
 ///
 /// Feed every segment of a capture with [`SpanReassembler::push_span`],
-/// then call [`SpanReassembler::gather_streams`]. Chunks are ordered by
-/// `(offset from the flow base, arrival order)` at gather time;
+/// then call [`SpanReassembler::gather_streams`] (or, inside the crate,
+/// `lay_streams` and stage what is needed a window at a time). Chunks are
+/// ordered by `(offset from the flow base, arrival order)` when laid;
 /// retransmitted bytes (same relative offset) keep their first copy, and
 /// overlapping retransmissions keep the earliest copy of each byte. Gaps
 /// (lost segments) are skipped and counted: later bytes are appended
 /// directly after earlier ones, which matches libpcap-based HTTP tooling
 /// behaviour on lossy captures.
 ///
-/// The reassembler and its [`StreamBuf`] are designed for reuse:
-/// [`SpanReassembler::gather_streams`] drains every flow, reclaims chunk
-/// vectors into an internal pool, and leaves the map's capacity in place,
-/// so a warm reassembler processes a capture without allocating.
+/// The reassembler and its [`StreamBuf`] are designed for reuse: laying
+/// drains every flow, reclaims chunk vectors into an internal pool, and
+/// leaves the map's capacity in place, so a warm reassembler processes a
+/// capture without allocating.
 #[derive(Debug, Default)]
 pub struct SpanReassembler {
     flows: HashMap<FlowKey, SpanFlowState>,
@@ -371,34 +477,43 @@ impl SpanReassembler {
         state.chunks.push(SpanChunk { rel, order, ts, range: payload });
     }
 
-    /// Finishes reassembly into `buf` (cleared first), one stream per
-    /// flow in first-seen order, counting every skipped sequence
-    /// discontinuity into `gaps` so ingest can report reassembly stalls
-    /// instead of papering over them.
+    /// Finishes reassembly into `buf`, one stream per flow in first-seen
+    /// order, every stream readable through [`StreamBuf::views`]: the
+    /// streams are laid (see `lay_streams`), then all of them are staged
+    /// at once. Every skipped sequence discontinuity is counted into
+    /// `gaps` so ingest can report reassembly stalls instead of papering
+    /// over them.
     ///
     /// Drains all flow state and reclaims its buffers, leaving the
     /// reassembler warm for the next capture.
     pub fn gather_streams(&mut self, arena: &[u8], gaps: &mut u64, buf: &mut StreamBuf) {
-        buf.clear();
+        self.lay_streams(gaps, &mut buf.laid);
+        buf.laid.stage(arena, 0..buf.laid.len(), &mut buf.stage);
+    }
+
+    /// Finishes reassembly into `laid` (cleared first), one stream per
+    /// flow in first-seen order, copying no byte: each flow's chunks are
+    /// sorted and arbitrated by [`lay_segment`] into trimmed arena ranges
+    /// and a timeline, and every skipped discontinuity is counted into
+    /// `gaps`. Drains all flow state like [`SpanReassembler::gather_streams`].
+    pub(crate) fn lay_streams(&mut self, gaps: &mut u64, laid: &mut LaidStreams) {
+        laid.pieces.clear();
+        laid.timeline.clear();
+        laid.streams.clear();
         let mut order = std::mem::take(&mut self.order);
         for &key in &order {
             let mut state = self.flows.remove(&key).expect("flow recorded in order");
             state.chunks.sort_unstable_by_key(|c| (c.rel, c.order));
-            let tl_start = buf.timeline.len();
-            // Fast path: one chunk — the stream IS its arena span.
-            if let [c] = state.chunks.as_slice() {
+            let tl_start = laid.timeline.len();
+            let src = if let [c] = state.chunks.as_slice() {
                 if c.rel > 0 {
                     *gaps += 1; // opening bytes lost below a pinned base
                 }
-                buf.timeline.push((0, c.ts));
-                buf.streams.push(StreamDesc {
-                    key,
-                    src: StreamSrc::Arena(c.range.clone()),
-                    timeline: tl_start..buf.timeline.len(),
-                    closed: state.closed,
-                });
+                laid.timeline.push((0, c.ts));
+                StreamSrc::Arena(c.range.clone())
             } else {
-                let data_start = buf.data.len();
+                let pieces_start = laid.pieces.len();
+                let mut len = 0usize;
                 let mut next_rel = 0u64;
                 let mut prev_rel = u64::MAX;
                 for c in &state.chunks {
@@ -409,16 +524,18 @@ impl SpanReassembler {
                     let Some(trim) = lay_segment(&mut next_rel, c.rel, c.range.len(), gaps) else {
                         continue; // fully retransmitted
                     };
-                    buf.timeline.push((buf.data.len() - data_start, c.ts));
-                    buf.data.extend_from_slice(&arena[c.range.start + trim..c.range.end]);
+                    laid.timeline.push((len, c.ts));
+                    laid.pieces.push(c.range.start + trim..c.range.end);
+                    len += c.range.len() - trim;
                 }
-                buf.streams.push(StreamDesc {
-                    key,
-                    src: StreamSrc::Gathered(data_start..buf.data.len()),
-                    timeline: tl_start..buf.timeline.len(),
-                    closed: state.closed,
-                });
-            }
+                StreamSrc::Pieces(pieces_start..laid.pieces.len())
+            };
+            laid.streams.push(StreamDesc {
+                key,
+                src,
+                timeline: tl_start..laid.timeline.len(),
+                closed: state.closed,
+            });
             state.chunks.clear();
             self.pool.push(std::mem::take(&mut state.chunks));
         }
@@ -694,9 +811,35 @@ mod tests {
         s.push_all(&mut r);
         let mut buf = StreamBuf::new();
         r.gather_streams(&s.arena, &mut 0, &mut buf);
-        let view = buf.view(&s.arena, 0);
+        let view = buf.views(&s.arena).next().expect("one stream");
         assert_eq!(view.data, b"only");
         assert!(s.arena.as_ptr_range().contains(&view.data.as_ptr()), "no gather copy");
+    }
+
+    #[test]
+    fn laid_stream_heads_read_across_pieces_without_staging() {
+        let mut s = Script::default();
+        s.data(1.0, key(), 100, b"GE");
+        s.data(2.0, key(), 102, b"T /");
+        s.data(3.0, key(), 102, b"T /"); // retransmission: not a piece
+        s.data(4.0, key(), 105, b"index.html");
+        s.data(5.0, key().reversed(), 1, b"HTTP/1.1 200 OK");
+        let mut r = SpanReassembler::new();
+        s.push_all(&mut r);
+        let mut laid = LaidStreams::default();
+        r.lay_streams(&mut 0, &mut laid);
+        let mut head = [0u8; 8];
+        assert_eq!(laid.head(&s.arena, 0, &mut head), b"GET /ind");
+        assert_eq!(laid.head(&s.arena, 1, &mut head), b"HTTP/1.1");
+        let mut wide = [0u8; 32];
+        assert_eq!(laid.head(&s.arena, 0, &mut wide), b"GET /index.html");
+        // Only the stream of several pieces copies when staged.
+        assert_eq!((laid.copy_len(0), laid.copy_len(1)), (15, 0));
+        let mut stage = Stage::default();
+        let staged = laid.stage(&s.arena, [1, 0].into_iter(), &mut stage);
+        assert_eq!(staged.view(0).data, b"HTTP/1.1 200 OK");
+        assert_eq!(staged.view(1).data, b"GET /index.html");
+        assert!(s.arena.as_ptr_range().contains(&staged.view(0).data.as_ptr()), "borrowed");
     }
 
     #[test]
@@ -712,7 +855,7 @@ mod tests {
             spans.gather_streams(&s.arena, &mut gaps, &mut buf);
             assert_eq!(gaps, 0, "round {round}");
             assert_eq!(buf.len(), 1);
-            assert_eq!(buf.view(&s.arena, 0).data, b"abcdef");
+            assert_eq!(buf.views(&s.arena).next().expect("one stream").data, b"abcdef");
         }
     }
 

@@ -22,7 +22,7 @@ use crate::http::{
 };
 use crate::ingest::IngestReport;
 use crate::payload::{classify, PayloadClass};
-use crate::reassembly::{decode_frame, Endpoint, SpanReassembler, StreamBuf, StreamView};
+use crate::reassembly::{decode_frame, Endpoint, LaidStreams, SpanReassembler, Stage, StreamView};
 use crate::{Error, Result};
 
 /// Number of leading body bytes retained for inspection (redirect
@@ -166,8 +166,10 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 /// throughput. Bodies are independent, though: interleaving four of them
 /// keeps four multiply chains in flight, and the out-of-order core
 /// overlaps them. When a lane's body ends it is refilled from the queue;
-/// a non-full tail falls back to the sequential form. The per-body
-/// values are bit-identical to [`fnv1a`] by construction.
+/// once the queue is empty, an idle lane shadows a busy one, so the last
+/// one to three bodies still run interleaved rather than one after
+/// another. The per-body values are bit-identical to [`fnv1a`] by
+/// construction.
 pub fn fnv1a_many(bodies: &[&[u8]], out: &mut Vec<u64>) {
     out.clear();
     // Empty bodies hash to the offset basis; pre-fill so the lane refill
@@ -190,24 +192,15 @@ pub fn fnv1a_many(bodies: &[&[u8]], out: &mut Vec<u64>) {
                 next += 1;
             }
         }
-        let active = lane.iter().filter(|&&i| i != usize::MAX).count();
-        if active == 0 {
+        let Some(busy) = (0..4).find(|&l| lane[l] != usize::MAX) else {
             return;
-        }
-        if active < 4 {
-            // Queue exhausted: finish the stragglers sequentially.
-            for l in 0..4 {
-                if lane[l] != usize::MAX {
-                    let body = bodies[lane[l]];
-                    let mut h = hash[l];
-                    for &b in &body[pos[l]..] {
-                        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-                    }
-                    out[lane[l]] = h;
-                    lane[l] = usize::MAX;
-                }
+        };
+        // Queue exhausted: an idle lane copies a busy lane's state. It
+        // ends with its twin and writes the same digest to the same slot.
+        for l in 0..4 {
+            if lane[l] == usize::MAX {
+                (lane[l], pos[l], hash[l]) = (lane[busy], pos[busy], hash[busy]);
             }
-            continue;
         }
         // All four lanes occupied: advance them in lockstep until the
         // shortest remaining body ends.
@@ -255,12 +248,17 @@ impl<'a> Body<'a> {
 /// The capture → transaction pipeline, zero-copy on the way in.
 ///
 /// Packets are read as `(ts, range)` spans into the capture buffer
-/// ([`crate::capture::read_packet_spans`]), reassembled by span
-/// ([`SpanReassembler`]) with bytes materialized only for multi-segment
-/// flows, parsed from [`StreamView`]s that borrow stream storage, and
-/// digested in one batch ([`fnv1a_many`]) after all connections are
-/// paired. Every buffer lives in the pipeline and is reused across
-/// captures, so steady-state packet processing allocates nothing.
+/// ([`crate::capture::read_packet_spans`]) and reassembled by span
+/// ([`SpanReassembler`]) into streams laid as arena ranges, nothing
+/// copied. Connections are then read in windows: the multi-segment
+/// streams of a window's connections, about `STAGE_WINDOW_BYTES` (8 MiB)
+/// of them, are copied into one reused buffer, parsed from [`StreamView`]s
+/// that borrow it (single-segment streams borrow the capture), and the
+/// window's bodies are digested in one batch ([`fnv1a_many`]) before the
+/// buffer is reused for the next window. So the copy never grows with
+/// the capture and lands in pages that are already mapped. Every buffer
+/// lives in the pipeline and is reused across captures, so steady-state
+/// packet processing allocates nothing.
 ///
 /// One run serves both ingest policies. Everything that can be salvaged
 /// is, and every loss is counted in an [`IngestReport`] — that is
@@ -275,9 +273,18 @@ impl<'a> Body<'a> {
 pub struct SpanPipeline {
     spans: Vec<PacketSpan>,
     reassembler: SpanReassembler,
-    streams: StreamBuf,
+    laid: LaidStreams,
+    stage: Stage,
     digests: Vec<u64>,
 }
+
+/// Bytes of multi-segment streams [`SpanPipeline`] stages per window (a
+/// connection larger than this is a window of its own). Large enough
+/// that a window holds many connections and a full digest batch, small
+/// enough that its buffer stays small and mapped across windows. Of 1,
+/// 2, 8 and 32 MiB, 8 gave the lowest CPU per transaction on the
+/// benchmark's 128 MiB `pcap_bulk` capture (2 vCPUs, x86-64).
+const STAGE_WINDOW_BYTES: usize = 8 << 20;
 
 impl SpanPipeline {
     /// Creates an empty pipeline.
@@ -292,7 +299,7 @@ impl SpanPipeline {
         capture: &[u8],
         report: &mut IngestReport,
     ) -> Vec<HttpTransaction> {
-        self.extract(capture, report).0
+        self.extract(capture, report, STAGE_WINDOW_BYTES).0
     }
 
     /// Extracts transactions from one capture, fail-stop: transactions
@@ -307,16 +314,21 @@ impl SpanPipeline {
     /// message is malformed. Streams that do not look like HTTP at all
     /// are skipped silently.
     pub fn extract_strict(&mut self, capture: &[u8]) -> Result<Vec<HttpTransaction>> {
-        let (transactions, first_stop) = self.extract(capture, &mut IngestReport::new());
+        let (transactions, first_stop) =
+            self.extract(capture, &mut IngestReport::new(), STAGE_WINDOW_BYTES);
         first_stop.map(|()| transactions)
     }
 
     /// The one run behind both policies: the salvaged transactions
     /// (accounted in `report`) and the first strict stop, if any.
+    /// Connections are paired in windows that stage about `window_bytes`
+    /// of multi-segment streams each; the result does not depend on it
+    /// (tests run it at one byte and unbounded).
     fn extract(
         &mut self,
         capture: &[u8],
         report: &mut IngestReport,
+        window_bytes: usize,
     ) -> (Vec<HttpTransaction>, Result<()>) {
         self.spans.clear();
         let mut first_stop = crate::capture::read_packet_spans(capture, report, &mut self.spans);
@@ -330,45 +342,72 @@ impl SpanPipeline {
                 Err(_) => report.packets_dropped_decode += 1,
             }
         }
-        self.reassembler.gather_streams(capture, &mut report.reassembly_gaps, &mut self.streams);
-        report.streams_total += self.streams.len() as u64;
+        self.reassembler.lay_streams(&mut report.reassembly_gaps, &mut self.laid);
+        report.streams_total += self.laid.len() as u64;
+        // Triage by first bytes, read across a stream's pieces: which
+        // direction of each connection is the request.
+        let mut head = [0u8; TRIAGE_BYTES];
         let mut connections: BTreeMap<(Endpoint, Endpoint), (Option<usize>, Option<usize>)> =
             BTreeMap::new();
-        for i in 0..self.streams.len() {
-            let view = self.streams.view(capture, i);
-            let entry = connections.entry(view.key.connection_id()).or_default();
-            let slot = if looks_like_request(view.data) { &mut entry.0 } else { &mut entry.1 };
+        for i in 0..self.laid.len() {
+            let entry = connections.entry(self.laid.key(i).connection_id()).or_default();
+            let is_request = looks_like_request(self.laid.head(capture, i, &mut head));
+            let slot = if is_request { &mut entry.0 } else { &mut entry.1 };
             if let Some(displaced) = slot.replace(i) {
-                count_unpaired(report, self.streams.view(capture, displaced).data);
+                count_unpaired(report, self.laid.head(capture, displaced, &mut head));
             }
         }
         let mut out = Vec::new();
-        let mut deferred: Vec<(usize, Body<'_>)> = Vec::new();
-        for (_, (req, resp)) in connections {
-            let Some(ri) = req else {
-                if let Some(oi) = resp {
-                    count_unpaired(report, self.streams.view(capture, oi).data);
+        let mut window: Vec<(usize, Option<usize>)> = Vec::new();
+        let mut staged_bytes = 0usize;
+        for (req, resp) in connections.into_values() {
+            let Some(req) = req else {
+                if let Some(orphan) = resp {
+                    count_unpaired(report, self.laid.head(capture, orphan, &mut head));
                 }
                 continue;
             };
-            let stop = pair_connection(
-                self.streams.view(capture, ri),
-                resp.map(|i| self.streams.view(capture, i)),
-                report,
-                &mut out,
-                &mut deferred,
-            );
-            first_stop = first_stop.and(stop);
+            let bytes = self.laid.copy_len(req) + resp.map_or(0, |r| self.laid.copy_len(r));
+            if !window.is_empty() && staged_bytes + bytes > window_bytes {
+                first_stop = first_stop.and(self.pair_window(capture, &window, report, &mut out));
+                window.clear();
+                staged_bytes = 0;
+            }
+            window.push((req, resp));
+            staged_bytes += bytes;
         }
-        // All bodies observed: digest the batch in interleaved lanes and
-        // write results back by index. Must happen before the sort below
-        // invalidates the queued indices.
-        digest_deferred(&mut out, &deferred, &mut self.digests);
-        drop(deferred);
+        first_stop = first_stop.and(self.pair_window(capture, &window, report, &mut out));
         out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
         assign_seq(&mut out);
         report.transactions_recovered += out.len() as u64;
         (out, first_stop)
+    }
+
+    /// Stages the streams of one window of `(request, response)`
+    /// connections, pairs the connections in order, and digests their
+    /// bodies in one interleaved batch, written back by index before the
+    /// next window reuses the buffer the bodies borrow. The first strict
+    /// stop among them, if any.
+    fn pair_window(
+        &mut self,
+        capture: &[u8],
+        window: &[(usize, Option<usize>)],
+        report: &mut IngestReport,
+        out: &mut Vec<HttpTransaction>,
+    ) -> Result<()> {
+        let ids = window.iter().flat_map(|&(req, resp)| std::iter::once(req).chain(resp));
+        let staged = self.laid.stage(capture, ids, &mut self.stage);
+        let mut deferred = Vec::new();
+        let mut stop = Ok(());
+        let mut k = 0;
+        for &(_, resp) in window {
+            let req = staged.view(k);
+            let resp = resp.map(|_| staged.view(k + 1));
+            k += 1 + usize::from(resp.is_some());
+            stop = stop.and(pair_connection(req, resp, report, out, &mut deferred));
+        }
+        digest_deferred(out, &deferred, &mut self.digests);
+        stop
     }
 
     /// Convenience: one-shot lenient extraction from raw capture bytes.
@@ -429,6 +468,10 @@ pub(crate) fn count_unpaired(report: &mut IngestReport, data: &[u8]) {
         report.streams_skipped_non_http += 1;
     }
 }
+
+/// Leading bytes of a stream the triage reads: enough for every prefix
+/// [`looks_like_request`] and [`count_unpaired`] test.
+const TRIAGE_BYTES: usize = 8;
 
 /// Whether a byte stream begins with a plausible HTTP request line.
 pub(crate) fn looks_like_request(data: &[u8]) -> bool {
@@ -1110,7 +1153,7 @@ mod tests {
 
     #[test]
     fn fnv1a_many_matches_sequential_digests() {
-        let bodies: Vec<Vec<u8>> = vec![
+        let pool: Vec<Vec<u8>> = vec![
             b"".to_vec(),
             b"a".to_vec(),
             (0u8..=255).cycle().take(1000).collect(),
@@ -1120,18 +1163,146 @@ mod tests {
             b"xy".to_vec(),
             b"".to_vec(),
             (1u8..=255).cycle().take(333).collect(),
+            vec![0xff; 64],
         ];
-        let refs: Vec<&[u8]> = bodies.iter().map(|b| b.as_slice()).collect();
+        // Every batch size from 0 to 9 at every rotation of the pool: the
+        // lockstep loop, its refills and a tail of one to three bodies
+        // with shadowing lanes each end on empty, short and long bodies.
         let mut out = Vec::new();
-        fnv1a_many(&refs, &mut out);
-        assert_eq!(out.len(), bodies.len());
-        for (b, d) in bodies.iter().zip(&out) {
-            assert_eq!(*d, fnv1a(b));
+        for n in 0..=9 {
+            for rotation in 0..pool.len() {
+                let batch: Vec<&[u8]> =
+                    (0..n).map(|j| pool[(rotation + j) % pool.len()].as_slice()).collect();
+                fnv1a_many(&batch, &mut out);
+                assert_eq!(out.len(), n);
+                for (body, digest) in batch.iter().zip(&out) {
+                    assert_eq!(*digest, fnv1a(body), "batch of {n} from rotation {rotation}");
+                }
+            }
         }
-        // Fewer than four non-empty bodies exercises the sequential tail.
-        let small: Vec<&[u8]> = vec![b"one", b"two2"];
-        fnv1a_many(&small, &mut out);
-        assert_eq!(out, vec![fnv1a(b"one"), fnv1a(b"two2")]);
+    }
+
+    /// What windowed extraction must reproduce: every stream gathered at
+    /// once by `gather_streams`, triaged and paired over whole-capture
+    /// views, every body digested in one batch.
+    fn whole_capture_extract(
+        capture: &[u8],
+        report: &mut IngestReport,
+    ) -> (Vec<HttpTransaction>, Result<()>) {
+        let mut spans = Vec::new();
+        let mut first_stop = crate::capture::read_packet_spans(capture, report, &mut spans);
+        let mut reassembler = SpanReassembler::new();
+        for span in &spans {
+            match decode_frame(&capture[span.range.clone()]) {
+                Ok(Some((key, tcp))) => {
+                    reassembler.push_span(span.ts, key, &tcp, subslice_range(capture, tcp.payload))
+                }
+                Ok(None) => report.packets_non_tcp += 1,
+                Err(_) => report.packets_dropped_decode += 1,
+            }
+        }
+        let mut streams = crate::reassembly::StreamBuf::new();
+        reassembler.gather_streams(capture, &mut report.reassembly_gaps, &mut streams);
+        report.streams_total += streams.len() as u64;
+        let views: Vec<StreamView<'_>> = streams.views(capture).collect();
+        let mut connections: BTreeMap<(Endpoint, Endpoint), (Option<usize>, Option<usize>)> =
+            BTreeMap::new();
+        for (i, view) in views.iter().enumerate() {
+            let entry = connections.entry(view.key.connection_id()).or_default();
+            let slot = if looks_like_request(view.data) { &mut entry.0 } else { &mut entry.1 };
+            if let Some(displaced) = slot.replace(i) {
+                count_unpaired(report, views[displaced].data);
+            }
+        }
+        let mut out = Vec::new();
+        let mut deferred = Vec::new();
+        for (req, resp) in connections.into_values() {
+            match req {
+                Some(req) => {
+                    let stop = pair_connection(
+                        views[req],
+                        resp.map(|i| views[i]),
+                        report,
+                        &mut out,
+                        &mut deferred,
+                    );
+                    first_stop = first_stop.and(stop);
+                }
+                None => resp.into_iter().for_each(|i| count_unpaired(report, views[i].data)),
+            }
+        }
+        digest_deferred(&mut out, &deferred, &mut Vec::new());
+        out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+        assign_seq(&mut out);
+        report.transactions_recovered += out.len() as u64;
+        (out, first_stop)
+    }
+
+    /// Field-by-field equality, timestamps bit for bit.
+    fn assert_same_transaction(got: &HttpTransaction, want: &HttpTransaction, case: &str) {
+        assert_eq!(got.seq, want.seq, "{case}: seq");
+        assert_eq!(got.ts.to_bits(), want.ts.to_bits(), "{case}: ts");
+        assert_eq!(got.resp_ts.to_bits(), want.resp_ts.to_bits(), "{case}: resp_ts");
+        assert_eq!((got.client, got.server), (want.client, want.server), "{case}: endpoints");
+        assert_eq!(got.host, want.host, "{case}: host");
+        assert_eq!(got.method, want.method, "{case}: method");
+        assert_eq!(got.uri, want.uri, "{case}: uri");
+        assert_eq!(got.req_headers, want.req_headers, "{case}: request headers");
+        assert_eq!(got.status, want.status, "{case}: status");
+        assert_eq!(got.resp_headers, want.resp_headers, "{case}: response headers");
+        assert_eq!(got.payload_class, want.payload_class, "{case}: payload class");
+        assert_eq!(got.payload_size, want.payload_size, "{case}: payload size");
+        assert_eq!(got.body_preview, want.body_preview, "{case}: body preview");
+        assert_eq!(got.payload_digest, want.payload_digest, "{case}: payload digest");
+    }
+
+    #[test]
+    fn windowed_extraction_equals_whole_capture_gather() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use synthtraffic::faultgen::{self, Fault};
+
+        let mut captures: Vec<(String, Vec<u8>)> = Vec::new();
+        for seed in 0..3u64 {
+            let family = synthtraffic::EkFamily::ALL[seed as usize * 3];
+            let mut rng = StdRng::seed_from_u64(seed + 1);
+            let episode = synthtraffic::episode::generate_infection(&mut rng, family, 1.4e9);
+            let clean = synthtraffic::pcapgen::episode_pcap(&episode).expect("episode renders");
+            for fault in Fault::ALL {
+                let mut rng = StdRng::seed_from_u64(100 + seed);
+                let hurt = faultgen::apply(&clean, fault, &mut rng);
+                captures.push((format!("{fault} seed {seed}"), hurt));
+            }
+            let mut rng = StdRng::seed_from_u64(200 + seed);
+            let hurt = faultgen::apply_all(&clean, &mut rng);
+            captures.push((format!("all faults seed {seed}"), hurt));
+            captures.push((format!("clean seed {seed}"), clean));
+        }
+        // One byte (every connection that copies anything is a window of
+        // its own), a few KiB (several connections per window) and
+        // unbounded (one window, the whole capture staged at once).
+        let budgets = [1, 3 << 10, usize::MAX];
+        let mut pipeline = SpanPipeline::new();
+        let mut split = 0;
+        for (name, capture) in &captures {
+            let mut want_report = IngestReport::new();
+            let (want, want_stop) = whole_capture_extract(capture, &mut want_report);
+            for budget in budgets {
+                let case = format!("{name}, window {budget}");
+                let mut report = IngestReport::new();
+                let (got, stop) = pipeline.extract(capture, &mut report, budget);
+                assert_eq!(report, want_report, "{case}: ingest report");
+                assert_eq!(format!("{stop:?}"), format!("{want_stop:?}"), "{case}: strict stop");
+                assert_eq!(got.len(), want.len(), "{case}: transaction count");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_same_transaction(g, w, &case);
+                }
+            }
+            // Streams that copy: with two or more, one-byte windows split.
+            let copying = (0..pipeline.laid.len()).filter(|&i| pipeline.laid.copy_len(i) > 0);
+            split += usize::from(copying.count() >= 2);
+        }
+        assert!(split * 4 > captures.len() * 3, "{split} of {} captures split", captures.len());
     }
 
     fn frame(
