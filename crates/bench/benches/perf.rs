@@ -73,7 +73,7 @@ fn wcg_over(g: &DiGraph<(), ()>) -> Wcg {
 fn bench_pcap(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let ep = generate_infection(&mut rng, EkFamily::Nuclear, 1.4e9);
-    let pcap = pcapgen::episode_pcap(&ep).unwrap();
+    let pcap = pcapgen::episodes_pcap(&[ep]);
     let mut group = c.benchmark_group("pcap");
     group.throughput(Throughput::Bytes(pcap.len() as u64));
     group.bench_function("parse_and_extract_transactions", |b| {
@@ -158,14 +158,10 @@ fn bench_forest(c: &mut Criterion) {
     });
     let forest = RandomForest::fit(&data, &config, 1, 0, None);
     group.throughput(Throughput::Elements(data.len() as u64));
-    // The entry names are cited elsewhere, so they stay: `predict_proba`
-    // times the per-row kernel, `predict_batched` the rows through `score_batch`.
+    // The entry name is cited elsewhere, so it stays: `predict_proba`
+    // times the per-row kernel, `score`.
     group.bench_function("predict_proba", |b| {
         b.iter(|| (0..data.len()).map(|i| forest.score(data.row(i), 1)).sum::<f64>())
-    });
-    let rows: Vec<Vec<f64>> = (0..data.len()).map(|i| data.row(i).to_vec()).collect();
-    group.bench_function("predict_batched", |b| {
-        b.iter(|| forest.score_batch(&rows, 1, 1).iter().sum::<f64>())
     });
     group.finish();
 }

@@ -10,7 +10,7 @@ use nettrace::tcp::TcpSegment;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synthtraffic::episode::generate_infection;
-use synthtraffic::pcapgen::episode_pcap;
+use synthtraffic::pcapgen::episodes_pcap;
 use synthtraffic::EkFamily;
 
 #[global_allocator]
@@ -62,7 +62,7 @@ fn packet_stage(
 fn ingest_packet_stage_is_allocation_free_in_steady_state() {
     let mut rng = StdRng::seed_from_u64(3);
     let ep = generate_infection(&mut rng, EkFamily::Nuclear, 1.4e9);
-    let pcap = episode_pcap(&ep).unwrap();
+    let pcap = episodes_pcap(&[ep]);
 
     let mut spans = Vec::new();
     let mut reassembler = SpanReassembler::default();

@@ -526,7 +526,7 @@ pub fn generate(args: &[String]) -> Result<(), String> {
             return Err("--family and --benign are mutually exclusive".into())
         }
     };
-    let pcap = pcapgen::episode_pcap(&episode).map_err(|e| e.to_string())?;
+    let pcap = pcapgen::episodes_pcap(std::slice::from_ref(&episode));
     fs::write(out, pcap).map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!(
         "{out}: {} transactions, {} hosts, label {:?}",

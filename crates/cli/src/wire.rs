@@ -22,9 +22,8 @@ use dynaminer::forensic::ForensicReport;
 use nettrace::source::TrafficSource;
 use nettrace::wiretap::TapConfig;
 use streamd::BackpressurePolicy;
-use synthtraffic::wire::{
-    drive_episodes, episodes_pcap, merged_wire_transactions, wire_episode_set, OriginServer,
-};
+use synthtraffic::pcapgen::episodes_pcap;
+use synthtraffic::wire::{drive_episodes, merged_wire_transactions, wire_episode_set, OriginServer};
 use synthtraffic::Episode;
 use wirefront::{metrics, run, CaptureConfig, CaptureSource, ProxyConfig, ProxySource, RunOptions};
 
@@ -55,7 +54,7 @@ fn episode_set(opts: &Options) -> Result<Vec<Episode>, String> {
     let seed = opts.u64_flag("seed", 7)?;
     let infections = opts.u64_flag("infections", 2)? as usize;
     let benign = opts.u64_flag("benign", 2)? as usize;
-    Ok(wire_episode_set(seed, infections, benign))
+    wire_episode_set(seed, infections, benign)
 }
 
 /// Publishes the bound address for harness coordination: written to
@@ -177,7 +176,7 @@ fn pcap(args: &[String]) -> Result<(), String> {
     let opts = commands::parse(args)?;
     let out = opts.required("out")?;
     let episodes = episode_set(&opts)?;
-    let bytes = episodes_pcap(&episodes).map_err(|e| e.to_string())?;
+    let bytes = episodes_pcap(&episodes);
     fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("{out}: {} bytes, {} episodes", bytes.len(), episodes.len());
     Ok(())

@@ -294,6 +294,18 @@ fn helpful_errors_for_bad_input() {
     assert!(commands::classify(&args(&["--model", &model, &junk])).is_ok());
 }
 
+/// A `wire` episode set whose transactions need more client ports than
+/// the merged capture can give them is refused with an error that names
+/// the limit, before anything is written.
+#[test]
+fn wire_episode_set_past_the_port_space_is_an_error() {
+    let out = tmp("too-many-episodes.pcap");
+    let pcap = ["pcap", "--out", &out, "--infections", "2000", "--benign", "2000"];
+    let err = dynaminer_cli::wire::wire(&args(&pcap)).unwrap_err();
+    assert!(err.contains("45536 client ports"), "unexpected error: {err}");
+    assert!(!std::path::Path::new(&out).exists());
+}
+
 #[test]
 fn strict_and_lenient_agree_on_clean_captures() {
     let clean = tmp("fiesta.pcap");

@@ -213,7 +213,7 @@ mod tests {
     use rand::SeedableRng;
     use synthtraffic::benign::generate_benign;
     use synthtraffic::episode::generate_infection;
-    use synthtraffic::pcapgen::episode_pcap;
+    use synthtraffic::pcapgen::episodes_pcap;
     use synthtraffic::{BenignScenario, EkFamily};
 
     fn classifier(seed: u64) -> Classifier {
@@ -241,7 +241,7 @@ mod tests {
         let n = 6;
         for i in 0..n {
             let ep = generate_infection(&mut rng, EkFamily::ALL[i % 10], 1.4e9);
-            let pcap = episode_pcap(&ep).unwrap();
+            let pcap = episodes_pcap(&[ep]);
             let report =
                 analyze_pcap(&pcap, clf.clone(), DetectorConfig::default()).unwrap();
             assert!(report.transactions > 0);
@@ -282,7 +282,7 @@ mod tests {
         let clf = classifier(5);
         let mut rng = StdRng::seed_from_u64(35);
         let ep = generate_infection(&mut rng, EkFamily::Rig, 1.4e9);
-        let pcap = episode_pcap(&ep).unwrap();
+        let pcap = episodes_pcap(&[ep]);
         let strict = analyze_pcap(&pcap, clf.clone(), DetectorConfig::default()).unwrap();
         let lenient = analyze_pcap_lenient(&pcap, clf, DetectorConfig::default());
         assert_eq!(lenient.transactions, strict.transactions);
@@ -298,7 +298,7 @@ mod tests {
         let clf = classifier(6);
         let mut rng = StdRng::seed_from_u64(36);
         let ep = generate_infection(&mut rng, EkFamily::Angler, 1.4e9);
-        let pcap = episode_pcap(&ep).unwrap();
+        let pcap = episodes_pcap(&[ep]);
         // Chop into the final record's body: a mid-record capture cut.
         let cut = &pcap[..pcap.len() - 3];
         let report = analyze_pcap_lenient(cut, clf, DetectorConfig::default());

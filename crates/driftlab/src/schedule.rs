@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use synthtraffic::benign::{generate_benign, BenignScenario};
-use synthtraffic::corpus::INFECTION_WINDOW_END;
+use synthtraffic::corpus::{scaled, BENIGN_TRACES, INFECTION_WINDOW_END};
 use synthtraffic::drift::{apply_drift, DriftKnobs};
 use synthtraffic::episode::{generate_infection, Episode};
 use synthtraffic::EkFamily;
@@ -161,8 +161,7 @@ impl DriftSchedule {
                 episodes.push(apply_drift(&mut rng, &knobs, base));
             }
         }
-        let benign_count = scaled(980, self.config.scale);
-        for _ in 0..benign_count {
+        for _ in 0..scaled(BENIGN_TRACES, self.config.scale) {
             let ts = rng.gen_range(start_ts..end_ts);
             let scenario = BenignScenario::sample(&mut rng);
             episodes.push(generate_benign(&mut rng, scenario, ts));
@@ -181,10 +180,6 @@ impl DriftSchedule {
             episodes,
         }
     }
-}
-
-fn scaled(count: usize, scale: f64) -> usize {
-    ((count as f64 * scale).round() as usize).max(1)
 }
 
 #[cfg(test)]

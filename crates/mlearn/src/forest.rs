@@ -5,9 +5,10 @@
 //! bootstrap resamples and split choices are a pure function of the seed
 //! and the model is bit-identical at any worker-thread count.
 //! [`RandomForest::score`] is the one scoring kernel: it reads each
-//! tree's leaf in place and allocates nothing. `score_batch` is a loop
-//! over it; `predict_proba` gives every class's `score` in one walk over
-//! the trees, and `predict` is its argmax.
+//! tree's leaf in place and allocates nothing. `predict_proba` gives
+//! every class's `score` in one walk over the trees, and `predict` is
+//! its argmax; batch callers (`Classifier::score_features_batch`) loop
+//! over `score`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -201,25 +202,6 @@ impl RandomForest {
     /// Predicted class: argmax of [`RandomForest::predict_proba`].
     pub fn predict(&self, row: &[f64]) -> usize {
         argmax(&self.predict_proba(row))
-    }
-
-    /// [`RandomForest::score`] of `class` for each row, in row order,
-    /// across up to `threads` workers. On one thread the only allocation
-    /// is the output.
-    ///
-    /// Rows are scored one at a time, each walking every tree. Tree-major
-    /// traversal (outer loop over trees, inner over a block of rows, with
-    /// and without cache tiling) was benchmarked and *lost*: with
-    /// unbounded-depth trees the forest's pointer-chased working set is as
-    /// large as the row block itself, so every tile pass re-streams the
-    /// forest and there is no node reuse to win back.
-    pub fn score_batch<R: AsRef<[f64]> + Sync>(
-        &self,
-        rows: &[R],
-        class: usize,
-        threads: usize,
-    ) -> Vec<f64> {
-        parallel::run_indexed(rows.len(), threads, |i| self.score(rows[i].as_ref(), class))
     }
 
     /// Mean-decrease-in-impurity feature importances, averaged over trees
@@ -473,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn score_batch_and_predict_proba_are_the_score_kernel() {
+    fn predict_proba_is_the_score_kernel() {
         let data = noisy_data(13);
         let blobs = three_blobs();
         let mut cases = Vec::new();
@@ -483,26 +465,14 @@ mod tests {
             cases.push((fit(&blobs, &config, 22), &blobs));
         }
         for (forest, data) in &cases {
-            let rows: Vec<Vec<f64>> = (0..data.len()).map(|i| data.row(i).to_vec()).collect();
             for class in 0..data.n_classes() {
-                for threads in [1, 3] {
-                    let batch = forest.score_batch(&rows, class, threads);
-                    assert_eq!(batch.len(), rows.len());
-                    for (i, row) in rows.iter().enumerate() {
-                        let score = forest.score(row, class).to_bits();
-                        assert_eq!(forest.predict_proba(row)[class].to_bits(), score, "row {i}");
-                        assert_eq!(batch[i].to_bits(), score, "row {i} ({threads} threads)");
-                    }
+                for i in 0..data.len() {
+                    let row = data.row(i);
+                    let score = forest.score(row, class).to_bits();
+                    assert_eq!(forest.predict_proba(row)[class].to_bits(), score, "row {i}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn score_batch_on_empty_input() {
-        let forest = fit(&noisy_data(14), &ForestConfig::default(), 2);
-        let rows: Vec<Vec<f64>> = Vec::new();
-        assert!(forest.score_batch(&rows, 1, 3).is_empty());
     }
 
     #[test]
@@ -516,8 +486,10 @@ mod tests {
         assert_eq!(hist.count(), config.n_trees as u64);
         assert!(hist.sum() > 0, "trees take measurable time");
         // Timing is observational only: the model is bit-identical.
-        let rows: Vec<Vec<f64>> = (0..data.len()).map(|i| data.row(i).to_vec()).collect();
-        assert_eq!(timed.score_batch(&rows, 1, 1), plain.score_batch(&rows, 1, 1));
+        for i in 0..data.len() {
+            let (a, b) = (timed.score(data.row(i), 1), plain.score(data.row(i), 1));
+            assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
+        }
     }
 
     #[test]

@@ -1267,7 +1267,7 @@ mod tests {
             let family = synthtraffic::EkFamily::ALL[seed as usize * 3];
             let mut rng = StdRng::seed_from_u64(seed + 1);
             let episode = synthtraffic::episode::generate_infection(&mut rng, family, 1.4e9);
-            let clean = synthtraffic::pcapgen::episode_pcap(&episode).expect("episode renders");
+            let clean = synthtraffic::pcapgen::episodes_pcap(&[episode]);
             for fault in Fault::ALL {
                 let mut rng = StdRng::seed_from_u64(100 + seed);
                 let hurt = faultgen::apply(&clean, fault, &mut rng);

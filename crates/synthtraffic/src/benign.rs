@@ -6,7 +6,7 @@ use nettrace::payload::PayloadClass;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::entice::Enticement;
+use crate::entice::{pick_weighted, Enticement};
 use crate::episode::{Episode, EpisodeLabel, TxFactory, TxSpec, MATERIALIZE_LIMIT};
 use crate::hostgen;
 
@@ -65,20 +65,13 @@ impl BenignScenario {
 
     /// Samples a scenario with the corpus weights.
     pub fn sample<R: Rng>(rng: &mut R) -> BenignScenario {
-        let mut x: f64 = rng.gen_range(0.0..1.0);
-        for (s, w) in BenignScenario::WEIGHTED {
-            x -= w;
-            if x <= 0.0 {
-                return s;
-            }
-        }
-        BenignScenario::AlexaBrowse
+        pick_weighted(rng, BenignScenario::WEIGHTED, BenignScenario::AlexaBrowse)
     }
 }
 
 /// Official vendor hosts used by [`BenignScenario::SoftwareUpdate`]; the
 /// DynaMiner detector treats these as trusted sources.
-pub const VENDOR_HOSTS: [&str; 5] = [
+pub(crate) const VENDOR_HOSTS: [&str; 5] = [
     "download.windowsupdate.com",
     "swcdn.apple.com",
     "archive.ubuntu.com",
@@ -108,17 +101,12 @@ fn visit_site<R: Rng>(
     // bookmark): the browser sends no referrer.
     let referer = visit.referer.filter(|_| rng.gen_bool(0.75));
     txs.push(fac.tx(rng, TxSpec {
-        ts: *t,
-        method: Method::Get,
-        host: visit.host,
         uri: uri.clone(),
         referer,
-        status: 200,
         payload_class: PayloadClass::Html,
         payload_size: size,
         body,
-        location: None,
-        cookie: None,
+        ..TxSpec::get(*t, visit.host)
     }));
     let page_url = format!("http://{}{uri}", visit.host);
     *t += rng.gen_range(2.0..10.0);
@@ -137,18 +125,16 @@ fn visit_site<R: Rng>(
         // why benign conversations reach up to 34 hosts in Table I.
         let third_party = if rng.gen_bool(0.15) { Some(hostgen::random_domain(rng)) } else { None };
         let rhost: &str = third_party.as_deref().unwrap_or(visit.host);
+        // Status and host are drawn between the URI and the transaction,
+        // so this site cannot use `TxFactory::fetch`.
         txs.push(fac.tx(rng, TxSpec {
-            ts: *t,
-            method: Method::Get,
-            host: rhost,
             uri: ruri,
             referer: Some(page_url.clone()),
             status: rstatus,
             payload_class: class,
             payload_size: rsize,
             body: rbody,
-            location: None,
-            cookie: None,
+            ..TxSpec::get(*t, rhost)
         }));
         *t += rng.gen_range(0.3..2.5);
     }
@@ -157,20 +143,16 @@ fn visit_site<R: Rng>(
     // separator; the discriminating signal is *where* infections POST).
     if rng.gen_bool(0.3) {
         let body = hostgen::payload_body(rng, PayloadClass::Json, 128);
-        let blen = body.len();
         let bstatus = if rng.gen_bool(0.8) { 204 } else { 200 };
         txs.push(fac.tx(rng, TxSpec {
-            ts: *t,
             method: Method::Post,
-            host: visit.host,
             uri: "/beacon".to_string(),
             referer: Some(page_url.clone()),
             status: bstatus,
             payload_class: PayloadClass::Json,
-            payload_size: blen,
+            payload_size: body.len(),
             body,
-            location: None,
-            cookie: None,
+            ..TxSpec::get(*t, visit.host)
         }));
         *t += rng.gen_range(0.1..1.0);
     }
@@ -189,24 +171,9 @@ fn download<R: Rng>(
     class: PayloadClass,
     size: usize,
 ) {
-    let body = hostgen::payload_body(rng, class, size.min(MATERIALIZE_LIMIT));
-    let uri = hostgen::payload_uri(rng, class);
-    txs.push(fac.tx(rng, TxSpec {
-        ts: *t,
-        method: Method::Get,
-        host,
-        uri,
-        referer,
-        status: 200,
-        payload_class: class,
-        payload_size: size,
-        body,
-        location: None,
-        cookie: None,
-    }));
+    txs.push(fac.fetch(rng, TxSpec { referer, ..TxSpec::get(*t, host) }, class, size));
     *t += rng.gen_range(1.0..10.0);
 }
-
 
 /// Merges several single-scenario episodes into one multi-tab session:
 /// every transaction is rebound to the first episode's victim and the
@@ -215,7 +182,7 @@ fn download<R: Rng>(
 /// sessions, we keep multiple tabs open in the browser" — and is what
 /// spreads benign per-conversation counts across the wide ranges of
 /// Table I (2–34 hosts).
-pub fn merge_sessions<R: Rng>(rng: &mut R, episodes: Vec<Episode>) -> Episode {
+pub(crate) fn merge_sessions<R: Rng>(rng: &mut R, episodes: Vec<Episode>) -> Episode {
     let mut iter = episodes.into_iter();
     let mut base = iter.next().expect("at least one episode to merge");
     let base_duration = base.duration().max(1.0);
@@ -263,17 +230,11 @@ pub fn generate_benign<R: Rng>(rng: &mut R, scenario: BenignScenario, start_ts: 
             let q = format!("/search?q={}", hostgen::random_token(rng, 7));
             let body = hostgen::payload_body(rng, PayloadClass::Html, 2048);
             txs.push(fac.tx(rng, TxSpec {
-                ts: t,
-                method: Method::Get,
-                host: engine,
                 uri: q.clone(),
-                referer: None,
-                status: 200,
                 payload_class: PayloadClass::Html,
                 payload_size: 30_000,
                 body,
-                location: None,
-                cookie: None,
+                ..TxSpec::get(t, engine)
             }));
             let search_url = format!("http://{engine}{q}");
             t += rng.gen_range(4.0..20.0);
@@ -286,19 +247,8 @@ pub fn generate_benign<R: Rng>(rng: &mut R, scenario: BenignScenario, start_ts: 
                 if redirect_budget > 0 && rng.gen_bool(0.18) {
                     redirect_budget -= 1;
                     let target = format!("http://{site}{}", hostgen::benign_uri(rng));
-                    txs.push(fac.tx(rng, TxSpec {
-                        ts: t,
-                        method: Method::Get,
-                        host: engine,
-                        uri: format!("/url?q={site}"),
-                        referer: Some(search_url.clone()),
-                        status: 302,
-                        payload_class: PayloadClass::Empty,
-                        payload_size: 0,
-                        body: Vec::new(),
-                        location: Some(target),
-                        cookie: None,
-                    }));
+                    let uri = format!("/url?q={site}");
+                    txs.push(fac.hop(rng, t, engine, uri, Some(search_url.clone()), target));
                     t += rng.gen_range(0.2..1.0);
                 }
                 let res_count_0 = rng.gen_range(1..5);
@@ -329,19 +279,8 @@ pub fn generate_benign<R: Rng>(rng: &mut R, scenario: BenignScenario, start_ts: 
                 if redirect_budget > 0 && rng.gen_bool(0.3) {
                     redirect_budget -= 1;
                     let target = format!("http://{shared}{}", hostgen::benign_uri(rng));
-                    txs.push(fac.tx(rng, TxSpec {
-                        ts: t,
-                        method: Method::Get,
-                        host: network,
-                        uri: format!("/l.php?u={shared}"),
-                        referer: Some(feed_url.clone()),
-                        status: 302,
-                        payload_class: PayloadClass::Empty,
-                        payload_size: 0,
-                        body: Vec::new(),
-                        location: Some(target),
-                        cookie: None,
-                    }));
+                    let uri = format!("/l.php?u={shared}");
+                    txs.push(fac.hop(rng, t, network, uri, Some(feed_url.clone()), target));
                     t += rng.gen_range(0.2..1.0);
                 }
                 let res_count_2 = rng.gen_range(1..4);
@@ -399,17 +338,12 @@ pub fn generate_benign<R: Rng>(rng: &mut R, scenario: BenignScenario, start_ts: 
                 let body = hostgen::payload_body(rng, PayloadClass::Other, 512);
                 let uri = hostgen::payload_uri(rng, PayloadClass::Other);
                 txs.push(fac.tx(rng, TxSpec {
-                    ts: t,
-                    method: Method::Get,
-                    host: "r4.googlevideo.com",
                     uri,
                     referer: Some(video_url.clone()),
-                    status: 200,
                     payload_class: PayloadClass::Other,
                     payload_size: size,
                     body,
-                    location: None,
-                    cookie: None,
+                    ..TxSpec::get(t, "r4.googlevideo.com")
                 }));
                 t += rng.gen_range(0.2..1.2);
             }
@@ -419,19 +353,8 @@ pub fn generate_benign<R: Rng>(rng: &mut R, scenario: BenignScenario, start_ts: 
                 let ad_host = hostgen::random_domain(rng);
                 let lander = hostgen::random_domain(rng);
                 let target = format!("http://{lander}{}", hostgen::benign_uri(rng));
-                txs.push(fac.tx(rng, TxSpec {
-                    ts: t,
-                    method: Method::Get,
-                    host: &ad_host,
-                    uri: "/click?ad=1".to_string(),
-                    referer: Some(video_url.clone()),
-                    status: 302,
-                    payload_class: PayloadClass::Empty,
-                    payload_size: 0,
-                    body: Vec::new(),
-                    location: Some(target),
-                    cookie: None,
-                }));
+                let uri = "/click?ad=1".to_string();
+                txs.push(fac.hop(rng, t, &ad_host, uri, Some(video_url.clone()), target));
                 t += rng.gen_range(0.5..2.0);
                 let res_count_6 = rng.gen_range(1..4);
                 visit_site(rng, &mut fac, &mut txs, &mut t, SiteVisit {
@@ -459,19 +382,12 @@ pub fn generate_benign<R: Rng>(rng: &mut R, scenario: BenignScenario, start_ts: 
             download(rng, &mut fac, &mut txs, &mut t, vendor, None, PayloadClass::Exe, size);
             // Follow-up metadata check.
             let body = hostgen::payload_body(rng, PayloadClass::Json, 256);
-            let blen = body.len();
             txs.push(fac.tx(rng, TxSpec {
-                ts: t,
-                method: Method::Get,
-                host: vendor,
                 uri: "/manifest.json".to_string(),
-                referer: None,
-                status: 200,
                 payload_class: PayloadClass::Json,
-                payload_size: blen,
+                payload_size: body.len(),
                 body,
-                location: None,
-                cookie: None,
+                ..TxSpec::get(t, vendor)
             }));
         }
         BenignScenario::UnofficialDownload => {
@@ -489,19 +405,7 @@ pub fn generate_benign<R: Rng>(rng: &mut R, scenario: BenignScenario, start_ts: 
                 let next = hostgen::random_domain(rng);
                 let target = format!("http://{next}{}", hostgen::benign_uri(rng));
                 let hop_uri = hostgen::benign_uri(rng);
-                txs.push(fac.tx(rng, TxSpec {
-                    ts: t,
-                    method: Method::Get,
-                    host: &dl_host,
-                    uri: hop_uri,
-                    referer: referer.clone(),
-                    status: 302,
-                    payload_class: PayloadClass::Empty,
-                    payload_size: 0,
-                    body: Vec::new(),
-                    location: Some(target),
-                    cookie: None,
-                }));
+                txs.push(fac.hop(rng, t, &dl_host, hop_uri, referer.clone(), target));
                 referer = Some(format!("http://{dl_host}/"));
                 dl_host = next;
                 t += rng.gen_range(0.3..2.0);

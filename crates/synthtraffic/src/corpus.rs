@@ -10,6 +10,9 @@ use crate::episode::{generate_infection, Episode, EpisodeLabel};
 use crate::families::EkFamily;
 use nettrace::payload::PayloadClass;
 
+/// Benign browsing traces in the paper's ground truth (Table I).
+pub const BENIGN_TRACES: usize = 980;
+
 /// Epoch seconds for 2013-06-01 (start of the infection window).
 pub const INFECTION_WINDOW_START: f64 = 1_370_044_800.0;
 /// Epoch seconds for 2016-07-01 (end of the infection window).
@@ -20,7 +23,7 @@ pub const BENIGN_WINDOW_START: f64 = 1_430_438_400.0;
 pub const BENIGN_WINDOW_END: f64 = 1_462_060_800.0;
 
 /// Builds the ground-truth corpus: per-family infection counts from
-/// Table I (770 infections total) plus 980 benign traces, both scaled by
+/// Table I (770 infections total) plus [`BENIGN_TRACES`], both scaled by
 /// `scale` (use 1.0 for the paper-sized corpus, smaller for quick tests).
 /// Episodes are returned infections-first, then benign, each internally in
 /// generation order.
@@ -33,8 +36,7 @@ pub fn ground_truth(seed: u64, scale: f64) -> Vec<Episode> {
             episodes.push(infection_trace(&mut rng, family));
         }
     }
-    let benign_count = scaled(980, scale);
-    for _ in 0..benign_count {
+    for _ in 0..scaled(BENIGN_TRACES, scale) {
         episodes.push(benign_session(&mut rng));
     }
     episodes
@@ -90,7 +92,9 @@ fn infection_trace(rng: &mut StdRng, family: EkFamily) -> Episode {
     }
 }
 
-fn scaled(count: usize, scale: f64) -> usize {
+/// `count` scaled by `scale`, rounded, and never below one: how every
+/// corpus sizes a Table I count.
+pub fn scaled(count: usize, scale: f64) -> usize {
     ((count as f64 * scale).round() as usize).max(1)
 }
 
@@ -115,7 +119,7 @@ impl CorpusStats {
     /// # Panics
     ///
     /// Panics when `episodes` is empty.
-    pub fn summarize(label: &str, episodes: &[&Episode]) -> CorpusStats {
+    fn summarize(label: &str, episodes: &[&Episode]) -> CorpusStats {
         assert!(!episodes.is_empty(), "cannot summarize zero episodes");
         let hosts: Vec<usize> = episodes.iter().map(|e| e.unique_hosts()).collect();
         let redirects: Vec<usize> = episodes.iter().map(|e| e.redirect_count()).collect();

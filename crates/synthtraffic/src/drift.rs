@@ -70,8 +70,8 @@ impl DriftKnobs {
 }
 
 /// A benign-looking domain: dashless stem+token on a mainstream TLD,
-/// the shape [`hostgen::random_domain`]'s EK-flavored output avoids.
-pub fn benign_mimic_domain<R: Rng>(rng: &mut R) -> String {
+/// the shape `hostgen::random_domain`'s EK-flavored output avoids.
+fn benign_mimic_domain<R: Rng>(rng: &mut R) -> String {
     const STEMS: [&str; 8] =
         ["assets", "static", "images", "api", "content", "pages", "files", "site"];
     const TLDS: [&str; 3] = ["com", "net", "org"];
@@ -144,13 +144,15 @@ pub fn apply_drift<R: Rng>(rng: &mut R, knobs: &DriftKnobs, mut ep: Episode) -> 
                 }
                 // Keep referrer/Location URLs consistent with the
                 // renames so WCG edges survive the disguise.
-                for header in ["Referer", "Location"] {
-                    if let Some(value) = tx_header(tx, header) {
-                        let mut rewritten = value;
+                for (map, header) in
+                    [(&mut tx.req_headers, "Referer"), (&mut tx.resp_headers, "Location")]
+                {
+                    if let Some(value) = map.get(header) {
+                        let mut rewritten = value.to_string();
                         for (old, new) in &renames {
                             rewritten = rewritten.replace(old.as_str(), new.as_str());
                         }
-                        set_tx_header(tx, header, rewritten);
+                        map.set(header, rewritten);
                     }
                 }
             }
@@ -184,16 +186,6 @@ pub fn apply_drift<R: Rng>(rng: &mut R, knobs: &DriftKnobs, mut ep: Episode) -> 
         ep = evasion::apply(strategy, ep);
     }
     ep
-}
-
-fn tx_header(tx: &nettrace::HttpTransaction, name: &str) -> Option<String> {
-    let map = if name == "Referer" { &tx.req_headers } else { &tx.resp_headers };
-    map.get(name).map(str::to_string)
-}
-
-fn set_tx_header(tx: &mut nettrace::HttpTransaction, name: &str, value: String) {
-    let map = if name == "Referer" { &mut tx.req_headers } else { &mut tx.resp_headers };
-    map.set(name, value);
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ impl Enticement {
 
     /// The share Figure 1 reports for this category. The paper's own
     /// percentages (37 + 25 + 17.76 + 12.84 + 7.51 + ~0.9) sum to ≈ 101 %,
-    /// so sampling uses [`Enticement::probability`], the normalized value.
+    /// so sampling uses the normalized value.
     pub fn paper_share(self) -> f64 {
         match self {
             Enticement::GoogleSearch => 0.37,
@@ -63,26 +63,20 @@ impl Enticement {
     }
 
     /// Normalized Figure 1 probability of this category.
-    pub fn probability(self) -> f64 {
+    pub(crate) fn probability(self) -> f64 {
         let total: f64 = Enticement::ALL.iter().map(|e| e.paper_share()).sum();
         self.paper_share() / total
     }
 
     /// Samples a category with Figure 1 weights.
     pub fn sample<R: Rng>(rng: &mut R) -> Enticement {
-        let mut x: f64 = rng.gen_range(0.0..1.0);
-        for e in Enticement::ALL {
-            x -= e.probability();
-            if x <= 0.0 {
-                return e;
-            }
-        }
-        Enticement::SocialNetwork
+        let weighted = Enticement::ALL.map(|e| (e, e.probability()));
+        pick_weighted(rng, weighted, Enticement::SocialNetwork)
     }
 
     /// The origin host name used when this enticement carries a referrer,
     /// or `None` when the referrer is absent/redacted.
-    pub fn origin_host<R: Rng>(self, rng: &mut R) -> Option<String> {
+    pub(crate) fn origin_host<R: Rng>(self, rng: &mut R) -> Option<String> {
         match self {
             Enticement::GoogleSearch => Some("www.google.com".to_string()),
             Enticement::BingSearch => Some("www.bing.com".to_string()),
@@ -93,11 +87,25 @@ impl Enticement {
             Enticement::EmptyReferrer | Enticement::RedactedReferrer => None,
         }
     }
+}
 
-    /// Whether this category sets a referrer header on the first hop.
-    pub fn has_referrer(self) -> bool {
-        !matches!(self, Enticement::EmptyReferrer | Enticement::RedactedReferrer)
+/// The cumulative-weight draw behind the enticement and benign-scenario
+/// samples: one uniform `x` in `[0, 1)`, minus each weight in order,
+/// picks the first item that takes `x` to zero or below, else `fallback`
+/// (the weights' rounding can leave `x` just above zero).
+pub(crate) fn pick_weighted<T, R: Rng>(
+    rng: &mut R,
+    weighted: impl IntoIterator<Item = (T, f64)>,
+    fallback: T,
+) -> T {
+    let mut x: f64 = rng.gen_range(0.0..1.0);
+    for (item, weight) in weighted {
+        x -= weight;
+        if x <= 0.0 {
+            return item;
+        }
     }
+    fallback
 }
 
 #[cfg(test)]
@@ -148,7 +156,5 @@ mod tests {
         );
         assert!(Enticement::EmptyReferrer.origin_host(&mut rng).is_none());
         assert!(Enticement::RedactedReferrer.origin_host(&mut rng).is_none());
-        assert!(!Enticement::EmptyReferrer.has_referrer());
-        assert!(Enticement::CompromisedSite.has_referrer());
     }
 }

@@ -24,6 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::benign::BenignScenario;
 use crate::entice::Enticement;
+use crate::evasion::is_redirect_hop;
 use crate::families::{sample_payload_count, EkFamily, CALLBACK_PROB};
 use crate::hostgen;
 
@@ -74,26 +75,14 @@ impl Episode {
     /// (Table I: "the minimum … is always 2 since the smallest
     /// conversation involves a client and one remote host").
     pub fn unique_hosts(&self) -> usize {
-        let mut hosts: Vec<&str> = self.transactions.iter().map(|t| t.host.as_str()).collect();
-        hosts.sort_unstable();
-        hosts.dedup();
-        hosts.len() + usize::from(!self.transactions.is_empty())
+        remote_hosts(&self.transactions) + usize::from(!self.transactions.is_empty())
     }
 
     /// Number of redirect hops: responses that are 3xx, or 200s whose body
     /// carries a meta-refresh tag or obfuscated `atob`-style JavaScript
     /// redirect (the three mechanisms of Sec. II).
     pub fn redirect_count(&self) -> usize {
-        self.transactions
-            .iter()
-            .filter(|t| {
-                if t.is_redirect() {
-                    return true;
-                }
-                let body = String::from_utf8_lossy(&t.body_preview);
-                body.contains("http-equiv=\"refresh\"") || body.contains("atob(")
-            })
-            .count()
+        self.transactions.iter().filter(|t| is_redirect_hop(t)).count()
     }
 
     /// Episode duration in seconds (last response end − first request).
@@ -102,6 +91,14 @@ impl Episode {
         let last = self.transactions.iter().map(|t| t.resp_ts).fold(first, f64::max);
         last - first
     }
+}
+
+/// Distinct `Host` values among `txs`.
+fn remote_hosts(txs: &[HttpTransaction]) -> usize {
+    let mut hosts: Vec<&str> = txs.iter().map(|t| t.host.as_str()).collect();
+    hosts.sort_unstable();
+    hosts.dedup();
+    hosts.len()
 }
 
 /// Builds [`HttpTransaction`]s with consistent endpoints, ports, and
@@ -126,6 +123,27 @@ pub(crate) struct TxSpec<'a> {
     pub body: Vec<u8>,
     pub location: Option<String>,
     pub cookie: Option<String>,
+}
+
+impl<'a> TxSpec<'a> {
+    /// A `GET` of `host` at `ts` answered `200` with an empty body and
+    /// no referrer, cookie or redirect target: the base every site
+    /// fills in.
+    pub(crate) fn get(ts: f64, host: &'a str) -> Self {
+        TxSpec {
+            ts,
+            method: Method::Get,
+            host,
+            uri: String::new(),
+            referer: None,
+            status: 200,
+            payload_class: PayloadClass::Empty,
+            payload_size: 0,
+            body: Vec::new(),
+            location: None,
+            cookie: None,
+        }
+    }
 }
 
 impl TxFactory {
@@ -207,11 +225,40 @@ impl TxFactory {
             body_preview: spec.body[..preview].to_vec(),
         }
     }
+
+    /// A payload fetch on `get`: the body of `class` (materialized up to
+    /// [`MATERIALIZE_LIMIT`] of the declared `size`), then its URI, then
+    /// the transaction — in that RNG order.
+    pub(crate) fn fetch<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        get: TxSpec<'_>,
+        class: PayloadClass,
+        size: usize,
+    ) -> HttpTransaction {
+        let body = hostgen::payload_body(rng, class, size.min(MATERIALIZE_LIMIT));
+        let uri = hostgen::payload_uri(rng, class);
+        self.tx(rng, TxSpec { uri, payload_class: class, payload_size: size, body, ..get })
+    }
+
+    /// A `302` hop from `host` to `target`.
+    pub(crate) fn hop<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        ts: f64,
+        host: &str,
+        uri: String,
+        referer: Option<String>,
+        target: String,
+    ) -> HttpTransaction {
+        let get = TxSpec::get(ts, host);
+        self.tx(rng, TxSpec { uri, referer, status: 302, location: Some(target), ..get })
+    }
 }
 
 /// How a redirect hop is expressed on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RedirectKind {
+enum RedirectKind {
     /// `302` with a `Location` header.
     Http302,
     /// `200` HTML carrying a `<meta http-equiv="refresh">` tag.
@@ -231,7 +278,7 @@ impl RedirectKind {
 }
 
 /// Builds the HTML body for a non-header redirect hop.
-pub fn redirect_body(kind: RedirectKind, target_url: &str) -> Vec<u8> {
+fn redirect_body(kind: RedirectKind, target_url: &str) -> Vec<u8> {
     match kind {
         RedirectKind::Http302 => Vec::new(),
         RedirectKind::MetaRefresh => format!(
@@ -251,7 +298,7 @@ pub fn redirect_body(kind: RedirectKind, target_url: &str) -> Vec<u8> {
 
 /// Bytes materialized for payload bodies (larger sizes are declared via
 /// `Content-Length`/`payload_size` but not materialized; see `pcapgen`).
-pub const MATERIALIZE_LIMIT: usize = 4096;
+pub(crate) const MATERIALIZE_LIMIT: usize = 4096;
 
 /// Generates one infection episode for `family` starting at `start_ts`.
 ///
@@ -304,19 +351,12 @@ pub fn generate_infection<R: Rng>(rng: &mut R, family: EkFamily, start_ts: f64) 
             _ => hostgen::benign_uri(rng),
         };
         let body = hostgen::payload_body(rng, PayloadClass::Html, 2048);
-        let size = body.len();
         txs.push(fac.tx(rng, TxSpec {
-            ts: t,
-            method: Method::Get,
-            host: origin,
             uri: uri.clone(),
-            referer: None,
-            status: 200,
             payload_class: PayloadClass::Html,
-            payload_size: size,
+            payload_size: body.len(),
             body,
-            location: None,
-            cookie: None,
+            ..TxSpec::get(t, origin)
         }));
         referer = Some(format!("http://{origin}{uri}"));
         t += pace * rng.gen_range(0.2..1.5);
@@ -352,22 +392,18 @@ pub fn generate_infection<R: Rng>(rng: &mut R, family: EkFamily, start_ts: f64) 
             RedirectKind::Http302 => (302, Some(target_url.clone()), Vec::new()),
             _ => (200, None, redirect_body(kind, &target_url)),
         };
-        let size = body.len();
         // A third of HTML redirect carriers ship compressed, like real
         // servers do — the evidence only appears after decoding.
         let compressed_hop = !body.is_empty() && rng.gen_bool(0.35);
         let mut hop_tx = fac.tx(rng, TxSpec {
-            ts: t,
-            method: Method::Get,
-            host,
             uri: uri.clone(),
             referer: referer.clone(),
             status,
             payload_class: if body.is_empty() { PayloadClass::Empty } else { PayloadClass::Html },
-            payload_size: size,
+            payload_size: body.len(),
             body,
             location,
-            cookie: None,
+            ..TxSpec::get(t, host)
         });
         if compressed_hop {
             // The coding is derived from the already-computed body digest
@@ -393,17 +429,13 @@ pub fn generate_infection<R: Rng>(rng: &mut R, family: EkFamily, start_ts: f64) 
     let landing_body = hostgen::payload_body(rng, PayloadClass::Html, 3500);
     let landing_size = rng.gen_range(20_000..90_000);
     txs.push(fac.tx(rng, TxSpec {
-        ts: t,
-        method: Method::Get,
-        host: &landing_host,
         uri: landing_uri.clone(),
         referer: referer.clone(),
-        status: 200,
         payload_class: PayloadClass::Html,
         payload_size: landing_size,
         body: landing_body,
-        location: None,
         cookie: Some(session.clone()),
+        ..TxSpec::get(t, &landing_host)
     }));
     let landing_url = format!("http://{landing_host}{landing_uri}");
     t += pace * rng.gen_range(0.1..0.8);
@@ -416,6 +448,11 @@ pub fn generate_infection<R: Rng>(rng: &mut R, family: EkFamily, start_ts: f64) 
         PayloadClass::Swf,
         PayloadClass::Crypt,
     ];
+    let exploit_get = |t| TxSpec {
+        referer: Some(landing_url.clone()),
+        cookie: Some(session.clone()),
+        ..TxSpec::get(t, &exploit_host)
+    };
     let mut any_exploit = false;
     for (class, &expectation) in classes.iter().zip(&profile.payloads[..5]) {
         let count = sample_payload_count(rng, expectation);
@@ -429,21 +466,7 @@ pub fn generate_infection<R: Rng>(rng: &mut R, family: EkFamily, start_ts: f64) 
                 *class
             };
             let size = hostgen::payload_size(rng, *class);
-            let body = hostgen::payload_body(rng, wire_class, size.min(MATERIALIZE_LIMIT));
-            let uri = hostgen::payload_uri(rng, wire_class);
-            let tx = fac.tx(rng, TxSpec {
-                ts: t,
-                method: Method::Get,
-                host: &exploit_host,
-                uri,
-                referer: Some(landing_url.clone()),
-                status: 200,
-                payload_class: wire_class,
-                payload_size: size,
-                body,
-                location: None,
-                cookie: Some(session.clone()),
-            });
+            let tx = fac.fetch(rng, exploit_get(t), wire_class, size);
             malicious_digests.insert(tx.payload_digest);
             txs.push(tx);
             t += pace * rng.gen_range(0.1..1.0);
@@ -452,23 +475,8 @@ pub fn generate_infection<R: Rng>(rng: &mut R, family: EkFamily, start_ts: f64) 
     if !any_exploit {
         // Every ground-truth infection involved at least one payload
         // download (Sec. VII); force the family's most likely class.
-        let class = PayloadClass::Exe;
-        let size = hostgen::payload_size(rng, class);
-        let body = hostgen::payload_body(rng, class, size.min(MATERIALIZE_LIMIT));
-        let uri = hostgen::payload_uri(rng, class);
-        let tx = fac.tx(rng, TxSpec {
-            ts: t,
-            method: Method::Get,
-            host: &exploit_host,
-            uri,
-            referer: Some(landing_url.clone()),
-            status: 200,
-            payload_class: class,
-            payload_size: size,
-            body,
-            location: None,
-            cookie: Some(session.clone()),
-        });
+        let size = hostgen::payload_size(rng, PayloadClass::Exe);
+        let tx = fac.fetch(rng, exploit_get(t), PayloadClass::Exe, size);
         malicious_digests.insert(tx.payload_digest);
         txs.push(tx);
         t += pace * rng.gen_range(0.1..1.0);
@@ -478,21 +486,8 @@ pub fn generate_infection<R: Rng>(rng: &mut R, family: EkFamily, start_ts: f64) 
     let js_count = sample_payload_count(rng, profile.payloads[5].min(8.0));
     for _ in 0..js_count {
         let size = hostgen::payload_size(rng, PayloadClass::Js);
-        let body = hostgen::payload_body(rng, PayloadClass::Js, size.min(MATERIALIZE_LIMIT));
-        let uri = hostgen::payload_uri(rng, PayloadClass::Js);
-        txs.push(fac.tx(rng, TxSpec {
-            ts: t,
-            method: Method::Get,
-            host: &landing_host,
-            uri,
-            referer: Some(landing_url.clone()),
-            status: 200,
-            payload_class: PayloadClass::Js,
-            payload_size: size,
-            body,
-            location: None,
-            cookie: None,
-        }));
+        let get = TxSpec { referer: Some(landing_url.clone()), ..TxSpec::get(t, &landing_host) };
+        txs.push(fac.fetch(rng, get, PayloadClass::Js, size));
         t += pace * rng.gen_range(0.05..0.5);
     }
 
@@ -510,55 +505,40 @@ pub fn generate_infection<R: Rng>(rng: &mut R, family: EkFamily, start_ts: f64) 
             } else {
                 40 * 10 + rng.gen_range(0u16..5)
             };
-            let body = if status == 200 {
-                hostgen::payload_body(rng, PayloadClass::Text, 64)
+            let (class, body) = if status == 200 {
+                (PayloadClass::Text, hostgen::payload_body(rng, PayloadClass::Text, 64))
             } else {
-                Vec::new()
+                (PayloadClass::Empty, Vec::new())
             };
-            let size = body.len();
             txs.push(fac.tx(rng, TxSpec {
-                ts: t,
                 method: Method::Post,
-                host: &cc_host,
                 uri: "/gate.php".to_string(),
-                referer: None,
                 status,
-                payload_class: if size == 0 { PayloadClass::Empty } else { PayloadClass::Text },
-                payload_size: size,
+                payload_class: class,
+                payload_size: body.len(),
                 body,
-                location: None,
-                cookie: None,
+                ..TxSpec::get(t, &cc_host)
             }));
         }
     }
 
     // --- CDN noise to fill the host budget --------------------------------
-    let used_hosts = {
-        let mut h: Vec<&str> = txs.iter().map(|t| t.host.as_str()).collect();
-        h.sort_unstable();
-        h.dedup();
-        h.len()
-    };
-    for _ in used_hosts..n_hosts {
+    for _ in remote_hosts(&txs)..n_hosts {
         let cdn = hostgen::random_domain(rng);
         let class = if rng.gen_bool(0.6) { PayloadClass::Image } else { PayloadClass::Js };
         let size = hostgen::payload_size(rng, class);
         let body = hostgen::payload_body(rng, class, size.min(MATERIALIZE_LIMIT));
         let uri = hostgen::payload_uri(rng, class);
-        let dt = rng.gen_range(0.1..1.2);
-        t += dt;
+        // `dt` is drawn between the URI and the transaction, so this
+        // site cannot use `TxFactory::fetch`.
+        t += rng.gen_range(0.1..1.2);
         txs.push(fac.tx(rng, TxSpec {
-            ts: t,
-            method: Method::Get,
-            host: &cdn,
             uri,
             referer: Some(landing_url.clone()),
-            status: 200,
             payload_class: class,
             payload_size: size,
             body,
-            location: None,
-            cookie: None,
+            ..TxSpec::get(t, &cdn)
         }));
     }
 

@@ -62,11 +62,11 @@ impl Evasion {
 
 /// How far [`Evasion::DelayedCallback`] pushes C&C traffic (seconds) —
 /// beyond any realistic conversation watch window.
-pub const CALLBACK_DELAY: f64 = 6.0 * 3600.0;
+pub(crate) const CALLBACK_DELAY: f64 = 6.0 * 3600.0;
 
 /// Whether `tx` is a successful, sizeable payload download (overt
 /// exploit type or a generic `Archive`/`Other` wrapper).
-pub fn is_payload_download(tx: &nettrace::HttpTransaction) -> bool {
+pub(crate) fn is_payload_download(tx: &nettrace::HttpTransaction) -> bool {
     tx.status / 100 == 2
         && tx.payload_size > 5_000
         && (tx.payload_class.is_exploit_type()
@@ -75,7 +75,7 @@ pub fn is_payload_download(tx: &nettrace::HttpTransaction) -> bool {
 
 /// Whether `tx` carries a redirect hop: a 3xx, or a 200 whose body holds
 /// a meta-refresh tag or obfuscated `atob` JavaScript redirect.
-pub fn is_redirect_hop(tx: &nettrace::HttpTransaction) -> bool {
+pub(crate) fn is_redirect_hop(tx: &nettrace::HttpTransaction) -> bool {
     tx.is_redirect() || {
         let body = String::from_utf8_lossy(&tx.body_preview);
         body.contains("http-equiv=\"refresh\"") || body.contains("atob(")
@@ -83,7 +83,7 @@ pub fn is_redirect_hop(tx: &nettrace::HttpTransaction) -> bool {
 }
 
 /// Whether `tx` looks like a C&C call-back: a POST to a raw-IPv4 host.
-pub fn is_callback(tx: &nettrace::HttpTransaction) -> bool {
+pub(crate) fn is_callback(tx: &nettrace::HttpTransaction) -> bool {
     tx.method == Method::Post && tx.host.parse::<std::net::Ipv4Addr>().is_ok()
 }
 

@@ -9,21 +9,21 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A min/max/average triple from Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RangeStat {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RangeStat {
     /// Minimum observed value.
-    pub min: usize,
+    pub(crate) min: usize,
     /// Maximum observed value.
-    pub max: usize,
+    pub(crate) max: usize,
     /// Average value.
-    pub avg: f64,
+    pub(crate) avg: f64,
 }
 
 impl RangeStat {
     /// Samples a value with mean ≈ `avg`, support `[min, max]`, using a
     /// geometric tail above the minimum (conversation sizes are heavily
     /// right-skewed, like the paper's 2–404-node range around a mean of 10).
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         if self.max <= self.min {
             return self.min;
         }
@@ -62,29 +62,25 @@ pub enum EkFamily {
     OtherKits,
 }
 
-/// Per-episode payload-count expectations, ordered
-/// `[pdf, exe, jar, swf, crypt, js]` as in Table I's columns.
-pub type PayloadExpectations = [f64; 6];
-
 /// Calibration profile for one family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FamilyProfile {
     /// Family display name (Table I row label).
     pub name: &'static str,
     /// Number of ground-truth PCAPs in Table I.
     pub ground_truth_pcaps: usize,
     /// Hosts per conversation (Table I "No. of Hosts").
-    pub hosts: RangeStat,
+    pub(crate) hosts: RangeStat,
     /// Redirects per conversation (Table I "No. of Redirects").
-    pub redirects: RangeStat,
+    pub(crate) redirects: RangeStat,
     /// Expected payload counts per episode `[pdf, exe, jar, swf, crypt, js]`
     /// (Table I unique payload counts ÷ PCAPs).
-    pub payloads: PayloadExpectations,
+    pub(crate) payloads: [f64; 6],
 }
 
 /// Fraction of infection traces with at least one post-download call-back
 /// (708 of 770, Sec. II-D).
-pub const CALLBACK_PROB: f64 = 708.0 / 770.0;
+pub(crate) const CALLBACK_PROB: f64 = 708.0 / 770.0;
 
 macro_rules! profile {
     ($name:expr, $pcaps:expr, hosts($hmin:expr, $hmax:expr, $havg:expr),
@@ -177,7 +173,7 @@ impl std::fmt::Display for EkFamily {
 
 /// Samples a per-episode payload count from an expectation: the integer
 /// part is deterministic, the fractional part a Bernoulli draw.
-pub fn sample_payload_count<R: Rng>(rng: &mut R, expectation: f64) -> usize {
+pub(crate) fn sample_payload_count<R: Rng>(rng: &mut R, expectation: f64) -> usize {
     let base = expectation.floor() as usize;
     let frac = expectation - base as f64;
     base + usize::from(frac > 0.0 && rng.gen_bool(frac.min(1.0)))

@@ -1,7 +1,7 @@
 //! Seeded capture mutator for fault-injection testing.
 //!
 //! Takes a well-formed classic pcap (for example from
-//! [`crate::pcapgen::episode_pcap`]) and applies one class of damage to
+//! [`crate::pcapgen::episodes_pcap`]) and applies one class of damage to
 //! it, producing the kind of hostile or degraded input a capture point
 //! sees in practice: truncated files, bit rot, packet loss and
 //! duplication, middleboxes rewriting TCP fields, malformed HTTP, broken
@@ -15,6 +15,7 @@ use rand::RngCore;
 
 use nettrace::ingest::IngestReport;
 use nettrace::pcap::Packet;
+use nettrace::scan::find;
 
 /// One class of capture damage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,11 +204,6 @@ fn corrupt_tcp_flags<R: RngCore>(packets: &mut [Packet], rng: &mut R) {
     }
 }
 
-/// Byte offset of `needle` within `hay`, if present.
-fn find(hay: &[u8], needle: &[u8]) -> Option<usize> {
-    hay.windows(needle.len()).position(|w| w == needle)
-}
-
 fn mangle_request_lines<R: RngCore>(packets: &mut [Packet], rng: &mut R) {
     for p in packets.iter_mut() {
         let Some(off) = tcp_header_offset(&p.data) else { continue };
@@ -280,14 +276,14 @@ mod tests {
     use super::*;
     use crate::episode::generate_infection;
     use crate::families::EkFamily;
-    use crate::pcapgen::episode_pcap;
+    use crate::pcapgen::episodes_pcap;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn sample_pcap(seed: u64) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(seed);
         let ep = generate_infection(&mut rng, EkFamily::Rig, 1.4e9);
-        episode_pcap(&ep).unwrap()
+        episodes_pcap(&[ep])
     }
 
     #[test]

@@ -16,7 +16,7 @@ const STEMS: [&str; 16] = [
 ];
 
 /// Generates a pseudo-random domain name, e.g. `stat-k3f9.example.ru`.
-pub fn random_domain<R: Rng>(rng: &mut R) -> String {
+pub(crate) fn random_domain<R: Rng>(rng: &mut R) -> String {
     let stem = STEMS[rng.gen_range(0..STEMS.len())];
     let tld = TLDS[rng.gen_range(0..TLDS.len())];
     format!("{stem}-{}.{tld}", random_token(rng, 4))
@@ -24,13 +24,13 @@ pub fn random_domain<R: Rng>(rng: &mut R) -> String {
 
 /// Generates a compromised-WordPress-style domain (the paper traces 56/94
 /// compromised-site enticements to default WordPress installs).
-pub fn compromised_domain<R: Rng>(rng: &mut R) -> String {
+pub(crate) fn compromised_domain<R: Rng>(rng: &mut R) -> String {
     let stem = STEMS[rng.gen_range(0..STEMS.len())];
     format!("{stem}{}.com", random_token(rng, 3))
 }
 
 /// A routable-looking public IPv4 address (avoids private ranges).
-pub fn random_public_ip<R: Rng>(rng: &mut R) -> Ipv4Addr {
+pub(crate) fn random_public_ip<R: Rng>(rng: &mut R) -> Ipv4Addr {
     loop {
         let a = rng.gen_range(1..224u8);
         if a == 10 || a == 127 || a == 172 || a == 192 {
@@ -41,14 +41,14 @@ pub fn random_public_ip<R: Rng>(rng: &mut R) -> Ipv4Addr {
 }
 
 /// Lowercase alphanumeric token of length `len`.
-pub fn random_token<R: Rng>(rng: &mut R, len: usize) -> String {
+pub(crate) fn random_token<R: Rng>(rng: &mut R, len: usize) -> String {
     const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
     (0..len).map(|_| CHARS[rng.gen_range(0..CHARS.len())] as char).collect()
 }
 
 /// Exploit-kit landing URI: long path plus a high-entropy query string
 /// (drives the Average-URI-Length feature the way real EK landings do).
-pub fn landing_uri<R: Rng>(rng: &mut R) -> String {
+pub(crate) fn landing_uri<R: Rng>(rng: &mut R) -> String {
     let dir = random_token(rng, 6);
     let page = random_token(rng, 8);
     let k1 = random_token(rng, 4);
@@ -64,7 +64,7 @@ pub fn landing_uri<R: Rng>(rng: &mut R) -> String {
 /// query string long enough to overlap the exploit-kit landing range
 /// (real benign URLs carry UTM parameters, search queries, and session
 /// tokens, so URI length alone must not separate the classes).
-pub fn benign_uri<R: Rng>(rng: &mut R) -> String {
+pub(crate) fn benign_uri<R: Rng>(rng: &mut R) -> String {
     match rng.gen_range(0..10) {
         0..=2 => format!("/{}?id={}", random_token(rng, 6), rng.gen_range(1..10_000)),
         3..=4 => {
@@ -78,7 +78,7 @@ pub fn benign_uri<R: Rng>(rng: &mut R) -> String {
 }
 
 /// URI for a payload of class `class`, e.g. `/files/k3j9d.exe`.
-pub fn payload_uri<R: Rng>(rng: &mut R, class: PayloadClass) -> String {
+pub(crate) fn payload_uri<R: Rng>(rng: &mut R, class: PayloadClass) -> String {
     let ext = match class {
         PayloadClass::Pdf => "pdf",
         PayloadClass::Exe => "exe",
@@ -103,7 +103,7 @@ pub fn payload_uri<R: Rng>(rng: &mut R, class: PayloadClass) -> String {
 }
 
 /// The `Content-Type` header value typically served for `class`.
-pub fn content_type_for(class: PayloadClass) -> &'static str {
+pub(crate) fn content_type_for(class: PayloadClass) -> &'static str {
     match class {
         PayloadClass::Pdf => "application/pdf",
         PayloadClass::Exe => "application/x-msdownload",
@@ -127,7 +127,11 @@ pub fn content_type_for(class: PayloadClass) -> &'static str {
 /// Synthesizes a payload body of up to `materialize` bytes with the right
 /// magic bytes for `class`, filled with seeded pseudo-random content so
 /// every payload gets a distinct digest.
-pub fn payload_body<R: Rng>(rng: &mut R, class: PayloadClass, materialize: usize) -> Vec<u8> {
+pub(crate) fn payload_body<R: Rng>(
+    rng: &mut R,
+    class: PayloadClass,
+    materialize: usize,
+) -> Vec<u8> {
     let magic: &[u8] = match class {
         PayloadClass::Pdf => b"%PDF-1.5\n",
         PayloadClass::Exe | PayloadClass::Dmg => b"MZ\x90\x00",
@@ -148,7 +152,7 @@ pub fn payload_body<R: Rng>(rng: &mut R, class: PayloadClass, materialize: usize
 }
 
 /// Typical payload size ranges in bytes per class (log-uniform sample).
-pub fn payload_size<R: Rng>(rng: &mut R, class: PayloadClass) -> usize {
+pub(crate) fn payload_size<R: Rng>(rng: &mut R, class: PayloadClass) -> usize {
     let (lo, hi): (f64, f64) = match class {
         PayloadClass::Pdf => (20e3, 2e6),
         PayloadClass::Exe => (50e3, 3e6),

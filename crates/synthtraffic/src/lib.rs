@@ -22,12 +22,18 @@
 //!   Alexa-random browsing) plus the false-positive-inducing cases of
 //!   Sec. VI-B (unofficial download sites, torrent sessions with
 //!   246 MB–1.1 GB payloads),
-//! * [`corpus`] — ground-truth and held-out validation corpus builders,
+//! * `hostgen` (private) — the host, IP, URI and payload-body draws the
+//!   generators share,
+//! * [`corpus`] — ground-truth and held-out validation corpus builders
+//!   and the Table I summary rows,
+//! * [`evasion`] — the Sec. VII cloaking strategies (fileless download,
+//!   no redirects, no or delayed call-back) as episode transforms,
 //! * [`drift`] — graduated adversarial-drift transforms (redirect-chain
 //!   shortening, benign mimicry, payload-type shifts, stepped evasions)
 //!   that walk a family's parameters over simulated time,
-//! * [`pcapgen`] — serializing an episode to real pcap bytes so the
-//!   `nettrace` parsing pipeline is exercised end-to-end,
+//! * [`pcapgen`] — the one renderer: episodes to classic pcap bytes, one
+//!   TCP connection per transaction, so the `nettrace` parsing pipeline
+//!   is exercised end-to-end,
 //! * [`wire`] — the loopback replay harness: a replay origin server, a
 //!   sequential episode driver, and merged episode sets with globally
 //!   unique client ports and pcap-quantized timestamps, so wire-proxy
@@ -37,7 +43,9 @@
 //!   loss, TCP and HTTP corruption) for fault-injection testing of the
 //!   lenient ingest pipeline.
 //!
-//! All generation is deterministic given a seed.
+//! Every RNG draw happens in a fixed order, so all generation is a
+//! deterministic function of the seed; `tests/fingerprint.rs` pins a
+//! digest of every byte generated.
 
 pub mod benign;
 pub mod corpus;
@@ -47,7 +55,7 @@ pub mod episode;
 pub mod evasion;
 pub mod families;
 pub mod faultgen;
-pub mod hostgen;
+mod hostgen;
 pub mod pcapgen;
 pub mod wire;
 

@@ -5,7 +5,7 @@
 //! HTTP-pairing pipeline is exercised exactly as it would be on a real
 //! capture.
 //!
-//! Payload bodies larger than [`crate::episode::MATERIALIZE_LIMIT`] are
+//! Payload bodies larger than the generator materializes (4 KiB) are
 //! only *declared* in the transaction's `payload_size`; on the wire the
 //! materialized bytes are written with a matching `Content-Length`, so a
 //! reparsed transaction reports the materialized size. Offline analytics
@@ -13,10 +13,10 @@
 
 use nettrace::ether::{self, MacAddr, ETHERTYPE_IPV4};
 use nettrace::ipv4::{self, PROTO_TCP};
-use nettrace::pcap::{Packet, PcapWriter};
+use nettrace::pcap::Packet;
+use nettrace::reassembly::Endpoint;
 use nettrace::tcp::{self, TcpFlags};
 use nettrace::transaction::HttpTransaction;
-use nettrace::Result;
 
 use crate::episode::Episode;
 
@@ -40,7 +40,7 @@ pub fn request_bytes(tx: &HttpTransaction) -> Vec<u8> {
 /// coding token in listed order — gzip (and its `x-gzip` alias) as a
 /// gzip container, deflate as zlib — and the extractor decodes it back
 /// to identical bytes.
-pub fn response_bytes(tx: &HttpTransaction) -> Vec<u8> {
+pub(crate) fn response_bytes(tx: &HttpTransaction) -> Vec<u8> {
     let mut wire_body = tx.body_preview.clone();
     if let Some(encodings) = tx.resp_headers.get("Content-Encoding") {
         for token in encodings.split(',') {
@@ -74,8 +74,8 @@ impl PacketSink {
     fn push(
         &mut self,
         ts: f64,
-        src: nettrace::reassembly::Endpoint,
-        dst: nettrace::reassembly::Endpoint,
+        src: Endpoint,
+        dst: Endpoint,
         seq: u32,
         flags: TcpFlags,
         payload: &[u8],
@@ -86,24 +86,21 @@ impl PacketSink {
         let eth = ether::build(MacAddr([2; 6]), MacAddr([1; 6]), ETHERTYPE_IPV4, &ip);
         self.packets.push(Packet::new(ts, eth));
     }
-}
 
-/// Converts an episode into raw captured packets.
-pub fn episode_packets(episode: &Episode) -> Vec<Packet> {
-    let mut sink = PacketSink { packets: Vec::new(), ident: 1 };
-    for tx in &episode.transactions {
-        let client = tx.client;
-        let server = tx.server;
+    /// One transaction's connection: handshake, request segments,
+    /// response segments, teardown.
+    fn connection(&mut self, tx: &HttpTransaction) {
+        let (client, server) = (tx.client, tx.server);
         let req = request_bytes(tx);
         let resp = if tx.status != 0 { response_bytes(tx) } else { Vec::new() };
         let mut t = tx.ts;
         // Handshake.
-        sink.push(t - 0.002, client, server, 999, TcpFlags::syn(), &[]);
-        sink.push(t - 0.001, server, client, 4999, TcpFlags::syn(), &[]);
+        self.push(t - 0.002, client, server, 999, TcpFlags::syn(), &[]);
+        self.push(t - 0.001, server, client, 4999, TcpFlags::syn(), &[]);
         // Request segments.
         let mut seq = 1000u32;
         for chunk in req.chunks(MSS) {
-            sink.push(t, client, server, seq, TcpFlags::data(), chunk);
+            self.push(t, client, server, seq, TcpFlags::data(), chunk);
             seq += chunk.len() as u32;
             t += 0.0005;
         }
@@ -120,32 +117,30 @@ pub fn episode_packets(episode: &Episode) -> Vec<Packet> {
         let mut fin_ts = tx.ts + dt.min(0.05);
         for (i, chunk) in resp.chunks(MSS).enumerate() {
             let rt = if i + 1 == n_chunks { end_ts } else { tx.ts + dt * (i + 1) as f64 };
-            sink.push(rt, server, client, rseq, TcpFlags::data(), chunk);
+            self.push(rt, server, client, rseq, TcpFlags::data(), chunk);
             rseq += chunk.len() as u32;
             fin_ts = rt + dt.min(0.05);
         }
         // Teardown.
-        sink.push(fin_ts, client, server, seq, TcpFlags::fin(), &[]);
-        sink.push(fin_ts + 0.001, server, client, rseq, TcpFlags::fin(), &[]);
+        self.push(fin_ts, client, server, seq, TcpFlags::fin(), &[]);
+        self.push(fin_ts + 0.001, server, client, rseq, TcpFlags::fin(), &[]);
     }
-    sink.packets.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-    sink.packets
 }
 
-/// Serializes an episode to classic pcap bytes.
-///
-/// # Errors
-///
-/// Returns an error only when the in-memory writer fails, which indicates
-/// an internal bug (e.g. an oversized packet).
-pub fn episode_pcap(episode: &Episode) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    let mut writer = PcapWriter::new(&mut buf)?;
-    for p in episode_packets(episode) {
-        writer.write_packet(&p)?;
+/// Renders episodes into one classic pcap: every transaction's
+/// connection, with packets of all episodes interleaved in timestamp
+/// order (ties keep episode order, then emission order). IPv4
+/// identifiers count from 1 in each episode.
+pub fn episodes_pcap(episodes: &[Episode]) -> Vec<u8> {
+    let mut sink = PacketSink { packets: Vec::new(), ident: 1 };
+    for episode in episodes {
+        sink.ident = 1;
+        for tx in &episode.transactions {
+            sink.connection(tx);
+        }
     }
-    writer.finish()?;
-    Ok(buf)
+    sink.packets.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+    nettrace::pcap::write_packets(&sink.packets)
 }
 
 #[cfg(test)]
@@ -159,7 +154,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn roundtrip(ep: &Episode) -> Vec<HttpTransaction> {
-        SpanPipeline::extract_capture_strict(&episode_pcap(ep).unwrap()).unwrap()
+        SpanPipeline::extract_capture_strict(&episodes_pcap(std::slice::from_ref(ep))).unwrap()
     }
 
     #[test]
@@ -197,7 +192,7 @@ mod tests {
     fn pcap_bytes_start_with_magic() {
         let mut rng = StdRng::seed_from_u64(23);
         let ep = generate_benign(&mut rng, BenignScenario::AlexaBrowse, 1_430_000_000.0);
-        let bytes = episode_pcap(&ep).unwrap();
+        let bytes = episodes_pcap(&[ep]);
         assert_eq!(&bytes[..4], &nettrace::pcap::MAGIC_USEC.to_le_bytes());
     }
 

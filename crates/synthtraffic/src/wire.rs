@@ -15,7 +15,8 @@
 //! Determinism notes baked into the harness:
 //!
 //! * [`wire_episode_set`] remaps every client port to a globally
-//!   unique value so the merged pcap rendering has no colliding TCP
+//!   unique value so the merged pcap rendering
+//!   ([`crate::pcapgen::episodes_pcap`]) has no colliding TCP
 //!   4-tuples, and spaces episode start times so no two transactions
 //!   share a timestamp (ties would make the offline sort order
 //!   ambiguous).
@@ -41,15 +42,18 @@ use rand::SeedableRng;
 use crate::benign::{generate_benign, BenignScenario};
 use crate::episode::{generate_infection, Episode};
 use crate::families::EkFamily;
-use crate::pcapgen::{episode_packets, request_bytes, response_bytes};
-use nettrace::pcap::{Packet, PcapWriter};
+use crate::pcapgen::{request_bytes, response_bytes};
+use nettrace::http::parse_request_head;
 use nettrace::proxyproto::encode_v1_tcp4;
+use nettrace::scan::find_head_end;
 use nettrace::transaction::assign_seq;
 use nettrace::wiretap::{REPLAY_ID_HEADER, REPLAY_RESP_TS_HEADER, REPLAY_TS_HEADER};
 use nettrace::HttpTransaction;
 
 /// First client port handed out by the global remap.
 const REMAP_PORT_BASE: u16 = 20000;
+/// Client ports the remap can hand out: `REMAP_PORT_BASE..=65535`.
+const REMAP_PORTS: u32 = 65536 - REMAP_PORT_BASE as u32;
 
 /// Builds a deterministic mixed episode set sized for loopback replay:
 /// `infections` exploit-kit episodes interleaved with `benign` browsing
@@ -57,7 +61,16 @@ const REMAP_PORT_BASE: u16 = 20000;
 /// remapped to a globally unique value (so the merged pcap rendering
 /// has no 4-tuple collisions and a sequential replay has no timestamp
 /// ties).
-pub fn wire_episode_set(seed: u64, infections: usize, benign: usize) -> Vec<Episode> {
+///
+/// # Errors
+///
+/// The set holds more distinct client ports than the 45 536 the remap
+/// hands out (20000–65535): a few thousand episodes.
+pub fn wire_episode_set(
+    seed: u64,
+    infections: usize,
+    benign: usize,
+) -> Result<Vec<Episode>, String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0017_e57a_11ed_u64);
     let mut episodes = Vec::new();
     let base_ts = 1_500_000_000.0;
@@ -76,9 +89,9 @@ pub fn wire_episode_set(seed: u64, infections: usize, benign: usize) -> Vec<Epis
         };
         episodes.push(ep);
     }
-    remap_client_ports(&mut episodes);
+    remap_client_ports(&mut episodes)?;
     dedupe_timestamps(&mut episodes);
-    episodes
+    Ok(episodes)
 }
 
 /// Projects a timestamp through the classic-pcap sec/usec round trip,
@@ -114,21 +127,31 @@ fn dedupe_timestamps(episodes: &mut [Episode]) {
 /// Rewrites every transaction's client port to a globally unique value
 /// (preserving the client address). Two episodes otherwise reuse the
 /// same ephemeral range, which would merge distinct connections when
-/// their renderings share a pcap.
-pub fn remap_client_ports(episodes: &mut [Episode]) {
+/// their renderings share a pcap. Fails, naming the limit, when the
+/// set needs more than [`REMAP_PORTS`].
+fn remap_client_ports(episodes: &mut [Episode]) -> Result<(), String> {
     let mut next: u32 = u32::from(REMAP_PORT_BASE);
     for ep in episodes {
         let mut mapping: BTreeMap<u16, u16> = BTreeMap::new();
         for tx in &mut ep.transactions {
-            let mapped = *mapping.entry(tx.client.port).or_insert_with(|| {
-                let p = next;
-                next += 1;
-                assert!(p < 65536, "client-port remap exhausted the port space");
-                p as u16
-            });
-            tx.client.port = mapped;
+            let port = match mapping.get(&tx.client.port) {
+                Some(&port) => port,
+                None => {
+                    let port = u16::try_from(next).map_err(|_| {
+                        format!(
+                            "the episode set needs more than {REMAP_PORTS} client ports \
+                             (the remap hands out {REMAP_PORT_BASE}-65535); use fewer episodes"
+                        )
+                    })?;
+                    next += 1;
+                    mapping.insert(tx.client.port, port);
+                    port
+                }
+            };
+            tx.client.port = port;
         }
     }
+    Ok(())
 }
 
 /// Flattens episodes into one transaction stream in the offline replay
@@ -141,27 +164,6 @@ pub fn merged_wire_transactions(episodes: &[Episode]) -> Vec<HttpTransaction> {
     all.sort_by(|a, b| a.ts.total_cmp(&b.ts));
     assign_seq(&mut all);
     all
-}
-
-/// Renders a set of episodes into one merged pcap (packets of all
-/// episodes interleaved in timestamp order) — the offline leg of the
-/// loopback parity comparison.
-///
-/// # Errors
-///
-/// Propagates pcap serialization failures (oversized packets).
-pub fn episodes_pcap(episodes: &[Episode]) -> nettrace::Result<Vec<u8>> {
-    let mut packets: Vec<Packet> = Vec::new();
-    for ep in episodes {
-        packets.extend(episode_packets(ep));
-    }
-    packets.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-    let mut buf = Vec::new();
-    let mut writer = PcapWriter::new(&mut buf)?;
-    for p in &packets {
-        writer.write_packet(p)?;
-    }
-    Ok(buf)
 }
 
 /// The request bytes the driver sends for transaction `id`: the
@@ -189,12 +191,9 @@ pub fn replay_response_bytes(tx: &HttpTransaction) -> Option<Vec<u8>> {
         return None;
     }
     let mut bytes = response_bytes(tx);
-    let head_end = bytes
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("rendered response has a head terminator");
+    let head_end = find_head_end(&bytes).expect("rendered response has a head terminator");
     let extra = format!("{REPLAY_RESP_TS_HEADER}: {}\r\n", tx.resp_ts);
-    bytes.splice(head_end + 2..head_end + 2, extra.into_bytes());
+    bytes.splice(head_end - 2..head_end - 2, extra.into_bytes());
     Some(bytes)
 }
 
@@ -233,22 +232,17 @@ impl OriginServer {
         self.addr
     }
 
-    /// Stops the accept loop and joins the serving thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+    /// Stops the accept loop and joins the serving thread (what
+    /// dropping the server does).
+    pub fn stop(self) {}
 }
 
 impl Drop for OriginServer {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -280,23 +274,14 @@ fn serve(listener: &TcpListener, responses: &[Option<Vec<u8>>], stop: &AtomicBoo
 }
 
 /// Reads one request head off `stream` and extracts its
-/// `X-Replay-Id`. `None` on timeout, malformed head, or missing id.
+/// `X-Replay-Id`. `None` on timeout, malformed or oversized head, or
+/// missing id.
 fn read_request_id(stream: &mut TcpStream) -> Option<usize> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        if let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head = String::from_utf8_lossy(&buf[..head_end]);
-            let needle = format!("{}:", REPLAY_ID_HEADER.to_ascii_lowercase());
-            for line in head.split("\r\n") {
-                if line.to_ascii_lowercase().starts_with(&needle) {
-                    return line[needle.len()..].trim().parse().ok();
-                }
-            }
-            return None;
-        }
-        if buf.len() > 1 << 20 {
-            return None;
+        if let Some((head, _)) = parse_request_head(&buf).ok()? {
+            return head.headers.get(REPLAY_ID_HEADER)?.parse().ok();
         }
         match stream.read(&mut chunk) {
             Ok(0) => return None,
@@ -340,8 +325,9 @@ pub fn drive_episodes(
         if tx.status != 0 {
             // Drain the relayed response so the tap observes all of it
             // before the next transaction begins (sequential replay is
-            // what makes wire order == offline order).
-            let _ = read_to_connection_close(&mut stream);
+            // what makes wire order == offline order). The origin
+            // closes every connection after one response.
+            let _ = io::copy(&mut stream, &mut io::sink());
         }
         // For status-0: drop the connection; the origin never answered,
         // and the proxy tap synthesizes the unanswered request at close.
@@ -350,29 +336,15 @@ pub fn drive_episodes(
     Ok(driven)
 }
 
-/// Reads until EOF (the origin closes every connection after one
-/// response), returning bytes read.
-fn read_to_connection_close(stream: &mut TcpStream) -> io::Result<u64> {
-    let mut total = 0u64;
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(total),
-            Ok(n) => total += n as u64,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nettrace::reassembly::Endpoint;
 
     #[test]
     fn episode_set_is_deterministic_with_unique_ports_and_ts() {
-        let a = wire_episode_set(7, 2, 2);
-        let b = wire_episode_set(7, 2, 2);
+        let a = wire_episode_set(7, 2, 2).unwrap();
+        let b = wire_episode_set(7, 2, 2).unwrap();
         assert_eq!(a.len(), 4);
         assert_eq!(a.iter().filter(|e| e.is_infection()).count(), 2);
         let txs_a = merged_wire_transactions(&a);
@@ -397,8 +369,30 @@ mod tests {
     }
 
     #[test]
+    fn remap_fills_the_port_space_then_fails_naming_the_limit() {
+        let template = wire_episode_set(3, 1, 0).unwrap().swap_remove(0);
+        let mut tx = template.transactions[0].clone();
+        tx.body_preview.clear();
+        // Two episodes of `ports` transactions, each on its own client port.
+        let set = |ports: u16| -> Vec<Episode> {
+            let transactions: Vec<HttpTransaction> = (0..ports)
+                .map(|port| {
+                    let client = Endpoint::new(tx.client.addr, port);
+                    HttpTransaction { client, ..tx.clone() }
+                })
+                .collect();
+            vec![Episode { transactions, ..template.clone() }; 2]
+        };
+        let mut fits = set(22_768); // 2 × 22 768 = 45 536
+        remap_client_ports(&mut fits).unwrap();
+        assert_eq!(fits[1].transactions.last().unwrap().client.port, 65535);
+        let err = remap_client_ports(&mut set(22_769)).unwrap_err();
+        assert!(err.contains("45536 client ports"), "{err}");
+    }
+
+    #[test]
     fn replay_annotations_insert_and_roundtrip() {
-        let episodes = wire_episode_set(3, 1, 0);
+        let episodes = wire_episode_set(3, 1, 0).unwrap();
         let txs = merged_wire_transactions(&episodes);
         let tx = &txs[0];
         let req = replay_request_bytes(tx, 42);
@@ -418,7 +412,7 @@ mod tests {
 
     #[test]
     fn origin_serves_by_replay_id_and_hangs_up_on_status_zero() {
-        let episodes = wire_episode_set(11, 1, 1);
+        let episodes = wire_episode_set(11, 1, 1).unwrap();
         let txs = merged_wire_transactions(&episodes);
         let origin = OriginServer::start(&txs).unwrap();
         let answered =
@@ -439,9 +433,9 @@ mod tests {
 
     #[test]
     fn merged_pcap_extracts_every_transaction() {
-        let episodes = wire_episode_set(5, 1, 1);
+        let episodes = wire_episode_set(5, 1, 1).unwrap();
         let txs = merged_wire_transactions(&episodes);
-        let pcap = episodes_pcap(&episodes).unwrap();
+        let pcap = crate::pcapgen::episodes_pcap(&episodes);
         let mut report = nettrace::IngestReport::new();
         let extracted =
             nettrace::SpanPipeline::new().extract_lenient(&pcap, &mut report);

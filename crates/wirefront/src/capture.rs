@@ -471,7 +471,8 @@ mod tests {
     use nettrace::{ipv4, SpanPipeline};
     use std::io::Write;
     use std::net::Ipv4Addr;
-    use synthtraffic::wire::{episodes_pcap, wire_episode_set};
+    use synthtraffic::pcapgen::episodes_pcap;
+    use synthtraffic::wire::wire_episode_set;
 
     fn tmp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("wirefront_capture_{name}_{}", std::process::id()))
@@ -492,8 +493,8 @@ mod tests {
     /// bit-identical to the offline span pipeline over the same bytes.
     #[test]
     fn pcap_tail_matches_offline_extraction() {
-        let episodes = wire_episode_set(21, 1, 1);
-        let bytes = episodes_pcap(&episodes).expect("render pcap");
+        let episodes = wire_episode_set(21, 1, 1).unwrap();
+        let bytes = episodes_pcap(&episodes);
         let path = tmp_path("parity.pcap");
         std::fs::write(&path, &bytes).unwrap();
 
@@ -518,7 +519,7 @@ mod tests {
     /// `wire_episode_set(21, 1, 1)` as packets, with the positions of the
     /// data segments of its longest response, in capture order.
     fn packets_and_a_long_response() -> (Vec<pcap::Packet>, Vec<usize>) {
-        let bytes = episodes_pcap(&wire_episode_set(21, 1, 1)).expect("render pcap");
+        let bytes = episodes_pcap(&wire_episode_set(21, 1, 1).unwrap());
         let packets = nettrace::capture::read_packets(&bytes).unwrap();
         let mut responses: BTreeMap<_, Vec<usize>> = BTreeMap::new();
         for (i, p) in packets.iter().enumerate() {
@@ -595,8 +596,8 @@ mod tests {
     /// retried once the writer appends the rest.
     #[test]
     fn tail_retries_partial_records_across_appends() {
-        let episodes = wire_episode_set(22, 1, 0);
-        let bytes = episodes_pcap(&episodes).expect("render pcap");
+        let episodes = wire_episode_set(22, 1, 0).unwrap();
+        let bytes = episodes_pcap(&episodes);
         let split = pcap::HEADER_LEN + 8; // mid first record header
         let path = tmp_path("tail.pcap");
         std::fs::write(&path, &bytes[..split]).unwrap();
@@ -742,8 +743,8 @@ mod tests {
     /// transactions through the offline pipeline and through the tail.
     #[test]
     fn all_four_pcap_magic_variants_read_identically_offline_and_tailed() {
-        let episodes = wire_episode_set(23, 1, 1);
-        let native = episodes_pcap(&episodes).expect("render pcap");
+        let episodes = wire_episode_set(23, 1, 1).unwrap();
+        let native = episodes_pcap(&episodes);
         let mut report = IngestReport::new();
         let reference = SpanPipeline::extract_capture_lenient(&native, &mut report);
         assert!(!reference.is_empty());
@@ -800,8 +801,8 @@ mod tests {
     /// writer to wait for that is the end.
     #[test]
     fn truncated_capture_without_follow_exhausts() {
-        let episodes = wire_episode_set(24, 1, 0);
-        let bytes = episodes_pcap(&episodes).expect("render pcap");
+        let episodes = wire_episode_set(24, 1, 0).unwrap();
+        let bytes = episodes_pcap(&episodes);
         let path = tmp_path("cut.pcap");
         std::fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
         let mut src = CaptureSource::pcap_file(&path, false, CaptureConfig::default()).unwrap();

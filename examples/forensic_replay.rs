@@ -37,24 +37,18 @@ fn main() {
     // Record a "streaming session": benign video traffic with two
     // injected infections, serialized to real pcap bytes.
     let mut rec_rng = StdRng::seed_from_u64(77);
-    let mut packets = Vec::new();
+    let mut episodes = Vec::new();
     let session_start = 1.468e9; // July 2016, like the EURO2016 capture
     for i in 0..4 {
-        let ep = generate_benign(&mut rec_rng, BenignScenario::Video, session_start + i as f64 * 400.0);
-        packets.extend(pcapgen::episode_packets(&ep));
+        let start = session_start + i as f64 * 400.0;
+        episodes.push(generate_benign(&mut rec_rng, BenignScenario::Video, start));
     }
     for (i, family) in [EkFamily::Angler, EkFamily::Neutrino].iter().enumerate() {
-        let ep = generate_infection(&mut rec_rng, *family, session_start + 900.0 + i as f64 * 600.0);
-        packets.extend(pcapgen::episode_packets(&ep));
+        let start = session_start + 900.0 + i as f64 * 600.0;
+        episodes.push(generate_infection(&mut rec_rng, *family, start));
     }
-    packets.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-    let mut pcap = Vec::new();
-    let mut writer = nettrace::pcap::PcapWriter::new(&mut pcap).unwrap();
-    for p in &packets {
-        writer.write_packet(p).unwrap();
-    }
-    writer.finish().unwrap();
-    println!("recorded session: {} packets, {} pcap bytes", packets.len(), pcap.len());
+    let pcap = pcapgen::episodes_pcap(&episodes);
+    println!("recorded session: {} episodes, {} pcap bytes", episodes.len(), pcap.len());
 
     // Replay through DynaMiner.
     let report = forensic::analyze_pcap(&pcap, classifier, DetectorConfig::default())

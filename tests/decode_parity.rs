@@ -45,7 +45,7 @@ fn pcap_with_coding(ep: &Episode, coding: Option<&str>) -> Vec<u8> {
         }
         tx.resp_headers = headers;
     }
-    synthtraffic::pcapgen::episode_pcap(&ep).unwrap()
+    synthtraffic::pcapgen::episodes_pcap(&[ep])
 }
 
 fn extract(pcap: &[u8]) -> Vec<HttpTransaction> {

@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
 use synthtraffic::faultgen::{self, Fault};
-use synthtraffic::pcapgen::episode_pcap;
+use synthtraffic::pcapgen::episodes_pcap;
 use synthtraffic::{BenignScenario, EkFamily};
 
 fn classifier() -> &'static Classifier {
@@ -52,7 +52,7 @@ fn classifier() -> &'static Classifier {
 
 fn infection_pcap(seed: u64, family: EkFamily) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
-    episode_pcap(&generate_infection(&mut rng, family, 1.4e9)).unwrap()
+    episodes_pcap(&[generate_infection(&mut rng, family, 1.4e9)])
 }
 
 /// Runs damaged bytes through capture → reassembly → transactions and
@@ -117,11 +117,12 @@ fn fault_free_portions_are_fully_recovered() {
     let ep_a = generate_infection(&mut rng, EkFamily::Nuclear, 1.4e9);
     let ep_b = generate_infection(&mut rng, EkFamily::Fiesta, 1.4e9);
     assert_ne!(ep_a.victim.addr, ep_b.victim.addr, "episodes must be distinguishable");
-    let pcap_a = episode_pcap(&ep_a).unwrap();
+    let pcap_a = episodes_pcap(std::slice::from_ref(&ep_a));
     let clean_a = SpanPipeline::extract_capture_strict(&pcap_a).unwrap();
+    let pcap_b = episodes_pcap(&[ep_b]);
     for fault in [Fault::MangleRequestLines, Fault::BreakChunkFraming, Fault::CorruptTcpSeq] {
         let mut fault_rng = StdRng::seed_from_u64(9);
-        let hurt_b = faultgen::apply(&episode_pcap(&ep_b).unwrap(), fault, &mut fault_rng);
+        let hurt_b = faultgen::apply(&pcap_b, fault, &mut fault_rng);
         // Merge A's packets with the damaged B packets into one capture
         // (packet-level faults leave a well-framed file behind).
         let mut merged = nettrace::capture::read_packets(&pcap_a).unwrap();

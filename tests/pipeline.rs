@@ -10,11 +10,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
-use synthtraffic::pcapgen::episode_pcap;
+use synthtraffic::pcapgen::episodes_pcap;
 use synthtraffic::{BenignScenario, EkFamily};
 
 fn reparse(ep: &synthtraffic::Episode) -> Vec<nettrace::HttpTransaction> {
-    SpanPipeline::extract_capture_strict(&episode_pcap(ep).expect("serialize")).unwrap()
+    SpanPipeline::extract_capture_strict(&episodes_pcap(std::slice::from_ref(ep))).unwrap()
 }
 
 #[test]

@@ -339,7 +339,7 @@ fn mutation_base_pcap() -> &'static Vec<u8> {
             synthtraffic::EkFamily::Angler,
             1.4e9,
         );
-        synthtraffic::pcapgen::episode_pcap(&ep).unwrap()
+        synthtraffic::pcapgen::episodes_pcap(&[ep])
     })
 }
 

@@ -30,9 +30,8 @@ use rand::SeedableRng;
 use streamd::{analyze_transactions_sharded, StreamConfig, StreamEngine};
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
-use synthtraffic::wire::{
-    drive_episodes, episodes_pcap, merged_wire_transactions, wire_episode_set, OriginServer,
-};
+use synthtraffic::pcapgen::episodes_pcap;
+use synthtraffic::wire::{drive_episodes, merged_wire_transactions, wire_episode_set, OriginServer};
 use synthtraffic::{BenignScenario, EkFamily};
 use wirefront::{run, CaptureConfig, CaptureSource, ProxyConfig, ProxySource, RunOptions};
 
@@ -93,9 +92,9 @@ fn assert_reports_equal(mut wire: ForensicReport, mut offline: ForensicReport) {
 
 #[test]
 fn proxy_loopback_matches_offline_pcap_analysis() {
-    let episodes = wire_episode_set(31, 2, 2);
+    let episodes = wire_episode_set(31, 2, 2).unwrap();
     let transactions = merged_wire_transactions(&episodes);
-    let pcap = episodes_pcap(&episodes).expect("render episodes pcap");
+    let pcap = episodes_pcap(&episodes);
     let (offline, offline_txs) = offline_report(&pcap);
     assert_eq!(offline_txs, transactions.len(), "offline extraction lost transactions");
 
@@ -142,8 +141,8 @@ fn proxy_loopback_matches_offline_pcap_analysis() {
 
 #[test]
 fn capture_tail_through_run_loop_matches_offline_analysis() {
-    let episodes = wire_episode_set(32, 2, 1);
-    let pcap = episodes_pcap(&episodes).expect("render episodes pcap");
+    let episodes = wire_episode_set(32, 2, 1).unwrap();
+    let pcap = episodes_pcap(&episodes);
     let (offline, offline_txs) = offline_report(&pcap);
 
     let path = std::env::temp_dir()
@@ -185,7 +184,7 @@ fn capture_tail_through_run_loop_matches_offline_analysis() {
 
 #[test]
 fn stop_mid_stream_drains_with_zero_loss() {
-    let episodes = wire_episode_set(33, 1, 1);
+    let episodes = wire_episode_set(33, 1, 1).unwrap();
     let transactions = merged_wire_transactions(&episodes);
     let origin = OriginServer::start(&transactions).expect("start origin");
     let mut config = ProxyConfig::new(origin.addr());
