@@ -272,9 +272,8 @@ impl Conversation {
         } = state;
         let mut conv = Conversation::new(id, last_ts);
         for tx in transactions {
-            let sid = tx.session_id();
             let host_lower = tx.host.to_ascii_lowercase();
-            conv.absorb_prepared(tx, sid, &host_lower);
+            conv.absorb_prepared(tx, &host_lower);
         }
         conv.alerted = alerted;
         conv.watched = watched;
@@ -389,24 +388,22 @@ impl Conversation {
     }
 
     /// Folds one transaction into the stored and the derived state.
-    /// `sid` and `host_lower` are the transaction's match keys, which
-    /// the live path computes once per transaction in
+    /// `host_lower` is the transaction's lowercased host, which the live
+    /// path computes once per transaction in
     /// [`SessionTracker::assign_owned`].
-    fn absorb_prepared(
-        &mut self,
-        tx: HttpTransaction,
-        sid: Option<String>,
-        host_lower: &str,
-    ) {
+    fn absorb_prepared(&mut self, tx: HttpTransaction, host_lower: &str) {
         self.approx_bytes += tx_cost(&tx) + LIVE_TX_OVERHEAD;
         self.release_capped_host();
-        // Contains-before-insert: only a new host is copied to the heap.
+        // Contains-before-insert: only a new host or session id is copied
+        // to the heap.
         self.last_tx_added_host = !self.hosts.contains(host_lower);
         if self.last_tx_added_host {
             self.hosts.insert(host_lower.to_string());
         }
-        if let Some(sid) = sid {
-            self.session_ids.insert(sid);
+        if let Some(sid) = tx.session_id() {
+            if !self.session_ids.contains(sid) {
+                self.session_ids.insert(sid.to_string());
+            }
         }
         // The URL match key is assembled in the reusable scratch buffer
         // and only copied to the heap when it is actually new.
@@ -465,11 +462,16 @@ impl Conversation {
     }
 }
 
-/// Lowercased host part of the transaction's referrer, if it has one.
-fn referer_host(tx: &HttpTransaction) -> Option<String> {
+/// Lowercased host part of the transaction's referrer, if it has one,
+/// built in `buf`.
+fn referer_host<'b>(tx: &HttpTransaction, buf: &'b mut String) -> Option<&'b str> {
     let r = tx.referer()?;
     let rest = r.split_once("://").map_or(r, |(_, x)| x);
-    rest.split(['/', '?', '#']).next().map(|h| h.to_ascii_lowercase())
+    let host = rest.split(['/', '?', '#']).next()?;
+    buf.clear();
+    buf.push_str(host);
+    buf.make_ascii_lowercase();
+    Some(buf)
 }
 
 /// Why reading a conversation's graph cannot fail: the tracker thaws a
@@ -578,10 +580,11 @@ pub struct SessionTracker {
     spill: Option<SpillConfig>,
     counters: TrackerCounters,
     tally: TierTally,
-    /// Reusable buffer for the lowercased host of the transaction being
-    /// assigned — computed once per transaction, not per candidate
-    /// conversation.
+    /// Reusable buffers for the lowercased host and referrer host of the
+    /// transaction being assigned — computed once per transaction, not
+    /// per candidate conversation.
     host_lower: String,
+    referer_lower: String,
 }
 
 impl SessionTracker {
@@ -600,6 +603,7 @@ impl SessionTracker {
             counters: TrackerCounters::default(),
             tally: TierTally::default(),
             host_lower: String::new(),
+            referer_lower: String::new(),
         }
     }
 
@@ -796,26 +800,27 @@ impl SessionTracker {
         let client = tx.client.addr;
         let idle_timeout = self.idle_timeout;
         // Per-transaction match keys, derived once here rather than once
-        // per candidate conversation: the session id, the lowercased host
-        // (built in a scratch buffer reused across transactions), and the
-        // referrer host.
+        // per candidate conversation, and borrowed: the session id, and
+        // the lowercased host and referrer host (built in scratch buffers
+        // reused across transactions).
         let sid = tx.session_id();
-        let mut host_lower = std::mem::take(&mut self.host_lower);
+        let host_lower = &mut self.host_lower;
         host_lower.clear();
         host_lower.push_str(&tx.host);
         host_lower.make_ascii_lowercase();
+        let host_lower = host_lower.as_str();
+        let referer_host = referer_host(&tx, &mut self.referer_lower);
         let entry = self.clients.entry(client).or_default();
         let convs = &mut entry.convs;
-        let referer_host = referer_host(&tx);
 
         // Frozen conversations participate in both passes exactly like
         // live ones (same predicate, same timestamps) — demotion never
         // changes which conversation a transaction joins.
         let active = |c: &Conversation| tx.ts - c.last_ts() <= idle_timeout;
         // Pass 1: structural match among active conversations.
-        let mut chosen: Option<usize> = convs.iter().position(|c| {
-            active(c) && c.matches(&tx, sid.as_deref(), referer_host.as_deref(), &host_lower)
-        });
+        let mut chosen: Option<usize> = convs
+            .iter()
+            .position(|c| active(c) && c.matches(&tx, sid, referer_host, host_lower));
         // Pass 2: referrer-less transactions join the most recently
         // active conversation (timestamp heuristic).
         if chosen.is_none() && tx.referer().is_none() && sid.is_none() {
@@ -871,10 +876,9 @@ impl SessionTracker {
             self.counters.dropped_transactions += 1;
             conv.note_capped(tx);
         } else {
-            conv.absorb_prepared(tx, sid, &host_lower);
+            conv.absorb_prepared(tx, host_lower);
         }
         self.tally.live_bytes = self.tally.live_bytes - bytes_before + conv.approx_bytes;
-        self.host_lower = host_lower;
         conv
     }
 
@@ -1294,8 +1298,9 @@ mod tests {
     /// What [`SessionTracker::assign_owned`] would ask of `conv`.
     fn answers(conv: &Conversation, probes: &[HttpTransaction]) -> Vec<bool> {
         let ask = |p: &HttpTransaction| {
-            let (sid, referer_host) = (p.session_id(), referer_host(p));
-            conv.matches(p, sid.as_deref(), referer_host.as_deref(), &p.host.to_ascii_lowercase())
+            let mut buf = String::new();
+            let referer_host = referer_host(p, &mut buf);
+            conv.matches(p, p.session_id(), referer_host, &p.host.to_ascii_lowercase())
         };
         probes.iter().map(ask).collect()
     }

@@ -50,12 +50,26 @@ impl TrustedHosts {
     }
 
     /// Whether `host` matches the allowlist (exact or dot-boundary
-    /// suffix).
+    /// suffix, ASCII-case-insensitive). A `Host` header may carry a port
+    /// (`uri-host [ ":" port ]`, RFC 9110); it is not part of the name.
+    /// Runs on every transaction the detector sees, so it compares in
+    /// place and allocates nothing.
     pub fn is_trusted(&self, host: &str) -> bool {
-        let host = host.to_ascii_lowercase();
+        let host = without_port(host).as_bytes();
         self.suffixes.iter().any(|s| {
-            host == *s || host.ends_with(&format!(".{s}"))
+            let s = s.as_bytes();
+            let Some(boundary) = host.len().checked_sub(s.len()) else { return false };
+            host[boundary..].eq_ignore_ascii_case(s)
+                && (boundary == 0 || host[boundary - 1] == b'.')
         })
+    }
+}
+
+/// `host` without a trailing `:port` (a colon and digits only).
+fn without_port(host: &str) -> &str {
+    match host.rsplit_once(':') {
+        Some((name, port)) if port.bytes().all(|b| b.is_ascii_digit()) => name,
+        _ => host,
     }
 }
 
@@ -79,6 +93,59 @@ mod tests {
         assert!(!t.is_trusted("example.com"));
         // Suffix matching must respect label boundaries.
         assert!(!t.is_trusted("fakedl.google.comx"));
+    }
+
+    #[test]
+    fn a_port_in_the_host_header_does_not_defeat_the_weed_out() {
+        let t = TrustedHosts::default();
+        assert!(t.is_trusted("dl.google.com:80"));
+        assert!(t.is_trusted("DL.GOOGLE.COM:443"));
+        assert!(t.is_trusted("eu.dl.google.com:"));
+        assert!(!t.is_trusted("example.com:80"));
+        assert!(!t.is_trusted("dl.google.com:80x"));
+        assert!(!t.is_trusted("dl.google.com.evil.net:8080"));
+    }
+
+    /// The allocating body `is_trusted` had before it compared in place:
+    /// a lowercase copy of the host and one `format!` per suffix.
+    fn is_trusted_oracle(t: &TrustedHosts, host: &str) -> bool {
+        let host = host.to_ascii_lowercase();
+        t.suffixes.iter().any(|s| host == *s || host.ends_with(&format!(".{s}")))
+    }
+
+    /// In-place matching equals the oracle on hosts assembled from the
+    /// suffixes' own labels, near misses and non-ASCII bytes, in random
+    /// case; the same host with a port appended reads the same.
+    #[test]
+    fn in_place_match_equals_the_allocating_oracle() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut t = TrustedHosts::default();
+        t.add("Internal.Corp");
+        t.add("");
+        let labels =
+            ["dl", "google", "com", "play", "apple", "corp", "internal", "x", "é", "", "."];
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut trusted = 0;
+        for _ in 0..20_000 {
+            let mut host: String = (0..rng.gen_range(0..5))
+                .map(|_| labels[rng.gen_range(0..labels.len())])
+                .collect::<Vec<_>>()
+                .join(".");
+            if rng.gen_bool(0.5) {
+                let suffix = &t.suffixes[rng.gen_range(0..t.suffixes.len())];
+                host.push_str(&suffix[rng.gen_range(0..=suffix.len() / 4)..]);
+            }
+            let host: String = host
+                .chars()
+                .map(|c| if rng.gen_bool(0.3) { c.to_ascii_uppercase() } else { c })
+                .collect();
+            let want = is_trusted_oracle(&t, &host);
+            assert_eq!(t.is_trusted(&host), want, "{host:?}");
+            let with_port = format!("{host}:{}", rng.gen_range(0..70_000));
+            assert_eq!(t.is_trusted(&with_port), want, "{with_port:?}");
+            trusted += usize::from(want);
+        }
+        assert!((2_000..18_000).contains(&trusted), "{trusted} of 20000 trusted");
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!    literals, the reproduction's stand-in for the paper's "reverse
 //!    engineering of obfuscated JavaScript and HTML code".
 
+use std::ops::ControlFlow;
+
 use nettrace::HttpTransaction;
 
 /// Extracts every redirect target URL this transaction's response carries.
@@ -26,9 +28,7 @@ pub fn targets(tx: &HttpTransaction) -> Vec<String> {
     // the raw preview is absent from the converted body too. Most bodies
     // — all binary payloads and nearly all benign HTML — stop here.
     let raw = &tx.body_preview;
-    let might_meta = find_anchored(raw, b"http-equiv=\"refresh\"", 4, true).is_some();
-    let might_js = find_anchored(raw, b"atob(\"", 4, false).is_some()
-        || find_anchored(raw, b"window.location", 6, false).is_some();
+    let (might_meta, might_js) = prechecks(raw);
     if might_meta || might_js {
         let body = String::from_utf8_lossy(raw);
         if might_meta {
@@ -43,12 +43,46 @@ pub fn targets(tx: &HttpTransaction) -> Vec<String> {
     out
 }
 
+/// The needle of a meta-refresh tag, matched ASCII-case-insensitively;
+/// byte 4 (`-`) is its caseless anchor.
+const META_REFRESH: &[u8] = b"http-equiv=\"refresh\"";
+/// The needles of the two JavaScript idioms, matched exactly; their
+/// anchors are byte 4 (`(`) and byte 6 (`.`).
+const ATOB: &[u8] = b"atob(\"";
+const WINDOW_LOCATION: &[u8] = b"window.location";
+
+/// `(might_meta, might_js)`: whether the raw preview holds
+/// [`META_REFRESH`], and whether it holds [`ATOB`] or
+/// [`WINDOW_LOCATION`]. One pass over the preview finds each needle's
+/// anchor byte followed by the needle's next byte; each hit confirms
+/// the needle it anchors, and the scan stops once both answers are
+/// yes. Equal to three [`find_anchored`] scans on every input.
+fn prechecks(raw: &[u8]) -> (bool, bool) {
+    let (mut meta, mut js) = (false, false);
+    let pairs = [(b'-', b'e'), (b'(', b'"'), (b'.', b'l')];
+    nettrace::scan::pair3_each(pairs, raw, |pos| {
+        match raw[pos] {
+            b'-' => meta = meta || anchored_at(raw, pos, META_REFRESH, 4, true),
+            b'(' => js = js || anchored_at(raw, pos, ATOB, 4, false),
+            _ => js = js || anchored_at(raw, pos, WINDOW_LOCATION, 6, false),
+        }
+        if meta && js { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+    });
+    (meta, js)
+}
+
+/// Whether `n` occurs in `h` with its byte `anchor` at `h[pos]`.
+fn anchored_at(h: &[u8], pos: usize, n: &[u8], anchor: usize, ci: bool) -> bool {
+    let Some(start) = pos.checked_sub(anchor) else { return false };
+    let window = h.get(start..start + n.len());
+    window.is_some_and(|w| if ci { w.eq_ignore_ascii_case(n) } else { w == n })
+}
+
 /// Substring search over raw bytes, skipping via a SIMD single-byte scan
 /// ([`nettrace::scan::memchr`]) for the needle byte at `anchor` — chosen
 /// by the caller as a byte without case variants (`-`, `(`, `.`) so one
-/// scan serves the case-insensitive mode too. This runs against every
-/// response body on the WCG construction path; a windowed compare at
-/// every offset is ~20× slower.
+/// scan serves the case-insensitive mode too. A windowed compare at every
+/// offset is ~20× slower. [`prechecks`] is three of these in one pass.
 fn find_anchored(h: &[u8], n: &[u8], anchor: usize, ci: bool) -> Option<usize> {
     debug_assert!(!n[anchor].is_ascii_alphabetic(), "anchor byte must be caseless");
     if h.len() < n.len() {
@@ -241,6 +275,47 @@ mod tests {
             let tx = tx_with(200, None, body);
             assert!(targets(&tx).is_empty(), "body {:?}", String::from_utf8_lossy(body));
         }
+    }
+
+    /// The one-pass precheck against the three scans it replaced, on
+    /// bodies of random bytes and anchor bytes spliced with whole and cut
+    /// prefixes of the three needles, in lower, upper or mixed case.
+    #[test]
+    fn prechecks_equal_three_anchored_scans() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let needles = [META_REFRESH, ATOB, WINDOW_LOCATION];
+        let mut seen = [[0usize; 2]; 2];
+        for _ in 0..100_000 {
+            let len = rng.gen_range(0..200);
+            let mut body = Vec::with_capacity(len + 20);
+            while body.len() < len {
+                match rng.gen_range(0..10) {
+                    0..=5 => body.push(rng.gen::<u8>()),
+                    6 => body.push(b"-(.\""[rng.gen_range(0..4usize)]),
+                    _ => {
+                        let n = needles[rng.gen_range(0..needles.len())];
+                        let cut =
+                            if rng.gen_bool(0.5) { n.len() } else { rng.gen_range(0..n.len()) };
+                        let case = rng.gen_range(0..3);
+                        body.extend(n[..cut].iter().map(|&b| match case {
+                            0 => b,
+                            1 => b.to_ascii_uppercase(),
+                            _ if rng.gen_bool(0.5) => b.to_ascii_uppercase(),
+                            _ => b,
+                        }));
+                    }
+                }
+            }
+            body.truncate(len);
+            let meta = find_anchored(&body, META_REFRESH, 4, true).is_some();
+            let js = find_anchored(&body, ATOB, 4, false).is_some()
+                || find_anchored(&body, WINDOW_LOCATION, 6, false).is_some();
+            assert_eq!(prechecks(&body), (meta, js), "body {:?}", String::from_utf8_lossy(&body));
+            seen[usize::from(meta)][usize::from(js)] += 1;
+        }
+        // Every combination of answers is well represented.
+        assert!(seen.iter().flatten().all(|&n| n > 5_000), "{seen:?}");
     }
 
     #[test]

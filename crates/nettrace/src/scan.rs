@@ -10,6 +10,8 @@
 //! offline, so this is a hand-rolled `memchr` subset covering exactly
 //! what the parsers need.
 
+use std::ops::ControlFlow;
+
 /// Returns the index of the first occurrence of `needle` in `haystack`.
 #[inline]
 pub fn memchr(needle: u8, haystack: &[u8]) -> Option<usize> {
@@ -78,6 +80,69 @@ fn memchr2_sse2(a: u8, b: u8, haystack: &[u8]) -> Option<usize> {
             i += 16;
         }
         haystack[i..].iter().position(|&c| c == a || c == b).map(|p| i + p)
+    }
+}
+
+/// Calls `hit` with every index `i` at which one of three byte pairs
+/// starts — `haystack[i] == first` and `haystack[i + 1] | 0x20 ==
+/// second` for some `(first, second)` in `pairs` — in order, until it
+/// returns [`ControlFlow::Break`]. Setting bit 0x20 of the second byte
+/// folds ASCII case, so a lowercase letter as `second` matches either
+/// case; a `second` without that bit never matches.
+///
+/// One pass serves several needles: each is found by the pair at its
+/// caseless anchor byte and the byte after it, and the caller confirms
+/// the whole needle at each hit. The hits of a 16-byte block are walked
+/// out of its compare mask without restarting the scan. Filtering on
+/// pairs rather than on anchor bytes alone keeps hits rare (random bytes
+/// start one of three pairs once in ≈ 11 000 rather than once in 85),
+/// and each hit costs a branch the scan loop cannot predict.
+#[inline]
+pub fn pair3_each(
+    pairs: [(u8, u8); 3],
+    haystack: &[u8],
+    mut hit: impl FnMut(usize) -> ControlFlow<()>,
+) {
+    let mut i = 0usize;
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{
+            _mm_and_si128, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128,
+            _mm_set1_epi8,
+        };
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        let (first, second, fold) = unsafe {
+            (
+                pairs.map(|(a, _)| _mm_set1_epi8(a as i8)),
+                pairs.map(|(_, b)| _mm_set1_epi8(b as i8)),
+                _mm_set1_epi8(0x20),
+            )
+        };
+        while i + 17 <= haystack.len() {
+            // SAFETY: SSE2 as above; both loads are unaligned (`loadu`)
+            // and read `haystack[i..i + 17]`, in bounds by the loop
+            // condition.
+            let mut mask = unsafe {
+                let at = _mm_loadu_si128(haystack.as_ptr().add(i).cast());
+                let next = _mm_or_si128(_mm_loadu_si128(haystack.as_ptr().add(i + 1).cast()), fold);
+                let pair = |k: usize| {
+                    _mm_and_si128(_mm_cmpeq_epi8(at, first[k]), _mm_cmpeq_epi8(next, second[k]))
+                };
+                _mm_movemask_epi8(_mm_or_si128(_mm_or_si128(pair(0), pair(1)), pair(2))) as u32
+            };
+            while mask != 0 {
+                if hit(i + mask.trailing_zeros() as usize).is_break() {
+                    return;
+                }
+                mask &= mask - 1;
+            }
+            i += 16;
+        }
+    }
+    for (j, w) in haystack[i..].windows(2).enumerate() {
+        if pairs.iter().any(|&(a, b)| w[0] == a && w[1] | 0x20 == b) && hit(i + j).is_break() {
+            return;
+        }
     }
 }
 
@@ -159,30 +224,97 @@ pub fn find_crlf(buf: &[u8]) -> Option<usize> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn memchr_matches_scalar_on_all_offsets() {
-        // Cross the 16-byte boundary in every phase so both the SIMD
-        // body and the scalar tail are exercised.
-        for len in 0..64 {
-            let buf: Vec<u8> = (0..len as u8).map(|b| b % 7).collect();
-            for needle in 0..8u8 {
-                assert_eq!(
-                    memchr(needle, &buf),
-                    buf.iter().position(|&c| c == needle),
-                    "len {len} needle {needle}"
-                );
-            }
-        }
+    /// The bytes the haystacks below are drawn from, and the single-byte
+    /// needles of the scanners under test.
+    const ALPHABET: &[u8] = b"aA\r\n-(.:\x80\xc3\xa9\xff";
+
+    /// The scalar definition of `pair3_each`'s hits.
+    fn pair_positions(h: &[u8], pairs: [(u8, u8); 3]) -> Vec<usize> {
+        let starts = |i: usize| pairs.iter().any(|&(a, b)| h[i] == a && h[i + 1] | 0x20 == b);
+        (0..h.len().saturating_sub(1)).filter(|&i| starts(i)).collect()
     }
 
+    /// `pair3_each`'s hits, stopping after `limit` of them.
+    fn pair3_hits(pairs: [(u8, u8); 3], h: &[u8], limit: usize) -> Vec<usize> {
+        let mut hits = Vec::new();
+        pair3_each(pairs, h, |i| {
+            hits.push(i);
+            if hits.len() == limit { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+        });
+        hits
+    }
+
+    /// Two 144-byte haystacks over an alphabet of the needles below,
+    /// bytes ≥ 0x80 among them (`_mm_set1_epi8` takes an `i8`): one with
+    /// hits nearly everywhere, one with a few among filler, so that
+    /// whole blocks are skipped. Each carries the multi-byte needles
+    /// whole at a few places, where random draws would rarely put them.
+    fn haystacks() -> [Vec<u8>; 2] {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut dense: Vec<u8> =
+            (0..144).map(|_| ALPHABET[next() as usize % ALPHABET.len()]).collect();
+        let mut sparse: Vec<u8> = (0..144)
+            .map(|_| if next() % 8 == 0 { dense[next() as usize % 144] } else { b'x' })
+            .collect();
+        for (at, n) in [(75, &b"\r\n\r\n"[..]), (20, b"Aa"), (100, b"\xc3\xa9")] {
+            dense[at..at + n.len()].copy_from_slice(n);
+        }
+        for (at, n) in [(17, &b"a\xff:"[..]), (40, b"\r\n\r\n"), (60, b"\xc3\xa9"), (90, b"-("),
+            (100, b"\xff\x80"), (120, b"aA"), (131, b"\r\n\r\n")]
+        {
+            sparse[at..at + n.len()].copy_from_slice(n);
+        }
+        [dense, sparse]
+    }
+
+    /// Each scanner equals its scalar definition on every sub-slice that
+    /// starts at alignment 0..64 and runs 0..80 bytes: the SIMD body
+    /// enters in every phase and the scalar tail sees every length.
     #[test]
-    fn memchr2_matches_scalar() {
-        for len in 0..48 {
-            let buf: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
-            assert_eq!(
-                memchr2(b'\r', b':', &buf),
-                buf.iter().position(|&c| c == b'\r' || c == b':')
-            );
+    fn scanners_match_their_scalar_definitions_at_every_alignment_and_tail() {
+        let needles: [&[u8]; 7] =
+            [b"aa", b"\r\n\r\n", b"-(", b"\xff\x80", b"\xc3\xa9", b".", b"a\xff:"];
+        for buf in haystacks() {
+            for start in 0..64 {
+                for len in 0..80 {
+                    let h = &buf[start..start + len];
+                    let at = format!("start {start} len {len}");
+                    for &n in ALPHABET {
+                        let want = h.iter().position(|&c| c == n);
+                        assert_eq!(memchr(n, h), want, "{at} {n:#x}");
+                    }
+                    for w in ALPHABET.windows(2) {
+                        let (a, b) = (w[0], w[1]);
+                        let want = h.iter().position(|&c| c == a || c == b);
+                        assert_eq!(memchr2(a, b, h), want, "{at} {a:#x} {b:#x}");
+                    }
+                    for w in ALPHABET.windows(4) {
+                        // Seconds with bit 0x20 set, so that every pair can match.
+                        let fold = |k: usize| (w[k], w[k + 1] | 0x20);
+                        let pairs = [fold(0), fold(1), fold(2)];
+                        let all = pair_positions(h, pairs);
+                        assert_eq!(pair3_hits(pairs, h, usize::MAX), all, "{at} {pairs:x?}");
+                        // Break stops the scan at exactly the hit it came from.
+                        let first_two = all.iter().copied().take(2).collect::<Vec<_>>();
+                        assert_eq!(pair3_hits(pairs, h, 2), first_two, "{at} {pairs:x?}");
+                    }
+                    for n in needles {
+                        let want = h.windows(n.len()).position(|w| w == n);
+                        assert_eq!(find(h, n), want, "{at} {n:x?}");
+                        let lower = n.to_ascii_lowercase();
+                        let want = h.windows(n.len()).position(|w| w.eq_ignore_ascii_case(&lower));
+                        assert_eq!(find_ignore_ascii_case(h, &lower), want, "{at} {n:x?}");
+                    }
+                    let head = h.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4);
+                    assert_eq!(find_head_end(h), head, "{at}");
+                }
+            }
         }
     }
 

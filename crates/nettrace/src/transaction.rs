@@ -116,10 +116,12 @@ impl HttpTransaction {
 
     /// A session identifier: the `Cookie` header when present, otherwise a
     /// session-id-like URI query parameter (`PHPSESSID`, `sessionid`,
-    /// `sid`, `jsessionid`).
-    pub fn session_id(&self) -> Option<String> {
+    /// `sid`, `jsessionid`). The search ends at the first query parameter
+    /// without a `=`. Borrowed: the tracker copies one only when it is new
+    /// to a conversation.
+    pub fn session_id(&self) -> Option<&str> {
         if let Some(c) = self.req_headers.get("Cookie") {
-            return Some(c.to_string());
+            return Some(c);
         }
         let query = self.uri.split_once('?')?.1;
         for kv in query.split('&') {
@@ -128,7 +130,7 @@ impl HttpTransaction {
                 .iter()
                 .any(|key| k.eq_ignore_ascii_case(key))
             {
-                return Some(v.to_string());
+                return Some(v);
             }
         }
         None
@@ -739,8 +741,8 @@ pub(crate) fn synthesize_transaction<'a>(
     // raw bytes, counted per coding.
     let body = decode_content_codings(body, &resp_headers, report);
     let bytes = body.as_slice();
-    let content_type = resp_headers.get("Content-Type").map(str::to_string);
-    let payload_class = classify(&req.head.uri, content_type.as_deref(), bytes.len(), bytes);
+    let content_type = resp_headers.get("Content-Type");
+    let payload_class = classify(&req.head.uri, content_type, bytes.len(), bytes);
     let preview_len = bytes.len().min(BODY_PREVIEW_LEN);
     let tx = HttpTransaction {
         seq: 0, // numbered in emission order by the caller
@@ -883,9 +885,12 @@ mod tests {
             body_preview: Vec::new(),
             payload_digest: 0,
         };
-        assert_eq!(t.session_id(), Some("abc123".into()));
+        assert_eq!(t.session_id(), Some("abc123"));
+        // A parameter without `=` ends the search.
+        t.uri = "/x?flag&sid=abc123".into();
+        assert_eq!(t.session_id(), None);
         t.req_headers.append("Cookie", "sid=zzz");
-        assert_eq!(t.session_id(), Some("sid=zzz".into()));
+        assert_eq!(t.session_id(), Some("sid=zzz"));
     }
 
     #[test]
