@@ -31,21 +31,7 @@ use crate::forensic::ConversationVerdict;
 use crate::metrics::DetectorMetrics;
 use crate::trusted::TrustedHosts;
 pub use clue::ClueConfig;
-pub use session::{Conversation, SessionTracker, SpillConfig, TrackerState};
-
-/// When a *watched* conversation is re-classified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReclassifyPolicy {
-    /// After every transaction — the paper's description ("each update of
-    /// a WCG then triggers feature extraction and invoking of the ERF").
-    EveryTransaction,
-    /// Only when the update is likely to move the verdict: a new host
-    /// joins the conversation, a redirect is observed, or a risky payload
-    /// is downloaded. Subresource chatter (images, scripts, beacons)
-    /// skips the WCG rebuild, cutting classifier invocations at equal
-    /// detection.
-    OnSignificantUpdate,
-}
+pub use session::{Conversation, SessionTracker, TrackerState};
 
 /// Detector configuration.
 #[derive(Debug, Clone)]
@@ -63,9 +49,7 @@ pub struct DetectorConfig {
     /// the right mode for forensic replay, where the final report walks
     /// all of them.
     pub retention: Option<f64>,
-    /// Re-classification cadence for watched conversations.
-    pub reclassify: ReclassifyPolicy,
-    /// At most this many live conversations per client; the
+    /// At most this many conversations per client; the
     /// least-recently-active one is evicted to make room. Guards tracker
     /// memory against a hostile client spraying unclusterable
     /// transactions.
@@ -78,12 +62,6 @@ pub struct DetectorConfig {
     /// verdict pass). `0` means "use the machine's available parallelism".
     /// Scores are bit-identical at any setting.
     pub scoring_threads: usize,
-    /// LRU spill tier budgets: when set, idle conversations over the
-    /// live-memory budget are demoted to a compact frozen form (and
-    /// rehydrated on their next transaction) instead of staying
-    /// resident, and hard eviction becomes the last resort. `None`
-    /// disables the tier (the default).
-    pub spill: Option<SpillConfig>,
 }
 
 impl Default for DetectorConfig {
@@ -94,11 +72,9 @@ impl Default for DetectorConfig {
             alert_threshold: 0.5,
             trusted: TrustedHosts::default(),
             retention: None,
-            reclassify: ReclassifyPolicy::EveryTransaction,
             max_conversations_per_client: 512,
             max_transactions_per_conversation: 8192,
             scoring_threads: 0,
-            spill: None,
         }
     }
 }
@@ -279,14 +255,11 @@ impl OnTheWireDetector {
         config: DetectorConfig,
         registry: &Registry,
     ) -> Self {
-        let mut tracker = match config.retention {
+        let tracker = match config.retention {
             Some(retention) => SessionTracker::with_retention(config.idle_timeout, retention),
             None => SessionTracker::new(config.idle_timeout),
         }
         .with_caps(config.max_conversations_per_client, config.max_transactions_per_conversation);
-        if let Some(spill) = config.spill {
-            tracker = tracker.with_spill(spill);
-        }
         let last_model_version = model.version();
         OnTheWireDetector {
             model,
@@ -322,26 +295,16 @@ impl OnTheWireDetector {
     }
 
     /// Folds the tracker's running totals into the monotone telemetry
-    /// counters (delta since the last sync) and refreshes the
-    /// conversation-tier gauges.
+    /// counters (delta since the last sync) and refreshes the live
+    /// conversation gauge.
     fn sync_tracker_metrics(&mut self) {
         let m = &self.metrics;
         let (now, synced) = (self.tracker.counters(), self.synced);
         m.retention_evictions.add(now.evicted - synced.evicted);
         m.cap_evictions.add(now.cap_evicted - synced.cap_evicted);
         m.dropped_transactions.add(now.dropped_transactions - synced.dropped_transactions);
-        m.spilled_conversations.add(now.spilled - synced.spilled);
-        m.rehydrations.add(now.rehydrated - synced.rehydrated);
-        m.spill_evictions.add(now.spill_evicted - synced.spill_evicted);
-        self.synced = now;
-        self.set_tier_gauges();
-    }
-
-    fn set_tier_gauges(&self) {
-        let m = &self.metrics;
         m.conversations_live.set(self.tracker.conversation_count() as i64);
-        m.conversations_frozen.set(self.tracker.frozen_count() as i64);
-        m.spill_bytes.set(self.tracker.spill_bytes() as i64);
+        self.synced = now;
     }
 
     fn observe_inner(&mut self, tx: HttpTransaction) -> Option<Alert> {
@@ -380,17 +343,6 @@ impl OnTheWireDetector {
         conv.watched = true;
         if first_look {
             self.metrics.clues.inc();
-        }
-        let significant_download =
-            download.is_some_and(|l| l >= self.config.clue.min_payload_likelihood);
-        if self.config.reclassify == ReclassifyPolicy::OnSignificantUpdate
-            && !first_look
-            && !conv.last_tx_added_host
-            && !is_redirect
-            && !significant_download
-        {
-            self.metrics.reclassify_skipped.inc();
-            return None; // subresource chatter: verdict is unlikely to move
         }
         self.classifications += 1;
         self.metrics.wcg_rebuilds.inc();
@@ -489,17 +441,14 @@ impl OnTheWireDetector {
         &self.config
     }
 
-    /// Thaws every spilled conversation back to the live tier (and
-    /// syncs the rehydration telemetry), so a per-conversation sweep
-    /// sees everything.
-    pub fn rehydrate_all(&mut self) {
-        self.tracker.rehydrate_all();
-        self.sync_tracker_metrics();
-    }
+    /// Does nothing: every conversation the tracker holds is already
+    /// resident and listed by [`SessionTracker::conversations`]. Kept so
+    /// callers that prepare a per-conversation sweep with it still build.
+    pub fn rehydrate_all(&mut self) {}
 
-    /// The final verdict pass: every conversation (spilled ones thawed
-    /// first), in tracker order, scored by the deployed model — one
-    /// `classifier_scoring_ns` observation for the whole sweep.
+    /// The final verdict pass: every conversation, in tracker order,
+    /// scored by the deployed model — one `classifier_scoring_ns`
+    /// observation for the whole sweep.
     ///
     /// Each conversation is scored from the WCG it already holds, which
     /// equals `Wcg::from_transactions` over its stored transactions, so
@@ -510,7 +459,6 @@ impl OnTheWireDetector {
     /// current; nothing is written, so the result is the same at any
     /// `threads`.
     pub fn final_verdicts(&mut self, threads: usize) -> Vec<ConversationVerdict> {
-        self.rehydrate_all();
         let started = Instant::now();
         let convs: Vec<&Conversation> = self.tracker.conversations().collect();
         let fvs = mlearn::parallel::run_indexed_with(
@@ -561,7 +509,7 @@ impl OnTheWireDetector {
         self.classifications = state.classifications as usize;
         self.synced = self.tracker.counters();
         self.last_model_version = self.model.version();
-        self.set_tier_gauges();
+        self.metrics.conversations_live.set(self.tracker.conversation_count() as i64);
     }
 }
 
@@ -655,44 +603,6 @@ mod tests {
         }
         assert_eq!(det.transactions_seen(), 0, "all vendor traffic excluded");
         assert!(det.alerts().is_empty());
-    }
-
-    #[test]
-    fn significant_update_policy_cuts_classifier_work() {
-        let clf = trained_classifier(7);
-        let mut rng = StdRng::seed_from_u64(61);
-        let mut stream: Vec<nettrace::HttpTransaction> = Vec::new();
-        for i in 0..8 {
-            stream.extend(
-                generate_infection(&mut rng, EkFamily::ALL[i % 10], 1.4e9 + i as f64 * 400.0)
-                    .transactions,
-            );
-        }
-        stream.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-        let run = |policy, alert_threshold| {
-            let config = DetectorConfig {
-                reclassify: policy,
-                alert_threshold,
-                ..DetectorConfig::default()
-            };
-            let mut det = OnTheWireDetector::new(clf.clone(), config);
-            for tx in &stream {
-                det.observe(tx);
-            }
-            (det.alerts().len(), det.classification_count())
-        };
-        // With alerting disabled, watched conversations keep growing and
-        // the cadence difference shows directly.
-        let (_, calls_every) = run(ReclassifyPolicy::EveryTransaction, 1.1);
-        let (_, calls_sig) = run(ReclassifyPolicy::OnSignificantUpdate, 1.1);
-        assert!(calls_sig < calls_every, "{calls_sig} vs {calls_every}");
-        // At the normal threshold, detection must not regress meaningfully.
-        let (alerts_every, _) = run(ReclassifyPolicy::EveryTransaction, 0.5);
-        let (alerts_sig, _) = run(ReclassifyPolicy::OnSignificantUpdate, 0.5);
-        assert!(
-            alerts_sig + 1 >= alerts_every,
-            "alerts {alerts_sig} vs {alerts_every}"
-        );
     }
 
     #[test]
@@ -800,83 +710,12 @@ mod tests {
             snap.gauges["session_conversations_live"],
             tracker.conversation_count() as i64
         );
-        // No spill tier configured: the spill counters exist but stay 0.
-        assert_eq!(snap.counter("session_spilled_conversations_total"), 0);
-        assert_eq!(snap.counter("session_rehydrations_total"), 0);
-        assert_eq!(snap.counter("session_spill_evictions_total"), 0);
-        assert_eq!(snap.gauges["session_conversations_frozen"], 0);
-        assert_eq!(snap.gauges["session_spill_bytes"], 0);
         // Lifecycle accounting closes: every conversation ever created
-        // is live, frozen, or evicted through exactly one path.
+        // is live or evicted through exactly one path.
         assert_eq!(
             tracker.created_count(),
-            (tracker.conversation_count()
-                + tracker.frozen_count()
-                + tracker.evicted_count()
-                + tracker.cap_evicted_count()
-                + tracker.spill_evicted_count()) as u64
-        );
-    }
-
-    /// The spill tier under an aggressive budget: counters move, the
-    /// telemetry matches the tracker exactly, and accounting closes.
-    #[test]
-    fn spill_accounting_matches_telemetry_snapshot_exactly() {
-        use crate::wcg::tests::tx;
-        use nettrace::http::Method;
-        let clf = trained_classifier(12);
-        let config = DetectorConfig {
-            spill: Some(SpillConfig {
-                max_live_bytes: 1,
-                max_spill_bytes: usize::MAX,
-                min_idle_secs: 0.5,
-            }),
-            ..DetectorConfig::default()
-        };
-        let mut det = OnTheWireDetector::new(clf, config);
-        // Unclusterable one-shots a second apart: each sweep demotes the
-        // previous conversation; revisiting a host rehydrates it.
-        for i in 0..10 {
-            let host = format!("h{i}.example");
-            let referer = format!("http://unique-{i}.example/");
-            let t = tx(
-                i as f64, &host, "/x", Method::Get, 200,
-                PayloadClass::Html, 100, Some(&referer), None,
-            );
-            det.observe(&t);
-        }
-        let revisit = tx(
-            11.0, "h0.example", "/y", Method::Get, 200,
-            PayloadClass::Html, 100, None, None,
-        );
-        det.observe(&revisit);
-        let tracker = det.tracker();
-        assert!(tracker.spilled_count() > 0, "budget forced demotions");
-        assert!(tracker.rehydrated_count() > 0, "revisit thawed a conversation");
-        assert_eq!(tracker.spill_evicted_count(), 0, "frozen budget never bound");
-        let snap = det.telemetry().snapshot();
-        assert_eq!(
-            snap.counter("session_spilled_conversations_total"),
-            tracker.spilled_count()
-        );
-        assert_eq!(snap.counter("session_rehydrations_total"), tracker.rehydrated_count());
-        assert_eq!(snap.counter("session_spill_evictions_total"), 0);
-        assert_eq!(
-            snap.gauges["session_conversations_frozen"],
-            tracker.frozen_count() as i64
-        );
-        assert_eq!(snap.gauges["session_spill_bytes"], tracker.spill_bytes() as i64);
-        assert_eq!(
-            tracker.spilled_count(),
-            tracker.rehydrated_count() + tracker.frozen_count() as u64
-        );
-        assert_eq!(
-            tracker.created_count(),
-            (tracker.conversation_count()
-                + tracker.frozen_count()
-                + tracker.evicted_count()
-                + tracker.cap_evicted_count()
-                + tracker.spill_evicted_count()) as u64
+            (tracker.conversation_count() + tracker.evicted_count() + tracker.cap_evicted_count())
+                as u64
         );
     }
 

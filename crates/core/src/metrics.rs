@@ -22,9 +22,6 @@ pub struct DetectorMetrics {
     pub wcg_rebuilds: Counter,
     /// Re-classification rounds on already-watched conversations.
     pub reclassifications: Counter,
-    /// Watched-conversation updates skipped by
-    /// [`crate::detector::ReclassifyPolicy::OnSignificantUpdate`].
-    pub reclassify_skipped: Counter,
     /// Alerts raised.
     pub alerts: Counter,
     /// Conversations evicted by the retention window.
@@ -33,20 +30,10 @@ pub struct DetectorMetrics {
     pub cap_evictions: Counter,
     /// Transactions dropped by the per-conversation transaction cap.
     pub dropped_transactions: Counter,
-    /// Conversations demoted to the frozen spill tier.
-    pub spilled_conversations: Counter,
-    /// Frozen conversations rehydrated back to the live tier.
-    pub rehydrations: Counter,
-    /// Frozen conversations hard-evicted by the spill budget.
-    pub spill_evictions: Counter,
     /// Model hot-reloads observed on the classification path.
     pub model_reloads: Counter,
     /// Live conversations across all clients.
     pub conversations_live: Gauge,
-    /// Frozen conversations across all clients.
-    pub conversations_frozen: Gauge,
-    /// Estimated bytes held by the frozen spill tier.
-    pub spill_bytes: Gauge,
     /// WCG rebuild + 37-feature extraction latency, nanoseconds.
     pub feature_extraction_ns: Histogram,
     /// Forest scoring latency per classification, nanoseconds.
@@ -75,10 +62,6 @@ impl DetectorMetrics {
                 "detector_reclassifications_total",
                 "Re-classification rounds on already-watched conversations",
             ),
-            reclassify_skipped: registry.counter(
-                "detector_reclassify_skipped_total",
-                "Watched-conversation updates skipped as insignificant",
-            ),
             alerts: registry.counter("detector_alerts_total", "Infection alerts raised"),
             retention_evictions: registry.counter(
                 "session_retention_evictions_total",
@@ -92,28 +75,12 @@ impl DetectorMetrics {
                 "session_transactions_dropped_total",
                 "Transactions dropped by the per-conversation cap",
             ),
-            spilled_conversations: registry.counter(
-                "session_spilled_conversations_total",
-                "Conversations demoted to the frozen spill tier",
-            ),
-            rehydrations: registry.counter(
-                "session_rehydrations_total",
-                "Frozen conversations rehydrated back to the live tier",
-            ),
-            spill_evictions: registry.counter(
-                "session_spill_evictions_total",
-                "Frozen conversations hard-evicted by the spill budget",
-            ),
             model_reloads: registry.counter(
                 "detector_model_reloads_total",
                 "Model hot-reloads observed on the classification path",
             ),
             conversations_live: registry
                 .gauge("session_conversations_live", "Live conversations across all clients"),
-            conversations_frozen: registry
-                .gauge("session_conversations_frozen", "Frozen conversations across all clients"),
-            spill_bytes: registry
-                .gauge("session_spill_bytes", "Estimated bytes held by the frozen spill tier"),
             feature_extraction_ns: registry.latency_histogram(
                 "classifier_feature_extraction_ns",
                 "WCG rebuild + 37-feature extraction latency per classification",

@@ -360,7 +360,7 @@ impl StreamEngine {
     /// Like [`StreamEngine::new`] with engine metrics registered in
     /// `registry`. Each shard's detector keeps a *private* registry
     /// (shards share metric names, which must not collide in one
-    /// registry); [`StreamEngine::detector_stats`] aggregates them.
+    /// registry); the engine aggregates them into the report's stats.
     pub fn with_telemetry(
         classifier: Classifier,
         detector_config: DetectorConfig,
@@ -523,7 +523,7 @@ impl StreamEngine {
     /// shard's live conversations are a disjoint population). Telemetry
     /// carried from the snapshot this engine was restored from is
     /// folded in, so the stats always describe the whole logical run.
-    pub fn detector_stats(&self) -> Snapshot {
+    pub(crate) fn detector_stats(&self) -> Snapshot {
         let aggregate = Registry::new();
         aggregate.absorb(&self.carried_stats);
         for reg in &self.shard_registries {

@@ -90,9 +90,9 @@ pub fn order_and_downloads(
 
 /// Final verdict pass and report assembly: each shard's detector runs
 /// its own [`final_verdicts`](dynaminer::detector::OnTheWireDetector::final_verdicts)
-/// sweep (spilled conversations thawed first) and the verdicts are
-/// reassembled by id, which reproduces the single tracker's iteration
-/// order — client-scoped ids sort client-major, like its BTreeMap.
+/// sweep and the verdicts are reassembled by id, which reproduces the
+/// single tracker's iteration order — client-scoped ids sort
+/// client-major, like its BTreeMap.
 ///
 /// Public so harnesses that drive a long-lived engine across several
 /// `process` calls (epoch-by-epoch drift replay) can close it out with

@@ -223,19 +223,17 @@ fn telemetry_counters_track_ingest_reports_across_all_fault_classes() {
     );
 }
 
-/// Spill-tier accounting across the hostile corpus: for every fault
-/// class, a detector running an aggressive spill configuration (every
-/// idle conversation is demoted, a tiny spill budget forces hard
-/// evictions) must keep the conversation ledger balanced — every
-/// created conversation is live, frozen, or accounted to exactly one
-/// eviction counter — and the telemetry mirror must match the tracker
-/// exactly.
+/// Conversation accounting across the hostile corpus: for every fault
+/// class, a detector with a one-second retention window and tight caps
+/// (2 conversations per client, 4 transactions per conversation) must
+/// keep the conversation ledger balanced — every created conversation
+/// is live or accounted to exactly one eviction counter — and the
+/// telemetry mirror must match the tracker exactly.
 #[test]
-fn spill_accounting_balances_across_all_fault_classes() {
-    use dynaminer::detector::{OnTheWireDetector, SpillConfig};
+fn eviction_accounting_balances_across_all_fault_classes() {
+    use dynaminer::detector::OnTheWireDetector;
     let clf = classifier();
-    let mut spilled_total = 0u64;
-    let mut spill_evicted_total = 0usize;
+    let (mut evicted_total, mut cap_evicted_total) = (0usize, 0usize);
     for (i, fault) in Fault::ALL.into_iter().enumerate() {
         let pcap = infection_pcap(300 + i as u64, EkFamily::ALL[i % 10]);
         let mut rng = StdRng::seed_from_u64(500 + i as u64);
@@ -243,15 +241,10 @@ fn spill_accounting_balances_across_all_fault_classes() {
         let (txs, _) = lenient_extract_checked(&hurt);
         let registry = telemetry::Registry::new();
         let config = DetectorConfig {
-            spill: Some(SpillConfig {
-                // Zero live budget + zero idle threshold: every
-                // conversation freezes as soon as another one is
-                // touched. The spill budget is small enough for busy
-                // captures to overflow it into hard evictions.
-                max_live_bytes: 1,
-                max_spill_bytes: 24 * 1024,
-                min_idle_secs: 0.0,
-            }),
+            idle_timeout: 1.0,
+            retention: Some(1.0),
+            max_conversations_per_client: 2,
+            max_transactions_per_conversation: 4,
             ..DetectorConfig::default()
         };
         let mut det = OnTheWireDetector::with_telemetry(clf.clone(), config, &registry);
@@ -261,43 +254,37 @@ fn spill_accounting_balances_across_all_fault_classes() {
         let t = det.tracker();
         assert_eq!(
             t.created_count(),
-            (t.conversation_count()
-                + t.frozen_count()
-                + t.evicted_count()
-                + t.cap_evicted_count()
-                + t.spill_evicted_count()) as u64,
+            (t.conversation_count() + t.evicted_count() + t.cap_evicted_count()) as u64,
             "{fault}: conversation ledger out of balance"
-        );
-        assert_eq!(
-            t.spilled_count(),
-            t.rehydrated_count() + t.frozen_count() as u64 + t.spill_evicted_count() as u64,
-            "{fault}: every spilled conversation must be frozen, rehydrated, or hard-evicted"
         );
         let snap = registry.snapshot();
         assert_eq!(
-            snap.counter("session_spilled_conversations_total"),
-            t.spilled_count(),
-            "{fault}"
-        );
-        assert_eq!(snap.counter("session_rehydrations_total"), t.rehydrated_count(), "{fault}");
-        assert_eq!(
-            snap.counter("session_spill_evictions_total"),
-            t.spill_evicted_count() as u64,
+            snap.counter("session_retention_evictions_total"),
+            t.evicted_count() as u64,
             "{fault}"
         );
         assert_eq!(
-            snap.gauges["session_conversations_frozen"],
-            t.frozen_count() as i64,
+            snap.counter("session_cap_evictions_total"),
+            t.cap_evicted_count() as u64,
             "{fault}"
         );
-        assert_eq!(snap.gauges["session_spill_bytes"], t.spill_bytes() as i64, "{fault}");
-        spilled_total += t.spilled_count();
-        spill_evicted_total += t.spill_evicted_count();
+        assert_eq!(
+            snap.counter("session_transactions_dropped_total"),
+            t.dropped_transaction_count(),
+            "{fault}"
+        );
+        assert_eq!(
+            snap.gauges["session_conversations_live"],
+            t.conversation_count() as i64,
+            "{fault}"
+        );
+        evicted_total += t.evicted_count();
+        cap_evicted_total += t.cap_evicted_count();
     }
-    // The corpus must actually exercise the tier, including the
-    // last-resort path — otherwise the identities above are vacuous.
-    assert!(spilled_total > 0, "no conversation was ever spilled");
-    assert!(spill_evicted_total > 0, "the spill budget never forced a hard eviction");
+    // The corpus must actually exercise both eviction paths — otherwise
+    // the identity above is vacuous.
+    assert!(evicted_total > 0, "the retention window never evicted");
+    assert!(cap_evicted_total > 0, "the conversation cap never evicted");
 }
 
 /// What the reference implementation said about one damaged capture.

@@ -1,8 +1,8 @@
 //! The final verdict sweep scores the WCG each conversation already
 //! holds (DESIGN.md §9). These tests pin what that rests on: whatever
 //! happened to a conversation on the way — out-of-order arrivals, the
-//! transaction cap, a spill cycle, a snapshot restore, a model reload —
-//! its verdict carries the bits of
+//! transaction cap, retention eviction of its neighbours, a snapshot
+//! restore, a model reload — its verdict carries the bits of
 //! `Classifier::score_transactions(&conversation.transactions)`, the
 //! score of a WCG rebuilt from the stored transactions, at any thread
 //! count.
@@ -13,7 +13,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use dynaminer::classifier::{build_dataset, Classifier};
-use dynaminer::detector::{DetectorConfig, OnTheWireDetector, SpillConfig};
+use dynaminer::detector::{DetectorConfig, OnTheWireDetector};
 use dynaminer::forensic::ConversationVerdict;
 use dynaminer::wcg::{PushOutcome, WcgBuilder};
 use nettrace::HttpTransaction;
@@ -161,19 +161,11 @@ fn capped_conversations_score_what_they_stored() {
 }
 
 #[test]
-fn spilled_conversations_are_thawed_and_scored() {
-    let config = DetectorConfig {
-        spill: Some(SpillConfig { max_live_bytes: 1, max_spill_bytes: usize::MAX, min_idle_secs: 0.5 }),
-        ..DetectorConfig::default()
-    };
-    let mut det = detector(config, &all_kinds_stream(13, 1));
-    let frozen = det.tracker().frozen_count();
-    assert!(frozen > 0, "the budget forced no demotion");
-    let live = det.tracker().conversation_count();
-    let swept = det.final_verdicts(1);
-    assert_eq!(swept.len(), live + frozen, "the sweep saw every conversation");
-    assert_eq!(det.tracker().frozen_count(), 0);
-    assert_sweep_is_rebuild(&mut det, classifier(), "spilled");
+fn retention_survivors_score_as_rebuilt() {
+    let config = DetectorConfig { retention: Some(600.0), ..DetectorConfig::default() };
+    let mut det = detector(config, &all_kinds_stream(13, 2));
+    assert!(det.tracker().evicted_count() > 0, "the retention window never evicted");
+    assert_sweep_is_rebuild(&mut det, classifier(), "retention");
 }
 
 #[test]

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use dynaminer::classifier::{build_dataset, Classifier};
-use dynaminer::detector::{DetectorConfig, OnTheWireDetector, SpillConfig};
+use dynaminer::detector::{DetectorConfig, OnTheWireDetector};
 use serde::{Deserialize, Serialize};
 use nettrace::source::ReplaySource;
 use streamd::{EngineSnapshot, StreamConfig, StreamEngine};
@@ -153,10 +153,9 @@ fn compare_against_golden(actual: &Golden, golden_path: &str, artifact_name: &st
     }
 }
 
-/// A durable-tier pipeline over the pinned corpus: replay with spill
-/// budgets active, crash after the first checkpoint, resume the
-/// snapshot into a different shard count, and hot-reload the model
-/// mid-resume. Everything the projection keeps (counters, gauges,
+/// A durable-tier pipeline over the pinned corpus: replay, crash after
+/// the first checkpoint, resume the snapshot into a different shard
+/// count, and hot-reload the model mid-resume. Everything the projection keeps (counters, gauges,
 /// histogram counts) is a deterministic function of (seed, scale,
 /// configs) — only histogram sums carry wall-clock time.
 fn run_durable_pipeline() -> telemetry::Snapshot {
@@ -170,14 +169,6 @@ fn run_durable_pipeline() -> telemetry::Snapshot {
     stream.sort_by(|a, b| a.ts.total_cmp(&b.ts));
     nettrace::assign_seq(&mut stream);
 
-    let config = DetectorConfig {
-        spill: Some(SpillConfig {
-            max_live_bytes: 32 * 1024,
-            max_spill_bytes: usize::MAX / 2,
-            min_idle_secs: 30.0,
-        }),
-        ..DetectorConfig::default()
-    };
     // Queues sized to the stream so the feeder never blocks: the
     // backpressure-wait counter would otherwise depend on worker timing.
     let stream_config = |shards| StreamConfig {
@@ -195,7 +186,7 @@ fn run_durable_pipeline() -> telemetry::Snapshot {
     };
     replay(
         ReplaySource::new(stream.clone()),
-        &mut StreamEngine::new(classifier.clone(), config.clone(), stream_config(2)),
+        &mut StreamEngine::new(classifier.clone(), DetectorConfig::default(), stream_config(2)),
         RunOptions {
             checkpoint_every: cut,
             snapshot_sink: Some(&mut crash_sink),
@@ -215,7 +206,7 @@ fn run_durable_pipeline() -> telemetry::Snapshot {
     let reload_at = stream.len() as u64 * 2 / 3;
     let mut engine = StreamEngine::restore(
         classifier.clone(),
-        config,
+        DetectorConfig::default(),
         stream_config(3),
         &registry,
         first.expect("the first leg left its checkpoint"),
@@ -246,10 +237,6 @@ fn durable_pipeline_telemetry_matches_golden_snapshot() {
     assert_eq!(actual.histogram_counts["streamd_snapshot_restore_ns"], 1, "one resume");
     assert!(actual.histogram_counts["streamd_snapshot_write_ns"] >= 2, "several checkpoints");
     assert_eq!(actual.counters["streamd_model_reloads_total"], 1, "one hot-reload");
-    assert!(actual.counters["session_spilled_conversations_total"] > 0, "spill tier active");
-    assert!(actual.counters["session_rehydrations_total"] > 0, "rehydration exercised");
-    assert_eq!(actual.counters["session_spill_evictions_total"], 0, "budget never bound");
-    assert_eq!(actual.gauges["session_conversations_frozen"], 0, "final sweep thawed all");
     assert_eq!(actual.counters["streamd_backpressure_waits_total"], 0, "queues never filled");
     assert_eq!(
         actual.counters["streamd_enqueued_total"],
