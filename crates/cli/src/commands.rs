@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 
-use dynaminer::classifier::{build_dataset_parallel, Classifier, FeatureSelection};
+use dynaminer::classifier::Classifier;
 use dynaminer::detector::{ClueConfig, DetectorConfig};
 use dynaminer::wcg::Wcg;
 use dynaminer::features;
@@ -29,8 +29,8 @@ USAGE:
   dynaminer generate [--family <name> | --benign <scenario>] [--seed N] --out <file.pcap>
   dynaminer drift    [--epochs N] [--scale S] [--seed N] [--shards N] [--retrain] [--promote-margin M]
                      [--out FILE] [--ledger-out FILE] [--metrics-out FILE]
-  dynaminer dot      <capture.pcap>
-  dynaminer features <capture.pcap>
+  dynaminer dot      [--strict] <capture.pcap>
+  dynaminer features [--strict] <capture.pcap>
   dynaminer inspect  --model model.json [--top N]
   dynaminer wire proxy   --listen ADDR --origin ADDR [--proxy-protocol] [--honor-replay-ts] [--drop-newest]
                          [--model model.json] [--threshold L] [--threads N] [--shards N] [--tap-capacity BYTES]
@@ -217,39 +217,6 @@ pub(crate) fn load_model(path: &str) -> Result<Classifier, String> {
     Ok(saved.classifier)
 }
 
-pub(crate) fn train_classifier(
-    scale: f64,
-    seed: u64,
-    threads: usize,
-    registry: Option<&telemetry::Registry>,
-) -> Classifier {
-    let corpus = synthtraffic::ground_truth(seed, scale);
-    let items: Vec<(&[HttpTransaction], bool)> =
-        corpus.iter().map(|e| (e.transactions.as_slice(), e.is_infection())).collect();
-    if let Some(registry) = registry {
-        registry
-            .counter("train_episodes_total", "Ground-truth episodes featurized for training")
-            .add(items.len() as u64);
-    }
-    let build_started = std::time::Instant::now();
-    let data = build_dataset_parallel(&items, threads);
-    if let Some(registry) = registry {
-        registry
-            .latency_histogram("train_dataset_build_ns", "Corpus featurization wall-clock time")
-            .observe_since(build_started);
-    }
-    let tree_fit_ns = registry
-        .map(|r| r.latency_histogram("mlearn_tree_fit_ns", "Per-tree random-forest fit time"));
-    Classifier::fit(
-        &data,
-        FeatureSelection::All,
-        &mlearn::forest::ForestConfig::default(),
-        seed,
-        threads,
-        tree_fit_ns.as_ref(),
-    )
-}
-
 /// `dynaminer train` — train on the calibrated synthetic ground truth and
 /// save the model as JSON.
 pub fn train(args: &[String]) -> Result<(), String> {
@@ -261,7 +228,8 @@ pub fn train(args: &[String]) -> Result<(), String> {
     eprintln!("training on ground-truth corpus (scale {scale}, seed {seed}, {threads} threads)…");
     let registry = telemetry::Registry::new();
     let metrics_out = opts.flags.get("metrics-out");
-    let classifier = train_classifier(scale, seed, threads, metrics_out.map(|_| &registry));
+    let corpus = synthtraffic::ground_truth(seed, scale);
+    let classifier = driftlab::fit_forest(&corpus, seed, threads, metrics_out.map(|_| &registry));
     let saved = SavedModel {
         format_version: MODEL_FORMAT_VERSION,
         trained_on: "synthtraffic ground truth (Table I calibration)".to_string(),
@@ -383,7 +351,8 @@ pub(crate) fn run_engine(
         None => {
             eprintln!("no --model given; training a default model first…");
             let metrics_out = opts.flags.get("metrics-out");
-            train_classifier(0.25, 42, threads, metrics_out.map(|_| registry))
+            let corpus = synthtraffic::ground_truth(42, 0.25);
+            driftlab::fit_forest(&corpus, 42, threads, metrics_out.map(|_| registry))
         }
     };
     let detector_config = DetectorConfig {
@@ -551,11 +520,10 @@ pub fn drift(args: &[String]) -> Result<(), String> {
     if !scale.is_finite() || scale <= 0.0 {
         return Err("--scale must be positive".into());
     }
+    let min_recall_gain = opts.f64_flag("promote-margin", 0.02)?;
     let retrain = opts.bool_flag("retrain").then(|| driftlab::RetrainConfig {
         policy: driftlab::PromotionPolicy {
-            min_recall_gain: opts
-                .f64_flag("promote-margin", 0.02)
-                .unwrap_or(0.02),
+            min_recall_gain,
             ..driftlab::PromotionPolicy::default()
         },
         ..driftlab::RetrainConfig::default()
@@ -627,25 +595,35 @@ pub fn drift(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `dynaminer dot` — print the capture's WCG in Graphviz DOT format.
-pub fn dot(args: &[String]) -> Result<(), String> {
+/// The WCG of the one capture `dot` and `features` read; `None`, said
+/// on stderr, when a lenient read recovered no transaction.
+fn capture_wcg(args: &[String], command: &str) -> Result<Option<Wcg>, String> {
     let opts = parse(args)?;
     let [path] = opts.positional.as_slice() else {
-        return Err("dot expects exactly one capture file".into());
+        return Err(format!("{command} expects exactly one capture file"));
     };
-    let (txs, _) = load_capture(path, true)?;
-    println!("{}", Wcg::from_transactions(&txs).to_dot("wcg"));
+    let (txs, ingest) = load_capture(path, opts.bool_flag("strict"))?;
+    if let Some(report) = ingest.filter(|_| txs.is_empty()) {
+        eprintln!("{path}: 0 transactions recovered, no WCG\n  ingest: {report}");
+        return Ok(None);
+    }
+    Ok(Some(Wcg::from_transactions(&txs)))
+}
+
+/// `dynaminer dot` — print the capture's WCG in Graphviz DOT format.
+pub fn dot(args: &[String]) -> Result<(), String> {
+    if let Some(wcg) = capture_wcg(args, "dot")? {
+        println!("{}", wcg.to_dot("wcg"));
+    }
     Ok(())
 }
 
 /// `dynaminer features` — print the capture's 37 feature values.
 pub fn features(args: &[String]) -> Result<(), String> {
-    let opts = parse(args)?;
-    let [path] = opts.positional.as_slice() else {
-        return Err("features expects exactly one capture file".into());
+    let Some(wcg) = capture_wcg(args, "features")? else {
+        return Ok(());
     };
-    let (txs, _) = load_capture(path, true)?;
-    let fv = features::extract(&Wcg::from_transactions(&txs));
+    let fv = features::extract(&wcg);
     for (name, value) in features::NAMES.iter().zip(fv.values()) {
         println!("{name:<30} {value:.6}");
     }

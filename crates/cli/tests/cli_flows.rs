@@ -15,12 +15,17 @@ fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
 }
 
+/// Trains the shared model once per test process: tests run on parallel
+/// threads, and none may read the file while another is writing it.
 fn trained_model_path() -> String {
-    let model = tmp("model.json");
-    if !std::path::Path::new(&model).exists() {
-        commands::train(&args(&["--scale", "0.05", "--seed", "7", "--out", &model])).unwrap();
-    }
-    model
+    static MODEL: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    MODEL
+        .get_or_init(|| {
+            let model = tmp("model.json");
+            commands::train(&args(&["--scale", "0.05", "--seed", "7", "--out", &model])).unwrap();
+            model
+        })
+        .clone()
 }
 
 #[test]
@@ -292,6 +297,12 @@ fn helpful_errors_for_bad_input() {
     std::fs::write(&junk, b"not a capture at all").unwrap();
     assert!(commands::classify(&args(&["--model", &model, "--strict", &junk])).is_err());
     assert!(commands::classify(&args(&["--model", &model, &junk])).is_ok());
+    for command in [commands::dot, commands::features] {
+        assert!(command(&args(&["--strict", &junk])).is_err());
+        assert!(command(&args(&[&junk])).is_ok());
+    }
+    let drift = ["--epochs", "2", "--scale", "0.02", "--retrain", "--promote-margin", "abc"];
+    assert!(commands::drift(&args(&drift)).unwrap_err().contains("--promote-margin"));
 }
 
 /// A `wire` episode set whose transactions need more client ports than

@@ -174,25 +174,10 @@ fn analyze_owned(
 }
 
 /// Replays a capture byte stream (classic pcap or pcapng, detected by
-/// magic) under the strict ingest policy.
-///
-/// # Errors
-///
-/// Returns the capture's first framing or HTTP-syntax stop as a
-/// [`nettrace::Error`].
-pub fn analyze_pcap(
-    pcap_bytes: &[u8],
-    classifier: Classifier,
-    config: DetectorConfig,
-) -> nettrace::Result<ForensicReport> {
-    let transactions = nettrace::SpanPipeline::extract_capture_strict(pcap_bytes)?;
-    Ok(analyze_owned(transactions, classifier, config))
-}
-
-/// Replays a capture byte stream in graceful-degradation mode: damaged
-/// records, malformed streams, and broken encodings are skipped (and
-/// accounted in the report's [`ingest`](ForensicReport::ingest) counters)
-/// instead of failing the replay. Never errors, whatever the input.
+/// magic) in graceful-degradation mode: damaged records, malformed
+/// streams, and broken encodings are skipped (and accounted in the
+/// report's [`ingest`](ForensicReport::ingest) counters) instead of
+/// failing the replay. Never errors, whatever the input.
 pub fn analyze_pcap_lenient(
     pcap_bytes: &[u8],
     classifier: Classifier,
@@ -242,8 +227,7 @@ mod tests {
         for i in 0..n {
             let ep = generate_infection(&mut rng, EkFamily::ALL[i % 10], 1.4e9);
             let pcap = episodes_pcap(&[ep]);
-            let report =
-                analyze_pcap(&pcap, clf.clone(), DetectorConfig::default()).unwrap();
+            let report = analyze_pcap_lenient(&pcap, clf.clone(), DetectorConfig::default());
             assert!(report.transactions > 0);
             alerted += usize::from(report.alerts > 0);
         }
@@ -283,14 +267,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(35);
         let ep = generate_infection(&mut rng, EkFamily::Rig, 1.4e9);
         let pcap = episodes_pcap(&[ep]);
-        let strict = analyze_pcap(&pcap, clf.clone(), DetectorConfig::default()).unwrap();
-        let lenient = analyze_pcap_lenient(&pcap, clf, DetectorConfig::default());
-        assert_eq!(lenient.transactions, strict.transactions);
-        assert_eq!(lenient.alerts, strict.alerts);
-        assert_eq!(lenient.conversations.len(), strict.conversations.len());
-        let ingest = lenient.ingest.expect("lenient replay records ingest health");
+        let strict = analyze_transactions(
+            &nettrace::SpanPipeline::extract_capture_strict(&pcap).unwrap(),
+            clf.clone(),
+            DetectorConfig::default(),
+        );
+        let mut lenient = analyze_pcap_lenient(&pcap, clf, DetectorConfig::default());
+        let ingest = lenient.ingest.take().expect("lenient replay records ingest health");
         assert!(!ingest.has_loss(), "{ingest}");
         assert_eq!(ingest.transactions_recovered as usize, strict.transactions);
+        let json = |r: &ForensicReport| serde_json::to_string(r).unwrap();
+        assert_eq!(json(&lenient), json(&strict), "same report, ingest aside");
     }
 
     #[test]

@@ -44,6 +44,7 @@ use dynaminer::forensic::ForensicReport;
 use mlearn::forest::ForestConfig;
 use nettrace::HttpTransaction;
 use streamd::{StreamConfig, StreamEngine};
+use synthtraffic::Episode;
 use telemetry::Registry;
 use vtsim::VirusTotalSim;
 
@@ -94,15 +95,36 @@ pub struct DriftLabReport {
     pub report: ForensicReport,
 }
 
-/// Trains the day-0 champion on the clean ground-truth corpus.
-pub fn train_champion(seed: u64, scale: f64, threads: usize) -> Classifier {
-    let corpus = synthtraffic::ground_truth(seed, scale);
-    let conversations: Vec<(&[HttpTransaction], bool)> = corpus
-        .iter()
-        .map(|ep| (ep.transactions.as_slice(), ep.is_infection()))
-        .collect();
+/// Fits the default forest on all 37 features of labelled episodes:
+/// the day-0 champion on the ground-truth corpus, a challenger on a
+/// window of epoch batches, and the CLI's `train`. Deterministic: the
+/// dataset keeps episode order and the fit is bit-identical at any
+/// thread count. With `registry`, records the episode count, the
+/// featurization time and every tree's fit time.
+pub fn fit_forest<'a>(
+    episodes: impl IntoIterator<Item = &'a Episode>,
+    seed: u64,
+    threads: usize,
+    registry: Option<&Registry>,
+) -> Classifier {
+    let conversations: Vec<(&[HttpTransaction], bool)> =
+        episodes.into_iter().map(|ep| (ep.transactions.as_slice(), ep.is_infection())).collect();
+    if let Some(registry) = registry {
+        registry
+            .counter("train_episodes_total", "Ground-truth episodes featurized for training")
+            .add(conversations.len() as u64);
+    }
+    let build_started = std::time::Instant::now();
     let data = build_dataset_parallel(&conversations, threads);
-    Classifier::fit(&data, FeatureSelection::All, &ForestConfig::default(), seed, threads, None)
+    if let Some(registry) = registry {
+        registry
+            .latency_histogram("train_dataset_build_ns", "Corpus featurization wall-clock time")
+            .observe_since(build_started);
+    }
+    let tree_fit_ns = registry
+        .map(|r| r.latency_histogram("mlearn_tree_fit_ns", "Per-tree random-forest fit time"));
+    let forest = ForestConfig::default();
+    Classifier::fit(&data, FeatureSelection::All, &forest, seed, threads, tree_fit_ns.as_ref())
 }
 
 /// Flattens an epoch batch into one `(ts, seq)`-ordered stream,
@@ -136,7 +158,8 @@ pub fn run_drift_lab(config: &DriftLabConfig, registry: Option<&Registry>) -> Dr
     );
     let schedule = DriftSchedule::new(config.schedule.clone());
     let vt = VirusTotalSim::with_default_engines(seed);
-    let champion = train_champion(seed, config.train_scale, threads);
+    let champion =
+        fit_forest(&synthtraffic::ground_truth(seed, config.train_scale), seed, threads, None);
 
     let own_registry;
     let reg = match registry {
@@ -183,11 +206,11 @@ pub fn run_drift_lab(config: &DriftLabConfig, registry: Option<&Registry>) -> Dr
             }
             // The final epoch has no successor to serve; skip the fit.
             if epoch + 1 < config.schedule.epochs {
-                let window: Vec<&EpochBatch> = history.iter().collect();
-                let challenger = shadow::fit_challenger(
-                    &window,
+                let challenger = fit_forest(
+                    history.iter().flat_map(|batch| &batch.episodes),
                     mlearn::parallel::derive_seed(seed, CHALLENGER_SALT + epoch as u64),
                     threads,
+                    None,
                 );
                 metrics.retrains.inc();
 

@@ -13,9 +13,8 @@
 //! alert carries the new `model_version` — the curve and the ledger
 //! cross-check each other.
 
-use dynaminer::classifier::{build_dataset_parallel, Classifier, FeatureSelection};
+use dynaminer::classifier::Classifier;
 use dynaminer::detector::{DetectorConfig, OnTheWireDetector};
-use mlearn::forest::ForestConfig;
 use nettrace::HttpTransaction;
 use serde::{Deserialize, Serialize};
 
@@ -101,19 +100,6 @@ pub struct LedgerEntry {
     /// Engine model generation after the decision (== champion's when
     /// not promoted).
     pub model_version_after: u64,
-}
-
-/// Fits a challenger on a sliding window of recent epoch batches.
-/// Deterministic: the dataset is built in batch-then-episode order and
-/// the forest fit is bit-identical at any thread count.
-pub fn fit_challenger(history: &[&EpochBatch], seed: u64, threads: usize) -> Classifier {
-    let conversations: Vec<(&[HttpTransaction], bool)> = history
-        .iter()
-        .flat_map(|b| b.episodes.iter())
-        .map(|ep| (ep.transactions.as_slice(), ep.is_infection()))
-        .collect();
-    let data = build_dataset_parallel(&conversations, threads);
-    Classifier::fit(&data, FeatureSelection::All, &ForestConfig::default(), seed, threads, None)
 }
 
 /// Replays one epoch's stream through a fresh, observation-only

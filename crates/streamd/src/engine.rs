@@ -143,13 +143,12 @@ impl ShardMetrics {
             ),
             alerts: registry
                 .counter(&name("alerts_total"), "Alerts raised by this shard's detector"),
-            evictions: counter_evictions(registry, &name("evictions_total")),
+            evictions: registry.counter(
+                &name("evictions_total"),
+                "Conversations evicted by this shard's tracker (retention + caps)",
+            ),
         }
     }
-}
-
-fn counter_evictions(registry: &Registry, name: &str) -> Counter {
-    registry.counter(name, "Conversations evicted by this shard's tracker (retention + caps)")
 }
 
 /// Engine-wide totals.
@@ -264,19 +263,6 @@ impl FeedHandle<'_> {
                 self.flush_shard(s);
             }
         }
-    }
-
-    /// Transactions offered to shard queues so far in this feed call
-    /// (buffered, processed, or dropped).
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued.iter().sum::<u64>()
-            + self.pending.iter().map(|p| p.len() as u64).sum::<u64>()
-    }
-
-    /// Feed position of the newest transaction pushed (or inherited
-    /// from the engine when nothing was pushed yet).
-    pub fn watermark(&self) -> Option<Watermark> {
-        self.last_fed
     }
 
     fn flush_shard(&mut self, s: usize) {
@@ -486,7 +472,7 @@ impl StreamEngine {
 
     /// Alerts raised across all shards over the engine's lifetime
     /// (including alerts restored from a snapshot).
-    pub fn total_alerts(&self) -> usize {
+    pub(crate) fn total_alerts(&self) -> usize {
         self.detectors.iter().map(|d| d.alerts().len()).sum()
     }
 
@@ -500,11 +486,6 @@ impl StreamEngine {
     /// restore); `None` when nothing has been fed.
     pub fn watermark(&self) -> Option<Watermark> {
         self.watermark
-    }
-
-    /// Shard count.
-    pub fn shards(&self) -> usize {
-        self.detectors.len()
     }
 
     /// The per-shard detectors (for forensic summaries over their

@@ -17,11 +17,9 @@
 //! * [`EngineSnapshot`] — the durable image of an engine between feed
 //!   segments; [`StreamEngine::restore`] rebuilds one from it at *any*
 //!   shard count.
-//! * [`finish_report`] — the final verdict pass every report ends in,
-//!   and [`analyze_transactions_sharded`], the plain `process` +
-//!   `finish_report` replay the equivalence tests compare against: with
-//!   `retention: None` and non-binding caps its [`ForensicReport`] is
-//!   identical to the single-threaded
+//! * [`finish_report`] — the final verdict pass every report ends in.
+//!   With `retention: None` and non-binding caps, an engine's
+//!   [`ForensicReport`] is identical to the single-threaded
 //!   [`analyze_transactions`](dynaminer::forensic::analyze_transactions)
 //!   at any shard count.
 //!
@@ -35,50 +33,23 @@
 
 mod engine;
 mod queue;
-pub mod snapshot;
+mod snapshot;
 
 pub use engine::{
     shard_of, BackpressurePolicy, EngineReport, FeedHandle, StreamConfig, StreamEngine,
 };
-pub use snapshot::{
-    read_snapshot, write_snapshot_atomic, EngineSnapshot, Watermark, SNAPSHOT_FORMAT_VERSION,
-};
+pub use snapshot::{read_snapshot, write_snapshot_atomic, EngineSnapshot, Watermark};
 
-use dynaminer::classifier::Classifier;
-use dynaminer::detector::DetectorConfig;
 use dynaminer::forensic::{DownloadRecord, ForensicReport};
 use nettrace::HttpTransaction;
 use telemetry::Registry;
-
-/// Sharded forensic replay: like
-/// [`analyze_transactions`](dynaminer::forensic::analyze_transactions)
-/// but run through a [`StreamEngine`] of `config.shards` workers.
-///
-/// Conversation ids are client-scoped and verdicts are reassembled in
-/// id order (== the single tracker's client-major iteration order), so
-/// with `retention: None` and non-binding caps the report matches the
-/// single-threaded one field for field at any shard count.
-pub fn analyze_transactions_sharded(
-    transactions: &[HttpTransaction],
-    classifier: Classifier,
-    detector_config: DetectorConfig,
-    config: StreamConfig,
-) -> ForensicReport {
-    let threads = mlearn::parallel::resolve_threads(detector_config.scoring_threads);
-    let mut engine = StreamEngine::new(classifier, detector_config, config);
-    // Same feed order and download scan as the single-threaded path:
-    // (ts, seq) is a total order over a numbered stream.
-    let (order, downloads) = order_and_downloads(transactions);
-    engine.process(order.into_iter().cloned());
-    finish_report(&mut engine, downloads, threads, None)
-}
 
 /// Sorts a stream into `(ts, seq)` order and scans it for exploit-type
 /// downloads (the scan is a pure function of the input stream).
 ///
 /// Public so external replay harnesses (the drift lab feeds an engine
-/// epoch by epoch) can build the same download ledger the one-shot
-/// replay paths use.
+/// epoch by epoch) can build the same download ledger the run loop
+/// uses.
 pub fn order_and_downloads(
     transactions: &[HttpTransaction],
 ) -> (Vec<&HttpTransaction>, Vec<DownloadRecord>) {
@@ -96,7 +67,7 @@ pub fn order_and_downloads(
 ///
 /// Public so harnesses that drive a long-lived engine across several
 /// `process` calls (epoch-by-epoch drift replay) can close it out with
-/// the exact report the one-shot replay paths produce.
+/// the exact report the run loop produces.
 pub fn finish_report(
     engine: &mut StreamEngine,
     downloads: Vec<DownloadRecord>,

@@ -44,13 +44,13 @@ pub struct Watermark {
 
 impl Watermark {
     /// The watermark at `tx`.
-    pub fn of(tx: &HttpTransaction) -> Self {
+    pub(crate) fn of(tx: &HttpTransaction) -> Self {
         Watermark { ts_bits: tx.ts.to_bits(), seq: tx.seq }
     }
 
     /// Whether `tx` is at or before this watermark in the `(ts, seq)`
     /// total order — i.e. was already fed when the snapshot was taken.
-    pub fn covers(&self, tx: &HttpTransaction) -> bool {
+    pub(crate) fn covers(&self, tx: &HttpTransaction) -> bool {
         match tx.ts.total_cmp(&f64::from_bits(self.ts_bits)) {
             std::cmp::Ordering::Less => true,
             std::cmp::Ordering::Equal => tx.seq <= self.seq,

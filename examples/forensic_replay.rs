@@ -50,9 +50,12 @@ fn main() {
     let pcap = pcapgen::episodes_pcap(&episodes);
     println!("recorded session: {} episodes, {} pcap bytes", episodes.len(), pcap.len());
 
-    // Replay through DynaMiner.
-    let report = forensic::analyze_pcap(&pcap, classifier, DetectorConfig::default())
-        .expect("capture parses");
+    // Replay through DynaMiner. Damaged records would be skipped and
+    // counted in the ingest line rather than stop the replay.
+    let report = forensic::analyze_pcap_lenient(&pcap, classifier, DetectorConfig::default());
+    if let Some(ingest) = &report.ingest {
+        println!("ingest: {ingest}");
+    }
     println!(
         "replayed {} transactions across {} conversations; {} alert(s)",
         report.transactions,

@@ -3,17 +3,21 @@
 #
 # Lists every `pub fn`, `pub struct` and `pub enum` declared under
 # `crates/*/src` (the vendored `crates/shims` excluded) that no Rust file
-# outside its crate mentions by name, as a word. The search covers
-# `crates/`, `src/`, `tests/`, `examples/` and `benchmark/`. A struct or
-# enum also counts as used when the signature of one of its crate's used
-# `pub fn`s names it: a caller can hold the value that function returns
+# outside its crate uses. The search covers `crates/`, `src/`, `tests/`,
+# `examples/` and `benchmark/`. A function counts as used only where
+# another crate calls or paths it: `name(`, `name::<` or `::name`. A
+# field access or a local variable of the same name does not count. A
+# struct or enum counts as used wherever its name appears as a word, and
+# also when a `pub fn` of its crate whose name appears that way names it
+# in its signature: a caller can hold the value that function returns
 # without ever writing the type. One line per item, `<file> <kind>
 # <name>`, sorted, with no line numbers, so unrelated edits do not move
 # the list.
 #
-# The match is by name, so it is conservative: a dead item whose name
-# another crate happens to use (`new`, `len`) is missed, but an item that
-# another crate uses is not listed.
+# The match is by name, so it is conservative: a dead function that
+# shares its name with one another crate calls (`new`, `len`, or a method
+# of another type) is missed, but an item that another crate uses is not
+# listed.
 #
 # Usage:
 #   scripts/pub_inventory.sh           print the inventory
@@ -42,17 +46,20 @@ signatures() {
 }
 
 inventory() {
-    local crate words reached
+    local crate words calls reached
     words=$(mktemp)
+    calls=$(mktemp)
     reached=$(mktemp)
-    trap 'rm -f "$words" "$reached"' RETURN
+    trap 'rm -f "$words" "$calls" "$reached"' RETURN
     for crate in crates/*/; do
         crate=${crate%/}
         [ "$crate" = crates/shims ] && continue
         [ -d "$crate/src" ] || continue
         find crates src tests examples benchmark -name '*.rs' \
             -not -path "$crate/*" -not -path '*/target/*' -print0 |
-            xargs -0 grep -ohE "$ident" | sort -u >"$words"
+            xargs -0 grep -ohE "::$ident|$ident(\(|::<)?" >"$reached"
+        sed -E 's/^:://; s/(\(|::<)$//' "$reached" | sort -u >"$words"
+        grep -E '[(:<]' "$reached" | sed -E 's/^:://; s/(\(|::<)$//' | sort -u >"$calls"
         signatures "$crate/src" |
             while read -r name sig; do
                 if grep -qxF "$name" "$words"; then echo "$sig"; fi
@@ -60,8 +67,12 @@ inventory() {
         grep -rE "^\s*pub (const |unsafe )?(fn|struct|enum) [A-Za-z_]" --include='*.rs' "$crate/src" |
             sed -E "s/^([^:]*):\s*pub (const |unsafe )?(fn|struct|enum) ($ident).*/\1 \3 \4/" |
             while read -r file kind name; do
-                grep -qxF "$name" "$words" && continue
-                [ "$kind" != fn ] && grep -qxF "$name" "$reached" && continue
+                if [ "$kind" = fn ]; then
+                    grep -qxF "$name" "$calls" && continue
+                else
+                    grep -qxF "$name" "$words" && continue
+                    grep -qxF "$name" "$reached" && continue
+                fi
                 echo "$file $kind $name"
             done
     done | LC_ALL=C sort -u

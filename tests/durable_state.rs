@@ -6,10 +6,11 @@
 //!
 //! 1. **Snapshot/kill/restore is lossless.** A replay interrupted at a
 //!    random checkpoint and resumed from the snapshot produces the
-//!    byte-identical `ForensicReport` of an uninterrupted run — at
-//!    shards {1, 2, 8}, and even when the snapshot was written at one
-//!    shard count and restored into another. A snapshot of another
-//!    stream is refused, not resumed.
+//!    byte-identical `ForensicReport` of one uninterrupted detector
+//!    (`forensic::analyze_transactions`) — at shards {1, 2, 8}, and
+//!    even when the snapshot was written at one shard count and
+//!    restored into another. A snapshot of another stream is refused,
+//!    not resumed.
 //! 2. **Format 1 stays readable.** A snapshot carrying fields this build
 //!    no longer writes (older builds' spill counters and new-host flag)
 //!    restores to the byte-identical report.
@@ -28,12 +29,12 @@ use proptest::prelude::*;
 
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::DetectorConfig;
-use dynaminer::forensic::ForensicReport;
+use dynaminer::forensic::{analyze_transactions, ForensicReport};
 use nettrace::source::{PumpOutcome, ReplaySource, SourceStats, TrafficSource};
 use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use streamd::{analyze_transactions_sharded, EngineSnapshot, StreamConfig, StreamEngine};
+use streamd::{EngineSnapshot, StreamConfig, StreamEngine};
 use wirefront::{replay, run, RunOptions};
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
@@ -207,12 +208,8 @@ proptest! {
     ) {
         let stream = build_stream(seed, &episodes);
         let cut = cut.min(stream.len() as u64).max(1);
-        let reference = analyze_transactions_sharded(
-            &stream,
-            classifier().clone(),
-            DetectorConfig::default(),
-            shard_config(2),
-        );
+        let reference =
+            analyze_transactions(&stream, classifier().clone(), DetectorConfig::default());
         let reference_json = serde_json::to_string(&reference).unwrap();
 
         for shards in [1usize, 2, 8] {
@@ -312,18 +309,13 @@ fn model_hot_reload_is_atomic_and_lossless() {
 }
 
 /// The run loop's `reload` option with the *same* model must not
-/// disturb the stream: the report stays byte-identical to a plain
-/// sharded replay, proving the swap machinery neither drops nor
-/// reorders transactions.
+/// disturb the stream: the report stays byte-identical to the
+/// single-threaded detector's, proving the swap machinery neither drops
+/// nor reorders transactions.
 #[test]
 fn durable_reload_with_identical_model_is_invisible() {
     let stream = build_stream(33, &[(true, 4), (false, 2), (true, 8), (false, 6)]);
-    let reference = analyze_transactions_sharded(
-        &stream,
-        classifier().clone(),
-        DetectorConfig::default(),
-        shard_config(2),
-    );
+    let reference = analyze_transactions(&stream, classifier().clone(), DetectorConfig::default());
     let mut engine = fresh_engine(2);
     let report = replay(
         ReplaySource::new(stream.clone()),
@@ -350,12 +342,8 @@ fn durable_reload_with_identical_model_is_invisible() {
 #[test]
 fn reload_past_the_end_is_deployed_before_the_verdict_pass() {
     let stream = build_stream(35, &[(true, 1), (false, 4), (true, 6)]);
-    let under_other = analyze_transactions_sharded(
-        &stream,
-        other_classifier().clone(),
-        DetectorConfig::default(),
-        shard_config(2),
-    );
+    let under_other =
+        analyze_transactions(&stream, other_classifier().clone(), DetectorConfig::default());
     let mut engine = fresh_engine(2);
     let report = run(
         &mut Canned::new(stream.clone(), 7),
@@ -374,29 +362,20 @@ fn reload_past_the_end_is_deployed_before_the_verdict_pass() {
         r.conversations.iter().map(|c| (c.id, c.score.to_bits())).collect()
     };
     assert_eq!(scores(&report), scores(&under_other), "verdicts are the new model's");
-    let under_first = analyze_transactions_sharded(
-        &stream,
-        classifier().clone(),
-        DetectorConfig::default(),
-        shard_config(2),
-    );
+    let under_first =
+        analyze_transactions(&stream, classifier().clone(), DetectorConfig::default());
     assert_ne!(scores(&report), scores(&under_first), "the two models do score differently");
 }
 
 /// `checkpoint_every` is exact whatever the pump size: a source whose
 /// pumps yield 7 is cut at 3, 6, 9, … with the rest of each pump
 /// carried into the next segment, and numbering stays in feed order
-/// across the cuts (the report is the uncut replay's).
+/// across the cuts (the report is the single detector's).
 #[test]
 fn checkpoint_cadence_is_exact_for_any_pump_size() {
     let stream = build_stream(37, &[(true, 2), (false, 5), (true, 7)]);
     let len = stream.len() as u64;
-    let reference = analyze_transactions_sharded(
-        &stream,
-        classifier().clone(),
-        DetectorConfig::default(),
-        shard_config(2),
-    );
+    let reference = analyze_transactions(&stream, classifier().clone(), DetectorConfig::default());
     let mut fed_at: Vec<u64> = Vec::new();
     let mut sink = |snap: &EngineSnapshot| {
         fed_at.push(snap.fed);

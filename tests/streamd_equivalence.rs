@@ -6,7 +6,10 @@
 //! alert sequence as one `OnTheWireDetector` fed the same stream — at
 //! any shard count and any worker-thread timing. These tests pin that
 //! contract, the graceful-drain zero-loss invariant, and the sharded
-//! forensic report's field-for-field equality.
+//! forensic report's field-for-field equality. The engine runs through
+//! `wirefront::replay`, the loop `dynaminer replay` runs; the reference
+//! is the single detector, alone or behind
+//! `forensic::analyze_transactions`, which shares no engine code.
 
 use std::sync::OnceLock;
 
@@ -15,12 +18,12 @@ use proptest::prelude::*;
 
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::{Alert, DetectorConfig, OnTheWireDetector};
+use dynaminer::forensic::analyze_transactions;
+use nettrace::source::ReplaySource;
 use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use streamd::{
-    analyze_transactions_sharded, BackpressurePolicy, StreamConfig, StreamEngine,
-};
+use streamd::{BackpressurePolicy, StreamConfig, StreamEngine};
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
 use synthtraffic::{BenignScenario, EkFamily};
@@ -100,32 +103,44 @@ macro_rules! prop_assert_alerts_eq {
 
 proptest! {
     /// The acceptance property: arbitrary interleaved benign+infection
-    /// streams, shards ∈ {1, 2, 8}, tiny queues and batches (so the
-    /// feeder and workers genuinely interleave and block) — the merged
-    /// alert stream equals the single-threaded one, field for field.
+    /// streams replayed into 1 to 8 shards with tiny queues and batches
+    /// (so the feeder and workers genuinely interleave and block) — the
+    /// merged alert stream equals the single detector's, field for
+    /// field, and the report serializes exactly as
+    /// `analyze_transactions`'s does.
     #[test]
     fn sharded_engine_matches_single_threaded_detector(
         seed in any::<u64>(),
         episodes in vec((any::<bool>(), 0usize..16), 1..6),
+        shards in 1usize..=8,
     ) {
         let stream = build_stream(seed, &episodes);
-        let reference = single_threaded_alerts(&stream);
-        for shards in [1usize, 2, 8] {
-            let mut engine = StreamEngine::new(
-                classifier().clone(),
-                DetectorConfig::default(),
-                StreamConfig {
-                    shards,
-                    queue_capacity: 16,
-                    batch_size: 3,
-                    backpressure: BackpressurePolicy::Block,
-                },
-            );
-            let report = engine.process(stream.iter().cloned());
-            prop_assert_eq!(report.dropped, 0, "blocking policy never drops");
-            prop_assert_eq!(report.enqueued, report.processed, "drain loses nothing");
-            prop_assert_alerts_eq!(report.alerts, reference, shards);
-        }
+        let mut engine = StreamEngine::new(
+            classifier().clone(),
+            DetectorConfig::default(),
+            StreamConfig {
+                shards,
+                queue_capacity: 16,
+                batch_size: 3,
+                backpressure: BackpressurePolicy::Block,
+            },
+        );
+        let run = wirefront::replay(
+            ReplaySource::new(stream.clone()),
+            &mut engine,
+            wirefront::RunOptions::default(),
+        )
+        .unwrap();
+        prop_assert_eq!(run.dropped, 0, "blocking policy never drops");
+        prop_assert_eq!(run.enqueued, run.processed, "drain loses nothing");
+        prop_assert_alerts_eq!(run.alerts, single_threaded_alerts(&stream), shards);
+        let single =
+            analyze_transactions(&stream, classifier().clone(), DetectorConfig::default());
+        prop_assert_eq!(
+            serde_json::to_string(&run.report).unwrap(),
+            serde_json::to_string(&single).unwrap(),
+            "report at {} shards", shards
+        );
     }
 }
 
@@ -229,45 +244,17 @@ fn mid_stream_drain_keeps_sessions_across_process_calls() {
     }
 }
 
-/// `replay --shards N` bit-identity: the sharded forensic report equals
-/// the single-threaded one field for field, including serialized form —
-/// and so does the report of the run loop `dynaminer replay` actually
-/// goes through, whose `stats` agree with what it reports.
+/// `replay --shards N` bit-identity: the report of the run loop
+/// `dynaminer replay` goes through equals the single-threaded one,
+/// serialized form included, and its `stats` agree with what it
+/// reports.
 #[test]
 fn sharded_forensic_report_is_bit_identical() {
     let stream =
         build_stream(9, &[(true, 0), (false, 3), (true, 5), (false, 1), (true, 9), (false, 7)]);
-    let single = dynaminer::forensic::analyze_transactions(
-        &stream,
-        classifier().clone(),
-        DetectorConfig::default(),
-    );
+    let single = analyze_transactions(&stream, classifier().clone(), DetectorConfig::default());
     let single_json = serde_json::to_string(&single).unwrap();
     for shards in [1usize, 2, 8] {
-        let sharded = analyze_transactions_sharded(
-            &stream,
-            classifier().clone(),
-            DetectorConfig::default(),
-            StreamConfig { shards, ..StreamConfig::default() },
-        );
-        assert_eq!(sharded.transactions, single.transactions, "{shards} shards");
-        assert_eq!(sharded.alerts, single.alerts, "{shards} shards");
-        assert_eq!(sharded.downloads.len(), single.downloads.len(), "{shards} shards");
-        assert_eq!(
-            sharded.conversations.len(),
-            single.conversations.len(),
-            "{shards} shards"
-        );
-        for (a, b) in sharded.conversations.iter().zip(&single.conversations) {
-            assert_eq!(a.id, b.id, "{shards} shards");
-            assert_eq!(a.score.to_bits(), b.score.to_bits(), "{shards} shards");
-            assert_eq!(a.transactions, b.transactions, "{shards} shards");
-            assert_eq!(a.alerted, b.alerted, "{shards} shards");
-            assert_eq!(a.hosts, b.hosts, "{shards} shards");
-        }
-        let json = serde_json::to_string(&sharded).unwrap();
-        assert_eq!(json, single_json, "byte-identical report at {shards} shards");
-
         let registry = telemetry::Registry::new();
         let mut engine = StreamEngine::with_telemetry(
             classifier().clone(),
@@ -276,7 +263,7 @@ fn sharded_forensic_report_is_bit_identical() {
             &registry,
         );
         let mut replayed = wirefront::replay(
-            nettrace::source::ReplaySource::new(stream.clone()),
+            ReplaySource::new(stream.clone()),
             &mut engine,
             wirefront::RunOptions { registry: Some(&registry), ..Default::default() },
         )

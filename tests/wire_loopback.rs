@@ -8,7 +8,8 @@
 //! connections driven through the inline forward proxy (PROXY-protocol
 //! v1 preserving the episode's true endpoints), and the run loop
 //! feeding a sharded `StreamEngine` — compared field-for-field against
-//! `streamd` analysis of the equivalent pcap bytes.
+//! `wirefront::replay` of the equivalent pcap bytes, the path
+//! `dynaminer replay` takes.
 //!
 //! Also pinned here: the zero-loss graceful drain
 //! (`enqueued == processed + dropped` over everything the source
@@ -24,16 +25,19 @@ use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::DetectorConfig;
 use dynaminer::forensic::ForensicReport;
 use nettrace::wiretap::TapConfig;
+use nettrace::source::ReplaySource;
 use nettrace::{HttpTransaction, IngestReport, SpanPipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use streamd::{analyze_transactions_sharded, StreamConfig, StreamEngine};
+use streamd::{StreamConfig, StreamEngine};
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
 use synthtraffic::pcapgen::episodes_pcap;
 use synthtraffic::wire::{drive_episodes, merged_wire_transactions, wire_episode_set, OriginServer};
 use synthtraffic::{BenignScenario, EkFamily};
-use wirefront::{run, CaptureConfig, CaptureSource, ProxyConfig, ProxySource, RunOptions};
+use wirefront::{
+    replay, run, CaptureConfig, CaptureSource, ProxyConfig, ProxySource, RunOptions,
+};
 
 const SHARDS: usize = 2;
 
@@ -65,15 +69,17 @@ fn stream_config() -> StreamConfig {
     StreamConfig { shards: SHARDS, ..StreamConfig::default() }
 }
 
-/// Offline leg: lenient extraction of the episode pcap, analyzed by
+/// Offline leg: lenient extraction of the episode pcap, replayed into
 /// the sharded engine — the exact path `dynaminer replay --shards N`
 /// takes.
 fn offline_report(episodes_pcap_bytes: &[u8]) -> (ForensicReport, usize) {
     let mut ingest = IngestReport::new();
-    let txs = SpanPipeline::new().extract_lenient(episodes_pcap_bytes, &mut ingest);
-    let report =
-        analyze_transactions_sharded(&txs, classifier().clone(), detector_config(), stream_config());
-    (report, txs.len())
+    let txs = SpanPipeline::extract_capture_lenient(episodes_pcap_bytes, &mut ingest);
+    let n = txs.len();
+    let mut engine = StreamEngine::new(classifier().clone(), detector_config(), stream_config());
+    let options = RunOptions { scoring_threads: 1, ..RunOptions::default() };
+    let summary = replay(ReplaySource::new(txs), &mut engine, options).expect("offline replay");
+    (summary.report, n)
 }
 
 /// Strips the legs' out-of-band fields (`ingest` counts different
