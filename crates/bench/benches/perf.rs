@@ -230,8 +230,9 @@ fn bench_detector(c: &mut Criterion) {
         )
     });
     // The final verdict pass over the detector a replay leaves behind:
-    // every conversation scored from the WCG it holds, on one thread,
-    // with alerting off so watched conversations keep their full length.
+    // a watched conversation scored from the WCG it holds, any other
+    // from one built in the sweep, on one thread, with alerting off so
+    // watched conversations keep their full length.
     // A sweep changes nothing in the detector, so iterations repeat it
     // over the same state.
     let config = DetectorConfig { alert_threshold: 1.1, ..DetectorConfig::default() };

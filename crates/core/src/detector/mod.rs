@@ -349,12 +349,13 @@ impl OnTheWireDetector {
         if !first_look {
             self.metrics.reclassifications.inc();
         }
-        // Query the classifier over the conversation's WCG: the graph
-        // the conversation has been folding transactions into as they
-        // arrived (a `WcgBuilder`), with memoized topology features
-        // reused while the node/edge structure is unchanged. The result
-        // is bit-identical to rebuilding the graph wholesale per
-        // classification, as the paper describes it.
+        // Query the classifier over the conversation's WCG: built
+        // retrospectively on the first look (one rebuild from the stored
+        // transactions), then folded forward as transactions arrive (a
+        // `WcgBuilder`), with memoized topology features reused while the
+        // node/edge structure is unchanged. The result is bit-identical
+        // to rebuilding the graph wholesale per classification, as the
+        // paper describes it.
         let started = Instant::now();
         let (wcg, topo_version, cache) = conv.wcg_state();
         let fv = self.extractor.extract_memoized(wcg, topo_version, cache);
@@ -450,24 +451,28 @@ impl OnTheWireDetector {
     /// scored by the deployed model — one `classifier_scoring_ns`
     /// observation for the whole sweep.
     ///
-    /// Each conversation is scored from the WCG it already holds, which
-    /// equals `Wcg::from_transactions` over its stored transactions, so
-    /// the scores have the bits of [`Classifier::score_transactions`]
-    /// without building any graph again. Each worker holds one
-    /// [`FeatureExtractor`](crate::features::FeatureExtractor) and reads
-    /// a conversation's memoized topology features when they are
-    /// current; nothing is written, so the result is the same at any
-    /// `threads`.
+    /// A conversation the detector has looked at is scored from the WCG
+    /// it holds, reading its memoized topology features when they are
+    /// current. Any other conversation gets its graph here: the worker
+    /// builds it from the stored transactions and the redirect targets
+    /// kept on arrival into one reused [`WcgBuilder`](crate::wcg::WcgBuilder),
+    /// extracts its features and drops it, so those graphs are never all
+    /// resident. Either graph equals `Wcg::from_transactions` over the
+    /// stored transactions, so the scores have the bits of
+    /// [`Classifier::score_transactions`]. Nothing in the tracker is
+    /// written, so the result is the same at any `threads`.
     pub fn final_verdicts(&mut self, threads: usize) -> Vec<ConversationVerdict> {
         let started = Instant::now();
         let convs: Vec<&Conversation> = self.tracker.conversations().collect();
         let fvs = mlearn::parallel::run_indexed_with(
             convs.len(),
             threads,
-            crate::features::FeatureExtractor::new,
-            |extractor, i| {
-                let (wcg, topo_version, cache) = convs[i].wcg_cached();
-                extractor.extract_cached(wcg, topo_version, cache)
+            || (crate::features::FeatureExtractor::new(), crate::wcg::WcgBuilder::new()),
+            |(extractor, builder), i| match convs[i].wcg_cached() {
+                Some((wcg, topo_version, cache)) => {
+                    extractor.extract_cached(wcg, topo_version, cache)
+                }
+                None => extractor.extract(convs[i].build_wcg(builder)),
             },
         );
         let scores = self.classifier().score_features_batch(&fvs, threads);

@@ -19,15 +19,21 @@
 //! # Stored and derived state
 //!
 //! There is one conversation type, [`Conversation`]. What it *stores* is
-//! the transactions, the detector's scalars and the match keys (hosts,
-//! session ids, URLs); what it *derives* from the transactions is the
-//! WCG builder and its topology-feature cache, held together in its
-//! `graph` field. Tracker memory is bounded by the retention window and
-//! the two caps ([`SessionTracker::with_caps`]; DESIGN.md §13).
+//! the transactions, the detector's scalars, the match keys (hosts,
+//! session ids, URLs) and the redirect targets mined on arrival (kept
+//! only for the few transactions that have any). Its WCG is built
+//! retrospectively, as the paper builds it around the clue: the
+//! `graph` field (builder plus topology-feature cache) stays empty until
+//! the detector first looks at the conversation, which builds it with
+//! one rebuild from the kept targets; from then on each transaction is
+//! folded in as it arrives. A conversation never looked at gets its
+//! graph only in the final verdict sweep, which builds, scores and drops
+//! it. Tracker memory is bounded by the retention window and the two
+//! caps ([`SessionTracker::with_caps`]; DESIGN.md §13).
 //! [`SessionTracker::state`] serializes the stored state less the match
-//! keys ([`TrackerState`]); restoring replays each conversation's
-//! transactions through the absorb fold, which re-derives keys and graph
-//! alike.
+//! keys and targets ([`TrackerState`]); restoring replays each
+//! conversation's transactions through the absorb fold, which re-derives
+//! both and builds no graph.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -42,10 +48,10 @@ use crate::wcg::{PushOutcome, Wcg, WcgBuilder};
 /// Serializable image of a [`Conversation`]: the stored transactions
 /// plus exactly the scalars the absorb fold cannot reconstruct —
 /// detector-maintained flags and the residue of cap-dropped
-/// transactions (which were never stored). Everything else (WCG
-/// builder, feature cache, match-key sets) is rebuilt on
-/// [`SessionTracker::restore`] by replaying the transactions through the
-/// absorb fold.
+/// transactions (which were never stored). The match-key sets and kept
+/// redirect targets are rebuilt on [`SessionTracker::restore`] by
+/// replaying the transactions through the absorb fold; the WCG and its
+/// feature cache are built again when the detector next looks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConversationState {
     /// Stable conversation id (see [`Conversation::id`]).
@@ -142,11 +148,17 @@ pub struct Conversation {
     /// detectable redirect target). Computed once here so the detector
     /// does not re-derive redirect targets per transaction.
     pub last_tx_redirectish: bool,
-    /// Derived state: the incrementally maintained WCG over the stored
-    /// transactions — equivalent to
-    /// `Wcg::from_transactions(&self.transactions)` at every point — and
-    /// the detector's memoized topology-dependent feature values.
-    graph: (WcgBuilder, TopoCache),
+    /// Derived state, built on the detector's first look: the
+    /// incrementally maintained WCG over the stored transactions —
+    /// equivalent to `Wcg::from_transactions(&self.transactions)` at every
+    /// point — and the detector's memoized topology-dependent feature
+    /// values. `None` until then; boxed, so a conversation without one
+    /// does not carry the builder's several hundred bytes inline.
+    graph: Option<Box<(WcgBuilder, TopoCache)>>,
+    /// `(index into transactions, redirect targets)` for every stored
+    /// transaction whose response names any, in index order — what each
+    /// rebuild reads instead of mining the body previews again.
+    targets: Vec<(usize, Vec<String>)>,
     /// Lowercased hosts contacted so far or named by a redirect target.
     hosts: BTreeSet<String>,
     session_ids: BTreeSet<String>,
@@ -170,7 +182,8 @@ impl Conversation {
             redirects_seen: 0,
             max_payload_likelihood: 0.0,
             last_tx_redirectish: false,
-            graph: (WcgBuilder::new(), TopoCache::new()),
+            graph: None,
+            targets: Vec::new(),
             hosts: BTreeSet::new(),
             session_ids: BTreeSet::new(),
             urls: BTreeSet::new(),
@@ -198,8 +211,9 @@ impl Conversation {
     /// Rebuilds a conversation from its serialized image by replaying
     /// the stored transactions through the same absorb fold that built
     /// the original. The fold is deterministic in the transaction
-    /// sequence, so the reconstructed match keys and WCG are identical
-    /// to the ones that were dropped. Scalars the fold cannot see
+    /// sequence, so the reconstructed match keys and kept targets are
+    /// identical to the ones that were dropped; no graph is built until
+    /// the detector next looks. Scalars the fold cannot see
     /// (detector flags and the effects of cap-dropped transactions) are
     /// then overwritten from the state.
     fn from_state(state: ConversationState) -> Self {
@@ -234,21 +248,36 @@ impl Conversation {
         self.last_ts
     }
 
-    /// The incrementally maintained WCG over the stored transactions,
-    /// its topology version, and the conversation's feature cache —
-    /// split-borrowed so the caller can extract features while the cache
-    /// is held mutably.
+    /// The conversation's WCG over the stored transactions, its topology
+    /// version, and the feature cache — split-borrowed so the caller can
+    /// extract features while the cache is held mutably. The first call
+    /// builds the graph (one rebuild from the kept targets); every later
+    /// transaction is then folded in on arrival.
     pub(crate) fn wcg_state(&mut self) -> (&Wcg, u64, &mut TopoCache) {
-        let (builder, cache) = &mut self.graph;
+        let (builder, cache) = &mut **self.graph.get_or_insert_with(|| {
+            let mut builder = WcgBuilder::new();
+            builder.rebuild_with(&self.transactions, &self.targets);
+            Box::new((builder, TopoCache::new()))
+        });
         (builder.wcg(), builder.topo_version(), cache)
     }
 
-    /// The incrementally maintained WCG, its topology version, and the
-    /// feature cache, for readers holding only `&self` (the final
-    /// verdict sweep): the cache can be consulted, not refilled.
-    pub fn wcg_cached(&self) -> (&Wcg, u64, &TopoCache) {
-        let (builder, cache) = &self.graph;
-        (builder.wcg(), builder.topo_version(), cache)
+    /// The WCG, its topology version, and the feature cache, for readers
+    /// holding only `&self` (the final verdict sweep): the cache can be
+    /// consulted, not refilled. `None` while the detector has never
+    /// looked at the conversation.
+    pub fn wcg_cached(&self) -> Option<(&Wcg, u64, &TopoCache)> {
+        let (builder, cache) = self.graph.as_deref()?;
+        Some((builder.wcg(), builder.topo_version(), cache))
+    }
+
+    /// Builds the conversation's WCG into `builder` from the stored
+    /// transactions and the kept targets: what
+    /// `Wcg::from_transactions(&self.transactions)` builds, without
+    /// reading a body preview.
+    pub(crate) fn build_wcg<'b>(&self, builder: &'b mut WcgBuilder) -> &'b Wcg {
+        builder.rebuild_with(&self.transactions, &self.targets);
+        builder.wcg()
     }
 
     /// Records a transaction that was dropped by the per-conversation
@@ -305,8 +334,8 @@ impl Conversation {
             self.urls.insert(self.scratch.clone());
         }
         // Redirect targets are derived once per transaction and shared by
-        // host pre-registration, the detector's redirect clue, and the
-        // incremental WCG push.
+        // host pre-registration, the detector's redirect clue, and every
+        // WCG build.
         let targets = crate::wcg::redirect::targets(&tx);
         self.last_tx_redirectish = tx.is_redirect() || !targets.is_empty();
         // Redirect targets become expected hosts, so follow-up requests
@@ -327,11 +356,21 @@ impl Conversation {
         // The transaction is moved into storage — the shard queues of the
         // stream engine hand transactions over by value, so the live path
         // never clones one.
+        let index = self.transactions.len();
         self.transactions.push(tx);
-        let stored = self.transactions.last().expect("just pushed");
-        let builder = &mut self.graph.0;
-        if builder.push_with_targets(stored, &targets) == PushOutcome::NeedsRebuild {
-            builder.rebuild(&self.transactions);
+        if !targets.is_empty() {
+            self.targets.push((index, targets));
+        }
+        // Only a conversation the detector has looked at holds a graph.
+        let Some(graph) = &mut self.graph else { return };
+        let builder = &mut graph.0;
+        let stored = &self.transactions[index];
+        let targets = match self.targets.last() {
+            Some((at, kept)) if *at == index => kept.as_slice(),
+            _ => &[],
+        };
+        if builder.push_with_targets(stored, targets) == PushOutcome::NeedsRebuild {
+            builder.rebuild_with(&self.transactions, &self.targets);
         }
     }
 
@@ -594,10 +633,11 @@ impl SessionTracker {
     }
 
     /// Replaces this tracker's conversations and counters with a
-    /// serialized image, rebuilding every WCG by replaying the stored
-    /// transactions. Configuration (timeouts, caps) is NOT part of the
-    /// image — it stays whatever this tracker was constructed with, so a
-    /// snapshot can be restored under new operational settings.
+    /// serialized image, replaying each conversation's stored
+    /// transactions through the absorb fold (which builds no graph).
+    /// Configuration (timeouts, caps) is NOT part of the image — it stays
+    /// whatever this tracker was constructed with, so a snapshot can be
+    /// restored under new operational settings.
     pub fn restore(&mut self, state: TrackerState) {
         self.clients.clear();
         self.live = 0;
@@ -804,7 +844,7 @@ mod tests {
             tracker.dropped_transaction_count()
         );
         // The restored tracker serializes to the identical state: the
-        // WCG rebuild and scalar overwrite lose nothing.
+        // absorb replay and scalar overwrite lose nothing.
         assert_eq!(restored.state().clients, state.clients);
         assert_eq!(restored.state().counters, state.counters);
         // And it behaves identically: the next transaction lands in the
@@ -819,24 +859,46 @@ mod tests {
         serde_json::to_string(wcg).unwrap()
     }
 
+    /// Response bodies that redirect without a 3xx: a meta refresh, an
+    /// `atob`-obfuscated target and a plain `window.location`
+    /// assignment, each naming a host the generators also use.
+    const REDIRECTING_PREVIEWS: [&str; 3] = [
+        r#"<html><meta http-equiv="Refresh" content="0;url=http://C.Example.org/p1"></html>"#,
+        // "http://198.51.100.7/p2"
+        r#"<script>var u = atob("aHR0cDovLzE5OC41MS4xMDAuNy9wMg==");</script>"#,
+        r#"<script>window.location = "http://a.example.com/p0";</script>"#,
+    ];
+
     /// Feeds `stream` through a capped tracker and checks, after every
-    /// `assign`, that each conversation's incrementally built graph is
-    /// the one `Wcg::from_transactions` builds from its stored
-    /// transactions — the equivalence the final verdict sweep and the
-    /// snapshot restore both rest on.
-    fn check_graphs_equal_rebuilds(stream: &[HttpTransaction]) {
+    /// `assign`, each graph a conversation can be scored from against
+    /// `Wcg::from_transactions` over its stored transactions: the one the
+    /// final verdict sweep builds from the kept redirect targets, and,
+    /// once the conversation has been looked at (here from its first
+    /// redirect hop on, as a clue would), the one it holds and folds
+    /// forward. Returns how many kept targets were mined from a body
+    /// preview rather than a `Location` header.
+    fn check_graphs_equal_rebuilds(stream: &[HttpTransaction]) -> usize {
         let mut tracker = SessionTracker::new(300.0).with_caps(64, 6);
+        let mut sweep = WcgBuilder::new();
         for t in stream {
-            tracker.assign(t);
+            let conv = tracker.assign(t);
+            if conv.last_tx_redirectish {
+                let _ = conv.wcg_state();
+            }
             for conv in tracker.conversations() {
-                assert_eq!(
-                    wcg_json(conv.wcg_cached().0),
-                    wcg_json(&Wcg::from_transactions(&conv.transactions)),
-                    "conversation {:#x}",
-                    conv.id
-                );
+                let expected = wcg_json(&Wcg::from_transactions(&conv.transactions));
+                let id = conv.id;
+                assert_eq!(wcg_json(conv.build_wcg(&mut sweep)), expected, "swept {id:#x}");
+                if let Some((held, _, _)) = conv.wcg_cached() {
+                    assert_eq!(wcg_json(held), expected, "held {id:#x}");
+                }
             }
         }
+        tracker
+            .conversations()
+            .flat_map(|c| c.targets.iter().map(|(i, _)| &c.transactions[*i]))
+            .filter(|t| !t.is_redirect())
+            .count()
     }
 
     #[test]
@@ -846,7 +908,8 @@ mod tests {
         use synthtraffic::episode::generate_infection;
         use synthtraffic::{BenignScenario, EkFamily};
         // One client's afternoon: infections and browsing interleaved,
-        // some of it carrying a session cookie.
+        // some of it carrying a session cookie, some of its pages
+        // redirecting from the body.
         let mut rng = StdRng::seed_from_u64(77);
         let mut stream = Vec::new();
         for (i, family) in [EkFamily::Angler, EkFamily::Rig, EkFamily::Magnitude].iter().enumerate() {
@@ -861,17 +924,53 @@ mod tests {
             if i % 5 == 0 {
                 t.req_headers.append("Cookie", "sid=afternoon");
             }
+            if i % 7 == 3 && t.status == 200 {
+                t.body_preview = REDIRECTING_PREVIEWS[i % 3].as_bytes().to_vec();
+            }
         }
+        let mined = check_graphs_equal_rebuilds(&stream);
+        assert!(mined >= 3, "{mined} targets kept from body previews");
+    }
+
+    #[test]
+    fn mixed_case_referrer_host_is_no_origin_once_contacted() {
+        // The first transaction's referrer names a host the conversation
+        // later contacts under another spelling: no origin node, however
+        // the two are cased.
+        let stream = [
+            get(1.0, "landing.example", "/", Some("http://Search.EXAMPLE/q")),
+            get(2.0, "sEarch.example", "/q", Some("http://landing.example/")),
+        ];
+        let mut tracker = SessionTracker::new(300.0);
+        let conv = tracker.assign(&stream[0]);
+        assert!(conv.wcg_state().0.origin.is_some(), "an origin until the host is contacted");
+        let conv = tracker.assign(&stream[1]);
+        assert_eq!(conv.transactions.len(), 2);
+        assert!(conv.wcg_state().0.origin.is_none());
+        assert!(Wcg::from_transactions(&stream).origin.is_none());
         check_graphs_equal_rebuilds(&stream);
     }
 
     proptest::proptest! {
         /// Arbitrary short streams: out-of-order arrivals, idle gaps that
-        /// split conversations, capped conversations.
+        /// split conversations, capped conversations, redirects from
+        /// headers and from bodies.
         #[test]
         fn graphs_equal_rebuilds_on_any_stream(
-            stream in proptest::collection::vec(crate::wcg::tests::arb_tx(), 0..40)
+            stream in proptest::collection::vec(
+                (crate::wcg::tests::arb_tx(), 0..REDIRECTING_PREVIEWS.len() + 2),
+                0..40,
+            )
         ) {
+            let stream: Vec<HttpTransaction> = stream
+                .into_iter()
+                .map(|(mut t, preview)| {
+                    if let Some(body) = REDIRECTING_PREVIEWS.get(preview) {
+                        t.body_preview = body.as_bytes().to_vec();
+                    }
+                    t
+                })
+                .collect();
             check_graphs_equal_rebuilds(&stream);
         }
     }

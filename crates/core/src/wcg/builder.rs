@@ -28,7 +28,14 @@
 //!   through [`WcgBuilder::rebuild`]. Both triggers are rare (origin hosts
 //!   are by construction off-path; captures are near-sorted), keeping the
 //!   amortized cost linear.
+//!
+//! A rebuild mines each transaction's redirect targets again unless the
+//! caller kept them: the detector's conversations record the targets they
+//! mined on arrival and replay through the crate-private
+//! `WcgBuilder::rebuild_with`, which reads them instead of the body
+//! previews.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -133,6 +140,10 @@ pub struct WcgBuilder {
     /// applied, so the steady-state fold does not allocate one per
     /// transaction.
     host_scratch: String,
+    /// Reusable timestamp-order permutation of a rebuild's transactions.
+    /// Like `host_scratch`, it survives rebuilds, so a builder reused
+    /// across conversations sorts each one without a fresh buffer.
+    order: Vec<usize>,
 }
 
 impl Default for WcgBuilder {
@@ -181,6 +192,7 @@ impl WcgBuilder {
             topo_version: 0,
             seen_pairs: BTreeSet::new(),
             host_scratch: String::new(),
+            order: Vec::new(),
         }
     }
 
@@ -239,24 +251,76 @@ impl WcgBuilder {
     /// push path, the replay decides the origin node with full knowledge of
     /// the contacted set, so it never needs a second pass.
     pub fn rebuild(&mut self, transactions: &[HttpTransaction]) {
+        self.replay(transactions, |_, tx| Cow::Owned(redirect::targets(tx)));
+    }
+
+    /// [`WcgBuilder::rebuild`] over redirect targets mined earlier:
+    /// `targets` holds `(index into transactions, redirect::targets(tx))`
+    /// in ascending index order for every transaction that has any, and a
+    /// transaction it does not list has none. No body preview is read.
+    pub(crate) fn rebuild_with(
+        &mut self,
+        transactions: &[HttpTransaction],
+        targets: &[(usize, Vec<String>)],
+    ) {
+        self.replay(transactions, |i, _| {
+            let kept = targets.binary_search_by_key(&i, |(at, _)| *at);
+            Cow::Borrowed(kept.map_or(&[][..], |k| targets[k].1.as_slice()))
+        });
+    }
+
+    fn replay<'t>(
+        &mut self,
+        transactions: &'t [HttpTransaction],
+        targets_of: impl Fn(usize, &'t HttpTransaction) -> Cow<'t, [String]>,
+    ) {
         let prior_version = self.topo_version;
-        let mut order: Vec<&HttpTransaction> = transactions.iter().collect();
-        order.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-        *self = WcgBuilder::new();
-        if let Some(first) = order.first() {
-            let contacted: BTreeSet<String> =
-                order.iter().map(|t| t.host.to_ascii_lowercase()).collect();
+        // Reset to a new builder, moving the buffers that hold no state
+        // once cleared back in: a builder reused across conversations
+        // (the final verdict sweep) grows them to the largest one and
+        // allocates them no more.
+        let WcgBuilder {
+            wcg:
+                Wcg {
+                    mut graph,
+                    mut inter_tx_gaps,
+                    redirects: RedirectStats { mut redirect_gaps, .. },
+                    ..
+                },
+            mut txs,
+            host_scratch,
+            mut order,
+            ..
+        } = std::mem::take(self);
+        graph.clear();
+        inter_tx_gaps.clear();
+        redirect_gaps.clear();
+        txs.clear();
+        self.wcg.graph = graph;
+        self.wcg.inter_tx_gaps = inter_tx_gaps;
+        self.wcg.redirects.redirect_gaps = redirect_gaps;
+        self.txs = txs;
+        self.host_scratch = host_scratch;
+        order.clear();
+        order.extend(0..transactions.len());
+        order.sort_by(|&a, &b| transactions[a].ts.total_cmp(&transactions[b].ts));
+        if let Some(&first) = order.first() {
+            // `host_of_url` lowercases, so a caseless comparison with each
+            // contacted host is the membership test in the set of their
+            // lowercased names.
             self.forced_origin = Some(
-                first
+                transactions[first]
                     .referer()
                     .and_then(host_of_url)
-                    .filter(|h| !contacted.contains(h.as_ref()))
-                    .map(|h| h.into_owned()),
+                    .filter(|h| !transactions.iter().any(|t| t.host.eq_ignore_ascii_case(h)))
+                    .map(Cow::into_owned),
             );
         }
-        for tx in order {
-            self.apply(tx, &redirect::targets(tx));
+        for &i in &order {
+            let tx = &transactions[i];
+            self.apply(tx, &targets_of(i, tx));
         }
+        self.order = order;
         // Keep the version strictly monotone across the rebuild so feature
         // caches keyed on an older builder state can never collide.
         self.topo_version += prior_version + 1;

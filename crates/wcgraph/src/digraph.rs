@@ -42,6 +42,14 @@ impl<N, E> DiGraph<N, E> {
         DiGraph::default()
     }
 
+    /// Removes every node and edge, keeping the buffers' capacity for
+    /// the next graph built in this one.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.edges.clear();
+        self.degree.clear();
+    }
+
     /// Adds a node and returns its id.
     pub fn add_node(&mut self, payload: N) -> NodeId {
         let id = NodeId(self.nodes.len());

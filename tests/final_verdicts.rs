@@ -1,8 +1,9 @@
-//! The final verdict sweep scores the WCG each conversation already
-//! holds (DESIGN.md §9). These tests pin what that rests on: whatever
-//! happened to a conversation on the way — out-of-order arrivals, the
-//! transaction cap, retention eviction of its neighbours, a snapshot
-//! restore, a model reload — its verdict carries the bits of
+//! The final verdict sweep scores the WCG a watched conversation holds
+//! and builds every other conversation's from the redirect targets kept
+//! on arrival (DESIGN.md §9). These tests pin what that rests on:
+//! whatever happened to a conversation on the way — out-of-order
+//! arrivals, the transaction cap, retention eviction of its neighbours,
+//! a snapshot restore, a model reload — its verdict carries the bits of
 //! `Classifier::score_transactions(&conversation.transactions)`, the
 //! score of a WCG rebuilt from the stored transactions, at any thread
 //! count.
@@ -92,14 +93,15 @@ fn rebuilt(detector: &OnTheWireDetector, model: &Classifier) -> Vec<VerdictBits>
 }
 
 /// Conversations whose memoized topology features are current (the
-/// sweep reads them) and stale or absent (the sweep computes them).
+/// sweep reads them) and stale or absent, with or without a graph (the
+/// sweep computes them).
 fn cache_states(detector: &OnTheWireDetector) -> (usize, usize) {
     let current = detector
         .tracker()
         .conversations()
         .filter(|c| {
-            let (_, topo_version, cache) = c.wcg_cached();
-            cache.version() == Some(topo_version)
+            c.wcg_cached()
+                .is_some_and(|(_, topo_version, cache)| cache.version() == Some(topo_version))
         })
         .count();
     (current, detector.tracker().conversation_count() - current)
@@ -132,6 +134,25 @@ fn every_family_and_scenario_scores_as_rebuilt() {
     assert_sweep_is_rebuild(&mut det, classifier(), "all kinds");
     // A sweep leaves the detector as it found it.
     assert_eq!(cache_states(&det), (current, stale));
+}
+
+/// A graph exists only where the detector has looked: every watched
+/// conversation holds one, no other conversation does, and a sweep
+/// builds none that stays.
+#[test]
+fn only_watched_conversations_hold_a_graph() {
+    let mut det = detector(DetectorConfig::default(), &all_kinds_stream(3, 2));
+    let held = |det: &OnTheWireDetector| {
+        det.tracker().conversations().map(|c| (c.watched, c.wcg_cached().is_some())).collect()
+    };
+    let before: Vec<(bool, bool)> = held(&det);
+    assert!(before.iter().any(|&(watched, _)| watched), "a clue fired");
+    assert!(before.iter().any(|&(watched, _)| !watched), "some conversation was never watched");
+    for (watched, graph) in &before {
+        assert_eq!(watched, graph, "a graph is held exactly when watched");
+    }
+    det.final_verdicts(2);
+    assert_eq!(held(&det), before);
 }
 
 #[test]
@@ -191,7 +212,7 @@ fn restored_engines_score_as_rebuilt_at_any_shard_count() {
             all.sort();
             all
         };
-        // Straight after the restore every cache is empty...
+        // Straight after the restore no conversation holds a graph...
         let restored = bits(&engine.final_verdicts(2));
         assert_eq!(restored, rebuilt_by_id(&engine), "restored into {n} shard(s)");
         // ...and after the rest of the stream some are current again.
