@@ -14,10 +14,13 @@
 //! The reference replays each shard's *partition* (same
 //! [`streamd::shard_of`] split) through its own detector on one thread,
 //! so both sides run identical per-detector state sizes and the ratio
-//! isolates pure engine overhead. Against a single whole-stream detector
-//! the comparison would be biased low: half the clients per tracker
-//! means smaller maps and fewer candidate conversations per lookup, a
-//! real partitioning saving but not the one under test.
+//! isolates pure engine overhead. It hands transactions over by value
+//! (`observe_owned`, the call the shard workers make) from copies made
+//! before its clock starts, as the engine's copies are made on the
+//! feeder thread. Against a single whole-stream detector the comparison
+//! would be biased low: half the clients per tracker means smaller maps
+//! and fewer candidate conversations per lookup, a real partitioning
+//! saving but not the one under test.
 //!
 //! The feeder thread's CPU is reported but excluded from the comparison:
 //! partitioning and queue pushes are new work the single-threaded loop
@@ -38,10 +41,15 @@ const TOLERANCE: f64 = 0.10;
 /// Below this both measurements are clock-granularity noise; the run is
 /// sized (via `PASSES`) so the reference lands well above it.
 const MIN_REFERENCE_NS: u64 = 20_000_000;
-const RUNS: usize = 5;
+/// Paired runs; the median ratio is compared. Adjacent measurements
+/// agree within a few percent, but host speed drifts by tens of percent
+/// over seconds, so single ratios spread widely and the median needs
+/// this many.
+const RUNS: usize = 15;
 /// Full-stream replays per measurement (fresh detector/engine each), so
-/// one-time costs — thread spawn, cold caches — stop mattering at ±10%.
-const PASSES: usize = 5;
+/// one-time costs — thread spawn, cold caches — stop mattering at ±10%
+/// and the reference clears `MIN_REFERENCE_NS`.
+const PASSES: usize = 10;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(77);
@@ -62,10 +70,10 @@ fn main() {
     };
     let config =
         || DetectorConfig { alert_threshold: 1.1, ..DetectorConfig::default() };
-    let partitions: Vec<Vec<&nettrace::HttpTransaction>> = {
+    let partitions: Vec<Vec<nettrace::HttpTransaction>> = {
         let mut p = vec![Vec::new(), Vec::new()];
         for tx in &stream {
-            p[streamd::shard_of(tx.client.addr, SHARDS)].push(tx);
+            p[streamd::shard_of(tx.client.addr, SHARDS)].push(tx.clone());
         }
         p
     };
@@ -81,15 +89,18 @@ fn main() {
     let mut feeder_ns = 0u64;
     let mut ratios = Vec::with_capacity(RUNS);
     for _ in 0..RUNS {
-        // Detector construction (classifier clone) is setup, not replay:
-        // the engine's shard clocks don't count their equivalent either.
-        let mut dets: Vec<OnTheWireDetector> = (0..PASSES * SHARDS)
-            .map(|_| OnTheWireDetector::new(clf.clone(), config()))
+        // Detector construction (classifier clone) and the input copies
+        // are setup, not replay: the engine's shard clocks don't count
+        // their equivalent either.
+        let mut runs: Vec<_> = (0..PASSES * SHARDS)
+            .map(|i| {
+                (OnTheWireDetector::new(clf.clone(), config()), partitions[i % SHARDS].clone())
+            })
             .collect();
         let cpu0 = telemetry::thread_cpu_ns();
-        for (i, det) in dets.iter_mut().enumerate() {
-            for tx in &partitions[i % SHARDS] {
-                std::hint::black_box(det.observe(tx));
+        for (det, txs) in &mut runs {
+            for tx in txs.drain(..) {
+                std::hint::black_box(det.observe_owned(tx));
             }
         }
         let reference = telemetry::thread_cpu_ns().saturating_sub(cpu0);

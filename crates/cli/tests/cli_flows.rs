@@ -170,6 +170,29 @@ fn structurally_invalid_models_are_rejected_at_load() {
     }
 }
 
+/// A model file nested a million levels deep is refused with an error
+/// naming the file and exit status 1, where a reader without a nesting
+/// bound overflows the stack and aborts. The trained model still loads.
+#[test]
+fn deeply_nested_model_is_an_error_not_an_abort() {
+    let model = trained_model_path();
+    let text = std::fs::read_to_string(&model).unwrap();
+    let nested = format!("\"classifier\":{}", "[".repeat(1_000_000));
+    let deep = tmp("model-deep.json");
+    std::fs::write(&deep, text.replacen("\"classifier\":", &nested, 1)).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dynaminer"))
+        .args(["inspect", "--model", &deep])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("{deep} is not a valid model: nesting deeper than 128 levels")),
+        "{stderr}"
+    );
+    commands::inspect(&args(&["--model", &model])).unwrap();
+}
+
 /// `replay --shards N` drives the streamd engine: the run succeeds, the
 /// engine's telemetry lands in --metrics-out, and the zero-loss drain
 /// invariant (enqueued == processed, nothing dropped) holds.

@@ -365,6 +365,23 @@ mod tests {
         assert!(depth(&tree.root) >= 2);
     }
 
+    /// Alternating labels make every best split peel one end point off,
+    /// so the tree is a chain that stops at `max_depth`: the deepest
+    /// shape a saved model holds, which the JSON reader must still load.
+    #[test]
+    fn a_full_depth_tree_round_trips_through_json() {
+        let mut d = Dataset::new(vec!["x".into()], 2);
+        for i in 0..101 {
+            d.push(vec![i as f64], i % 2);
+        }
+        let mut rng = StdRng::seed_from_u64(1);
+        let tree = DecisionTree::fit(&d, &all_indices(&d), &TreeConfig::default(), &mut rng);
+        assert_eq!(depth(&tree.root), TreeConfig::default().max_depth);
+        let json = serde_json::to_string(&tree).unwrap();
+        let back: DecisionTree = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
     #[test]
     fn probabilities_reflect_leaf_mixture() {
         let mut d = Dataset::new(vec!["x".into()], 2);

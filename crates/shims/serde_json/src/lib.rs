@@ -166,13 +166,22 @@ fn write_string(out: &mut String, s: &str) {
 // Parsing
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting the reader accepts. The parser recurses
+/// once per level, so hostile input nested deeper is refused with an
+/// [`Error`] instead of overflowing the stack. The deepest document the
+/// workspace writes is a saved forest: a `max_depth = 32` tree nests
+/// its leaves 72 levels deep (a model trained at scale 1 measures 44).
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 fn parse(text: &str) -> Result<Value> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
@@ -224,8 +233,12 @@ impl Parser<'_> {
             Some(b't') if self.consume_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            ))),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             other => Err(Error(format!(
                 "unexpected {:?} at offset {}",
@@ -233,6 +246,14 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value> {
@@ -422,5 +443,20 @@ mod tests {
         assert!(from_str::<u32>("[1").is_err());
         assert!(from_str::<String>("\"abc").is_err());
         assert!(from_str::<u32>("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_an_error() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "0" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for deeper in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = parse(&deeper).unwrap_err().to_string();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // A million unclosed brackets: an error, not a stack overflow.
+        let err = from_str::<u32>(&"[".repeat(1_000_000)).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
     }
 }

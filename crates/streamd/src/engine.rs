@@ -44,9 +44,9 @@ impl Default for StreamConfig {
         StreamConfig {
             shards: 1,
             queue_capacity: 4096,
-            // 256 amortizes the (already cheap) ring handoff to well
-            // under a nanosecond per transaction while keeping worst
-            // case alert latency to a quarter of the queue bound.
+            // 256 amortizes the queue's lock and notify to one per
+            // 256 transactions while keeping worst case alert latency
+            // to a quarter of the queue bound.
             batch_size: 256,
             backpressure: BackpressurePolicy::Block,
         }
@@ -221,7 +221,7 @@ struct ShardRun {
 /// workers are guaranteed to be running for exactly as long as the
 /// handle can push. Pushes batch per shard ([`StreamConfig::batch_size`])
 /// and apply the engine's backpressure policy at full queues: `Block`
-/// parks the pushing thread until the worker catches up, `DropNewest`
+/// blocks the pushing thread until the worker catches up, `DropNewest`
 /// discards the offered batch and counts it.
 pub struct FeedHandle<'a> {
     queues: &'a [ShardQueue],
@@ -574,9 +574,9 @@ impl StreamEngine {
                                     }
                                 }
                             }
-                            // The delta excludes park time: a parked
-                            // thread accrues no CPU, so an idle shard
-                            // reads near 0.
+                            // The delta excludes wait time: a thread
+                            // blocked on the queue accrues no CPU, so
+                            // an idle shard reads near 0.
                             let cpu_ns =
                                 telemetry::thread_cpu_ns().saturating_sub(cpu_start);
                             ShardRun { alerts, processed, cpu_ns }

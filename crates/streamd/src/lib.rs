@@ -31,6 +31,8 @@
 //! contract (including what changes in the capped regime), and §13 for
 //! the snapshot format and restore semantics.
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod queue;
 mod snapshot;

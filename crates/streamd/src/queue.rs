@@ -5,202 +5,79 @@
 //! expressed in *transactions*, not batches, so backpressure reacts to
 //! actual buffered work.
 //!
-//! The queue is a lock-free SPSC ring buffer of batch slots: the feeder
-//! is the only producer (owns `tail`), the shard worker the only
-//! consumer (owns `head`), so a push and a pop never contend on a lock.
-//! The uncontended path is a couple of atomic operations; only a
-//! genuinely full (producer) or empty (consumer) queue parks the
-//! thread, and the other side unparks it directly — no condvar, no
-//! broadcast wakeups. The ring holds `capacity` slots: while the
-//! transaction bound admits more work there is always a free slot
-//! (every buffered batch holds at least one transaction), so the slot
-//! count never rejects a push the transaction bound would admit.
+//! One `Mutex` guards the buffered batches, their transaction count and
+//! the closed flag. The feeder waits on `not_full` while the bound
+//! refuses its batch; the shard worker waits on `not_empty` while there
+//! is nothing to take. Each side notifies the other after releasing the
+//! lock, once per batch.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread::Thread;
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use nettrace::HttpTransaction;
 
-/// One side's park/unpark slot: the waiting thread registers its handle
-/// and raises `waiting` before re-checking the queue and parking; the
-/// other side only pays the handle lock + unpark syscall when the flag
-/// is up. A stale unpark token at worst costs one extra loop iteration.
-#[derive(Default)]
-struct Waiter {
-    waiting: AtomicBool,
-    thread: Mutex<Option<Thread>>,
-}
-
-impl Waiter {
-    /// Registers the current thread and raises the waiting flag. The
-    /// caller MUST re-check its wake condition after this and before
-    /// parking — that ordering (flag up, then re-check) is what closes
-    /// the lost-wakeup race against [`Waiter::notify`].
-    fn prepare(&self) {
-        {
-            let mut slot = self.thread.lock().expect("waiter poisoned");
-            if slot.as_ref().is_none_or(|t| t.id() != std::thread::current().id()) {
-                *slot = Some(std::thread::current());
-            }
-        }
-        self.waiting.store(true, Ordering::SeqCst);
-    }
-
-    fn park(&self) {
-        std::thread::park();
-        self.waiting.store(false, Ordering::SeqCst);
-    }
-
-    fn cancel(&self) {
-        self.waiting.store(false, Ordering::SeqCst);
-    }
-
-    /// Unparks the registered thread if it announced it may be parked.
-    fn notify(&self) {
-        if self.waiting.load(Ordering::SeqCst) {
-            if let Some(t) = self.thread.lock().expect("waiter poisoned").as_ref() {
-                t.unpark();
-            }
-        }
-    }
-}
-
-/// A cache-line-aligned atomic counter. `head` and `tail` are each
-/// written by exactly one side of the queue; padding them to separate
-/// 64-byte lines stops a producer-side store from invalidating the line
-/// the consumer spins on (false sharing) — each side's uncontended
-/// fast-path load stays a cache hit.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedAtomicU64(AtomicU64);
-
-/// A bounded SPSC queue (one feeder, one worker) of transaction batches
-/// with blocking and rejecting push variants.
-pub(crate) struct ShardQueue {
-    /// Ring of batch slots. Slot `i % slots.len()` is written by the
-    /// producer at ring position `i` and taken by the consumer.
-    slots: Box<[UnsafeCell<Option<Vec<HttpTransaction>>>]>,
-    /// Next ring position to pop (monotone; consumer-advanced).
-    head: PaddedAtomicU64,
-    /// Next ring position to push (monotone; producer-advanced).
-    tail: PaddedAtomicU64,
+/// What the lock guards.
+struct State {
+    batches: VecDeque<Vec<HttpTransaction>>,
     /// Transactions buffered across all queued batches.
-    len: AtomicUsize,
-    closed: AtomicBool,
-    capacity: usize,
-    producer: Waiter,
-    consumer: Waiter,
+    len: usize,
+    closed: bool,
 }
 
-// SAFETY: slot `p` is written exactly once by the single producer
-// before `tail` advances past `p` (release), and taken exactly once by
-// the single consumer after observing `tail > p` (acquire), before
-// `head` advances past `p`. The producer never touches a slot until
-// `head` has moved past its previous occupancy. One mutator per slot at
-// any time ⇒ the `UnsafeCell` accesses never alias mutably.
-unsafe impl Send for ShardQueue {}
-unsafe impl Sync for ShardQueue {}
+/// A bounded queue (one feeder, one worker) of transaction batches with
+/// blocking and rejecting push variants.
+pub(crate) struct ShardQueue {
+    state: Mutex<State>,
+    not_empty: Condvar,
+    not_full: Condvar,
+    capacity: usize,
+}
 
 impl ShardQueue {
     pub(crate) fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        // One slot per admissible transaction: a buffered batch holds
-        // ≥ 1 transaction, so `capacity` slots can never fill while the
-        // transaction bound still admits work. Capped so a huge bound
-        // doesn't balloon the ring (beyond the cap, a push can block on
-        // slots — still bounded-queue semantics, just a tighter bound).
-        let slots = capacity.clamp(1, 65_536);
         ShardQueue {
-            slots: (0..slots).map(|_| UnsafeCell::new(None)).collect(),
-            head: PaddedAtomicU64::default(),
-            tail: PaddedAtomicU64::default(),
-            len: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            capacity,
-            producer: Waiter::default(),
-            consumer: Waiter::default(),
+            state: Mutex::new(State { batches: VecDeque::new(), len: 0, closed: false }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            capacity: capacity.max(1),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("shard queue poisoned")
     }
 
     /// Whether the queue can admit `n` more transactions. An empty
     /// queue admits any batch — even one larger than the capacity — so
     /// an oversized batch makes progress instead of deadlocking both
     /// sides.
-    fn admits(&self, n: usize) -> bool {
-        let len = self.len.load(Ordering::SeqCst);
-        len == 0 || len + n <= self.capacity
+    fn admits(&self, state: &State, n: usize) -> bool {
+        state.len == 0 || state.len + n <= self.capacity
     }
 
-    /// Producer-only: publishes `batch` if both the transaction bound
-    /// and the ring admit it.
-    fn try_push(&self, batch: Vec<HttpTransaction>) -> Result<(), Vec<HttpTransaction>> {
-        let n = batch.len();
-        if !self.admits(n) {
-            return Err(batch);
-        }
-        let tail = self.tail.0.load(Ordering::Relaxed); // producer-owned
-        let head = self.head.0.load(Ordering::Acquire);
-        if tail - head >= self.slots.len() as u64 {
-            return Err(batch); // ring full (oversized-batch regimes only)
-        }
-        // `len` grows before the batch is visible so the consumer's
-        // decrement can never race it below zero.
-        self.len.fetch_add(n, Ordering::SeqCst);
-        let slot = &self.slots[(tail % self.slots.len() as u64) as usize];
-        // SAFETY: see the `Sync` impl — the consumer does not read this
-        // slot until `tail` advances past it below.
-        unsafe { *slot.get() = Some(batch) };
-        self.tail.0.store(tail + 1, Ordering::SeqCst);
-        self.consumer.notify();
-        Ok(())
+    /// Appends `batch` under the held lock, then wakes the worker.
+    fn enqueue(&self, mut state: MutexGuard<'_, State>, batch: Vec<HttpTransaction>) {
+        state.len += batch.len();
+        state.batches.push_back(batch);
+        drop(state);
+        self.not_empty.notify_one();
     }
 
-    /// Consumer-only: takes the next batch if one is published.
-    fn try_pop(&self) -> Option<Vec<HttpTransaction>> {
-        let head = self.head.0.load(Ordering::Relaxed); // consumer-owned
-        let tail = self.tail.0.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let slot = &self.slots[(head % self.slots.len() as u64) as usize];
-        // SAFETY: `tail > head` proves the producer published this slot
-        // and will not touch it again until `head` advances past it.
-        let batch = unsafe { (*slot.get()).take() }.expect("published slot holds a batch");
-        self.head.0.store(head + 1, Ordering::SeqCst);
-        self.len.fetch_sub(batch.len(), Ordering::SeqCst);
-        self.producer.notify();
-        Some(batch)
-    }
-
-    /// Pushes a batch, blocking (parked) while the queue is over
-    /// capacity. Returns the number of times the caller had to wait
-    /// (the backpressure signal). Empty batches are a no-op.
+    /// Pushes a batch, blocking while the queue is over capacity.
+    /// Returns the number of times the caller had to wait (the
+    /// backpressure signal). Empty batches are a no-op.
     pub(crate) fn push_blocking(&self, batch: Vec<HttpTransaction>) -> u64 {
         if batch.is_empty() {
             return 0;
         }
         let mut waits = 0u64;
-        let mut batch = batch;
-        loop {
-            match self.try_push(batch) {
-                Ok(()) => return waits,
-                Err(back) => batch = back,
-            }
+        let mut state = self.lock();
+        while !self.admits(&state, batch.len()) {
             waits += 1;
-            self.producer.prepare();
-            // Re-check after raising the flag: a pop that happened in
-            // between either freed room now or left an unpark token.
-            match self.try_push(batch) {
-                Ok(()) => {
-                    self.producer.cancel();
-                    return waits;
-                }
-                Err(back) => batch = back,
-            }
-            self.producer.park();
+            state = self.not_full.wait(state).expect("shard queue poisoned");
         }
+        self.enqueue(state, batch);
+        waits
     }
 
     /// Pushes a batch unless it would overflow the queue; the rejected
@@ -213,53 +90,50 @@ impl ShardQueue {
         if batch.is_empty() {
             return Ok(());
         }
-        self.try_push(batch)
+        let state = self.lock();
+        if !self.admits(&state, batch.len()) {
+            return Err(batch);
+        }
+        self.enqueue(state, batch);
+        Ok(())
     }
 
     /// Marks the stream finished: workers drain what is buffered, then
     /// [`ShardQueue::pop`] returns `None`.
     pub(crate) fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        self.consumer.notify();
-        self.producer.notify();
+        self.lock().closed = true;
+        self.not_empty.notify_all();
     }
 
-    /// Blocks (parked) for the next batch; `None` once the queue is
-    /// closed *and* fully drained — close never discards buffered
-    /// transactions.
+    /// Blocks for the next batch; `None` once the queue is closed *and*
+    /// fully drained — close never discards buffered transactions.
     pub(crate) fn pop(&self) -> Option<Vec<HttpTransaction>> {
+        let mut state = self.lock();
         loop {
-            if let Some(batch) = self.try_pop() {
+            if let Some(batch) = state.batches.pop_front() {
+                state.len -= batch.len();
+                drop(state);
+                self.not_full.notify_one();
                 return Some(batch);
             }
-            if self.closed.load(Ordering::SeqCst) {
-                // A push may have landed between the failed pop and the
-                // closed check; close never loses it.
-                return self.try_pop();
+            if state.closed {
+                return None;
             }
-            self.consumer.prepare();
-            // Re-check after raising the flag (lost-wakeup guard).
-            if let Some(batch) = self.try_pop() {
-                self.consumer.cancel();
-                return Some(batch);
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                self.consumer.cancel();
-                continue;
-            }
-            self.consumer.park();
+            state = self.not_empty.wait(state).expect("shard queue poisoned");
         }
     }
 
     /// Transactions currently buffered.
     pub(crate) fn depth(&self) -> usize {
-        self.len.load(Ordering::SeqCst)
+        self.lock().len
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn tx(seq: u64) -> HttpTransaction {
         use nettrace::http::{HeaderMap, Method};
@@ -379,6 +253,124 @@ mod tests {
             q.push_blocking(vec![tx(0), tx(1), tx(2)]);
             q.close();
             assert_eq!(consumer.join().unwrap(), 3);
+        }
+    }
+
+    /// One producer pushing `batch` sizes (yielding first where its
+    /// mask says, through `push_blocking` or `push_or_reject` as drawn)
+    /// against one consumer yielding on its own cyclic mask. With
+    /// `linger` the producer sleeps before `close`, so the close lands
+    /// on a consumer that is already waiting.
+    fn run_schedule(
+        capacity: usize,
+        producer: &[(usize, bool, bool)],
+        consumer_yields: Vec<bool>,
+        linger: bool,
+    ) -> Result<(), String> {
+        use std::sync::Arc;
+        let q = Arc::new(ShardQueue::new(capacity));
+        // The accepted total, published just before `close`.
+        let closing: Arc<Mutex<Option<usize>>> = Arc::default();
+        let consumer = {
+            let (q, closing) = (Arc::clone(&q), Arc::clone(&closing));
+            let mut yields = consumer_yields.into_iter().cycle();
+            std::thread::spawn(move || {
+                let (mut got, mut early_none) = (Vec::new(), false);
+                let accepted_total = loop {
+                    if yields.next() == Some(true) {
+                        std::thread::yield_now();
+                    }
+                    match q.pop() {
+                        Some(batch) => got.extend(batch.into_iter().map(|t| t.seq)),
+                        None => match *closing.lock().unwrap() {
+                            Some(total) => break total,
+                            // Keep popping so a blocked producer is never stranded.
+                            None => early_none = true,
+                        },
+                    }
+                };
+                if early_none {
+                    return Err("pop returned None before close".to_string());
+                }
+                if got.len() != accepted_total {
+                    return Err(format!(
+                        "pop returned None after {} of {accepted_total} transactions",
+                        got.len()
+                    ));
+                }
+                if q.pop().is_some() {
+                    return Err("pop after the drain returned a batch".to_string());
+                }
+                Ok(got)
+            })
+        };
+        let (mut next_seq, mut accepted, mut rejected, mut altered) =
+            (0u64, Vec::new(), 0usize, false);
+        for &(size, blocking, yield_first) in producer {
+            if yield_first {
+                std::thread::yield_now();
+            }
+            let batch: Vec<_> = (next_seq..next_seq + size as u64).map(tx).collect();
+            next_seq += size as u64;
+            let seqs: Vec<u64> = batch.iter().map(|t| t.seq).collect();
+            if blocking {
+                q.push_blocking(batch);
+                accepted.extend(seqs);
+            } else {
+                match q.push_or_reject(batch) {
+                    Ok(()) => accepted.extend(seqs),
+                    Err(back) => {
+                        altered |= back.iter().map(|t| t.seq).ne(seqs.iter().copied());
+                        rejected += back.len();
+                    }
+                }
+            }
+        }
+        if linger {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        *closing.lock().unwrap() = Some(accepted.len());
+        q.close();
+        let popped = consumer.join().expect("consumer panicked")?;
+        if altered {
+            return Err("a rejected batch came back altered".to_string());
+        }
+        if popped != accepted {
+            return Err(format!("accepted {:?}, popped {:?}", accepted, popped));
+        }
+        if next_seq as usize != popped.len() + rejected {
+            return Err(format!(
+                "pushed {next_seq} != popped {} + rejected {rejected}",
+                popped.len()
+            ));
+        }
+        if q.depth() != 0 {
+            return Err(format!("depth {} after the drain", q.depth()));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn generated_schedules_keep_fifo_and_lose_nothing(
+            case in (1usize..=8).prop_flat_map(|capacity| (
+                Just(capacity),
+                vec((1..=2 * capacity, any::<bool>(), any::<bool>()), 1..160),
+                vec(any::<bool>(), 1..16),
+                any::<bool>(),
+            ))
+        ) {
+            // A lost wake-up hangs both threads, so the schedule runs
+            // under a deadline instead of blocking the test forever.
+            let (capacity, producer, consumer_yields, linger) = case;
+            let (done, result) = std::sync::mpsc::channel();
+            let schedule = std::thread::spawn(move || {
+                let _ = done.send(run_schedule(capacity, &producer, consumer_yields, linger));
+            });
+            result
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .map_err(|_| "schedule stalled: a lost wake-up or a deadlock".to_string())??;
+            schedule.join().expect("schedule thread panicked");
         }
     }
 }

@@ -201,6 +201,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_payload_is_an_error_not_an_abort() {
+        let payload = "[".repeat(1_000_000);
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(payload.as_bytes());
+        let err = EngineSnapshot::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("cannot parse snapshot payload: nesting deeper than"), "{err}");
+    }
+
+    #[test]
     fn watermark_covers_respects_the_total_order() {
         use nettrace::http::HeaderMap;
         use nettrace::reassembly::Endpoint;
