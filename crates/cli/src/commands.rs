@@ -205,7 +205,12 @@ const MODEL_FORMAT_VERSION: u32 = 1;
 
 pub(crate) fn load_model(path: &str) -> Result<Classifier, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let saved: SavedModel = serde_json::from_str(&text)
+    parse_model(path, &text)
+}
+
+/// [`load_model`] of `text`, the contents of the file `path`.
+fn parse_model(path: &str, text: &str) -> Result<Classifier, String> {
+    let saved: SavedModel = serde_json::from_str(text)
         .map_err(|e| format!("{path} is not a valid model: {e}"))?;
     if saved.format_version != MODEL_FORMAT_VERSION {
         return Err(format!(
@@ -694,6 +699,75 @@ mod tests {
         // Trailing --strict is fine too (no dangling-value error).
         let args = vec!["a.pcap".to_string(), "--strict".to_string()];
         assert!(parse(&args).unwrap().bool_flag("strict"));
+    }
+
+    /// A small trained model file's text.
+    fn model_text() -> String {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut items = Vec::new();
+        for i in 0..6 {
+            let infection = synthtraffic::episode::generate_infection(
+                &mut rng, EkFamily::ALL[i], 1.4e9);
+            let scenario = BenignScenario::WEIGHTED[i].0;
+            let benign = synthtraffic::benign::generate_benign(&mut rng, scenario, 1.43e9);
+            items.push((infection.transactions, true));
+            items.push((benign.transactions, false));
+        }
+        let data = dynaminer::classifier::build_dataset(items.iter().map(|(t, l)| (t.as_slice(), *l)));
+        let saved = SavedModel {
+            format_version: MODEL_FORMAT_VERSION,
+            trained_on: "test".to_string(),
+            scale: 0.0,
+            seed: 5,
+            classifier: Classifier::fit_default(&data, 5),
+        };
+        serde_json::to_string(&saved).unwrap()
+    }
+
+    /// Every truncation of a model file is an error: 4 096 evenly spaced
+    /// cuts, and every cut within its first and last 4 KiB.
+    #[test]
+    fn every_prefix_of_a_model_is_an_error() {
+        let text = model_text();
+        parse_model("m.json", &text).unwrap();
+        let n = text.len();
+        let spaced = (0..4096).map(|i| i * n / 4096);
+        let ends = (0..4096.min(n)).chain(n.saturating_sub(4096)..n);
+        for cut in spaced.chain(ends) {
+            let Some(prefix) = text.get(..cut) else { continue };
+            assert!(parse_model("m.json", prefix).is_err(), "the first {cut} of {n} bytes loaded");
+        }
+    }
+
+    /// A model file with one bit flipped either fails to load or loads a
+    /// model that scores without panicking: 2 000 seeded flips.
+    #[test]
+    fn bit_flipped_models_load_only_if_they_score() {
+        use dynaminer::features::{FeatureVector, FEATURE_COUNT};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let text = model_text();
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut loaded, mut refused) = (0, 0);
+        for _ in 0..2000 {
+            let mut bytes = text.clone().into_bytes();
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1 << rng.gen_range(0..8u32);
+            // Text that is not UTF-8 is refused before parsing.
+            let Ok(flipped) = std::str::from_utf8(&bytes) else {
+                refused += 1;
+                continue;
+            };
+            match parse_model("m.json", flipped) {
+                Ok(model) => {
+                    let row = FeatureVector([rng.gen_range(0.0..100.0); FEATURE_COUNT]);
+                    std::hint::black_box(model.score_features(&row));
+                    loaded += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(loaded > 0 && refused > 0, "{loaded} loaded, {refused} refused");
     }
 
     #[test]

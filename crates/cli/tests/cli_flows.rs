@@ -193,6 +193,30 @@ fn deeply_nested_model_is_an_error_not_an_abort() {
     commands::inspect(&args(&["--model", &model])).unwrap();
 }
 
+/// The same model as a `replay --reload-model` is refused the same way,
+/// before the replay starts: exit status 1 and the nesting message.
+#[test]
+fn deeply_nested_reload_model_is_an_error_not_an_abort() {
+    let capture = tmp("magnitude-reload.pcap");
+    commands::generate(&args(&["--family", "magnitude", "--seed", "5", "--out", &capture]))
+        .unwrap();
+    let model = trained_model_path();
+    let text = std::fs::read_to_string(&model).unwrap();
+    let nested = format!("\"classifier\":{}", "[".repeat(1_000_000));
+    let deep = tmp("reload-model-deep.json");
+    std::fs::write(&deep, text.replacen("\"classifier\":", &nested, 1)).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dynaminer"))
+        .args(["replay", "--model", &model, "--reload-model", &deep, "--reload-at", "3", &capture])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("{deep} is not a valid model: nesting deeper than 128 levels")),
+        "{stderr}"
+    );
+}
+
 /// `replay --shards N` drives the streamd engine: the run succeeds, the
 /// engine's telemetry lands in --metrics-out, and the zero-loss drain
 /// invariant (enqueued == processed, nothing dropped) holds.

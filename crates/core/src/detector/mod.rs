@@ -454,11 +454,12 @@ impl OnTheWireDetector {
     /// A conversation the detector has looked at is scored from the WCG
     /// it holds, reading its memoized topology features when they are
     /// current. Any other conversation gets its graph here: the worker
-    /// builds it from the stored transactions and the redirect targets
-    /// kept on arrival into one reused [`WcgBuilder`](crate::wcg::WcgBuilder),
-    /// extracts its features and drops it, so those graphs are never all
-    /// resident. Either graph equals `Wcg::from_transactions` over the
-    /// stored transactions, so the scores have the bits of
+    /// builds it from the conversation's per-transaction records into one
+    /// reused [`WcgBuilder`](crate::wcg::WcgBuilder), extracts its
+    /// features and drops it, so those graphs are never all resident and
+    /// no transaction is read. Each worker's extractor computes a graph
+    /// shape's topology once. Either graph equals `Wcg::from_transactions`
+    /// over the stored transactions, so the scores have the bits of
     /// [`Classifier::score_transactions`]. Nothing in the tracker is
     /// written, so the result is the same at any `threads`.
     pub fn final_verdicts(&mut self, threads: usize) -> Vec<ConversationVerdict> {
@@ -485,7 +486,7 @@ impl OnTheWireDetector {
                 transactions: c.transactions.len(),
                 score,
                 alerted: c.alerted,
-                hosts: c.hosts().count(),
+                hosts: c.host_count(),
             })
             .collect()
     }
@@ -764,6 +765,48 @@ mod tests {
                 "the swap was observed exactly once"
             );
         }
+    }
+
+    /// `hosts` referrer-less page fetches by client `client`: one
+    /// conversation, whose graph is the victim's star over `hosts` hosts.
+    /// No clue fires on it.
+    fn browse(client: u32, hosts: usize) -> Vec<nettrace::HttpTransaction> {
+        use crate::wcg::tests::tx;
+        use nettrace::http::Method;
+        (0..hosts)
+            .map(|h| {
+                let ts = 1.4e9 + f64::from(client) * 1e4 + h as f64;
+                let mut t = tx(ts, &format!("h{h}.example"), "/", Method::Get, 200,
+                               PayloadClass::Html, 100, None, None);
+                t.client = nettrace::reassembly::Endpoint::new(Ipv4Addr::from(client), 40000);
+                t
+            })
+            .collect()
+    }
+
+    /// Topology passes of one single-threaded sweep over 256 unwatched
+    /// conversations whose client `c` browses `hosts(c)` hosts.
+    fn sweep_passes(clf: &Classifier, hosts: impl Fn(u32) -> usize) -> u64 {
+        let mut det = OnTheWireDetector::new(clf.clone(), DetectorConfig::default());
+        for client in 1..=256u32 {
+            for t in browse(client, hosts(client)) {
+                det.observe_owned(t);
+            }
+        }
+        assert_eq!(det.tracker().conversation_count(), 256);
+        assert!(det.tracker().conversations().all(|c| c.wcg_cached().is_none()));
+        let before = crate::features::topo_passes();
+        let verdicts = det.final_verdicts(1);
+        assert_eq!(verdicts.len(), 256);
+        crate::features::topo_passes() - before
+    }
+
+    /// The sweep computes each graph shape's topology once.
+    #[test]
+    fn the_sweep_runs_one_topology_pass_per_shape() {
+        let clf = trained_classifier(12);
+        assert_eq!(sweep_passes(&clf, |_| 3), 1, "one shape");
+        assert_eq!(sweep_passes(&clf, |c| c as usize), 256, "256 shapes");
     }
 
     #[test]

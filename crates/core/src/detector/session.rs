@@ -19,39 +19,48 @@
 //! # Stored and derived state
 //!
 //! There is one conversation type, [`Conversation`]. What it *stores* is
-//! the transactions, the detector's scalars, the match keys (hosts,
-//! session ids, URLs) and the redirect targets mined on arrival (kept
-//! only for the few transactions that have any). Its WCG is built
-//! retrospectively, as the paper builds it around the clue: the
-//! `graph` field (builder plus topology-feature cache) stays empty until
-//! the detector first looks at the conversation, which builds it with
-//! one rebuild from the kept targets; from then on each transaction is
-//! folded in as it arrives. A conversation never looked at gets its
-//! graph only in the final verdict sweep, which builds, scores and drops
-//! it. Tracker memory is bounded by the retention window and the two
-//! caps ([`SessionTracker::with_caps`]; DESIGN.md §13).
-//! [`SessionTracker::state`] serializes the stored state less the match
-//! keys and targets ([`TrackerState`]); restoring replays each
-//! conversation's transactions through the absorb fold, which re-derives
-//! both and builds no graph.
+//! the transactions, the detector's scalars, and a record table: one
+//! fixed-size record per transaction, made while it is hot, holding
+//! exactly what the WCG fold reads, with every host, URI and redirect
+//! target interned once in one per-conversation string buffer. The match
+//! keys (hosts, session ids, URLs) are strings of the same buffer, marked
+//! by role. Its WCG is built retrospectively, as the paper builds it
+//! around the clue: the `graph` field (builder plus topology-feature
+//! cache) stays empty until the detector first looks at the
+//! conversation, which builds it with one rebuild from the records; from
+//! then on each record is folded in as it arrives. A conversation never
+//! looked at gets its graph only in the final verdict sweep, which
+//! builds it from the records, scores it and drops it; no graph build
+//! reads a transaction. Tracker memory is bounded by the retention
+//! window and the two caps ([`SessionTracker::with_caps`]; DESIGN.md
+//! §13). [`SessionTracker::state`] serializes the stored state less the
+//! records ([`TrackerState`]); restoring replays each conversation's
+//! transactions through the absorb fold, which makes them again and
+//! builds no graph.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use nettrace::HttpTransaction;
 use serde::{Deserialize, Serialize};
 
 use crate::features::TopoCache;
+use crate::wcg::record::TxTable;
 use crate::wcg::{PushOutcome, Wcg, WcgBuilder};
+
+/// Roles of a conversation's strings among its match keys.
+const HOST: u8 = 1;
+/// A URL a transaction requested, stored without its `http://`.
+const URL: u8 = 2;
+const SESSION: u8 = 4;
 
 /// Serializable image of a [`Conversation`]: the stored transactions
 /// plus exactly the scalars the absorb fold cannot reconstruct —
 /// detector-maintained flags and the residue of cap-dropped
-/// transactions (which were never stored). The match-key sets and kept
-/// redirect targets are rebuilt on [`SessionTracker::restore`] by
-/// replaying the transactions through the absorb fold; the WCG and its
-/// feature cache are built again when the detector next looks.
+/// transactions (which were never stored). The records and match keys
+/// are rebuilt on [`SessionTracker::restore`] by replaying the
+/// transactions through the absorb fold; the WCG and its feature cache
+/// are built again when the detector next looks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConversationState {
     /// Stable conversation id (see [`Conversation::id`]).
@@ -155,17 +164,9 @@ pub struct Conversation {
     /// values. `None` until then; boxed, so a conversation without one
     /// does not carry the builder's several hundred bytes inline.
     graph: Option<Box<(WcgBuilder, TopoCache)>>,
-    /// `(index into transactions, redirect targets)` for every stored
-    /// transaction whose response names any, in index order — what each
-    /// rebuild reads instead of mining the body previews again.
-    targets: Vec<(usize, Vec<String>)>,
-    /// Lowercased hosts contacted so far or named by a redirect target.
-    hosts: BTreeSet<String>,
-    session_ids: BTreeSet<String>,
-    urls: BTreeSet<String>,
-    /// Reusable buffer for building match keys (URL, lowercased target
-    /// host) without a fresh allocation per transaction.
-    scratch: String,
+    /// One record per stored transaction, and the strings they and the
+    /// match keys name: what every graph build reads.
+    table: TxTable,
     last_ts: f64,
     /// Host of the most recent transaction *if* it was dropped by the
     /// per-conversation cap (cleared on every stored transaction).
@@ -183,11 +184,7 @@ impl Conversation {
             max_payload_likelihood: 0.0,
             last_tx_redirectish: false,
             graph: None,
-            targets: Vec::new(),
-            hosts: BTreeSet::new(),
-            session_ids: BTreeSet::new(),
-            urls: BTreeSet::new(),
-            scratch: String::new(),
+            table: TxTable::default(),
             last_ts: ts,
             capped_host: None,
         }
@@ -211,7 +208,7 @@ impl Conversation {
     /// Rebuilds a conversation from its serialized image by replaying
     /// the stored transactions through the same absorb fold that built
     /// the original. The fold is deterministic in the transaction
-    /// sequence, so the reconstructed match keys and kept targets are
+    /// sequence, so the reconstructed records and match keys are
     /// identical to the ones that were dropped; no graph is built until
     /// the detector next looks. Scalars the fold cannot see
     /// (detector flags and the effects of cap-dropped transactions) are
@@ -230,8 +227,7 @@ impl Conversation {
         } = state;
         let mut conv = Conversation::new(id, last_ts);
         for tx in transactions {
-            let host_lower = tx.host.to_ascii_lowercase();
-            conv.absorb_prepared(tx, &host_lower);
+            conv.absorb(tx);
         }
         conv.alerted = alerted;
         conv.watched = watched;
@@ -251,12 +247,12 @@ impl Conversation {
     /// The conversation's WCG over the stored transactions, its topology
     /// version, and the feature cache — split-borrowed so the caller can
     /// extract features while the cache is held mutably. The first call
-    /// builds the graph (one rebuild from the kept targets); every later
+    /// builds the graph (one rebuild from the records); every later
     /// transaction is then folded in on arrival.
     pub(crate) fn wcg_state(&mut self) -> (&Wcg, u64, &mut TopoCache) {
         let (builder, cache) = &mut **self.graph.get_or_insert_with(|| {
             let mut builder = WcgBuilder::new();
-            builder.rebuild_with(&self.transactions, &self.targets);
+            builder.rebuild_records(&self.table);
             Box::new((builder, TopoCache::new()))
         });
         (builder.wcg(), builder.topo_version(), cache)
@@ -271,12 +267,11 @@ impl Conversation {
         Some((builder.wcg(), builder.topo_version(), cache))
     }
 
-    /// Builds the conversation's WCG into `builder` from the stored
-    /// transactions and the kept targets: what
-    /// `Wcg::from_transactions(&self.transactions)` builds, without
-    /// reading a body preview.
+    /// Builds the conversation's WCG into `builder` from the records:
+    /// what `Wcg::from_transactions(&self.transactions)` builds, without
+    /// reading a transaction.
     pub(crate) fn build_wcg<'b>(&self, builder: &'b mut WcgBuilder) -> &'b Wcg {
-        builder.rebuild_with(&self.transactions, &self.targets);
+        builder.rebuild_records(&self.table);
         builder.wcg()
     }
 
@@ -303,52 +298,48 @@ impl Conversation {
             .unwrap_or("")
     }
 
-    /// Hosts contacted in this conversation, in lexicographic order.
+    /// Hosts contacted in this conversation or named by a redirect
+    /// target, lowercased, in lexicographic order.
     pub fn hosts(&self) -> impl Iterator<Item = &str> {
-        self.hosts.iter().map(String::as_str)
+        self.table.strings.with_role(HOST)
     }
 
-    /// Folds one transaction into the stored and the derived state.
-    /// `host_lower` is the transaction's lowercased host, which the live
-    /// path computes once per transaction in
-    /// [`SessionTracker::assign_owned`].
-    fn absorb_prepared(&mut self, tx: HttpTransaction, host_lower: &str) {
+    /// How many hosts [`Conversation::hosts`] lists.
+    pub(crate) fn host_count(&self) -> usize {
+        self.table.strings.count_role(HOST)
+    }
+
+    /// Folds one transaction into the stored and the derived state: its
+    /// record and match keys, then, when the conversation holds a graph,
+    /// the graph.
+    fn absorb(&mut self, tx: HttpTransaction) {
         self.capped_host = None;
-        // Contains-before-insert: only a new host or session id is copied
-        // to the heap.
-        if !self.hosts.contains(host_lower) {
-            self.hosts.insert(host_lower.to_string());
-        }
-        if let Some(sid) = tx.session_id() {
-            if !self.session_ids.contains(sid) {
-                self.session_ids.insert(sid.to_string());
-            }
-        }
-        // The URL match key is assembled in the reusable scratch buffer
-        // and only copied to the heap when it is actually new.
-        self.scratch.clear();
-        self.scratch.push_str("http://");
-        self.scratch.push_str(&tx.host);
-        self.scratch.push_str(&tx.uri);
-        if !self.urls.contains(self.scratch.as_str()) {
-            self.urls.insert(self.scratch.clone());
-        }
         // Redirect targets are derived once per transaction and shared by
-        // host pre-registration, the detector's redirect clue, and every
-        // WCG build.
+        // the record, host pre-registration and the detector's redirect
+        // clue.
         let targets = crate::wcg::redirect::targets(&tx);
         self.last_tx_redirectish = tx.is_redirect() || !targets.is_empty();
+        let rec = self.table.push(&tx, &targets);
+        let (host, uri, uri_is_url) = (rec.host, rec.uri_key().0, rec.uri_key_is_url());
+        let keys = &mut self.table.strings;
+        keys.add_role(host, HOST);
+        if let Some(sid) = tx.session_id() {
+            keys.intern(sid, SESSION);
+        }
+        if uri_is_url {
+            keys.add_role(uri, URL);
+        } else {
+            keys.intern_with(URL, |buf| {
+                buf.push_str(&tx.host);
+                buf.push_str(&tx.uri);
+            });
+        }
         // Redirect targets become expected hosts, so follow-up requests
         // with stripped referrers still cluster correctly.
         for target in &targets {
-            if let Some(host) = target.split_once("://").map(|(_, r)| r) {
-                if let Some(h) = host.split(['/', '?', '#']).next() {
-                    self.scratch.clear();
-                    self.scratch.push_str(h.split(':').next().unwrap_or(h));
-                    self.scratch.make_ascii_lowercase();
-                    if !self.hosts.contains(self.scratch.as_str()) {
-                        self.hosts.insert(self.scratch.clone());
-                    }
+            if let Some(rest) = target.split_once("://").map(|(_, r)| r) {
+                if let Some(h) = rest.split(['/', '?', '#']).next() {
+                    keys.intern_lower(h.split(':').next().unwrap_or(h), HOST);
                 }
             }
         }
@@ -356,21 +347,13 @@ impl Conversation {
         // The transaction is moved into storage — the shard queues of the
         // stream engine hand transactions over by value, so the live path
         // never clones one.
-        let index = self.transactions.len();
         self.transactions.push(tx);
-        if !targets.is_empty() {
-            self.targets.push((index, targets));
-        }
         // Only a conversation the detector has looked at holds a graph.
         let Some(graph) = &mut self.graph else { return };
         let builder = &mut graph.0;
-        let stored = &self.transactions[index];
-        let targets = match self.targets.last() {
-            Some((at, kept)) if *at == index => kept.as_slice(),
-            _ => &[],
-        };
-        if builder.push_with_targets(stored, targets) == PushOutcome::NeedsRebuild {
-            builder.rebuild_with(&self.transactions, &self.targets);
+        let last = self.table.records.len() - 1;
+        if builder.push_record(&self.table, last) == PushOutcome::NeedsRebuild {
+            builder.rebuild_records(&self.table);
         }
     }
 
@@ -383,10 +366,14 @@ impl Conversation {
         referer_host: Option<&str>,
         host_lower: &str,
     ) -> bool {
-        sid.is_some_and(|sid| self.session_ids.contains(sid))
-            || tx.referer().is_some_and(|r| self.urls.contains(r))
-            || referer_host.is_some_and(|h| self.hosts.contains(h))
-            || self.hosts.contains(host_lower)
+        let keys = &self.table.strings;
+        sid.is_some_and(|sid| keys.has(sid, SESSION))
+            || tx
+                .referer()
+                .and_then(|r| r.strip_prefix("http://"))
+                .is_some_and(|url| keys.has(url, URL))
+            || referer_host.is_some_and(|h| keys.has(h, HOST))
+            || keys.has(host_lower, HOST)
     }
 }
 
@@ -601,7 +588,7 @@ impl SessionTracker {
             self.counters.dropped_transactions += 1;
             conv.note_capped(tx);
         } else {
-            conv.absorb_prepared(tx, host_lower);
+            conv.absorb(tx);
         }
         conv
     }
@@ -655,7 +642,7 @@ impl SessionTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wcg::tests::tx;
+    use crate::wcg::tests::{same_wcg, tx, REDIRECTING_PREVIEWS};
     use nettrace::http::Method;
     use nettrace::payload::PayloadClass;
 
@@ -855,28 +842,14 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    fn wcg_json(wcg: &Wcg) -> String {
-        serde_json::to_string(wcg).unwrap()
-    }
-
-    /// Response bodies that redirect without a 3xx: a meta refresh, an
-    /// `atob`-obfuscated target and a plain `window.location`
-    /// assignment, each naming a host the generators also use.
-    const REDIRECTING_PREVIEWS: [&str; 3] = [
-        r#"<html><meta http-equiv="Refresh" content="0;url=http://C.Example.org/p1"></html>"#,
-        // "http://198.51.100.7/p2"
-        r#"<script>var u = atob("aHR0cDovLzE5OC41MS4xMDAuNy9wMg==");</script>"#,
-        r#"<script>window.location = "http://a.example.com/p0";</script>"#,
-    ];
-
     /// Feeds `stream` through a capped tracker and checks, after every
-    /// `assign`, each graph a conversation can be scored from against
-    /// `Wcg::from_transactions` over its stored transactions: the one the
-    /// final verdict sweep builds from the kept redirect targets, and,
-    /// once the conversation has been looked at (here from its first
-    /// redirect hop on, as a clue would), the one it holds and folds
-    /// forward. Returns how many kept targets were mined from a body
-    /// preview rather than a `Location` header.
+    /// `assign`, each graph a conversation can be scored from against the
+    /// reference fold over its stored transactions: the one the final
+    /// verdict sweep builds from the records, and, once the conversation
+    /// has been looked at (here from its first redirect hop on, as a clue
+    /// would), the one it holds and folds forward. Returns how many
+    /// stored transactions redirect from a body preview rather than a
+    /// `Location` header.
     fn check_graphs_equal_rebuilds(stream: &[HttpTransaction]) -> usize {
         let mut tracker = SessionTracker::new(300.0).with_caps(64, 6);
         let mut sweep = WcgBuilder::new();
@@ -886,18 +859,18 @@ mod tests {
                 let _ = conv.wcg_state();
             }
             for conv in tracker.conversations() {
-                let expected = wcg_json(&Wcg::from_transactions(&conv.transactions));
+                let expected = crate::wcg::reference::build(&conv.transactions);
                 let id = conv.id;
-                assert_eq!(wcg_json(conv.build_wcg(&mut sweep)), expected, "swept {id:#x}");
+                assert!(same_wcg(conv.build_wcg(&mut sweep), &expected), "swept {id:#x}");
                 if let Some((held, _, _)) = conv.wcg_cached() {
-                    assert_eq!(wcg_json(held), expected, "held {id:#x}");
+                    assert!(same_wcg(held, &expected), "held {id:#x}");
                 }
             }
         }
         tracker
             .conversations()
-            .flat_map(|c| c.targets.iter().map(|(i, _)| &c.transactions[*i]))
-            .filter(|t| !t.is_redirect())
+            .flat_map(|c| c.table.records.iter().zip(&c.transactions))
+            .filter(|(r, t)| r.is_redirectish() && !t.is_redirect())
             .count()
     }
 
@@ -929,7 +902,7 @@ mod tests {
             }
         }
         let mined = check_graphs_equal_rebuilds(&stream);
-        assert!(mined >= 3, "{mined} targets kept from body previews");
+        assert!(mined >= 3, "{mined} transactions redirect from body previews");
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! * **f24 Avg-K-Nearest-Neighbors** — average number of nodes within
 //!   distance k = 2 of each node.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 use wcgraph::algo;
 use wcgraph::GraphView;
@@ -175,14 +177,32 @@ impl TopoCache {
 /// Owns a [`GraphView`] whose CSR adjacency buffers are rebuilt in place
 /// per extraction, plus an [`algo::AlgoScratch`] threaded through every
 /// topology traversal, so steady-state extraction performs no heap
-/// allocation at all: adjacency, BFS, Brandes, PageRank, and max-flow
-/// buffers grow to the largest conversation seen and are reused from
-/// then on. Results are bit-identical to [`extract`].
+/// allocation beyond a new shape's memo entry: adjacency, BFS, Brandes,
+/// PageRank, and max-flow buffers grow to the largest conversation seen
+/// and are reused from then on. Results are bit-identical to
+/// [`extract`].
+///
+/// It also remembers the [`TOPO_COLUMNS`] values of every graph *shape*
+/// it has computed — the order plus the sorted, deduplicated, non-loop
+/// `(src, dst)` pairs, which is all [`GraphView::load`] reads — so a
+/// graph whose shape it has seen costs no topology pass. The values are
+/// a function of the shape alone, so a hit returns the bits a pass
+/// would. The memo holds at most [`MEMO_WORDS`] key words and is emptied
+/// when the next key would not fit.
 #[derive(Debug, Default)]
 pub struct FeatureExtractor {
     view: GraphView,
     scratch: algo::AlgoScratch,
+    memo: HashMap<Box<[u32]>, [f64; TOPO_COLUMNS.len()]>,
+    /// Words in the memo's keys.
+    memo_words: usize,
+    /// The shape being looked up: order, then the pairs flattened.
+    key: Vec<u32>,
 }
+
+/// Bound on the words (`u32`s) the shape memo's keys hold together: a
+/// quarter mebibyte of keys, about 3 000 shapes of a dozen pairs.
+pub const MEMO_WORDS: usize = 1 << 16;
 
 impl FeatureExtractor {
     /// A fresh extractor with empty scratch buffers.
@@ -212,17 +232,16 @@ impl FeatureExtractor {
         cache: &mut TopoCache,
     ) -> FeatureVector {
         if cache.version != Some(topo_version) {
-            self.view.load(&wcg.graph);
-            topo_features(&self.view, &mut self.scratch, &mut cache.values);
+            self.topo_values(wcg, &mut cache.values);
             cache.version = Some(topo_version);
         }
         self.extract_cached(wcg, topo_version, cache)
     }
 
     /// [`FeatureExtractor::extract_memoized`] over a cache it may read
-    /// but not refill: a stale or empty cache costs one topology pass
-    /// whose values are dropped. For sweeps that visit conversations
-    /// through `&self` on several threads.
+    /// but not refill: a stale or empty cache costs a shape-memo lookup,
+    /// and a topology pass when the shape is new. For sweeps that visit
+    /// conversations through `&self` on several threads.
     pub fn extract_cached(
         &mut self,
         wcg: &Wcg,
@@ -235,8 +254,7 @@ impl FeatureExtractor {
         let topo = if cache.version == Some(topo_version) {
             &cache.values
         } else {
-            self.view.load(&wcg.graph);
-            topo_features(&self.view, &mut self.scratch, &mut fresh);
+            self.topo_values(wcg, &mut fresh);
             &fresh
         };
         for (&col, &v) in TOPO_COLUMNS.iter().zip(topo) {
@@ -244,6 +262,42 @@ impl FeatureExtractor {
         }
         FeatureVector(f)
     }
+
+    /// The [`TOPO_COLUMNS`] values of `wcg`'s graph: remembered by shape,
+    /// or computed by one topology pass and remembered.
+    fn topo_values(&mut self, wcg: &Wcg, out: &mut [f64; TOPO_COLUMNS.len()]) {
+        self.view.load_pairs(&wcg.graph);
+        self.key.clear();
+        self.key.push(self.view.order() as u32);
+        self.key.extend(self.view.pairs().iter().flat_map(|&(u, v)| [u, v]));
+        if let Some(values) = self.memo.get(self.key.as_slice()) {
+            *out = *values;
+            return;
+        }
+        self.view.build_rows();
+        topo_features(&self.view, &mut self.scratch, out);
+        if self.key.len() > MEMO_WORDS {
+            return;
+        }
+        if self.memo_words + self.key.len() > MEMO_WORDS {
+            self.memo.clear();
+            self.memo_words = 0;
+        }
+        self.memo_words += self.key.len();
+        self.memo.insert(self.key.as_slice().into(), *out);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Topology passes run on this thread, for the tests that count them.
+    static TOPO_PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Topology passes run on the calling thread so far.
+#[cfg(test)]
+pub(crate) fn topo_passes() -> u64 {
+    TOPO_PASSES.with(std::cell::Cell::get)
 }
 
 /// Fills every feature column except [`TOPO_COLUMNS`].
@@ -264,7 +318,7 @@ fn base_features(wcg: &Wcg, f: &mut [f64; FEATURE_COUNT]) {
     let total_uris: usize = g
         .node_ids()
         .filter(|&v| g.node(v).kind == crate::wcg::NodeKind::Remote)
-        .map(|v| g.node(v).uris.len())
+        .map(|v| g.node(v).uris)
         .sum();
     let host_count = wcg.remote_host_count().max(1);
     f[4] = total_uris as f64 / host_count as f64; // f5
@@ -320,6 +374,8 @@ fn topo_features(
     scratch: &mut algo::AlgoScratch,
     out: &mut [f64; TOPO_COLUMNS.len()],
 ) {
+    #[cfg(test)]
+    TOPO_PASSES.with(|n| n.set(n.get() + 1));
     let sweep = algo::centrality::sweep_means_scratch(view, 2, scratch);
     out[0] = sweep.diameter as f64; // f12
     out[1] = algo::reciprocity::reciprocity_view(view); // f15
@@ -518,12 +574,12 @@ mod tests {
         // change to node annotations can't silently drift f5.
         assert_eq!(fv.get("avg-uris-per-host"), 5.0 / 4.0);
         let all_nodes: usize =
-            wcg.graph.node_ids().map(|v| wcg.graph.node(v).uris.len()).sum();
+            wcg.graph.node_ids().map(|v| wcg.graph.node(v).uris).sum();
         let remote_only: usize = wcg
             .graph
             .node_ids()
             .filter(|&v| wcg.graph.node(v).kind == crate::wcg::NodeKind::Remote)
-            .map(|v| wcg.graph.node(v).uris.len())
+            .map(|v| wcg.graph.node(v).uris)
             .sum();
         assert_eq!(all_nodes, remote_only, "victim/origin nodes must not carry URIs");
     }
@@ -610,6 +666,104 @@ mod tests {
         assert_eq!(cache.version(), Some(1));
         assert_eq!(fv, extract(&wcg));
         assert!(fv.get("diameter") >= 1.0);
+    }
+
+    /// A WCG whose graph has `n` nodes and the given edges and nothing
+    /// else.
+    fn shape(n: usize, edges: &[(usize, usize)]) -> Wcg {
+        use crate::wcg::{EdgeAttr, EdgeKind, NodeAttr, NodeKind, Stage};
+        let mut wcg = Wcg::from_transactions(&[]);
+        let ids: Vec<_> = (0..n)
+            .map(|i| {
+                wcg.graph.add_node(NodeAttr {
+                    name: format!("h{i}"),
+                    kind: NodeKind::Remote,
+                    ip: None,
+                    uris: 0,
+                    payload_summary: Default::default(),
+                })
+            })
+            .collect();
+        for &(a, b) in edges {
+            wcg.graph.add_edge(ids[a], ids[b], EdgeAttr {
+                kind: EdgeKind::Redirect,
+                stage: Stage::Download,
+                ts: 0.0,
+                method: None,
+                uri_len: 0,
+                status: 0,
+                payload_class: None,
+                payload_size: 0,
+            });
+        }
+        wcg
+    }
+
+    fn assert_bits_equal(a: &FeatureVector, b: &FeatureVector, what: &str) {
+        for (i, (x, y)) in a.values().iter().zip(b.values()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: f{} {}", i + 1, NAMES[i]);
+        }
+    }
+
+    /// One long-lived extractor over ground-truth WCG prefixes and random
+    /// multigraphs (self-loops, parallel edges, repeats), shuffled, enough
+    /// distinct shapes to empty the memo several times: every vector has
+    /// the bits of a fresh extraction, which computes every topology.
+    #[test]
+    fn shape_memo_is_exact_across_evictions() {
+        use rand::seq::SliceRandom;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut graphs: Vec<Wcg> = Vec::new();
+        for episode in synthtraffic::corpus::ground_truth(42, 0.05) {
+            let txs = &episode.transactions;
+            for end in [1, txs.len() / 2, txs.len()] {
+                graphs.push(Wcg::from_transactions(&txs[..end.max(1).min(txs.len())]));
+            }
+        }
+        let mut words = 0;
+        while words < 3 * MEMO_WORDS {
+            let n = rng.gen_range(1..48usize);
+            let edges: Vec<(usize, usize)> = (0..rng.gen_range(0..4 * n))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            words += 1 + 2 * edges.len();
+            graphs.push(shape(n, &edges));
+        }
+        let repeats: Vec<Wcg> = graphs.iter().step_by(3).cloned().collect();
+        graphs.extend(repeats);
+        graphs.shuffle(&mut rng);
+        let mut memo = FeatureExtractor::new();
+        let (mut evictions, mut held) = (0, 0);
+        for (i, wcg) in graphs.iter().enumerate() {
+            assert_bits_equal(&memo.extract(wcg), &extract(wcg), &format!("graph {i}"));
+            evictions += usize::from(memo.memo_words < held);
+            held = memo.memo_words;
+            assert!(memo.memo_words <= MEMO_WORDS);
+        }
+        assert!(evictions >= 2, "{evictions} evictions");
+    }
+
+    /// Distinct shapes past the bound, and one shape whose key alone
+    /// exceeds a share of it, never hold more key words than the bound.
+    #[test]
+    fn shape_memo_holds_at_most_its_bound() {
+        let mut memo = FeatureExtractor::new();
+        let mut most = 0;
+        for n in 1..400 {
+            let edges: Vec<(usize, usize)> = (1..n).map(|v| (0, v)).collect();
+            let _ = memo.extract(&shape(n, &edges));
+            most = most.max(memo.memo_words);
+        }
+        let star: Vec<(usize, usize)> = (1..=2000).flat_map(|v| [(0, v), (v, 0)]).collect();
+        let wcg = shape(2001, &star);
+        assert_bits_equal(&memo.extract(&wcg), &extract(&wcg), "star");
+        most = most.max(memo.memo_words);
+        assert!(most <= MEMO_WORDS, "{most} key words held");
+        assert!(most > MEMO_WORDS / 2, "the bound was reached: {most}");
+        let passes = topo_passes();
+        assert_bits_equal(&memo.extract(&wcg), &extract(&wcg), "star again");
+        assert_eq!(topo_passes(), passes + 1, "the star is remembered: only the fresh pass ran");
     }
 
     #[test]

@@ -29,23 +29,24 @@
 //!   are by construction off-path; captures are near-sorted), keeping the
 //!   amortized cost linear.
 //!
-//! A rebuild mines each transaction's redirect targets again unless the
-//! caller kept them: the detector's conversations record the targets they
-//! mined on arrival and replay through the crate-private
-//! `WcgBuilder::rebuild_with`, which reads them instead of the body
-//! previews.
+//! The fold reads `TxRecord`s, not transactions: the public
+//! [`WcgBuilder::push`] and [`WcgBuilder::rebuild`] (and so
+//! [`Wcg::from_transactions`]) make each transaction's record into a table
+//! the builder owns, and the detector's conversations pass the table they
+//! filled at assign time, so no build reads a header or mines a body
+//! preview again. Hosts and URIs are interned ids, so the node map, the
+//! redirect-chain lengths, the exploit servers and each node's distinct
+//! URIs are vectors indexed by id, kept across rebuilds.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
 
-use nettrace::http::Method;
 use nettrace::HttpTransaction;
 use wcgraph::{DiGraph, EdgeId, NodeId};
 
+use super::record::{MethodId, StrId, TxTable};
 use super::{
-    host_of_url, redirect, registrable_domain, tld, EdgeAttr, EdgeKind, MethodCounts, NodeAttr,
-    NodeKind, RedirectStats, Stage, Wcg,
+    redirect, registrable_domain, tld, EdgeAttr, EdgeKind, MethodCounts, NodeAttr, NodeKind,
+    RedirectStats, Stage, Wcg,
 };
 
 /// Result of [`WcgBuilder::push`].
@@ -74,18 +75,21 @@ struct TxMeta {
 }
 
 /// Origin-node lifecycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OriginState {
     /// No transaction pushed yet.
     Unset,
-    /// An origin node exists under this (lowercase) host name; contacting
-    /// it invalidates the inference.
-    Active(String),
+    /// An origin node exists under this (lowercase) host; contacting it
+    /// invalidates the inference.
+    Active(StrId),
     /// No origin node — the first transaction had no usable referrer, or
     /// the referrer host is contacted in this conversation. Permanent:
     /// the contacted set only grows.
     None,
 }
+
+/// A [`WcgBuilder::node_of`] entry naming no node.
+const NO_NODE: u32 = u32::MAX;
 
 /// Incrementally maintained [`Wcg`].
 ///
@@ -109,10 +113,17 @@ enum OriginState {
 #[derive(Debug, Clone)]
 pub struct WcgBuilder {
     wcg: Wcg,
-    /// Interned host name → node id (includes the victim and origin).
-    nodes: BTreeMap<String, NodeId>,
-    /// Host → length of the longest redirect chain that led to it.
-    chain_len: BTreeMap<String, usize>,
+    /// String id → node ([`NO_NODE`] while it names none).
+    node_of: Vec<u32>,
+    /// Node → length of the longest redirect chain that led to it.
+    chain_len: Vec<usize>,
+    /// String id → whether that case-kept host served an exploit payload,
+    /// matching `annotate`'s case-sensitive host comparison.
+    download_hosts: Vec<bool>,
+    /// URI key → the key forms already counted in its host's
+    /// [`NodeAttr::uris`] (bit 0 the host-and-URI form, bit 1 the by-id
+    /// form).
+    seen_uris: Vec<u8>,
     last_redirect_ts: Option<f64>,
     prev_ts: Option<f64>,
     /// Largest timestamp pushed so far (by `total_cmp`, mirroring the sort
@@ -120,30 +131,25 @@ pub struct WcgBuilder {
     max_ts: f64,
     txs: Vec<TxMeta>,
     origin: OriginState,
-    /// Origin decision precomputed by [`WcgBuilder::rebuild`] with full
-    /// knowledge of the contacted set; consumed by the first apply.
-    forced_origin: Option<Option<String>>,
+    /// Origin decision precomputed by a rebuild with full knowledge of the
+    /// contacted set; consumed by the first apply.
+    forced_origin: Option<Option<StrId>>,
     // Stage state machine (mirrors the global quantities of
     // `stages::annotate`).
     pre_end: Option<usize>,
     first_dl: Option<usize>,
     last_dl: Option<usize>,
-    /// Raw (case-preserved) hosts that served an exploit payload, matching
-    /// `annotate`'s case-sensitive host comparison.
-    download_hosts: BTreeSet<String>,
     // Topology versioning for feature memoization.
     topo_version: u64,
     /// Distinct directed simple pairs (self-loops excluded) already in the
-    /// graph; a new pair or node bumps `topo_version`.
-    seen_pairs: BTreeSet<(NodeId, NodeId)>,
-    /// Reusable buffer for the lowercased host of the transaction being
-    /// applied, so the steady-state fold does not allocate one per
-    /// transaction.
-    host_scratch: String,
-    /// Reusable timestamp-order permutation of a rebuild's transactions.
-    /// Like `host_scratch`, it survives rebuilds, so a builder reused
-    /// across conversations sorts each one without a fresh buffer.
+    /// graph, sorted; a new pair or node bumps `topo_version`.
+    seen_pairs: Vec<(u32, u32)>,
+    /// Reusable timestamp-order permutation of a rebuild's records.
     order: Vec<usize>,
+    /// Records of the transactions given to [`WcgBuilder::push`] and
+    /// [`WcgBuilder::rebuild`]. A conversation's builder folds the
+    /// conversation's table instead and leaves this one empty.
+    own: TxTable,
 }
 
 impl Default for WcgBuilder {
@@ -177,8 +183,10 @@ impl WcgBuilder {
                 payload_bytes: 0,
                 stage_counts: [0; 3],
             },
-            nodes: BTreeMap::new(),
-            chain_len: BTreeMap::new(),
+            node_of: Vec::new(),
+            chain_len: Vec::new(),
+            download_hosts: Vec::new(),
+            seen_uris: Vec::new(),
             last_redirect_ts: None,
             prev_ts: None,
             max_ts: 0.0,
@@ -188,11 +196,10 @@ impl WcgBuilder {
             pre_end: None,
             first_dl: None,
             last_dl: None,
-            download_hosts: BTreeSet::new(),
             topo_version: 0,
-            seen_pairs: BTreeSet::new(),
-            host_scratch: String::new(),
+            seen_pairs: Vec::new(),
             order: Vec::new(),
+            own: TxTable::default(),
         }
     }
 
@@ -221,29 +228,19 @@ impl WcgBuilder {
         self.topo_version
     }
 
-    /// Appends one transaction, computing redirect targets internally.
-    /// See [`WcgBuilder::push_with_targets`].
-    pub fn push(&mut self, tx: &HttpTransaction) -> PushOutcome {
-        self.push_with_targets(tx, &redirect::targets(tx))
-    }
-
-    /// Appends one transaction with its precomputed redirect targets
-    /// (`redirect::targets(tx)`), so callers that already mined the
-    /// response body do not pay for it twice.
+    /// Appends one transaction.
     ///
     /// Returns [`PushOutcome::NeedsRebuild`] — leaving the builder
     /// untouched — when the transaction cannot be folded in place.
-    pub fn push_with_targets(&mut self, tx: &HttpTransaction, targets: &[String]) -> PushOutcome {
-        if !self.txs.is_empty() && tx.ts.total_cmp(&self.max_ts) == Ordering::Less {
-            return PushOutcome::NeedsRebuild;
+    pub fn push(&mut self, tx: &HttpTransaction) -> PushOutcome {
+        let mut own = std::mem::take(&mut self.own);
+        own.push(tx, &redirect::targets(tx));
+        let outcome = self.push_record(&own, own.records.len() - 1);
+        if outcome == PushOutcome::NeedsRebuild {
+            own.pop();
         }
-        if let OriginState::Active(name) = &self.origin {
-            if tx.host.eq_ignore_ascii_case(name) {
-                return PushOutcome::NeedsRebuild;
-            }
-        }
-        self.apply(tx, targets);
-        PushOutcome::Applied
+        self.own = own;
+        outcome
     }
 
     /// Discards the current state and replays `transactions` (stably sorted
@@ -251,34 +248,62 @@ impl WcgBuilder {
     /// push path, the replay decides the origin node with full knowledge of
     /// the contacted set, so it never needs a second pass.
     pub fn rebuild(&mut self, transactions: &[HttpTransaction]) {
-        self.replay(transactions, |_, tx| Cow::Owned(redirect::targets(tx)));
+        let mut own = std::mem::take(&mut self.own);
+        own.clear();
+        for tx in transactions {
+            own.push(tx, &redirect::targets(tx));
+        }
+        self.rebuild_records(&own);
+        self.own = own;
     }
 
-    /// [`WcgBuilder::rebuild`] over redirect targets mined earlier:
-    /// `targets` holds `(index into transactions, redirect::targets(tx))`
-    /// in ascending index order for every transaction that has any, and a
-    /// transaction it does not list has none. No body preview is read.
-    pub(crate) fn rebuild_with(
-        &mut self,
-        transactions: &[HttpTransaction],
-        targets: &[(usize, Vec<String>)],
-    ) {
-        self.replay(transactions, |i, _| {
-            let kept = targets.binary_search_by_key(&i, |(at, _)| *at);
-            Cow::Borrowed(kept.map_or(&[][..], |k| targets[k].1.as_slice()))
-        });
+    /// [`WcgBuilder::push`] of `table`'s record `i`, when this builder has
+    /// folded exactly `table`'s first `i` records (since its last
+    /// [`WcgBuilder::rebuild_records`] of `table`).
+    pub(crate) fn push_record(&mut self, table: &TxTable, i: usize) -> PushOutcome {
+        debug_assert_eq!(self.txs.len(), i, "records are pushed in table order");
+        let rec = &table.records[i];
+        if !self.txs.is_empty() && rec.ts.total_cmp(&self.max_ts) == Ordering::Less {
+            return PushOutcome::NeedsRebuild;
+        }
+        if self.origin == OriginState::Active(rec.host) {
+            return PushOutcome::NeedsRebuild;
+        }
+        self.apply(table, i);
+        PushOutcome::Applied
     }
 
-    fn replay<'t>(
-        &mut self,
-        transactions: &'t [HttpTransaction],
-        targets_of: impl Fn(usize, &'t HttpTransaction) -> Cow<'t, [String]>,
-    ) {
+    /// [`WcgBuilder::rebuild`] over every record of `table`.
+    pub(crate) fn rebuild_records(&mut self, table: &TxTable) {
         let prior_version = self.topo_version;
-        // Reset to a new builder, moving the buffers that hold no state
-        // once cleared back in: a builder reused across conversations
-        // (the final verdict sweep) grows them to the largest one and
-        // allocates them no more.
+        self.reset();
+        let records = &table.records;
+        let mut order = std::mem::take(&mut self.order);
+        order.extend(0..records.len());
+        order.sort_by(|&a, &b| records[a].ts.total_cmp(&records[b].ts));
+        if let Some(&first) = order.first() {
+            // Hosts are interned lowercased, so id equality is the
+            // caseless comparison with each contacted host.
+            self.forced_origin = Some(
+                records[first]
+                    .referrer_host()
+                    .filter(|&h| !records.iter().any(|r| r.host == h)),
+            );
+        }
+        for &i in &order {
+            self.apply(table, i);
+        }
+        self.order = order;
+        // Keep the version strictly monotone across the rebuild so feature
+        // caches keyed on an older builder state can never collide.
+        self.topo_version += prior_version + 1;
+    }
+
+    /// Back to a new builder, moving the buffers that hold no state once
+    /// cleared back in: a builder reused across conversations (the final
+    /// verdict sweep) grows them to the largest one and allocates them no
+    /// more.
+    fn reset(&mut self) {
         let WcgBuilder {
             wcg:
                 Wcg {
@@ -287,58 +312,69 @@ impl WcgBuilder {
                     redirects: RedirectStats { mut redirect_gaps, .. },
                     ..
                 },
+            mut node_of,
+            mut chain_len,
+            mut download_hosts,
+            mut seen_uris,
             mut txs,
-            host_scratch,
+            mut seen_pairs,
             mut order,
+            own,
             ..
         } = std::mem::take(self);
         graph.clear();
         inter_tx_gaps.clear();
         redirect_gaps.clear();
+        node_of.clear();
+        chain_len.clear();
+        download_hosts.clear();
+        seen_uris.clear();
         txs.clear();
+        seen_pairs.clear();
+        order.clear();
         self.wcg.graph = graph;
         self.wcg.inter_tx_gaps = inter_tx_gaps;
         self.wcg.redirects.redirect_gaps = redirect_gaps;
+        self.node_of = node_of;
+        self.chain_len = chain_len;
+        self.download_hosts = download_hosts;
+        self.seen_uris = seen_uris;
         self.txs = txs;
-        self.host_scratch = host_scratch;
-        order.clear();
-        order.extend(0..transactions.len());
-        order.sort_by(|&a, &b| transactions[a].ts.total_cmp(&transactions[b].ts));
-        if let Some(&first) = order.first() {
-            // `host_of_url` lowercases, so a caseless comparison with each
-            // contacted host is the membership test in the set of their
-            // lowercased names.
-            self.forced_origin = Some(
-                transactions[first]
-                    .referer()
-                    .and_then(host_of_url)
-                    .filter(|h| !transactions.iter().any(|t| t.host.eq_ignore_ascii_case(h)))
-                    .map(Cow::into_owned),
-            );
-        }
-        for &i in &order {
-            let tx = &transactions[i];
-            self.apply(tx, &targets_of(i, tx));
-        }
+        self.seen_pairs = seen_pairs;
         self.order = order;
-        // Keep the version strictly monotone across the rebuild so feature
-        // caches keyed on an older builder state can never collide.
-        self.topo_version += prior_version + 1;
+        self.own = own;
     }
 
-    fn node_for(&mut self, host: &str) -> NodeId {
-        if let Some(&id) = self.nodes.get(host) {
-            return id;
-        }
-        let id = self.wcg.graph.add_node(NodeAttr::new(host, NodeKind::Remote));
+    fn add_node(&mut self, attr: NodeAttr) -> NodeId {
+        let id = self.wcg.graph.add_node(attr);
+        self.chain_len.push(0);
         self.topo_version += 1;
-        self.nodes.insert(host.to_string(), id);
         id
     }
 
+    /// The node of host `id`, made on first sight. A host spelled like
+    /// the victim node's name is the victim, as a map by name has it.
+    fn node_for(&mut self, table: &TxTable, id: StrId) -> NodeId {
+        let slot = self.node_of[id as usize];
+        if slot != NO_NODE {
+            return NodeId(slot as usize);
+        }
+        let name = table.strings.get(id);
+        let node = match self.wcg.victim {
+            Some(victim) if self.wcg.graph.node(victim).name == name => victim,
+            _ => self.add_node(NodeAttr::new(name.to_string(), NodeKind::Remote)),
+        };
+        self.node_of[id as usize] = node.0 as u32;
+        node
+    }
+
     fn add_edge(&mut self, src: NodeId, dst: NodeId, attr: EdgeAttr) {
-        if src != dst && self.seen_pairs.insert((src, dst)) {
-            self.topo_version += 1;
+        let pair = (src.0 as u32, dst.0 as u32);
+        if src != dst {
+            if let Err(at) = self.seen_pairs.binary_search(&pair) {
+                self.seen_pairs.insert(at, pair);
+                self.topo_version += 1;
+            }
         }
         self.wcg.graph.add_edge(src, dst, attr);
     }
@@ -357,44 +393,36 @@ impl WcgBuilder {
         meta.stage = new_stage;
     }
 
-    fn apply(&mut self, tx: &HttpTransaction, targets: &[String]) {
+    /// The one fold: `table`'s record `i` into the graph.
+    fn apply(&mut self, table: &TxTable, i: usize) {
+        let rec = &table.records[i];
         let index = self.txs.len();
-        // The lowercased host is built in a buffer reused across
-        // transactions, moved out of `self` for the duration of the apply
-        // so the borrow does not pin the builder.
-        let mut tx_host = std::mem::take(&mut self.host_scratch);
-        tx_host.clear();
-        tx_host.push_str(&tx.host);
-        tx_host.make_ascii_lowercase();
+        // Strings interned since the last apply get their id slots.
+        let ids = table.strings.len();
+        self.node_of.resize(ids, NO_NODE);
+        self.download_hosts.resize(ids, false);
+        self.seen_uris.resize(ids, 0);
 
         if index == 0 {
-            self.wcg.first_ts = tx.ts;
-            self.wcg.last_ts = tx.ts;
-            // Victim node.
-            let victim_name = format!("victim:{}", tx.client.addr);
-            let victim = self.wcg.graph.add_node(NodeAttr {
-                ip: Some(tx.client.addr),
-                ..NodeAttr::new(&victim_name, NodeKind::Victim)
+            self.wcg.first_ts = rec.ts;
+            self.wcg.last_ts = rec.ts;
+            let victim = self.add_node(NodeAttr {
+                ip: Some(rec.client),
+                ..NodeAttr::new(format!("victim:{}", rec.client), NodeKind::Victim)
             });
-            self.topo_version += 1;
-            self.nodes.insert(victim_name, victim);
             self.wcg.victim = Some(victim);
-            // Origin node: either decided by rebuild() with the full
+            // Origin node: either decided by a rebuild with the full
             // contacted set, or inferred live against the only host known
             // so far (later contacts invalidate via NeedsRebuild).
             let origin_host = match self.forced_origin.take() {
                 Some(decided) => decided,
-                None => tx
-                    .referer()
-                    .and_then(host_of_url)
-                    .filter(|h| h.as_ref() != tx_host)
-                    .map(|h| h.into_owned()),
+                None => rec.referrer_host().filter(|&h| h != rec.host),
             };
             match origin_host {
                 Some(h) => {
-                    let id = self.wcg.graph.add_node(NodeAttr::new(&h, NodeKind::Origin));
-                    self.topo_version += 1;
-                    self.nodes.insert(h.clone(), id);
+                    let name = table.strings.get(h).to_string();
+                    let id = self.add_node(NodeAttr::new(name, NodeKind::Origin));
+                    self.node_of[h as usize] = id.0 as u32;
                     self.wcg.origin = Some(id);
                     self.origin = OriginState::Active(h);
                 }
@@ -403,10 +431,10 @@ impl WcgBuilder {
         }
 
         // --- Stage state machine (mirrors `stages::annotate`) ---
-        let is_get = tx.method == Method::Get;
-        let is_exploit = tx.status / 100 == 2 && tx.payload_class.is_exploit_type();
-        let is_redirectish = tx.is_redirect() || !targets.is_empty();
-        if self.first_dl.is_none() && !is_exploit && is_get && is_redirectish {
+        let method = rec.method();
+        let is_get = method == MethodId::Get;
+        let is_exploit = rec.status / 100 == 2 && rec.payload_class.is_exploit_type();
+        if self.first_dl.is_none() && !is_exploit && is_get && rec.is_redirectish() {
             // The pre-download horizon extends through this transaction:
             // every earlier GET joins the pre stage. (GETs at or before the
             // previous horizon are already PreDownload.)
@@ -432,16 +460,14 @@ impl WcgBuilder {
                 self.first_dl = Some(index);
             }
             self.last_dl = Some(index);
-            if !self.download_hosts.contains(&tx.host) {
-                self.download_hosts.insert(tx.host.clone());
-            }
+            self.download_hosts[rec.kept_host as usize] = true;
         }
         // This transaction's own stage under the updated global state.
         let stage = if is_get && self.pre_end.is_some_and(|pe| index <= pe) {
             Stage::PreDownload
-        } else if tx.method == Method::Post
-            && !self.download_hosts.contains(&tx.host)
-            && (tx.status == 0 || tx.status / 100 == 2 || tx.status / 100 == 4)
+        } else if method == MethodId::Post
+            && !self.download_hosts[rec.kept_host as usize]
+            && (rec.status == 0 || rec.status / 100 == 2 || rec.status / 100 == 4)
             && self.last_dl.is_none_or(|ld| index > ld)
         {
             Stage::PostDownload
@@ -452,15 +478,18 @@ impl WcgBuilder {
 
         // --- Graph updates ---
         let victim = self.wcg.victim.expect("victim node exists after first apply");
-        let host_node = self.node_for(&tx_host);
+        let host_node = self.node_for(table, rec.host);
+        let (uri, by_id) = rec.uri_key();
+        let form = 1 << u8::from(by_id);
+        let seen = &mut self.seen_uris[uri as usize];
+        let new_uri = *seen & form == 0;
+        *seen |= form;
         {
             let attr = self.wcg.graph.node_mut(host_node);
-            attr.ip = Some(tx.server.addr);
-            if !attr.uris.contains(&tx.uri) {
-                attr.uris.insert(tx.uri.clone());
-            }
-            if tx.status != 0 {
-                *attr.payload_summary.entry(tx.payload_class).or_insert(0) += 1;
+            attr.ip = Some(rec.server);
+            attr.uris += usize::from(new_uri);
+            if rec.status != 0 {
+                *attr.payload_summary.entry(rec.payload_class).or_insert(0) += 1;
             }
         }
         let edge_start = self.wcg.graph.edge_count();
@@ -468,58 +497,55 @@ impl WcgBuilder {
         self.add_edge(victim, host_node, EdgeAttr {
             kind: EdgeKind::Request,
             stage,
-            ts: tx.ts,
-            method: Some(tx.method.clone()),
-            uri_len: tx.uri.len(),
+            ts: rec.ts,
+            method: Some(table.method_of(rec)),
+            uri_len: rec.uri_len as usize,
             status: 0,
             payload_class: None,
             payload_size: 0,
         });
         // Response edge.
-        if tx.status != 0 {
+        if rec.status != 0 {
             self.add_edge(host_node, victim, EdgeAttr {
                 kind: EdgeKind::Response,
                 stage,
-                ts: tx.resp_ts,
+                ts: rec.resp_ts,
                 method: None,
                 uri_len: 0,
-                status: tx.status,
-                payload_class: Some(tx.payload_class),
-                payload_size: tx.payload_size,
+                status: rec.status,
+                payload_class: Some(rec.payload_class),
+                payload_size: rec.payload_size,
             });
-            self.wcg.payload_bytes += tx.payload_size;
+            self.wcg.payload_bytes += rec.payload_size;
         }
         // Redirect edges.
-        let incoming_chain = self.chain_len.get(tx_host.as_str()).copied().unwrap_or(0);
-        for target_url in targets {
-            let Some(target_host) = host_of_url(target_url) else { continue };
-            if target_host.as_ref() == tx_host {
+        let incoming_chain = self.chain_len[host_node.0];
+        let tx_host = table.strings.get(rec.host);
+        for &target in table.targets_of(i) {
+            if target == rec.host {
                 continue; // same-host refresh, not a hop
             }
-            let target_node = self.node_for(&target_host);
+            let target_node = self.node_for(table, target);
             self.add_edge(host_node, target_node, EdgeAttr {
                 kind: EdgeKind::Redirect,
                 stage,
-                ts: tx.resp_ts,
+                ts: rec.resp_ts,
                 method: None,
                 uri_len: 0,
-                status: tx.status,
+                status: rec.status,
                 payload_class: None,
                 payload_size: 0,
             });
             self.wcg.redirects.total += 1;
             let new_chain = incoming_chain + 1;
-            match self.chain_len.get_mut(target_host.as_ref()) {
-                Some(entry) => *entry = (*entry).max(new_chain),
-                None => {
-                    self.chain_len.insert(target_host.as_ref().to_string(), new_chain);
-                }
-            }
+            let chain = &mut self.chain_len[target_node.0];
+            *chain = (*chain).max(new_chain);
             self.wcg.redirects.max_chain = self.wcg.redirects.max_chain.max(new_chain);
-            if registrable_domain(&tx_host) != registrable_domain(&target_host) {
+            let target_host = table.strings.get(target);
+            if registrable_domain(tx_host) != registrable_domain(target_host) {
                 self.wcg.redirects.cross_domain += 1;
             }
-            for h in [tx_host.as_str(), target_host.as_ref()] {
+            for h in [tx_host, target_host] {
                 if let Some(t) = tld(h) {
                     if !self.wcg.redirects.tlds.contains(t) {
                         self.wcg.redirects.tlds.insert(t.to_string());
@@ -527,9 +553,9 @@ impl WcgBuilder {
                 }
             }
             if let Some(prev) = self.last_redirect_ts {
-                self.wcg.redirects.redirect_gaps.push((tx.resp_ts - prev).max(0.0));
+                self.wcg.redirects.redirect_gaps.push((rec.resp_ts - prev).max(0.0));
             }
-            self.last_redirect_ts = Some(tx.resp_ts);
+            self.last_redirect_ts = Some(rec.resp_ts);
         }
         // Origin edge: origin → first contacted host, inside the first
         // transaction's edge range so stage patches reach it.
@@ -538,7 +564,7 @@ impl WcgBuilder {
                 self.add_edge(origin_id, host_node, EdgeAttr {
                     kind: EdgeKind::Redirect,
                     stage,
-                    ts: tx.ts,
+                    ts: rec.ts,
                     method: None,
                     uri_len: 0,
                     status: 0,
@@ -550,34 +576,33 @@ impl WcgBuilder {
         let edge_end = self.wcg.graph.edge_count();
 
         // --- Aggregates ---
-        match tx.method {
-            Method::Get => self.wcg.method_counts.get += 1,
-            Method::Post => self.wcg.method_counts.post += 1,
+        match method {
+            MethodId::Get => self.wcg.method_counts.get += 1,
+            MethodId::Post => self.wcg.method_counts.post += 1,
             _ => self.wcg.method_counts.other += 1,
         }
-        let class = (tx.status / 100).min(5) as usize;
+        let class = (rec.status / 100).min(5) as usize;
         self.wcg.status_class_counts[class] += 1;
-        if tx.referer().is_some() {
+        if rec.has_referer() {
             self.wcg.referrer_set += 1;
         } else {
             self.wcg.referrer_unset += 1;
         }
-        self.wcg.uri_length_total += tx.uri.len();
+        self.wcg.uri_length_total += rec.uri_len as usize;
         self.wcg.uri_count += 1;
-        self.wcg.dnt |= tx.dnt_enabled();
-        self.wcg.x_flash |= tx.x_flash_version().is_some();
-        self.wcg.last_ts = self.wcg.last_ts.max(tx.resp_ts).max(tx.ts);
+        self.wcg.dnt |= rec.dnt();
+        self.wcg.x_flash |= rec.x_flash();
+        self.wcg.last_ts = self.wcg.last_ts.max(rec.resp_ts).max(rec.ts);
         if let Some(p) = self.prev_ts {
-            self.wcg.inter_tx_gaps.push((tx.ts - p).max(0.0));
+            self.wcg.inter_tx_gaps.push((rec.ts - p).max(0.0));
         }
-        self.prev_ts = Some(tx.ts);
+        self.prev_ts = Some(rec.ts);
         self.wcg.tx_count += 1;
 
         self.txs.push(TxMeta { stage, is_get, edge_start, edge_end });
-        if self.txs.len() == 1 || tx.ts.total_cmp(&self.max_ts) == Ordering::Greater {
-            self.max_ts = tx.ts;
+        if self.txs.len() == 1 || rec.ts.total_cmp(&self.max_ts) == Ordering::Greater {
+            self.max_ts = rec.ts;
         }
-        self.host_scratch = tx_host;
     }
 }
 
@@ -585,6 +610,7 @@ impl WcgBuilder {
 mod tests {
     use super::*;
     use crate::wcg::tests::tx;
+    use nettrace::http::Method;
     use nettrace::payload::PayloadClass;
 
     fn assert_same(builder: &WcgBuilder, txs: &[HttpTransaction]) {

@@ -6,7 +6,6 @@
 //! method, URI length, status code, payload type and size, timestamp, and
 //! infection **stage** (pre-download / download / post-download).
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -17,7 +16,10 @@ use serde::{Deserialize, Serialize};
 use wcgraph::{DiGraph, NodeId};
 
 pub mod builder;
+pub(crate) mod record;
 pub mod redirect;
+#[cfg(test)]
+pub(crate) mod reference;
 pub mod stages;
 
 pub use builder::{PushOutcome, WcgBuilder};
@@ -43,19 +45,19 @@ pub struct NodeAttr {
     pub kind: NodeKind,
     /// IP address when known.
     pub ip: Option<Ipv4Addr>,
-    /// Distinct URIs requested from this host.
-    pub uris: BTreeSet<String>,
+    /// Number of distinct URIs requested from this host.
+    pub uris: usize,
     /// Count of payloads per type served by this host.
     pub payload_summary: BTreeMap<PayloadClass, usize>,
 }
 
 impl NodeAttr {
-    fn new(name: &str, kind: NodeKind) -> Self {
+    fn new(name: String, kind: NodeKind) -> Self {
         NodeAttr {
-            name: name.to_string(),
+            name,
             kind,
             ip: None,
-            uris: BTreeSet::new(),
+            uris: 0,
             payload_summary: BTreeMap::new(),
         }
     }
@@ -251,20 +253,13 @@ fn tld(host: &str) -> Option<&str> {
     host.rsplit('.').next()
 }
 
-/// Host component of `url`, lowercased. Borrows from the input when the
-/// host is already lowercase (the overwhelmingly common case for mined
-/// redirect targets).
-fn host_of_url(url: &str) -> Option<Cow<'_, str>> {
+/// Host component of `url` as written, when non-empty; callers
+/// lowercase it.
+fn url_host(url: &str) -> Option<&str> {
     let rest = url.split_once("://").map_or(url, |(_, r)| r);
     let host = rest.split(['/', '?', '#']).next()?;
     let host = host.split(':').next()?;
-    if host.is_empty() {
-        None
-    } else if host.bytes().any(|b| b.is_ascii_uppercase()) {
-        Some(Cow::Owned(host.to_ascii_lowercase()))
-    } else {
-        Some(Cow::Borrowed(host))
-    }
+    (!host.is_empty()).then_some(host)
 }
 
 #[cfg(test)]
@@ -313,11 +308,32 @@ pub(crate) mod tests {
         }
     }
 
-    /// One transaction of one client over a five-host pool, for the
-    /// builder and session-tracker proptests: any timestamp (streams
-    /// arrive out of order), a referrer that names a URL the pool may
-    /// hold, only a pool host, or neither, two session cookies, exploit
-    /// and plain payloads, and `Location` redirects into the pool.
+    /// Whether two graphs are equal in every field. Compared through
+    /// `Debug`, which prints non-finite timestamps (JSON has none) and
+    /// tells `-0.0` from `0.0`.
+    pub(crate) fn same_wcg(a: &Wcg, b: &Wcg) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    /// Response bodies that redirect without a 3xx: a meta refresh, an
+    /// `atob`-obfuscated target and a plain `window.location`
+    /// assignment, each naming a host the generators also use, and a
+    /// relative meta refresh, which names no host at all.
+    pub(crate) const REDIRECTING_PREVIEWS: [&str; 4] = [
+        r#"<html><meta http-equiv="Refresh" content="0;url=http://C.Example.org/p1"></html>"#,
+        // "http://198.51.100.7/p2"
+        r#"<script>var u = atob("aHR0cDovLzE5OC41MS4xMDAuNy9wMg==");</script>"#,
+        r#"<script>window.location = "http://a.example.com/p0";</script>"#,
+        r#"<html><meta http-equiv="refresh" content="0;url=/p2"></html>"#,
+    ];
+
+    /// One transaction of one client over a six-host pool (one host
+    /// under two spellings), for the builder and session-tracker
+    /// proptests: any timestamp (streams arrive out of order, tie, or
+    /// carry NaN and infinities), a referrer that names a URL the pool
+    /// may hold, only a pool host, or neither, two session cookies,
+    /// exploit and plain payloads, and `Location` redirects into the
+    /// pool.
     /// "origin.example" doubles as a referrer host, so a stream can
     /// contact its inferred origin — the builder's other rebuild trigger.
     pub(crate) fn arb_tx() -> impl proptest::prelude::Strategy<Value = HttpTransaction> {
@@ -326,6 +342,7 @@ pub(crate) mod tests {
             prop_oneof![
                 Just("a.example.com"),
                 Just("B.Example.net"),
+                Just("b.example.net"),
                 Just("c.example.org"),
                 Just("198.51.100.7"),
                 Just("origin.example"),
@@ -341,8 +358,22 @@ pub(crate) mod tests {
             Just(PayloadClass::Jar),
             Just(PayloadClass::Empty),
         ];
+        // Mostly ten minutes of spread, but also negative, NaN, infinite
+        // and signed-zero timestamps, and exact ties.
+        let ts = prop_oneof![
+            0.0f64..600.0,
+            0.0f64..600.0,
+            0.0f64..600.0,
+            -600.0f64..0.0,
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0f64),
+            Just(0.0f64),
+            Just(300.0f64),
+        ];
         let shape = (0u8..4, 0u8..3, any::<bool>(), 0u8..3);
-        ((host(), host(), 0.0f64..600.0), (method, status, class), shape).prop_map(
+        ((host(), host(), ts), (method, status, class), shape).prop_map(
             |((host, other, ts), (method, status, class), (referer, cookie, redirects, page))| {
                 let referer = match referer {
                     0 => None,
@@ -479,11 +510,11 @@ pub(crate) mod tests {
         assert_eq!(registrable_domain("com"), "com");
         assert_eq!(tld("x.example.ru"), Some("ru"));
         assert_eq!(tld("198.51.100.9"), None);
-        assert_eq!(host_of_url("http://h.com/p?q=1").as_deref(), Some("h.com"));
-        assert_eq!(host_of_url("https://h.com:8080/p").as_deref(), Some("h.com"));
-        assert_eq!(host_of_url("h.com/p").as_deref(), Some("h.com"));
-        assert_eq!(host_of_url("http://H.CoM/p").as_deref(), Some("h.com"));
-        assert_eq!(host_of_url("http:///"), None);
+        assert_eq!(url_host("http://h.com/p?q=1"), Some("h.com"));
+        assert_eq!(url_host("https://h.com:8080/p"), Some("h.com"));
+        assert_eq!(url_host("h.com/p"), Some("h.com"));
+        assert_eq!(url_host("http://H.CoM/p"), Some("H.CoM"));
+        assert_eq!(url_host("http:///"), None);
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub struct GraphView {
     succ: Csr,
     /// Directed simple predecessors, self-loops excluded.
     pred: Csr,
-    /// The load in progress's `(src, dst)` pairs, recycled.
+    /// The loaded graph's `(src, dst)` pairs, recycled.
     pairs: Vec<(u32, u32)>,
     /// Per-row write positions of the transpose, recycled.
     cursor: Vec<usize>,
@@ -174,18 +174,25 @@ impl GraphView {
         view
     }
 
-    /// (Re)populate the view from `g`, reusing prior allocations.
+    /// (Re)populate the view from `g`, reusing prior allocations:
+    /// [`GraphView::load_pairs`] then [`GraphView::build_rows`].
     pub fn load<N, E>(&mut self, g: &DiGraph<N, E>) {
+        self.load_pairs(g);
+        self.build_rows();
+    }
+
+    /// The first half of [`GraphView::load`]: the order of `g` and its
+    /// sorted, deduplicated, non-loop `(src, dst)` pairs, which are all
+    /// the view reads of `g`. The rows are stale until
+    /// [`GraphView::build_rows`]; a caller that memoizes per topology can
+    /// key on [`GraphView::pairs`] first and skip the rows on a hit.
+    pub fn load_pairs<N, E>(&mut self, g: &DiGraph<N, E>) {
         let n = g.node_count();
         assert!(
             u32::try_from(n).is_ok(),
             "GraphView supports at most u32::MAX nodes"
         );
         self.n = n;
-
-        // One pass and one sort give the successor rows; the predecessor
-        // rows are their transpose and the undirected rows the union of
-        // the two — the rows three sorted pair lists would give.
         self.pairs.clear();
         for (_, src, dst, _) in g.edges() {
             if src != dst {
@@ -194,9 +201,23 @@ impl GraphView {
         }
         self.pairs.sort_unstable();
         self.pairs.dedup();
+    }
+
+    /// The second half of [`GraphView::load`]: the rows from the loaded
+    /// pairs. The successor rows are the pairs in order; the predecessor
+    /// rows are their transpose and the undirected rows the union of the
+    /// two — the rows three sorted pair lists would give.
+    pub fn build_rows(&mut self) {
+        let n = self.n;
         self.succ.load_sorted_pairs(n, &self.pairs);
         self.pred.load_transpose_of(n, &self.pairs, &mut self.cursor);
         self.und.load_union_of(&self.succ, &self.pred);
+    }
+
+    /// The loaded graph's sorted, deduplicated, non-loop `(src, dst)`
+    /// pairs.
+    pub fn pairs(&self) -> &[(u32, u32)] {
+        &self.pairs
     }
 
     /// Number of nodes.
