@@ -9,6 +9,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::{Error, Result};
 
+#[cfg(test)]
+mod reference;
+
 /// Maximum accepted head (start line + headers) size. Real servers use
 /// similar limits; anything larger is treated as a syntax error.
 pub const MAX_HEAD_LEN: usize = 64 * 1024;
@@ -116,19 +119,37 @@ fn hot_id(name: &str) -> u8 {
     }
 }
 
+/// One header line of a [`HeaderMap`]: byte offsets into its `text`.
+/// The name is `text[name..value]` and the value `text[value..end]`.
+#[derive(Clone, Copy)]
+struct Entry {
+    name: u32,
+    value: u32,
+    end: u32,
+    /// `hot_id` of the name.
+    id: u8,
+}
+
 /// An ordered, case-insensitive multimap of HTTP headers.
 ///
-/// Hot header names (see `HOT_HEADERS`) are interned to dense ids when
-/// a header is inserted, so [`HeaderMap::get`]/[`HeaderMap::set`] on
-/// those names compare one byte per entry instead of running
-/// `eq_ignore_ascii_case` over every stored name. Lookups of other names
-/// fall back to the scan, restricted to the non-interned entries (a
-/// case-insensitive match implies an identical id).
-#[derive(Debug, Clone, Default)]
+/// Every name and value sits back to back in one `text` buffer, and
+/// each line is an [`Entry`] of offsets into it, so a map costs two
+/// heap blocks however many headers it holds. Hot header names (see
+/// `HOT_HEADERS`) are interned to dense ids when a header is inserted,
+/// so [`HeaderMap::get`]/[`HeaderMap::set`] on those names compare one
+/// byte per entry instead of running `eq_ignore_ascii_case` over every
+/// stored name. Lookups of other names fall back to the scan,
+/// restricted to the non-interned entries (a case-insensitive match
+/// implies an identical id).
+#[derive(Clone, Default)]
 pub struct HeaderMap {
-    entries: Vec<(String, String)>,
-    /// Parallel to `entries`: `hot_id` of each entry's name.
-    ids: Vec<u8>,
+    text: String,
+    entries: Vec<Entry>,
+}
+
+/// A `text` offset as stored in an [`Entry`].
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("header text exceeds 4 GiB")
 }
 
 impl HeaderMap {
@@ -137,55 +158,73 @@ impl HeaderMap {
         HeaderMap::default()
     }
 
+    fn name_of(&self, e: &Entry) -> &str {
+        &self.text[e.name as usize..e.value as usize]
+    }
+
+    fn value_of(&self, e: &Entry) -> &str {
+        &self.text[e.value as usize..e.end as usize]
+    }
+
+    fn push(&mut self, name: &str, value: &str) {
+        let start = self.text.len();
+        self.text.push_str(name);
+        self.text.push_str(value);
+        self.entries.push(Entry {
+            name: offset(start),
+            value: offset(start + name.len()),
+            end: offset(self.text.len()),
+            id: hot_id(name),
+        });
+    }
+
+    /// Index of the first entry named `name`, compared case-insensitively.
+    fn position(&self, name: &str) -> Option<usize> {
+        let id = hot_id(name);
+        if id != COLD_HEADER {
+            self.entries.iter().position(|e| e.id == id)
+        } else {
+            self.entries
+                .iter()
+                .position(|e| e.id == COLD_HEADER && self.name_of(e).eq_ignore_ascii_case(name))
+        }
+    }
+
     /// Appends a header, preserving insertion order.
-    pub fn append(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        let name = name.into();
-        self.ids.push(hot_id(&name));
-        self.entries.push((name, value.into()));
+    pub fn append(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) {
+        self.push(name.as_ref(), value.as_ref());
     }
 
     /// First value for `name`, compared case-insensitively.
     pub fn get(&self, name: &str) -> Option<&str> {
-        let id = hot_id(name);
-        if id != COLD_HEADER {
-            let i = self.ids.iter().position(|&e| e == id)?;
-            Some(self.entries[i].1.as_str())
-        } else {
-            self.entries
-                .iter()
-                .zip(&self.ids)
-                .find(|((n, _), &e)| e == COLD_HEADER && n.eq_ignore_ascii_case(name))
-                .map(|((_, v), _)| v.as_str())
-        }
+        self.position(name).map(|i| self.value_of(&self.entries[i]))
     }
 
     /// Whether a header with `name` exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.get(name).is_some()
+        self.position(name).is_some()
     }
 
     /// Replaces the first header named `name` (case-insensitively) in
     /// place, or appends it when absent. Later duplicates are left
     /// untouched — rewriting tools want to update the value a reader
     /// would observe via [`HeaderMap::get`] without reshuffling order.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        let name = name.into();
-        let value = value.into();
-        let id = hot_id(&name);
-        let pos = if id != COLD_HEADER {
-            self.ids.iter().position(|&e| e == id)
-        } else {
-            self.entries
-                .iter()
-                .zip(&self.ids)
-                .position(|((n, _), &e)| e == COLD_HEADER && n.eq_ignore_ascii_case(&name))
+    pub fn set(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) {
+        let (name, value) = (name.as_ref(), value.as_ref());
+        let Some(i) = self.position(name) else {
+            self.push(name, value);
+            return;
         };
-        match pos {
-            Some(i) => self.entries[i].1 = value,
-            None => {
-                self.ids.push(id);
-                self.entries.push((name, value));
-            }
+        let e = self.entries[i];
+        self.text.replace_range(e.value as usize..e.end as usize, value);
+        // Every offset from the old value's end on moves by the change
+        // in length (none of them is below the old value's length).
+        let moved = |at: u32| offset(at as usize + value.len() - (e.end - e.value) as usize);
+        self.entries[i].end = moved(e.end);
+        for later in &mut self.entries[i + 1..] {
+            later.name = moved(later.name);
+            later.value = moved(later.value);
+            later.end = moved(later.end);
         }
     }
 
@@ -195,19 +234,25 @@ impl HeaderMap {
     pub fn remove(&mut self, name: &str) -> bool {
         let id = hot_id(name);
         let before = self.entries.len();
-        let keep = if id != COLD_HEADER {
-            self.ids.iter().map(|&e| e != id).collect::<Vec<bool>>()
-        } else {
-            self.entries
-                .iter()
-                .zip(&self.ids)
-                .map(|((n, _), &e)| e != COLD_HEADER || !n.eq_ignore_ascii_case(name))
-                .collect()
-        };
-        let mut it = keep.iter();
-        self.entries.retain(|_| *it.next().expect("parallel"));
-        let mut it = keep.iter();
-        self.ids.retain(|_| *it.next().expect("parallel"));
+        let text = &mut self.text;
+        // Bytes cut from `text` so far; every later offset moves down by it.
+        let mut cut = 0u32;
+        self.entries.retain_mut(|e| {
+            let (start, value, end) = (e.name - cut, e.value - cut, e.end - cut);
+            let hit = if id != COLD_HEADER {
+                e.id == id
+            } else {
+                e.id == COLD_HEADER
+                    && text[start as usize..value as usize].eq_ignore_ascii_case(name)
+            };
+            if hit {
+                text.replace_range(start as usize..end as usize, "");
+                cut += end - start;
+            } else {
+                *e = Entry { name: start, value, end, id: e.id };
+            }
+            !hit
+        });
         self.entries.len() != before
     }
 
@@ -223,44 +268,72 @@ impl HeaderMap {
 
     /// Iterates over `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.entries.iter().map(|e| (self.name_of(e), self.value_of(e)))
     }
 }
 
 impl PartialEq for HeaderMap {
     fn eq(&self, other: &Self) -> bool {
-        // `ids` is a pure function of the names, so entries suffice.
-        self.entries == other.entries
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
 impl Eq for HeaderMap {}
 
+// Prints exactly what `#[derive(Debug)]` printed over the two-vector
+// layout (`HeaderMap { entries: [(name, value), …], ids: […] }`): the
+// fault-injection goldens hash the `Debug` rendering of transactions.
+impl std::fmt::Debug for HeaderMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Pairs<'a>(&'a HeaderMap);
+        impl std::fmt::Debug for Pairs<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
+        }
+        struct Ids<'a>(&'a [Entry]);
+        impl std::fmt::Debug for Ids<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list().entries(self.0.iter().map(|e| e.id)).finish()
+            }
+        }
+        f.debug_struct("HeaderMap")
+            .field("entries", &Pairs(self))
+            .field("ids", &Ids(&self.entries))
+            .finish()
+    }
+}
+
 impl FromIterator<(String, String)> for HeaderMap {
     fn from_iter<T: IntoIterator<Item = (String, String)>>(iter: T) -> Self {
-        let entries: Vec<(String, String)> = iter.into_iter().collect();
-        let ids = entries.iter().map(|(n, _)| hot_id(n)).collect();
-        HeaderMap { entries, ids }
+        let mut map = HeaderMap::new();
+        map.extend(iter);
+        map
     }
 }
 
 impl Extend<(String, String)> for HeaderMap {
     fn extend<T: IntoIterator<Item = (String, String)>>(&mut self, iter: T) {
         for (name, value) in iter {
-            self.append(name, value);
+            self.push(&name, &value);
         }
     }
 }
 
-// Manual serde impls: the wire format must stay exactly what the derive
-// produced before `ids` existed (`{"entries": [...]}`) — the interning
-// table is rebuilt from the names on deserialize, never serialized.
+// Manual serde impls: the wire format is what the derive produced over
+// `entries: Vec<(String, String)>` (`{"entries": [[name, value], …]}`);
+// the offsets and interning ids are rebuilt from the pairs on
+// deserialize, never serialized.
 impl Serialize for HeaderMap {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        let entries =
-            serde::to_value(&self.entries).map_err(<S::Error as serde::ser::Error>::custom)?;
-        serializer
-            .serialize_value(serde::Value::Object(vec![("entries".to_string(), entries)]))
+        let pair = |(n, v): (&str, &str)| {
+            serde::Value::Array(vec![
+                serde::Value::String(n.to_string()),
+                serde::Value::String(v.to_string()),
+            ])
+        };
+        let entries = serde::Value::Array(self.iter().map(pair).collect());
+        serializer.serialize_value(serde::Value::Object(vec![("entries".to_string(), entries)]))
     }
 }
 
@@ -331,15 +404,41 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     crate::scan::find_head_end(buf)
 }
 
+/// Parses the CRLF-separated header lines after a start line into a map
+/// of exactly two heap blocks: one pass counts the lines and reserves
+/// both, the second pushes each trimmed name and value as slices.
 fn parse_headers(lines: &str) -> Result<HeaderMap> {
-    let mut headers = HeaderMap::new();
-    for line in lines.split("\r\n").filter(|l| !l.is_empty()) {
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| Error::HttpSyntax(format!("header line without colon: {line:?}")))?;
-        headers.append(name.trim(), value.trim());
+    if lines.is_empty() {
+        return Ok(HeaderMap::new());
     }
-    Ok(headers)
+    let mut count = 1;
+    let mut at = 0;
+    while let Some(p) = crate::scan::find_crlf(&lines.as_bytes()[at..]) {
+        count += 1;
+        at += p + 2;
+    }
+    // Each line but the last gives up its CRLF and each its colon.
+    let mut headers = HeaderMap {
+        text: String::with_capacity(lines.len().saturating_sub(3 * count - 2)),
+        entries: Vec::with_capacity(count),
+    };
+    let mut rest = lines;
+    loop {
+        let (line, next) = match crate::scan::find_crlf(rest.as_bytes()) {
+            Some(p) => (&rest[..p], Some(&rest[p + 2..])),
+            None => (rest, None),
+        };
+        if !line.is_empty() {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| Error::HttpSyntax(format!("header line without colon: {line:?}")))?;
+            headers.push(name.trim(), value.trim());
+        }
+        match next {
+            Some(next) => rest = next,
+            None => return Ok(headers),
+        }
+    }
 }
 
 /// Attempts to parse a request head from the front of `buf`.
@@ -740,6 +839,21 @@ mod tests {
         h.set("New-Name", "v");
         assert_eq!(h.get("new-name"), Some("v"));
         assert_eq!(h.len(), 5);
+    }
+
+    #[test]
+    fn header_map_debug_text_is_pinned() {
+        // The fault-injection goldens hash this rendering of every
+        // transaction: it is the old two-vector derive's, ids included.
+        let mut h = HeaderMap::new();
+        h.append("Host", "a.example");
+        h.append("X-Note", "say \"hi\" é");
+        h.set("host", "b.example");
+        assert_eq!(
+            format!("{h:?}"),
+            r#"HeaderMap { entries: [("Host", "b.example"), ("X-Note", "say \"hi\" é")], ids: [0, 255] }"#
+        );
+        assert_eq!(format!("{:?}", HeaderMap::new()), "HeaderMap { entries: [], ids: [] }");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The final verdict sweep scores the WCG a watched conversation holds
-//! and builds every other conversation's from the redirect targets kept
-//! on arrival (DESIGN.md §9). These tests pin what that rests on:
+//! and builds every other conversation's by folding the per-transaction
+//! records made on arrival (DESIGN.md §9). These tests pin what that rests on:
 //! whatever happened to a conversation on the way — out-of-order
 //! arrivals, the transaction cap, retention eviction of its neighbours,
 //! a snapshot restore, a model reload — its verdict carries the bits of
