@@ -118,7 +118,7 @@ fn allocations(
     assert!(first.iter().all(|v| v.transactions == per_conversation));
     for conv in detector.tracker().conversations() {
         assert_eq!(conv.watched, watched, "conversation {:#x}", conv.id);
-        assert_eq!(conv.wcg_cached().is_some(), watched, "conversation {:#x}", conv.id);
+        assert_eq!(conv.held_wcg().is_some(), watched, "conversation {:#x}", conv.id);
     }
     Allocations { feed: fed - before, first_sweep: swept - fed, second_sweep }
 }

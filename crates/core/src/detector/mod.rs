@@ -352,13 +352,12 @@ impl OnTheWireDetector {
         // Query the classifier over the conversation's WCG: built
         // retrospectively on the first look (one rebuild from the stored
         // transactions), then folded forward as transactions arrive (a
-        // `WcgBuilder`), with memoized topology features reused while the
-        // node/edge structure is unchanged. The result is bit-identical
-        // to rebuilding the graph wholesale per classification, as the
-        // paper describes it.
+        // `WcgBuilder`), with the topology features of a shape the
+        // extractor has seen reused. The result is bit-identical to
+        // rebuilding the graph wholesale per classification, as the paper
+        // describes it.
         let started = Instant::now();
-        let (wcg, topo_version, cache) = conv.wcg_state();
-        let fv = self.extractor.extract_memoized(wcg, topo_version, cache);
+        let fv = self.extractor.extract(conv.wcg_state());
         self.metrics.feature_extraction_ns.observe_since(started);
         // Snapshot the deployed model for this classification: a
         // concurrent hot-reload lands between transactions, never
@@ -452,8 +451,7 @@ impl OnTheWireDetector {
     /// observation for the whole sweep.
     ///
     /// A conversation the detector has looked at is scored from the WCG
-    /// it holds, reading its memoized topology features when they are
-    /// current. Any other conversation gets its graph here: the worker
+    /// it holds. Any other conversation gets its graph here: the worker
     /// builds it from the conversation's per-transaction records into one
     /// reused [`WcgBuilder`](crate::wcg::WcgBuilder), extracts its
     /// features and drops it, so those graphs are never all resident and
@@ -469,10 +467,8 @@ impl OnTheWireDetector {
             convs.len(),
             threads,
             || (crate::features::FeatureExtractor::new(), crate::wcg::WcgBuilder::new()),
-            |(extractor, builder), i| match convs[i].wcg_cached() {
-                Some((wcg, topo_version, cache)) => {
-                    extractor.extract_cached(wcg, topo_version, cache)
-                }
+            |(extractor, builder), i| match convs[i].held_wcg() {
+                Some(wcg) => extractor.extract(wcg),
                 None => extractor.extract(convs[i].build_wcg(builder)),
             },
         );
@@ -794,7 +790,7 @@ mod tests {
             }
         }
         assert_eq!(det.tracker().conversation_count(), 256);
-        assert!(det.tracker().conversations().all(|c| c.wcg_cached().is_none()));
+        assert!(det.tracker().conversations().all(|c| c.held_wcg().is_none()));
         let before = crate::features::topo_passes();
         let verdicts = det.final_verdicts(1);
         assert_eq!(verdicts.len(), 256);
@@ -807,6 +803,52 @@ mod tests {
         let clf = trained_classifier(12);
         assert_eq!(sweep_passes(&clf, |_| 3), 1, "one shape");
         assert_eq!(sweep_passes(&clf, |c| c as usize), 256, "256 shapes");
+    }
+
+    /// Observes `t`, which must raise no alert; returns the
+    /// classifications and topology passes it added.
+    fn observe_counted(det: &mut OnTheWireDetector, t: nettrace::HttpTransaction) -> (usize, u64) {
+        let (scored, passes) = (det.classification_count(), crate::features::topo_passes());
+        assert!(det.observe_owned(t).is_none());
+        (det.classification_count() - scored, crate::features::topo_passes() - passes)
+    }
+
+    /// A threshold above 1 never alerts, so a watched conversation is
+    /// scored on every transaction, and the live path runs a topology
+    /// pass only for a graph shape its extractor has not seen: same-host
+    /// chatter adds parallel edges and no pass, one new host exactly one.
+    /// The sweep over the held graphs runs one pass per distinct shape.
+    #[test]
+    fn the_live_path_runs_one_topology_pass_per_new_shape() {
+        use crate::wcg::tests::tx;
+        use nettrace::http::Method;
+        let config = DetectorConfig { alert_threshold: 2.0, ..DetectorConfig::default() };
+        let mut det = OnTheWireDetector::new(trained_classifier(12), config);
+        let fetch = |client: u32, ts: f64, host: &str, uri: &str, class: PayloadClass| {
+            let mut t = tx(ts, host, uri, Method::Get, 200, class, 100, None, None);
+            t.client = nettrace::reassembly::Endpoint::new(Ipv4Addr::from(client), 40000);
+            t
+        };
+        // An executable download fires the clue: the first look builds a
+        // graph of a new shape.
+        let download = |client| fetch(client, 1.0, "dl.example", "/p.exe", PayloadClass::Exe);
+        assert_eq!(observe_counted(&mut det, download(1)), (1, 1), "first look");
+        for i in 0..5 {
+            let uri = format!("/a{i}");
+            let chatter = fetch(1, 2.0 + f64::from(i), "dl.example", &uri, PayloadClass::Html);
+            assert_eq!(observe_counted(&mut det, chatter), (1, 0), "same-host chatter {i}");
+        }
+        let new_host = fetch(1, 9.0, "cdn.example", "/", PayloadClass::Html);
+        assert_eq!(observe_counted(&mut det, new_host), (1, 1), "one new host");
+        // Two more clients' conversations have the first graph's shape.
+        for client in [2, 3] {
+            assert_eq!(observe_counted(&mut det, download(client)), (1, 0), "client {client}");
+        }
+        assert_eq!(det.classification_count(), 9);
+        assert!(det.tracker().conversations().all(|c| c.held_wcg().is_some()));
+        let before = crate::features::topo_passes();
+        assert_eq!(det.final_verdicts(1).len(), 3);
+        assert_eq!(crate::features::topo_passes() - before, 2, "two shapes held");
     }
 
     #[test]

@@ -25,15 +25,15 @@
 //! target interned once in one per-conversation string buffer. The match
 //! keys (hosts, session ids, URLs) are strings of the same buffer, marked
 //! by role. Its WCG is built retrospectively, as the paper builds it
-//! around the clue: the `graph` field (builder plus topology-feature
-//! cache) stays empty until the detector first looks at the
-//! conversation, which builds it with one rebuild from the records; from
-//! then on each record is folded in as it arrives. A conversation never
-//! looked at gets its graph only in the final verdict sweep, which
-//! builds it from the records, scores it and drops it; no graph build
-//! reads a transaction. Tracker memory is bounded by the retention
-//! window and the two caps ([`SessionTracker::with_caps`]; DESIGN.md
-//! §13). [`SessionTracker::state`] serializes the stored state less the
+//! around the clue: the `graph` field (a builder) stays empty until the
+//! detector first looks at the conversation, which builds it with one
+//! rebuild from the records; from then on each record is folded in as
+//! it arrives. A conversation never looked at gets its graph only in the
+//! final verdict sweep, which builds it from the records, scores it and
+//! drops it; no graph build reads a transaction. Tracker memory is
+//! bounded by the retention window and the two caps
+//! ([`SessionTracker::with_caps`]; DESIGN.md §13).
+//! [`SessionTracker::state`] serializes the stored state less the
 //! records ([`TrackerState`]); restoring replays each conversation's
 //! transactions through the absorb fold, which makes them again and
 //! builds no graph.
@@ -44,7 +44,6 @@ use std::net::Ipv4Addr;
 use nettrace::HttpTransaction;
 use serde::{Deserialize, Serialize};
 
-use crate::features::TopoCache;
 use crate::wcg::record::TxTable;
 use crate::wcg::{PushOutcome, Wcg, WcgBuilder};
 
@@ -59,8 +58,8 @@ const SESSION: u8 = 4;
 /// detector-maintained flags and the residue of cap-dropped
 /// transactions (which were never stored). The records and match keys
 /// are rebuilt on [`SessionTracker::restore`] by replaying the
-/// transactions through the absorb fold; the WCG and its feature cache
-/// are built again when the detector next looks.
+/// transactions through the absorb fold; the WCG is built again when the
+/// detector next looks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConversationState {
     /// Stable conversation id (see [`Conversation::id`]).
@@ -160,10 +159,9 @@ pub struct Conversation {
     /// Derived state, built on the detector's first look: the
     /// incrementally maintained WCG over the stored transactions —
     /// equivalent to `Wcg::from_transactions(&self.transactions)` at every
-    /// point — and the detector's memoized topology-dependent feature
-    /// values. `None` until then; boxed, so a conversation without one
+    /// point. `None` until then; boxed, so a conversation without one
     /// does not carry the builder's several hundred bytes inline.
-    graph: Option<Box<(WcgBuilder, TopoCache)>>,
+    graph: Option<Box<WcgBuilder>>,
     /// One record per stored transaction, and the strings they and the
     /// match keys name: what every graph build reads.
     table: TxTable,
@@ -244,27 +242,24 @@ impl Conversation {
         self.last_ts
     }
 
-    /// The conversation's WCG over the stored transactions, its topology
-    /// version, and the feature cache — split-borrowed so the caller can
-    /// extract features while the cache is held mutably. The first call
-    /// builds the graph (one rebuild from the records); every later
+    /// The conversation's WCG over the stored transactions. The first
+    /// call builds it (one rebuild from the records); every later
     /// transaction is then folded in on arrival.
-    pub(crate) fn wcg_state(&mut self) -> (&Wcg, u64, &mut TopoCache) {
-        let (builder, cache) = &mut **self.graph.get_or_insert_with(|| {
-            let mut builder = WcgBuilder::new();
-            builder.rebuild_records(&self.table);
-            Box::new((builder, TopoCache::new()))
-        });
-        (builder.wcg(), builder.topo_version(), cache)
+    pub(crate) fn wcg_state(&mut self) -> &Wcg {
+        self.graph
+            .get_or_insert_with(|| {
+                let mut builder = WcgBuilder::new();
+                builder.rebuild_records(&self.table);
+                Box::new(builder)
+            })
+            .wcg()
     }
 
-    /// The WCG, its topology version, and the feature cache, for readers
-    /// holding only `&self` (the final verdict sweep): the cache can be
-    /// consulted, not refilled. `None` while the detector has never
+    /// The WCG the conversation holds, for readers holding only `&self`
+    /// (the final verdict sweep). `None` while the detector has never
     /// looked at the conversation.
-    pub fn wcg_cached(&self) -> Option<(&Wcg, u64, &TopoCache)> {
-        let (builder, cache) = self.graph.as_deref()?;
-        Some((builder.wcg(), builder.topo_version(), cache))
+    pub fn held_wcg(&self) -> Option<&Wcg> {
+        self.graph.as_deref().map(WcgBuilder::wcg)
     }
 
     /// Builds the conversation's WCG into `builder` from the records:
@@ -349,8 +344,7 @@ impl Conversation {
         // never clones one.
         self.transactions.push(tx);
         // Only a conversation the detector has looked at holds a graph.
-        let Some(graph) = &mut self.graph else { return };
-        let builder = &mut graph.0;
+        let Some(builder) = &mut self.graph else { return };
         let last = self.table.records.len() - 1;
         if builder.push_record(&self.table, last) == PushOutcome::NeedsRebuild {
             builder.rebuild_records(&self.table);
@@ -703,6 +697,51 @@ mod tests {
         assert_eq!(tracker.conversation_count(), 2);
     }
 
+    /// Pins today's behaviour: `active` tests `tx.ts - last_ts <=
+    /// idle_timeout`, so a gap that is negative passes it, and a
+    /// transaction stamped before a closed conversation's last activity
+    /// rejoins it. Its `last_ts` does not move back.
+    #[test]
+    fn an_earlier_stamp_rejoins_a_closed_conversation() {
+        let mut tracker = SessionTracker::new(60.0);
+        let first = tracker.assign(&get(1000.0, "a.com", "/x", None)).id;
+        // 1 000 s idle: `a.com`'s conversation is closed to this one.
+        let second = tracker.assign(&get(2000.0, "b.com", "/y", Some("http://b.com/"))).id;
+        assert_ne!(first, second);
+        let late = tracker.assign(&get(500.0, "a.com", "/z", Some("http://a.com/x")));
+        assert_eq!(late.id, first, "a negative gap counts as active");
+        assert_eq!(late.transactions.len(), 2);
+        assert_eq!(late.last_ts(), 1000.0);
+        assert_eq!(tracker.conversation_count(), 2);
+    }
+
+    /// Pins today's behaviour: a NaN gap fails `active` both ways, so a
+    /// NaN-stamped transaction joins nothing, and its conversation, whose
+    /// `last_ts` stays NaN, is joined by no later transaction, not even
+    /// one carrying its session id and naming its URL as referrer.
+    #[test]
+    fn a_nan_stamp_opens_a_conversation_nothing_joins() {
+        let mut tracker = SessionTracker::new(300.0);
+        let before = tracker.assign(&get(1.0, "a.com", "/x", None)).id;
+        let mut nan = get(f64::NAN, "a.com", "/n", None);
+        nan.req_headers.append("Cookie", "sid=s");
+        let lone = tracker.assign(&nan);
+        assert_ne!(lone.id, before);
+        assert!(lone.last_ts().is_nan());
+        let lone = lone.id;
+        for (i, ts) in [2.0, 3.0, f64::NAN].into_iter().enumerate() {
+            let mut next = get(ts, "a.com", "/m", Some("http://a.com/n"));
+            next.req_headers.append("Cookie", "sid=s");
+            let conv = tracker.assign(&next);
+            assert_ne!(conv.id, lone, "transaction {i} joined the NaN-stamped conversation");
+        }
+        let held: Vec<(u64, usize)> =
+            tracker.conversations().map(|c| (c.id, c.transactions.len())).collect();
+        assert_eq!(held[0], (before, 3), "the finite stamps join the first conversation");
+        assert_eq!(held[1], (lone, 1));
+        assert_eq!(held.len(), 3, "the second NaN stamp opens a conversation of its own");
+    }
+
     #[test]
     fn clients_are_isolated() {
         let mut tracker = SessionTracker::new(300.0);
@@ -862,7 +901,7 @@ mod tests {
                 let expected = crate::wcg::reference::build(&conv.transactions);
                 let id = conv.id;
                 assert!(same_wcg(conv.build_wcg(&mut sweep), &expected), "swept {id:#x}");
-                if let Some((held, _, _)) = conv.wcg_cached() {
+                if let Some(held) = conv.held_wcg() {
                     assert!(same_wcg(held, &expected), "held {id:#x}");
                 }
             }
@@ -916,10 +955,10 @@ mod tests {
         ];
         let mut tracker = SessionTracker::new(300.0);
         let conv = tracker.assign(&stream[0]);
-        assert!(conv.wcg_state().0.origin.is_some(), "an origin until the host is contacted");
+        assert!(conv.wcg_state().origin.is_some(), "an origin until the host is contacted");
         let conv = tracker.assign(&stream[1]);
         assert_eq!(conv.transactions.len(), 2);
-        assert!(conv.wcg_state().0.origin.is_none());
+        assert!(conv.wcg_state().origin.is_none());
         assert!(Wcg::from_transactions(&stream).origin.is_none());
         check_graphs_equal_rebuilds(&stream);
     }

@@ -144,33 +144,11 @@ impl FeatureVector {
 /// Columns of the feature vector that depend only on the graph's simple
 /// topology (which nodes exist and which ordered pairs are connected),
 /// not on edge multiplicities, attributes, or traffic aggregates. These
-/// are exactly the columns [`FeatureExtractor::extract_memoized`] reuses
-/// from a [`TopoCache`] while the topology version is unchanged:
-/// f12 diameter, f15 reciprocity, f17 closeness, f18 betweenness,
+/// are exactly the columns [`FeatureExtractor`] remembers per graph
+/// shape: f12 diameter, f15 reciprocity, f17 closeness, f18 betweenness,
 /// f19 load, f20 node connectivity, f21 clustering, f22 neighbor degree,
 /// f24 k-nearest (k = 2), f25 pagerank.
 pub const TOPO_COLUMNS: [usize; 10] = [11, 14, 16, 17, 18, 19, 20, 21, 23, 24];
-
-/// Memoized values of the [`TOPO_COLUMNS`] features, keyed by the
-/// [`WcgBuilder::topo_version`](crate::wcg::WcgBuilder::topo_version)
-/// they were computed at.
-#[derive(Debug, Clone, Default)]
-pub struct TopoCache {
-    version: Option<u64>,
-    values: [f64; TOPO_COLUMNS.len()],
-}
-
-impl TopoCache {
-    /// An empty cache; the first extraction always computes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The topology version the cached values correspond to, if any.
-    pub fn version(&self) -> Option<u64> {
-        self.version
-    }
-}
 
 /// Reusable feature-extraction workspace.
 ///
@@ -210,54 +188,14 @@ impl FeatureExtractor {
         Self::default()
     }
 
-    /// Extracts all 37 features, reusing this extractor's scratch space.
+    /// Extracts all 37 features, reusing this extractor's scratch space
+    /// and the [`TOPO_COLUMNS`] values of a shape it has seen.
     pub fn extract(&mut self, wcg: &Wcg) -> FeatureVector {
-        // An empty cache is current at no version.
-        self.extract_cached(wcg, 0, &TopoCache::new())
-    }
-
-    /// Extracts all 37 features, reusing the [`TOPO_COLUMNS`] values from
-    /// `cache` when it was filled at the same `topo_version` (and
-    /// refilling it otherwise).
-    ///
-    /// `topo_version` must come from the
-    /// [`WcgBuilder`](crate::wcg::WcgBuilder) that built `wcg`; the
-    /// builder bumps it whenever a node or a new simple directed edge
-    /// pair appears, which are exactly the events the topology-only
-    /// features can observe. All other columns are recomputed every call.
-    pub fn extract_memoized(
-        &mut self,
-        wcg: &Wcg,
-        topo_version: u64,
-        cache: &mut TopoCache,
-    ) -> FeatureVector {
-        if cache.version != Some(topo_version) {
-            self.topo_values(wcg, &mut cache.values);
-            cache.version = Some(topo_version);
-        }
-        self.extract_cached(wcg, topo_version, cache)
-    }
-
-    /// [`FeatureExtractor::extract_memoized`] over a cache it may read
-    /// but not refill: a stale or empty cache costs a shape-memo lookup,
-    /// and a topology pass when the shape is new. For sweeps that visit
-    /// conversations through `&self` on several threads.
-    pub fn extract_cached(
-        &mut self,
-        wcg: &Wcg,
-        topo_version: u64,
-        cache: &TopoCache,
-    ) -> FeatureVector {
         let mut f = [0.0f64; FEATURE_COUNT];
         base_features(wcg, &mut f);
-        let mut fresh = [0.0f64; TOPO_COLUMNS.len()];
-        let topo = if cache.version == Some(topo_version) {
-            &cache.values
-        } else {
-            self.topo_values(wcg, &mut fresh);
-            &fresh
-        };
-        for (&col, &v) in TOPO_COLUMNS.iter().zip(topo) {
+        let mut topo = [0.0f64; TOPO_COLUMNS.len()];
+        self.topo_values(wcg, &mut topo);
+        for (&col, &v) in TOPO_COLUMNS.iter().zip(&topo) {
             f[col] = v;
         }
         FeatureVector(f)
@@ -634,38 +572,6 @@ mod tests {
             assert_eq!(NAMES[i], *name, "golden vector out of order at {i}");
             assert_eq!(fv.get(name), *expected, "f{} {name}", i + 1);
         }
-    }
-
-    #[test]
-    fn memoized_extraction_is_bit_identical_to_fresh() {
-        let wcg = infection_wcg();
-        let fresh = extract(&wcg);
-        let mut ex = FeatureExtractor::new();
-        let mut cache = TopoCache::new();
-        assert_eq!(cache.version(), None);
-        let first = ex.extract_memoized(&wcg, 7, &mut cache);
-        assert_eq!(cache.version(), Some(7));
-        // Second call at the same version takes the cached-topology path.
-        let second = ex.extract_memoized(&wcg, 7, &mut cache);
-        for (i, name) in NAMES.iter().enumerate() {
-            assert_eq!(fresh.values()[i].to_bits(), first.values()[i].to_bits(), "{name}");
-            assert_eq!(fresh.values()[i].to_bits(), second.values()[i].to_bits(), "{name}");
-        }
-    }
-
-    #[test]
-    fn stale_cache_is_refilled_on_version_change() {
-        let mut ex = FeatureExtractor::new();
-        let mut cache = TopoCache::new();
-        // Seed the cache with an empty graph's (all-zero) topology...
-        let empty = Wcg::from_transactions(&[]);
-        let _ = ex.extract_memoized(&empty, 0, &mut cache);
-        // ...then a different version must recompute, not replay stale values.
-        let wcg = infection_wcg();
-        let fv = ex.extract_memoized(&wcg, 1, &mut cache);
-        assert_eq!(cache.version(), Some(1));
-        assert_eq!(fv, extract(&wcg));
-        assert!(fv.get("diameter") >= 1.0);
     }
 
     /// A WCG whose graph has `n` nodes and the given edges and nothing

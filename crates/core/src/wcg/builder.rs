@@ -139,11 +139,6 @@ pub struct WcgBuilder {
     pre_end: Option<usize>,
     first_dl: Option<usize>,
     last_dl: Option<usize>,
-    // Topology versioning for feature memoization.
-    topo_version: u64,
-    /// Distinct directed simple pairs (self-loops excluded) already in the
-    /// graph, sorted; a new pair or node bumps `topo_version`.
-    seen_pairs: Vec<(u32, u32)>,
     /// Reusable timestamp-order permutation of a rebuild's records.
     order: Vec<usize>,
     /// Records of the transactions given to [`WcgBuilder::push`] and
@@ -196,8 +191,6 @@ impl WcgBuilder {
             pre_end: None,
             first_dl: None,
             last_dl: None,
-            topo_version: 0,
-            seen_pairs: Vec::new(),
             order: Vec::new(),
             own: TxTable::default(),
         }
@@ -217,15 +210,6 @@ impl WcgBuilder {
     /// Number of transactions folded in.
     pub fn tx_count(&self) -> usize {
         self.txs.len()
-    }
-
-    /// Monotone counter that advances whenever the *simple directed
-    /// topology* of the graph changes (a node appears, or a first edge
-    /// between an ordered node pair appears). Stage flips, parallel edges,
-    /// and attribute updates do not advance it, so feature extraction can
-    /// memoize topology-only metrics against this version.
-    pub fn topo_version(&self) -> u64 {
-        self.topo_version
     }
 
     /// Appends one transaction.
@@ -275,7 +259,6 @@ impl WcgBuilder {
 
     /// [`WcgBuilder::rebuild`] over every record of `table`.
     pub(crate) fn rebuild_records(&mut self, table: &TxTable) {
-        let prior_version = self.topo_version;
         self.reset();
         let records = &table.records;
         let mut order = std::mem::take(&mut self.order);
@@ -294,9 +277,6 @@ impl WcgBuilder {
             self.apply(table, i);
         }
         self.order = order;
-        // Keep the version strictly monotone across the rebuild so feature
-        // caches keyed on an older builder state can never collide.
-        self.topo_version += prior_version + 1;
     }
 
     /// Back to a new builder, moving the buffers that hold no state once
@@ -317,7 +297,6 @@ impl WcgBuilder {
             mut download_hosts,
             mut seen_uris,
             mut txs,
-            mut seen_pairs,
             mut order,
             own,
             ..
@@ -330,7 +309,6 @@ impl WcgBuilder {
         download_hosts.clear();
         seen_uris.clear();
         txs.clear();
-        seen_pairs.clear();
         order.clear();
         self.wcg.graph = graph;
         self.wcg.inter_tx_gaps = inter_tx_gaps;
@@ -340,7 +318,6 @@ impl WcgBuilder {
         self.download_hosts = download_hosts;
         self.seen_uris = seen_uris;
         self.txs = txs;
-        self.seen_pairs = seen_pairs;
         self.order = order;
         self.own = own;
     }
@@ -348,7 +325,6 @@ impl WcgBuilder {
     fn add_node(&mut self, attr: NodeAttr) -> NodeId {
         let id = self.wcg.graph.add_node(attr);
         self.chain_len.push(0);
-        self.topo_version += 1;
         id
     }
 
@@ -366,17 +342,6 @@ impl WcgBuilder {
         };
         self.node_of[id as usize] = node.0 as u32;
         node
-    }
-
-    fn add_edge(&mut self, src: NodeId, dst: NodeId, attr: EdgeAttr) {
-        let pair = (src.0 as u32, dst.0 as u32);
-        if src != dst {
-            if let Err(at) = self.seen_pairs.binary_search(&pair) {
-                self.seen_pairs.insert(at, pair);
-                self.topo_version += 1;
-            }
-        }
-        self.wcg.graph.add_edge(src, dst, attr);
     }
 
     /// Re-stages transaction `i`: patches its edges and the stage counts.
@@ -494,7 +459,7 @@ impl WcgBuilder {
         }
         let edge_start = self.wcg.graph.edge_count();
         // Request edge.
-        self.add_edge(victim, host_node, EdgeAttr {
+        self.wcg.graph.add_edge(victim, host_node, EdgeAttr {
             kind: EdgeKind::Request,
             stage,
             ts: rec.ts,
@@ -506,7 +471,7 @@ impl WcgBuilder {
         });
         // Response edge.
         if rec.status != 0 {
-            self.add_edge(host_node, victim, EdgeAttr {
+            self.wcg.graph.add_edge(host_node, victim, EdgeAttr {
                 kind: EdgeKind::Response,
                 stage,
                 ts: rec.resp_ts,
@@ -526,7 +491,7 @@ impl WcgBuilder {
                 continue; // same-host refresh, not a hop
             }
             let target_node = self.node_for(table, target);
-            self.add_edge(host_node, target_node, EdgeAttr {
+            self.wcg.graph.add_edge(host_node, target_node, EdgeAttr {
                 kind: EdgeKind::Redirect,
                 stage,
                 ts: rec.resp_ts,
@@ -561,7 +526,7 @@ impl WcgBuilder {
         // transaction's edge range so stage patches reach it.
         if index == 0 {
             if let Some(origin_id) = self.wcg.origin {
-                self.add_edge(origin_id, host_node, EdgeAttr {
+                self.wcg.graph.add_edge(origin_id, host_node, EdgeAttr {
                     kind: EdgeKind::Redirect,
                     stage,
                     ts: rec.ts,
@@ -694,28 +659,6 @@ mod tests {
         assert_eq!(builder.push(&t3), PushOutcome::Applied);
         let all = vec![all[0].clone(), all[1].clone(), t3];
         assert_same(&builder, &all);
-    }
-
-    #[test]
-    fn topo_version_tracks_topology_not_attributes() {
-        let mut builder = WcgBuilder::new();
-        let t1 = tx(1.0, "a.com", "/", Method::Get, 200, PayloadClass::Html, 10, None, None);
-        assert_eq!(builder.push(&t1), PushOutcome::Applied);
-        let v1 = builder.topo_version();
-        // Same host, same edge pairs: a parallel request/response changes
-        // counts but not the simple topology.
-        let t2 = tx(2.0, "a.com", "/b", Method::Get, 200, PayloadClass::Html, 10, None, None);
-        assert_eq!(builder.push(&t2), PushOutcome::Applied);
-        assert_eq!(builder.topo_version(), v1);
-        // A new host changes topology.
-        let t3 = tx(3.0, "b.com", "/", Method::Get, 200, PayloadClass::Html, 10, None, None);
-        assert_eq!(builder.push(&t3), PushOutcome::Applied);
-        assert!(builder.topo_version() > v1);
-        // Rebuilds advance the version past every previously seen value.
-        let all = vec![t1, t2, t3];
-        let before = builder.topo_version();
-        builder.rebuild(&all);
-        assert!(builder.topo_version() > before);
     }
 
     /// The builder's stage machine against its definition:

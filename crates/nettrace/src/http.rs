@@ -133,7 +133,7 @@ struct Entry {
 /// An ordered, case-insensitive multimap of HTTP headers.
 ///
 /// Every name and value sits back to back in one `text` buffer, and
-/// each line is an [`Entry`] of offsets into it, so a map costs two
+/// each line is an `Entry` of offsets into it, so a map costs two
 /// heap blocks however many headers it holds. Hot header names (see
 /// `HOT_HEADERS`) are interned to dense ids when a header is inserted,
 /// so [`HeaderMap::get`]/[`HeaderMap::set`] on those names compare one

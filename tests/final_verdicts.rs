@@ -92,19 +92,11 @@ fn rebuilt(detector: &OnTheWireDetector, model: &Classifier) -> Vec<VerdictBits>
         .collect()
 }
 
-/// Conversations whose memoized topology features are current (the
-/// sweep reads them) and stale or absent, with or without a graph (the
-/// sweep computes them).
-fn cache_states(detector: &OnTheWireDetector) -> (usize, usize) {
-    let current = detector
-        .tracker()
-        .conversations()
-        .filter(|c| {
-            c.wcg_cached()
-                .is_some_and(|(_, topo_version, cache)| cache.version() == Some(topo_version))
-        })
-        .count();
-    (current, detector.tracker().conversation_count() - current)
+/// Conversations that hold their graph (the sweep scores it) and that
+/// hold none (the sweep builds one).
+fn graph_states(detector: &OnTheWireDetector) -> (usize, usize) {
+    let held = detector.tracker().conversations().filter(|c| c.held_wcg().is_some()).count();
+    (held, detector.tracker().conversation_count() - held)
 }
 
 /// The sweep at 1, 2 and 8 threads against the rebuilt scores.
@@ -129,11 +121,11 @@ fn every_family_and_scenario_scores_as_rebuilt() {
     let stream = all_kinds_stream(3, 2);
     let mut det = detector(DetectorConfig::default(), &stream);
     assert!(!det.alerts().is_empty(), "the stream holds infections");
-    let (current, stale) = cache_states(&det);
-    assert!(current > 0 && stale > 0, "both cache paths run: {current} current, {stale} not");
+    let (held, built) = graph_states(&det);
+    assert!(held > 0 && built > 0, "both graph paths run: {held} held, {built} built");
     assert_sweep_is_rebuild(&mut det, classifier(), "all kinds");
     // A sweep leaves the detector as it found it.
-    assert_eq!(cache_states(&det), (current, stale));
+    assert_eq!(graph_states(&det), (held, built));
 }
 
 /// A graph exists only where the detector has looked: every watched
@@ -143,7 +135,7 @@ fn every_family_and_scenario_scores_as_rebuilt() {
 fn only_watched_conversations_hold_a_graph() {
     let mut det = detector(DetectorConfig::default(), &all_kinds_stream(3, 2));
     let held = |det: &OnTheWireDetector| {
-        det.tracker().conversations().map(|c| (c.watched, c.wcg_cached().is_some())).collect()
+        det.tracker().conversations().map(|c| (c.watched, c.held_wcg().is_some())).collect()
     };
     let before: Vec<(bool, bool)> = held(&det);
     assert!(before.iter().any(|&(watched, _)| watched), "a clue fired");
@@ -224,8 +216,8 @@ fn restored_engines_score_as_rebuilt_at_any_shard_count() {
     assert_eq!(reports[0], reports[1], "1 and 4 shards agree");
 }
 
-/// A topology value memoized under one model may serve the next — it
-/// does not depend on the model — but a score may not.
+/// A graph held under one model may serve the next — it does not depend
+/// on the model — but a score may not.
 #[test]
 fn a_reload_rescores_everything_under_the_new_model() {
     let stream = all_kinds_stream(34, 2);
@@ -235,9 +227,9 @@ fn a_reload_rescores_everything_under_the_new_model() {
         det.observe(tx);
     }
     let before = bits(&det.final_verdicts(1));
-    assert!(cache_states(&det).0 > 0, "nothing was memoized under the first model");
+    assert!(graph_states(&det).0 > 0, "no graph was held under the first model");
     det.model_slot().swap(other_classifier().clone());
-    assert!(cache_states(&det).0 > 0, "the reload keeps memoized topology");
+    assert!(graph_states(&det).0 > 0, "the reload keeps the held graphs");
     let reloaded = bits(&det.final_verdicts(1));
     assert_eq!(reloaded, rebuilt(&det, other_classifier()));
     assert_ne!(reloaded, before, "the two models agree everywhere");

@@ -3,7 +3,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use dynaminer::features::{self, FeatureExtractor, TopoCache};
+use dynaminer::features::{self, FeatureExtractor};
 use dynaminer::wcg::{PushOutcome, Wcg, WcgBuilder};
 use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
@@ -446,22 +446,22 @@ proptest! {
         }
     }
 
-    // The detector's memoized extraction path (topology features cached
-    // against the builder's topo_version) must be bit-identical to a fresh
-    // 37-feature extraction over a from-scratch WCG, for every prefix.
+    // The detector's extraction path (one reused extractor, whose shape
+    // memo serves the topology features of every prefix whose shape it
+    // has seen, over the incrementally built WCG) must be bit-identical
+    // to a fresh 37-feature extraction over a from-scratch WCG, for every
+    // prefix.
     #[test]
     fn memoized_features_match_fresh_extraction_bit_for_bit(
         txs in vec(arb_transaction(), 1..20)
     ) {
         let mut builder = WcgBuilder::new();
         let mut extractor = FeatureExtractor::new();
-        let mut cache = TopoCache::new();
         for i in 0..txs.len() {
             if builder.push(&txs[i]) == PushOutcome::NeedsRebuild {
                 builder.rebuild(&txs[..=i]);
             }
-            let memo =
-                extractor.extract_memoized(builder.wcg(), builder.topo_version(), &mut cache);
+            let memo = extractor.extract(builder.wcg());
             let fresh = features::extract(&Wcg::from_transactions(&txs[..=i]));
             for (j, (a, b)) in memo.values().iter().zip(fresh.values()).enumerate() {
                 prop_assert_eq!(
