@@ -263,7 +263,6 @@ pub fn classify(args: &[String]) -> Result<(), String> {
     }
     let registry = telemetry::Registry::new();
     let metrics_out = opts.flags.get("metrics-out");
-    let ingest_metrics = nettrace::metrics::IngestMetrics::new(&registry);
     let extraction_ns = registry.latency_histogram(
         "classifier_feature_extraction_ns",
         "WCG construction + 37-feature extraction latency per capture",
@@ -286,7 +285,7 @@ pub fn classify(args: &[String]) -> Result<(), String> {
     for path in &opts.positional {
         let (txs, ingest) = load_capture(path, opts.bool_flag("strict"))?;
         if let Some(report) = &ingest {
-            ingest_metrics.record(report);
+            nettrace::ingest::publish(&registry, report);
         }
         // A lenient read that salvaged nothing has no conversation to
         // judge; a verdict over zero evidence would be noise.
@@ -423,7 +422,7 @@ pub fn replay(args: &[String]) -> Result<(), String> {
         let txs;
         (txs, ingest) = load_capture(path, opts.bool_flag("strict"))?;
         if let (Some(registry), Some(ingest)) = (stats, &ingest) {
-            nettrace::metrics::IngestMetrics::new(registry).record(ingest);
+            nettrace::ingest::publish(registry, ingest);
         }
         let mut source = ReplaySource::new(txs);
         let pace_ms = opts.u64_flag("pace-ms", 0)?;

@@ -101,10 +101,9 @@ impl RandomForest {
     /// any `threads`**.
     ///
     /// With `tree_fit_ns`, each tree's wall-clock fit time is recorded
-    /// into it. The durations are folded in *tree order* after the pool
-    /// joins (via a [`telemetry::LocalHistogram`] shard), so the bucket
-    /// counts are as deterministic as the timings themselves; timing
-    /// never changes the model.
+    /// into it. The durations are observed in *tree order* after the
+    /// pool joins, so the bucket counts are as deterministic as the
+    /// timings themselves; timing never changes the model.
     ///
     /// # Panics
     ///
@@ -136,15 +135,11 @@ impl RandomForest {
             (tree, u64::try_from(elapsed).unwrap_or(u64::MAX))
         });
         let mut trees = Vec::with_capacity(timed.len());
-        if let Some(hist) = tree_fit_ns {
-            let mut shard = telemetry::LocalHistogram::shard_of(hist);
-            for (tree, ns) in timed {
-                shard.observe(ns);
-                trees.push(tree);
+        for (tree, ns) in timed {
+            if let Some(hist) = tree_fit_ns {
+                hist.observe(ns);
             }
-            hist.record_local(&shard);
-        } else {
-            trees.extend(timed.into_iter().map(|(tree, _)| tree));
+            trees.push(tree);
         }
         RandomForest { trees, n_classes: data.n_classes(), combination: config.combination }
     }

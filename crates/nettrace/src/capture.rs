@@ -1,11 +1,11 @@
 //! Format-agnostic capture reading: classic pcap or pcapng, detected by
 //! magic.
 //!
-//! [`read_packet_spans`] is the one capture walk. A single pass serves
-//! both offline ingest policies: the **lenient** reading lands in the
-//! [`IngestReport`] (what was salvaged, what was skipped), the **strict**
-//! reading is the returned `Result` (the first framing error, with a
-//! truncated final record tolerated).
+//! There is one capture walk. A single pass serves both offline ingest
+//! policies: the **lenient** reading lands in the [`IngestReport`] (what
+//! was salvaged, what was skipped), the **strict** reading is the
+//! walk's `Result` (the first framing error, with a truncated final
+//! record tolerated).
 
 use crate::arena::PacketSpan;
 use crate::ingest::IngestReport;
@@ -26,7 +26,7 @@ use crate::{pcapng, Result};
 /// The strict reading of the same walk: [`crate::Error::BadPcapMagic`]
 /// when the bytes are neither format, or the first framing error. `out`
 /// and `report` hold the lenient salvage either way.
-pub fn read_packet_spans(
+pub(crate) fn read_packet_spans(
     bytes: &[u8],
     report: &mut IngestReport,
     out: &mut Vec<PacketSpan>,
@@ -41,8 +41,9 @@ pub fn read_packet_spans(
     end.strict()
 }
 
-/// The lenient policy over [`read_packet_spans`]: never fails, losses
-/// are in `report`.
+/// The lenient policy over the capture walk: one `(ts, range)` span per
+/// salvageable packet appended to `out`. Never fails; losses are in
+/// `report`.
 pub fn read_packet_spans_lenient(
     bytes: &[u8],
     report: &mut IngestReport,
@@ -51,14 +52,15 @@ pub fn read_packet_spans_lenient(
     let _ = read_packet_spans(bytes, report, out);
 }
 
-/// The strict policy over [`read_packet_spans`], materialised as owned
+/// The strict policy over the capture walk, materialised as owned
 /// packets for tools that edit them (`synthtraffic::faultgen`, test
 /// fixtures). A capture that ends in the middle of its final record
 /// yields every packet before it.
 ///
 /// # Errors
 ///
-/// See [`read_packet_spans`].
+/// [`crate::Error::BadPcapMagic`] when the bytes are neither format, or
+/// the first framing error.
 pub fn read_packets(bytes: &[u8]) -> Result<Vec<Packet>> {
     let mut spans = Vec::new();
     read_packet_spans(bytes, &mut IngestReport::new(), &mut spans)?;

@@ -36,7 +36,7 @@
 //!   [`crate::Error::DecodedTooLarge`] at the byte that would pass the
 //!   cap, on every output path.
 //! * **Checksums**: [`crc32`] is slicing-by-16 over tables built at
-//!   compile time. [`adler32`] stays the plain two-sum loop: the compiler
+//!   compile time. `adler32` stays the plain two-sum loop: the compiler
 //!   vectorizes it, and hand-unrolled forms measured slower.
 //!
 //! The bit-at-a-time decoder these replaced lives on in `reference.rs`
@@ -517,7 +517,7 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>> {
 ///
 /// Returns [`crate::Error::DecodedTooLarge`] when the output exceeds
 /// `cap`, or another error on malformed or truncated streams.
-pub fn inflate_capped(data: &[u8], cap: usize) -> Result<Vec<u8>> {
+pub(crate) fn inflate_capped(data: &[u8], cap: usize) -> Result<Vec<u8>> {
     // Without a declared size, guess a typical text ratio; the window
     // doubles from there.
     inflate_hinted(data, cap, data.len().saturating_mul(4))
@@ -733,7 +733,7 @@ fn careful_lookup(bits: &mut Bits<'_>, table: &[u32], root: u32) -> Result<u32> 
 // ---------------------------------------------------------------------
 
 /// DEFLATE-compresses `data` as stored (uncompressed) blocks.
-pub fn deflate_stored(data: &[u8]) -> Vec<u8> {
+pub(crate) fn deflate_stored(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() + data.len() / 65_535 * 5 + 6);
     let mut chunks = data.chunks(65_535).peekable();
     if data.is_empty() {
@@ -802,7 +802,8 @@ pub fn deflate_fixed_literals(data: &[u8]) -> Vec<u8> {
 /// bytes (a ~160× expansion ratio). Exercises the zip-bomb guard from
 /// the compressing side; also handy for synthesizing large compressible
 /// bodies without storing them.
-pub fn deflate_run(byte: u8, count: usize) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn deflate_run(byte: u8, count: usize) -> Vec<u8> {
     let mut out = Vec::new();
     let mut pos = 0u32;
     let push_bit = |out: &mut Vec<u8>, bit: u32, pos: &mut u32| {
@@ -929,7 +930,7 @@ pub fn gzip_compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Whether `data` starts with a gzip magic.
-pub fn is_gzip(data: &[u8]) -> bool {
+pub(crate) fn is_gzip(data: &[u8]) -> bool {
     data.len() >= 2 && data[0] == 0x1f && data[1] == 0x8b
 }
 
@@ -1010,7 +1011,7 @@ pub fn gzip_decompress_capped(data: &[u8], cap: usize) -> Result<Vec<u8>> {
 // ---------------------------------------------------------------------
 
 /// Adler-32 checksum (RFC 1950, as used by zlib).
-pub fn adler32(data: &[u8]) -> u32 {
+pub(crate) fn adler32(data: &[u8]) -> u32 {
     const MOD: u32 = 65_521;
     let mut a: u32 = 1;
     let mut b: u32 = 0;

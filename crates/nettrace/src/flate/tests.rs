@@ -236,6 +236,57 @@ fn gzip_skips_fname_header() {
     assert_eq!(gzip_decompress(&with_name).unwrap(), b"named content");
 }
 
+/// A gzip member of `body` whose header carries the optional fields
+/// `flags` selects: FHCRC (0x02), FEXTRA (0x04), FNAME (0x08), FCOMMENT
+/// (0x10), in RFC 1952 order.
+fn gzip_member_with(flags: u8, body: &[u8]) -> Vec<u8> {
+    let plain = gzip_compress(body);
+    let mut member = plain[..10].to_vec();
+    member[3] = flags;
+    if flags & 0x04 != 0 {
+        // XLEN 7: one subfield `AB` of three bytes.
+        member.extend_from_slice(&[7, 0, b'A', b'B', 3, 0, 1, 2, 3]);
+    }
+    if flags & 0x08 != 0 {
+        member.extend_from_slice(b"page.html\0");
+    }
+    if flags & 0x10 != 0 {
+        member.extend_from_slice(b"a comment\0");
+    }
+    if flags & 0x02 != 0 {
+        let hcrc = crc32(&member) as u16;
+        member.extend_from_slice(&hcrc.to_le_bytes());
+    }
+    member.extend_from_slice(&plain[10..]);
+    member
+}
+
+#[test]
+fn gzip_header_totality() {
+    let body = b"<html><script>location='http://x/'</script></html>";
+    // Bits 1-4: every combination of FHCRC, FEXTRA, FNAME and FCOMMENT.
+    for flags in (0..16u8).map(|bits| bits << 1) {
+        let member = gzip_member_with(flags, body);
+        let decoded = gzip_decompress_capped(&member, MAX_INFLATED).unwrap();
+        assert_eq!(decoded, body, "flags {flags:#x}");
+        for cut in 0..member.len() {
+            assert!(
+                gzip_decompress_capped(&member[..cut], MAX_INFLATED).is_err(),
+                "flags {flags:#x}: prefix of {cut} bytes accepted"
+            );
+        }
+    }
+    // An XLEN that runs past the member.
+    let mut member = gzip_member_with(0x04, body);
+    member[10..12].copy_from_slice(&u16::MAX.to_le_bytes());
+    assert!(gzip_decompress_capped(&member, MAX_INFLATED).is_err());
+    // An FNAME whose terminator never comes.
+    let mut member = gzip_compress(body)[..10].to_vec();
+    member[3] = 0x08;
+    member.extend_from_slice(&[b'n'; 32]);
+    assert!(gzip_decompress_capped(&member, MAX_INFLATED).is_err());
+}
+
 #[test]
 fn crc32_known_values() {
     assert_eq!(crc32(b""), 0);

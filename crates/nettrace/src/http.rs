@@ -37,7 +37,7 @@ pub enum Method {
 
 impl Method {
     /// Parses a method token.
-    pub fn from_token(tok: &str) -> Method {
+    pub(crate) fn from_token(tok: &str) -> Method {
         match tok {
             "GET" => Method::Get,
             "POST" => Method::Post,
@@ -388,7 +388,7 @@ pub struct ResponseHead {
 
 /// How a message body is framed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BodyFraming {
+pub(crate) enum BodyFraming {
     /// No body (e.g. GET request, 204/304 response, HEAD response).
     None,
     /// Exactly this many bytes follow.
@@ -533,24 +533,23 @@ fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
     haystack.as_bytes().windows(needle.len()).any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
-/// Determines how the body after a request head is framed.
-pub fn request_body_framing(head: &RequestHead) -> BodyFraming {
-    if head
-        .headers
-        .get("Transfer-Encoding")
-        .is_some_and(|v| contains_ignore_ascii_case(v, "chunked"))
-    {
+/// How a body is framed by its headers: chunked, else `Content-Length`,
+/// else `otherwise`.
+fn framing_by_headers(headers: &HeaderMap, otherwise: BodyFraming) -> BodyFraming {
+    if headers.get("Transfer-Encoding").is_some_and(|v| contains_ignore_ascii_case(v, "chunked")) {
         return BodyFraming::Chunked;
     }
-    match head.headers.get("Content-Length").and_then(|v| v.parse::<usize>().ok()) {
-        Some(0) | None => BodyFraming::None,
-        Some(n) => BodyFraming::Length(n),
-    }
+    headers.get("Content-Length").and_then(|v| v.parse().ok()).map_or(otherwise, BodyFraming::Length)
+}
+
+/// Determines how the body after a request head is framed.
+pub(crate) fn request_body_framing(head: &RequestHead) -> BodyFraming {
+    framing_by_headers(&head.headers, BodyFraming::None)
 }
 
 /// Determines how the body after a response head is framed, given the method
 /// of the request it answers.
-pub fn response_body_framing(head: &ResponseHead, request_method: &Method) -> BodyFraming {
+pub(crate) fn response_body_framing(head: &ResponseHead, request_method: &Method) -> BodyFraming {
     if *request_method == Method::Head
         || head.status / 100 == 1
         || head.status == 204
@@ -558,17 +557,7 @@ pub fn response_body_framing(head: &ResponseHead, request_method: &Method) -> Bo
     {
         return BodyFraming::None;
     }
-    if head
-        .headers
-        .get("Transfer-Encoding")
-        .is_some_and(|v| contains_ignore_ascii_case(v, "chunked"))
-    {
-        return BodyFraming::Chunked;
-    }
-    match head.headers.get("Content-Length").and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) => BodyFraming::Length(n),
-        None => BodyFraming::UntilClose,
-    }
+    framing_by_headers(&head.headers, BodyFraming::UntilClose)
 }
 
 /// Attempts to decode a chunked body from the front of `buf`.
@@ -713,6 +702,8 @@ mod tests {
         };
         assert_eq!(request_body_framing(&mk("")), BodyFraming::None);
         assert_eq!(request_body_framing(&mk("Content-Length: 10\r\n")), BodyFraming::Length(10));
+        // An empty declared body frames like no body (zero bytes taken).
+        assert_eq!(request_body_framing(&mk("Content-Length: 0\r\n")), BodyFraming::Length(0));
         assert_eq!(
             request_body_framing(&mk("Transfer-Encoding: chunked\r\n")),
             BodyFraming::Chunked

@@ -6,7 +6,7 @@
 //! capture → transaction path ([`crate::SpanPipeline`]); it never stops
 //! at damage, it salvages what it can and records *why and where* each
 //! layer lost something. The two offline policies read that one run
-//! differently. **Strict** ([`crate::SpanPipeline::extract_strict`])
+//! differently. **Strict** ([`crate::SpanPipeline::extract_capture_strict`])
 //! returns the first framing or HTTP-syntax stop as an error — the right
 //! default for tests and for inputs that are supposed to be clean.
 //! **Lenient** ([`crate::SpanPipeline::extract_lenient`]) is for forensic
@@ -22,10 +22,14 @@
 //!   and well-formed frames that simply are not TCP/IPv4,
 //! * **stream layer** — reassembled streams salvaged after a mid-stream
 //!   parse error, discarded entirely, or skipped as non-HTTP,
-//! * **HTTP layer** — transactions recovered, gzip and chunked-framing
-//!   decode failures.
+//! * **HTTP layer** — transactions recovered, content-coding and
+//!   chunked-framing failures, bodies over the decode cap.
+//!
+//! [`publish`] adds one capture's report to a telemetry registry, one
+//! `ingest_*_total` counter per field.
 
 use serde::{Deserialize, Serialize};
+use telemetry::Registry;
 
 /// Per-layer counters describing what one lenient ingest run recovered
 /// and what it dropped.
@@ -121,6 +125,98 @@ impl IngestReport {
             || self.chunked_failures > 0
             || self.decode_cap_exceeded > 0
     }
+
+    /// `(metric name, help, value)` for every counter [`publish`] adds:
+    /// one per field, plus `ingest_captures_total`, to which a report
+    /// counts as one capture.
+    fn counters(&self) -> [(&'static str, &'static str, u64); 17] {
+        [
+            ("ingest_captures_total", "Captures ingested through the lenient path", 1),
+            (
+                "ingest_packets_read_total",
+                "Capture records decoded into packets",
+                self.packets_read,
+            ),
+            (
+                "ingest_records_dropped_total",
+                "Capture records skipped or abandoned",
+                self.records_dropped,
+            ),
+            ("ingest_bytes_skipped_total", "Capture bytes abandoned undecoded", self.bytes_skipped),
+            (
+                "ingest_capture_truncations_total",
+                "Captures that ended mid-record or mid-block",
+                u64::from(self.capture_truncated),
+            ),
+            (
+                "ingest_packets_dropped_decode_total",
+                "Packets that failed Ethernet/IPv4/TCP decoding",
+                self.packets_dropped_decode,
+            ),
+            (
+                "ingest_packets_non_tcp_total",
+                "Well-formed packets that are not IPv4/TCP",
+                self.packets_non_tcp,
+            ),
+            ("ingest_streams_total", "Reassembled unidirectional streams seen", self.streams_total),
+            (
+                "ingest_streams_salvaged_total",
+                "Streams with a parseable prefix kept after a mid-stream error",
+                self.streams_salvaged,
+            ),
+            (
+                "ingest_streams_discarded_total",
+                "Streams quarantined without recovering a message",
+                self.streams_discarded,
+            ),
+            (
+                "ingest_streams_non_http_total",
+                "Streams carrying a non-HTTP protocol",
+                self.streams_skipped_non_http,
+            ),
+            (
+                "ingest_reassembly_gaps_total",
+                "Sequence discontinuities skipped during TCP reassembly",
+                self.reassembly_gaps,
+            ),
+            (
+                "ingest_transactions_recovered_total",
+                "HTTP transactions recovered end-to-end",
+                self.transactions_recovered,
+            ),
+            (
+                "ingest_gzip_failures_total",
+                "Response bodies whose gzip encoding failed to decode",
+                self.gzip_failures,
+            ),
+            (
+                "ingest_deflate_failures_total",
+                "Response bodies whose deflate encoding failed to decode",
+                self.deflate_failures,
+            ),
+            (
+                "ingest_chunked_failures_total",
+                "Chunked transfer framing errors",
+                self.chunked_failures,
+            ),
+            (
+                "ingest_decode_cap_exceeded_total",
+                "Response bodies kept encoded because decoding would exceed the expansion cap",
+                self.decode_cap_exceeded,
+            ),
+        ]
+    }
+}
+
+/// Adds one capture's report to the `ingest_*_total` counters in
+/// `registry`, registering them on first use. `report` must be that
+/// capture's own (a fresh report threaded through one lenient ingest),
+/// not a running total: the counters are monotone and would count it
+/// twice.
+pub fn publish(registry: &Registry, report: &IngestReport) {
+    for (name, help, value) in report.counters() {
+        registry.counter(name, help).add(value);
+    }
 }
 
 impl std::fmt::Display for IngestReport {
@@ -189,6 +285,56 @@ mod tests {
         for word in ["capture", "decode", "streams", "http"] {
             assert!(r.contains(word), "{r}");
         }
+    }
+
+    /// Every counter carries the field it is named after, read from the
+    /// serialized report; distinct values per field expose a crossed or
+    /// forgotten row.
+    #[test]
+    fn publish_maps_every_field_to_its_own_counter() {
+        let report = IngestReport {
+            packets_read: 2,
+            records_dropped: 3,
+            bytes_skipped: 5,
+            capture_truncated: true,
+            packets_dropped_decode: 7,
+            packets_non_tcp: 11,
+            streams_total: 13,
+            streams_salvaged: 17,
+            streams_discarded: 19,
+            streams_skipped_non_http: 23,
+            reassembly_gaps: 29,
+            transactions_recovered: 31,
+            gzip_failures: 37,
+            deflate_failures: 43,
+            chunked_failures: 41,
+            decode_cap_exceeded: 47,
+        };
+        let registry = Registry::new();
+        publish(&registry, &report);
+        let fields = serde::to_value(&report).unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        for (name, value) in registry.snapshot().counters {
+            let field = match name.as_str() {
+                "ingest_captures_total" => {
+                    assert_eq!(value, 1);
+                    continue;
+                }
+                "ingest_capture_truncations_total" => "capture_truncated",
+                "ingest_streams_total" => "streams_total",
+                "ingest_streams_non_http_total" => "streams_skipped_non_http",
+                _ => name.strip_prefix("ingest_").and_then(|n| n.strip_suffix("_total")).unwrap(),
+            };
+            let want = match fields.get_field(field) {
+                Some(serde::Value::UInt(v)) => *v,
+                Some(serde::Value::Int(v)) => u64::try_from(*v).unwrap(),
+                Some(serde::Value::Bool(b)) => u64::from(*b),
+                other => panic!("{name}: no field {field:?} ({other:?})"),
+            };
+            assert_eq!(value, want, "{name}");
+            assert!(seen.insert(field.to_string()), "two counters read {field}");
+        }
+        assert_eq!(seen.len(), 16, "a field has no counter");
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub fn build(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, ident: u16, payload: &[
 }
 
 /// Computes the Internet checksum (RFC 1071) over `data`.
-pub fn checksum(data: &[u8]) -> u16 {
+pub(crate) fn checksum(data: &[u8]) -> u16 {
     let mut sum = 0u32;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {

@@ -18,9 +18,10 @@
 //!   `Content-Type`, and magic bytes, including the 45 ransomware file
 //!   extensions the paper matches against,
 //! * [`ingest`] — per-layer health counters ([`IngestReport`]): the
-//!   lenient policy's account of what a hostile or damaged capture cost.
-//!   The strict policy reads the same run and returns its first framing
-//!   or HTTP-syntax stop as an [`Error`] instead.
+//!   lenient policy's account of what a hostile or damaged capture cost,
+//!   published as telemetry counters by [`ingest::publish`]. The strict
+//!   policy reads the same run and returns its first framing or
+//!   HTTP-syntax stop as an [`Error`] instead.
 //!
 //! # Example
 //!
@@ -49,7 +50,6 @@ pub mod flate;
 pub mod http;
 pub mod ingest;
 pub mod ipv4;
-pub mod metrics;
 pub mod payload;
 pub mod pcap;
 pub mod pcapng;

@@ -10,7 +10,7 @@
 //! *why and where it stopped* as a [`WalkEnd`], and the callers are
 //! policies over that value — strict turns a framing stop into an
 //! [`Error`] ([`WalkEnd::strict`]), lenient folds it into an
-//! [`IngestReport`] ([`WalkEnd::account`]), and a tailing reader keeps
+//! [`IngestReport`] (`WalkEnd::account`), and a tailing reader keeps
 //! the bytes from [`WalkEnd::at`] on pending for the next read.
 
 use std::io::Write;
@@ -146,7 +146,7 @@ impl WalkEnd {
     /// The lenient policy: the unconsumed tail of a `len`-byte input is
     /// counted as skipped, the record the walk stopped at as dropped,
     /// and truncation is flagged.
-    pub fn account(&self, len: usize, report: &mut IngestReport) {
+    pub(crate) fn account(&self, len: usize, report: &mut IngestReport) {
         report.bytes_skipped += (len - self.at) as u64;
         report.capture_truncated |= self.stop == Stop::Truncated;
         if self.at >= HEADER_LEN && matches!(self.stop, Stop::Truncated | Stop::BadLength(_)) {
@@ -224,23 +224,14 @@ impl<W: Write> PcapWriter<W> {
     /// # Errors
     ///
     /// Returns [`Error::Io`] when the header cannot be written.
-    pub fn new(inner: W) -> Result<Self> {
-        Self::with_linktype(inner, LINKTYPE_ETHERNET)
-    }
-
-    /// Writes the global header with an explicit link type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] when the header cannot be written.
-    pub fn with_linktype(mut inner: W, linktype: u32) -> Result<Self> {
+    pub fn new(mut inner: W) -> Result<Self> {
         let mut hdr = [0u8; 24];
         hdr[0..4].copy_from_slice(&MAGIC_USEC.to_le_bytes());
         hdr[4..6].copy_from_slice(&2u16.to_le_bytes()); // version major
         hdr[6..8].copy_from_slice(&4u16.to_le_bytes()); // version minor
         // thiszone and sigfigs stay zero.
         hdr[16..20].copy_from_slice(&(MAX_CAPTURE_LEN).to_le_bytes()); // snaplen
-        hdr[20..24].copy_from_slice(&linktype.to_le_bytes());
+        hdr[20..24].copy_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
         inner.write_all(&hdr)?;
         Ok(PcapWriter { inner })
     }
@@ -417,12 +408,5 @@ mod tests {
             assert_eq!(got, [Packet::new(7.5, vec![0xab, 0xcd])], "{magic:#x} be={big_endian}");
             assert!(!report.has_loss());
         }
-    }
-
-    #[test]
-    fn linktype_is_preserved() {
-        let mut buf = Vec::new();
-        PcapWriter::with_linktype(&mut buf, 101).unwrap();
-        assert_eq!(buf[20..24], 101u32.to_le_bytes());
     }
 }

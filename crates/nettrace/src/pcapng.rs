@@ -50,7 +50,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// Whether `bytes` starts with a pcapng Section Header Block.
-pub fn is_pcapng(bytes: &[u8]) -> bool {
+pub(crate) fn is_pcapng(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && bytes[0..4] == SHB_TYPE.to_le_bytes()
 }
 

@@ -104,9 +104,12 @@ impl ProxyProtoError {
         }
     }
 
-    /// All rejection reasons, for registering one counter per reason.
+    /// Every variant's [`reason`](Self::reason), for registering one
+    /// counter per reason.
     pub fn reasons() -> [&'static str; 5] {
-        ["bad_signature", "malformed", "oversized", "unsupported_version", "unsupported_family"]
+        use ProxyProtoError::*;
+        let all = [BadSignature, Malformed, Oversized, UnsupportedVersion, UnsupportedFamily];
+        all.map(|e| e.reason())
     }
 }
 
@@ -293,7 +296,8 @@ pub fn encode_v1_tcp4(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> Vec<u8> {
 }
 
 /// Renders a v2 `PROXY` header for an IPv4 TCP connection.
-pub fn encode_v2_tcp4(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> Vec<u8> {
+#[cfg(test)]
+fn encode_v2_tcp4(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> Vec<u8> {
     let mut out = V2_SIGNATURE.to_vec();
     out.push(0x21); // version 2, command PROXY
     out.push(0x11); // AF_INET, STREAM
@@ -308,6 +312,8 @@ pub fn encode_v2_tcp4(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn parse_all(buf: &[u8]) -> std::result::Result<Option<(ProxyHeader, usize)>, ProxyProtoError> {
         // Every prefix of a valid header must be `Ok(None)`, never an
@@ -494,10 +500,70 @@ mod tests {
     #[test]
     fn reason_slugs_are_stable() {
         assert_eq!(ProxyProtoError::BadSignature.reason(), "bad_signature");
-        let all = ProxyProtoError::reasons();
-        assert_eq!(all.len(), 5);
-        for r in all {
-            assert!(!r.is_empty());
+        // Every variant's slug is listed exactly once.
+        use ProxyProtoError::*;
+        let variants = [BadSignature, Malformed, Oversized, UnsupportedVersion, UnsupportedFamily];
+        for v in &variants {
+            // Exhaustive: a new variant does not compile here until it
+            // is added to `variants` (and to `ProxyProtoError::reasons`).
+            match v {
+                BadSignature | Malformed | Oversized | UnsupportedVersion | UnsupportedFamily => {}
+            }
+            assert!(!v.reason().is_empty());
+            let listed = ProxyProtoError::reasons().iter().filter(|r| **r == v.reason()).count();
+            assert_eq!(listed, 1, "{v:?}");
+        }
+        assert_eq!(ProxyProtoError::reasons().len(), variants.len());
+    }
+
+    /// One valid header of every form the parser accepts: v1 `TCP4`,
+    /// `TCP6` and `UNKNOWN`, v2 `LOCAL`, `TCP4` and `TCP6`.
+    fn valid_headers() -> Vec<Vec<u8>> {
+        let v2 = |ver_cmd: u8, fam: u8, body: &[u8]| {
+            let mut wire = V2_SIGNATURE.to_vec();
+            wire.extend_from_slice(&[ver_cmd, fam]);
+            wire.extend_from_slice(&(body.len() as u16).to_be_bytes());
+            wire.extend_from_slice(body);
+            wire
+        };
+        let mut tcp6 = Vec::new();
+        tcp6.extend_from_slice(&"2001:db8::1".parse::<std::net::Ipv6Addr>().unwrap().octets());
+        tcp6.extend_from_slice(&"::ffff:10.0.0.2".parse::<std::net::Ipv6Addr>().unwrap().octets());
+        tcp6.extend_from_slice(&[0x10, 0x92, 0x00, 0x50]);
+        vec![
+            b"PROXY TCP4 192.168.0.1 10.0.0.9 56324 443\r\n".to_vec(),
+            b"PROXY TCP6 2001:db8::1 ::ffff:10.0.0.2 4242 80\r\n".to_vec(),
+            b"PROXY UNKNOWN\r\n".to_vec(),
+            v2(0x20, 0x00, &[]),
+            encode_v2_tcp4(
+                (Ipv4Addr::new(198, 51, 100, 7), 40001),
+                (Ipv4Addr::new(203, 0, 113, 1), 8080),
+            ),
+            v2(0x21, 0x21, &tcp6),
+        ]
+    }
+
+    #[test]
+    fn proxy_header_totality() {
+        let headers = valid_headers();
+        for wire in &headers {
+            for cut in 0..wire.len() {
+                assert_eq!(parse_proxy_header(&wire[..cut]), Ok(None), "{wire:?} cut at {cut}");
+            }
+            let (_, consumed) = parse_proxy_header(wire).unwrap().unwrap();
+            assert_eq!(consumed, wire.len(), "{wire:?}");
+        }
+        // Single-bit flips anywhere in any header: an error, a shorter
+        // header, or a request for more bytes, and never a panic or a
+        // claim past the end of the input.
+        let mut rng = StdRng::seed_from_u64(0x9e0c);
+        for _ in 0..2_000 {
+            let mut wire = headers[rng.gen_range(0..headers.len())].clone();
+            let bit = rng.gen_range(0..wire.len() * 8);
+            wire[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(Some((_, consumed))) = parse_proxy_header(&wire) {
+                assert!(consumed <= wire.len(), "{wire:?} consumed {consumed}");
+            }
         }
     }
 

@@ -27,7 +27,7 @@ pub fn memchr(needle: u8, haystack: &[u8]) -> Option<usize> {
 
 /// Returns the index of the first byte equal to `a` or `b`.
 #[inline]
-pub fn memchr2(a: u8, b: u8, haystack: &[u8]) -> Option<usize> {
+pub(crate) fn memchr2(a: u8, b: u8, haystack: &[u8]) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
     {
         memchr2_sse2(a, b, haystack)
@@ -216,7 +216,7 @@ pub fn find_head_end(buf: &[u8]) -> Option<usize> {
 
 /// Finds the next `\r\n` at or after the start of `buf`.
 #[inline]
-pub fn find_crlf(buf: &[u8]) -> Option<usize> {
+pub(crate) fn find_crlf(buf: &[u8]) -> Option<usize> {
     find(buf, b"\r\n")
 }
 

@@ -94,16 +94,6 @@ impl HttpTransaction {
         self.resp_headers.get("Location")
     }
 
-    /// The `User-Agent` request header, if set.
-    pub fn user_agent(&self) -> Option<&str> {
-        self.req_headers.get("User-Agent")
-    }
-
-    /// The response `Content-Type`, if set.
-    pub fn content_type(&self) -> Option<&str> {
-        self.resp_headers.get("Content-Type")
-    }
-
     /// Whether the `DNT` (do-not-track) request header is enabled.
     pub fn dnt_enabled(&self) -> bool {
         self.req_headers.get("DNT").is_some_and(|v| v.trim() == "1")
@@ -139,11 +129,6 @@ impl HttpTransaction {
     /// Whether the response is a redirect (3xx status).
     pub fn is_redirect(&self) -> bool {
         self.status / 100 == 3
-    }
-
-    /// Status class (1–5), or 0 when no response was observed.
-    pub fn status_class(&self) -> u16 {
-        self.status / 100
     }
 }
 
@@ -250,7 +235,7 @@ impl<'a> Body<'a> {
 /// The capture → transaction pipeline, zero-copy on the way in.
 ///
 /// Packets are read as `(ts, range)` spans into the capture buffer
-/// ([`crate::capture::read_packet_spans`]) and reassembled by span
+/// ([`crate::capture`]) and reassembled by span
 /// ([`SpanReassembler`]) into streams laid as arena ranges, nothing
 /// copied. Connections are then read in windows: the multi-segment
 /// streams of a window's connections, about `STAGE_WINDOW_BYTES` (8 MiB)
@@ -267,10 +252,10 @@ impl<'a> Body<'a> {
 /// [`SpanPipeline::extract_lenient`]. The same run also remembers the
 /// first stop a fail-stop reader would have made: a capture framing error,
 /// else the first HTTP syntax error in connection order.
-/// [`SpanPipeline::extract_strict`] returns that stop as an error and the
-/// transactions only when there was none. Truncated final records,
-/// reassembly gaps, undecodable packets, non-HTTP streams, orphan
-/// responses and broken content codings are losses, not stops.
+/// [`SpanPipeline::extract_capture_strict`] returns that stop as an error
+/// and the transactions only when there was none. Truncated final
+/// records, reassembly gaps, undecodable packets, non-HTTP streams,
+/// orphan responses and broken content codings are losses, not stops.
 #[derive(Debug, Default)]
 pub struct SpanPipeline {
     spans: Vec<PacketSpan>,
@@ -302,23 +287,6 @@ impl SpanPipeline {
         report: &mut IngestReport,
     ) -> Vec<HttpTransaction> {
         self.extract(capture, report, STAGE_WINDOW_BYTES).0
-    }
-
-    /// Extracts transactions from one capture, fail-stop: transactions
-    /// sorted by request timestamp, or the first framing or HTTP-syntax
-    /// stop.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::BadPcapMagic`], [`Error::BadCaptureLength`] or a pcapng
-    /// structural error when the capture cannot be framed;
-    /// [`Error::HttpSyntax`] when a stream that begins like an HTTP
-    /// message is malformed. Streams that do not look like HTTP at all
-    /// are skipped silently.
-    pub fn extract_strict(&mut self, capture: &[u8]) -> Result<Vec<HttpTransaction>> {
-        let (transactions, first_stop) =
-            self.extract(capture, &mut IngestReport::new(), STAGE_WINDOW_BYTES);
-        first_stop.map(|()| transactions)
     }
 
     /// The one run behind both policies: the salvaged transactions
@@ -420,13 +388,21 @@ impl SpanPipeline {
         SpanPipeline::new().extract_lenient(capture, report)
     }
 
-    /// Convenience: one-shot strict extraction from raw capture bytes.
+    /// Extracts transactions from one capture, fail-stop: transactions
+    /// sorted by request timestamp, or the first framing or HTTP-syntax
+    /// stop.
     ///
     /// # Errors
     ///
-    /// See [`SpanPipeline::extract_strict`].
+    /// [`Error::BadPcapMagic`], [`Error::BadCaptureLength`] or a pcapng
+    /// structural error when the capture cannot be framed;
+    /// [`Error::HttpSyntax`] when a stream that begins like an HTTP
+    /// message is malformed. Streams that do not look like HTTP at all
+    /// are skipped silently.
     pub fn extract_capture_strict(capture: &[u8]) -> Result<Vec<HttpTransaction>> {
-        SpanPipeline::new().extract_strict(capture)
+        let (transactions, first_stop) =
+            SpanPipeline::new().extract(capture, &mut IngestReport::new(), STAGE_WINDOW_BYTES);
+        first_stop.map(|()| transactions)
     }
 }
 
@@ -1369,7 +1345,7 @@ mod tests {
             }
         );
         // Nothing here is a strict stop, and both policies are one run.
-        assert_eq!(pipeline.extract_strict(&capture).unwrap(), txs);
+        assert_eq!(SpanPipeline::extract_capture_strict(&capture).unwrap(), txs);
         // Reusing the pipeline across captures leaks no state.
         let mut again = IngestReport::new();
         assert_eq!(pipeline.extract_lenient(&capture, &mut again), txs);

@@ -210,7 +210,6 @@ pub struct ConnectionTap {
     resp: DirBuf,
     /// Requests framed but not yet answered, FIFO.
     pending: VecDeque<ParsedRequest>,
-    emitted: u64,
     /// The client's first bytes are not an HTTP request: both
     /// directions stopped, accounted at close like offline non-HTTP
     /// streams.
@@ -234,7 +233,6 @@ impl ConnectionTap {
             req: DirBuf::default(),
             resp: DirBuf::default(),
             pending: VecDeque::new(),
-            emitted: 0,
             non_http: false,
             overflowed: false,
             closed: false,
@@ -264,11 +262,6 @@ impl ConnectionTap {
     /// not complete within the tap buffer.
     pub fn overflowed(&self) -> bool {
         self.overflowed
-    }
-
-    /// Transactions emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// Feeds one burst of `dir`-direction bytes observed at time `ts`.
@@ -336,7 +329,6 @@ impl ConnectionTap {
         }
         while let Some(req) = self.pending.pop_front() {
             out.push(synthesize(self.client, self.server, req, None, report));
-            self.emitted += 1;
         }
         if !carried(&self.req) && carried(&self.resp) {
             // Response bytes with no request direction at all: the
@@ -417,7 +409,6 @@ impl ConnectionTap {
                     match self.pending.pop_front() {
                         Some(req) => {
                             out.push(synthesize(self.client, self.server, req, Some(resp), report));
-                            self.emitted += 1;
                         }
                         None => drop(resp), // nobody asked
                     }
@@ -689,7 +680,6 @@ mod tests {
         tap.close(&mut report, &mut out);
         assert!(!tap.overflowed());
         assert_eq!(out.len(), 50);
-        assert_eq!(tap.emitted(), 50);
     }
 
     #[test]

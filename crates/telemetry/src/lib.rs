@@ -16,11 +16,11 @@
 //!   snapshot taken after N observations is identical no matter how
 //!   many threads produced them. Latencies are recorded in integer
 //!   nanoseconds.
-//! * **Mergeability.** [`LocalHistogram`] is a plain (non-atomic)
-//!   shard a worker can fill privately and merge into the shared
-//!   histogram once; merge is associative and commutative, so a
-//!   parallel pool can combine per-thread shards in any grouping and
-//!   get the same totals.
+//! * **Mergeability.** A worker can fill a registry of its own and
+//!   fold its [`Snapshot`] into the shared one once
+//!   ([`Registry::absorb`]); histogram merge
+//!   ([`HistogramSnapshot::merge`]) is associative and commutative, so
+//!   per-worker registries combine in any grouping to the same totals.
 //!
 //! Naming follows Prometheus conventions: counters end in `_total`,
 //! latency histograms in `_ns` (base unit recorded in the name since
@@ -153,10 +153,6 @@ impl Histogram {
         }
     }
 
-    pub fn with_latency_bounds() -> Self {
-        Self::new(&LATENCY_BOUNDS_NS)
-    }
-
     fn bucket_index(bounds: &[u64], v: u64) -> usize {
         // partition_point: first bound >= v fails `< v`, so this is
         // the index of the first bucket whose inclusive bound admits v
@@ -179,27 +175,11 @@ impl Histogram {
         self.observe(u64::try_from(ns).unwrap_or(u64::MAX));
     }
 
-    /// Fold a privately-filled shard in. One atomic add per non-empty
-    /// bucket; the shard's bounds must match (panics otherwise).
-    pub fn record_local(&self, shard: &LocalHistogram) {
-        assert_eq!(
-            self.inner.bounds, shard.bounds,
-            "histogram merge requires identical bounds"
-        );
-        for (cell, &n) in self.inner.buckets.iter().zip(&shard.buckets) {
-            if n > 0 {
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.inner.count.fetch_add(shard.count, Ordering::Relaxed);
-        self.inner.sum.fetch_add(shard.sum, Ordering::Relaxed);
-    }
-
     /// Fold a point-in-time snapshot of another histogram in. One
     /// atomic add per non-empty bucket; bounds must match (panics
     /// otherwise). This is how an aggregating registry absorbs
     /// per-shard registries whose live handles it never held.
-    pub fn record_snapshot(&self, snap: &HistogramSnapshot) {
+    fn record_snapshot(&self, snap: &HistogramSnapshot) {
         assert_eq!(
             self.inner.bounds, snap.bounds,
             "histogram merge requires identical bounds"
@@ -233,63 +213,6 @@ impl Histogram {
             count: self.inner.count.load(Ordering::Relaxed),
             sum: self.inner.sum.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Non-atomic histogram shard for single-threaded accumulation (one
-/// per worker), merged into a shared [`Histogram`] or another shard.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LocalHistogram {
-    bounds: Vec<u64>,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-}
-
-impl LocalHistogram {
-    pub fn new(bounds: &[u64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Self {
-            bounds: bounds.to_vec(),
-            buckets: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// A shard shaped like `hist`, ready to be `record_local`ed back.
-    pub fn shard_of(hist: &Histogram) -> Self {
-        Self::new(&hist.inner.bounds)
-    }
-
-    #[inline]
-    pub fn observe(&mut self, v: u64) {
-        let idx = Histogram::bucket_index(&self.bounds, v);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Associative, commutative merge: bucket-wise `+`. Panics on
-    /// bound mismatch.
-    pub fn merge(&mut self, other: &LocalHistogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram merge requires identical bounds");
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum
     }
 }
 
@@ -639,24 +562,6 @@ mod tests {
         assert_eq!(snap.buckets, vec![2, 1, 1]);
         assert_eq!(snap.count, 4);
         assert_eq!(snap.sum, 5 + 10 + 11 + 21);
-    }
-
-    #[test]
-    fn local_shard_merges_into_shared() {
-        let h = Histogram::new(&[100]);
-        let mut a = LocalHistogram::shard_of(&h);
-        let mut b = LocalHistogram::shard_of(&h);
-        a.observe(50);
-        b.observe(150);
-        b.observe(1);
-        h.record_local(&a);
-        h.record_local(&b);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 201);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.sum(), 201);
     }
 
     #[test]

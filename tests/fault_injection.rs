@@ -173,12 +173,11 @@ fn corrupted_infection_replay_still_alerts() {
 
 #[test]
 fn telemetry_counters_track_ingest_reports_across_all_fault_classes() {
-    // One long-lived metrics aggregation over every fault class: after
-    // each hostile capture is recorded as a per-capture delta report,
-    // the telemetry counters must equal the merged report exactly —
-    // the 1:1 field↔counter contract of `IngestMetrics`.
+    // One long-lived registry over every fault class: after each
+    // hostile capture's own report is published, every ingest counter
+    // must equal the merged report's — the 1:1 field↔counter contract
+    // of `nettrace::ingest::publish`.
     let registry = telemetry::Registry::new();
-    let metrics = nettrace::metrics::IngestMetrics::new(&registry);
     let mut merged = IngestReport::new();
     let mut captures = 0u64;
     let mut truncated = 0u64;
@@ -189,13 +188,13 @@ fn telemetry_counters_track_ingest_reports_across_all_fault_classes() {
             let hurt = faultgen::apply(&pcap, fault, &mut rng);
             let mut report = IngestReport::new();
             SpanPipeline::extract_capture_lenient(&hurt, &mut report);
-            metrics.record(&report);
+            nettrace::ingest::publish(&registry, &report);
             captures += 1;
             truncated += u64::from(report.capture_truncated);
             merged.merge(&report);
             // Consistency must hold after every capture, not only at
             // the end — a divergence points at the offending fault.
-            metrics.assert_consistent_with(&merged, captures, truncated);
+            assert_counters_match(&registry, &merged, captures, truncated, fault);
         }
     }
     // The hostile corpus must actually have exercised the malformed-
@@ -221,6 +220,33 @@ fn telemetry_counters_track_ingest_reports_across_all_fault_classes() {
         "fault corpus only moved {} loss-cause counters: {recorded:?}",
         recorded.len()
     );
+}
+
+/// Asserts that `registry`'s ingest counters equal `merged` plus a
+/// capture count and a truncation count (the merged report ORs its
+/// truncation flag). The expected counters are `merged` published into a
+/// fresh registry, so every row of the one field→counter table is
+/// compared and none is listed here.
+fn assert_counters_match(
+    registry: &telemetry::Registry,
+    merged: &IngestReport,
+    captures: u64,
+    truncated: u64,
+    fault: Fault,
+) {
+    let expected = telemetry::Registry::new();
+    nettrace::ingest::publish(&expected, merged);
+    let got = registry.snapshot().counters;
+    let want = expected.snapshot().counters;
+    assert_eq!(got.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>());
+    for (name, &value) in &want {
+        let value = match name.as_str() {
+            "ingest_captures_total" => captures,
+            "ingest_capture_truncations_total" => truncated,
+            _ => value,
+        };
+        assert_eq!(got[name], value, "telemetry/IngestReport divergence on {name} after {fault}");
+    }
 }
 
 /// Conversation accounting across the hostile corpus: for every fault

@@ -1,12 +1,14 @@
 //! Property-based invariants for the telemetry crate: counter
 //! monotonicity, histogram merge algebra (associative + commutative +
-//! count-additive), and thread-count invariance of snapshots — the
-//! properties the deterministic parallel pipeline relies on.
+//! count-additive), and thread-count invariance of snapshots, whether
+//! threads share handles or fill registries of their own that are
+//! absorbed into one — the properties the deterministic parallel
+//! pipeline relies on.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use telemetry::{Counter, Histogram, LocalHistogram, Registry, LATENCY_BOUNDS_NS};
+use telemetry::{Counter, HistogramSnapshot, Registry, Snapshot, LATENCY_BOUNDS_NS};
 
 /// Random strictly-increasing bucket bounds.
 fn arb_bounds() -> impl Strategy<Value = Vec<u64>> {
@@ -17,12 +19,14 @@ fn arb_bounds() -> impl Strategy<Value = Vec<u64>> {
     })
 }
 
-fn filled(bounds: &[u64], values: &[u64]) -> LocalHistogram {
-    let mut h = LocalHistogram::new(bounds);
+/// The snapshot of a histogram over `bounds` that observed `values`.
+fn filled(bounds: &[u64], values: &[u64]) -> HistogramSnapshot {
+    let reg = Registry::new();
+    let h = reg.histogram("h", "", bounds);
     for &v in values {
         h.observe(v);
     }
-    h
+    reg.snapshot().histograms.remove("h").unwrap()
 }
 
 proptest! {
@@ -86,9 +90,9 @@ proptest! {
         let b = filled(&bounds, &ys);
         let mut merged = a.clone();
         merged.merge(&b);
-        prop_assert_eq!(merged.count(), a.count() + b.count());
-        prop_assert_eq!(merged.sum(), a.sum() + b.sum());
-        prop_assert_eq!(merged.count(), (xs.len() + ys.len()) as u64);
+        prop_assert_eq!(merged.count, a.count + b.count);
+        prop_assert_eq!(merged.sum, a.sum + b.sum);
+        prop_assert_eq!(merged.count, (xs.len() + ys.len()) as u64);
     }
 
     #[test]
@@ -123,10 +127,10 @@ proptest! {
         values in vec(0u64..5_000_000_000, 1..120),
     ) {
         // The same observation workload, split across 1, 2 and 8
-        // threads (shared atomic handles in one run, per-thread local
-        // shards in the other), must yield byte-identical snapshots:
-        // all histogram state is integer, so accumulation order cannot
-        // leak into the totals.
+        // threads (shared atomic handles in one run, per-thread
+        // registries absorbed into one in the other), must yield
+        // byte-identical snapshots: all histogram state is integer, so
+        // accumulation order cannot leak into the totals.
         let run_shared = |threads: usize| {
             let reg = Registry::new();
             let c = reg.counter("observed_total", "");
@@ -147,28 +151,27 @@ proptest! {
         };
         let run_sharded = |threads: usize| {
             let reg = Registry::new();
-            let c = reg.counter("observed_total", "");
-            let h = reg.histogram("v_ns", "", &LATENCY_BOUNDS_NS);
             let chunk = values.len().div_ceil(threads);
             let shards = std::thread::scope(|s| {
                 let handles: Vec<_> = values
                     .chunks(chunk)
                     .map(|part| {
-                        let shard = LocalHistogram::shard_of(&h);
                         s.spawn(move || {
-                            let mut shard = shard;
+                            let shard = Registry::new();
+                            let c = shard.counter("observed_total", "");
+                            let h = shard.histogram("v_ns", "", &LATENCY_BOUNDS_NS);
                             for &v in part {
-                                shard.observe(v);
+                                h.observe(v);
+                                c.inc();
                             }
-                            (shard, part.len() as u64)
+                            shard.snapshot()
                         })
                     })
                     .collect();
                 handles.into_iter().map(|j| j.join().unwrap()).collect::<Vec<_>>()
             });
-            for (shard, n) in &shards {
-                h.record_local(shard);
-                c.add(*n);
+            for shard in &shards {
+                reg.absorb(shard);
             }
             reg.snapshot()
         };
@@ -204,17 +207,23 @@ proptest! {
         bounds in arb_bounds(),
         values in vec(0u64..1_000_000, 0..60),
     ) {
-        let shared = Histogram::new(&bounds);
-        let mut local = LocalHistogram::new(&bounds);
+        let reg = Registry::new();
+        let shared = reg.histogram("h", "", &bounds);
         for &v in &values {
             shared.observe(v);
-            local.observe(v);
         }
-        prop_assert_eq!(shared.count(), local.count());
-        prop_assert_eq!(shared.sum(), local.sum());
-        // Folding the local shard doubles the shared totals exactly.
-        shared.record_local(&local);
-        prop_assert_eq!(shared.count(), 2 * local.count());
-        prop_assert_eq!(shared.sum(), 2 * local.sum());
+        let local = filled(&bounds, &values);
+        prop_assert_eq!(shared.count(), local.count);
+        prop_assert_eq!(shared.sum(), local.sum);
+        // Absorbing another registry's snapshot of the same values
+        // doubles the live totals exactly, bucket for bucket.
+        let mut shard = Snapshot::default();
+        shard.histograms.insert("h".to_string(), local.clone());
+        reg.absorb(&shard);
+        prop_assert_eq!(shared.count(), 2 * local.count);
+        prop_assert_eq!(shared.sum(), 2 * local.sum);
+        let mut doubled = local.clone();
+        doubled.merge(&local);
+        prop_assert_eq!(&reg.snapshot().histograms["h"], &doubled);
     }
 }
