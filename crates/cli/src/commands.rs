@@ -47,9 +47,9 @@ Captures are read leniently by default: damaged records and malformed
 streams are skipped and accounted in ingest-health counters. --strict
 fails on the first unparseable byte instead.
 
---threads N sets the worker-thread count for feature extraction,
-training, and batch scoring (default: available parallelism; results
-are bit-identical at any value).
+--threads N sets the threads for feature extraction, training and
+batch scoring (default: available parallelism; capture ingest always
+sizes its own from that, not N). Results are bit-identical at any N.
 
 --metrics-out FILE writes pipeline telemetry after the run: a JSON
 snapshot at FILE and Prometheus text exposition at FILE with the

@@ -58,9 +58,9 @@ pub struct DetectorConfig {
     /// transactions refresh activity but are not stored. Guards against
     /// a single endless conversation.
     pub max_transactions_per_conversation: usize,
-    /// Worker threads for batch scoring phases (forensic replay's final
-    /// verdict pass). `0` means "use the machine's available parallelism".
-    /// Scores are bit-identical at any setting.
+    /// Worker threads for forensic replay's final verdict pass (`0`: the
+    /// available parallelism). Capture ingest sizes its own from that, not
+    /// from this. Scores are bit-identical at any setting.
     pub scoring_threads: usize,
 }
 

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -157,7 +158,7 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 /// one to three bodies still run interleaved rather than one after
 /// another. The per-body values are bit-identical to [`fnv1a`] by
 /// construction.
-pub fn fnv1a_many(bodies: &[&[u8]], out: &mut Vec<u64>) {
+pub fn fnv1a_many<B: AsRef<[u8]>>(bodies: &[B], out: &mut Vec<u64>) {
     out.clear();
     // Empty bodies hash to the offset basis; pre-fill so the lane refill
     // can skip them without occupying a lane.
@@ -169,7 +170,7 @@ pub fn fnv1a_many(bodies: &[&[u8]], out: &mut Vec<u64>) {
     loop {
         for l in 0..4 {
             while lane[l] == usize::MAX && next < bodies.len() {
-                if bodies[next].is_empty() {
+                if bodies[next].as_ref().is_empty() {
                     next += 1;
                     continue;
                 }
@@ -191,11 +192,12 @@ pub fn fnv1a_many(bodies: &[&[u8]], out: &mut Vec<u64>) {
         }
         // All four lanes occupied: advance them in lockstep until the
         // shortest remaining body ends.
-        let step = (0..4).map(|l| bodies[lane[l]].len() - pos[l]).min().expect("4 lanes");
-        let s0 = &bodies[lane[0]][pos[0]..pos[0] + step];
-        let s1 = &bodies[lane[1]][pos[1]..pos[1] + step];
-        let s2 = &bodies[lane[2]][pos[2]..pos[2] + step];
-        let s3 = &bodies[lane[3]][pos[3]..pos[3] + step];
+        let body = |l: usize| bodies[lane[l]].as_ref();
+        let step = (0..4).map(|l| body(l).len() - pos[l]).min().expect("4 lanes");
+        let s0 = &body(0)[pos[0]..pos[0] + step];
+        let s1 = &body(1)[pos[1]..pos[1] + step];
+        let s2 = &body(2)[pos[2]..pos[2] + step];
+        let s3 = &body(3)[pos[3]..pos[3] + step];
         let (mut h0, mut h1, mut h2, mut h3) = (hash[0], hash[1], hash[2], hash[3]);
         for j in 0..step {
             h0 = (h0 ^ s0[j] as u64).wrapping_mul(FNV_PRIME);
@@ -206,7 +208,7 @@ pub fn fnv1a_many(bodies: &[&[u8]], out: &mut Vec<u64>) {
         hash = [h0, h1, h2, h3];
         for l in 0..4 {
             pos[l] += step;
-            if pos[l] == bodies[lane[l]].len() {
+            if pos[l] == bodies[lane[l]].as_ref().len() {
                 out[lane[l]] = hash[l];
                 lane[l] = usize::MAX;
             }
@@ -223,8 +225,8 @@ pub(crate) enum Body<'a> {
     Owned(Vec<u8>),
 }
 
-impl<'a> Body<'a> {
-    pub(crate) fn as_slice(&self) -> &[u8] {
+impl AsRef<[u8]> for Body<'_> {
+    fn as_ref(&self) -> &[u8] {
         match self {
             Body::Borrowed(b) => b,
             Body::Owned(v) => v,
@@ -237,15 +239,21 @@ impl<'a> Body<'a> {
 /// Packets are read as `(ts, range)` spans into the capture buffer
 /// ([`crate::capture`]) and reassembled by span
 /// ([`SpanReassembler`]) into streams laid as arena ranges, nothing
-/// copied. Connections are then read in windows: the multi-segment
-/// streams of a window's connections, about `STAGE_WINDOW_BYTES` (8 MiB)
-/// of them, are copied into one reused buffer, parsed from [`StreamView`]s
-/// that borrow it (single-segment streams borrow the capture), and the
-/// window's bodies are digested in one batch ([`fnv1a_many`]) before the
-/// buffer is reused for the next window. So the copy never grows with
-/// the capture and lands in pages that are already mapped. Every buffer
-/// lives in the pipeline and is reused across captures, so steady-state
-/// packet processing allocates nothing.
+/// copied. That front runs on the calling thread. Connections are then
+/// cut into windows and paired on every core: the calling thread and up
+/// to `available_parallelism() − 1` scoped workers (never more than
+/// there are windows) each start on a window and then take the next,
+/// copy its multi-segment streams into their own reused buffer, parse
+/// them from
+/// [`StreamView`]s that borrow it (single-segment streams borrow the
+/// capture), and digest the window's bodies in one batch
+/// ([`fnv1a_many`]). A window holds about 8 MiB of copied streams
+/// divided by the worker count, so the staged bytes in flight stay
+/// near 8 MiB whatever the core count. The windows are merged in window
+/// order, so the transactions, the report and the strict stop are the
+/// same at any worker count. Every buffer lives in the pipeline and is
+/// reused across captures, so steady-state packet processing allocates
+/// nothing.
 ///
 /// One run serves both ingest policies. Everything that can be salvaged
 /// is, and every loss is counted in an [`IngestReport`] — that is
@@ -261,17 +269,30 @@ pub struct SpanPipeline {
     spans: Vec<PacketSpan>,
     reassembler: SpanReassembler,
     laid: LaidStreams,
-    stage: Stage,
-    digests: Vec<u64>,
+    /// Every connection with a request direction, `(request, response)`
+    /// stream indices in connection order.
+    conns: Vec<(usize, Option<usize>)>,
+    /// Where each window starts in `conns`, then where the last ends.
+    windows: Vec<usize>,
+    /// One scratch per worker; the first is the calling thread's.
+    workers: Vec<Worker>,
 }
 
-/// Bytes of multi-segment streams [`SpanPipeline`] stages per window (a
-/// connection larger than this is a window of its own). Large enough
-/// that a window holds many connections and a full digest batch, small
-/// enough that its buffer stays small and mapped across windows. Of 1,
-/// 2, 8 and 32 MiB, 8 gave the lowest CPU per transaction on the
-/// benchmark's 128 MiB `pcap_bulk` capture (2 vCPUs, x86-64).
+/// Bytes of multi-segment streams [`SpanPipeline`] stages at once, split
+/// evenly between its workers' windows (a connection larger than its
+/// share is a window of its own). Large enough that a window holds many
+/// connections and a full digest batch, small enough that the buffers
+/// stay small and mapped across windows. Of 1, 2, 8 and 32 MiB on one
+/// thread, 8 gave the lowest CPU per transaction on the benchmark's
+/// 128 MiB `pcap_bulk` capture (2 vCPUs, x86-64).
 const STAGE_WINDOW_BYTES: usize = 8 << 20;
+
+/// Threads that pair windows at once: the machine's available
+/// parallelism, read once per process.
+fn pairing_workers() -> usize {
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
 
 impl SpanPipeline {
     /// Creates an empty pipeline.
@@ -286,19 +307,32 @@ impl SpanPipeline {
         capture: &[u8],
         report: &mut IngestReport,
     ) -> Vec<HttpTransaction> {
-        self.extract(capture, report, STAGE_WINDOW_BYTES).0
+        self.extract_on_every_core(capture, report).0
+    }
+
+    /// [`SpanPipeline::extract`] with one worker per core and the staging
+    /// budget split between them.
+    fn extract_on_every_core(
+        &mut self,
+        capture: &[u8],
+        report: &mut IngestReport,
+    ) -> (Vec<HttpTransaction>, Result<()>) {
+        let workers = pairing_workers();
+        self.extract(capture, report, STAGE_WINDOW_BYTES / workers, workers)
     }
 
     /// The one run behind both policies: the salvaged transactions
     /// (accounted in `report`) and the first strict stop, if any.
     /// Connections are paired in windows that stage about `window_bytes`
-    /// of multi-segment streams each; the result does not depend on it
-    /// (tests run it at one byte and unbounded).
+    /// of multi-segment streams each, by the calling thread and up to
+    /// `workers − 1` scoped threads; the result depends on neither (tests
+    /// run windows of one byte to unbounded at one to eight workers).
     fn extract(
         &mut self,
         capture: &[u8],
         report: &mut IngestReport,
         window_bytes: usize,
+        workers: usize,
     ) -> (Vec<HttpTransaction>, Result<()>) {
         self.spans.clear();
         let mut first_stop = crate::capture::read_packet_spans(capture, report, &mut self.spans);
@@ -327,8 +361,9 @@ impl SpanPipeline {
                 count_unpaired(report, self.laid.head(capture, displaced, &mut head));
             }
         }
-        let mut out = Vec::new();
-        let mut window: Vec<(usize, Option<usize>)> = Vec::new();
+        self.conns.clear();
+        self.windows.clear();
+        self.windows.push(0);
         let mut staged_bytes = 0usize;
         for (req, resp) in connections.into_values() {
             let Some(req) = req else {
@@ -338,46 +373,59 @@ impl SpanPipeline {
                 continue;
             };
             let bytes = self.laid.copy_len(req) + resp.map_or(0, |r| self.laid.copy_len(r));
-            if !window.is_empty() && staged_bytes + bytes > window_bytes {
-                first_stop = first_stop.and(self.pair_window(capture, &window, report, &mut out));
-                window.clear();
+            let window_start = self.windows[self.windows.len() - 1];
+            if self.conns.len() > window_start && staged_bytes + bytes > window_bytes {
+                self.windows.push(self.conns.len());
                 staged_bytes = 0;
             }
-            window.push((req, resp));
+            self.conns.push((req, resp));
             staged_bytes += bytes;
         }
-        first_stop = first_stop.and(self.pair_window(capture, &window, report, &mut out));
+        self.windows.push(self.conns.len());
+        let n_windows = self.windows.len() - 1;
+        let workers = workers.clamp(1, n_windows);
+        if self.workers.len() < workers {
+            self.workers.resize_with(workers, Worker::default);
+        }
+        // Every worker starts on a window of its own, then claims the
+        // next unclaimed one until none is left.
+        let (caller, helpers) = self.workers[..workers].split_first_mut().expect("one worker");
+        let (laid, conns, windows) = (&self.laid, &self.conns[..], &self.windows[..]);
+        let next = &AtomicUsize::new(workers);
+        std::thread::scope(|scope| {
+            let mut spawned = 0;
+            for helper in helpers {
+                let first = spawned..spawned + 1;
+                let work = move || helper.pair_windows(first, laid, capture, conns, windows, next);
+                if std::thread::Builder::new().spawn_scoped(scope, work).is_err() {
+                    break;
+                }
+                spawned += 1;
+            }
+            // The caller also starts the windows of workers it could not
+            // spawn.
+            caller.pair_windows(spawned..workers, laid, capture, conns, windows, next);
+        });
+        // Each worker took its windows in increasing order: merging is
+        // taking, window by window, from the worker that paired it.
+        let paired = &mut self.workers[..workers];
+        let mut out = Vec::with_capacity(paired.iter().map(|w| w.txs.len()).sum());
+        let mut sources: Vec<_> =
+            paired.iter_mut().map(|w| (w.done.drain(..), w.txs.drain(..))).collect();
+        for window in 0..n_windows {
+            let (done, txs) = sources
+                .iter_mut()
+                .find(|(done, _)| done.as_slice().first().is_some_and(|d| d.window == window))
+                .expect("every window is paired once");
+            let done = done.next().expect("found");
+            out.extend(txs.by_ref().take(done.transactions));
+            report.merge(&done.report);
+            first_stop = first_stop.and(done.stop);
+        }
         out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
         assign_seq(&mut out);
         report.transactions_recovered += out.len() as u64;
         (out, first_stop)
-    }
-
-    /// Stages the streams of one window of `(request, response)`
-    /// connections, pairs the connections in order, and digests their
-    /// bodies in one interleaved batch, written back by index before the
-    /// next window reuses the buffer the bodies borrow. The first strict
-    /// stop among them, if any.
-    fn pair_window(
-        &mut self,
-        capture: &[u8],
-        window: &[(usize, Option<usize>)],
-        report: &mut IngestReport,
-        out: &mut Vec<HttpTransaction>,
-    ) -> Result<()> {
-        let ids = window.iter().flat_map(|&(req, resp)| std::iter::once(req).chain(resp));
-        let staged = self.laid.stage(capture, ids, &mut self.stage);
-        let mut deferred = Vec::new();
-        let mut stop = Ok(());
-        let mut k = 0;
-        for &(_, resp) in window {
-            let req = staged.view(k);
-            let resp = resp.map(|_| staged.view(k + 1));
-            k += 1 + usize::from(resp.is_some());
-            stop = stop.and(pair_connection(req, resp, report, out, &mut deferred));
-        }
-        digest_deferred(out, &deferred, &mut self.digests);
-        stop
     }
 
     /// Convenience: one-shot lenient extraction from raw capture bytes.
@@ -401,22 +449,113 @@ impl SpanPipeline {
     /// are skipped silently.
     pub fn extract_capture_strict(capture: &[u8]) -> Result<Vec<HttpTransaction>> {
         let (transactions, first_stop) =
-            SpanPipeline::new().extract(capture, &mut IngestReport::new(), STAGE_WINDOW_BYTES);
+            SpanPipeline::new().extract_on_every_core(capture, &mut IngestReport::new());
         first_stop.map(|()| transactions)
     }
 }
 
+/// One pairing worker's scratch, reused across windows and captures.
+#[derive(Debug, Default)]
+struct Worker {
+    stage: Stage,
+    digests: Vec<u64>,
+    /// The bodies of the window being paired, queued for digesting.
+    /// They borrow its staging buffer, so between windows the list is
+    /// empty and only its allocation is kept.
+    bodies: Vec<Body<'static>>,
+    /// The transactions of every window this worker paired, in order.
+    txs: Vec<HttpTransaction>,
+    /// One entry per window this worker paired, in the same order.
+    done: Vec<Paired>,
+}
+
+/// What pairing one window left besides its transactions.
+#[derive(Debug)]
+struct Paired {
+    window: usize,
+    /// How many of the worker's transactions are this window's.
+    transactions: usize,
+    report: IngestReport,
+    /// The window's first strict stop, if any.
+    stop: Result<()>,
+}
+
+impl Worker {
+    /// Pairs the windows `first`, then the next unclaimed one from `next`
+    /// until none is left; window `w` is `conns[windows[w]..windows[w + 1]]`.
+    fn pair_windows(
+        &mut self,
+        first: Range<usize>,
+        laid: &LaidStreams,
+        capture: &[u8],
+        conns: &[(usize, Option<usize>)],
+        windows: &[usize],
+        next: &AtomicUsize,
+    ) {
+        // Relaxed: the counter only hands out distinct indices. The
+        // windows were written before the spawn and the results are read
+        // after the join, and those order them.
+        let claimed = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed));
+        for window in first.chain(claimed) {
+            let Some(&[start, end]) = windows.get(window..window + 2) else {
+                return;
+            };
+            self.pair_window(laid, capture, window, &conns[start..end]);
+        }
+    }
+
+    /// Stages the streams of one window of `(request, response)`
+    /// connections, pairs the connections in order, and digests their
+    /// bodies in one interleaved batch, written back before the next
+    /// window reuses the buffer the bodies borrow.
+    fn pair_window(
+        &mut self,
+        laid: &LaidStreams,
+        capture: &[u8],
+        window: usize,
+        conns: &[(usize, Option<usize>)],
+    ) {
+        let ids = conns.iter().flat_map(|&(req, resp)| std::iter::once(req).chain(resp));
+        let staged = laid.stage(capture, ids, &mut self.stage);
+        let mut bodies = recycle(std::mem::take(&mut self.bodies));
+        let mut report = IngestReport::new();
+        let mut stop = Ok(());
+        let first = self.txs.len();
+        let mut k = 0;
+        for &(_, resp) in conns {
+            let req = staged.view(k);
+            let resp = resp.map(|_| staged.view(k + 1));
+            k += 1 + usize::from(resp.is_some());
+            stop = stop.and(pair_connection(req, resp, &mut report, &mut self.txs, &mut bodies));
+        }
+        digest_deferred(&mut self.txs[first..], &bodies, &mut self.digests);
+        self.bodies = recycle(bodies);
+        let transactions = self.txs.len() - first;
+        self.done.push(Paired { window, transactions, report, stop });
+    }
+}
+
+/// Empties `v` and returns it as a vector of `U`, keeping its allocation
+/// when `T` and `U` share a layout (the standard library collects a
+/// mapped `into_iter` in place). It carries a borrowing element type's
+/// buffer, such as `Body`'s, from one borrow to the next.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("the vector is empty")).collect()
+}
+
 /// Digests every queued body in one interleaved batch ([`fnv1a_many`])
-/// and writes each digest to the transaction it was queued for.
+/// and writes body `i`'s digest to `out[i]`, the transaction it was
+/// queued with.
 pub(crate) fn digest_deferred(
     out: &mut [HttpTransaction],
-    deferred: &[(usize, Body<'_>)],
+    bodies: &[Body<'_>],
     digests: &mut Vec<u64>,
 ) {
-    let slices: Vec<&[u8]> = deferred.iter().map(|(_, b)| b.as_slice()).collect();
-    fnv1a_many(&slices, digests);
-    for ((idx, _), digest) in deferred.iter().zip(digests.iter()) {
-        out[*idx].payload_digest = *digest;
+    assert_eq!(out.len(), bodies.len(), "one queued body per transaction");
+    fnv1a_many(bodies, digests);
+    for (tx, &digest) in out.iter_mut().zip(digests.iter()) {
+        tx.payload_digest = digest;
     }
 }
 
@@ -581,7 +720,7 @@ fn frame_stream<'a, T>(
 
 /// Pairs whatever both directions of one connection could salvage,
 /// appending transactions to `out` with `payload_digest` left at 0 and
-/// each body queued in `deferred` as `(out_index, body)` for batch
+/// each one's body to `deferred`, in the same order, for batch
 /// digesting (see [`digest_deferred`]). Stream-level outcomes and
 /// body-decode failures are recorded in `report`.
 ///
@@ -594,7 +733,7 @@ pub(crate) fn pair_connection<'a>(
     resp_stream: Option<StreamView<'a>>,
     report: &mut IngestReport,
     out: &mut Vec<HttpTransaction>,
-    deferred: &mut Vec<(usize, Body<'a>)>,
+    deferred: &mut Vec<Body<'a>>,
 ) -> Result<()> {
     let (requests, req_stop) =
         frame_stream(req_stream.data, report, |data, _| frame_request(data, true));
@@ -619,7 +758,7 @@ pub(crate) fn pair_connection<'a>(
         });
         let (tx, body) =
             synthesize_transaction(req_stream.key.src, req_stream.key.dst, req, resp, report);
-        deferred.push((out.len(), body));
+        deferred.push(body);
         out.push(tx);
     }
     req_stop.and(resp_stop)
@@ -657,7 +796,7 @@ fn decode_content_codings<'a>(
         if token.is_empty() || token.eq_ignore_ascii_case("identity") {
             continue;
         }
-        let coded = decoded.as_deref().unwrap_or(body.as_slice());
+        let coded = decoded.as_deref().unwrap_or(body.as_ref());
         let layer = if token.eq_ignore_ascii_case("gzip") || token.eq_ignore_ascii_case("x-gzip")
         {
             crate::flate::gzip_decompress_capped(coded, MAX_DECODED_BODY_BYTES)
@@ -716,7 +855,7 @@ pub(crate) fn synthesize_transaction<'a>(
     // JavaScript actually live). Undecodable bodies fall back to the
     // raw bytes, counted per coding.
     let body = decode_content_codings(body, &resp_headers, report);
-    let bytes = body.as_slice();
+    let bytes = body.as_ref();
     let content_type = resp_headers.get("Content-Type");
     let payload_class = classify(&req.head.uri, content_type, bytes.len(), bytes);
     let preview_len = bytes.len().min(BODY_PREVIEW_LEN);
@@ -1237,6 +1376,13 @@ mod tests {
         assert_eq!(got.payload_digest, want.payload_digest, "{case}: payload digest");
     }
 
+    /// Windows of 1 byte (every connection that copies anything is a
+    /// window of its own), a few KiB (several connections per window) and
+    /// unbounded (one window, the whole capture staged at once), each
+    /// paired by 1, 2, 3 and 8 workers, against `gather_streams` over the
+    /// whole capture. Captures whose packets all carry one timestamp keep
+    /// the merge order past the timestamp sort, so a window merged out of
+    /// order shows in `seq`.
     #[test]
     fn windowed_extraction_equals_whole_capture_gather() {
         use rand::rngs::StdRng;
@@ -1257,33 +1403,63 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(200 + seed);
             let hurt = faultgen::apply_all(&clean, &mut rng);
             captures.push((format!("all faults seed {seed}"), hurt));
+            let mut packets = crate::capture::read_packets(&clean).expect("a generated capture");
+            packets.iter_mut().for_each(|p| p.ts = 1.4e9);
+            let tied = crate::pcap::write_packets(&packets);
+            let mut rng = StdRng::seed_from_u64(300 + seed);
+            let hurt = faultgen::apply_all(&tied, &mut rng);
+            captures.push((format!("one timestamp, all faults seed {seed}"), hurt));
+            captures.push((format!("one timestamp seed {seed}"), tied));
             captures.push((format!("clean seed {seed}"), clean));
         }
-        // One byte (every connection that copies anything is a window of
-        // its own), a few KiB (several connections per window) and
-        // unbounded (one window, the whole capture staged at once).
-        let budgets = [1, 3 << 10, usize::MAX];
-        let mut pipeline = SpanPipeline::new();
-        let mut split = 0;
-        for (name, capture) in &captures {
-            let mut want_report = IngestReport::new();
-            let (want, want_stop) = whole_capture_extract(capture, &mut want_report);
-            for budget in budgets {
-                let case = format!("{name}, window {budget}");
+        let wants: Vec<_> = captures
+            .iter()
+            .map(|(_, capture)| {
                 let mut report = IngestReport::new();
-                let (got, stop) = pipeline.extract(capture, &mut report, budget);
-                assert_eq!(report, want_report, "{case}: ingest report");
-                assert_eq!(format!("{stop:?}"), format!("{want_stop:?}"), "{case}: strict stop");
-                assert_eq!(got.len(), want.len(), "{case}: transaction count");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_same_transaction(g, w, &case);
+                let (txs, stop) = whole_capture_extract(capture, &mut report);
+                (txs, report, stop)
+            })
+            .collect();
+        for workers in [1, 2, 3, 8] {
+            let mut pipeline = SpanPipeline::new();
+            let mut split = 0;
+            for ((name, capture), (want, want_report, want_stop)) in captures.iter().zip(&wants) {
+                for budget in [1, 3 << 10, usize::MAX] {
+                    let case = format!("{name}, window {budget}, {workers} workers");
+                    let mut report = IngestReport::new();
+                    let (got, stop) = pipeline.extract(capture, &mut report, budget, workers);
+                    assert_eq!(report, *want_report, "{case}: ingest report");
+                    assert_eq!(
+                        format!("{stop:?}"),
+                        format!("{want_stop:?}"),
+                        "{case}: strict stop"
+                    );
+                    assert_eq!(got.len(), want.len(), "{case}: transaction count");
+                    for (g, w) in got.iter().zip(want) {
+                        assert_same_transaction(g, w, &case);
+                    }
                 }
+                // Streams that copy: with two or more, one-byte windows split.
+                let copying = (0..pipeline.laid.len()).filter(|&i| pipeline.laid.copy_len(i) > 0);
+                split += usize::from(copying.count() >= 2);
             }
-            // Streams that copy: with two or more, one-byte windows split.
-            let copying = (0..pipeline.laid.len()).filter(|&i| pipeline.laid.copy_len(i) > 0);
-            split += usize::from(copying.count() >= 2);
+            assert!(split * 4 > captures.len() * 3, "{split} of {} captures split", captures.len());
+            // Every worker paired windows, not only the caller.
+            let busy = pipeline.workers.iter().filter(|w| w.digests.capacity() > 0).count();
+            assert_eq!(busy, workers, "{busy} of {workers} workers paired a window");
         }
-        assert!(split * 4 > captures.len() * 3, "{split} of {} captures split", captures.len());
+    }
+
+    #[test]
+    fn recycled_vectors_keep_their_allocation() {
+        let mut bytes: Vec<u8> = Vec::with_capacity(64);
+        bytes.extend_from_slice(b"window");
+        let mut bodies: Vec<Body<'_>> = Vec::with_capacity(16);
+        bodies.push(Body::Borrowed(&bytes));
+        let at = bodies.as_ptr() as usize;
+        let kept: Vec<Body<'static>> = recycle(bodies);
+        assert!(kept.is_empty());
+        assert_eq!((kept.as_ptr() as usize, kept.capacity()), (at, 16));
     }
 
     fn frame(

@@ -438,7 +438,7 @@ fn synthesize(
     report: &mut IngestReport,
 ) -> HttpTransaction {
     let (mut tx, body) = synthesize_transaction(client, server, req, resp, report);
-    tx.payload_digest = fnv1a(body.as_slice());
+    tx.payload_digest = fnv1a(body.as_ref());
     report.transactions_recovered += 1;
     tx
 }
