@@ -182,8 +182,7 @@ impl Fixtures {
 pub fn corpus_dataset(corpus: &[Episode]) -> Dataset {
     let items: Vec<(&[nettrace::HttpTransaction], bool)> =
         corpus.iter().map(|e| (e.transactions.as_slice(), e.is_infection())).collect();
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    dynaminer::classifier::build_dataset_parallel(&items, threads)
+    dynaminer::classifier::build_dataset_parallel(&items, telemetry::pool::resolve_threads(0))
 }
 
 /// The evaluation protocol of every classifier table: stratified

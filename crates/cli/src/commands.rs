@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::{self, BufWriter, Write};
 
 use dynaminer::classifier::Classifier;
 use dynaminer::detector::{ClueConfig, DetectorConfig};
@@ -89,6 +90,61 @@ JSON, --ledger-out the promotion ledger.
 Families:  angler rig nuclear magnitude sweetorange flashpack neutrino goon fiesta other
 Scenarios: search social webmail video alexa-browse software-update unofficial-download torrent-session";
 
+/// Runs `dynaminer <command> <args>`, printing to `out`.
+///
+/// # Errors
+///
+/// An unknown command, or the command's own failure.
+pub fn run(command: &str, args: &[String], out: &mut Out) -> Result<(), String> {
+    match command {
+        "train" => train(args),
+        "classify" => classify(args, out),
+        "replay" => replay(args, out),
+        "generate" => generate(args),
+        "drift" => drift(args, out),
+        "dot" => dot(args, out),
+        "inspect" => inspect(args, out),
+        "features" => features(args, out),
+        "wire" => crate::wire::wire(args, out),
+        "help" | "--help" | "-h" => {
+            writeln!(out, "{USAGE}");
+            Ok(())
+        }
+        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+    }
+}
+
+/// A command's standard output, buffered. It keeps the first write
+/// error and drops what follows, so commands print without checking
+/// each line and the caller judges the output once, in [`Out::finish`].
+pub struct Out {
+    sink: Box<dyn Write>,
+    error: Option<io::Error>,
+}
+
+impl Out {
+    /// Output to `sink`, buffered.
+    pub fn new(sink: impl Write + 'static) -> Out {
+        Out { sink: Box::new(BufWriter::new(sink)), error: None }
+    }
+
+    /// What `write!` and `writeln!` call.
+    pub(crate) fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = self.sink.write_fmt(args).err();
+        }
+    }
+
+    /// Flushes the output.
+    ///
+    /// # Errors
+    ///
+    /// The first write or flush error.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.error.take().map_or_else(|| self.sink.flush(), Err)
+    }
+}
+
 /// Parsed `--flag value` options plus positional arguments.
 pub(crate) struct Options {
     pub(crate) flags: BTreeMap<String, String>,
@@ -128,6 +184,14 @@ impl Options {
         }
     }
 
+    /// `--scale`, which must be a positive number.
+    pub(crate) fn scale_flag(&self, default: f64) -> Result<f64, String> {
+        match self.f64_flag("scale", default)? {
+            scale if scale.is_finite() && scale > 0.0 => Ok(scale),
+            _ => Err("--scale must be positive".into()),
+        }
+    }
+
     pub(crate) fn u64_flag(&self, name: &str, default: u64) -> Result<u64, String> {
         match self.flags.get(name) {
             None => Ok(default),
@@ -149,7 +213,7 @@ impl Options {
     /// Worker threads from `--threads` (default: available parallelism;
     /// `0` also means "auto").
     pub(crate) fn threads_flag(&self) -> Result<usize, String> {
-        Ok(mlearn::parallel::resolve_threads(self.u64_flag("threads", 0)? as usize))
+        Ok(telemetry::pool::resolve_threads(self.u64_flag("threads", 0)? as usize))
     }
 }
 
@@ -226,7 +290,7 @@ fn parse_model(path: &str, text: &str) -> Result<Classifier, String> {
 /// save the model as JSON.
 pub fn train(args: &[String]) -> Result<(), String> {
     let opts = parse(args)?;
-    let scale = opts.f64_flag("scale", 0.25)?;
+    let scale = opts.scale_flag(0.25)?;
     let seed = opts.u64_flag("seed", 42)?;
     let threads = opts.threads_flag()?;
     let out = opts.required("out")?;
@@ -252,9 +316,9 @@ pub fn train(args: &[String]) -> Result<(), String> {
 }
 
 /// `dynaminer classify` — score each capture's WCG with a trained model.
-/// Captures are featurized and scored as one batch across the worker
-/// pool, so classifying a directory of captures scales with `--threads`.
-pub fn classify(args: &[String]) -> Result<(), String> {
+/// Captures are loaded and featurized one after another; only scoring
+/// runs as one batch on up to `--threads` workers.
+pub fn classify(args: &[String], out: &mut Out) -> Result<(), String> {
     let opts = parse(args)?;
     let classifier = load_model(opts.required("model")?)?;
     let threads = opts.threads_flag()?;
@@ -312,13 +376,14 @@ pub fn classify(args: &[String]) -> Result<(), String> {
     let mut scores = scored.into_iter();
     for (path, item) in opts.positional.iter().zip(&loaded) {
         if item.fv.is_none() {
-            println!("{path}: 0 transactions recovered, no verdict");
+            writeln!(out, "{path}: 0 transactions recovered, no verdict");
         } else {
             let score = scores.next().expect("one score per featurized capture");
             if score >= 0.5 {
                 verdicts.inc();
             }
-            println!(
+            writeln!(
+                out,
                 "{path}: {} transactions, {} hosts, P(infection) = {score:.3} → {}",
                 item.txs,
                 item.hosts,
@@ -326,7 +391,7 @@ pub fn classify(args: &[String]) -> Result<(), String> {
             );
         }
         if let Some(report) = &item.ingest {
-            println!("  ingest: {report}");
+            writeln!(out, "  ingest: {report}");
         }
     }
     if let Some(path) = metrics_out {
@@ -409,7 +474,7 @@ pub(crate) fn run_engine(
 /// detector (session clustering, clue gate, WCG classification): the
 /// capture's transactions as a [`ReplaySource`] into the engine and run
 /// loop `wire` attaches to live traffic.
-pub fn replay(args: &[String]) -> Result<(), String> {
+pub fn replay(args: &[String], out: &mut Out) -> Result<(), String> {
     let opts = parse(args)?;
     let registry = telemetry::Registry::new();
     let metrics_out = opts.flags.get("metrics-out");
@@ -441,20 +506,22 @@ pub fn replay(args: &[String]) -> Result<(), String> {
     }
     if opts.flags.get("format").map(String::as_str) == Some("json") {
         let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        println!("{json}");
+        writeln!(out, "{json}");
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{path}: {} transactions, {} conversations, {} alert(s)",
         report.transactions,
         report.conversations.len(),
         report.alerts
     );
     if let Some(ingest) = &report.ingest {
-        println!("  ingest: {ingest}");
+        writeln!(out, "  ingest: {ingest}");
     }
     if let Some(stats) = &report.stats {
-        println!(
+        writeln!(
+            out,
             "  stats: {} clue(s), {} WCG rebuild(s), {} re-classification(s), {} eviction(s)",
             stats.counter("detector_clues_total"),
             stats.counter("detector_wcg_rebuilds_total"),
@@ -464,7 +531,8 @@ pub fn replay(args: &[String]) -> Result<(), String> {
         );
     }
     for verdict in &report.conversations {
-        println!(
+        writeln!(
+            out,
             "  conversation {}: {} txs, {} hosts, score {:.3}{}",
             verdict.id,
             verdict.transactions,
@@ -474,7 +542,7 @@ pub fn replay(args: &[String]) -> Result<(), String> {
         );
     }
     for d in &report.downloads {
-        println!("  download {} {} {}B digest={:016x}", d.host, d.class, d.size, d.digest);
+        writeln!(out, "  download {} {} {}B digest={:016x}", d.host, d.class, d.size, d.digest);
     }
     Ok(())
 }
@@ -512,17 +580,14 @@ pub fn generate(args: &[String]) -> Result<(), String> {
 
 /// `dynaminer drift` — run an adversarial drift campaign and print the
 /// detector's decay curve (optionally with shadow retraining).
-pub fn drift(args: &[String]) -> Result<(), String> {
+pub fn drift(args: &[String], out: &mut Out) -> Result<(), String> {
     let opts = parse(args)?;
     let epochs = opts.u64_flag("epochs", 6)? as usize;
-    let scale = opts.f64_flag("scale", 0.05)?;
+    let scale = opts.scale_flag(0.05)?;
     let seed = opts.u64_flag("seed", 42)?;
     let shards = opts.u64_flag("shards", 1)? as usize;
     if epochs == 0 {
         return Err("--epochs must be at least 1".into());
-    }
-    if !scale.is_finite() || scale <= 0.0 {
-        return Err("--scale must be positive".into());
     }
     let min_recall_gain = opts.f64_flag("promote-margin", 0.02)?;
     let retrain = opts.bool_flag("retrain").then(|| driftlab::RetrainConfig {
@@ -551,14 +616,16 @@ pub fn drift(args: &[String]) -> Result<(), String> {
     );
     let registry = telemetry::Registry::new();
     let metrics_out = opts.flags.get("metrics-out");
-    let out = driftlab::run_drift_lab(&config, Some(&registry));
+    let lab = driftlab::run_drift_lab(&config, Some(&registry));
 
-    println!(
+    writeln!(
+        out,
         "{:<6} {:>8} {:>8} {:>10} {:>9} {:>9} {:>7}",
         "epoch", "recall", "fpr", "latency-s", "vt-live", "vt-end", "model"
     );
-    for e in &out.curve.entries {
-        println!(
+    for e in &lab.curve.entries {
+        writeln!(
+            out,
             "{:<6} {:>8.3} {:>8.3} {:>10} {:>9.3} {:>9.3} {:>7}",
             e.epoch,
             e.recall,
@@ -569,8 +636,9 @@ pub fn drift(args: &[String]) -> Result<(), String> {
             e.model_version,
         );
     }
-    for entry in &out.ledger {
-        println!(
+    for entry in &lab.ledger {
+        writeln!(
+            out,
             "epoch {}: challenger margin {:+.3} (fpr {:+.3}) -> {}",
             entry.epoch,
             entry.recall_margin,
@@ -584,12 +652,12 @@ pub fn drift(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = opts.flags.get("out") {
-        let json = serde_json::to_string_pretty(&out.curve).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string_pretty(&lab.curve).map_err(|e| e.to_string())?;
         fs::write(path, json + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("decay curve written to {path}");
     }
     if let Some(path) = opts.flags.get("ledger-out") {
-        let json = serde_json::to_string_pretty(&out.ledger).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string_pretty(&lab.ledger).map_err(|e| e.to_string())?;
         fs::write(path, json + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("promotion ledger written to {path}");
     }
@@ -615,34 +683,34 @@ fn capture_wcg(args: &[String], command: &str) -> Result<Option<Wcg>, String> {
 }
 
 /// `dynaminer dot` — print the capture's WCG in Graphviz DOT format.
-pub fn dot(args: &[String]) -> Result<(), String> {
+pub fn dot(args: &[String], out: &mut Out) -> Result<(), String> {
     if let Some(wcg) = capture_wcg(args, "dot")? {
-        println!("{}", wcg.to_dot("wcg"));
+        writeln!(out, "{}", wcg.to_dot("wcg"));
     }
     Ok(())
 }
 
 /// `dynaminer features` — print the capture's 37 feature values.
-pub fn features(args: &[String]) -> Result<(), String> {
+pub fn features(args: &[String], out: &mut Out) -> Result<(), String> {
     let Some(wcg) = capture_wcg(args, "features")? else {
         return Ok(());
     };
     let fv = features::extract(&wcg);
     for (name, value) in features::NAMES.iter().zip(fv.values()) {
-        println!("{name:<30} {value:.6}");
+        writeln!(out, "{name:<30} {value:.6}");
     }
     Ok(())
 }
 
 /// `dynaminer inspect` — print a trained model's feature importances.
-pub fn inspect(args: &[String]) -> Result<(), String> {
+pub fn inspect(args: &[String], out: &mut Out) -> Result<(), String> {
     let opts = parse(args)?;
     let classifier = load_model(opts.required("model")?)?;
     let top = opts.u64_flag("top", 20)? as usize;
-    println!("feature importances (mean decrease in impurity):");
+    writeln!(out, "feature importances (mean decrease in impurity):");
     for (name, importance) in classifier.feature_importances().into_iter().take(top) {
         let bar_len = (importance * 200.0).round() as usize;
-        println!("  {name:<30} {importance:>7.4} {}", "#".repeat(bar_len.min(60)));
+        writeln!(out, "  {name:<30} {importance:>7.4} {}", "#".repeat(bar_len.min(60)));
     }
     Ok(())
 }

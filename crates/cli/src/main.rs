@@ -12,9 +12,10 @@
 //! Capture files are classic libpcap; `generate` produces them, and any
 //! HTTP-over-IPv4 capture with the same framing is accepted.
 
+use std::io::ErrorKind;
 use std::process::ExitCode;
 
-use dynaminer_cli::commands;
+use dynaminer_cli::commands::{self, Out};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,22 +23,16 @@ fn main() -> ExitCode {
         eprintln!("{}", commands::USAGE);
         return ExitCode::from(2);
     };
-    let result = match command.as_str() {
-        "train" => commands::train(rest),
-        "classify" => commands::classify(rest),
-        "replay" => commands::replay(rest),
-        "generate" => commands::generate(rest),
-        "drift" => commands::drift(rest),
-        "dot" => commands::dot(rest),
-        "inspect" => commands::inspect(rest),
-        "features" => commands::features(rest),
-        "wire" => dynaminer_cli::wire::wire(rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
+    let mut out = Out::new(std::io::stdout().lock());
+    let result = commands::run(command, rest, &mut out);
+    // A reader that stops early (`| head`) ends the output, not the run.
+    let written = out.finish();
+    let result = result.and_then(|()| match written {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to standard output: {e}"))
         }
-        other => Err(format!("unknown command {other:?}\n{}", commands::USAGE)),
-    };
+        _ => Ok(()),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {

@@ -27,23 +27,23 @@ use synthtraffic::wire::{drive_episodes, merged_wire_transactions, wire_episode_
 use synthtraffic::Episode;
 use wirefront::{metrics, run, CaptureConfig, CaptureSource, ProxyConfig, ProxySource, RunOptions};
 
-use crate::commands::{self, Options};
+use crate::commands::{self, Options, Out};
 
 /// Dispatches `dynaminer wire <subcommand>`.
 ///
 /// # Errors
 ///
 /// Unknown subcommand, bad flags, or any subcommand failure.
-pub fn wire(args: &[String]) -> Result<(), String> {
+pub fn wire(args: &[String], out: &mut Out) -> Result<(), String> {
     let Some((sub, rest)) = args.split_first() else {
         return Err(format!("wire expects a subcommand\n{}", commands::USAGE));
     };
     match sub.as_str() {
-        "proxy" => proxy(rest),
-        "capture" => capture(rest),
+        "proxy" => proxy(rest, out),
+        "capture" => capture(rest, out),
         "origin" => origin(rest),
-        "drive" => drive(rest),
-        "pcap" => pcap(rest),
+        "drive" => drive(rest, out),
+        "pcap" => pcap(rest, out),
         other => Err(format!("unknown wire subcommand {other:?}\n{}", commands::USAGE)),
     }
 }
@@ -85,7 +85,7 @@ fn tap_config(opts: &Options) -> Result<TapConfig, String> {
 }
 
 /// `wire proxy` — inline forward proxy feeding the engine.
-fn proxy(args: &[String]) -> Result<(), String> {
+fn proxy(args: &[String], out: &mut Out) -> Result<(), String> {
     let opts = commands::parse(args)?;
     let listen = parse_addr(&opts, "listen")?;
     let origin_addr = parse_addr(&opts, "origin")?;
@@ -100,7 +100,7 @@ fn proxy(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
     announce_ready(&opts, source.local_addr())?;
     eprintln!("wire proxy: {} -> {origin_addr}", source.local_addr());
-    run_source(&opts, &mut source, |proxy| proxy.proxyproto_rejects().clone())
+    run_source(&opts, &mut source, |proxy| proxy.proxyproto_rejects().clone(), out)
 }
 
 #[cfg(target_os = "linux")]
@@ -116,7 +116,7 @@ fn live_source(iface: &str, _config: CaptureConfig) -> Result<CaptureSource, Str
 
 /// `wire capture` — packet source (pcap tail or AF_PACKET) feeding
 /// the engine.
-fn capture(args: &[String]) -> Result<(), String> {
+fn capture(args: &[String], out: &mut Out) -> Result<(), String> {
     let opts = commands::parse(args)?;
     let mut config = CaptureConfig { tap: tap_config(&opts)?, ..CaptureConfig::default() };
     if let Some(ports) = opts.flags.get("ports") {
@@ -137,7 +137,7 @@ fn capture(args: &[String]) -> Result<(), String> {
         (None, Some(iface)) => live_source(iface, config)?,
         _ => return Err("wire capture needs exactly one of --pcap or --iface".into()),
     };
-    run_source(&opts, &mut source, |_| BTreeMap::new())
+    run_source(&opts, &mut source, |_| BTreeMap::new(), out)
 }
 
 /// `wire origin` — the loopback replay origin, serving the episode
@@ -159,26 +159,26 @@ fn origin(args: &[String]) -> Result<(), String> {
 
 /// `wire drive` — replays the episode set through a proxy, as real
 /// sequential client connections.
-fn drive(args: &[String]) -> Result<(), String> {
+fn drive(args: &[String], out: &mut Out) -> Result<(), String> {
     let opts = commands::parse(args)?;
     let proxy_addr = parse_addr(&opts, "proxy")?;
     let episodes = episode_set(&opts)?;
     let transactions = merged_wire_transactions(&episodes);
     let driven = drive_episodes(proxy_addr, &transactions, opts.bool_flag("proxy-protocol"))
         .map_err(|e| format!("drive through {proxy_addr} failed: {e}"))?;
-    println!("driven {driven} transactions through {proxy_addr}");
+    writeln!(out, "driven {driven} transactions through {proxy_addr}");
     Ok(())
 }
 
 /// `wire pcap` — renders the same episode set as an offline capture
 /// file (the parity reference for `replay`).
-fn pcap(args: &[String]) -> Result<(), String> {
+fn pcap(args: &[String], out: &mut Out) -> Result<(), String> {
     let opts = commands::parse(args)?;
-    let out = opts.required("out")?;
+    let path = opts.required("out")?;
     let episodes = episode_set(&opts)?;
     let bytes = episodes_pcap(&episodes);
-    fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("{out}: {} bytes, {} episodes", bytes.len(), episodes.len());
+    fs::write(path, &bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
+    writeln!(out, "{path}: {} bytes, {} episodes", bytes.len(), episodes.len());
     Ok(())
 }
 
@@ -207,6 +207,7 @@ fn run_source<S: TrafficSource>(
     opts: &Options,
     source: &mut S,
     rejects: fn(&S) -> BTreeMap<&'static str, u64>,
+    out: &mut Out,
 ) -> Result<(), String> {
     let registry = telemetry::Registry::new();
     let metrics_out = opts.flags.get("metrics-out");
@@ -245,20 +246,23 @@ fn run_source<S: TrafficSource>(
     }
     if opts.flags.get("format").map(String::as_str) == Some("json") {
         let json = serde_json::to_string_pretty(&wire_report).map_err(|e| e.to_string())?;
-        println!("{json}");
+        writeln!(out, "{json}");
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "wire: {} transactions, {} conversations, {} alert(s)",
         wire_report.report.transactions,
         wire_report.report.conversations.len(),
         wire_report.report.alerts,
     );
-    println!(
+    writeln!(
+        out,
         "  drain: enqueued={} processed={} dropped={} backpressure_waits={}",
         summary.enqueued, summary.processed, summary.dropped, summary.backpressure_waits,
     );
-    println!(
+    writeln!(
+        out,
         "  source: connections={} bytes_in={} transactions={} tap_overflows={} source_drops={}",
         summary.stats.connections,
         summary.stats.bytes_in,
@@ -267,7 +271,7 @@ fn run_source<S: TrafficSource>(
         summary.stats.source_drops,
     );
     if let Some(ingest) = &wire_report.report.ingest {
-        println!("  ingest: {ingest}");
+        writeln!(out, "  ingest: {ingest}");
     }
     Ok(())
 }

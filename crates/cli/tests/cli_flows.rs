@@ -1,7 +1,7 @@
 //! End-to-end CLI flows driven in-process: generate → train → classify →
 //! replay → inspect, in both capture formats.
 
-use dynaminer_cli::commands;
+use dynaminer_cli::commands::{self, Out};
 
 fn tmp(name: &str) -> String {
     // Per-process directory so stale artifacts from older builds (e.g. a
@@ -13,6 +13,11 @@ fn tmp(name: &str) -> String {
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
+}
+
+/// Standard output for an in-process command, discarded.
+fn quiet() -> Out {
+    Out::new(std::io::sink())
 }
 
 /// Trains the shared model once per test process: tests run on parallel
@@ -37,11 +42,12 @@ fn generate_train_classify_replay_roundtrip() {
     commands::generate(&args(&["--benign", "search", "--seed", "4", "--out", &benign]))
         .unwrap();
     let model = trained_model_path();
-    commands::classify(&args(&["--model", &model, &infection, &benign])).unwrap();
-    commands::replay(&args(&["--model", &model, "--threshold", "3", &infection])).unwrap();
-    commands::dot(&args(&[&infection])).unwrap();
-    commands::features(&args(&[&benign])).unwrap();
-    commands::inspect(&args(&["--model", &model, "--top", "5"])).unwrap();
+    commands::classify(&args(&["--model", &model, &infection, &benign]), &mut quiet()).unwrap();
+    commands::replay(&args(&["--model", &model, "--threshold", "3", &infection]), &mut quiet())
+        .unwrap();
+    commands::dot(&args(&[&infection]), &mut quiet()).unwrap();
+    commands::features(&args(&[&benign]), &mut quiet()).unwrap();
+    commands::inspect(&args(&["--model", &model, "--top", "5"]), &mut quiet()).unwrap();
 }
 
 #[test]
@@ -54,7 +60,7 @@ fn classify_accepts_pcapng_captures() {
     let ng = tmp("rig.pcapng");
     std::fs::write(&ng, nettrace::pcapng::write_packets(&packets)).unwrap();
     let model = trained_model_path();
-    commands::classify(&args(&["--model", &model, &ng])).unwrap();
+    commands::classify(&args(&["--model", &model, &ng]), &mut quiet()).unwrap();
 }
 
 #[test]
@@ -64,8 +70,11 @@ fn metrics_out_writes_json_snapshot_and_prometheus_text() {
         .unwrap();
     let model = trained_model_path();
     let metrics = tmp("replay-metrics.json");
-    commands::replay(&args(&["--model", &model, "--metrics-out", &metrics, &infection]))
-        .unwrap();
+    commands::replay(
+        &args(&["--model", &model, "--metrics-out", &metrics, &infection]),
+        &mut quiet(),
+    )
+    .unwrap();
     // The JSON side is a parseable telemetry snapshot with both ingest
     // and detector counters populated.
     let json = std::fs::read_to_string(&metrics).unwrap();
@@ -84,8 +93,11 @@ fn metrics_out_writes_json_snapshot_and_prometheus_text() {
 
     // classify --metrics-out goes through the batched path.
     let metrics = tmp("classify-metrics.json");
-    commands::classify(&args(&["--model", &model, "--metrics-out", &metrics, &infection]))
-        .unwrap();
+    commands::classify(
+        &args(&["--model", &model, "--metrics-out", &metrics, &infection]),
+        &mut quiet(),
+    )
+    .unwrap();
     let snap: telemetry::Snapshot =
         serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
     assert_eq!(snap.counter("ingest_captures_total"), 1);
@@ -102,8 +114,8 @@ fn model_format_version_round_trip_and_mismatch_rejection() {
     commands::generate(&args(&["--family", "goon", "--seed", "21", "--out", &capture])).unwrap();
     let model = tmp("roundtrip-model.json");
     commands::train(&args(&["--scale", "0.05", "--seed", "17", "--out", &model])).unwrap();
-    commands::classify(&args(&["--model", &model, &capture])).unwrap();
-    commands::replay(&args(&["--model", &model, &capture])).unwrap();
+    commands::classify(&args(&["--model", &model, &capture]), &mut quiet()).unwrap();
+    commands::replay(&args(&["--model", &model, &capture]), &mut quiet()).unwrap();
 
     // Same bytes, format_version bumped: every consumer must refuse it.
     let text = std::fs::read_to_string(&model).unwrap();
@@ -112,9 +124,9 @@ fn model_format_version_round_trip_and_mismatch_rejection() {
     let bumped = tmp("model-v99.json");
     std::fs::write(&bumped, tampered).unwrap();
     for result in [
-        commands::classify(&args(&["--model", &bumped, &capture])),
-        commands::replay(&args(&["--model", &bumped, &capture])),
-        commands::inspect(&args(&["--model", &bumped])),
+        commands::classify(&args(&["--model", &bumped, &capture]), &mut quiet()),
+        commands::replay(&args(&["--model", &bumped, &capture]), &mut quiet()),
+        commands::inspect(&args(&["--model", &bumped]), &mut quiet()),
     ] {
         let err = result.unwrap_err();
         assert!(
@@ -144,7 +156,7 @@ fn structurally_invalid_models_are_rejected_at_load() {
     commands::generate(&args(&["--family", "nuclear", "--seed", "23", "--out", &capture]))
         .unwrap();
     let model = trained_model_path();
-    commands::classify(&args(&["--model", &model, &capture])).unwrap();
+    commands::classify(&args(&["--model", &model, &capture]), &mut quiet()).unwrap();
     let text = std::fs::read_to_string(&model).unwrap();
     let tamperings = [
         ("selection", text.replacen("\"selection\":\"All\"", "\"selection\":\"GraphOnly\"", 1)),
@@ -157,9 +169,9 @@ fn structurally_invalid_models_are_rejected_at_load() {
         let path = tmp(&format!("model-{what}.json"));
         std::fs::write(&path, tampered).unwrap();
         for result in [
-            commands::classify(&args(&["--model", &path, &capture])),
-            commands::replay(&args(&["--model", &path, &capture])),
-            commands::inspect(&args(&["--model", &path])),
+            commands::classify(&args(&["--model", &path, &capture]), &mut quiet()),
+            commands::replay(&args(&["--model", &path, &capture]), &mut quiet()),
+            commands::inspect(&args(&["--model", &path]), &mut quiet()),
         ] {
             let err = result.unwrap_err();
             assert!(
@@ -190,7 +202,7 @@ fn deeply_nested_model_is_an_error_not_an_abort() {
         stderr.contains(&format!("{deep} is not a valid model: nesting deeper than 128 levels")),
         "{stderr}"
     );
-    commands::inspect(&args(&["--model", &model])).unwrap();
+    commands::inspect(&args(&["--model", &model]), &mut quiet()).unwrap();
 }
 
 /// The same model as a `replay --reload-model` is refused the same way,
@@ -227,9 +239,10 @@ fn replay_sharded_reports_engine_metrics_with_zero_loss() {
         .unwrap();
     let model = trained_model_path();
     let metrics = tmp("sharded-metrics.json");
-    commands::replay(&args(&[
-        "--model", &model, "--shards", "4", "--metrics-out", &metrics, &capture,
-    ]))
+    commands::replay(
+        &args(&["--model", &model, "--shards", "4", "--metrics-out", &metrics, &capture]),
+        &mut quiet(),
+    )
     .unwrap();
     let snap: telemetry::Snapshot =
         serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
@@ -245,8 +258,11 @@ fn replay_sharded_reports_engine_metrics_with_zero_loss() {
     assert_eq!(snap.counter("ingest_captures_total"), 1);
     assert!(snap.counter("detector_transactions_total") > 0);
     // Strict sharded replay works too (no ingest report attached).
-    commands::replay(&args(&["--model", &model, "--shards", "2", "--strict", &capture]))
-        .unwrap();
+    commands::replay(
+        &args(&["--model", &model, "--shards", "2", "--strict", &capture]),
+        &mut quiet(),
+    )
+    .unwrap();
 }
 
 /// The engine snapshot round trip: `replay --snapshot-out` writes a
@@ -261,9 +277,10 @@ fn snapshot_format_version_round_trip_and_mismatch_rejection() {
         .unwrap();
     let model = trained_model_path();
     let snap = tmp("engine.snap");
-    commands::replay(&args(&[
-        "--model", &model, "--snapshot-out", &snap, "--checkpoint-every", "8", &capture,
-    ]))
+    commands::replay(
+        &args(&["--model", &model, "--snapshot-out", &snap, "--checkpoint-every", "8", &capture]),
+        &mut quiet(),
+    )
     .unwrap();
 
     // Resume the finished run into a different shard count: the
@@ -271,11 +288,11 @@ fn snapshot_format_version_round_trip_and_mismatch_rejection() {
     // nothing new but still restores, re-partitions 1→4, and writes a
     // fresh checkpoint.
     let resumed = tmp("engine-resumed.snap");
-    commands::replay(&args(&[
+    let resume = [
         "--model", &model, "--resume", &snap, "--shards", "4", "--snapshot-out", &resumed,
         &capture,
-    ]))
-    .unwrap();
+    ];
+    commands::replay(&args(&resume), &mut quiet()).unwrap();
     assert!(std::fs::metadata(&resumed).unwrap().len() > 0);
 
     // Same bytes, format version bumped (u32 LE at offset 8): refused
@@ -284,8 +301,9 @@ fn snapshot_format_version_round_trip_and_mismatch_rejection() {
     bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
     let bumped = tmp("engine-v99.snap");
     std::fs::write(&bumped, &bytes).unwrap();
-    let err = commands::replay(&args(&["--model", &model, "--resume", &bumped, &capture]))
-        .unwrap_err();
+    let err =
+        commands::replay(&args(&["--model", &model, "--resume", &bumped, &capture]), &mut quiet())
+            .unwrap_err();
     assert!(
         err.contains("uses snapshot format 99 but this build expects 1"),
         "unexpected error: {err}"
@@ -303,19 +321,20 @@ fn reload_model_flag_passes_the_model_format_gate() {
     .unwrap();
     let model = trained_model_path();
     let snap = tmp("reload.snap");
-    commands::replay(&args(&[
+    let reload = [
         "--model", &model, "--snapshot-out", &snap, "--reload-model", &model, "--reload-at",
         "10", &capture,
-    ]))
-    .unwrap();
+    ];
+    commands::replay(&args(&reload), &mut quiet()).unwrap();
 
     let text = std::fs::read_to_string(&model).unwrap();
     let tampered = text.replacen("\"format_version\":1", "\"format_version\":99", 1);
     let bumped = tmp("reload-model-v99.json");
     std::fs::write(&bumped, tampered).unwrap();
-    let err = commands::replay(&args(&[
-        "--model", &model, "--snapshot-out", &snap, "--reload-model", &bumped, &capture,
-    ]))
+    let err = commands::replay(
+        &args(&["--model", &model, "--snapshot-out", &snap, "--reload-model", &bumped, &capture]),
+        &mut quiet(),
+    )
     .unwrap_err();
     assert!(
         err.contains("uses model format 99 but this build expects 1"),
@@ -325,7 +344,7 @@ fn reload_model_flag_passes_the_model_format_gate() {
 
 #[test]
 fn helpful_errors_for_bad_input() {
-    assert!(commands::classify(&args(&["--model", "/nonexistent.json", "x.pcap"]))
+    assert!(commands::classify(&args(&["--model", "/nonexistent.json", "x.pcap"]), &mut quiet())
         .unwrap_err()
         .contains("cannot read"));
     assert!(commands::generate(&args(&["--family", "bogus", "--out", &tmp("x.pcap")]))
@@ -337,19 +356,23 @@ fn helpful_errors_for_bad_input() {
     .unwrap_err()
     .contains("mutually exclusive"));
     let model = trained_model_path();
-    assert!(commands::replay(&args(&["--model", &model])).unwrap_err().contains("exactly one"));
+    assert!(commands::replay(&args(&["--model", &model]), &mut quiet())
+        .unwrap_err()
+        .contains("exactly one"));
     // A non-capture file errors cleanly in strict mode; the lenient
     // default degrades gracefully (zero transactions, counted loss).
     let junk = tmp("junk.bin");
     std::fs::write(&junk, b"not a capture at all").unwrap();
-    assert!(commands::classify(&args(&["--model", &model, "--strict", &junk])).is_err());
-    assert!(commands::classify(&args(&["--model", &model, &junk])).is_ok());
+    assert!(
+        commands::classify(&args(&["--model", &model, "--strict", &junk]), &mut quiet()).is_err()
+    );
+    assert!(commands::classify(&args(&["--model", &model, &junk]), &mut quiet()).is_ok());
     for command in [commands::dot, commands::features] {
-        assert!(command(&args(&["--strict", &junk])).is_err());
-        assert!(command(&args(&[&junk])).is_ok());
+        assert!(command(&args(&["--strict", &junk]), &mut quiet()).is_err());
+        assert!(command(&args(&[&junk]), &mut quiet()).is_ok());
     }
     let drift = ["--epochs", "2", "--scale", "0.02", "--retrain", "--promote-margin", "abc"];
-    assert!(commands::drift(&args(&drift)).unwrap_err().contains("--promote-margin"));
+    assert!(commands::drift(&args(&drift), &mut quiet()).unwrap_err().contains("--promote-margin"));
 }
 
 /// A `wire` episode set whose transactions need more client ports than
@@ -359,7 +382,7 @@ fn helpful_errors_for_bad_input() {
 fn wire_episode_set_past_the_port_space_is_an_error() {
     let out = tmp("too-many-episodes.pcap");
     let pcap = ["pcap", "--out", &out, "--infections", "2000", "--benign", "2000"];
-    let err = dynaminer_cli::wire::wire(&args(&pcap)).unwrap_err();
+    let err = dynaminer_cli::wire::wire(&args(&pcap), &mut quiet()).unwrap_err();
     assert!(err.contains("45536 client ports"), "unexpected error: {err}");
     assert!(!std::path::Path::new(&out).exists());
 }
@@ -370,15 +393,15 @@ fn strict_and_lenient_agree_on_clean_captures() {
     commands::generate(&args(&["--family", "fiesta", "--seed", "11", "--out", &clean]))
         .unwrap();
     let model = trained_model_path();
-    commands::classify(&args(&["--model", &model, "--strict", &clean])).unwrap();
-    commands::classify(&args(&["--model", &model, &clean])).unwrap();
-    commands::replay(&args(&["--model", &model, "--strict", &clean])).unwrap();
-    commands::replay(&args(&["--model", &model, &clean])).unwrap();
+    commands::classify(&args(&["--model", &model, "--strict", &clean]), &mut quiet()).unwrap();
+    commands::classify(&args(&["--model", &model, &clean]), &mut quiet()).unwrap();
+    commands::replay(&args(&["--model", &model, "--strict", &clean]), &mut quiet()).unwrap();
+    commands::replay(&args(&["--model", &model, &clean]), &mut quiet()).unwrap();
     // A corrupted capture fail-stops strictly but replays leniently.
     let bytes = std::fs::read(&clean).unwrap();
     let hurt = tmp("fiesta-truncated.pcap");
     std::fs::write(&hurt, &bytes[..bytes.len() - 3]).unwrap();
-    commands::replay(&args(&["--model", &model, &hurt])).unwrap();
+    commands::replay(&args(&["--model", &model, &hurt]), &mut quiet()).unwrap();
 }
 
 /// `wire proxy --metrics-out` publishes the proxy's per-reason PROXY
@@ -395,11 +418,12 @@ fn wire_proxy_metrics_count_a_malformed_proxy_preamble() {
     let proxy = {
         let (model, metrics, ready) = (model.clone(), metrics.clone(), ready.clone());
         std::thread::spawn(move || {
-            dynaminer_cli::wire::wire(&args(&[
+            let proxy = [
                 "proxy", "--listen", "127.0.0.1:0", "--origin", "127.0.0.1:9", "--proxy-protocol",
                 "--model", &model, "--metrics-out", &metrics, "--ready-file", &ready,
                 "--idle-exit-ms", "300",
-            ]))
+            ];
+            dynaminer_cli::wire::wire(&args(&proxy), &mut quiet())
         })
     };
     let addr = loop {
@@ -428,4 +452,43 @@ fn wire_proxy_metrics_count_a_malformed_proxy_preamble() {
     assert_eq!(snap.counter("wire_proxyproto_reject_bad_signature_total"), 1);
     assert_eq!(snap.counter("wire_source_drops_total"), 1);
     assert_eq!(snap.counter("wire_connections_total"), 1);
+}
+
+/// A reader that stops early ends the output, not the run: `replay
+/// --format json` of a capture several staging windows long, with its
+/// stdout's read end already closed, exits 0 without a panic.
+#[test]
+fn replay_into_a_closed_pipe_exits_quietly() {
+    let capture = tmp("closed-pipe.pcap");
+    let pcap = ["pcap", "--out", &capture, "--seed", "9", "--infections", "120", "--benign", "120"];
+    dynaminer_cli::wire::wire(&args(&pcap), &mut quiet()).unwrap();
+    let model = trained_model_path();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dynaminer"))
+        .args(["replay", "--model", &model, "--format", "json", &capture])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// `train` refuses a scale that is not a positive number, as `drift`
+/// does, before it trains or writes anything.
+#[test]
+fn train_refuses_a_non_positive_scale() {
+    for scale in ["0", "-1", "NaN"] {
+        let model = tmp(&format!("scale-{scale}.json"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dynaminer"))
+            .args(["train", "--scale", scale, "--out", &model])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--scale {scale}: {stderr}");
+        assert_eq!(stderr.lines().next(), Some("error: --scale must be positive"), "{scale}");
+        assert!(!std::path::Path::new(&model).exists(), "--scale {scale} wrote a model");
+    }
 }

@@ -82,16 +82,16 @@ where
 
 /// Builds a 37-column binary dataset from labelled conversations
 /// (`true` = infection): each conversation is abstracted into a WCG and
-/// featurized, on up to `threads` workers of the [`mlearn::parallel`]
-/// pool. Featurization dominates the cost (graph analytics per
-/// conversation, very uneven across WCG sizes, which the pool's dynamic
-/// distribution balances). Rows keep the input order, so the dataset is
+/// featurized, on up to `threads` workers of the [`telemetry::pool`].
+/// Featurization dominates the cost (graph analytics per conversation,
+/// very uneven across WCG sizes, which the pool's dynamic distribution
+/// balances). Rows keep the input order, so the dataset is
 /// the same at any `threads`.
 pub fn build_dataset_parallel(
     conversations: &[(&[HttpTransaction], bool)],
     threads: usize,
 ) -> Dataset {
-    let rows = mlearn::parallel::run_indexed(conversations.len(), threads, |i| {
+    let rows = telemetry::pool::run_indexed(conversations.len(), threads, |i| {
         let (txs, infected) = conversations[i];
         let wcg = Wcg::from_transactions(txs);
         let fv = features::extract(&wcg);
@@ -182,7 +182,7 @@ impl Classifier {
     /// [`Classifier::score_features`] for each vector, in order, on up
     /// to `threads` workers.
     pub fn score_features_batch(&self, fvs: &[FeatureVector], threads: usize) -> Vec<f64> {
-        mlearn::parallel::run_indexed(fvs.len(), threads, |i| self.score_features(&fvs[i]))
+        telemetry::pool::run_indexed(fvs.len(), threads, |i| self.score_features(&fvs[i]))
     }
 
     /// Infection probabilities for many raw conversations: WCG
@@ -195,7 +195,7 @@ impl Classifier {
         threads: usize,
     ) -> Vec<f64> {
         let fvs: Vec<FeatureVector> =
-            mlearn::parallel::run_indexed(conversations.len(), threads, |i| {
+            telemetry::pool::run_indexed(conversations.len(), threads, |i| {
                 features::extract(&Wcg::from_transactions(conversations[i]))
             });
         self.score_features_batch(&fvs, threads)

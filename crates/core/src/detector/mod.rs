@@ -463,10 +463,12 @@ impl OnTheWireDetector {
     pub fn final_verdicts(&mut self, threads: usize) -> Vec<ConversationVerdict> {
         let started = Instant::now();
         let convs: Vec<&Conversation> = self.tracker.conversations().collect();
-        let fvs = mlearn::parallel::run_indexed_with(
+        let mut workers: Vec<_> = (0..threads.min(convs.len()).max(1))
+            .map(|_| (crate::features::FeatureExtractor::new(), crate::wcg::WcgBuilder::new()))
+            .collect();
+        let fvs = telemetry::pool::run_indexed_with(
+            &mut workers,
             convs.len(),
-            threads,
-            || (crate::features::FeatureExtractor::new(), crate::wcg::WcgBuilder::new()),
             |(extractor, builder), i| match convs[i].held_wcg() {
                 Some(wcg) => extractor.extract(wcg),
                 None => extractor.extract(convs[i].build_wcg(builder)),

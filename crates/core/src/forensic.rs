@@ -161,7 +161,7 @@ fn analyze_owned(
     for tx in transactions {
         detector.observe_owned(tx);
     }
-    let threads = mlearn::parallel::resolve_threads(detector.config().scoring_threads);
+    let threads = telemetry::pool::resolve_threads(detector.config().scoring_threads);
     let conversations = detector.final_verdicts(threads);
     ForensicReport {
         transactions: detector.transactions_seen(),

@@ -153,7 +153,7 @@ pub fn epoch_stream(batch: &EpochBatch, next_seq: &mut u64) -> Vec<HttpTransacti
 /// curve, and ledger at any shard or thread count.
 pub fn run_drift_lab(config: &DriftLabConfig, registry: Option<&Registry>) -> DriftLabReport {
     let seed = config.schedule.seed;
-    let threads = mlearn::parallel::resolve_threads(
+    let threads = telemetry::pool::resolve_threads(
         config.retrain.as_ref().map_or(0, |r| r.threads),
     );
     let schedule = DriftSchedule::new(config.schedule.clone());
@@ -208,7 +208,7 @@ pub fn run_drift_lab(config: &DriftLabConfig, registry: Option<&Registry>) -> Dr
             if epoch + 1 < config.schedule.epochs {
                 let challenger = fit_forest(
                     history.iter().flat_map(|batch| &batch.episodes),
-                    mlearn::parallel::derive_seed(seed, CHALLENGER_SALT + epoch as u64),
+                    telemetry::pool::derive_seed(seed, CHALLENGER_SALT + epoch as u64),
                     threads,
                     None,
                 );

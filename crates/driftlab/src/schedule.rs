@@ -119,7 +119,7 @@ impl DriftSchedule {
     /// families the same walking speed.
     pub fn family_rate(&self, family: EkFamily) -> f64 {
         let idx = EkFamily::ALL.iter().position(|f| *f == family).unwrap_or(0) as u64;
-        let h = mlearn::parallel::derive_seed(self.config.seed ^ DRIFT_SALT, idx);
+        let h = telemetry::pool::derive_seed(self.config.seed ^ DRIFT_SALT, idx);
         0.55 + 0.45 * ((h >> 11) as f64 / (1u64 << 53) as f64)
     }
 
@@ -142,7 +142,7 @@ impl DriftSchedule {
     /// of `(config, epoch)`, byte-identical across calls and processes.
     pub fn epoch_batch(&self, epoch: usize) -> EpochBatch {
         let (start_ts, end_ts) = self.epoch_window(epoch);
-        let mut rng = StdRng::seed_from_u64(mlearn::parallel::derive_seed(
+        let mut rng = StdRng::seed_from_u64(telemetry::pool::derive_seed(
             self.config.seed ^ DRIFT_SALT,
             epoch as u64,
         ));

@@ -3,11 +3,11 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use telemetry::pool;
 
 use crate::dataset::Dataset;
 use crate::forest::{ForestConfig, RandomForest};
 use crate::metrics::{roc_auc, Confusion};
-use crate::parallel;
 
 /// One train/test split of sample indices.
 #[derive(Debug, Clone)]
@@ -89,14 +89,14 @@ pub fn cross_validate(
     threads: usize,
 ) -> CvResult {
     assert_eq!(data.n_classes(), 2, "cross_validate expects a binary dataset");
-    let threads = parallel::resolve_threads(threads);
+    let threads = pool::resolve_threads(threads);
     let folds = stratified_kfold(data.labels(), k, seed);
     // Split the budget: up to k fold workers, remaining threads go to each
     // fold's forest fit.
     let fold_workers = threads.min(k);
     let fit_threads = (threads / fold_workers).max(1);
     let per_fold: Vec<Vec<(usize, f64, usize)>> =
-        parallel::run_indexed(folds.len(), fold_workers, |fold_no| {
+        pool::run_indexed(folds.len(), fold_workers, |fold_no| {
             let fold = &folds[fold_no];
             let train = data.subset(&fold.train);
             let fold_seed = seed.wrapping_add(fold_no as u64 + 1);

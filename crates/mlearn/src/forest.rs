@@ -1,7 +1,7 @@
 //! Ensemble random forest combining CART trees by probability averaging.
 //!
 //! [`RandomForest::fit`] is the one way to train. Every tree derives its
-//! own RNG from `(seed, tree_index)` via [`parallel::derive_seed`], so
+//! own RNG from `(seed, tree_index)` via [`pool::derive_seed`], so
 //! bootstrap resamples and split choices are a pure function of the seed
 //! and the model is bit-identical at any worker-thread count.
 //! [`RandomForest::score`] is the one scoring kernel: it reads each
@@ -13,9 +13,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use telemetry::pool::{self, derive_seed};
 
 use crate::dataset::Dataset;
-use crate::parallel::{self, derive_seed};
 use crate::tree::{argmax, DecisionTree, TreeConfig};
 
 /// How many candidate features each split examines.
@@ -96,7 +96,7 @@ pub struct RandomForest {
 impl RandomForest {
     /// Trains a forest on `data` with deterministic randomness from
     /// `seed`, growing trees on up to `threads` workers (`0` = all
-    /// cores, see [`parallel::resolve_threads`]). Each tree seeds its own
+    /// cores, see [`pool::resolve_threads`]). Each tree seeds its own
     /// RNG from `(seed, tree_index)`, so the model is **bit-identical for
     /// any `threads`**.
     ///
@@ -127,8 +127,8 @@ impl RandomForest {
         // seeds depend only on the index).
         const PARALLEL_MIN_TREES: usize = 8;
         let threads =
-            if config.n_trees < PARALLEL_MIN_TREES { 1 } else { parallel::resolve_threads(threads) };
-        let timed = parallel::run_indexed(config.n_trees, threads, |t| {
+            if config.n_trees < PARALLEL_MIN_TREES { 1 } else { pool::resolve_threads(threads) };
+        let timed = pool::run_indexed(config.n_trees, threads, |t| {
             let started = std::time::Instant::now();
             let tree = grow_tree(data, config, &tree_config, seed, t);
             let elapsed = started.elapsed().as_nanos();

@@ -16,12 +16,13 @@
 //! * [`crossval`] — stratified k-fold cross-validation,
 //! * [`rank`] — gain-ratio feature ranking with per-fold rank averaging
 //!   (the paper's Table IV methodology),
-//! * [`parallel`] — deterministic scoped-thread worker pool; forest
-//!   training, cross-validation, and batch scoring run through it with
-//!   bit-identical results at any thread count,
 //! * [`slot`] — atomic model slot for zero-downtime hot-reload, with a
 //!   monotone version so every decision is attributable to one model
 //!   generation.
+//!
+//! Forest training and cross-validation run on the workspace's worker
+//! pool, [`telemetry::pool`], with bit-identical results at any thread
+//! count.
 //!
 //! # Example
 //!
@@ -44,7 +45,6 @@ pub mod crossval;
 pub mod dataset;
 pub mod forest;
 pub mod metrics;
-pub mod parallel;
 pub mod rank;
 pub mod slot;
 pub mod tree;

@@ -12,7 +12,6 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -240,9 +239,9 @@ impl AsRef<[u8]> for Body<'_> {
 /// ([`crate::capture`]) and reassembled by span
 /// ([`SpanReassembler`]) into streams laid as arena ranges, nothing
 /// copied. That front runs on the calling thread. Connections are then
-/// cut into windows and paired on every core: the calling thread and up
-/// to `available_parallelism() − 1` scoped workers (never more than
-/// there are windows) each start on a window and then take the next,
+/// cut into windows and paired on every core ([`telemetry::pool`]): the
+/// calling thread and up to `available_parallelism() − 1` workers (never
+/// more than there are windows) each start on a window, then take the next,
 /// copy its multi-segment streams into their own reused buffer, parse
 /// them from
 /// [`StreamView`]s that borrow it (single-segment streams borrow the
@@ -287,13 +286,6 @@ pub struct SpanPipeline {
 /// 128 MiB `pcap_bulk` capture (2 vCPUs, x86-64).
 const STAGE_WINDOW_BYTES: usize = 8 << 20;
 
-/// Threads that pair windows at once: the machine's available
-/// parallelism, read once per process.
-fn pairing_workers() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
-
 impl SpanPipeline {
     /// Creates an empty pipeline.
     pub fn new() -> Self {
@@ -317,7 +309,7 @@ impl SpanPipeline {
         capture: &[u8],
         report: &mut IngestReport,
     ) -> (Vec<HttpTransaction>, Result<()>) {
-        let workers = pairing_workers();
+        let workers = telemetry::pool::resolve_threads(0);
         self.extract(capture, report, STAGE_WINDOW_BYTES / workers, workers)
     }
 
@@ -387,40 +379,17 @@ impl SpanPipeline {
         if self.workers.len() < workers {
             self.workers.resize_with(workers, Worker::default);
         }
-        // Every worker starts on a window of its own, then claims the
-        // next unclaimed one until none is left.
-        let (caller, helpers) = self.workers[..workers].split_first_mut().expect("one worker");
         let (laid, conns, windows) = (&self.laid, &self.conns[..], &self.windows[..]);
-        let next = &AtomicUsize::new(workers);
-        std::thread::scope(|scope| {
-            let mut spawned = 0;
-            for helper in helpers {
-                let first = spawned..spawned + 1;
-                let work = move || helper.pair_windows(first, laid, capture, conns, windows, next);
-                if std::thread::Builder::new().spawn_scoped(scope, work).is_err() {
-                    break;
-                }
-                spawned += 1;
-            }
-            // The caller also starts the windows of workers it could not
-            // spawn.
-            caller.pair_windows(spawned..workers, laid, capture, conns, windows, next);
-        });
-        // Each worker took its windows in increasing order: merging is
-        // taking, window by window, from the worker that paired it.
-        let paired = &mut self.workers[..workers];
-        let mut out = Vec::with_capacity(paired.iter().map(|w| w.txs.len()).sum());
-        let mut sources: Vec<_> =
-            paired.iter_mut().map(|w| (w.done.drain(..), w.txs.drain(..))).collect();
-        for window in 0..n_windows {
-            let (done, txs) = sources
-                .iter_mut()
-                .find(|(done, _)| done.as_slice().first().is_some_and(|d| d.window == window))
-                .expect("every window is paired once");
-            let done = done.next().expect("found");
-            out.extend(txs.by_ref().take(done.transactions));
-            report.merge(&done.report);
-            first_stop = first_stop.and(done.stop);
+        let paired = telemetry::pool::run_indexed_with(
+            &mut self.workers[..workers],
+            n_windows,
+            |worker, w| worker.pair_window(laid, capture, &conns[windows[w]..windows[w + 1]]),
+        );
+        let mut out = Vec::with_capacity(paired.iter().map(|p| p.txs.len()).sum());
+        for window in paired {
+            out.extend(window.txs);
+            report.merge(&window.report);
+            first_stop = first_stop.and(window.stop);
         }
         out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
         assign_seq(&mut out);
@@ -463,47 +432,18 @@ struct Worker {
     /// They borrow its staging buffer, so between windows the list is
     /// empty and only its allocation is kept.
     bodies: Vec<Body<'static>>,
-    /// The transactions of every window this worker paired, in order.
-    txs: Vec<HttpTransaction>,
-    /// One entry per window this worker paired, in the same order.
-    done: Vec<Paired>,
 }
 
-/// What pairing one window left besides its transactions.
+/// What pairing one window gives: its transactions, its share of the
+/// report and its first strict stop, if any.
 #[derive(Debug)]
 struct Paired {
-    window: usize,
-    /// How many of the worker's transactions are this window's.
-    transactions: usize,
+    txs: Vec<HttpTransaction>,
     report: IngestReport,
-    /// The window's first strict stop, if any.
     stop: Result<()>,
 }
 
 impl Worker {
-    /// Pairs the windows `first`, then the next unclaimed one from `next`
-    /// until none is left; window `w` is `conns[windows[w]..windows[w + 1]]`.
-    fn pair_windows(
-        &mut self,
-        first: Range<usize>,
-        laid: &LaidStreams,
-        capture: &[u8],
-        conns: &[(usize, Option<usize>)],
-        windows: &[usize],
-        next: &AtomicUsize,
-    ) {
-        // Relaxed: the counter only hands out distinct indices. The
-        // windows were written before the spawn and the results are read
-        // after the join, and those order them.
-        let claimed = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed));
-        for window in first.chain(claimed) {
-            let Some(&[start, end]) = windows.get(window..window + 2) else {
-                return;
-            };
-            self.pair_window(laid, capture, window, &conns[start..end]);
-        }
-    }
-
     /// Stages the streams of one window of `(request, response)`
     /// connections, pairs the connections in order, and digests their
     /// bodies in one interleaved batch, written back before the next
@@ -512,26 +452,24 @@ impl Worker {
         &mut self,
         laid: &LaidStreams,
         capture: &[u8],
-        window: usize,
         conns: &[(usize, Option<usize>)],
-    ) {
+    ) -> Paired {
         let ids = conns.iter().flat_map(|&(req, resp)| std::iter::once(req).chain(resp));
         let staged = laid.stage(capture, ids, &mut self.stage);
         let mut bodies = recycle(std::mem::take(&mut self.bodies));
         let mut report = IngestReport::new();
         let mut stop = Ok(());
-        let first = self.txs.len();
+        let mut txs = Vec::with_capacity(conns.len());
         let mut k = 0;
         for &(_, resp) in conns {
             let req = staged.view(k);
             let resp = resp.map(|_| staged.view(k + 1));
             k += 1 + usize::from(resp.is_some());
-            stop = stop.and(pair_connection(req, resp, &mut report, &mut self.txs, &mut bodies));
+            stop = stop.and(pair_connection(req, resp, &mut report, &mut txs, &mut bodies));
         }
-        digest_deferred(&mut self.txs[first..], &bodies, &mut self.digests);
+        digest_deferred(&mut txs, &bodies, &mut self.digests);
         self.bodies = recycle(bodies);
-        let transactions = self.txs.len() - first;
-        self.done.push(Paired { window, transactions, report, stop });
+        Paired { txs, report, stop }
     }
 }
 

@@ -63,7 +63,7 @@ const SHARD_HASH_SEED: u64 = 0x7a3c_9f21_0b5d_e711;
 /// keyed by client, so this is the *only* partitioning decision in the
 /// engine — everything downstream is per-shard-local.
 pub fn shard_of(client: Ipv4Addr, shards: usize) -> usize {
-    (mlearn::parallel::derive_seed(SHARD_HASH_SEED, u64::from(u32::from(client)))
+    (telemetry::pool::derive_seed(SHARD_HASH_SEED, u64::from(u32::from(client)))
         % shards.max(1) as u64) as usize
 }
 

@@ -25,6 +25,9 @@
 //! Naming follows Prometheus conventions: counters end in `_total`,
 //! latency histograms in `_ns` (base unit recorded in the name since
 //! the values are integers, not seconds).
+//!
+//! [`pool`] is the workspace's one worker pool, here because this is
+//! the crate both capture ingest and the learners build on.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -33,6 +36,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+pub mod pool;
 
 /// Monotone event counter. Cloning shares the underlying cell.
 #[derive(Clone, Debug, Default)]
