@@ -58,9 +58,11 @@ pub struct DetectorConfig {
     /// transactions refresh activity but are not stored. Guards against
     /// a single endless conversation.
     pub max_transactions_per_conversation: usize,
-    /// Worker threads for forensic replay's final verdict pass (`0`: the
-    /// available parallelism). Capture ingest sizes its own from that, not
-    /// from this. Scores are bit-identical at any setting.
+    /// Worker threads for the final verdict pass of
+    /// [`analyze_transactions`](crate::forensic::analyze_transactions)
+    /// (`0`: the available parallelism). A capture replay sweeps each
+    /// client group at one thread, since the groups hold the cores. Scores
+    /// are bit-identical at any setting.
     pub scoring_threads: usize,
 }
 

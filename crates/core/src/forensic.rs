@@ -5,10 +5,22 @@
 //! conversation's WCG is classified, and a report lists per-conversation
 //! verdicts plus every payload download (so the downloads can be compared
 //! against an external scanner, as the paper does with VirusTotal).
+//!
+//! [`analyze_transactions`] replays one stream into one detector; it is
+//! the oracle. [`analyze_pcap_lenient`] replays a capture one client
+//! group at a time, each on the pool worker that paired the group's last
+//! window ([`SpanPipeline::extract_grouped`]): the group gets its own
+//! detector over one shared model, sweeps at one thread and is dropped
+//! there. Conversations are per client, so the groups' verdicts merged by
+//! id and downloads by feed order are the oracle's report.
+//!
+//! [`SpanPipeline::extract_grouped`]: nettrace::SpanPipeline::extract_grouped
 
+use mlearn::slot::ModelSlot;
 use nettrace::payload::PayloadClass;
 use nettrace::HttpTransaction;
 use serde::{Deserialize, Serialize};
+use telemetry::Registry;
 
 use crate::classifier::Classifier;
 use crate::detector::{DetectorConfig, OnTheWireDetector};
@@ -184,9 +196,65 @@ pub fn analyze_pcap_lenient(
     config: DetectorConfig,
 ) -> ForensicReport {
     let mut ingest = nettrace::IngestReport::new();
-    let transactions = nettrace::SpanPipeline::extract_capture_lenient(pcap_bytes, &mut ingest);
-    let mut report = analyze_owned(transactions, classifier, config);
+    let mut pipeline = nettrace::SpanPipeline::new();
+    let mut report = if config.retention.is_some() {
+        // Retention evicts on the whole capture's clock, which no group
+        // sees, so the capture replays into one detector.
+        analyze_owned(pipeline.extract_lenient(pcap_bytes, &mut ingest), classifier, config)
+    } else {
+        replay_groups(classifier, config, |consume| {
+            pipeline.extract_grouped(pcap_bytes, &mut ingest, consume)
+        })
+    };
     report.ingest = Some(ingest);
+    report
+}
+
+/// One client group's replay: its verdicts, its downloads keyed by feed
+/// order `(ts, seq)`, and its transaction and alert counts.
+type GroupReport = (Vec<ConversationVerdict>, Vec<((f64, u64), DownloadRecord)>, usize, usize);
+
+/// Runs `extract` with a consumer that replays each client group into
+/// its own detector, then merges the groups' reports.
+fn replay_groups(
+    classifier: Classifier,
+    config: DetectorConfig,
+    extract: impl FnOnce(&(dyn Fn(Vec<HttpTransaction>) -> GroupReport + Sync)) -> Vec<GroupReport>,
+) -> ForensicReport {
+    let model = ModelSlot::new(classifier);
+    let groups = extract(&|transactions| {
+        let mut detector =
+            OnTheWireDetector::with_model_slot(model.clone(), config.clone(), &Registry::new());
+        let downloads = transactions
+            .iter()
+            .filter_map(|tx| Some(((tx.ts, tx.seq), DownloadRecord::of(tx)?)))
+            .collect();
+        for tx in transactions {
+            detector.observe_owned(tx);
+        }
+        let conversations = detector.final_verdicts(1);
+        (conversations, downloads, detector.transactions_seen(), detector.alerts().len())
+    });
+    let mut report = ForensicReport {
+        transactions: 0,
+        conversations: Vec::new(),
+        downloads: Vec::new(),
+        alerts: 0,
+        ingest: None,
+        stats: None,
+    };
+    let mut downloads = Vec::new();
+    for (conversations, group_downloads, transactions, alerts) in groups {
+        report.conversations.extend(conversations);
+        downloads.extend(group_downloads);
+        report.transactions += transactions;
+        report.alerts += alerts;
+    }
+    // An id is the client address, then the client's creation count:
+    // tracker order.
+    report.conversations.sort_unstable_by_key(|c| c.id);
+    downloads.sort_unstable_by(|((a, i), _), ((b, j), _)| a.total_cmp(b).then(i.cmp(j)));
+    report.downloads = downloads.into_iter().map(|(_, d)| d).collect();
     report
 }
 
@@ -261,23 +329,88 @@ mod tests {
         assert!(alerts <= 2, "{alerts} alerts over benign replays");
     }
 
+    /// The grouped replay against the one-detector oracle over the same
+    /// lenient extraction, whole report JSON with `ingest`. Inputs: one
+    /// client (clean, so the strict extraction must agree too), eight
+    /// clients, those eight with one timestamp on every packet (downloads
+    /// of different clients tie), and `faultgen` damage to the eight on
+    /// pcap and on pcapng. Each runs through `analyze_pcap_lenient` and
+    /// through the private runner at 1, 2, 3 and 8 workers, in one group
+    /// and in one per client hash, with windows of 1 byte (a window per
+    /// copying connection, so a group spans windows), 3 KiB and unbounded.
+    /// Under a retention window, which evicts on the whole capture's
+    /// clock, `analyze_pcap_lenient` must still match the oracle.
     #[test]
     fn lenient_replay_matches_strict_on_clean_capture() {
+        use nettrace::capture::read_packets;
+        use nettrace::{IngestReport, SpanPipeline};
+        use synthtraffic::faultgen::{self, Fault};
+
         let clf = classifier(5);
         let mut rng = StdRng::seed_from_u64(35);
         let ep = generate_infection(&mut rng, EkFamily::Rig, 1.4e9);
         let pcap = episodes_pcap(&[ep]);
         let strict = analyze_transactions(
-            &nettrace::SpanPipeline::extract_capture_strict(&pcap).unwrap(),
+            &SpanPipeline::extract_capture_strict(&pcap).unwrap(),
             clf.clone(),
             DetectorConfig::default(),
         );
-        let mut lenient = analyze_pcap_lenient(&pcap, clf, DetectorConfig::default());
+        let mut lenient = analyze_pcap_lenient(&pcap, clf.clone(), DetectorConfig::default());
         let ingest = lenient.ingest.take().expect("lenient replay records ingest health");
         assert!(!ingest.has_loss(), "{ingest}");
         assert_eq!(ingest.transactions_recovered as usize, strict.transactions);
         let json = |r: &ForensicReport| serde_json::to_string(r).unwrap();
         assert_eq!(json(&lenient), json(&strict), "same report, ingest aside");
+
+        let clients: Vec<_> = (0..8)
+            .map(|i| match i % 4 {
+                3 => generate_benign(&mut rng, BenignScenario::WEIGHTED[i].0, 1.4e9),
+                _ => generate_infection(&mut rng, EkFamily::ALL[i], 1.4e9),
+            })
+            .collect();
+        let many = episodes_pcap(&clients);
+        let mut packets = read_packets(&many).unwrap();
+        let pcapng = nettrace::pcapng::write_packets(&packets);
+        packets.iter_mut().for_each(|p| p.ts = 1.4e9);
+        let tied = nettrace::pcap::write_packets(&packets);
+        let captures = [
+            ("one client", pcap),
+            ("eight clients, all faults", faultgen::apply_all(&many, &mut rng)),
+            ("eight clients, pcapng, flips", faultgen::apply(&pcapng, Fault::FlipBytes, &mut rng)),
+            ("eight clients, pcapng, cut", faultgen::apply(&pcapng, Fault::TruncateTail, &mut rng)),
+            ("eight clients, one timestamp", tied),
+            ("eight clients", many),
+        ];
+        let mut pipelines: Vec<_> = (0..4).map(|_| SpanPipeline::new()).collect();
+        for (name, capture) in &captures {
+            let mut ingest = IngestReport::new();
+            let txs = SpanPipeline::extract_capture_lenient(capture, &mut ingest);
+            let mut want = analyze_transactions(&txs, clf.clone(), DetectorConfig::default());
+            want.ingest = Some(ingest);
+            let want = json(&want);
+            let got = analyze_pcap_lenient(capture, clf.clone(), DetectorConfig::default());
+            assert_eq!(json(&got), want, "{name}");
+            let retention =
+                DetectorConfig { idle_timeout: 1.0, retention: Some(1.0), ..Default::default() };
+            let mut oracle = analyze_transactions(&txs, clf.clone(), retention.clone());
+            oracle.ingest = got.ingest;
+            let got = analyze_pcap_lenient(capture, clf.clone(), retention);
+            assert_eq!(json(&got), json(&oracle), "{name}, retention");
+            for (workers, pipeline) in [1, 2, 3, 8].into_iter().zip(&mut pipelines) {
+                for groups in [1, 16 * workers] {
+                    for window in [1, 3 << 10, usize::MAX] {
+                        let mut ingest = IngestReport::new();
+                        let mut got = replay_groups(clf.clone(), DetectorConfig::default(), |f| {
+                            let p = &mut *pipeline;
+                            p.extract_grouped_at(capture, &mut ingest, window, workers, groups, f)
+                        });
+                        got.ingest = Some(ingest);
+                        let case = format!("{name}, {workers} workers, {groups} groups, {window}");
+                        assert_eq!(json(&got), want, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

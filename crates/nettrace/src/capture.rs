@@ -7,14 +7,15 @@
 //! walk's `Result` (the first framing error, with a truncated final
 //! record tolerated).
 
+use std::ops::Range;
+
 use crate::arena::PacketSpan;
 use crate::ingest::IngestReport;
 use crate::pcap::{self, Packet};
 use crate::{pcapng, Result};
 
-/// Walks a capture in either format, appending one `(ts, range)` span
-/// into `bytes` per salvageable packet to `out` (an append sink, so a
-/// caller-owned buffer can be reused across captures).
+/// Walks a capture in either format, calling `emit` with the `(ts,
+/// range)` span into `bytes` of every salvageable packet.
 ///
 /// Unreadable records are skipped — pcapng resynchronises on block
 /// framing, classic pcap yields the prefix before the first corrupt
@@ -24,32 +25,36 @@ use crate::{pcapng, Result};
 /// # Errors
 ///
 /// The strict reading of the same walk: [`crate::Error::BadPcapMagic`]
-/// when the bytes are neither format, or the first framing error. `out`
-/// and `report` hold the lenient salvage either way.
-pub(crate) fn read_packet_spans(
+/// when the bytes are neither format, or the first framing error. `emit`
+/// has seen and `report` holds the lenient salvage either way.
+pub(crate) fn walk_packets(
     bytes: &[u8],
     report: &mut IngestReport,
-    out: &mut Vec<PacketSpan>,
+    mut emit: impl FnMut(f64, Range<usize>),
 ) -> Result<()> {
     if pcapng::is_pcapng(bytes) {
-        return pcapng::walk_blocks(bytes, report, |ts, range| out.push(PacketSpan { ts, range }));
+        return pcapng::walk_blocks(bytes, report, emit);
     }
-    let before = out.len();
-    let end = pcap::walk_records(bytes, usize::MAX, |ts, range| out.push(PacketSpan { ts, range }));
-    report.packets_read += (out.len() - before) as u64;
+    let mut packets = 0;
+    let end = pcap::walk_records(bytes, usize::MAX, |ts, range| {
+        packets += 1;
+        emit(ts, range);
+    });
+    report.packets_read += packets;
     end.account(bytes.len(), report);
     end.strict()
 }
 
 /// The lenient policy over the capture walk: one `(ts, range)` span per
-/// salvageable packet appended to `out`. Never fails; losses are in
-/// `report`.
+/// salvageable packet appended to `out` (an append sink, so a
+/// caller-owned buffer can be reused across captures). Never fails;
+/// losses are in `report`.
 pub fn read_packet_spans_lenient(
     bytes: &[u8],
     report: &mut IngestReport,
     out: &mut Vec<PacketSpan>,
 ) {
-    let _ = read_packet_spans(bytes, report, out);
+    let _ = walk_packets(bytes, report, |ts, range| out.push(PacketSpan { ts, range }));
 }
 
 /// The strict policy over the capture walk, materialised as owned
@@ -62,9 +67,11 @@ pub fn read_packet_spans_lenient(
 /// [`crate::Error::BadPcapMagic`] when the bytes are neither format, or
 /// the first framing error.
 pub fn read_packets(bytes: &[u8]) -> Result<Vec<Packet>> {
-    let mut spans = Vec::new();
-    read_packet_spans(bytes, &mut IngestReport::new(), &mut spans)?;
-    Ok(spans.iter().map(|s| Packet::new(s.ts, s.bytes(bytes).to_vec())).collect())
+    let mut packets = Vec::new();
+    walk_packets(bytes, &mut IngestReport::new(), |ts, range| {
+        packets.push(Packet::new(ts, bytes[range].to_vec()));
+    })?;
+    Ok(packets)
 }
 
 #[cfg(test)]

@@ -12,10 +12,12 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::arena::{subslice_range, PacketSpan};
+use crate::arena::subslice_range;
 use crate::http::{
     decode_chunked, parse_request_head, parse_response_head, request_body_framing,
     response_body_framing, BodyFraming, HeaderMap, Method, RequestHead, ResponseHead,
@@ -235,24 +237,27 @@ impl AsRef<[u8]> for Body<'_> {
 
 /// The capture → transaction pipeline, zero-copy on the way in.
 ///
-/// Packets are read as `(ts, range)` spans into the capture buffer
-/// ([`crate::capture`]) and reassembled by span
-/// ([`SpanReassembler`]) into streams laid as arena ranges, nothing
-/// copied. That front runs on the calling thread. Connections are then
-/// cut into windows and paired on every core ([`telemetry::pool`]): the
-/// calling thread and up to `available_parallelism() − 1` workers (never
-/// more than there are windows) each start on a window, then take the next,
-/// copy its multi-segment streams into their own reused buffer, parse
-/// them from
-/// [`StreamView`]s that borrow it (single-segment streams borrow the
-/// capture), and digest the window's bodies in one batch
-/// ([`fnv1a_many`]). A window holds about 8 MiB of copied streams
-/// divided by the worker count, so the staged bytes in flight stay
-/// near 8 MiB whatever the core count. The windows are merged in window
-/// order, so the transactions, the report and the strict stop are the
-/// same at any worker count. Every buffer lives in the pipeline and is
-/// reused across captures, so steady-state packet processing allocates
-/// nothing.
+/// The capture walk ([`crate::capture`]) hands each packet's `(ts,
+/// range)` span into the capture buffer straight to frame decoding and
+/// [`SpanReassembler`], which lays streams as arena ranges, nothing
+/// copied. That front runs on the calling thread. Triage puts each
+/// connection in a client group, a fixed hash of its request side's
+/// source address (the `client` of its transactions), and cuts the
+/// connections, in (group, connection) order, into windows that never
+/// span two groups. The windows are [`telemetry::pool`] tasks on every
+/// core: a worker copies a window's multi-segment streams into its own
+/// reused buffer, pairs them from [`StreamView`]s that borrow it
+/// (single-segment streams borrow the capture), and digests the window's
+/// bodies in one batch ([`fnv1a_many`]). A window holds about 8 MiB of
+/// copied streams divided by the worker count, so the staged bytes in
+/// flight stay near 8 MiB whatever the core count. The worker that
+/// finishes a group's last window sorts the group's transactions and
+/// hands them to a consumer in the same task
+/// ([`SpanPipeline::extract_grouped`]), so per-client work runs on every
+/// core with no barrier before it. The other entry points merge the
+/// groups back into one stream, so their transactions, report and strict
+/// stop are the same at any worker and group count. Every buffer lives
+/// in the pipeline and is reused across captures.
 ///
 /// One run serves both ingest policies. Everything that can be salvaged
 /// is, and every loss is counted in an [`IngestReport`] — that is
@@ -265,16 +270,28 @@ impl AsRef<[u8]> for Body<'_> {
 /// orphan responses and broken content codings are losses, not stops.
 #[derive(Debug, Default)]
 pub struct SpanPipeline {
-    spans: Vec<PacketSpan>,
     reassembler: SpanReassembler,
     laid: LaidStreams,
-    /// Every connection with a request direction, `(request, response)`
-    /// stream indices in connection order.
-    conns: Vec<(usize, Option<usize>)>,
+    /// Every connection with a request direction, in (group, connection)
+    /// order.
+    conns: Vec<Conn>,
     /// Where each window starts in `conns`, then where the last ends.
     windows: Vec<usize>,
+    /// Where each non-empty group's windows start in `windows`, then
+    /// where the last group's end.
+    groups: Vec<usize>,
     /// One scratch per worker; the first is the calling thread's.
     workers: Vec<Worker>,
+}
+
+/// A connection to pair: its rank in connection order, its client group
+/// and its request and response stream indices.
+#[derive(Debug, Clone, Copy)]
+struct Conn {
+    rank: u64,
+    group: usize,
+    req: usize,
+    resp: Option<usize>,
 }
 
 /// Bytes of multi-segment streams [`SpanPipeline`] stages at once, split
@@ -285,6 +302,46 @@ pub struct SpanPipeline {
 /// thread, 8 gave the lowest CPU per transaction on the benchmark's
 /// 128 MiB `pcap_bulk` capture (2 vCPUs, x86-64).
 const STAGE_WINDOW_BYTES: usize = 8 << 20;
+
+/// Client groups per pool worker. A group is what one consumer call
+/// works, so more groups balance uneven clients across workers and start
+/// consuming sooner, and fewer keep windows larger. On the benchmark's
+/// `pcap_lossy` capture (2 vCPUs, x86-64), 4, 8, 16 and 32 read alike
+/// within run-to-run spread (medians 132–140 k transactions/s).
+const GROUPS_PER_WORKER: usize = 16;
+
+/// Fixed base of the client-group hash, so a capture splits the same way
+/// on every run and machine.
+const GROUP_HASH_SEED: u64 = 0x5bd1_e995_c2b2_ae35;
+
+/// The client group of a connection whose request comes from `client`,
+/// one of `groups`.
+fn group_of(client: std::net::Ipv4Addr, groups: usize) -> usize {
+    let hash = telemetry::pool::derive_seed(GROUP_HASH_SEED, u64::from(u32::from(client)));
+    (hash % groups.max(1) as u64) as usize
+}
+
+/// How a run divides a capture: staged bytes per window, pool workers
+/// and client groups. Any split gives the same output.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    window_bytes: usize,
+    workers: usize,
+    groups: usize,
+}
+
+impl Split {
+    /// One worker per core, the staging budget shared between them and
+    /// [`GROUPS_PER_WORKER`] groups each.
+    fn every_core() -> Split {
+        let workers = telemetry::pool::resolve_threads(0);
+        Split {
+            window_bytes: STAGE_WINDOW_BYTES / workers,
+            workers,
+            groups: GROUPS_PER_WORKER * workers,
+        }
+    }
+}
 
 impl SpanPipeline {
     /// Creates an empty pipeline.
@@ -299,45 +356,85 @@ impl SpanPipeline {
         capture: &[u8],
         report: &mut IngestReport,
     ) -> Vec<HttpTransaction> {
-        self.extract_on_every_core(capture, report).0
+        self.extract(capture, report, Split::every_core()).0
     }
 
-    /// [`SpanPipeline::extract`] with one worker per core and the staging
-    /// budget split between them.
-    fn extract_on_every_core(
+    /// Extracts transactions from one capture, leniently, one client
+    /// group at a time: `consume` gets each group's transactions on the
+    /// worker that paired its last window, and what it returns comes back
+    /// in group order. A client's transactions are all in one group,
+    /// sorted by [`feed_order`], and `seq` orders them as in the whole
+    /// capture but is not renumbered: it is the connection's rank in
+    /// connection order (high 32 bits), then the transaction's place in
+    /// its connection. A group with no transactions is not consumed.
+    /// Never fails; losses are accounted in `report`.
+    pub fn extract_grouped<T: Send>(
         &mut self,
         capture: &[u8],
         report: &mut IngestReport,
-    ) -> (Vec<HttpTransaction>, Result<()>) {
-        let workers = telemetry::pool::resolve_threads(0);
-        self.extract(capture, report, STAGE_WINDOW_BYTES / workers, workers)
+        consume: impl Fn(Vec<HttpTransaction>) -> T + Sync,
+    ) -> Vec<T> {
+        self.run(capture, report, Split::every_core(), consume).0
     }
 
-    /// The one run behind both policies: the salvaged transactions
-    /// (accounted in `report`) and the first strict stop, if any.
-    /// Connections are paired in windows that stage about `window_bytes`
-    /// of multi-segment streams each, by the calling thread and up to
-    /// `workers − 1` scoped threads; the result depends on neither (tests
-    /// run windows of one byte to unbounded at one to eight workers).
-    fn extract(
+    /// [`SpanPipeline::extract_grouped`] with the staged bytes per window,
+    /// the pool workers and the client groups given, for tests that hold
+    /// a consumer's merged output fixed across all three.
+    #[doc(hidden)]
+    pub fn extract_grouped_at<T: Send>(
         &mut self,
         capture: &[u8],
         report: &mut IngestReport,
         window_bytes: usize,
         workers: usize,
+        groups: usize,
+        consume: impl Fn(Vec<HttpTransaction>) -> T + Sync,
+    ) -> Vec<T> {
+        self.run(capture, report, Split { window_bytes, workers, groups }, consume).0
+    }
+
+    /// The whole capture's transactions in feed order, numbered, and the
+    /// first strict stop, if any: the groups merged by [`feed_order`].
+    fn extract(
+        &mut self,
+        capture: &[u8],
+        report: &mut IngestReport,
+        split: Split,
     ) -> (Vec<HttpTransaction>, Result<()>) {
-        self.spans.clear();
-        let mut first_stop = crate::capture::read_packet_spans(capture, report, &mut self.spans);
-        for span in &self.spans {
-            match decode_frame(&capture[span.range.clone()]) {
+        let (groups, stop) = self.run(capture, report, split, |txs| txs);
+        let mut out = Vec::with_capacity(groups.iter().map(Vec::len).sum());
+        groups.into_iter().for_each(|group| out.extend(group));
+        // Each group is sorted already; the stable sort merges the runs.
+        out.sort_by(feed_order);
+        assign_seq(&mut out);
+        (out, stop)
+    }
+
+    /// The one run behind every entry point: `consume`'s result for every
+    /// group with transactions, in group order, and the first strict
+    /// stop, if any. The output depends on none of `split` (tests run
+    /// windows of one byte to unbounded, one to eight workers and one
+    /// group to many).
+    fn run<T: Send>(
+        &mut self,
+        capture: &[u8],
+        report: &mut IngestReport,
+        split: Split,
+        consume: impl Fn(Vec<HttpTransaction>) -> T + Sync,
+    ) -> (Vec<T>, Result<()>) {
+        let (mut non_tcp, mut undecodable) = (0, 0);
+        let reassembler = &mut self.reassembler;
+        let first_stop = crate::capture::walk_packets(capture, report, |ts, range| {
+            match decode_frame(&capture[range]) {
                 Ok(Some((key, tcp))) => {
-                    let payload = subslice_range(capture, tcp.payload);
-                    self.reassembler.push_span(span.ts, key, &tcp, payload);
+                    reassembler.push_span(ts, key, &tcp, subslice_range(capture, tcp.payload));
                 }
-                Ok(None) => report.packets_non_tcp += 1,
-                Err(_) => report.packets_dropped_decode += 1,
+                Ok(None) => non_tcp += 1,
+                Err(_) => undecodable += 1,
             }
-        }
+        });
+        report.packets_non_tcp += non_tcp;
+        report.packets_dropped_decode += undecodable;
         self.reassembler.lay_streams(&mut report.reassembly_gaps, &mut self.laid);
         report.streams_total += self.laid.len() as u64;
         // Triage by first bytes, read across a stream's pieces: which
@@ -354,9 +451,6 @@ impl SpanPipeline {
             }
         }
         self.conns.clear();
-        self.windows.clear();
-        self.windows.push(0);
-        let mut staged_bytes = 0usize;
         for (req, resp) in connections.into_values() {
             let Some(req) = req else {
                 if let Some(orphan) = resp {
@@ -364,37 +458,74 @@ impl SpanPipeline {
                 }
                 continue;
             };
-            let bytes = self.laid.copy_len(req) + resp.map_or(0, |r| self.laid.copy_len(r));
-            let window_start = self.windows[self.windows.len() - 1];
-            if self.conns.len() > window_start && staged_bytes + bytes > window_bytes {
-                self.windows.push(self.conns.len());
+            let group = group_of(self.laid.key(req).src.addr, split.groups);
+            self.conns.push(Conn { rank: self.conns.len() as u64, group, req, resp });
+        }
+        // Stable: each group keeps connection order.
+        self.conns.sort_by_key(|conn| conn.group);
+        self.windows.clear();
+        self.groups.clear();
+        let mut staged_bytes = 0usize;
+        for (i, conn) in self.conns.iter().enumerate() {
+            let bytes =
+                self.laid.copy_len(conn.req) + conn.resp.map_or(0, |r| self.laid.copy_len(r));
+            let new_group = i == 0 || self.conns[i - 1].group != conn.group;
+            if new_group || staged_bytes + bytes > split.window_bytes {
+                if new_group {
+                    self.groups.push(self.windows.len());
+                }
+                self.windows.push(i);
                 staged_bytes = 0;
             }
-            self.conns.push((req, resp));
             staged_bytes += bytes;
         }
+        self.groups.push(self.windows.len());
         self.windows.push(self.conns.len());
         let n_windows = self.windows.len() - 1;
-        let workers = workers.clamp(1, n_windows);
+        let workers = split.workers.min(n_windows);
         if self.workers.len() < workers {
             self.workers.resize_with(workers, Worker::default);
         }
-        let (laid, conns, windows) = (&self.laid, &self.conns[..], &self.windows[..]);
+        // A window's transactions wait in its slot until the worker that
+        // finishes the group's last window takes them all.
+        let slots: Vec<Mutex<Vec<HttpTransaction>>> =
+            (0..n_windows).map(|_| Mutex::default()).collect();
+        let pending: Vec<AtomicUsize> =
+            self.groups.windows(2).map(|g| AtomicUsize::new(g[1] - g[0])).collect();
+        let take = |slot: &Mutex<Vec<HttpTransaction>>| {
+            std::mem::take(&mut *slot.lock().expect("no slot is locked across a panic"))
+        };
+        let (laid, conns, windows, groups) =
+            (&self.laid, &self.conns[..], &self.windows[..], &self.groups[..]);
         let paired = telemetry::pool::run_indexed_with(
             &mut self.workers[..workers],
             n_windows,
-            |worker, w| worker.pair_window(laid, capture, &conns[windows[w]..windows[w + 1]]),
+            |worker, w| {
+                let window = worker.pair_window(laid, capture, &conns[windows[w]..windows[w + 1]]);
+                let g = groups.partition_point(|&start| start <= w) - 1;
+                *slots[w].lock().expect("no slot is locked across a panic") = window.txs;
+                // AcqRel: every other window of the group released its
+                // slot before its countdown, and the last one acquires
+                // them all.
+                let consumed = (pending[g].fetch_sub(1, Ordering::AcqRel) == 1).then(|| {
+                    let mut runs = slots[groups[g]..groups[g + 1]].iter().map(take);
+                    let mut txs = runs.next().unwrap_or_default();
+                    runs.for_each(|run| txs.extend(run));
+                    txs.sort_unstable_by(feed_order);
+                    (!txs.is_empty()).then(|| consume(txs))
+                });
+                (window.report, window.stop, consumed.flatten())
+            },
         );
-        let mut out = Vec::with_capacity(paired.iter().map(|p| p.txs.len()).sum());
-        for window in paired {
-            out.extend(window.txs);
-            report.merge(&window.report);
-            first_stop = first_stop.and(window.stop);
+        let mut out = Vec::with_capacity(groups.len() - 1);
+        let mut stops = Vec::new();
+        for (window_report, stop, consumed) in paired {
+            report.merge(&window_report);
+            stops.extend(stop);
+            out.extend(consumed);
         }
-        out.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-        assign_seq(&mut out);
-        report.transactions_recovered += out.len() as u64;
-        (out, first_stop)
+        let stop = stops.into_iter().min_by_key(|&(rank, _)| rank).map_or(Ok(()), |(_, e)| Err(e));
+        (out, first_stop.and(stop))
     }
 
     /// Convenience: one-shot lenient extraction from raw capture bytes.
@@ -418,7 +549,7 @@ impl SpanPipeline {
     /// are skipped silently.
     pub fn extract_capture_strict(capture: &[u8]) -> Result<Vec<HttpTransaction>> {
         let (transactions, first_stop) =
-            SpanPipeline::new().extract_on_every_core(capture, &mut IngestReport::new());
+            SpanPipeline::new().extract(capture, &mut IngestReport::new(), Split::every_core());
         first_stop.map(|()| transactions)
     }
 }
@@ -435,40 +566,45 @@ struct Worker {
 }
 
 /// What pairing one window gives: its transactions, its share of the
-/// report and its first strict stop, if any.
+/// report and its first strict stop, if any, with the rank of the
+/// connection that made it.
 #[derive(Debug)]
 struct Paired {
     txs: Vec<HttpTransaction>,
     report: IngestReport,
-    stop: Result<()>,
+    stop: Option<(u64, Error)>,
 }
 
 impl Worker {
-    /// Stages the streams of one window of `(request, response)`
-    /// connections, pairs the connections in order, and digests their
-    /// bodies in one interleaved batch, written back before the next
-    /// window reuses the buffer the bodies borrow.
-    fn pair_window(
-        &mut self,
-        laid: &LaidStreams,
-        capture: &[u8],
-        conns: &[(usize, Option<usize>)],
-    ) -> Paired {
-        let ids = conns.iter().flat_map(|&(req, resp)| std::iter::once(req).chain(resp));
+    /// Stages the streams of one window of connections, pairs the
+    /// connections in order, and digests their bodies in one interleaved
+    /// batch, written back before the next window reuses the buffer the
+    /// bodies borrow. Each transaction's `seq` is its connection's rank
+    /// (high 32 bits), then its place in the connection.
+    fn pair_window(&mut self, laid: &LaidStreams, capture: &[u8], conns: &[Conn]) -> Paired {
+        let ids = conns.iter().flat_map(|conn| std::iter::once(conn.req).chain(conn.resp));
         let staged = laid.stage(capture, ids, &mut self.stage);
         let mut bodies = recycle(std::mem::take(&mut self.bodies));
         let mut report = IngestReport::new();
-        let mut stop = Ok(());
+        let mut stop = None;
         let mut txs = Vec::with_capacity(conns.len());
         let mut k = 0;
-        for &(_, resp) in conns {
+        for conn in conns {
             let req = staged.view(k);
-            let resp = resp.map(|_| staged.view(k + 1));
+            let resp = conn.resp.map(|_| staged.view(k + 1));
             k += 1 + usize::from(resp.is_some());
-            stop = stop.and(pair_connection(req, resp, &mut report, &mut txs, &mut bodies));
+            let first = txs.len();
+            let result = pair_connection(req, resp, &mut report, &mut txs, &mut bodies);
+            if stop.is_none() {
+                stop = result.err().map(|e| (conn.rank, e));
+            }
+            for (i, tx) in (0..).zip(&mut txs[first..]) {
+                tx.seq = conn.rank << 32 | i;
+            }
         }
         digest_deferred(&mut txs, &bodies, &mut self.digests);
         self.bodies = recycle(bodies);
+        report.transactions_recovered = txs.len() as u64;
         Paired { txs, report, stop }
     }
 }
@@ -1248,12 +1384,13 @@ mod tests {
         report: &mut IngestReport,
     ) -> (Vec<HttpTransaction>, Result<()>) {
         let mut spans = Vec::new();
-        let mut first_stop = crate::capture::read_packet_spans(capture, report, &mut spans);
+        let mut first_stop =
+            crate::capture::walk_packets(capture, report, |ts, range| spans.push((ts, range)));
         let mut reassembler = SpanReassembler::new();
-        for span in &spans {
-            match decode_frame(&capture[span.range.clone()]) {
+        for (ts, range) in spans {
+            match decode_frame(&capture[range]) {
                 Ok(Some((key, tcp))) => {
-                    reassembler.push_span(span.ts, key, &tcp, subslice_range(capture, tcp.payload))
+                    reassembler.push_span(ts, key, &tcp, subslice_range(capture, tcp.payload))
                 }
                 Ok(None) => report.packets_non_tcp += 1,
                 Err(_) => report.packets_dropped_decode += 1,
@@ -1314,13 +1451,45 @@ mod tests {
         assert_eq!(got.payload_digest, want.payload_digest, "{case}: payload digest");
     }
 
+    /// One GET per client, each answered in two segments (so staging
+    /// copies it); the last client sorts last in connection order and
+    /// falls in the last of `groups`, and its response claims a gzip body
+    /// it does not carry. So its connection is the last window of the last
+    /// group, and its report carries a counted loss.
+    fn last_connection_lossy(groups: usize) -> Vec<u8> {
+        let s = Ipv4Addr::new(203, 0, 113, 9);
+        let last = (0..=255)
+            .rev()
+            .map(|i| Ipv4Addr::new(10, 255, 255, i))
+            .find(|&c| group_of(c, groups) == groups - 1)
+            .expect("an address in the last group");
+        let clients = (1..=12).map(|i| Ipv4Addr::new(10, 0, 0, i)).chain([last]);
+        let mut packets = Vec::new();
+        for (i, c) in clients.enumerate() {
+            let ts = 1.0 + i as f64;
+            let req = format!("GET /{i} HTTP/1.1\r\nHost: ex.com\r\n\r\n");
+            let resp: &[u8] = if c == last {
+                b"HTTP/1.1 200 OK\r\nContent-Encoding: gzip\r\nContent-Length: 4\r\n\r\njunk"
+            } else {
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+            };
+            let (head, tail) = resp.split_at(20);
+            packets.push(Packet::new(ts, frame(c, s, 50000, 80, 1, req.as_bytes())));
+            packets.push(Packet::new(ts + 0.1, frame(s, c, 80, 50000, 1, head)));
+            packets.push(Packet::new(ts + 0.2, frame(s, c, 80, 50000, 21, tail)));
+        }
+        crate::pcap::write_packets(&packets)
+    }
+
     /// Windows of 1 byte (every connection that copies anything is a
     /// window of its own), a few KiB (several connections per window) and
-    /// unbounded (one window, the whole capture staged at once), each
-    /// paired by 1, 2, 3 and 8 workers, against `gather_streams` over the
-    /// whole capture. Captures whose packets all carry one timestamp keep
-    /// the merge order past the timestamp sort, so a window merged out of
-    /// order shows in `seq`.
+    /// unbounded (one window per group), each paired by 1, 2, 3 and 8
+    /// workers in one group and in one per client hash, against
+    /// `gather_streams` over the whole capture. Captures whose packets all
+    /// carry one timestamp keep connection order past the timestamp sort,
+    /// so a window or a group merged out of order shows in `seq`; captures
+    /// of several clients split into groups; the capture whose last
+    /// connection is lossy shows a window's report left unmerged.
     #[test]
     fn windowed_extraction_equals_whole_capture_gather() {
         use rand::rngs::StdRng;
@@ -1349,6 +1518,26 @@ mod tests {
             captures.push((format!("one timestamp, all faults seed {seed}"), hurt));
             captures.push((format!("one timestamp seed {seed}"), tied));
             captures.push((format!("clean seed {seed}"), clean));
+            let mut rng = StdRng::seed_from_u64(400 + seed);
+            let clients: Vec<_> = (0..6)
+                .map(|i| {
+                    let family = synthtraffic::EkFamily::ALL[i];
+                    synthtraffic::episode::generate_infection(&mut rng, family, 1.4e9)
+                })
+                .collect();
+            let many = synthtraffic::pcapgen::episodes_pcap(&clients);
+            let mut packets = crate::capture::read_packets(&many).expect("a generated capture");
+            packets.iter_mut().for_each(|p| p.ts = 1.4e9);
+            let hurt = faultgen::apply_all(&many, &mut rng);
+            captures.push((format!("six clients, all faults seed {seed}"), hurt));
+            let tied = crate::pcap::write_packets(&packets);
+            captures.push((format!("six clients, one timestamp seed {seed}"), tied));
+            captures.push((format!("six clients seed {seed}"), many));
+        }
+        let group_counts = |workers| [1, GROUPS_PER_WORKER * workers];
+        for groups in [1, 2, 3, 8].into_iter().flat_map(group_counts) {
+            let lossy = last_connection_lossy(groups);
+            captures.push((format!("last connection lossy in {groups} groups"), lossy));
         }
         let wants: Vec<_> = captures
             .iter()
@@ -1358,30 +1547,42 @@ mod tests {
                 (txs, report, stop)
             })
             .collect();
+        for ((name, _), (_, report, _)) in captures.iter().zip(&wants) {
+            if name.starts_with("last connection lossy") {
+                assert_eq!(report.gzip_failures, 1, "{name}: the last connection's loss");
+            }
+        }
         for workers in [1, 2, 3, 8] {
             let mut pipeline = SpanPipeline::new();
-            let mut split = 0;
+            let (mut split_windows, mut split_groups) = (0, 0);
             for ((name, capture), (want, want_report, want_stop)) in captures.iter().zip(&wants) {
-                for budget in [1, 3 << 10, usize::MAX] {
-                    let case = format!("{name}, window {budget}, {workers} workers");
-                    let mut report = IngestReport::new();
-                    let (got, stop) = pipeline.extract(capture, &mut report, budget, workers);
-                    assert_eq!(report, *want_report, "{case}: ingest report");
-                    assert_eq!(
-                        format!("{stop:?}"),
-                        format!("{want_stop:?}"),
-                        "{case}: strict stop"
-                    );
-                    assert_eq!(got.len(), want.len(), "{case}: transaction count");
-                    for (g, w) in got.iter().zip(want) {
-                        assert_same_transaction(g, w, &case);
+                for groups in group_counts(workers) {
+                    for window_bytes in [1, 3 << 10, usize::MAX] {
+                        let case = format!("{name}, {workers} workers, {groups} groups");
+                        let case = format!("{case}, window {window_bytes}");
+                        let mut report = IngestReport::new();
+                        let split = Split { window_bytes, workers, groups };
+                        let (got, stop) = pipeline.extract(capture, &mut report, split);
+                        assert_eq!(report, *want_report, "{case}: ingest report");
+                        assert_eq!(
+                            format!("{stop:?}"),
+                            format!("{want_stop:?}"),
+                            "{case}: strict stop"
+                        );
+                        assert_eq!(got.len(), want.len(), "{case}: transaction count");
+                        for (g, w) in got.iter().zip(want) {
+                            assert_same_transaction(g, w, &case);
+                        }
                     }
+                    split_groups += usize::from(pipeline.groups.len() > 2);
                 }
                 // Streams that copy: with two or more, one-byte windows split.
                 let copying = (0..pipeline.laid.len()).filter(|&i| pipeline.laid.copy_len(i) > 0);
-                split += usize::from(copying.count() >= 2);
+                split_windows += usize::from(copying.count() >= 2);
             }
-            assert!(split * 4 > captures.len() * 3, "{split} of {} captures split", captures.len());
+            let n = captures.len();
+            assert!(split_windows * 4 > n * 3, "{split_windows} of {n} captures split");
+            assert!(split_groups >= 9, "{split_groups} of {n} captures in several groups");
             // Every worker paired windows, not only the caller.
             let busy = pipeline.workers.iter().filter(|w| w.digests.capacity() > 0).count();
             assert_eq!(busy, workers, "{busy} of {workers} workers paired a window");

@@ -9,14 +9,81 @@
 //! Unlike real proptest there is no shrinking and no persisted failure
 //! seeds: each test runs [`NUM_CASES`] deterministic cases seeded from the
 //! test's module path and name, so failures reproduce exactly across runs.
+//! Two environment variables override that for a soak: `PROPTEST_CASES`
+//! (the case count) and `PROPTEST_SEED` (the generator's seed for every
+//! test, decimal or `0x` hex). A failing case prints its seed, its index
+//! and a command that reruns it.
 
 use std::ops::{Range, RangeInclusive};
 
-/// Number of deterministic cases each `proptest!` test executes.
+/// Number of deterministic cases each `proptest!` test executes unless
+/// `PROPTEST_CASES` says otherwise.
 pub const NUM_CASES: u32 = 32;
+
+/// Runs one `proptest!` test: `case` draws its inputs from one generator
+/// and checks them, once per case. The seed is `PROPTEST_SEED` or else
+/// `label`'s hash; the case count is `PROPTEST_CASES` or else
+/// [`NUM_CASES`]. A failing case, returned or panicking, prints its seed,
+/// its index and a command that reruns it in package `package`.
+///
+/// # Panics
+///
+/// On the first failing case, and on an override that does not parse.
+#[doc(hidden)]
+pub fn run_cases(
+    label: &str,
+    name: &str,
+    package: &str,
+    mut case: impl FnMut(&mut TestRng) -> Result<(), String>,
+) {
+    let seed = env_override("PROPTEST_SEED").unwrap_or_else(|| test_runner::fnv1a(label));
+    let cases = env_override("PROPTEST_CASES").map_or(u64::from(NUM_CASES), |n| n);
+    let mut rng = TestRng::from_seed(seed);
+    for i in 0..cases {
+        let rerun = || {
+            eprintln!(
+                "proptest {label}: seed {seed:#x}, case {i} of {cases}; rerun with \
+                 PROPTEST_SEED={seed:#x} PROPTEST_CASES={} cargo test -p {package} -- {name}",
+                i + 1
+            );
+        };
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut rng))) {
+            Ok(Ok(())) => {}
+            Ok(Err(msg)) => {
+                rerun();
+                panic!("proptest case {i} failed: {msg}");
+            }
+            Err(panic) => {
+                rerun();
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+}
+
+/// The value of the environment variable `name` as a `u64` (decimal or
+/// `0x` hex), or `None` when it is unset.
+fn env_override(name: &str) -> Option<u64> {
+    let value = std::env::var(name).ok()?;
+    let parsed = match value.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => value.parse(),
+    };
+    Some(parsed.unwrap_or_else(|_| panic!("{name}={value:?} is not a decimal or 0x-hex u64")))
+}
 
 pub mod test_runner {
     //! Deterministic random source for strategy sampling.
+
+    /// The FNV-1a hash of `label`: a test's default seed.
+    pub(crate) fn fnv1a(label: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in label.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
 
     /// SplitMix64 generator seeded from the test name.
     #[derive(Debug, Clone)]
@@ -27,12 +94,12 @@ pub mod test_runner {
     impl TestRng {
         /// Seeds deterministically from an arbitrary label (FNV-1a hash).
         pub fn deterministic(label: &str) -> Self {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in label.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            TestRng { state: h }
+            Self::from_seed(fnv1a(label))
+        }
+
+        /// Starts the generator at `seed`.
+        pub fn from_seed(seed: u64) -> Self {
+            TestRng { state: seed }
         }
 
         /// Next uniform 64-bit value.
@@ -342,26 +409,23 @@ pub mod prelude {
 }
 
 /// Runs each contained `#[test] fn name(pat in strategy, ...) { body }`
-/// over [`NUM_CASES`] deterministically seeded cases.
+/// over [`NUM_CASES`] deterministically seeded cases (see [`run_cases`]).
 #[macro_export]
 macro_rules! proptest {
     ($($(#[$meta:meta])* fn $name:ident($($arg:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
             fn $name() {
-                let mut __rng = $crate::test_runner::TestRng::deterministic(
+                $crate::run_cases(
                     concat!(module_path!(), "::", stringify!($name)),
-                );
-                for __case in 0..$crate::NUM_CASES {
-                    let __outcome: ::std::result::Result<(), ::std::string::String> = (|| {
-                        $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)+
+                    stringify!($name),
+                    env!("CARGO_PKG_NAME"),
+                    |__rng| {
+                        $(let $arg = $crate::Strategy::generate(&($strat), __rng);)+
                         $body
                         ::std::result::Result::Ok(())
-                    })();
-                    if let ::std::result::Result::Err(__msg) = __outcome {
-                        panic!("proptest case {} failed: {}", __case, __msg);
-                    }
-                }
+                    },
+                );
             }
         )*
     };
@@ -439,6 +503,17 @@ mod tests {
             seen[Strategy::generate(&strat, &mut rng) as usize] = true;
         }
         assert_eq!(&seen[1..], &[true, true, true]);
+    }
+
+    #[test]
+    fn overrides_parse_decimal_and_hex() {
+        let name = "PROPTEST_SHIM_OVERRIDE_UNDER_TEST";
+        assert_eq!(crate::env_override(name), None);
+        std::env::set_var(name, "42");
+        assert_eq!(crate::env_override(name), Some(42));
+        std::env::set_var(name, "0x2a");
+        assert_eq!(crate::env_override(name), Some(42));
+        std::env::remove_var(name);
     }
 
     proptest! {

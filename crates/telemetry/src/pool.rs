@@ -1,6 +1,7 @@
 //! The one worker pool: indexed tasks on scoped threads, std only (the
-//! workspace vendors no rayon). Capture-window pairing, forest fit,
-//! cross-validation, dataset building and batch scoring run through it.
+//! workspace vendors no rayon). Capture-window pairing and the replay of
+//! each client group, forest fit, cross-validation, dataset building and
+//! batch scoring run through it.
 //! Results are **bit-identical for 1, 2, or N workers**: every task is
 //! identified by its index and its result lands at that index, whichever
 //! worker ran it, and per-task randomness comes from `(seed, index)`
