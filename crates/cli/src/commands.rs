@@ -429,7 +429,6 @@ pub(crate) fn run_engine(
             redirect_threshold: opts.u64_flag("threshold", 2)? as usize,
             ..ClueConfig::default()
         },
-        scoring_threads: threads,
         ..DetectorConfig::default()
     };
     let stream_config = streamd::StreamConfig {
@@ -526,8 +525,7 @@ pub fn replay(args: &[String], out: &mut Out) -> Result<(), String> {
             stats.counter("detector_clues_total"),
             stats.counter("detector_wcg_rebuilds_total"),
             stats.counter("detector_reclassifications_total"),
-            stats.counter("session_retention_evictions_total")
-                + stats.counter("session_cap_evictions_total"),
+            stats.counter("session_cap_evictions_total"),
         );
     }
     for verdict in &report.conversations {

@@ -44,11 +44,6 @@ pub struct DetectorConfig {
     pub alert_threshold: f64,
     /// Trusted-vendor allowlist (empty list disables weed-out).
     pub trusted: TrustedHosts,
-    /// Evict conversations idle longer than this many seconds (bounds
-    /// memory on long-running proxies). `None` keeps every conversation —
-    /// the right mode for forensic replay, where the final report walks
-    /// all of them.
-    pub retention: Option<f64>,
     /// At most this many conversations per client; the
     /// least-recently-active one is evicted to make room. Guards tracker
     /// memory against a hostile client spraying unclusterable
@@ -59,10 +54,11 @@ pub struct DetectorConfig {
     /// a single endless conversation.
     pub max_transactions_per_conversation: usize,
     /// Worker threads for the final verdict pass of
-    /// [`analyze_transactions`](crate::forensic::analyze_transactions)
-    /// (`0`: the available parallelism). A capture replay sweeps each
-    /// client group at one thread, since the groups hold the cores. Scores
-    /// are bit-identical at any setting.
+    /// [`analyze_transactions`](crate::forensic::analyze_transactions),
+    /// this field's one reader (`0`: the available parallelism). A capture
+    /// replay sweeps each client group at one thread, since the groups
+    /// hold the cores, and a stream engine sweeps at its run loop's
+    /// thread count. Scores are bit-identical at any setting.
     pub scoring_threads: usize,
 }
 
@@ -73,7 +69,6 @@ impl Default for DetectorConfig {
             idle_timeout: 300.0,
             alert_threshold: 0.5,
             trusted: TrustedHosts::default(),
-            retention: None,
             max_conversations_per_client: 512,
             max_transactions_per_conversation: 8192,
             scoring_threads: 0,
@@ -257,11 +252,8 @@ impl OnTheWireDetector {
         config: DetectorConfig,
         registry: &Registry,
     ) -> Self {
-        let tracker = match config.retention {
-            Some(retention) => SessionTracker::with_retention(config.idle_timeout, retention),
-            None => SessionTracker::new(config.idle_timeout),
-        }
-        .with_caps(config.max_conversations_per_client, config.max_transactions_per_conversation);
+        let tracker = SessionTracker::new(config.idle_timeout)
+            .with_caps(config.max_conversations_per_client, config.max_transactions_per_conversation);
         let last_model_version = model.version();
         OnTheWireDetector {
             model,
@@ -302,7 +294,6 @@ impl OnTheWireDetector {
     fn sync_tracker_metrics(&mut self) {
         let m = &self.metrics;
         let (now, synced) = (self.tracker.counters(), self.synced);
-        m.retention_evictions.add(now.evicted - synced.evicted);
         m.cap_evictions.add(now.cap_evicted - synced.cap_evicted);
         m.dropped_transactions.add(now.dropped_transactions - synced.dropped_transactions);
         m.conversations_live.set(self.tracker.conversation_count() as i64);
@@ -612,31 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn retention_bounds_detector_memory() {
-        let clf = trained_classifier(6);
-        let config =
-            DetectorConfig { retention: Some(600.0), ..DetectorConfig::default() };
-        let mut det = OnTheWireDetector::new(clf, config);
-        let mut rng = StdRng::seed_from_u64(60);
-        for day_slot in 0..12 {
-            let ep = generate_benign(
-                &mut rng,
-                BenignScenario::AlexaBrowse,
-                1.43e9 + day_slot as f64 * 7200.0,
-            );
-            for tx in &ep.transactions {
-                det.observe(tx);
-            }
-        }
-        assert!(
-            det.tracker().conversation_count() < 12,
-            "{} conversations retained",
-            det.tracker().conversation_count()
-        );
-        assert!(det.tracker().evicted_count() > 0);
-    }
-
-    #[test]
     fn caps_bound_detector_state_on_hostile_stream() {
         use crate::wcg::tests::tx;
         use nettrace::http::Method;
@@ -696,7 +662,6 @@ mod tests {
         let tracker = det.tracker();
         assert_eq!(tracker.dropped_transaction_count(), 7);
         assert_eq!(tracker.cap_evicted_count(), 17);
-        assert_eq!(tracker.evicted_count(), 0, "no retention window configured");
         // The telemetry counters must agree with the tracker's own
         // accounting, exactly.
         let snap = det.telemetry().snapshot();
@@ -709,19 +674,14 @@ mod tests {
             tracker.cap_evicted_count() as u64
         );
         assert_eq!(
-            snap.counter("session_retention_evictions_total"),
-            tracker.evicted_count() as u64
-        );
-        assert_eq!(
             snap.gauges["session_conversations_live"],
             tracker.conversation_count() as i64
         );
         // Lifecycle accounting closes: every conversation ever created
-        // is live or evicted through exactly one path.
+        // is live or evicted by the cap.
         assert_eq!(
             tracker.created_count(),
-            (tracker.conversation_count() + tracker.evicted_count() + tracker.cap_evicted_count())
-                as u64
+            (tracker.conversation_count() + tracker.cap_evicted_count()) as u64
         );
     }
 

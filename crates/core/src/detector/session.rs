@@ -31,8 +31,8 @@
 //! it arrives. A conversation never looked at gets its graph only in the
 //! final verdict sweep, which builds it from the records, scores it and
 //! drops it; no graph build reads a transaction. Tracker memory is
-//! bounded by the retention window and the two caps
-//! ([`SessionTracker::with_caps`]; DESIGN.md §13).
+//! bounded by the two caps ([`SessionTracker::with_caps`]; DESIGN.md
+//! §13).
 //! [`SessionTracker::state`] serializes the stored state less the
 //! records ([`TrackerState`]); restoring replays each conversation's
 //! transactions through the absorb fold, which makes them again and
@@ -87,10 +87,8 @@ pub struct ConversationState {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrackerCounters {
     /// Conversations ever created (the accounting anchor: `created ==
-    /// live + evicted + cap_evicted`).
+    /// live + cap_evicted`).
     pub created: u64,
-    /// Conversations evicted by the retention window.
-    pub evicted: u64,
     /// Conversations evicted by the per-client conversation cap.
     pub cap_evicted: u64,
     /// Transactions dropped by the per-conversation cap.
@@ -101,7 +99,6 @@ impl std::ops::AddAssign for TrackerCounters {
     /// Field-wise sum: how per-shard totals merge into whole-run ones.
     fn add_assign(&mut self, other: Self) {
         self.created += other.created;
-        self.evicted += other.evicted;
         self.cap_evicted += other.cap_evicted;
         self.dropped_transactions += other.dropped_transactions;
     }
@@ -245,6 +242,10 @@ impl Conversation {
     /// The conversation's WCG over the stored transactions. The first
     /// call builds it (one rebuild from the records); every later
     /// transaction is then folded in on arrival.
+    // Out of line: inlined into `observe_owned`, this once-per-conversation
+    // build doubles as hot-path code and `stream_infected` pays for it
+    // (10–20 % more CPU per transaction on a 2-vCPU host).
+    #[inline(never)]
     pub(crate) fn wcg_state(&mut self) -> &Wcg {
         self.graph
             .get_or_insert_with(|| {
@@ -271,7 +272,7 @@ impl Conversation {
     }
 
     /// Records a transaction that was dropped by the per-conversation
-    /// cap: activity is acknowledged (so idle/retention timers behave)
+    /// cap: activity is acknowledged (so the idle timer behaves)
     /// but nothing is stored, bounding memory against a hostile endpoint
     /// streaming unbounded transactions into one conversation. Only the
     /// host survives (moved, not cloned, and replacing the previous
@@ -399,7 +400,6 @@ struct ClientSessions {
 pub struct SessionTracker {
     clients: BTreeMap<Ipv4Addr, ClientSessions>,
     idle_timeout: f64,
-    retention: Option<f64>,
     max_conversations: usize,
     max_transactions: usize,
     counters: TrackerCounters,
@@ -415,14 +415,12 @@ pub struct SessionTracker {
 
 impl SessionTracker {
     /// Creates a tracker; conversations idle longer than `idle_timeout`
-    /// seconds stop accepting transactions. All conversations are kept in
-    /// memory (forensic mode) — long-running deployments set
-    /// [`DetectorConfig::retention`](crate::detector::DetectorConfig::retention).
+    /// seconds stop accepting transactions. Conversations are kept until
+    /// a cap ([`SessionTracker::with_caps`]) evicts them.
     pub fn new(idle_timeout: f64) -> Self {
         SessionTracker {
             clients: BTreeMap::new(),
             idle_timeout,
-            retention: None,
             max_conversations: usize::MAX,
             max_transactions: usize::MAX,
             counters: TrackerCounters::default(),
@@ -430,14 +428,6 @@ impl SessionTracker {
             host_lower: String::new(),
             referer_lower: String::new(),
         }
-    }
-
-    /// Creates a tracker that evicts conversations idle longer than
-    /// `retention` seconds, bounding memory on long-running proxies. An
-    /// evicted conversation can no longer be matched or re-alerted; its
-    /// alert (if any) was already emitted when it fired.
-    pub(crate) fn with_retention(idle_timeout: f64, retention: f64) -> Self {
-        SessionTracker { retention: Some(retention.max(idle_timeout)), ..Self::new(idle_timeout) }
     }
 
     /// Caps tracker state against hostile clients: at most
@@ -461,18 +451,12 @@ impl SessionTracker {
         self.counters
     }
 
-    /// Number of conversations evicted so far.
-    pub fn evicted_count(&self) -> usize {
-        self.counters.evicted as usize
-    }
-
     /// Conversations ever created.
     pub fn created_count(&self) -> u64 {
         self.counters.created
     }
 
-    /// Conversations evicted by the per-client conversation cap (as
-    /// opposed to the retention window).
+    /// Conversations evicted by the per-client conversation cap.
     pub fn cap_evicted_count(&self) -> usize {
         self.counters.cap_evicted as usize
     }
@@ -480,30 +464,6 @@ impl SessionTracker {
     /// Transactions dropped by the per-conversation transaction cap.
     pub fn dropped_transaction_count(&self) -> u64 {
         self.counters.dropped_transactions
-    }
-
-    /// Drops every conversation of every client whose last activity
-    /// precedes `now - retention`. No-op without a retention window.
-    ///
-    /// A client whose conversations were all evicted loses its map entry
-    /// (and with it the local id counter), so conversation ids can be
-    /// reused after the client returns — retention mode trades the
-    /// unique-id guarantee for bounded memory, which is why the sharded
-    /// engine's bit-identity contract is stated for `retention: None`.
-    fn evict_stale(&mut self, now: f64) {
-        let Some(retention) = self.retention else { return };
-        let (live, counters) = (&mut self.live, &mut self.counters);
-        for entry in self.clients.values_mut() {
-            entry.convs.retain(|conv| {
-                let keep = now - conv.last_ts() <= retention;
-                if !keep {
-                    *live -= 1;
-                    counters.evicted += 1;
-                }
-                keep
-            });
-        }
-        self.clients.retain(|_, entry| !entry.convs.is_empty());
     }
 
     /// Assigns a transaction to a conversation (existing or new) and
@@ -518,7 +478,6 @@ impl SessionTracker {
     /// and returns a mutable reference to it. The transaction is moved
     /// into the conversation's storage — no clone on the hot path.
     pub fn assign_owned(&mut self, tx: HttpTransaction) -> &mut Conversation {
-        self.evict_stale(tx.ts);
         let client = tx.client.addr;
         let idle_timeout = self.idle_timeout;
         // Per-transaction match keys, derived once here rather than once
@@ -754,35 +713,13 @@ mod tests {
     }
 
     #[test]
-    fn retention_bounds_memory_on_long_streams() {
-        let mut tracker = SessionTracker::with_retention(60.0, 600.0);
-        // A day of hourly one-shot conversations from one client.
-        for hour in 0..24 {
-            let t = hour as f64 * 3600.0;
-            tracker.assign(&get(t, "a.com", "/x", None));
-        }
-        assert!(tracker.conversation_count() <= 2, "{}", tracker.conversation_count());
-        assert!(tracker.evicted_count() >= 22, "{}", tracker.evicted_count());
-    }
-
-    #[test]
     fn forensic_mode_keeps_everything() {
         let mut tracker = SessionTracker::new(60.0);
         for hour in 0..24 {
             tracker.assign(&get(hour as f64 * 3600.0, "a.com", "/x", None));
         }
         assert_eq!(tracker.conversation_count(), 24);
-        assert_eq!(tracker.evicted_count(), 0);
-    }
-
-    #[test]
-    fn retention_never_undercuts_idle_timeout() {
-        let mut tracker = SessionTracker::with_retention(300.0, 1.0);
-        tracker.assign(&get(0.0, "a.com", "/x", None));
-        // 200 s later: inside idle timeout, must still match despite the
-        // (clamped) 1-second retention request.
-        tracker.assign(&get(200.0, "a.com", "/x", None));
-        assert_eq!(tracker.conversation_count(), 1);
+        assert_eq!(tracker.created_count(), 24);
     }
 
     #[test]

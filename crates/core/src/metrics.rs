@@ -24,8 +24,6 @@ pub struct DetectorMetrics {
     pub reclassifications: Counter,
     /// Alerts raised.
     pub alerts: Counter,
-    /// Conversations evicted by the retention window.
-    pub retention_evictions: Counter,
     /// Conversations evicted by the per-client conversation cap.
     pub cap_evictions: Counter,
     /// Transactions dropped by the per-conversation transaction cap.
@@ -63,10 +61,6 @@ impl DetectorMetrics {
                 "Re-classification rounds on already-watched conversations",
             ),
             alerts: registry.counter("detector_alerts_total", "Infection alerts raised"),
-            retention_evictions: registry.counter(
-                "session_retention_evictions_total",
-                "Conversations evicted by the retention window",
-            ),
             cap_evictions: registry.counter(
                 "session_cap_evictions_total",
                 "Conversations evicted by the per-client cap",

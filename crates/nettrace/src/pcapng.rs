@@ -116,8 +116,8 @@ fn parse_block(
             let ts_high = cur.u32_at(pos + 12)? as u64;
             let ts_low = cur.u32_at(pos + 16)? as u64;
             let caplen = cur.u32_at(pos + 20)? as usize;
-            if bytes.get(pos + 28..pos + 28 + caplen).is_none() {
-                return Err(syntax("truncated packet data"));
+            if caplen > body_len - 20 {
+                return Err(syntax("packet data overruns its block"));
             }
             let resol = tsresol.get(iface).copied().unwrap_or(1e6);
             let ticks = (ts_high << 32) | ts_low;

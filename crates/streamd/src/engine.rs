@@ -145,7 +145,7 @@ impl ShardMetrics {
                 .counter(&name("alerts_total"), "Alerts raised by this shard's detector"),
             evictions: registry.counter(
                 &name("evictions_total"),
-                "Conversations evicted by this shard's tracker (retention + caps)",
+                "Conversations evicted by this shard's per-client conversation cap",
             ),
         }
     }
@@ -290,9 +290,9 @@ impl FeedHandle<'_> {
 /// builders) is client-keyed, shards never coordinate. Emitted alerts
 /// are merged into `(ts, ingest seq)` order.
 ///
-/// **Determinism contract:** with `retention: None` and the
-/// state-exhaustion caps not binding, [`StreamEngine::process`] over a
-/// `(ts, seq)`-sorted stream produces exactly the alert sequence a
+/// **Determinism contract:** with the state-exhaustion caps not
+/// binding, [`StreamEngine::process`] over a `(ts, seq)`-sorted stream
+/// produces exactly the alert sequence a
 /// single-threaded detector produces, at any shard count and any
 /// worker timing. Per-detector caps become per-*shard* caps: a capped
 /// regime can diverge because each shard evicts based on its own
@@ -403,8 +403,7 @@ impl StreamEngine {
         for (i, state) in states.into_iter().enumerate() {
             engine.detectors[i].restore_state(state);
             engine.synced_alerts[i] = engine.detectors[i].alerts().len();
-            let tracker = engine.detectors[i].tracker();
-            engine.synced_evictions[i] = tracker.evicted_count() + tracker.cap_evicted_count();
+            engine.synced_evictions[i] = engine.detectors[i].tracker().cap_evicted_count();
         }
         engine.carried_stats = snapshot.stats;
         engine.fed_total = snapshot.fed;
@@ -628,8 +627,7 @@ impl StreamEngine {
             let alerts = self.detectors[i].alerts().len();
             m.alerts.add((alerts - self.synced_alerts[i]) as u64);
             self.synced_alerts[i] = alerts;
-            let tracker = self.detectors[i].tracker();
-            let evictions = tracker.evicted_count() + tracker.cap_evicted_count();
+            let evictions = self.detectors[i].tracker().cap_evicted_count();
             m.evictions.add((evictions - self.synced_evictions[i]) as u64);
             self.synced_evictions[i] = evictions;
         }

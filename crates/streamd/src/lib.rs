@@ -18,7 +18,7 @@
 //!   segments; [`StreamEngine::restore`] rebuilds one from it at *any*
 //!   shard count.
 //! * [`finish_report`] — the final verdict pass every report ends in.
-//!   With `retention: None` and non-binding caps, an engine's
+//!   With the caps not binding, an engine's
 //!   [`ForensicReport`] is identical to the single-threaded
 //!   [`analyze_transactions`](dynaminer::forensic::analyze_transactions)
 //!   at any shard count.

@@ -232,9 +232,10 @@ proptest! {
     }
 }
 
-/// A format-1 snapshot written by an older build carries three more
-/// tracker counters (`spilled`, `rehydrated`, `spill_evicted`) and a
-/// new-host flag on every conversation. Restoring ignores them: the
+/// A format-1 snapshot written by an older build carries four more
+/// tracker counters (`spilled`, `rehydrated`, `spill_evicted`, and
+/// `evicted` from the retired idle-eviction window) and a new-host flag
+/// on every conversation. Restoring ignores them: the
 /// resumed report is byte-identical to resuming the same snapshot
 /// without them, at 1 and 4 shards.
 #[test]
@@ -252,7 +253,7 @@ fn snapshot_with_retired_fields_restores_identically() {
     let older = payload
         .replace(
             "\"cap_evicted\":",
-            "\"spill_evicted\":1,\"spilled\":7,\"rehydrated\":6,\"cap_evicted\":",
+            "\"evicted\":3,\"spill_evicted\":1,\"spilled\":7,\"rehydrated\":6,\"cap_evicted\":",
         )
         .replace("\"last_tx_redirectish\":", &(new_host_flag + "\"last_tx_redirectish\":"));
     let mut older_bytes = bytes[..12].to_vec();

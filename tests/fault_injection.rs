@@ -250,16 +250,16 @@ fn assert_counters_match(
 }
 
 /// Conversation accounting across the hostile corpus: for every fault
-/// class, a detector with a one-second retention window and tight caps
-/// (2 conversations per client, 4 transactions per conversation) must
-/// keep the conversation ledger balanced — every created conversation
-/// is live or accounted to exactly one eviction counter — and the
-/// telemetry mirror must match the tracker exactly.
+/// class, a detector with a one-second idle timeout and tight caps (2
+/// conversations per client, 4 transactions per conversation) must keep
+/// the conversation ledger balanced — every created conversation is live
+/// or evicted by the cap — and the telemetry mirror must match the
+/// tracker exactly.
 #[test]
 fn eviction_accounting_balances_across_all_fault_classes() {
     use dynaminer::detector::OnTheWireDetector;
     let clf = classifier();
-    let (mut evicted_total, mut cap_evicted_total) = (0usize, 0usize);
+    let (mut cap_evicted_total, mut dropped_total) = (0usize, 0u64);
     for (i, fault) in Fault::ALL.into_iter().enumerate() {
         let pcap = infection_pcap(300 + i as u64, EkFamily::ALL[i % 10]);
         let mut rng = StdRng::seed_from_u64(500 + i as u64);
@@ -268,7 +268,6 @@ fn eviction_accounting_balances_across_all_fault_classes() {
         let registry = telemetry::Registry::new();
         let config = DetectorConfig {
             idle_timeout: 1.0,
-            retention: Some(1.0),
             max_conversations_per_client: 2,
             max_transactions_per_conversation: 4,
             ..DetectorConfig::default()
@@ -280,15 +279,10 @@ fn eviction_accounting_balances_across_all_fault_classes() {
         let t = det.tracker();
         assert_eq!(
             t.created_count(),
-            (t.conversation_count() + t.evicted_count() + t.cap_evicted_count()) as u64,
+            (t.conversation_count() + t.cap_evicted_count()) as u64,
             "{fault}: conversation ledger out of balance"
         );
         let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("session_retention_evictions_total"),
-            t.evicted_count() as u64,
-            "{fault}"
-        );
         assert_eq!(
             snap.counter("session_cap_evictions_total"),
             t.cap_evicted_count() as u64,
@@ -304,13 +298,13 @@ fn eviction_accounting_balances_across_all_fault_classes() {
             t.conversation_count() as i64,
             "{fault}"
         );
-        evicted_total += t.evicted_count();
         cap_evicted_total += t.cap_evicted_count();
+        dropped_total += t.dropped_transaction_count();
     }
-    // The corpus must actually exercise both eviction paths — otherwise
-    // the identity above is vacuous.
-    assert!(evicted_total > 0, "the retention window never evicted");
+    // The corpus must actually bind both caps — otherwise the identity
+    // above is vacuous.
     assert!(cap_evicted_total > 0, "the conversation cap never evicted");
+    assert!(dropped_total > 0, "the transaction cap never dropped");
 }
 
 /// What the reference implementation said about one damaged capture.

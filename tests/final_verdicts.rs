@@ -2,7 +2,7 @@
 //! and builds every other conversation's by folding the per-transaction
 //! records made on arrival (DESIGN.md §9). These tests pin what that rests on:
 //! whatever happened to a conversation on the way — out-of-order
-//! arrivals, the transaction cap, retention eviction of its neighbours,
+//! arrivals, the transaction cap, cap eviction of its neighbours,
 //! a snapshot restore, a model reload — its verdict carries the bits of
 //! `Classifier::score_transactions(&conversation.transactions)`, the
 //! score of a WCG rebuilt from the stored transactions, at any thread
@@ -174,11 +174,11 @@ fn capped_conversations_score_what_they_stored() {
 }
 
 #[test]
-fn retention_survivors_score_as_rebuilt() {
-    let config = DetectorConfig { retention: Some(600.0), ..DetectorConfig::default() };
+fn cap_eviction_survivors_score_as_rebuilt() {
+    let config = DetectorConfig { max_conversations_per_client: 2, ..DetectorConfig::default() };
     let mut det = detector(config, &all_kinds_stream(13, 2));
-    assert!(det.tracker().evicted_count() > 0, "the retention window never evicted");
-    assert_sweep_is_rebuild(&mut det, classifier(), "retention");
+    assert!(det.tracker().cap_evicted_count() > 0, "the conversation cap never evicted");
+    assert_sweep_is_rebuild(&mut det, classifier(), "cap eviction");
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Sharded stream engine vs. the single-threaded detector.
 //!
-//! The engine's determinism contract (DESIGN.md §12): with
-//! `retention: None` and the state-exhaustion caps not binding, a
-//! `StreamEngine` fed a `(ts, seq)`-sorted stream emits the exact same
-//! alert sequence as one `OnTheWireDetector` fed the same stream — at
-//! any shard count and any worker-thread timing. These tests pin that
+//! The engine's determinism contract (DESIGN.md §12): with the
+//! state-exhaustion caps not binding, a `StreamEngine` fed a
+//! `(ts, seq)`-sorted stream emits the exact same alert sequence as one
+//! `OnTheWireDetector` fed the same stream — at any shard count and any
+//! worker-thread timing. These tests pin that
 //! contract, the graceful-drain zero-loss invariant, and the sharded
 //! forensic report's field-for-field equality. The engine runs through
 //! `wirefront::replay`, the loop `dynaminer replay` runs; the reference
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::{Alert, DetectorConfig, OnTheWireDetector};
-use dynaminer::forensic::analyze_transactions;
+use dynaminer::forensic::{analyze_transactions, ForensicReport};
 use nettrace::source::ReplaySource;
 use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
@@ -48,23 +48,42 @@ fn classifier() -> &'static Classifier {
     })
 }
 
+fn episode(rng: &mut StdRng, (infected, idx): (bool, usize), t0: f64) -> Vec<HttpTransaction> {
+    if infected {
+        generate_infection(rng, EkFamily::ALL[idx % 10], t0).transactions
+    } else {
+        generate_benign(rng, BenignScenario::WEIGHTED[idx % 8].0, t0).transactions
+    }
+}
+
 /// Builds an interleaved multi-client stream: episodes start offset by
 /// 37 s so their transactions overlap in time, then the merge is
 /// `(ts)`-sorted and numbered — exactly what a capture replay feeds.
-fn build_stream(seed: u64, episodes: &[(bool, usize)]) -> Vec<HttpTransaction> {
+/// A `returning` infection `(family, gap)` is replayed by the client of
+/// the earliest transaction, starting `idle_timeout + gap` seconds after
+/// that client's last transaction, so every conversation it had is
+/// closed to it.
+fn build_stream(
+    seed: u64,
+    episodes: &[(bool, usize)],
+    returning: Option<(usize, f64)>,
+) -> Vec<HttpTransaction> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stream: Vec<HttpTransaction> = Vec::new();
-    for (i, &(infected, idx)) in episodes.iter().enumerate() {
-        let t0 = 1.4e9 + i as f64 * 37.0;
-        if infected {
-            stream.extend(generate_infection(&mut rng, EkFamily::ALL[idx % 10], t0).transactions);
-        } else {
-            stream.extend(
-                generate_benign(&mut rng, BenignScenario::WEIGHTED[idx % 8].0, t0).transactions,
-            );
-        }
+    for (i, &kind) in episodes.iter().enumerate() {
+        stream.extend(episode(&mut rng, kind, 1.4e9 + i as f64 * 37.0));
     }
     stream.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+    if let Some((family, gap)) = returning {
+        let client = stream[0].client.addr;
+        let last = stream.iter().filter(|t| t.client.addr == client).map(|t| t.ts);
+        let t0 = last.fold(f64::MIN, f64::max) + DetectorConfig::default().idle_timeout + gap;
+        for mut tx in episode(&mut rng, (true, family), t0) {
+            tx.client.addr = client;
+            stream.push(tx);
+        }
+        stream.sort_by(|a, b| a.ts.total_cmp(&b.ts));
+    }
     nettrace::assign_seq(&mut stream);
     stream
 }
@@ -107,14 +126,17 @@ proptest! {
     /// (so the feeder and workers genuinely interleave and block) — the
     /// merged alert stream equals the single detector's, field for
     /// field, and the report serializes exactly as
-    /// `analyze_transactions`'s does.
+    /// `analyze_transactions`'s does. One client returns after its
+    /// conversations closed: its new conversations continue its id
+    /// counter, and no verdict id repeats.
     #[test]
     fn sharded_engine_matches_single_threaded_detector(
         seed in any::<u64>(),
         episodes in vec((any::<bool>(), 0usize..16), 1..6),
+        returning in (0usize..10, 1.0f64..900.0),
         shards in 1usize..=8,
     ) {
-        let stream = build_stream(seed, &episodes);
+        let stream = build_stream(seed, &episodes, Some(returning));
         let mut engine = StreamEngine::new(
             classifier().clone(),
             DetectorConfig::default(),
@@ -141,12 +163,30 @@ proptest! {
             serde_json::to_string(&single).unwrap(),
             "report at {} shards", shards
         );
+        let ids: Vec<u64> = run.report.conversations.iter().map(|c| c.id).collect();
+        prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "verdict ids repeat: {:?}", ids);
+        // The returning client's per-client id counters (the low halves
+        // of its ids), without the return and with it: one counter that
+        // runs on, 0, 1, 2, …, past where the first run stopped.
+        let client = u64::from(u32::from(stream[0].client.addr));
+        let counters = |report: &ForensicReport| -> Vec<u64> {
+            let mine = report.conversations.iter().filter(|c| c.id >> 32 == client);
+            mine.map(|c| c.id & u64::from(u32::MAX)).collect()
+        };
+        let before = counters(&analyze_transactions(
+            &build_stream(seed, &episodes, None),
+            classifier().clone(),
+            DetectorConfig::default(),
+        ));
+        let after = counters(&run.report);
+        prop_assert!(after.len() > before.len(), "the return opened no conversation");
+        prop_assert_eq!(after, (0..after.len() as u64).collect::<Vec<_>>());
     }
 }
 
 #[test]
 fn drain_flushes_every_queue_with_zero_loss() {
-    let stream = build_stream(3, &[(true, 0), (false, 1), (true, 2), (false, 5)]);
+    let stream = build_stream(3, &[(true, 0), (false, 1), (true, 2), (false, 5)], None);
     let registry = telemetry::Registry::new();
     let shards = 4usize;
     let mut engine = StreamEngine::with_telemetry(
@@ -193,7 +233,7 @@ fn drain_flushes_every_queue_with_zero_loss() {
 
 #[test]
 fn drop_newest_accounting_balances() {
-    let stream = build_stream(5, &[(true, 1), (true, 4), (false, 2), (false, 6)]);
+    let stream = build_stream(5, &[(true, 1), (true, 4), (false, 2), (false, 6)], None);
     let mut engine = StreamEngine::new(
         classifier().clone(),
         DetectorConfig::default(),
@@ -220,7 +260,7 @@ fn drop_newest_accounting_balances() {
 /// one uninterrupted run.
 #[test]
 fn mid_stream_drain_keeps_sessions_across_process_calls() {
-    let stream = build_stream(8, &[(true, 3), (false, 0), (true, 7)]);
+    let stream = build_stream(8, &[(true, 3), (false, 0), (true, 7)], None);
     let reference = single_threaded_alerts(&stream);
     let mid = stream.len() / 2;
     let mut engine = StreamEngine::new(
@@ -251,7 +291,7 @@ fn mid_stream_drain_keeps_sessions_across_process_calls() {
 #[test]
 fn sharded_forensic_report_is_bit_identical() {
     let stream =
-        build_stream(9, &[(true, 0), (false, 3), (true, 5), (false, 1), (true, 9), (false, 7)]);
+        build_stream(9, &[(true, 0), (false, 3), (true, 5), (false, 1), (true, 9), (false, 7)], None);
     let single = analyze_transactions(&stream, classifier().clone(), DetectorConfig::default());
     let single_json = serde_json::to_string(&single).unwrap();
     for shards in [1usize, 2, 8] {

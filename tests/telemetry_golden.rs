@@ -68,14 +68,13 @@ fn run_pipeline() -> telemetry::Snapshot {
     );
     let classifier = Classifier::fit_default(&data, 42);
 
-    // One detector over the whole corpus as a single interleaved stream,
-    // with retention low enough that eviction counters move.
+    // One detector over the whole corpus as a single interleaved stream.
     let mut stream: Vec<&nettrace::HttpTransaction> =
         corpus.iter().flat_map(|ep| ep.transactions.iter()).collect();
     stream.sort_by(|a, b| a.ts.total_cmp(&b.ts));
     let registry = Registry::new();
-    let config = DetectorConfig { retention: Some(3600.0), ..DetectorConfig::default() };
-    let mut detector = OnTheWireDetector::with_telemetry(classifier, config, &registry);
+    let mut detector =
+        OnTheWireDetector::with_telemetry(classifier, DetectorConfig::default(), &registry);
     for tx in stream {
         detector.observe(tx);
     }
@@ -93,7 +92,9 @@ fn pipeline_telemetry_matches_golden_snapshot() {
     assert!(actual.counters["detector_clues_total"] > 0);
     assert!(actual.counters["detector_wcg_rebuilds_total"] > 0);
     assert!(actual.counters["detector_alerts_total"] > 0);
-    assert!(actual.counters["session_retention_evictions_total"] > 0);
+    // No cap binds on this corpus, so every conversation stays live.
+    assert_eq!(actual.counters["session_cap_evictions_total"], 0);
+    assert!(actual.gauges["session_conversations_live"] > 1);
     assert_eq!(
         actual.histogram_counts["classifier_feature_extraction_ns"],
         actual.counters["detector_wcg_rebuilds_total"],
