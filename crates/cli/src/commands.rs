@@ -3,12 +3,14 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use dynaminer::classifier::Classifier;
 use dynaminer::detector::{ClueConfig, DetectorConfig};
+use dynaminer::forensic::{self, Checkpoint, Checkpoints, ReplayError, ReplayOptions};
 use dynaminer::wcg::Wcg;
 use dynaminer::features;
-use nettrace::source::ReplaySource;
 use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,7 +18,6 @@ use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
 use synthtraffic::pcapgen;
 use synthtraffic::{BenignScenario, EkFamily};
-use wirefront::{RunOptions, RunSummary};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -25,7 +26,7 @@ dynaminer — payload-agnostic web-conversation-graph malware detection
 USAGE:
   dynaminer train    [--scale S] [--seed N] [--threads N] [--metrics-out FILE] --out model.json
   dynaminer classify --model model.json [--threads N] [--strict] [--metrics-out FILE] <capture.pcap>...
-  dynaminer replay   [--model model.json] [--threshold L] [--threads N] [--shards N] [--format text|json] [--strict] [--metrics-out FILE]
+  dynaminer replay   [--model model.json] [--threshold L] [--threads N] [--format text|json] [--strict] [--metrics-out FILE]
                      [--snapshot-out FILE] [--resume FILE] [--checkpoint-every N] [--pace-ms MS] [--reload-model FILE] [--reload-at N] <capture.pcap>
   dynaminer generate [--family <name> | --benign <scenario>] [--seed N] --out <file.pcap>
   dynaminer drift    [--epochs N] [--scale S] [--seed N] [--shards N] [--retrain] [--promote-margin M]
@@ -39,7 +40,9 @@ USAGE:
                          [--reload-model FILE] [--reload-at N] [--metrics-out FILE] [--report-out FILE]
                          [--ready-file FILE] [--idle-exit-ms MS] [--format text|json]
   dynaminer wire capture (--pcap FILE [--follow] | --iface IFACE) [--ports 80,8080] [--honor-replay-ts]
-                         [engine flags as for wire proxy]
+                         [--model model.json] [--threshold L] [--threads N] [--shards N] [--tap-capacity BYTES]
+                         [--snapshot-out FILE] [--resume FILE] [--checkpoint-every N] [--reload-model FILE]
+                         [--reload-at N] [--metrics-out FILE] [--report-out FILE] [--idle-exit-ms MS] [--format text|json]
   dynaminer wire origin  [--seed N] [--infections N] [--benign N] [--ready-file FILE]
   dynaminer wire drive   --proxy ADDR [--proxy-protocol] [--seed N] [--infections N] [--benign N]
   dynaminer wire pcap    --out FILE [--seed N] [--infections N] [--benign N]
@@ -48,28 +51,28 @@ Captures are read leniently by default: damaged records and malformed
 streams are skipped and accounted in ingest-health counters. --strict
 fails on the first unparseable byte instead.
 
---threads N sets the threads for feature extraction, training and
-batch scoring (default: available parallelism; capture ingest always
-sizes its own from that, not N). Results are bit-identical at any N.
+--threads N sets the threads for training, feature extraction, batch
+scoring and replay's capture pairing and group detectors (default:
+available parallelism; classify, dot and features size capture ingest
+from that, not N). Results are bit-identical at any N.
 
 --metrics-out FILE writes pipeline telemetry after the run: a JSON
 snapshot at FILE and Prometheus text exposition at FILE with the
 extension swapped to .prom.
 
-replay and wire run one loop over one engine — replay's source is the
-capture's transactions in timestamp order, wire's a live proxy or packet
-source — so the engine flags mean the same on both. --shards N partitions
-the stream by client address across N detectors (default 1; with default
-state caps the report is bit-identical at any count). --snapshot-out FILE
-checkpoints the engine's durable state to FILE (atomic tmp+rename) every
---checkpoint-every transactions, exactly (default 2048 for replay; 0 for
-wire: at the end only), and at end of stream. --resume FILE restores a
-checkpoint first, at any --shards count; a resumed replay skips what the
-checkpoint covers and reports byte-identically to an uninterrupted run,
-and refuses a checkpoint of another capture. --pace-ms (replay) sleeps
-between checkpoints (crash drills). --reload-model FILE [--reload-at N]
-hot-swaps in a second model at the first checkpoint boundary once N
-transactions have been fed, or before the final verdicts if none comes.
+replay splits the capture by client address into groups, one detector
+each; wire and drift feed one engine of --shards N detectors split the
+same way (default 1). With default state caps reports are bit-identical
+at any --threads or --shards. --snapshot-out FILE checkpoints the durable
+state to FILE (atomic tmp+rename) every --checkpoint-every transactions,
+exactly (default 2048 for replay; 0 for wire: at the end only), and at
+end of stream. --resume FILE restores a checkpoint of either command
+first; a resumed replay skips what the checkpoint covers, reports
+byte-identically to an uninterrupted run, and refuses a checkpoint of
+another capture. --pace-ms (replay) sleeps at each checkpoint cut (crash
+drills). --reload-model FILE [--reload-at N] hot-swaps in a second model
+at the first checkpoint once N transactions have been fed, or before the
+final verdicts if none comes.
 
 wire runs the on-the-wire ingress: `wire proxy` is an inline HTTP
 forward proxy (optionally PROXY-protocol v1/v2 aware) and `wire
@@ -151,17 +154,43 @@ pub(crate) struct Options {
     pub(crate) positional: Vec<String>,
 }
 
-/// Flags that take no value.
-const BOOL_FLAGS: [&str; 6] =
-    ["strict", "retrain", "proxy-protocol", "honor-replay-ts", "drop-newest", "follow"];
+/// Every command of [`USAGE`] and the flags its lines show, each with
+/// whether it takes a value (`[--strict]` takes none).
+fn usage_flags() -> Vec<(String, Vec<(&'static str, bool)>)> {
+    let mut table: Vec<(String, Vec<(&str, bool)>)> = Vec::new();
+    let lines = USAGE.lines().skip_while(|l| *l != "USAGE:").skip(1).take_while(|l| !l.is_empty());
+    for line in lines {
+        if let Some(rest) = line.trim_start().strip_prefix("dynaminer ") {
+            let words = rest.split_whitespace().take_while(|w| w.starts_with(char::is_alphabetic));
+            table.push((words.collect::<Vec<_>>().join(" "), Vec::new()));
+        }
+        let Some((_, flags)) = table.last_mut() else { continue };
+        for (at, _) in line.match_indices("--") {
+            let flag = &line[at + 2..];
+            let end =
+                flag.find(|c: char| c != '-' && !c.is_ascii_alphanumeric()).unwrap_or(flag.len());
+            flags.push((&flag[..end], !flag[end..].starts_with(']')));
+        }
+    }
+    table
+}
 
-pub(crate) fn parse(args: &[String]) -> Result<Options, String> {
+/// Splits `command`'s arguments into flags and positionals, refusing a
+/// flag its [`USAGE`] lines do not show: the refusal names the commands
+/// that take it, or else the command's closest flag.
+pub(crate) fn parse(args: &[String], command: &str) -> Result<Options, String> {
+    let table = usage_flags();
+    let known =
+        &table.iter().find(|(name, _)| name == command).expect("USAGE shows every command").1;
     let mut flags = BTreeMap::new();
     let mut positional = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
-            if BOOL_FLAGS.contains(&name) {
+            let Some(&(_, takes_value)) = known.iter().find(|(flag, _)| *flag == name) else {
+                return Err(unknown_flag(&table, command, name));
+            };
+            if !takes_value {
                 flags.insert(name.to_string(), "true".to_string());
                 continue;
             }
@@ -174,6 +203,39 @@ pub(crate) fn parse(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(Options { flags, positional })
+}
+
+/// The refusal of `--name`, which `command` does not read.
+fn unknown_flag(table: &[(String, Vec<(&str, bool)>)], command: &str, name: &str) -> String {
+    let mut others: Vec<&str> = Vec::new();
+    for (other, flags) in table.iter().rev() {
+        let word = other.split(' ').next().unwrap_or(other);
+        if flags.iter().any(|(flag, _)| *flag == name) && !others.contains(&word) {
+            others.push(word);
+        }
+    }
+    if !others.is_empty() {
+        return format!("--{name} is a {} flag; {command} does not take it", others.join("/"));
+    }
+    let known = &table.iter().find(|(other, _)| other == command).expect("a command of USAGE").1;
+    let closest = known.iter().map(|(flag, _)| *flag).min_by_key(|flag| edit_distance(flag, name));
+    format!("{command} has no flag --{name}; the closest is --{}", closest.unwrap_or_default())
+}
+
+/// Levenshtein distance between `a` and `b`, in characters.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let above = row[j + 1];
+            row[j + 1] = (diagonal + usize::from(ca != cb)).min(row[j] + 1).min(above + 1);
+            diagonal = above;
+        }
+    }
+    row[b.len()]
 }
 
 impl Options {
@@ -289,7 +351,7 @@ fn parse_model(path: &str, text: &str) -> Result<Classifier, String> {
 /// `dynaminer train` — train on the calibrated synthetic ground truth and
 /// save the model as JSON.
 pub fn train(args: &[String]) -> Result<(), String> {
-    let opts = parse(args)?;
+    let opts = parse(args, "train")?;
     let scale = opts.scale_flag(0.25)?;
     let seed = opts.u64_flag("seed", 42)?;
     let threads = opts.threads_flag()?;
@@ -319,7 +381,7 @@ pub fn train(args: &[String]) -> Result<(), String> {
 /// Captures are loaded and featurized one after another; only scoring
 /// runs as one batch on up to `--threads` workers.
 pub fn classify(args: &[String], out: &mut Out) -> Result<(), String> {
-    let opts = parse(args)?;
+    let opts = parse(args, "classify")?;
     let classifier = load_model(opts.required("model")?)?;
     let threads = opts.threads_flag()?;
     if opts.positional.is_empty() {
@@ -400,21 +462,14 @@ pub fn classify(args: &[String], out: &mut Out) -> Result<(), String> {
     Ok(())
 }
 
-/// What `replay` and `wire` do the same way from the same flags: model
-/// (`--model`, or a default trained on the spot), `--threshold`,
-/// `--threads`, `--shards`, a fresh engine or a `--resume`d one,
-/// `--reload-model`/`--reload-at`, the `--snapshot-out` sink and
-/// `--checkpoint-every` (`default_cadence` when absent). `drive` gets
-/// the engine and the [`RunOptions`] that amounts to; `stats` is the
-/// registry whose snapshot should ride on the report, if any.
-pub(crate) fn run_engine(
+/// What `replay` and `wire` read the same way: the model (`--model`, or
+/// a default trained on the spot) and the detector configuration
+/// (`--threshold`).
+pub(crate) fn detector(
     opts: &Options,
     registry: &telemetry::Registry,
-    default_cadence: u64,
-    stats: Option<&telemetry::Registry>,
-    drive: impl FnOnce(&mut streamd::StreamEngine, RunOptions<'_>) -> Result<RunSummary, String>,
-) -> Result<RunSummary, String> {
-    let threads = opts.threads_flag()?;
+    threads: usize,
+) -> Result<(Classifier, DetectorConfig), String> {
     let classifier = match opts.flags.get("model") {
         Some(path) => load_model(path)?,
         None => {
@@ -424,82 +479,70 @@ pub(crate) fn run_engine(
             driftlab::fit_forest(&corpus, 42, threads, metrics_out.map(|_| registry))
         }
     };
-    let detector_config = DetectorConfig {
+    let config = DetectorConfig {
         clue: ClueConfig {
             redirect_threshold: opts.u64_flag("threshold", 2)? as usize,
             ..ClueConfig::default()
         },
         ..DetectorConfig::default()
     };
-    let stream_config = streamd::StreamConfig {
-        shards: (opts.u64_flag("shards", 1)? as usize).max(1),
-        ..streamd::StreamConfig::default()
-    };
-    let mut engine = match opts.flags.get("resume") {
-        Some(p) => streamd::StreamEngine::restore(
-            classifier,
-            detector_config,
-            stream_config,
-            registry,
-            streamd::read_snapshot(std::path::Path::new(p))?,
-        ),
-        None => {
-            streamd::StreamEngine::with_telemetry(classifier, detector_config, stream_config, registry)
-        }
-    };
-    let reload = match opts.flags.get("reload-model") {
-        // Reload models go through load_model, so they pass the same
-        // format-version gate as the initial --model.
-        Some(p) => Some((load_model(p)?, opts.u64_flag("reload-at", 0)?)),
-        None => None,
-    };
-    let mut sink = opts.flags.get("snapshot-out").map(|p| {
-        let path = std::path::PathBuf::from(p);
-        move |snap: &streamd::EngineSnapshot| streamd::write_snapshot_atomic(&path, snap)
-    });
-    let run_opts = RunOptions {
-        checkpoint_every: opts.u64_flag("checkpoint-every", default_cadence)?,
-        snapshot_sink: sink.as_mut().map(|f| f as wirefront::SnapshotSink<'_>),
-        reload,
-        idle_timeout: None,
-        poll_wait_ms: 50,
-        scoring_threads: threads,
-        registry: stats,
-    };
-    drive(&mut engine, run_opts)
+    Ok((classifier, config))
+}
+
+/// `--reload-model FILE [--reload-at N]`. Reload models go through
+/// [`load_model`], so they pass the same format-version gate as the
+/// initial `--model`.
+pub(crate) fn reload_flag(opts: &Options) -> Result<Option<(Classifier, u64)>, String> {
+    match opts.flags.get("reload-model") {
+        Some(p) => Ok(Some((load_model(p)?, opts.u64_flag("reload-at", 0)?))),
+        None => Ok(None),
+    }
 }
 
 /// `dynaminer replay` — forensic replay of a capture through the full
-/// detector (session clustering, clue gate, WCG classification): the
-/// capture's transactions as a [`ReplaySource`] into the engine and run
-/// loop `wire` attaches to live traffic.
+/// detector (session clustering, clue gate, WCG classification), one
+/// detector per client group on `--threads` workers
+/// ([`forensic::replay_capture`]). `--snapshot-out`, `--resume`,
+/// `--reload-model` and `--pace-ms` cut it at checkpoint positions.
 pub fn replay(args: &[String], out: &mut Out) -> Result<(), String> {
-    let opts = parse(args)?;
+    let opts = parse(args, "replay")?;
     let registry = telemetry::Registry::new();
     let metrics_out = opts.flags.get("metrics-out");
-    let stats = metrics_out.map(|_| &registry);
     let [path] = opts.positional.as_slice() else {
         return Err("replay expects exactly one capture file".into());
     };
-    let mut ingest = None;
-    let summary = run_engine(&opts, &registry, 2048, stats, |engine, run_opts| {
-        let txs;
-        (txs, ingest) = load_capture(path, opts.bool_flag("strict"))?;
-        if let (Some(registry), Some(ingest)) = (stats, &ingest) {
-            nettrace::ingest::publish(registry, ingest);
-        }
-        let mut source = ReplaySource::new(txs);
-        let pace_ms = opts.u64_flag("pace-ms", 0)?;
-        if pace_ms > 0 {
-            // One checkpoint's worth per pump, so the sleep falls
-            // between consecutive checkpoints.
-            let per_pump = usize::try_from(run_opts.checkpoint_every).unwrap_or(usize::MAX);
-            source = source.paced(per_pump, std::time::Duration::from_millis(pace_ms));
-        }
-        wirefront::replay(source, engine, run_opts)
+    let threads = opts.threads_flag()?;
+    let (classifier, config) = detector(&opts, &registry, threads)?;
+    let resume = match opts.flags.get("resume") {
+        Some(p) => Some(Checkpoint::from(streamd::read_snapshot(Path::new(p))?)),
+        None => None,
+    };
+    let reload = reload_flag(&opts)?;
+    let every = opts.u64_flag("checkpoint-every", 2048)?;
+    let pace = Duration::from_millis(opts.u64_flag("pace-ms", 0)?);
+    let mut sink = opts.flags.get("snapshot-out").map(|p| {
+        let path = PathBuf::from(p);
+        move |c: Checkpoint| streamd::write_snapshot_atomic(&path, &c.into())
+    });
+    let cut = sink.is_some() || resume.is_some() || reload.is_some() || !pace.is_zero();
+    let checkpoints = cut.then(|| Checkpoints {
+        every,
+        sink: sink.as_mut().map(|f| f as _),
+        reload,
+        pace,
+        resume,
+    });
+    let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let replay = ReplayOptions {
+        workers: threads,
+        strict: opts.bool_flag("strict"),
+        registry: metrics_out.map(|_| &registry),
+        checkpoints,
+    };
+    let report = forensic::replay_capture(&bytes, classifier, config, replay).map_err(|e| match e {
+        ReplayError::Capture(e) => format!("{path}: {e}"),
+        ReplayError::Checkpoint(e) => e,
     })?;
-    let mut report = summary.report;
-    report.ingest = ingest;
     if let Some(path) = metrics_out {
         write_metrics(&registry, path)?;
     }
@@ -547,7 +590,7 @@ pub fn replay(args: &[String], out: &mut Out) -> Result<(), String> {
 
 /// `dynaminer generate` — write a synthetic episode as a pcap file.
 pub fn generate(args: &[String]) -> Result<(), String> {
-    let opts = parse(args)?;
+    let opts = parse(args, "generate")?;
     let seed = opts.u64_flag("seed", 1)?;
     let out = opts.required("out")?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -579,7 +622,7 @@ pub fn generate(args: &[String]) -> Result<(), String> {
 /// `dynaminer drift` — run an adversarial drift campaign and print the
 /// detector's decay curve (optionally with shadow retraining).
 pub fn drift(args: &[String], out: &mut Out) -> Result<(), String> {
-    let opts = parse(args)?;
+    let opts = parse(args, "drift")?;
     let epochs = opts.u64_flag("epochs", 6)? as usize;
     let scale = opts.scale_flag(0.05)?;
     let seed = opts.u64_flag("seed", 42)?;
@@ -668,7 +711,7 @@ pub fn drift(args: &[String], out: &mut Out) -> Result<(), String> {
 /// The WCG of the one capture `dot` and `features` read; `None`, said
 /// on stderr, when a lenient read recovered no transaction.
 fn capture_wcg(args: &[String], command: &str) -> Result<Option<Wcg>, String> {
-    let opts = parse(args)?;
+    let opts = parse(args, command)?;
     let [path] = opts.positional.as_slice() else {
         return Err(format!("{command} expects exactly one capture file"));
     };
@@ -702,7 +745,7 @@ pub fn features(args: &[String], out: &mut Out) -> Result<(), String> {
 
 /// `dynaminer inspect` — print a trained model's feature importances.
 pub fn inspect(args: &[String], out: &mut Out) -> Result<(), String> {
-    let opts = parse(args)?;
+    let opts = parse(args, "inspect")?;
     let classifier = load_model(opts.required("model")?)?;
     let top = opts.u64_flag("top", 20)? as usize;
     writeln!(out, "feature importances (mean decrease in impurity):");
@@ -741,7 +784,7 @@ mod tests {
     fn parse_splits_flags_and_positionals() {
         let args: Vec<String> =
             ["--seed", "7", "a.pcap", "--out", "x", "b.pcap"].iter().map(|s| s.to_string()).collect();
-        let opts = parse(&args).unwrap();
+        let opts = parse(&args, "generate").unwrap();
         assert_eq!(opts.flags["seed"], "7");
         assert_eq!(opts.flags["out"], "x");
         assert_eq!(opts.positional, ["a.pcap", "b.pcap"]);
@@ -750,20 +793,20 @@ mod tests {
     #[test]
     fn parse_rejects_dangling_flag() {
         let args = vec!["--out".to_string()];
-        assert!(parse(&args).is_err());
+        assert!(parse(&args, "generate").is_err());
     }
 
     #[test]
     fn strict_flag_consumes_no_value() {
         let args: Vec<String> =
             ["--strict", "a.pcap"].iter().map(|s| s.to_string()).collect();
-        let opts = parse(&args).unwrap();
+        let opts = parse(&args, "classify").unwrap();
         assert!(opts.bool_flag("strict"));
         assert!(!opts.bool_flag("lenient"));
         assert_eq!(opts.positional, ["a.pcap"]);
         // Trailing --strict is fine too (no dangling-value error).
         let args = vec!["a.pcap".to_string(), "--strict".to_string()];
-        assert!(parse(&args).unwrap().bool_flag("strict"));
+        assert!(parse(&args, "classify").unwrap().bool_flag("strict"));
     }
 
     /// A small trained model file's text.

@@ -1,11 +1,10 @@
 //! `dynaminer wire` — the on-the-wire ingress subcommands.
 //!
-//! `wire proxy` and `wire capture` join a live
-//! [`TrafficSource`] to the stream
-//! engine through the set-up and run loop `replay` uses
-//! (`commands::run_engine`: `--snapshot-out`, `--resume`, `--checkpoint-every`,
-//! `--reload-model`); `SIGTERM`/`SIGINT` triggers the zero-loss
-//! graceful drain. `wire origin`, `wire drive`, and `wire pcap` are
+//! `wire proxy` and `wire capture` join a live [`TrafficSource`] to a
+//! stream engine through `wirefront::run` (`--shards`, `--snapshot-out`,
+//! `--resume`, `--checkpoint-every`, `--reload-model`, read as `replay`
+//! reads them); `SIGTERM`/`SIGINT` triggers the zero-loss graceful
+//! drain. `wire origin`, `wire drive`, and `wire pcap` are
 //! the deterministic loopback parity harness: for the same
 //! `--seed`/`--infections`/`--benign` they serve, drive, and render
 //! the *same* episode set, so a proxy run and an offline `replay` of
@@ -21,7 +20,7 @@ use std::time::Duration;
 use dynaminer::forensic::ForensicReport;
 use nettrace::source::TrafficSource;
 use nettrace::wiretap::TapConfig;
-use streamd::BackpressurePolicy;
+use streamd::{BackpressurePolicy, StreamConfig, StreamEngine};
 use synthtraffic::pcapgen::episodes_pcap;
 use synthtraffic::wire::{drive_episodes, merged_wire_transactions, wire_episode_set, OriginServer};
 use synthtraffic::Episode;
@@ -86,7 +85,7 @@ fn tap_config(opts: &Options) -> Result<TapConfig, String> {
 
 /// `wire proxy` — inline forward proxy feeding the engine.
 fn proxy(args: &[String], out: &mut Out) -> Result<(), String> {
-    let opts = commands::parse(args)?;
+    let opts = commands::parse(args, "wire proxy")?;
     let listen = parse_addr(&opts, "listen")?;
     let origin_addr = parse_addr(&opts, "origin")?;
     let mut config = ProxyConfig::new(origin_addr);
@@ -117,7 +116,7 @@ fn live_source(iface: &str, _config: CaptureConfig) -> Result<CaptureSource, Str
 /// `wire capture` — packet source (pcap tail or AF_PACKET) feeding
 /// the engine.
 fn capture(args: &[String], out: &mut Out) -> Result<(), String> {
-    let opts = commands::parse(args)?;
+    let opts = commands::parse(args, "wire capture")?;
     let mut config = CaptureConfig { tap: tap_config(&opts)?, ..CaptureConfig::default() };
     if let Some(ports) = opts.flags.get("ports") {
         config.ports = ports
@@ -143,7 +142,7 @@ fn capture(args: &[String], out: &mut Out) -> Result<(), String> {
 /// `wire origin` — the loopback replay origin, serving the episode
 /// set until terminated.
 fn origin(args: &[String]) -> Result<(), String> {
-    let opts = commands::parse(args)?;
+    let opts = commands::parse(args, "wire origin")?;
     let episodes = episode_set(&opts)?;
     let transactions = merged_wire_transactions(&episodes);
     let server = OriginServer::start(&transactions).map_err(|e| format!("cannot bind: {e}"))?;
@@ -160,7 +159,7 @@ fn origin(args: &[String]) -> Result<(), String> {
 /// `wire drive` — replays the episode set through a proxy, as real
 /// sequential client connections.
 fn drive(args: &[String], out: &mut Out) -> Result<(), String> {
-    let opts = commands::parse(args)?;
+    let opts = commands::parse(args, "wire drive")?;
     let proxy_addr = parse_addr(&opts, "proxy")?;
     let episodes = episode_set(&opts)?;
     let transactions = merged_wire_transactions(&episodes);
@@ -173,7 +172,7 @@ fn drive(args: &[String], out: &mut Out) -> Result<(), String> {
 /// `wire pcap` — renders the same episode set as an offline capture
 /// file (the parity reference for `replay`).
 fn pcap(args: &[String], out: &mut Out) -> Result<(), String> {
-    let opts = commands::parse(args)?;
+    let opts = commands::parse(args, "wire pcap")?;
     let path = opts.required("out")?;
     let episodes = episode_set(&opts)?;
     let bytes = episodes_pcap(&episodes);
@@ -199,10 +198,10 @@ struct WireReport {
     report: ForensicReport,
 }
 
-/// Shared engine loop for `wire proxy` and `wire capture`: the engine
-/// set-up `replay` uses, signal handling, run, source metrics, and
-/// reporting. `rejects` reads a concrete source's PROXY handshake
-/// rejects, which [`TrafficSource`] does not carry.
+/// Shared engine loop for `wire proxy` and `wire capture`: engine
+/// set-up, signal handling, run, source metrics, and reporting.
+/// `rejects` reads a concrete source's PROXY handshake rejects, which
+/// [`TrafficSource`] does not carry.
 fn run_source<S: TrafficSource>(
     opts: &Options,
     source: &mut S,
@@ -212,11 +211,38 @@ fn run_source<S: TrafficSource>(
     let registry = telemetry::Registry::new();
     let metrics_out = opts.flags.get("metrics-out");
     let idle_exit_ms = opts.u64_flag("idle-exit-ms", 0)?;
-    let mut summary = commands::run_engine(opts, &registry, 0, Some(&registry), |engine, o| {
-        let stop = wirefront::sys::install_termination_handler();
-        let idle_timeout = (idle_exit_ms > 0).then(|| Duration::from_millis(idle_exit_ms));
-        run(source, engine, stop, RunOptions { idle_timeout, ..o })
-    })?;
+    let threads = opts.threads_flag()?;
+    let (classifier, detector_config) = commands::detector(opts, &registry, threads)?;
+    let stream_config = StreamConfig {
+        shards: (opts.u64_flag("shards", 1)? as usize).max(1),
+        ..StreamConfig::default()
+    };
+    let mut engine = match opts.flags.get("resume") {
+        Some(p) => StreamEngine::restore(
+            classifier,
+            detector_config,
+            stream_config,
+            &registry,
+            streamd::read_snapshot(Path::new(p))?,
+        ),
+        None => StreamEngine::with_telemetry(classifier, detector_config, stream_config, &registry),
+    };
+    let reload = commands::reload_flag(opts)?;
+    let mut sink = opts.flags.get("snapshot-out").map(|p| {
+        let path = std::path::PathBuf::from(p);
+        move |snap: &streamd::EngineSnapshot| streamd::write_snapshot_atomic(&path, snap)
+    });
+    let run_opts = RunOptions {
+        checkpoint_every: opts.u64_flag("checkpoint-every", 0)?,
+        snapshot_sink: sink.as_mut().map(|f| f as wirefront::SnapshotSink<'_>),
+        reload,
+        idle_timeout: (idle_exit_ms > 0).then(|| Duration::from_millis(idle_exit_ms)),
+        poll_wait_ms: 50,
+        scoring_threads: threads,
+        registry: Some(&registry),
+    };
+    let stop = wirefront::sys::install_termination_handler();
+    let mut summary = run(source, &mut engine, stop, run_opts)?;
     // The source is final once `run` has shut it down; re-snapshot so
     // the report's stats carry its series too.
     metrics::publish_source(&registry, &summary.stats);

@@ -229,9 +229,10 @@ fn deeply_nested_reload_model_is_an_error_not_an_abort() {
     );
 }
 
-/// `replay --shards N` drives the streamd engine: the run succeeds, the
-/// engine's telemetry lands in --metrics-out, and the zero-loss drain
-/// invariant (enqueued == processed, nothing dropped) holds.
+/// `wire capture --shards N` over a capture file drives the streamd
+/// engine: the run succeeds, the engine's telemetry lands in
+/// --metrics-out, and the zero-loss drain invariant (enqueued ==
+/// processed, nothing dropped) holds.
 #[test]
 fn replay_sharded_reports_engine_metrics_with_zero_loss() {
     let capture = tmp("magnitude.pcap");
@@ -239,11 +240,11 @@ fn replay_sharded_reports_engine_metrics_with_zero_loss() {
         .unwrap();
     let model = trained_model_path();
     let metrics = tmp("sharded-metrics.json");
-    commands::replay(
-        &args(&["--model", &model, "--shards", "4", "--metrics-out", &metrics, &capture]),
-        &mut quiet(),
-    )
-    .unwrap();
+    let wire = [
+        "capture", "--pcap", &capture, "--model", &model, "--shards", "4", "--metrics-out",
+        &metrics,
+    ];
+    dynaminer_cli::wire::wire(&args(&wire), &mut quiet()).unwrap();
     let snap: telemetry::Snapshot =
         serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
     assert_eq!(snap.gauges["streamd_shards"], 4);
@@ -254,20 +255,53 @@ fn replay_sharded_reports_engine_metrics_with_zero_loss() {
         "graceful drain loses nothing"
     );
     assert_eq!(snap.counter("streamd_dropped_total"), 0);
-    // Ingest + per-shard detector metrics were folded into the snapshot.
-    assert_eq!(snap.counter("ingest_captures_total"), 1);
+    // Source + per-shard detector metrics were folded into the snapshot.
+    assert_eq!(snap.counter("wire_transactions_total"), snap.counter("streamd_enqueued_total"));
     assert!(snap.counter("detector_transactions_total") > 0);
-    // Strict sharded replay works too (no ingest report attached).
+    // A strict replay on several workers works too (no ingest report
+    // attached).
     commands::replay(
-        &args(&["--model", &model, "--shards", "2", "--strict", &capture]),
+        &args(&["--model", &model, "--threads", "2", "--strict", &capture]),
         &mut quiet(),
     )
     .unwrap();
 }
 
+/// A flag the command does not read is refused, exit status 1, before
+/// anything runs: one that another command reads is named as theirs,
+/// any other gets the command's closest flag. A misspelt boolean flag
+/// does not swallow the capture after it.
+#[test]
+fn flags_a_command_does_not_read_are_refused() {
+    let capture = tmp("refused-flags.pcap");
+    commands::generate(&args(&["--family", "rig", "--seed", "2", "--out", &capture])).unwrap();
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["replay", "--bogus-flag", "3"],
+            "replay has no flag --bogus-flag; the closest is --model",
+        ),
+        (&["replay", "--shards", "2"], "--shards is a wire/drift flag; replay does not take it"),
+        (&["replay", "--strickt"], "replay has no flag --strickt; the closest is --strict"),
+        (&["train", "--thread", "2"], "train has no flag --thread; the closest is --threads"),
+        (&["wire", "proxy", "--pcap"], "--pcap is a wire flag; wire proxy does not take it"),
+    ];
+    for (command, first_line) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dynaminer"))
+            .args(command)
+            .arg(&capture)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {stderr}");
+        let first_line = format!("error: {first_line}");
+        assert_eq!(stderr.lines().next(), Some(first_line.as_str()), "{command:?}");
+        assert!(out.stdout.is_empty(), "{command:?} ran");
+    }
+}
+
 /// The engine snapshot round trip: `replay --snapshot-out` writes a
-/// checkpoint file that `--resume` accepts (including into a different
-/// shard count), and a snapshot whose format version is from the
+/// checkpoint file that `--resume` accepts (at another thread count
+/// too), and a snapshot whose format version is from the
 /// future is rejected up front with the version-mismatch message —
 /// mirroring the model-format gate.
 #[test]
@@ -283,13 +317,13 @@ fn snapshot_format_version_round_trip_and_mismatch_rejection() {
     )
     .unwrap();
 
-    // Resume the finished run into a different shard count: the
-    // watermark already covers the whole stream, so the replay feeds
-    // nothing new but still restores, re-partitions 1→4, and writes a
-    // fresh checkpoint.
+    // Resume the finished run on four workers: the watermark already
+    // covers the whole stream, so the replay feeds nothing new but still
+    // restores, re-partitions into the client groups, and writes a fresh
+    // checkpoint.
     let resumed = tmp("engine-resumed.snap");
     let resume = [
-        "--model", &model, "--resume", &snap, "--shards", "4", "--snapshot-out", &resumed,
+        "--model", &model, "--resume", &snap, "--threads", "4", "--snapshot-out", &resumed,
         &capture,
     ];
     commands::replay(&args(&resume), &mut quiet()).unwrap();

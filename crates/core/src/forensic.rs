@@ -7,23 +7,27 @@
 //! against an external scanner, as the paper does with VirusTotal).
 //!
 //! [`analyze_transactions`] replays one stream into one detector; it is
-//! the oracle. [`analyze_pcap_lenient`] replays a capture one client
-//! group at a time, each on the pool worker that paired the group's last
-//! window ([`SpanPipeline::extract_grouped`]): the group gets its own
-//! detector over one shared model, sweeps at one thread and is dropped
-//! there. Conversations are per client, so the groups' verdicts merged by
-//! id and downloads by feed order are the oracle's report.
-//!
-//! [`SpanPipeline::extract_grouped`]: nettrace::SpanPipeline::extract_grouped
+//! the oracle. [`replay_capture`] is the capture replay, the one
+//! `dynaminer replay` runs and [`analyze_pcap_lenient`] calls: a detector
+//! per client group over one shared model. Without checkpoints a group
+//! replays, sweeps at one thread and is dropped on the pool worker that
+//! paired it. With them ([`Checkpoints`]) the detectors stop at the
+//! cadence's positions in the whole capture's `(ts, seq)` order.
+//! Conversations are per client, so the groups' verdicts merged by id and
+//! downloads by feed order are the oracle's report on either schedule.
+
+use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 use mlearn::slot::ModelSlot;
 use nettrace::payload::PayloadClass;
-use nettrace::HttpTransaction;
+use nettrace::{HttpTransaction, IngestReport, SpanPipeline};
 use serde::{Deserialize, Serialize};
-use telemetry::Registry;
+use telemetry::pool::shard_of;
+use telemetry::{Registry, Snapshot};
 
 use crate::classifier::Classifier;
-use crate::detector::{DetectorConfig, OnTheWireDetector};
+use crate::detector::{DetectorConfig, DetectorState, OnTheWireDetector};
 
 /// A payload download observed during replay.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -182,45 +186,320 @@ pub fn analyze_transactions(
 /// magic) in graceful-degradation mode: damaged records, malformed
 /// streams, and broken encodings are skipped (and accounted in the
 /// report's [`ingest`](ForensicReport::ingest) counters) instead of
-/// failing the replay. Never errors, whatever the input.
+/// failing the replay. Never errors, whatever the input: it is
+/// [`replay_capture`] on every core, lenient, without checkpoints.
 pub fn analyze_pcap_lenient(
     pcap_bytes: &[u8],
     classifier: Classifier,
     config: DetectorConfig,
 ) -> ForensicReport {
-    let mut ingest = nettrace::IngestReport::new();
-    let mut report = replay_groups(classifier, config, |consume| {
-        nettrace::SpanPipeline::new().extract_grouped(pcap_bytes, &mut ingest, consume)
-    });
-    report.ingest = Some(ingest);
-    report
+    replay_capture(pcap_bytes, classifier, config, ReplayOptions::default())
+        .expect("a lenient replay without checkpoints has nothing to fail on")
 }
 
-/// One client group's replay: its verdicts, its downloads keyed by feed
-/// order `(ts, seq)`, and its transaction and alert counts.
-type GroupReport = (Vec<ConversationVerdict>, Vec<((f64, u64), DownloadRecord)>, usize, usize);
+/// How [`replay_capture`] runs.
+#[derive(Default)]
+pub struct ReplayOptions<'a> {
+    /// Pool workers that pair and replay the capture (`0`: one per core).
+    pub workers: usize,
+    /// Fail on the first unparseable byte, as
+    /// [`SpanPipeline::extract_capture_strict`] does; no ingest report.
+    pub strict: bool,
+    /// Registry the ingest and detector series are folded into, its
+    /// snapshot riding on the report as `stats`.
+    pub registry: Option<&'a Registry>,
+    /// Stop at checkpoint cuts; `None` replays each group on the worker
+    /// that paired it.
+    pub checkpoints: Option<Checkpoints<'a>>,
+}
 
-/// Runs `extract` with a consumer that replays each client group into
-/// its own detector, then merges the groups' reports.
-fn replay_groups(
+/// Where a checkpointed [`replay_capture`] stops, and what it does there.
+#[derive(Default)]
+pub struct Checkpoints<'a> {
+    /// Transactions fed between cuts; `0` cuts once, at the end.
+    pub every: u64,
+    /// Gets the checkpoint of every cut, the last one included; an `Err`
+    /// aborts the replay.
+    pub sink: Option<&'a mut dyn FnMut(Checkpoint) -> Result<(), String>>,
+    /// `(model, at)`: swapped in at the first cut once `at` transactions
+    /// have been fed, or before the final verdicts if no cut comes.
+    pub reload: Option<(Classifier, u64)>,
+    /// Sleep after every cut but the last (crash drills).
+    pub pace: Duration,
+    /// A checkpoint of this capture to restore; the positions it covers
+    /// are not fed again.
+    pub resume: Option<Checkpoint>,
+}
+
+/// The durable state of a checkpointed replay at a cut.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    /// `(ts, position)` of the last transaction fed, positions numbering
+    /// the capture in `(ts, seq)` order; `None` before the first.
+    pub watermark: Option<(f64, u64)>,
+    /// Transactions fed, a resumed replay's included.
+    pub fed: u64,
+    /// How many detectors' states are merged here.
+    pub detectors: u32,
+    /// Generation of the deployed model.
+    pub model_version: u64,
+    /// The detectors' merged states.
+    pub detector: DetectorState,
+    /// The detectors' telemetry, a resumed replay's included, without
+    /// gauges (restored detectors publish them again).
+    pub stats: Snapshot,
+}
+
+/// Why [`replay_capture`] gave no report.
+#[derive(Debug)]
+pub enum ReplayError {
+    /// A strict replay's first unparseable byte.
+    Capture(nettrace::Error),
+    /// A checkpoint the sink refused, or one of another capture.
+    Checkpoint(String),
+}
+
+/// Replays a capture one client group at a time, each group into its
+/// own detector over one shared model. Without checkpoints a group
+/// replays and sweeps on the worker that paired it
+/// ([`SpanPipeline::extract_grouped`]). With them the whole capture is
+/// numbered in `(ts, seq)` order, split by client over as many
+/// detectors, and fed one cadence of positions at a time: at each cut a
+/// due reload swaps the shared model, the sink gets the merged
+/// [`Checkpoint`] and `pace` sleeps.
+///
+/// # Errors
+///
+/// A strict replay's first stop, a checkpoint the sink refused, or a
+/// resumed checkpoint whose watermark is not at the position its fed
+/// count implies, holding that position's timestamp.
+pub fn replay_capture(
+    capture: &[u8],
     classifier: Classifier,
     config: DetectorConfig,
-    extract: impl FnOnce(&(dyn Fn(Vec<HttpTransaction>) -> GroupReport + Sync)) -> Vec<GroupReport>,
-) -> ForensicReport {
+    opts: ReplayOptions<'_>,
+) -> Result<ForensicReport, ReplayError> {
+    let ReplayOptions { workers, strict, registry, checkpoints } = opts;
+    let workers = telemetry::pool::resolve_threads(workers);
     let model = ModelSlot::new(classifier);
-    let groups = extract(&|transactions| {
-        let mut detector =
-            OnTheWireDetector::with_model_slot(model.clone(), config.clone(), &Registry::new());
-        let downloads = transactions
-            .iter()
-            .filter_map(|tx| Some(((tx.ts, tx.seq), DownloadRecord::of(tx)?)))
-            .collect();
-        for tx in transactions {
-            detector.observe_owned(tx);
+    let mut ingest = IngestReport::new();
+    let mut pipeline = SpanPipeline::new();
+    let (groups, carried) = match checkpoints {
+        None => {
+            let (groups, stop) = pipeline.extract_grouped(capture, &mut ingest, workers, |txs| {
+                replay_group(&model, &config, txs)
+            });
+            if strict {
+                stop.map_err(ReplayError::Capture)?;
+            }
+            (groups, Snapshot::default())
         }
-        let conversations = detector.final_verdicts(1);
-        (conversations, downloads, detector.transactions_seen(), detector.alerts().len())
+        Some(cuts) => {
+            let (groups, stop) = pipeline.extract_grouped(capture, &mut ingest, workers, |txs| txs);
+            if strict {
+                stop.map_err(ReplayError::Capture)?;
+            }
+            replay_cut(groups, &model, &config, workers, cuts)?
+        }
+    };
+    let ingest = (!strict).then_some(ingest);
+    let stats = registry.map(|registry| {
+        if let Some(ingest) = &ingest {
+            nettrace::ingest::publish(registry, ingest);
+        }
+        registry.absorb(&carried);
+        groups.iter().for_each(|g| registry.absorb(&g.telemetry.snapshot()));
+        registry.snapshot()
     });
+    Ok(ForensicReport { ingest, stats, ..merge(groups) })
+}
+
+/// One client group's share of the report, downloads keyed by feed
+/// order `(ts, seq)`, and its detector's registry.
+struct GroupReport {
+    conversations: Vec<ConversationVerdict>,
+    downloads: Vec<((f64, u64), DownloadRecord)>,
+    transactions: usize,
+    alerts: usize,
+    telemetry: Registry,
+}
+
+/// One client group's detector, its downloads, and the transactions it
+/// has still to be fed, in feed order.
+struct Group {
+    detector: OnTheWireDetector,
+    downloads: Vec<((f64, u64), DownloadRecord)>,
+    rest: std::vec::IntoIter<HttpTransaction>,
+}
+
+impl Group {
+    fn new(
+        model: &ModelSlot<Classifier>,
+        config: &DetectorConfig,
+        txs: Vec<HttpTransaction>,
+    ) -> Group {
+        Group {
+            detector: OnTheWireDetector::with_model_slot(
+                model.clone(),
+                config.clone(),
+                &Registry::new(),
+            ),
+            downloads: txs
+                .iter()
+                .filter_map(|tx| Some(((tx.ts, tx.seq), DownloadRecord::of(tx)?)))
+                .collect(),
+            rest: txs.into_iter(),
+        }
+    }
+
+    /// Feeds the transactions numbered before `end`.
+    fn feed_before(&mut self, end: u64) {
+        let n = self.rest.as_slice().partition_point(|tx| tx.seq < end);
+        for tx in self.rest.by_ref().take(n) {
+            self.detector.observe_owned(tx);
+        }
+    }
+
+    /// The final verdicts, swept at one thread, and the group's counts.
+    fn finish(&mut self) -> GroupReport {
+        GroupReport {
+            conversations: self.detector.final_verdicts(1),
+            downloads: std::mem::take(&mut self.downloads),
+            transactions: self.detector.transactions_seen(),
+            alerts: self.detector.alerts().len(),
+            telemetry: self.detector.telemetry().clone(),
+        }
+    }
+}
+
+/// A client group replayed whole.
+fn replay_group(
+    model: &ModelSlot<Classifier>,
+    config: &DetectorConfig,
+    txs: Vec<HttpTransaction>,
+) -> GroupReport {
+    let mut group = Group::new(model, config, txs);
+    group.feed_before(u64::MAX);
+    group.finish()
+}
+
+fn lock(group: &Mutex<Group>) -> MutexGuard<'_, Group> {
+    group.lock().expect("no group is locked across a panic")
+}
+
+/// The checkpointed schedule over the paired groups: the groups' reports
+/// and the telemetry a resumed checkpoint carried in.
+fn replay_cut(
+    groups: Vec<Vec<HttpTransaction>>,
+    model: &ModelSlot<Classifier>,
+    config: &DetectorConfig,
+    workers: usize,
+    cuts: Checkpoints<'_>,
+) -> Result<(Vec<GroupReport>, Snapshot), ReplayError> {
+    let n = groups.len().max(1);
+    let mut stream: Vec<HttpTransaction> = groups.into_iter().flatten().collect();
+    stream.sort_by(nettrace::feed_order);
+    nettrace::assign_seq(&mut stream);
+    let ts: Vec<f64> = stream.iter().map(|tx| tx.ts).collect();
+    let total = ts.len() as u64;
+    let Checkpoints { every, mut sink, mut reload, pace, resume } = cuts;
+    let (mut next, mut carried, mut states) = (0, Snapshot::default(), Vec::new());
+    if let Some(resume) = resume {
+        let matches = match resume.watermark {
+            None => resume.fed == 0,
+            Some((mark, at)) => {
+                at.checked_add(1) == Some(resume.fed)
+                    && usize::try_from(at)
+                        .ok()
+                        .and_then(|at| ts.get(at))
+                        .is_some_and(|t| t.to_bits() == mark.to_bits())
+            }
+        };
+        if !matches {
+            return Err(ReplayError::Checkpoint(format!(
+                "snapshot does not match this capture: {} fed up to number {}, which is not at \
+                 that position among this stream's {total}",
+                resume.fed,
+                resume.watermark.map_or(0, |(_, at)| at),
+            )));
+        }
+        next = resume.fed;
+        model.force_version(resume.model_version);
+        carried = resume.stats;
+        states = resume.detector.partition(n, |addr| shard_of(addr, n));
+    }
+    let mut parts = vec![Vec::new(); n];
+    for tx in stream {
+        parts[shard_of(tx.client.addr, n)].push(tx);
+    }
+    let mut states = states.into_iter();
+    let groups: Vec<Mutex<Group>> = parts
+        .into_iter()
+        .map(|txs| {
+            let mut group = Group::new(model, config, txs);
+            if let Some(state) = states.next() {
+                group.detector.restore_state(state);
+            }
+            let covered = group.rest.as_slice().partition_point(|tx| tx.seq < next);
+            group.rest.by_ref().take(covered).for_each(drop);
+            Mutex::new(group)
+        })
+        .collect();
+    let mut done = false;
+    loop {
+        if reload.as_ref().is_some_and(|&(_, at)| done || next >= at) {
+            model.swap(reload.take().expect("a reload is due").0);
+        }
+        if done {
+            break;
+        }
+        let end = match every {
+            0 => total,
+            every => total.min(next.saturating_add(every)),
+        };
+        telemetry::pool::run_indexed(n, workers, |g| lock(&groups[g]).feed_before(end));
+        next = end;
+        done = next == total;
+        if let Some(sink) = sink.as_mut() {
+            let watermark = next.checked_sub(1).map(|at| (ts[at as usize], at));
+            sink(checkpoint(&groups, &carried, model, watermark, next))
+                .map_err(ReplayError::Checkpoint)?;
+        }
+        if !done && !pace.is_zero() {
+            std::thread::sleep(pace);
+        }
+    }
+    let reports = telemetry::pool::run_indexed(n, workers, |g| lock(&groups[g]).finish());
+    Ok((reports, carried))
+}
+
+/// The groups' merged state at a cut, while every group detector is idle.
+fn checkpoint(
+    groups: &[Mutex<Group>],
+    carried: &Snapshot,
+    model: &ModelSlot<Classifier>,
+    watermark: Option<(f64, u64)>,
+    fed: u64,
+) -> Checkpoint {
+    let groups: Vec<MutexGuard<'_, Group>> = groups.iter().map(lock).collect();
+    let stats = Registry::new();
+    stats.absorb(carried);
+    groups.iter().for_each(|g| stats.absorb(&g.detector.telemetry().snapshot()));
+    let mut stats = stats.snapshot();
+    stats.gauges.clear();
+    Checkpoint {
+        watermark,
+        fed,
+        detectors: groups.len() as u32,
+        model_version: model.version(),
+        detector: DetectorState::merge(groups.iter().map(|g| g.detector.state())),
+        stats,
+    }
+}
+
+/// The groups' reports as one: verdicts in conversation-id order and
+/// downloads in feed order.
+fn merge(groups: Vec<GroupReport>) -> ForensicReport {
     let mut report = ForensicReport {
         transactions: 0,
         conversations: Vec::new(),
@@ -230,11 +509,11 @@ fn replay_groups(
         stats: None,
     };
     let mut downloads = Vec::new();
-    for (conversations, group_downloads, transactions, alerts) in groups {
-        report.conversations.extend(conversations);
-        downloads.extend(group_downloads);
-        report.transactions += transactions;
-        report.alerts += alerts;
+    for group in groups {
+        report.conversations.extend(group.conversations);
+        downloads.extend(group.downloads);
+        report.transactions += group.transactions;
+        report.alerts += group.alerts;
     }
     // An id is the client address, then the client's creation count:
     // tracker order.
@@ -320,10 +599,11 @@ mod tests {
     /// client (clean, so the strict extraction must agree too), eight
     /// clients, those eight with one timestamp on every packet (downloads
     /// of different clients tie), and `faultgen` damage to the eight on
-    /// pcap and on pcapng. Each runs through `analyze_pcap_lenient` and
-    /// through the private runner at 1, 2, 3 and 8 workers, in one group
+    /// pcap and on pcapng. Each runs through `analyze_pcap_lenient`, and
+    /// at 1, 2, 3 and 8 workers through the per-group replay in one group
     /// and in one per client hash, with windows of 1 byte (a window per
-    /// copying connection, so a group spans windows), 3 KiB and unbounded.
+    /// copying connection, so a group spans windows), 3 KiB and unbounded,
+    /// and through the checkpointed schedule cut every 7 positions.
     #[test]
     fn lenient_replay_matches_strict_on_clean_capture() {
         use nettrace::capture::read_packets;
@@ -374,19 +654,30 @@ mod tests {
             let want = json(&want);
             let got = analyze_pcap_lenient(capture, clf.clone(), DetectorConfig::default());
             assert_eq!(json(&got), want, "{name}");
+            let model = ModelSlot::new(clf.clone());
+            let config = DetectorConfig::default();
             for (workers, pipeline) in [1, 2, 3, 8].into_iter().zip(&mut pipelines) {
                 for groups in [1, 16 * workers] {
                     for window in [1, 3 << 10, usize::MAX] {
                         let mut ingest = IngestReport::new();
-                        let mut got = replay_groups(clf.clone(), DetectorConfig::default(), |f| {
-                            let p = &mut *pipeline;
-                            p.extract_grouped_at(capture, &mut ingest, window, workers, groups, f)
-                        });
-                        got.ingest = Some(ingest);
+                        let reports = pipeline.extract_grouped_at(
+                            capture,
+                            &mut ingest,
+                            window,
+                            workers,
+                            groups,
+                            |txs| replay_group(&model, &config, txs),
+                        );
+                        let got = ForensicReport { ingest: Some(ingest), ..merge(reports) };
                         let case = format!("{name}, {workers} workers, {groups} groups, {window}");
                         assert_eq!(json(&got), want, "{case}");
                     }
                 }
+                // Cut every 7 positions, the same detectors report the same.
+                let checkpoints = Some(Checkpoints { every: 7, ..Checkpoints::default() });
+                let opts = ReplayOptions { workers, checkpoints, ..ReplayOptions::default() };
+                let got = replay_capture(capture, clf.clone(), DetectorConfig::default(), opts);
+                assert_eq!(json(&got.unwrap()), want, "{name}, {workers} workers, cut every 7");
             }
         }
     }

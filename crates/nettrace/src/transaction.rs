@@ -241,8 +241,9 @@ impl AsRef<[u8]> for Body<'_> {
 /// range)` span into the capture buffer straight to frame decoding and
 /// [`SpanReassembler`], which lays streams as arena ranges, nothing
 /// copied. That front runs on the calling thread. Triage puts each
-/// connection in a client group, a fixed hash of its request side's
-/// source address (the `client` of its transactions), and cuts the
+/// connection in a client group, the [`telemetry::pool::shard_of`] of its
+/// request side's source address (the `client` of its transactions), the
+/// partition a stream engine shards by, and cuts the
 /// connections, in (group, connection) order, into windows that never
 /// span two groups. The windows are [`telemetry::pool`] tasks on every
 /// core: a worker copies a window's multi-segment streams into its own
@@ -310,17 +311,6 @@ const STAGE_WINDOW_BYTES: usize = 8 << 20;
 /// within run-to-run spread (medians 132–140 k transactions/s).
 const GROUPS_PER_WORKER: usize = 16;
 
-/// Fixed base of the client-group hash, so a capture splits the same way
-/// on every run and machine.
-const GROUP_HASH_SEED: u64 = 0x5bd1_e995_c2b2_ae35;
-
-/// The client group of a connection whose request comes from `client`,
-/// one of `groups`.
-fn group_of(client: std::net::Ipv4Addr, groups: usize) -> usize {
-    let hash = telemetry::pool::derive_seed(GROUP_HASH_SEED, u64::from(u32::from(client)));
-    (hash % groups.max(1) as u64) as usize
-}
-
 /// How a run divides a capture: staged bytes per window, pool workers
 /// and client groups. Any split gives the same output.
 #[derive(Debug, Clone, Copy)]
@@ -331,10 +321,10 @@ struct Split {
 }
 
 impl Split {
-    /// One worker per core, the staging budget shared between them and
-    /// [`GROUPS_PER_WORKER`] groups each.
-    fn every_core() -> Split {
-        let workers = telemetry::pool::resolve_threads(0);
+    /// `workers` pool workers (`0`: one per core), the staging budget
+    /// shared between them and [`GROUPS_PER_WORKER`] groups each.
+    fn of(workers: usize) -> Split {
+        let workers = telemetry::pool::resolve_threads(workers);
         Split {
             window_bytes: STAGE_WINDOW_BYTES / workers,
             workers,
@@ -356,25 +346,28 @@ impl SpanPipeline {
         capture: &[u8],
         report: &mut IngestReport,
     ) -> Vec<HttpTransaction> {
-        self.extract(capture, report, Split::every_core()).0
+        self.extract(capture, report, Split::of(0)).0
     }
 
     /// Extracts transactions from one capture, leniently, one client
-    /// group at a time: `consume` gets each group's transactions on the
-    /// worker that paired its last window, and what it returns comes back
-    /// in group order. A client's transactions are all in one group,
-    /// sorted by [`feed_order`], and `seq` orders them as in the whole
-    /// capture but is not renumbered: it is the connection's rank in
-    /// connection order (high 32 bits), then the transaction's place in
-    /// its connection. A group with no transactions is not consumed.
-    /// Never fails; losses are accounted in `report`.
+    /// group at a time on `workers` pool workers (`0`: one per core):
+    /// `consume` gets each group's transactions on the worker that paired
+    /// its last window, and what it returns comes back in group order. A
+    /// client's transactions are all in one group, sorted by
+    /// [`feed_order`], and `seq` orders them as in the whole capture but is
+    /// not renumbered: it is the connection's rank in connection order
+    /// (high 32 bits), then the transaction's place in its connection. A
+    /// group with no transactions is not consumed. Never fails; losses are
+    /// accounted in `report`, and the first stop a strict reader would
+    /// have made is returned beside the results.
     pub fn extract_grouped<T: Send>(
         &mut self,
         capture: &[u8],
         report: &mut IngestReport,
+        workers: usize,
         consume: impl Fn(Vec<HttpTransaction>) -> T + Sync,
-    ) -> Vec<T> {
-        self.run(capture, report, Split::every_core(), consume).0
+    ) -> (Vec<T>, Result<()>) {
+        self.run(capture, report, Split::of(workers), consume)
     }
 
     /// [`SpanPipeline::extract_grouped`] with the staged bytes per window,
@@ -458,7 +451,7 @@ impl SpanPipeline {
                 }
                 continue;
             };
-            let group = group_of(self.laid.key(req).src.addr, split.groups);
+            let group = telemetry::pool::shard_of(self.laid.key(req).src.addr, split.groups);
             self.conns.push(Conn { rank: self.conns.len() as u64, group, req, resp });
         }
         // Stable: each group keeps connection order.
@@ -549,7 +542,7 @@ impl SpanPipeline {
     /// are skipped silently.
     pub fn extract_capture_strict(capture: &[u8]) -> Result<Vec<HttpTransaction>> {
         let (transactions, first_stop) =
-            SpanPipeline::new().extract(capture, &mut IngestReport::new(), Split::every_core());
+            SpanPipeline::new().extract(capture, &mut IngestReport::new(), Split::of(0));
         first_stop.map(|()| transactions)
     }
 }
@@ -1461,7 +1454,7 @@ mod tests {
         let last = (0..=255)
             .rev()
             .map(|i| Ipv4Addr::new(10, 255, 255, i))
-            .find(|&c| group_of(c, groups) == groups - 1)
+            .find(|&c| telemetry::pool::shard_of(c, groups) == groups - 1)
             .expect("an address in the last group");
         let clients = (1..=12).map(|i| Ipv4Addr::new(10, 0, 0, i)).chain([last]);
         let mut packets = Vec::new();

@@ -1,6 +1,5 @@
 //! The sharded stream engine.
 
-use std::net::Ipv4Addr;
 use std::time::Instant;
 
 use dynaminer::classifier::Classifier;
@@ -8,6 +7,7 @@ use dynaminer::detector::{Alert, DetectorConfig, DetectorState, OnTheWireDetecto
 use dynaminer::forensic::ConversationVerdict;
 use mlearn::slot::ModelSlot;
 use nettrace::HttpTransaction;
+use telemetry::pool::shard_of;
 use telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
 use crate::queue::ShardQueue;
@@ -51,20 +51,6 @@ impl Default for StreamConfig {
             backpressure: BackpressurePolicy::Block,
         }
     }
-}
-
-/// Fixed base for the shard hash. The client→shard mapping must be a
-/// pure function of the client address so that replaying a capture
-/// shards identically across runs and machines.
-const SHARD_HASH_SEED: u64 = 0x7a3c_9f21_0b5d_e711;
-
-/// Shard index for a client address: SplitMix64-finalized hash of the
-/// IPv4 address, reduced modulo the shard count. All detector state is
-/// keyed by client, so this is the *only* partitioning decision in the
-/// engine — everything downstream is per-shard-local.
-pub fn shard_of(client: Ipv4Addr, shards: usize) -> usize {
-    (telemetry::pool::derive_seed(SHARD_HASH_SEED, u64::from(u32::from(client)))
-        % shards.max(1) as u64) as usize
 }
 
 /// Outcome of one [`StreamEngine::process`] call.

@@ -23,9 +23,12 @@
 //!   [`analyze_transactions`](dynaminer::forensic::analyze_transactions)
 //!   at any shard count.
 //!
-//! The loop driving an engine from a source (numbering, checkpoint
-//! cadence, hot-reload, drain) is `wirefront::run`, for live and
-//! recorded traffic alike.
+//! The loop driving an engine from a live source (numbering, checkpoint
+//! cadence, hot-reload, drain) is `wirefront::run`. A recorded capture
+//! replays per client group instead
+//! ([`replay_capture`](dynaminer::forensic::replay_capture)), splitting
+//! clients by the same [`shard_of`] and checkpointing into the same
+//! [`EngineSnapshot`] files.
 //!
 //! See DESIGN.md §12 for the architecture and the exact determinism
 //! contract (including what changes in the capped regime), and §13 for
@@ -37,10 +40,11 @@ mod engine;
 mod queue;
 mod snapshot;
 
-pub use engine::{
-    shard_of, BackpressurePolicy, EngineReport, FeedHandle, StreamConfig, StreamEngine,
-};
+pub use engine::{BackpressurePolicy, EngineReport, FeedHandle, StreamConfig, StreamEngine};
 pub use snapshot::{read_snapshot, write_snapshot_atomic, EngineSnapshot, Watermark};
+/// The shard of a client: the one client partition, which a capture
+/// replay's client groups route by too.
+pub use telemetry::pool::shard_of;
 
 use dynaminer::forensic::{DownloadRecord, ForensicReport};
 use nettrace::HttpTransaction;

@@ -5,6 +5,8 @@
 //! per-shard [`DetectorState`]s, the ingest watermark (how far into the
 //! `(ts, seq)`-ordered stream the feed had progressed), the deployed
 //! model's generation, and the detector telemetry accumulated so far.
+//! A capture replay's [`Checkpoint`] holds the same, so the two convert
+//! into each other and either resumes from the other's file.
 //!
 //! The byte format mirrors the CLI model format's version gate: a fixed
 //! magic, a little-endian format version that is checked before any
@@ -21,6 +23,7 @@
 //! ```
 
 use dynaminer::detector::DetectorState;
+use dynaminer::forensic::Checkpoint;
 use nettrace::HttpTransaction;
 use serde::{Deserialize, Serialize};
 
@@ -80,6 +83,34 @@ pub struct EngineSnapshot {
     /// [`telemetry::Registry::absorb`] adds gauges, so carrying them
     /// would double-count).
     pub stats: telemetry::Snapshot,
+}
+
+/// A capture replay's checkpoint, its group detectors counted as shards.
+impl From<Checkpoint> for EngineSnapshot {
+    fn from(c: Checkpoint) -> Self {
+        EngineSnapshot {
+            watermark: c.watermark.map(|(ts, seq)| Watermark { ts_bits: ts.to_bits(), seq }),
+            fed: c.fed,
+            shards: c.detectors,
+            model_version: c.model_version,
+            detector: c.detector,
+            stats: c.stats,
+        }
+    }
+}
+
+/// The checkpoint a capture replay resumes from.
+impl From<EngineSnapshot> for Checkpoint {
+    fn from(s: EngineSnapshot) -> Self {
+        Checkpoint {
+            watermark: s.watermark.map(|w| (f64::from_bits(w.ts_bits), w.seq)),
+            fed: s.fed,
+            detectors: s.shards,
+            model_version: s.model_version,
+            detector: s.detector,
+            stats: s.stats,
+        }
+    }
 }
 
 impl EngineSnapshot {

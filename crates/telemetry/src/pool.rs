@@ -9,6 +9,7 @@
 
 use std::io;
 use std::iter;
+use std::net::Ipv4Addr;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -37,6 +38,19 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Fixed base of the client hash, so a client lands in the same part on
+/// every run and machine.
+const CLIENT_HASH_SEED: u64 = 0x7a3c_9f21_0b5d_e711;
+
+/// The part, of `parts`, that owns `client`: the [`derive_seed`] of the
+/// IPv4 address under a fixed seed, modulo `parts`. Per-client state is
+/// what a detector keeps, so this is the one partitioning decision: a
+/// stream engine's shards and a capture's client groups both route by
+/// it.
+pub fn shard_of(client: Ipv4Addr, parts: usize) -> usize {
+    (derive_seed(CLIENT_HASH_SEED, u64::from(u32::from(client))) % parts.max(1) as u64) as usize
 }
 
 /// Runs `task(0..n_tasks)` on up to `threads` workers and returns the

@@ -28,16 +28,15 @@
 //! this equivalence under test.
 //!
 //! [`run::run`] is the loop joining a source to a
-//! [`StreamEngine`](streamd::StreamEngine) — the only one in the tree:
-//! feed-order sequence numbering, download ledger, snapshots at an
-//! exact cadence, model hot-reload, and a zero-loss graceful drain on
-//! `SIGTERM`/`SIGINT` (`enqueued == processed + dropped` over
-//! everything the source ever emitted). [`run::replay`] puts a recorded
-//! stream ([`ReplaySource`](nettrace::source::ReplaySource), the third
-//! implementor) through it, which is all `dynaminer replay` is; it adds
-//! the resume check and the ledger a recording can rebuild and a wire
-//! cannot. The `wire_*` series ([`metrics`]) are published by the owner of
-//! the concrete source, not by the loop. [`sys`] is the thin raw-syscall layer (`poll(2)`,
+//! [`StreamEngine`](streamd::StreamEngine): feed-order sequence
+//! numbering, download ledger, snapshots at an exact cadence, model
+//! hot-reload, and a zero-loss graceful drain on `SIGTERM`/`SIGINT`
+//! (`enqueued == processed + dropped` over everything the source ever
+//! emitted). A recorded capture (`dynaminer replay`) does not come
+//! through here: it replays per client group
+//! (`dynaminer::forensic::replay_capture`). The `wire_*` series
+//! ([`metrics`]) are published by the owner of the concrete source, not
+//! by the loop. [`sys`] is the thin raw-syscall layer (`poll(2)`,
 //! signal latch, `AF_PACKET`) that keeps the crate dependency-free.
 //!
 //! [`HttpTransaction`]: nettrace::transaction::HttpTransaction
@@ -50,4 +49,4 @@ pub mod sys;
 
 pub use capture::{CaptureConfig, CaptureSource};
 pub use proxy::{ProxyConfig, ProxySource};
-pub use run::{replay, run, RunOptions, RunSummary, SnapshotSink};
+pub use run::{run, RunOptions, RunSummary, SnapshotSink};

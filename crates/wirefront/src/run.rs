@@ -1,9 +1,11 @@
-//! The run loop — the only one: pumps a [`TrafficSource`] into a
-//! [`StreamEngine`], numbering transactions in feed order, maintaining
-//! the download ledger, checkpointing between feed segments,
-//! hot-reloading the model, and draining with zero loss on a
-//! termination signal. A live proxy, a capture tail and a recorded
-//! stream ([`replay`]) differ only in the source they hand it.
+//! The run loop: pumps a [`TrafficSource`] into a [`StreamEngine`],
+//! numbering transactions in feed order, maintaining the download
+//! ledger, checkpointing between feed segments, hot-reloading the model,
+//! and draining with zero loss on a termination signal. A live proxy and
+//! a capture tail differ only in the source they hand it; a recorded
+//! capture replays per client group instead
+//! (`dynaminer::forensic::replay_capture`), from and into the same
+//! snapshot files.
 //!
 //! The loop owns the ordering contract the engine's determinism rests
 //! on: every emitted transaction gets the next ingest `seq` in feed
@@ -29,7 +31,7 @@ use dynaminer::classifier::Classifier;
 use dynaminer::detector::Alert;
 use dynaminer::forensic::{DownloadRecord, ForensicReport};
 use nettrace::ingest::IngestReport;
-use nettrace::source::{PumpOutcome, ReplaySource, SourceStats, TrafficSource};
+use nettrace::source::{PumpOutcome, SourceStats, TrafficSource};
 use nettrace::transaction::HttpTransaction;
 use streamd::{finish_report, EngineSnapshot, StreamEngine};
 use telemetry::Registry;
@@ -102,7 +104,7 @@ pub struct RunSummary {
 ///
 /// A restored engine continues its numbering and state, but the
 /// download ledger is not in [`EngineSnapshot`]: the report lists the
-/// downloads this call saw ([`replay`] rebuilds the rest).
+/// downloads this call saw.
 ///
 /// # Errors
 ///
@@ -248,47 +250,3 @@ pub fn run(
         checkpoints,
     })
 }
-
-/// [`run`] over a recorded stream. Given an engine restored from a
-/// checkpoint of an earlier replay of the *same* stream, it skips the
-/// prefix the watermark covers — `run` numbers in feed order, so the
-/// watermark's `seq` is a position in the sorted stream — and puts its
-/// downloads back at the head of the ledger: the report is the
-/// uninterrupted run's. `ingest` is `None`, as for any replay of
-/// extracted transactions.
-///
-/// # Errors
-///
-/// Everything [`run`] returns, and "snapshot does not match this
-/// capture" unless the watermark is the position the engine's fed
-/// count implies and this stream holds its timestamp there.
-pub fn replay(
-    mut source: ReplaySource,
-    engine: &mut StreamEngine,
-    opts: RunOptions<'_>,
-) -> Result<RunSummary, String> {
-    let mut covered = Vec::new();
-    if let Some(mark) = engine.watermark() {
-        let stream = source.remaining();
-        let fed = engine.fed();
-        let at = usize::try_from(mark.seq)
-            .ok()
-            .filter(|_| mark.seq + 1 == fed)
-            .filter(|&at| stream.get(at).is_some_and(|tx| tx.ts.to_bits() == mark.ts_bits))
-            .ok_or_else(|| {
-                format!(
-                    "snapshot does not match this capture: {fed} fed up to number {}, which \
-                     is not at that position among this stream's {}",
-                    mark.seq,
-                    stream.len()
-                )
-            })?;
-        covered.extend(stream[..=at].iter().filter_map(DownloadRecord::of));
-        source.skip(at + 1);
-    }
-    let mut summary = run(&mut source, engine, &AtomicBool::new(false), opts)?;
-    summary.report.downloads.splice(0..0, covered);
-    summary.report.ingest = None;
-    Ok(summary)
-}
-

@@ -1,16 +1,18 @@
 //! Durable state tier acceptance tests (DESIGN.md §13).
 //!
-//! Everything here drives the engine through the one run loop
-//! (`wirefront::run`, or `wirefront::replay` over a `ReplaySource`).
-//! The invariants:
+//! The engine runs through the live run loop (`wirefront::run`) over a
+//! recorded source of the test's own that, on a resume, starts past
+//! what the snapshot covers; a capture replays through
+//! `forensic::replay_capture`, checkpointed. The invariants:
 //!
-//! 1. **Snapshot/kill/restore is lossless.** A replay interrupted at a
+//! 1. **Snapshot/kill/restore is lossless.** A run interrupted at a
 //!    random checkpoint and resumed from the snapshot produces the
 //!    byte-identical `ForensicReport` of one uninterrupted detector
 //!    (`forensic::analyze_transactions`) — at shards {1, 2, 8}, and
 //!    even when the snapshot was written at one shard count and
-//!    restored into another. A snapshot of another stream is refused,
-//!    not resumed.
+//!    restored into another. The same holds for a capture replay at 1,
+//!    2 and 8 workers, which also resumes an engine's snapshot. A
+//!    checkpoint of another capture is refused, not resumed.
 //! 2. **Format 1 stays readable.** A snapshot carrying fields this build
 //!    no longer writes (older builds' spill counters and new-host flag)
 //!    restores to the byte-identical report.
@@ -22,6 +24,7 @@
 //!    of its pumps, and a stream that ends on the cadence closes without
 //!    an empty segment.
 
+use std::sync::atomic::AtomicBool;
 use std::sync::OnceLock;
 
 use proptest::collection::vec;
@@ -29,16 +32,20 @@ use proptest::prelude::*;
 
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::DetectorConfig;
-use dynaminer::forensic::{analyze_transactions, ForensicReport};
-use nettrace::source::{PumpOutcome, ReplaySource, SourceStats, TrafficSource};
-use nettrace::HttpTransaction;
+use dynaminer::forensic::{
+    analyze_pcap_lenient, analyze_transactions, replay_capture, Checkpoint, Checkpoints,
+    DownloadRecord, ForensicReport, ReplayError, ReplayOptions,
+};
+use nettrace::source::{PumpOutcome, SourceStats, TrafficSource};
+use nettrace::{HttpTransaction, IngestReport, SpanPipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use streamd::{EngineSnapshot, StreamConfig, StreamEngine};
-use wirefront::{replay, run, RunOptions};
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
-use synthtraffic::{BenignScenario, EkFamily};
+use synthtraffic::pcapgen::episodes_pcap;
+use synthtraffic::{BenignScenario, EkFamily, Episode};
+use wirefront::{run, RunOptions};
 
 fn classifier() -> &'static Classifier {
     static CLF: OnceLock<Classifier> = OnceLock::new();
@@ -81,24 +88,35 @@ fn other_classifier() -> &'static Classifier {
     })
 }
 
+/// One episode per `(infected, index)`, each from its own client,
+/// starting 37 s apart so their transactions overlap in time.
+fn episodes(seed: u64, kinds: &[(bool, usize)]) -> Vec<Episode> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::new();
+    for (i, &(infected, idx)) in kinds.iter().enumerate() {
+        let t0 = 1.4e9 + i as f64 * 37.0;
+        out.push(if infected {
+            generate_infection(&mut rng, EkFamily::ALL[idx % 10], t0)
+        } else {
+            generate_benign(&mut rng, BenignScenario::WEIGHTED[idx % 8].0, t0)
+        });
+    }
+    out
+}
+
 /// Interleaved multi-client stream, `(ts)`-sorted and `seq`-numbered —
 /// exactly what a capture replay feeds.
-fn build_stream(seed: u64, episodes: &[(bool, usize)]) -> Vec<HttpTransaction> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stream: Vec<HttpTransaction> = Vec::new();
-    for (i, &(infected, idx)) in episodes.iter().enumerate() {
-        let t0 = 1.4e9 + i as f64 * 37.0;
-        if infected {
-            stream.extend(generate_infection(&mut rng, EkFamily::ALL[idx % 10], t0).transactions);
-        } else {
-            stream.extend(
-                generate_benign(&mut rng, BenignScenario::WEIGHTED[idx % 8].0, t0).transactions,
-            );
-        }
-    }
+fn build_stream(seed: u64, kinds: &[(bool, usize)]) -> Vec<HttpTransaction> {
+    let mut stream: Vec<HttpTransaction> =
+        episodes(seed, kinds).into_iter().flat_map(|ep| ep.transactions).collect();
     stream.sort_by(|a, b| a.ts.total_cmp(&b.ts));
     nettrace::assign_seq(&mut stream);
     stream
+}
+
+/// The same episodes as a capture.
+fn capture_of(seed: u64, kinds: &[(bool, usize)]) -> Vec<u8> {
+    episodes_pcap(&episodes(seed, kinds))
 }
 
 fn shard_config(shards: usize) -> StreamConfig {
@@ -119,7 +137,7 @@ fn restored_engine(shards: usize, snapshot: EngineSnapshot) -> StreamEngine {
     )
 }
 
-/// Runs a checkpointing replay that "crashes" right after its first
+/// Runs a checkpointing engine that "crashes" right after its first
 /// checkpoint (the sink captures the snapshot, then fails), returning
 /// the snapshot after a full byte round-trip — exactly what a restarted
 /// process would read back from disk.
@@ -133,48 +151,91 @@ fn crash_after_first_checkpoint(
         captured = Some(snap.clone());
         Err("simulated crash".to_string())
     };
-    let err = replay(
-        ReplaySource::new(stream.to_vec()),
+    let err = run(
+        &mut Recorded::new(stream.to_vec(), 256, true),
         &mut fresh_engine(shards),
+        &AtomicBool::new(false),
         RunOptions { checkpoint_every, snapshot_sink: Some(&mut sink), ..RunOptions::default() },
     )
-    .expect_err("the failing sink aborts the replay");
+    .expect_err("the failing sink aborts the run");
     assert!(err.contains("simulated crash"), "{err}");
-    let snap = captured.expect("one checkpoint was written before the crash");
-    let bytes = snap.to_bytes().expect("snapshot serializes");
+    round_trip(captured.expect("one checkpoint was written before the crash"))
+}
+
+/// `snapshot` written to bytes and read back.
+fn round_trip(snapshot: EngineSnapshot) -> EngineSnapshot {
+    let bytes = snapshot.to_bytes().expect("snapshot serializes");
     EngineSnapshot::from_bytes(&bytes).expect("snapshot round-trips")
 }
 
+/// An engine restored from `snapshot` runs the rest of `stream`, what
+/// the watermark does not cover; the covered downloads head the ledger.
 fn resume_report(
     stream: &[HttpTransaction],
     shards: usize,
     snapshot: EngineSnapshot,
 ) -> ForensicReport {
-    replay(
-        ReplaySource::new(stream.to_vec()),
+    let covered = snapshot.watermark.map_or(0, |w| w.seq as usize + 1);
+    let mut report = run(
+        &mut Recorded::new(stream[covered..].to_vec(), 256, true),
         &mut restored_engine(shards, snapshot),
+        &AtomicBool::new(false),
         RunOptions::default(),
     )
-    .expect("resumed replay completes")
-    .report
+    .expect("resumed run completes")
+    .report;
+    report.downloads.splice(0..0, stream[..covered].iter().filter_map(DownloadRecord::of));
+    report.ingest = None;
+    report
 }
 
-/// A source handing out a stream in pumps of a fixed size, reporting
-/// exhaustion only on the pump after the last one (as a capture tail
-/// or a closed listener does).
-struct Canned {
+/// A checkpointed replay of `capture` on `workers` workers, cut every
+/// `every` transactions and resumed from `resume` if given, each
+/// checkpoint handed to `sink`.
+fn replay_checkpointed(
+    capture: &[u8],
+    workers: usize,
+    every: u64,
+    resume: Option<EngineSnapshot>,
+    sink: &mut dyn FnMut(Checkpoint) -> Result<(), String>,
+) -> Result<ForensicReport, ReplayError> {
+    let resume = resume.map(Checkpoint::from);
+    let checkpoints = Checkpoints { every, sink: Some(sink), resume, ..Checkpoints::default() };
+    let opts = ReplayOptions { workers, checkpoints: Some(checkpoints), ..Default::default() };
+    replay_capture(capture, classifier().clone(), DetectorConfig::default(), opts)
+}
+
+/// The first checkpoint of a replay of `capture` that crashes right
+/// after it, as a restarted process reads it back from disk.
+fn replay_crash(capture: &[u8], workers: usize, every: u64) -> EngineSnapshot {
+    let mut captured = None;
+    let mut sink = |c: Checkpoint| {
+        captured = Some(c);
+        Err("simulated crash".to_string())
+    };
+    let err = replay_checkpointed(capture, workers, every, None, &mut sink)
+        .expect_err("the failing sink aborts the replay");
+    assert!(matches!(&err, ReplayError::Checkpoint(e) if e == "simulated crash"), "{err:?}");
+    round_trip(captured.expect("one checkpoint was written before the crash").into())
+}
+
+/// A recorded stream as a source: `per_pump` transactions a pump, and
+/// exhaustion reported with the last slice when `eager`, else on a pump
+/// of its own (as a capture tail or a closed listener does).
+struct Recorded {
     rest: std::vec::IntoIter<HttpTransaction>,
     per_pump: usize,
+    eager: bool,
     emitted: u64,
 }
 
-impl Canned {
-    fn new(stream: Vec<HttpTransaction>, per_pump: usize) -> Self {
-        Canned { rest: stream.into_iter(), per_pump, emitted: 0 }
+impl Recorded {
+    fn new(stream: Vec<HttpTransaction>, per_pump: usize, eager: bool) -> Self {
+        Recorded { rest: stream.into_iter(), per_pump, eager, emitted: 0 }
     }
 }
 
-impl TrafficSource for Canned {
+impl TrafficSource for Recorded {
     fn pump(&mut self, out: &mut Vec<HttpTransaction>) -> nettrace::Result<PumpOutcome> {
         if self.rest.len() == 0 {
             return Ok(PumpOutcome::Exhausted);
@@ -182,7 +243,8 @@ impl TrafficSource for Canned {
         let before = out.len();
         out.extend(self.rest.by_ref().take(self.per_pump));
         self.emitted += (out.len() - before) as u64;
-        Ok(PumpOutcome::Progress)
+        let last = self.rest.len() == 0 && self.eager;
+        Ok(if last { PumpOutcome::Exhausted } else { PumpOutcome::Progress })
     }
 
     fn shutdown(&mut self, _out: &mut Vec<HttpTransaction>) {}
@@ -318,9 +380,10 @@ fn durable_reload_with_identical_model_is_invisible() {
     let stream = build_stream(33, &[(true, 4), (false, 2), (true, 8), (false, 6)]);
     let reference = analyze_transactions(&stream, classifier().clone(), DetectorConfig::default());
     let mut engine = fresh_engine(2);
-    let report = replay(
-        ReplaySource::new(stream.clone()),
+    let mut report = run(
+        &mut Recorded::new(stream.clone(), 256, true),
         &mut engine,
+        &AtomicBool::new(false),
         RunOptions {
             checkpoint_every: 64,
             reload: Some((classifier().clone(), (stream.len() / 2) as u64)),
@@ -329,6 +392,7 @@ fn durable_reload_with_identical_model_is_invisible() {
     )
     .unwrap()
     .report;
+    report.ingest = None;
     assert_eq!(engine.model_version(), 2, "the swap happened");
     assert_eq!(
         serde_json::to_string(&report).unwrap(),
@@ -347,9 +411,9 @@ fn reload_past_the_end_is_deployed_before_the_verdict_pass() {
         analyze_transactions(&stream, other_classifier().clone(), DetectorConfig::default());
     let mut engine = fresh_engine(2);
     let report = run(
-        &mut Canned::new(stream.clone(), 7),
+        &mut Recorded::new(stream.clone(), 7, false),
         &mut engine,
-        &std::sync::atomic::AtomicBool::new(false),
+        &AtomicBool::new(false),
         RunOptions {
             reload: Some((other_classifier().clone(), u64::MAX)),
             ..RunOptions::default()
@@ -383,13 +447,13 @@ fn checkpoint_cadence_is_exact_for_any_pump_size() {
         Ok(())
     };
     let mut summary = run(
-        &mut Canned::new(stream.clone(), 7),
+        &mut Recorded::new(stream.clone(), 7, false),
         &mut fresh_engine(2),
-        &std::sync::atomic::AtomicBool::new(false),
+        &AtomicBool::new(false),
         RunOptions { checkpoint_every: 3, snapshot_sink: Some(&mut sink), ..RunOptions::default() },
     )
     .unwrap();
-    // `Canned` reports exhaustion on a pump of its own, so the run
+    // The source reports exhaustion on a pump of its own, so the run
     // always closes with one more snapshot, at the stream's length.
     let expected: Vec<u64> = (1..=len / 3).map(|k| 3 * k).chain([len]).collect();
     assert_eq!(fed_at, expected);
@@ -401,18 +465,19 @@ fn checkpoint_cadence_is_exact_for_any_pump_size() {
         serde_json::to_string(&reference).unwrap(),
     );
 
-    // A `ReplaySource` exhausts with its last slice: a stream that ends
-    // exactly on the cadence closes with that checkpoint, not with an
-    // empty segment and a second snapshot after it.
+    // A source that reports exhaustion with its last slice: a stream
+    // that ends exactly on the cadence closes with that checkpoint, not
+    // with an empty segment and a second snapshot after it.
     let even = &stream[..stream.len() - stream.len() % 4];
     let mut fed_at: Vec<u64> = Vec::new();
     let mut sink = |snap: &EngineSnapshot| {
         fed_at.push(snap.fed);
         Ok(())
     };
-    replay(
-        ReplaySource::new(even.to_vec()),
+    run(
+        &mut Recorded::new(even.to_vec(), 256, true),
         &mut fresh_engine(1),
+        &AtomicBool::new(false),
         RunOptions { checkpoint_every: 4, snapshot_sink: Some(&mut sink), ..RunOptions::default() },
     )
     .unwrap();
@@ -420,64 +485,85 @@ fn checkpoint_cadence_is_exact_for_any_pump_size() {
     assert_eq!(fed_at, expected);
 }
 
-/// `replay` checks the engine it is given against the stream: the
-/// final snapshot of a finished replay resumes on the same stream as a
-/// fully covered run (nothing fed, the whole ledger carried, one
-/// snapshot still emitted); on a different stream it is an error, not
-/// a report.
+/// A capture replay checks a resumed checkpoint against the capture: the
+/// final checkpoint of a finished replay resumes on the same capture as
+/// a fully covered run (nothing fed, one checkpoint still emitted, the
+/// same report); on a different capture it is an error, not a report.
 #[test]
 fn resume_is_checked_against_the_stream() {
-    let stream = build_stream(41, &[(true, 3), (false, 1), (true, 8)]);
-    let mut last: Option<EngineSnapshot> = None;
-    let mut sink = |snap: &EngineSnapshot| {
-        last = Some(snap.clone());
+    let capture = capture_of(41, &[(true, 3), (false, 1), (true, 8)]);
+    let fed = SpanPipeline::extract_capture_lenient(&capture, &mut IngestReport::new()).len();
+    let mut last: Option<Checkpoint> = None;
+    let mut keep = |c: Checkpoint| {
+        last = Some(c);
         Ok(())
     };
-    let uninterrupted = replay(
-        ReplaySource::new(stream.clone()),
-        &mut fresh_engine(2),
-        RunOptions { snapshot_sink: Some(&mut sink), ..RunOptions::default() },
-    )
-    .unwrap()
-    .report;
-    let snapshot = last.expect("a finished run leaves its final snapshot");
-    assert_eq!(snapshot.fed, stream.len() as u64);
+    let uninterrupted = replay_checkpointed(&capture, 2, 0, None, &mut keep).unwrap();
+    let snapshot = round_trip(last.expect("a finished replay leaves its final checkpoint").into());
+    assert_eq!(snapshot.fed, fed as u64);
     assert!(!uninterrupted.downloads.is_empty(), "the ledger has something to carry");
 
-    let mut snapshots = 0u64;
-    let mut count = |_: &EngineSnapshot| {
-        snapshots += 1;
+    let mut checkpoints = Vec::new();
+    let mut count = |c: Checkpoint| {
+        checkpoints.push(c.fed);
         Ok(())
     };
-    let resumed = replay(
-        ReplaySource::new(stream.clone()),
-        &mut restored_engine(4, snapshot.clone()),
-        RunOptions { snapshot_sink: Some(&mut count), ..RunOptions::default() },
-    )
-    .unwrap();
-    assert_eq!(resumed.enqueued, 0, "the watermark covers the whole stream");
-    assert_eq!(snapshots, 1, "a fully covered resume still emits one snapshot");
+    let resumed =
+        replay_checkpointed(&capture, 4, 0, Some(snapshot.clone()), &mut count).unwrap();
+    assert_eq!(checkpoints, [fed as u64], "a fully covered resume still emits one checkpoint");
     assert_eq!(
-        serde_json::to_string(&resumed.report).unwrap(),
+        serde_json::to_string(&resumed).unwrap(),
         serde_json::to_string(&uninterrupted).unwrap(),
     );
 
-    // Another seed's stream: same shape, other timestamps.
-    let other = build_stream(42, &[(true, 3), (false, 1), (true, 8), (false, 2), (true, 0)]);
-    assert!(other.len() >= stream.len(), "long enough that only the timestamp check can refuse");
-    let err = replay(
-        ReplaySource::new(other),
-        &mut restored_engine(2, snapshot.clone()),
-        RunOptions::default(),
-    )
-    .expect_err("a snapshot of another stream is refused");
-    assert!(err.contains("snapshot does not match this capture"), "{err}");
-    // And a stream shorter than what the snapshot had fed.
-    let err = replay(
-        ReplaySource::new(stream[..stream.len() / 2].to_vec()),
-        &mut restored_engine(2, snapshot),
-        RunOptions::default(),
-    )
-    .expect_err("a snapshot past the end of the stream is refused");
-    assert!(err.contains("snapshot does not match this capture"), "{err}");
+    // Another seed's capture: same shape, other timestamps, long enough
+    // that only the timestamp check can refuse. Then a capture shorter
+    // than what the checkpoint had fed.
+    let other = capture_of(42, &[(true, 3), (false, 1), (true, 8), (false, 2), (true, 0)]);
+    let shorter = capture_of(41, &[(true, 3)]);
+    for capture in [other, shorter] {
+        let err = replay_checkpointed(&capture, 2, 0, Some(snapshot.clone()), &mut |_| Ok(()))
+            .expect_err("a checkpoint of another capture is refused");
+        let refused = "snapshot does not match this capture";
+        assert!(matches!(&err, ReplayError::Checkpoint(e) if e.contains(refused)), "{err:?}");
+    }
+}
+
+proptest! {
+    /// A capture replay killed right after its first checkpoint, at a
+    /// random cadence, and resumed from it on 1, 2 and 8 workers — and
+    /// from the engine's checkpoint at the same cut — reports what the
+    /// uninterrupted replay reports, byte for byte.
+    #[test]
+    fn grouped_replay_resumes_from_a_random_cut(
+        seed in any::<u64>(),
+        kinds in vec((any::<bool>(), 0usize..16), 2..5),
+        cut in 1u64..400,
+    ) {
+        let capture = capture_of(seed, &kinds);
+        let reference =
+            analyze_pcap_lenient(&capture, classifier().clone(), DetectorConfig::default());
+        let reference_json = serde_json::to_string(&reference).unwrap();
+        let stream = SpanPipeline::extract_capture_lenient(&capture, &mut IngestReport::new());
+        let cut = cut.min(stream.len() as u64).max(1);
+        let engine_snapshot = crash_after_first_checkpoint(&stream, 2, cut);
+        for workers in [1usize, 2, 8] {
+            let snapshot = replay_crash(&capture, workers, cut);
+            prop_assert_eq!(snapshot.fed, cut, "the first checkpoint is cut at the cadence");
+            prop_assert_eq!(
+                serde_json::to_string(&snapshot.detector).unwrap(),
+                serde_json::to_string(&engine_snapshot.detector).unwrap(),
+                "the engine's state at the same cut, {} workers", workers
+            );
+            for (from, snapshot) in [("replay", snapshot), ("engine", engine_snapshot.clone())] {
+                let resumed =
+                    replay_checkpointed(&capture, workers, 0, Some(snapshot), &mut |_| Ok(()));
+                prop_assert_eq!(
+                    serde_json::to_string(&resumed.unwrap()).unwrap(),
+                    reference_json.clone(),
+                    "{} checkpoint resumed at {} workers (cut {})", from, workers, cut
+                );
+            }
+        }
+    }
 }

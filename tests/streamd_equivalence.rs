@@ -6,10 +6,13 @@
 //! `OnTheWireDetector` fed the same stream — at any shard count and any
 //! worker-thread timing. These tests pin that
 //! contract, the graceful-drain zero-loss invariant, and the sharded
-//! forensic report's field-for-field equality. The engine runs through
-//! `wirefront::replay`, the loop `dynaminer replay` runs; the reference
-//! is the single detector, alone or behind
-//! `forensic::analyze_transactions`, which shares no engine code.
+//! forensic report's field-for-field equality. The engine is fed with
+//! `process` and closed with `streamd::finish_report`; the reference is
+//! the single detector, alone or behind `forensic::analyze_transactions`,
+//! which shares no engine code. One detector fed the same clients in
+//! any interleaving that keeps each client's order reports the same:
+//! detector state is per client, which is what lets a capture replay
+//! split its clients into groups.
 
 use std::sync::OnceLock;
 
@@ -19,11 +22,10 @@ use proptest::prelude::*;
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::{Alert, DetectorConfig, OnTheWireDetector};
 use dynaminer::forensic::{analyze_transactions, ForensicReport};
-use nettrace::source::ReplaySource;
 use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use streamd::{BackpressurePolicy, StreamConfig, StreamEngine};
+use rand::{Rng, SeedableRng};
+use streamd::{finish_report, order_and_downloads, BackpressurePolicy, StreamConfig, StreamEngine};
 use synthtraffic::benign::generate_benign;
 use synthtraffic::episode::generate_infection;
 use synthtraffic::{BenignScenario, EkFamily};
@@ -147,23 +149,19 @@ proptest! {
                 backpressure: BackpressurePolicy::Block,
             },
         );
-        let run = wirefront::replay(
-            ReplaySource::new(stream.clone()),
-            &mut engine,
-            wirefront::RunOptions::default(),
-        )
-        .unwrap();
+        let run = engine.process(stream.iter().cloned());
         prop_assert_eq!(run.dropped, 0, "blocking policy never drops");
         prop_assert_eq!(run.enqueued, run.processed, "drain loses nothing");
         prop_assert_alerts_eq!(run.alerts, single_threaded_alerts(&stream), shards);
+        let report = finish_report(&mut engine, order_and_downloads(&stream).1, 1, None);
         let single =
             analyze_transactions(&stream, classifier().clone(), DetectorConfig::default());
         prop_assert_eq!(
-            serde_json::to_string(&run.report).unwrap(),
+            serde_json::to_string(&report).unwrap(),
             serde_json::to_string(&single).unwrap(),
             "report at {} shards", shards
         );
-        let ids: Vec<u64> = run.report.conversations.iter().map(|c| c.id).collect();
+        let ids: Vec<u64> = report.conversations.iter().map(|c| c.id).collect();
         prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "verdict ids repeat: {:?}", ids);
         // The returning client's per-client id counters (the low halves
         // of its ids), without the return and with it: one counter that
@@ -178,9 +176,75 @@ proptest! {
             classifier().clone(),
             DetectorConfig::default(),
         ));
-        let after = counters(&run.report);
+        let after = counters(&report);
         prop_assert!(after.len() > before.len(), "the return opened no conversation");
         prop_assert_eq!(after, (0..after.len() as u64).collect::<Vec<_>>());
+    }
+}
+
+/// One detector fed `stream` in the given order, reported as
+/// `analyze_transactions` reports: the downloads ledger in `(ts, seq)`
+/// order.
+fn report_in_order(stream: &[HttpTransaction], order: Vec<HttpTransaction>) -> String {
+    let mut det = OnTheWireDetector::new(classifier().clone(), DetectorConfig::default());
+    for tx in order {
+        det.observe_owned(tx);
+    }
+    let report = ForensicReport {
+        transactions: det.transactions_seen(),
+        conversations: det.final_verdicts(1),
+        downloads: order_and_downloads(stream).1,
+        alerts: det.alerts().len(),
+        ingest: None,
+        stats: None,
+    };
+    serde_json::to_string(&report).unwrap()
+}
+
+proptest! {
+    /// Orderings, where sharded ≡ single covers partitions: one detector
+    /// fed the clients of `build_stream` in a random interleaving that
+    /// keeps each client's `(ts, seq)` order, and in the order that
+    /// feeds all of one client before the next, reports exactly what
+    /// `analyze_transactions` reports. A difference is state one client
+    /// leaves for another.
+    #[test]
+    fn any_per_client_order_reports_as_the_feed_order(
+        seed in any::<u64>(),
+        episodes in vec((any::<bool>(), 0usize..16), 1..6),
+        returning in (0usize..10, 1.0f64..900.0),
+        shuffle in any::<u64>(),
+    ) {
+        let stream = build_stream(seed, &episodes, Some(returning));
+        let want = serde_json::to_string(
+            &analyze_transactions(&stream, classifier().clone(), DetectorConfig::default()),
+        )
+        .unwrap();
+        let mut clients: Vec<Vec<HttpTransaction>> = Vec::new();
+        for tx in &stream {
+            match clients.iter_mut().find(|c| c[0].client.addr == tx.client.addr) {
+                Some(client) => client.push(tx.clone()),
+                None => clients.push(vec![tx.clone()]),
+            }
+        }
+        let client_major: Vec<HttpTransaction> = clients.concat();
+        prop_assert_eq!(report_in_order(&stream, client_major), want.clone(), "client-major");
+        // Each step takes the next transaction of a client drawn in
+        // proportion to what it has left: every interleaving can occur.
+        let mut rng = StdRng::seed_from_u64(shuffle);
+        let mut rest: Vec<std::vec::IntoIter<HttpTransaction>> =
+            clients.into_iter().map(Vec::into_iter).collect();
+        let mut interleaved = Vec::with_capacity(stream.len());
+        for left in (1..=stream.len()).rev() {
+            let mut pick = rng.gen_range(0..left);
+            let client = rest.iter_mut().find(|c| {
+                let here = pick < c.len();
+                pick = pick.saturating_sub(c.len());
+                here
+            });
+            interleaved.push(client.and_then(Iterator::next).expect("a transaction is left"));
+        }
+        prop_assert_eq!(report_in_order(&stream, interleaved), want, "interleaving {:#x}", shuffle);
     }
 }
 
@@ -284,10 +348,9 @@ fn mid_stream_drain_keeps_sessions_across_process_calls() {
     }
 }
 
-/// `replay --shards N` bit-identity: the report of the run loop
-/// `dynaminer replay` goes through equals the single-threaded one,
-/// serialized form included, and its `stats` agree with what it
-/// reports.
+/// Sharded bit-identity: the report an engine closes with equals the
+/// single-threaded one, serialized form included, and its `stats` agree
+/// with what it reports.
 #[test]
 fn sharded_forensic_report_is_bit_identical() {
     let stream =
@@ -302,13 +365,9 @@ fn sharded_forensic_report_is_bit_identical() {
             StreamConfig { shards, ..StreamConfig::default() },
             &registry,
         );
-        let mut replayed = wirefront::replay(
-            ReplaySource::new(stream.clone()),
-            &mut engine,
-            wirefront::RunOptions { registry: Some(&registry), ..Default::default() },
-        )
-        .unwrap()
-        .report;
+        engine.process(stream.iter().cloned());
+        let downloads = order_and_downloads(&stream).1;
+        let mut replayed = finish_report(&mut engine, downloads, 1, Some(&registry));
         // The stats ride on the serialized report and come back intact.
         let back: dynaminer::forensic::ForensicReport =
             serde_json::from_str(&serde_json::to_string(&replayed).unwrap()).unwrap();
@@ -317,7 +376,7 @@ fn sharded_forensic_report_is_bit_identical() {
         assert_eq!(
             serde_json::to_string(&replayed).unwrap(),
             single_json,
-            "run-loop replay at {shards} shards"
+            "engine report at {shards} shards"
         );
         assert_eq!(stats.counter("detector_transactions_total") as usize, single.transactions);
         assert_eq!(stats.counter("detector_alerts_total") as usize, single.alerts);

@@ -20,14 +20,16 @@
 //! the diff can be inspected without re-running the corpus.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicBool;
 
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::{DetectorConfig, OnTheWireDetector};
 use serde::{Deserialize, Serialize};
-use nettrace::source::ReplaySource;
+use nettrace::source::{PumpOutcome, SourceStats, TrafficSource};
+use nettrace::HttpTransaction;
 use streamd::{EngineSnapshot, StreamConfig, StreamEngine};
 use telemetry::Registry;
-use wirefront::{replay, RunOptions};
+use wirefront::{run, RunOptions};
 
 const GOLDEN_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/telemetry_scale0.1_seed42.json");
@@ -154,9 +156,31 @@ fn compare_against_golden(actual: &Golden, golden_path: &str, artifact_name: &st
     }
 }
 
-/// A durable-tier pipeline over the pinned corpus: replay, crash after
+/// A recorded stream as a source, 256 transactions a pump, reporting
+/// exhaustion with the last slice.
+struct Recorded(std::vec::IntoIter<HttpTransaction>);
+
+impl TrafficSource for Recorded {
+    fn pump(&mut self, out: &mut Vec<HttpTransaction>) -> nettrace::Result<PumpOutcome> {
+        out.extend(self.0.by_ref().take(256));
+        Ok(if self.0.len() == 0 { PumpOutcome::Exhausted } else { PumpOutcome::Progress })
+    }
+
+    fn shutdown(&mut self, _out: &mut Vec<HttpTransaction>) {}
+
+    fn stats(&self) -> SourceStats {
+        SourceStats::default()
+    }
+
+    fn ingest_report(&self) -> nettrace::IngestReport {
+        nettrace::IngestReport::new()
+    }
+}
+
+/// A durable-tier pipeline over the pinned corpus: run, crash after
 /// the first checkpoint, resume the snapshot into a different shard
-/// count, and hot-reload the model mid-resume. Everything the projection keeps (counters, gauges,
+/// count on what it does not cover, and hot-reload the model
+/// mid-resume. Everything the projection keeps (counters, gauges,
 /// histogram counts) is a deterministic function of (seed, scale,
 /// configs) — only histogram sums carry wall-clock time.
 fn run_durable_pipeline() -> telemetry::Snapshot {
@@ -185,9 +209,10 @@ fn run_durable_pipeline() -> telemetry::Snapshot {
         first = Some(snap.clone());
         Err("simulated crash".to_string())
     };
-    replay(
-        ReplaySource::new(stream.clone()),
+    run(
+        &mut Recorded(stream.clone().into_iter()),
         &mut StreamEngine::new(classifier.clone(), DetectorConfig::default(), stream_config(2)),
+        &AtomicBool::new(false),
         RunOptions {
             checkpoint_every: cut,
             snapshot_sink: Some(&mut crash_sink),
@@ -205,16 +230,19 @@ fn run_durable_pipeline() -> telemetry::Snapshot {
         Ok(())
     };
     let reload_at = stream.len() as u64 * 2 / 3;
+    let first = first.expect("the first leg left its checkpoint");
+    let covered = first.watermark.map_or(0, |w| w.seq as usize + 1);
     let mut engine = StreamEngine::restore(
         classifier.clone(),
         DetectorConfig::default(),
         stream_config(3),
         &registry,
-        first.expect("the first leg left its checkpoint"),
+        first,
     );
-    replay(
-        ReplaySource::new(stream),
+    run(
+        &mut Recorded(stream.split_off(covered).into_iter()),
         &mut engine,
+        &AtomicBool::new(false),
         RunOptions {
             checkpoint_every: cut,
             snapshot_sink: Some(&mut count_sink),

@@ -8,8 +8,8 @@
 //! connections driven through the inline forward proxy (PROXY-protocol
 //! v1 preserving the episode's true endpoints), and the run loop
 //! feeding a sharded `StreamEngine` — compared field-for-field against
-//! `wirefront::replay` of the equivalent pcap bytes, the path
-//! `dynaminer replay` takes.
+//! `forensic::analyze_pcap_lenient` of the equivalent pcap bytes, the
+//! grouped replay `dynaminer replay` runs.
 //!
 //! Also pinned here: the zero-loss graceful drain
 //! (`enqueued == processed + dropped` over everything the source
@@ -23,10 +23,9 @@ use std::time::Duration;
 
 use dynaminer::classifier::{build_dataset, Classifier};
 use dynaminer::detector::DetectorConfig;
-use dynaminer::forensic::ForensicReport;
+use dynaminer::forensic::{analyze_pcap_lenient, ForensicReport};
 use nettrace::wiretap::TapConfig;
-use nettrace::source::ReplaySource;
-use nettrace::{HttpTransaction, IngestReport, SpanPipeline};
+use nettrace::HttpTransaction;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use streamd::{StreamConfig, StreamEngine};
@@ -35,9 +34,7 @@ use synthtraffic::episode::generate_infection;
 use synthtraffic::pcapgen::episodes_pcap;
 use synthtraffic::wire::{drive_episodes, merged_wire_transactions, wire_episode_set, OriginServer};
 use synthtraffic::{BenignScenario, EkFamily};
-use wirefront::{
-    replay, run, CaptureConfig, CaptureSource, ProxyConfig, ProxySource, RunOptions,
-};
+use wirefront::{run, CaptureConfig, CaptureSource, ProxyConfig, ProxySource, RunOptions};
 
 const SHARDS: usize = 2;
 
@@ -69,17 +66,12 @@ fn stream_config() -> StreamConfig {
     StreamConfig { shards: SHARDS, ..StreamConfig::default() }
 }
 
-/// Offline leg: lenient extraction of the episode pcap, replayed into
-/// the sharded engine — the exact path `dynaminer replay --shards N`
-/// takes.
+/// Offline leg: the grouped replay of the episode pcap, the path
+/// `dynaminer replay` takes, and the transactions it recovered.
 fn offline_report(episodes_pcap_bytes: &[u8]) -> (ForensicReport, usize) {
-    let mut ingest = IngestReport::new();
-    let txs = SpanPipeline::extract_capture_lenient(episodes_pcap_bytes, &mut ingest);
-    let n = txs.len();
-    let mut engine = StreamEngine::new(classifier().clone(), detector_config(), stream_config());
-    let options = RunOptions { scoring_threads: 1, ..RunOptions::default() };
-    let summary = replay(ReplaySource::new(txs), &mut engine, options).expect("offline replay");
-    (summary.report, n)
+    let report = analyze_pcap_lenient(episodes_pcap_bytes, classifier().clone(), detector_config());
+    let recovered = report.ingest.expect("a lenient replay reports ingest").transactions_recovered;
+    (report, recovered as usize)
 }
 
 /// Strips the legs' out-of-band fields (`ingest` counts different
