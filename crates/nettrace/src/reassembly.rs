@@ -8,9 +8,10 @@
 //! can attach timestamps to parsed messages.
 //!
 //! [`SpanReassembler`] is the offline (sort-at-end) reassembler: it
-//! buffers `(ts, span)` chunks that point into the capture, lays each
-//! flow as trimmed arena ranges, and copies bytes only when a flow with
-//! more than one chunk is staged for reading.
+//! logs a capture's segments in arrival order as spans of the capture,
+//! groups the log by flow with one counting sort, lays each flow as
+//! trimmed arena ranges, and copies bytes only when a flow with more
+//! than one chunk is staged for reading.
 //! [`decode_frame`] is the one Ethernet → IPv4 → TCP decode ladder and
 //! [`lay_segment`] the one overlap-trim / gap-skip step, both shared with
 //! the online capture source in `wirefront`; [`timestamp_at`] is the one
@@ -158,46 +159,70 @@ pub fn lay_segment(next: &mut u64, rel: u64, len: usize, gaps: &mut u64) -> Opti
     Some(overlap)
 }
 
-/// One buffered TCP chunk: payload bytes as a range into the capture
-/// arena rather than an owned copy.
-#[derive(Debug, Clone)]
-struct SpanChunk {
-    /// Offset from the flow base (mutable: rebases shift it).
-    rel: u64,
-    /// Arrival order within the flow. The gather sort's tie-break: a
-    /// retransmission landing on an already-buffered offset loses to the
-    /// first arrival.
-    order: u32,
+/// One logged segment: its flow, its sequence number and flags, and its
+/// payload as a span of the capture arena.
+#[derive(Debug, Clone, Copy)]
+struct Logged {
+    flow: u32,
+    seq: u32,
     ts: f64,
-    range: Range<usize>,
+    start: usize,
+    len: u32,
+    syn: bool,
+    /// A FIN or an RST.
+    close: bool,
 }
 
+/// One flow's state while its logged segments are admitted in arrival
+/// order.
 #[derive(Debug, Default)]
 struct SpanFlowState {
-    chunks: Vec<SpanChunk>,
-    next_order: u32,
-    /// Initial sequence number (sequence of SYN, or first data byte when no
-    /// SYN was captured).
-    isn: Option<u32>,
-    /// Whether the ISN came from a SYN (data then starts at `isn + 1`).
-    isn_from_syn: bool,
+    /// Sequence number of the flow's first data byte: one past a SYN's,
+    /// else provisional, that of the lowest data segment so far.
+    base: Option<u32>,
+    from_syn: bool,
     closed: bool,
 }
 
 impl SpanFlowState {
-    /// Sequence number of the flow's first data byte.
-    fn base(&self) -> u32 {
-        let isn = self.isn.expect("isn set before base()");
-        if self.isn_from_syn {
-            isn.wrapping_add(1)
-        } else {
-            isn
+    /// Admits logged segment `at`, the flow's next in arrival order, onto
+    /// `chunks`, the flow's `(offset from the flow base, log index)`
+    /// chunks so far.
+    fn admit(&mut self, seg: &Logged, at: u32, chunks: &mut Vec<(u64, u32)>) {
+        if seg.syn {
+            let syn_base = seg.seq.wrapping_add(1);
+            if let (Some(base), false) = (self.base, self.from_syn) {
+                // Data outran the SYN (reordered capture): re-key the
+                // buffered chunks to the SYN's base so they line up with
+                // segments still to come.
+                match u64::try_from(base.wrapping_sub(syn_base) as i32) {
+                    Ok(shift) => chunks.iter_mut().for_each(|c| c.0 += shift),
+                    // Buffered data claimed to precede the SYN: stale
+                    // retransmission, dropped.
+                    Err(_) => chunks.clear(),
+                }
+            }
+            (self.base, self.from_syn) = (Some(syn_base), true);
         }
+        self.closed |= seg.close;
+        if seg.len == 0 {
+            return;
+        }
+        let rel = seg.seq.wrapping_sub(*self.base.get_or_insert(seg.seq)) as i32;
+        if rel < 0 {
+            if self.from_syn {
+                return; // data claiming to precede the SYN: stale retransmission
+            }
+            // Out-of-order arrival below the provisional base: rebase.
+            chunks.iter_mut().for_each(|c| c.0 += u64::from(rel.unsigned_abs()));
+            self.base = Some(seg.seq);
+        }
+        chunks.push((u64::from(rel.max(0) as u32), at));
     }
 }
 
 /// Where one laid stream's bytes lie in the capture arena.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 enum StreamSrc {
     /// One chunk: the stream is this span of the arena, viewed in place
     /// and never copied.
@@ -208,7 +233,7 @@ enum StreamSrc {
     Pieces(Range<usize>),
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct StreamDesc {
     key: FlowKey,
     src: StreamSrc,
@@ -222,7 +247,7 @@ struct StreamDesc {
 /// so there is no view of it here, only its first bytes
 /// ([`LaidStreams::head`]) and what staging it would copy
 /// ([`LaidStreams::copy_len`]); [`LaidStreams::stage`] gives the views.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct LaidStreams {
     pieces: Vec<Range<usize>>,
     timeline: Vec<(usize, f64)>,
@@ -369,31 +394,37 @@ impl StreamBuf {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Flow-table probes made on this thread, for the tests that count them.
+    static FLOW_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Reassembles TCP segments into per-flow byte streams without copying
-/// them on the way in: buffers `(ts, span)` chunks, lays each flow as
-/// trimmed arena ranges, and copies bytes only when a flow of more than
-/// one chunk is staged — a single-segment stream stays a borrowed arena
-/// span end to end.
+/// them on the way in: logs `(ts, span)` segments in arrival order and,
+/// when the capture ends, lays each flow as trimmed arena ranges; bytes
+/// are copied only when a flow of more than one chunk is staged.
 ///
 /// Feed every segment of a capture with [`SpanReassembler::push_span`],
 /// then call [`SpanReassembler::gather_streams`] (or, inside the crate,
-/// `lay_streams` and stage what is needed a window at a time). Chunks are
-/// ordered by `(offset from the flow base, arrival order)` when laid;
-/// retransmitted bytes (same relative offset) keep their first copy, and
-/// overlapping retransmissions keep the earliest copy of each byte. Gaps
-/// (lost segments) are skipped and counted: later bytes are appended
-/// directly after earlier ones, which matches libpcap-based HTTP tooling
-/// behaviour on lossy captures.
-///
-/// The reassembler and its [`StreamBuf`] are designed for reuse: laying
-/// drains every flow, reclaims chunk vectors into an internal pool, and
-/// leaves the map's capacity in place, so a warm reassembler processes a
-/// capture without allocating.
+/// `lay_streams` and stage what is needed a window at a time). Within a
+/// flow the first copy of each byte wins, and gaps (lost segments) are
+/// skipped and counted: later bytes are appended directly after earlier
+/// ones, as libpcap-based HTTP tooling does on lossy captures. Laying
+/// empties the reassembler but keeps its capacity, so a warm one, with a
+/// warm [`StreamBuf`], processes a capture without allocating.
 #[derive(Debug, Default)]
 pub struct SpanReassembler {
-    flows: HashMap<FlowKey, SpanFlowState>,
-    order: Vec<FlowKey>,
-    pool: Vec<Vec<SpanChunk>>,
+    /// Each flow's id: its place in `keys`, the flows in first-seen order.
+    ids: HashMap<FlowKey, u32>,
+    keys: Vec<FlowKey>,
+    /// Every segment but bare ACKs, in arrival order.
+    log: Vec<Logged>,
+    /// Laying's scratch: each flow's start in `by_flow` (then the end),
+    /// the log's indices grouped by flow, and one flow's chunks.
+    starts: Vec<u32>,
+    by_flow: Vec<u32>,
+    chunks: Vec<(u64, u32)>,
 }
 
 impl SpanReassembler {
@@ -404,9 +435,9 @@ impl SpanReassembler {
 
     /// Adds one segment observed at time `ts` on flow `key`, with
     /// `payload` locating `seg.payload` inside the capture arena
-    /// (callers recover it with [`crate::arena::subslice_range`]).
-    /// Segments arriving before any SYN establish the base offset from
-    /// their own sequence number.
+    /// (callers recover it with [`crate::arena::subslice_range`]): one
+    /// flow-table probe and, unless the segment is a bare ACK, one
+    /// append to the log.
     pub fn push_span(
         &mut self,
         ts: f64,
@@ -415,134 +446,100 @@ impl SpanReassembler {
         payload: Range<usize>,
     ) {
         debug_assert_eq!(payload.len(), seg.payload.len());
-        let state = match self.flows.get_mut(&key) {
-            Some(s) => s,
-            None => {
-                self.order.push(key);
-                let state = self.flows.entry(key).or_default();
-                if let Some(reclaimed) = self.pool.pop() {
-                    state.chunks = reclaimed;
-                }
-                state
-            }
-        };
-        if seg.flags.syn {
-            if let (Some(old_isn), false) = (state.isn, state.isn_from_syn) {
-                // Data outran the SYN (reordered capture): the buffered
-                // chunks are keyed to a provisional base taken from the
-                // first data segment. Re-key them to the SYN's base so
-                // they line up with segments still to come.
-                let new_base = seg.seq.wrapping_add(1);
-                let diff = old_isn.wrapping_sub(new_base) as i32;
-                if diff >= 0 {
-                    let shift = diff as u64;
-                    for c in &mut state.chunks {
-                        c.rel += shift;
-                    }
-                } else {
-                    // Buffered data claimed to precede the SYN: stale
-                    // retransmission, dropped.
-                    state.chunks.clear();
-                }
-            }
-            state.isn = Some(seg.seq);
-            state.isn_from_syn = true;
+        #[cfg(test)]
+        FLOW_PROBES.with(|n| n.set(n.get() + 1));
+        let id = u32::try_from(self.keys.len()).expect("fewer than 2^32 flows");
+        let flow = *self.ids.entry(key).or_insert_with(|| {
+            self.keys.push(key);
+            id
+        });
+        let (syn, close) = (seg.flags.syn, seg.flags.fin || seg.flags.rst);
+        if syn || close || !payload.is_empty() {
+            let len = u32::try_from(payload.len()).expect("an IPv4 total length bounds a payload");
+            let start = payload.start;
+            self.log.push(Logged { flow, seq: seg.seq, ts, start, len, syn, close });
         }
-        if seg.flags.fin || seg.flags.rst {
-            state.closed = true;
-        }
-        if seg.payload.is_empty() {
-            return;
-        }
-        if state.isn.is_none() {
-            state.isn = Some(seg.seq);
-            state.isn_from_syn = false;
-        }
-        let rel_signed = seg.seq.wrapping_sub(state.base()) as i32;
-        if rel_signed < 0 {
-            if state.isn_from_syn {
-                // Data claiming to precede the SYN: stale retransmission.
-                return;
-            }
-            // Out-of-order arrival below the provisional base: rebase.
-            let shift = (-(rel_signed as i64)) as u64;
-            for c in &mut state.chunks {
-                c.rel += shift;
-            }
-            state.isn = Some(seg.seq);
-        }
-        let rel = u64::from(seg.seq.wrapping_sub(state.base()));
-        let order = state.next_order;
-        state.next_order += 1;
-        state.chunks.push(SpanChunk { rel, order, ts, range: payload });
     }
 
-    /// Finishes reassembly into `buf`, one stream per flow in first-seen
-    /// order, every stream readable through [`StreamBuf::views`]: the
-    /// streams are laid (see `lay_streams`), then all of them are staged
-    /// at once. Every skipped sequence discontinuity is counted into
-    /// `gaps` so ingest can report reassembly stalls instead of papering
-    /// over them.
-    ///
-    /// Drains all flow state and reclaims its buffers, leaving the
-    /// reassembler warm for the next capture.
+    /// Finishes reassembly into `buf`: the streams are laid (see
+    /// `lay_streams`), then all staged, readable through
+    /// [`StreamBuf::views`]. Every skipped sequence discontinuity is
+    /// counted into `gaps`, so ingest reports reassembly stalls instead of
+    /// papering over them.
     pub fn gather_streams(&mut self, arena: &[u8], gaps: &mut u64, buf: &mut StreamBuf) {
         self.lay_streams(gaps, &mut buf.laid);
         buf.laid.stage(arena, 0..buf.laid.len(), &mut buf.stage);
     }
 
     /// Finishes reassembly into `laid` (cleared first), one stream per
-    /// flow in first-seen order, copying no byte: each flow's chunks are
-    /// sorted and arbitrated by [`lay_segment`] into trimmed arena ranges
-    /// and a timeline, and every skipped discontinuity is counted into
-    /// `gaps`. Drains all flow state like [`SpanReassembler::gather_streams`].
+    /// flow in first-seen order, copying no byte. One counting sort
+    /// groups the log by flow, each flow's segments in arrival order;
+    /// each flow's segments are admitted through its SYN / base / stale
+    /// rules, sorted by `(offset, arrival)` and arbitrated by
+    /// [`lay_segment`] into trimmed arena ranges and a timeline, and every
+    /// skipped discontinuity is counted into `gaps`. Empties the
+    /// reassembler like [`SpanReassembler::gather_streams`].
     pub(crate) fn lay_streams(&mut self, gaps: &mut u64, laid: &mut LaidStreams) {
         laid.pieces.clear();
         laid.timeline.clear();
         laid.streams.clear();
-        let mut order = std::mem::take(&mut self.order);
-        for &key in &order {
-            let mut state = self.flows.remove(&key).expect("flow recorded in order");
-            state.chunks.sort_unstable_by_key(|c| (c.rel, c.order));
-            let tl_start = laid.timeline.len();
-            let src = if let [c] = state.chunks.as_slice() {
-                if c.rel > 0 {
-                    *gaps += 1; // opening bytes lost below a pinned base
-                }
-                laid.timeline.push((0, c.ts));
-                StreamSrc::Arena(c.range.clone())
-            } else {
-                let pieces_start = laid.pieces.len();
-                let mut len = 0usize;
-                let mut next_rel = 0u64;
-                let mut prev_rel = u64::MAX;
-                for c in &state.chunks {
-                    if c.rel == prev_rel {
-                        continue; // later arrival at a taken offset: dropped wholly
-                    }
-                    prev_rel = c.rel;
-                    let Some(trim) = lay_segment(&mut next_rel, c.rel, c.range.len(), gaps) else {
-                        continue; // fully retransmitted
-                    };
-                    laid.timeline.push((len, c.ts));
-                    laid.pieces.push(c.range.start + trim..c.range.end);
-                    len += c.range.len() - trim;
-                }
-                StreamSrc::Pieces(pieces_start..laid.pieces.len())
-            };
-            laid.streams.push(StreamDesc {
-                key,
-                src,
-                timeline: tl_start..laid.timeline.len(),
-                closed: state.closed,
-            });
-            state.chunks.clear();
-            self.pool.push(std::mem::take(&mut state.chunks));
+        // Count each flow's segments, sum the counts to bucket ends, and
+        // fill each bucket from its end down: the ends become the starts.
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.resize(self.keys.len() + 1, 0);
+        self.log.iter().for_each(|seg| starts[seg.flow as usize] += 1);
+        let mut end = 0;
+        for n in starts.iter_mut() {
+            end += *n;
+            *n = end;
         }
-        order.clear();
-        self.order = order;
+        self.by_flow.resize(self.log.len(), 0);
+        for (at, seg) in self.log.iter().enumerate().rev() {
+            let start = &mut starts[seg.flow as usize];
+            *start -= 1;
+            self.by_flow[*start as usize] = u32::try_from(at).expect("fewer than 2^32 segments");
+        }
+        for (flow, &key) in self.keys.iter().enumerate() {
+            let mut state = SpanFlowState::default();
+            self.chunks.clear();
+            for &at in &self.by_flow[starts[flow] as usize..starts[flow + 1] as usize] {
+                state.admit(&self.log[at as usize], at, &mut self.chunks);
+            }
+            // A log index orders arrivals: a retransmission landing on an
+            // already-buffered offset loses to the first arrival.
+            self.chunks.sort_unstable();
+            let (tl_start, pieces_start) = (laid.timeline.len(), laid.pieces.len());
+            let (mut len, mut next_rel, mut prev_rel) = (0usize, 0u64, u64::MAX);
+            for &(rel, at) in &self.chunks {
+                if rel == prev_rel {
+                    continue; // later arrival at a taken offset: dropped wholly
+                }
+                prev_rel = rel;
+                let c = &self.log[at as usize];
+                let Some(trim) = lay_segment(&mut next_rel, rel, c.len as usize, gaps) else {
+                    continue; // fully retransmitted
+                };
+                laid.timeline.push((len, c.ts));
+                laid.pieces.push(c.start + trim..c.start + c.len as usize);
+                len += c.len as usize - trim;
+            }
+            // A flow of one chunk is its one piece, viewed in place.
+            let src = match self.chunks.len() {
+                1 => StreamSrc::Arena(laid.pieces.pop().expect("one chunk lays one piece")),
+                _ => StreamSrc::Pieces(pieces_start..laid.pieces.len()),
+            };
+            let timeline = tl_start..laid.timeline.len();
+            laid.streams.push(StreamDesc { key, src, timeline, closed: state.closed });
+        }
+        self.ids.clear();
+        self.keys.clear();
+        self.log.clear();
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -575,13 +572,20 @@ mod tests {
     /// pushed by span with payload offsets recovered via `subslice_range`,
     /// exactly like the production pipeline.
     #[derive(Default)]
-    struct Script {
+    pub(super) struct Script {
         arena: Vec<u8>,
         segments: Vec<(f64, FlowKey, Range<usize>)>,
     }
 
     impl Script {
-        fn segment(&mut self, ts: f64, k: FlowKey, seq: u32, flags: TcpFlags, data: &[u8]) {
+        pub(super) fn segment(
+            &mut self,
+            ts: f64,
+            k: FlowKey,
+            seq: u32,
+            flags: TcpFlags,
+            data: &[u8],
+        ) {
             let raw = tcp::build(k.src.port, k.dst.port, seq, 0, flags, data);
             self.segments.push((ts, k, self.arena.len()..self.arena.len() + raw.len()));
             self.arena.extend_from_slice(&raw);
@@ -591,12 +595,19 @@ mod tests {
             self.segment(ts, k, seq, TcpFlags::data(), data);
         }
 
-        fn push_all(&self, r: &mut SpanReassembler) {
+        /// Hands every segment to `push` with its payload's span.
+        pub(super) fn each(
+            &self,
+            mut push: impl FnMut(f64, FlowKey, &TcpSegment<'_>, Range<usize>),
+        ) {
             for (ts, k, raw) in &self.segments {
                 let seg = TcpSegment::parse(&self.arena[raw.clone()]).unwrap();
-                let payload = crate::arena::subslice_range(&self.arena, seg.payload);
-                r.push_span(*ts, *k, &seg, payload);
+                push(*ts, *k, &seg, crate::arena::subslice_range(&self.arena, seg.payload));
             }
+        }
+
+        pub(super) fn push_all(&self, r: &mut SpanReassembler) {
+            self.each(|ts, k, seg, payload| r.push_span(ts, k, seg, payload));
         }
 
         /// Reassembles the script: the gathered streams and the gap count.
@@ -874,5 +885,72 @@ mod tests {
         assert!(decode_frame(&[0xff; 60]).unwrap().is_none(), "not IPv4");
         assert!(decode_frame(&[0u8; 4]).is_err(), "too short for Ethernet");
         assert!(decode_frame(&frame[..20]).is_err(), "truncated IPv4 header");
+    }
+
+    /// Every prefix of a TCP frame with IPv4 and TCP options, a UDP frame
+    /// and an ARP frame, and 2 000 seeded single-bit flips of each, decode
+    /// without a panic: a TCP payload is a subslice of the frame that ends
+    /// where the IPv4 total length says, and an IHL, total length or data
+    /// offset declared beyond the frame is an error, not a clamp.
+    #[test]
+    fn decode_frame_totality() {
+        use crate::ether::{self, MacAddr, HEADER_LEN};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let ipv4 = |protocol, transport: &[u8], options: &[u8]| {
+            let mut ip = crate::ipv4::build(key().src.addr, key().dst.addr, protocol, 1, transport);
+            ip[0] = 0x45 + options.len() as u8 / 4;
+            ip.splice(20..20, options.iter().copied());
+            let total = ip.len() as u16;
+            ip[2..4].copy_from_slice(&total.to_be_bytes());
+            ether::build(MacAddr::default(), MacAddr::default(), ETHERTYPE_IPV4, &ip)
+        };
+        let mut seg = tcp::build(40000, 80, 7, 0, TcpFlags::data(), b"");
+        seg[12] = 8 << 4; // MSS, SACK permitted, NOPs, end of options
+        seg.extend_from_slice(&[2, 4, 0x05, 0xb4, 4, 2, 1, 1, 1, 1, 1, 0]);
+        seg.extend_from_slice(b"GET / HTTP/1.1\r\n\r\n");
+        let arp = [&[0, 1, 8, 0, 6, 4, 0, 1][..], &[0; 20]].concat();
+        let frames = [
+            ipv4(PROTO_TCP, &seg, &[1, 1, 1, 0]),
+            ipv4(17, &[0x9c, 0x40, 0, 53, 0, 11, 0, 0, b'u', b'd', b'p'], &[]),
+            ether::build(MacAddr::default(), MacAddr::default(), 0x0806, &arp),
+        ];
+        let check = |f: &[u8]| {
+            let decoded = decode_frame(f);
+            let is_ipv4 = f.len() >= HEADER_LEN + 20 && f[12..14] == [8, 0] && f[14] >> 4 == 4;
+            if !is_ipv4 {
+                return;
+            }
+            let ip = &f[HEADER_LEN..];
+            let ihl = usize::from(ip[0] & 0x0f) * 4;
+            let total = usize::from(u16::from_be_bytes([ip[2], ip[3]]));
+            let beyond = ihl > ip.len() || total > ip.len();
+            let offset_beyond = !beyond
+                && ip[9] == PROTO_TCP
+                && (20..=total).contains(&ihl)
+                && total >= ihl + 13
+                && ihl + usize::from(ip[ihl + 12] >> 4) * 4 > total;
+            if beyond || offset_beyond {
+                assert!(decoded.is_err(), "declared beyond the frame: {f:02x?}");
+            }
+            if let Ok(Some((_, tcp))) = decoded {
+                let payload = tcp.payload.as_ptr_range();
+                assert!(f.as_ptr_range().contains(&payload.start) || tcp.payload.is_empty());
+                assert_eq!(payload.end, f[HEADER_LEN + total..].as_ptr(), "ends at total length");
+            }
+        };
+        for frame in &frames {
+            (0..=frame.len()).for_each(|cut| check(&frame[..cut]));
+        }
+        let mut rng = StdRng::seed_from_u64(0xdec0);
+        for frame in &frames {
+            for _ in 0..2_000 {
+                let mut bytes = frame.clone();
+                let bit = rng.gen_range(0..bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                check(&bytes);
+            }
+        }
     }
 }

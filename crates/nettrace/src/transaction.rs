@@ -10,7 +10,6 @@
 //! capture → transaction path; strict and lenient ingest are two policies
 //! over the same run.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -239,15 +238,16 @@ impl AsRef<[u8]> for Body<'_> {
 ///
 /// The capture walk ([`crate::capture`]) hands each packet's `(ts,
 /// range)` span into the capture buffer straight to frame decoding and
-/// [`SpanReassembler`], which lays streams as arena ranges, nothing
-/// copied. That front runs on the calling thread. Triage puts each
-/// connection in a client group, the [`telemetry::pool::shard_of`] of its
-/// request side's source address (the `client` of its transactions), the
-/// partition a stream engine shards by, and cuts the
-/// connections, in (group, connection) order, into windows that never
-/// span two groups. The windows are [`telemetry::pool`] tasks on every
-/// core: a worker copies a window's multi-segment streams into its own
-/// reused buffer, pairs them from [`StreamView`]s that borrow it
+/// [`SpanReassembler`], which logs it with one flow-table probe and lays
+/// streams as arena ranges, nothing copied. That front runs on the
+/// calling thread. Triage pairs each connection's directions with one
+/// sort and puts the connection in a client group, the
+/// [`telemetry::pool::shard_of`] of its request side's source address
+/// (its transactions' `client`, the partition a stream engine shards by),
+/// and cuts the connections, in (group, connection) order, into windows
+/// that never span two groups. The windows are [`telemetry::pool`] tasks
+/// on every core: a worker copies a window's multi-segment streams into
+/// its own reused buffer, pairs them from [`StreamView`]s that borrow it
 /// (single-segment streams borrow the capture), and digests the window's
 /// bodies in one batch ([`fnv1a_many`]). A window holds about 8 MiB of
 /// copied streams divided by the worker count, so the staged bytes in
@@ -257,8 +257,8 @@ impl AsRef<[u8]> for Body<'_> {
 /// ([`SpanPipeline::extract_grouped`]), so per-client work runs on every
 /// core with no barrier before it. The other entry points merge the
 /// groups back into one stream, so their transactions, report and strict
-/// stop are the same at any worker and group count. Every buffer lives
-/// in the pipeline and is reused across captures.
+/// stop are the same at any worker and group count. Every buffer lives in
+/// the pipeline and is reused across captures.
 ///
 /// One run serves both ingest policies. Everything that can be salvaged
 /// is, and every loss is counted in an [`IngestReport`] — that is
@@ -431,20 +431,22 @@ impl SpanPipeline {
         self.reassembler.lay_streams(&mut report.reassembly_gaps, &mut self.laid);
         report.streams_total += self.laid.len() as u64;
         // Triage by first bytes, read across a stream's pieces: which
-        // direction of each connection is the request.
+        // direction of each connection is the request. One sort groups the
+        // connections' streams, each group in first-seen order.
         let mut head = [0u8; TRIAGE_BYTES];
-        let mut connections: BTreeMap<(Endpoint, Endpoint), (Option<usize>, Option<usize>)> =
-            BTreeMap::new();
-        for i in 0..self.laid.len() {
-            let entry = connections.entry(self.laid.key(i).connection_id()).or_default();
-            let is_request = looks_like_request(self.laid.head(capture, i, &mut head));
-            let slot = if is_request { &mut entry.0 } else { &mut entry.1 };
-            if let Some(displaced) = slot.replace(i) {
-                count_unpaired(report, self.laid.head(capture, displaced, &mut head));
-            }
-        }
+        let mut by_conn: Vec<_> =
+            (0..self.laid.len()).map(|i| (self.laid.key(i).connection_id(), i)).collect();
+        by_conn.sort_unstable();
         self.conns.clear();
-        for (req, resp) in connections.into_values() {
+        for streams in by_conn.chunk_by(|a, b| a.0 == b.0) {
+            let (mut req, mut resp) = (None, None);
+            for &(_, i) in streams {
+                let is_request = looks_like_request(self.laid.head(capture, i, &mut head));
+                let slot = if is_request { &mut req } else { &mut resp };
+                if let Some(displaced) = slot.replace(i) {
+                    count_unpaired(report, self.laid.head(capture, displaced, &mut head));
+                }
+            }
             let Some(req) = req else {
                 if let Some(orphan) = resp {
                     count_unpaired(report, self.laid.head(capture, orphan, &mut head));
@@ -953,6 +955,7 @@ mod tests {
     use crate::ipv4::PROTO_TCP;
     use crate::pcap::Packet;
     use crate::reassembly::FlowKey;
+    use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
 
     /// Pairs one connection's two reassembled directions, each a single
